@@ -9,9 +9,9 @@ Three claims, each asserted:
   faults no later than the fixed grid does -- in practice at the
   instant of injection, even with every agent backed off to its
   maximum period;
-- **the control plane cannot tell**: scan/ledger sweep decisions and
-  the paired cross-check stay byte-identical and mismatch-free under
-  either wake policy.
+- **the control plane cannot tell**: a plain site's decisions and
+  those of a site paired with the full-rescan reference stay
+  byte-identical and mismatch-free under either wake policy.
 
 The measured table is written to ``BENCH_wakes.json`` as the recorded
 baseline on full-size runs.

@@ -24,7 +24,7 @@ RATES = {Category.MID_CRASH: 4.0, Category.FRONT_END: 3.0,
 
 def _harness(seed: int, horizon_h: float) -> FidelityHarness:
     harness = FidelityHarness(build_site(SiteConfig.test_scale(
-        seed=seed, control_plane="paired", spare_servers=1,
+        seed=seed, spare_servers=1,
         with_workload=False, with_feeds=False)))
     harness.injector.schedule_poisson(RATES, horizon_h * 3600.0)
     return harness

@@ -3,10 +3,12 @@
 The watchdog's job is unchanged -- notice "absence of flags" within a
 watch period -- but the two observation paths price it differently:
 
-- ``scan`` reads every agent's flag directory on every host, every
+- ``scan`` -- the chaos tier's :class:`ScanReference` planner, timed
+  directly -- reads every agent's flag directory on every host, every
   sweep: O(hosts x agents) regardless of what happened;
-- ``ledger`` consumes the conditions appended since its last sweep and
-  examines only candidate hosts: O(changes).
+- ``ledger`` -- the administration servers' watchdog -- consumes the
+  conditions appended since its last sweep and examines only candidate
+  hosts: O(changes).
 
 Shape asserted: at a healthy steady state (every agent flagging every
 period -- the *worst* case for the ledger, since every flag is a
@@ -23,6 +25,7 @@ import time
 
 from conftest import emit
 
+from repro.chaos.oracles import ScanReference
 from repro.cluster.datacenter import Datacenter
 from repro.core.admin import AdministrationServers
 from repro.core.flags import FlagStore
@@ -48,13 +51,12 @@ class _StubSuite:
                        for i in range(AGENTS_PER_HOST)]
 
 
-def _build(mode, n_hosts):
+def _build(n_hosts):
     sim = Simulator()
     dc = Datacenter(sim, RandomStreams(0), "bench-dc")
     adm1 = dc.add_host("adm01", "admin-server", group="admin")
     adm2 = dc.add_host("adm02", "admin-server", group="admin")
-    admin = AdministrationServers(dc, adm1, adm2, None,
-                                  control_plane=mode)
+    admin = AdministrationServers(dc, adm1, adm2, None)
     # the bench drives sweeps by hand; the cron grid must not slip
     # extra sweeps in during sim.run and drain the cursor first
     adm1.crond.kill()
@@ -75,32 +77,37 @@ def _flag_all(suites, now):
             agent.flags.clear_before(now - PRUNE_WINDOW)
 
 
-def _sweep_cost(sim, admin, suites, *, rounds, active=None):
+def _sweep_cost(sim, admin, suites, *, rounds, active=None, scan=False):
     """Minimum wall time of a steady-state sweep, plus the conditions
     the watchdog consumed during the measured rounds.  Flags are raised
     for ``active`` suites (default: all) right before each sweep;
-    rounds x interval stays within watch_period so nobody goes stale."""
+    rounds x interval stays within watch_period so nobody goes stale.
+    With ``scan`` the timed call is the reference rescan planner."""
     if active is None:
         active = suites
+    if scan:
+        plan_sweep = ScanReference(admin).plan_sweep
+        sweep = lambda: plan_sweep(sim.now, admin.active())
+    else:
+        sweep = admin._watchdog
     assert rounds * SWEEP_INTERVAL <= admin.watch_period
     # past the warm-up grace, with one full grid of flags on record
     t = sim.now + admin.watch_period + admin.agent_period + 100.0
     _flag_all(suites, t)
     sim.run(until=t)
     admin._watchdog()                       # absorb the bootstrap sweep
-    cursor = admin._flag_cursor
-    consumed0 = cursor.consumed if cursor is not None else 0
+    consumed0 = admin._flag_cursor.consumed
     best = float("inf")
     for _ in range(rounds):
         t += SWEEP_INTERVAL
         _flag_all(active, t)
         sim.run(until=t)
         t0 = time.perf_counter()
-        admin._watchdog()
+        plan = sweep()      # the rescan's plan; the watchdog's None
         best = min(best, time.perf_counter() - t0)
+        assert not plan, "bench must stay fault-free"
     assert not admin.decisions, "bench must stay fault-free"
-    consumed = (cursor.consumed - consumed0) if cursor is not None else 0
-    return best, consumed
+    return best, admin._flag_cursor.consumed - consumed0
 
 
 def test_sweep_cost_scales_with_changes_not_site_size(one_shot, quick):
@@ -112,13 +119,14 @@ def test_sweep_cost_scales_with_changes_not_site_size(one_shot, quick):
         out = {"scan_ms": {}, "ledger_ms": {}}
         for n in sizes:
             for mode in ("scan", "ledger"):
-                sim, admin, suites = _build(mode, n)
-                cost, _ = _sweep_cost(sim, admin, suites, rounds=rounds)
+                sim, admin, suites = _build(n)
+                cost, _ = _sweep_cost(sim, admin, suites, rounds=rounds,
+                                      scan=mode == "scan")
                 out[f"{mode}_ms"][n] = cost * 1000.0
 
         # partial activity at the largest site: only k hosts flag
         n = sizes[-1]
-        sim, admin, suites = _build("ledger", n)
+        sim, admin, suites = _build(n)
         out["active_ms"] = {}
         out["conditions"] = {}
         for k in (0, n // 10, n):

@@ -1,11 +1,12 @@
 """Episode execution: one scenario against one live site.
 
-Every episode runs at test scale with the control plane in ``paired``
-mode -- the scan-vs-ledger cross-check of PR 4 runs on every sweep, so
-the strongest oracle comes for free -- plus one spare host so the
-relocation tier is reachable, the tracer installed so incident reports
-can be built, and a :class:`~repro.experiments.runner.FidelityHarness`
-keeping the downtime books.
+Every episode runs at test scale with a
+:class:`~repro.chaos.oracles.ScanReference` attached to the admin pair
+-- PR 4's full-rescan cross-check judges every sweep and DGSPL build
+-- plus one spare host so the relocation tier is reachable, the tracer
+installed so incident reports can be built, and a
+:class:`~repro.experiments.runner.FidelityHarness` keeping the
+downtime books.
 
 Events resolve their abstract target selectors against the built site
 (indices wrap modulo pool size) and dispatch through the injector's
@@ -52,6 +53,8 @@ class Episode:
     site: object
     harness: object
     horizon: float
+    #: the full-rescan reference attached to the site's admin pair
+    reference: object
     #: "t op target" lines for events that applied / fizzled
     applied: List[str] = field(default_factory=list)
     fizzled: List[str] = field(default_factory=list)
@@ -213,11 +216,20 @@ class _EpisodeBook:
         return [h.seq for h, _i in self._pending if h.alive]
 
 
+def _collect_condition_markers(ep: Episode) -> None:
+    """Harvest ``cond:<kind>[:<status>]`` markers live off the ledger."""
+    def collect(cond):
+        ep.condition_markers.add(f"cond:{cond.kind}")
+        if cond.status:
+            ep.condition_markers.add(f"cond:{cond.kind}:{cond.status}")
+    ep.site.ledger.on_append(collect)
+
+
 def _plant_bug(admin) -> None:
     """Test-only: wrap the watchdog wheel so deadlines implying a
     deep-backoff staleness gap are pushed to never-due.  The key stays
     tracked (the wheel-structure oracle passes); the *behaviour*
-    diverges from the scan plan only once that agent goes silent."""
+    diverges from the rescan plan only once that agent goes silent."""
     wheel = admin._wheel
     orig = wheel.set_deadline
     sim = admin.sim
@@ -276,15 +288,16 @@ def run_federation_episode(scenario: Scenario,
                            oracle_names=None) -> FederationEpisode:
     """One multi-site scenario against a live federation.
 
-    Builds the canonical 3-site federation (every site in ``paired``
-    control-plane mode so the scan-ledger oracle bites), serves geo
+    Builds the canonical 3-site federation (a rescan reference on
+    every site so the scan-ledger oracle bites), serves geo
     traffic throughout, applies the scenario's events at their absolute
     times -- site-scoped selectors resolve inside their named site,
     ``wan[i]`` selects the i-th site's leased lines -- and judges every
     site with the same oracle set as a single-site episode.
     """
     from repro.chaos.coverage import signature_of
-    from repro.chaos.oracles import OracleVerdict, run_oracles
+    from repro.chaos.oracles import (OracleVerdict, ScanReference,
+                                     run_oracles)
     from repro.experiments.runner import FidelityHarness
     from repro.federation import build_federation
     from repro.federation.config import three_site_config
@@ -296,10 +309,8 @@ def run_federation_episode(scenario: Scenario,
             f"federated episodes run the canonical 3-site world; "
             f"got sites={scenario.sites}")
 
-    config = three_site_config(population=60_000, seed=scenario.seed)
-    for spec in config.sites:
-        spec.config.control_plane = "paired"
-    fed = build_federation(config)
+    fed = build_federation(
+        three_site_config(population=60_000, seed=scenario.seed))
     names = sorted(fed.sites)
 
     fep = FederationEpisode(scenario=scenario, fed=fed)
@@ -308,14 +319,9 @@ def run_federation_episode(scenario: Scenario,
         site = fed.sites[name]
         harnesses[name] = FidelityHarness(site)
         shim = Episode(scenario=scenario, site=site,
-                       harness=harnesses[name], horizon=scenario.horizon)
-        if site.ledger is not None:
-            def collect(cond, _shim=shim):
-                _shim.condition_markers.add(f"cond:{cond.kind}")
-                if cond.status:
-                    _shim.condition_markers.add(
-                        f"cond:{cond.kind}:{cond.status}")
-            site.ledger.on_append(collect)
+                       harness=harnesses[name], horizon=scenario.horizon,
+                       reference=ScanReference.attach(site.admin))
+        _collect_condition_markers(shim)
         fep.episodes[name] = shim
 
     def apply_event(ev) -> None:
@@ -407,7 +413,7 @@ def run_episode(scenario: Scenario, *, planted_bug: bool = False,
         return run_federation_episode(scenario, oracle_names)
 
     from repro.chaos.coverage import signature_of
-    from repro.chaos.oracles import run_oracles
+    from repro.chaos.oracles import ScanReference, run_oracles
     from repro.experiments.runner import FidelityHarness
     from repro.experiments.site import SiteConfig, build_site
     from repro.observe.incidents import build_reports, reconcile
@@ -417,7 +423,7 @@ def run_episode(scenario: Scenario, *, planted_bug: bool = False,
     scenario.validate()
 
     config = SiteConfig.test_scale(
-        seed=scenario.seed, control_plane="paired", spare_servers=1,
+        seed=scenario.seed, spare_servers=1,
         with_workload=False, with_feeds=False)
     site = build_site(config)
     tracer = install_tracer(site.sim)
@@ -426,14 +432,10 @@ def run_episode(scenario: Scenario, *, planted_bug: bool = False,
         _plant_bug(site.admin)
 
     ep = Episode(scenario=scenario, site=site, harness=harness,
-                 horizon=scenario.horizon)
+                 horizon=scenario.horizon,
+                 reference=ScanReference.attach(site.admin))
 
-    if site.ledger is not None:
-        def collect(cond):
-            ep.condition_markers.add(f"cond:{cond.kind}")
-            if cond.status:
-                ep.condition_markers.add(f"cond:{cond.kind}:{cond.status}")
-        site.ledger.on_append(collect)
+    _collect_condition_markers(ep)
 
     injector = harness.injector
     book = _EpisodeBook(ep)
@@ -452,6 +454,7 @@ def run_episode(scenario: Scenario, *, planted_bug: bool = False,
     book.fire = fire
     extras = dict(harness._extras())
     extras["episode"] = book
+    extras["scan_reference"] = ep.reference
 
     if from_checkpoint is not None:
         from repro.persist import CheckpointManager, restore_site

@@ -6,10 +6,11 @@ encode new theory -- they are exactly the invariants earlier PRs
 established as permanent regression guards, now run after *every*
 fuzzed episode instead of only inside their home test files:
 
-- **scan-ledger-parity** -- the paired control plane's scan-vs-ledger
-  sweep and DGSPL plans must be byte-identical (PR 4's contract; the
-  executor runs every episode in ``paired`` mode so the comparison is
-  made on every sweep of every episode).
+- **scan-ledger-parity** -- the ledger-driven sweep plans and DGSPL
+  builds must be byte-identical to a full rescan's (PR 4's contract).
+  The rescan is :class:`ScanReference`, below: the executor attaches
+  one to every site it builds, so the comparison is made on every
+  sweep and every build of every episode.
 - **deadline-wheel** -- the watchdog's staleness wheel must never lose
   a watched agent key and never resurrect a dropped one.
 - **stuck-relocations** -- every relocation that started with enough
@@ -28,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-__all__ = ["OracleVerdict", "ORACLES", "run_oracles",
+__all__ = ["OracleVerdict", "ORACLES", "run_oracles", "ScanReference",
            "NOTIFY_STORM_BOUND"]
 
 #: max pages one recipient may receive per simulated hour
@@ -48,23 +49,111 @@ class OracleVerdict:
                 "violations": list(self.violations)}
 
 
+class ScanReference:
+    """The paper-faithful control plane (§3.1.2), kept as the reference
+    judge outside the system under test: read every agent's flag
+    directory on every host every sweep, rebuild the DGSPL from every
+    fresh DLSP every cycle.
+
+    :meth:`plan_sweep` and :meth:`build_dgspl` recompute from scratch,
+    through the pair's own per-host judgement, what the pair derives
+    from its ledger.  :meth:`attach` wraps the pair's planner and DGSPL
+    assembly so every cycle is compared, divergences are counted here
+    and the rescan result is what gets applied.  Snapshottable, so an
+    attached reference rides a checkpoint's ``extras``.
+    """
+
+    def __init__(self, admin):
+        self.admin = admin
+        self.sweep_mismatches = 0
+        self.dgspl_mismatches = 0
+
+    @classmethod
+    def attach(cls, admin) -> "ScanReference":
+        ref = cls(admin)
+        plan_ledger = admin._plan_sweep_ledger
+        assemble = admin._assemble_dgspl_incremental
+
+        def plan_checked(now, head):
+            plan, examined = plan_ledger(now, head)
+            truth = ref.plan_sweep(now, head)
+            if plan != truth:
+                ref.sweep_mismatches += 1
+            return truth, examined
+
+        def assemble_checked(now):
+            dgspl = assemble(now)
+            truth = ref.build_dgspl(now)
+            if truth.to_doc().render() != dgspl.to_doc().render():
+                ref.dgspl_mismatches += 1
+                return truth
+            return dgspl
+
+        admin._plan_sweep_ledger = plan_checked
+        admin._assemble_dgspl_incremental = assemble_checked
+        return ref
+
+    def stale_agents(self, host, suite, now: float) -> List[str]:
+        """Agents whose freshest flag *on disk* is older than their
+        *live* wake period plus the grace (agents without a wake
+        controller -- fixtures, stubs -- run at the base period)."""
+        # imported on use, like the executor's: ``import repro.chaos``
+        # (every fuzzer worker's start-up) must not load the product
+        from repro.core.flags import FlagStore
+        admin = self.admin
+        stale = []
+        for agent in suite.agents:
+            latest = FlagStore(host.fs, agent.name).latest_time()
+            period = getattr(getattr(agent, "wake", None),
+                             "current_period", admin.agent_period)
+            if now - latest > period + admin.flag_grace:
+                stale.append(agent.name)
+        return stale
+
+    def plan_sweep(self, now: float, head) -> List[tuple]:
+        """Examine every host, read every flag directory:
+        O(hosts x agents) per sweep."""
+        admin = self.admin
+        plan = []
+        for host_name, suite in admin.suites.items():
+            decision = admin._judge_host(host_name, suite, now, head,
+                                         self.stale_agents)
+            if decision is not None:
+                plan.append(decision)
+        return plan
+
+    def build_dgspl(self, now: float):
+        """Walk every DLSP on the books and rebuild the whole list."""
+        from repro.ontology.dgspl import build_dgspl
+        admin = self.admin
+        return build_dgspl(
+            [d for d in admin.dlsps.values()
+             if d.is_fresh(now, admin._dlsp_window(d.hostname))], now)
+
+    def snapshot_state(self) -> dict:
+        return {"sweep_mismatches": self.sweep_mismatches,
+                "dgspl_mismatches": self.dgspl_mismatches}
+
+    def restore_state(self, state: dict) -> None:
+        self.sweep_mismatches = int(state["sweep_mismatches"])
+        self.dgspl_mismatches = int(state["dgspl_mismatches"])
+
+
 def scan_ledger_parity(ep) -> List[str]:
-    admin = ep.site.admin
-    if admin is None or admin.control_plane != "paired":
-        return []
+    ref = ep.reference
     out = []
-    if admin.sweep_mismatches:
-        out.append(f"{admin.sweep_mismatches} sweep plan(s) diverged "
+    if ref.sweep_mismatches:
+        out.append(f"{ref.sweep_mismatches} sweep plan(s) diverged "
                    f"between scan and ledger control planes")
-    if admin.dgspl_mismatches:
-        out.append(f"{admin.dgspl_mismatches} DGSPL build(s) diverged "
+    if ref.dgspl_mismatches:
+        out.append(f"{ref.dgspl_mismatches} DGSPL build(s) diverged "
                    f"between scan and ledger control planes")
     return out
 
 
 def deadline_wheel(ep) -> List[str]:
     admin = ep.site.admin
-    if admin is None or admin.ledger is None:
+    if admin is None:
         return []
     wheel = admin._wheel
     out = []

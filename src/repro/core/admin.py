@@ -19,29 +19,24 @@ Duties implemented here:
   one (primary if up, else standby) acts.  State lives in the pool, so
   a failover loses nothing.
 
-**Control-plane modes.**  The observation path behind both duties runs
-in one of three modes (``control_plane=``):
+**One observation path.**  Both duties run incrementally over the site
+condition ledger (:mod:`repro.controlplane`): flag raises, wake-interval
+publications and DLSP arrivals append conditions; a sweep consumes only
+conditions newer than its cursor, staleness comes from the deadline
+wheel, and only *candidate* hosts (due, down, latched or unreachable)
+are examined -- O(changes), not O(hosts x agents).  A sweep produces a
+*plan*, an ordered list of (action, host, reason) decisions, each
+appended to :attr:`decisions` as it is applied, so two runs of one
+campaign compare byte for byte.  The paper-faithful full rescan is the
+reference judge :class:`repro.chaos.oracles.ScanReference`, which the
+chaos tier and the parity tests attach from outside.
 
-- ``"scan"`` -- the paper-faithful full rescan: every sweep reads every
-  agent's flag directory and every DGSPL build walks every DLSP.
-  O(hosts x agents) per cycle; kept as the ``centralised``-style
-  ablation arm.
-- ``"ledger"`` (default) -- the incremental path: flag raises and DLSP
-  arrivals append conditions to the site ledger
-  (:mod:`repro.controlplane`); a sweep consumes only conditions newer
-  than its cursor, staleness comes from the deadline wheel, and only
-  *candidate* hosts (due, down, or latched) are examined.  O(changes).
-- ``"paired"`` -- runs both every cycle, asserts the ledger plan equals
-  the scan plan (``sweep_mismatches`` / ``dgspl_mismatches`` count any
-  divergence) and applies the scan result.  The regression harness for
-  the refactor.
-
-Both watchdog paths produce a *sweep plan* -- an ordered list of
-(action, host, reason) decisions -- through the identical per-host
-judgement; they differ only in which hosts they examine and where the
-flag-freshness numbers come from.  Every planned decision is appended
-to :attr:`decisions`, so two runs of the same campaign in different
-modes can be compared byte for byte.
+**Lost conditions are a debt.**  A condition is delivered only while
+its host can reach a live coordinator, and the ledger backlog is
+bounded.  The pair remembers which hosts lost one (dropped in transit,
+or trimmed past its cursor) and, on the first sweep that can reach them,
+refreshes their model rows from the flag directories and live wake
+periods.
 """
 
 from __future__ import annotations
@@ -49,9 +44,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.controlplane import ConditionLedger, DeadlineWheel
-from repro.core.flags import FlagStore
 from repro.core.healing import apply_action
-from repro.ontology.dgspl import Dgspl, build_dgspl, host_entries
+from repro.ontology.dgspl import Dgspl, host_entries
 from repro.ontology.dlsp import Dlsp
 
 __all__ = ["AdministrationServers"]
@@ -70,11 +64,7 @@ class AdministrationServers:
     def __init__(self, dc, primary, standby, pool, *, channel=None,
                  notifications=None, relocator=None,
                  agent_period: float = 300.0,
-                 ledger: Optional[ConditionLedger] = None,
-                 control_plane: str = "ledger"):
-        if control_plane not in ("scan", "ledger", "paired"):
-            raise ValueError(
-                f"unknown control plane mode {control_plane!r}")
+                 ledger: Optional[ConditionLedger] = None):
         self.dc = dc
         self.sim = dc.sim
         self.primary = primary
@@ -110,32 +100,30 @@ class AdministrationServers:
         self._demand_woken: Dict[str, float] = {}
         self.demand_wakes = 0
 
-        self.control_plane = control_plane
-        if ledger is None and control_plane != "scan":
-            ledger = ConditionLedger()
-        self.ledger = ledger
-        self._flag_cursor = (ledger.subscribe("admin-watchdog")
-                             if ledger is not None else None)
-        self._dlsp_cursor = (ledger.subscribe("admin-dgspl")
-                             if ledger is not None else None)
+        self.ledger = ledger if ledger is not None else ConditionLedger()
+        self._flag_cursor = self.ledger.subscribe("admin-watchdog")
+        self._dlsp_cursor = self.ledger.subscribe("admin-dgspl")
+        #: ledger version up to which wake-interval publications are in
+        #: the model (see :meth:`_poll`)
+        self._wake_seen = 0
+        #: hosts that lost a condition -- dropped in transit (partition,
+        #: no coordinator up) or trimmed past the watchdog cursor -- and
+        #: whose model rows are stale until a sweep can reach them again
+        self._dropped: set = set()
         #: the evolving model: freshest flag time per (host, agent)
         self._latest_flags: Dict[Tuple[str, str], float] = {}
         self._wheel = DeadlineWheel()
         self._down_hosts: set = set()
-        #: canonical sweep order (suite registration order, which is
-        #: what the full scan iterates) -- both planners emit decisions
-        #: in this order so the logs are comparable byte for byte
+        #: canonical sweep order (suite registration order): decisions
+        #: are emitted in this order so logs compare byte for byte
         self._suite_order: Dict[str, int] = {}
         #: applied-decision log: "t action host reason" per decision
         self.decisions: List[str] = []
         #: the same log as typed records (time, action, host, reason)
-        #: for the incident-report joiner; the string form above stays
-        #: byte-comparable across control-plane modes
+        #: for the incident-report joiner
         self.decision_log: List[Tuple[float, str, str, str]] = []
-        self.sweep_mismatches = 0
-        self.dgspl_mismatches = 0
         self.model_resyncs = 0
-        #: per-host cached DGSPL contributions (ledger mode)
+        #: per-host cached DGSPL contributions
         self._dgspl_cache: Dict[str, list] = {}
 
         if pool is not None:
@@ -199,46 +187,30 @@ class AdministrationServers:
         host = suite.host
         self.suites[host.name] = suite
         self._suite_order[host.name] = len(self._suite_order)
-        registered = self.sim.now
-        self._registered_at[host.name] = registered
-        # a boot re-arms the escalation latch even when the host flaps
-        # faster than the watchdog can observe it green
+        self._registered_at[host.name] = self.sim.now
+        # bind the suite's flag stores to the ledger (idempotent if
+        # the suite was already built with one) and bootstrap the
+        # model from the flags already on disk
+        for agent in suite.agents:
+            agent.flags.bind(self.ledger, host.name, self._flag_reachable)
+        self._resync_host(host.name)
         host.up_signal.subscribe(
-            lambda _v, name=host.name: self._host_recovered(name))
-        if self.ledger is not None:
-            # bind the suite's flag stores to the ledger (idempotent if
-            # the suite was already built with one) and bootstrap the
-            # model from the flags already on disk
-            for agent in suite.agents:
-                agent.flags.bind(self.ledger, host.name,
-                                 self._flag_reachable)
-                key = (host.name, agent.name)
-                latest = agent.flags.latest_time()
-                self._latest_flags[key] = latest
-                period = getattr(getattr(agent, "wake", None),
-                                 "current_period", self.agent_period)
-                if period != self.agent_period:
-                    self._intervals[key] = period
-                if latest > _NEG_INF:
-                    deadline = latest + period + self.flag_grace
-                else:
-                    # never flagged: first judgeable the moment the
-                    # warm-up grace expires
-                    deadline = (registered + self.watch_period
-                                + self.agent_period)
-                self._wheel.set_deadline(key, deadline)
-            host.up_signal.subscribe(
-                lambda _v, name=host.name: self._host_state(name, True))
-            host.down_signal.subscribe(
-                lambda reason, name=host.name:
-                self._host_state(name, False, str(reason or "")))
-            if not host.is_up:
-                self._down_hosts.add(host.name)
+            lambda _v, name=host.name: self._host_state(name, True))
+        host.down_signal.subscribe(
+            lambda reason, name=host.name:
+            self._host_state(name, False, str(reason or "")))
+        if not host.is_up:
+            self._down_hosts.add(host.name)
 
     def _host_state(self, host_name: str, up: bool,
                     reason: str = "") -> None:
         if up:
             self._down_hosts.discard(host_name)
+            # a boot re-arms the escalation latch, so a relapse pages
+            # again even when the host flaps faster than the watchdog
+            # can observe it green
+            if host_name in self.hosts_escalated:
+                self._recovered_since.add(host_name)
         else:
             self._down_hosts.add(host_name)
         self.ledger.append("host", host_name,
@@ -246,14 +218,17 @@ class AdministrationServers:
                            time=self.sim.now, detail=reason)
 
     def _flag_reachable(self, host_name: str) -> bool:
-        """The delivery leg of a flag condition: can the host currently
-        reach either coordinator?  (Without a channel the transport is
-        assumed perfect, as for DLSP delivery.)"""
+        """The delivery leg of a flag or wake condition: can the host
+        currently reach either coordinator?  (Without a channel the
+        transport is assumed perfect, as for DLSP delivery.)  A refusal
+        means the caller drops its condition, so the host goes on the
+        books as owed a model refresh."""
         if self.channel is None:
             return True
         for head in (self.primary, self.standby):
             if head.is_up and self.channel.reachable(host_name, head.name):
                 return True
+        self._dropped.add(host_name)
         return False
 
     def register_service(self, service) -> None:
@@ -298,9 +273,7 @@ class AdministrationServers:
     def receive_dlsp(self, dlsp: Dlsp) -> None:
         """Called (over the agent channel) by the status agents."""
         self.dlsps[dlsp.hostname] = dlsp
-        if self.ledger is not None:
-            self.ledger.append("dlsp", dlsp.hostname,
-                               time=dlsp.generated_at)
+        self.ledger.append("dlsp", dlsp.hostname, time=dlsp.generated_at)
         head = self.active()
         if self.pool is not None and head is not None:
             try:
@@ -317,37 +290,23 @@ class AdministrationServers:
         if head is None:
             return
         now = self.sim.now
-        mode = self.control_plane
         tracer = self.sim.tracer
         sweep_span = tracer.span("admin.flag_sweep", head=head.name,
-                                 hosts=len(self.suites), mode=mode)
+                                 hosts=len(self.suites))
         if tracer.enabled:
             tracer.metrics.counter("admin.flag_sweeps").inc()
-        if mode == "scan":
-            plan = self._plan_sweep_scan(now, head)
-            examined = len(self.suites)
-        else:
-            plan, examined = self._plan_sweep_ledger(now, head)
-            if mode == "paired":
-                scan_plan = self._plan_sweep_scan(now, head)
-                if plan != scan_plan:
-                    self.sweep_mismatches += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter(
-                            "admin.sweep_mismatches").inc()
-                    plan = scan_plan    # full scan is ground truth
+        plan, examined = self._plan_sweep_ledger(now, head)
         stale_hosts = self._apply_sweep(now, plan)
         sweep_span.finish(stale_hosts=stale_hosts, examined=examined,
                           decisions=len(plan))
 
     def _judge_host(self, host_name: str, suite, now: float, head,
-                    stale: Optional[List[str]]) -> Optional[tuple]:
-        """The per-host decision, identical for both planners: the
-        caller supplies the stale-agent list from its own source of
-        truth (``None`` means "compute from the flag directories")."""
-        host = self.dc.hosts.get(host_name)
-        if host is None:
-            return None
+                    stale_of) -> Optional[tuple]:
+        """The per-host decision.  ``stale_of(host, suite, now)`` names
+        the agents whose flags are overdue from the caller's source of
+        truth: the ledger model here, the flag directories for the
+        chaos tier's reference rescan."""
+        host = suite.host
         # warm-up: a freshly registered suite has not had a full grid
         # of wakes yet; judging it stale would be a false alarm
         registered = self._registered_at.get(host_name, 0.0)
@@ -360,8 +319,7 @@ class AdministrationServers:
             d = self.channel.send(head.name, host_name, 256)
             if not d.ok:
                 return ("escalate", host_name, f"unreachable: {d.error}")
-        if stale is None:
-            stale = self._stale_agents(host, suite, now)
+        stale = stale_of(host, suite, now)
         if not stale:
             # flags green again: a latched host gets its escalation
             # latch cleared so the next failure is a new incident
@@ -381,28 +339,17 @@ class AdministrationServers:
             return ("demand_wake", host_name, reason)
         return ("escalate", host_name, reason)
 
-    def _plan_sweep_scan(self, now: float, head) -> List[tuple]:
-        """The paper-faithful planner: examine every host, read every
-        flag directory.  O(hosts x agents) per sweep."""
-        plan = []
-        for host_name, suite in self.suites.items():
-            decision = self._judge_host(host_name, suite, now, head,
-                                        stale=None)
-            if decision is not None:
-                plan.append(decision)
-        return plan
-
     def _plan_sweep_ledger(self, now: float, head) -> tuple:
         """The incremental planner: consume new conditions, then
         examine only candidate hosts -- due on the deadline wheel,
         currently down, or still latched.  O(changes)."""
-        conds, overrun = self._flag_cursor.poll()
+        conds, overrun = self._poll(self._flag_cursor)
         if overrun:
-            self._resync_model(now)
+            # the ledger was trimmed past us, so deltas are gone: every
+            # host is owed a refresh from ground truth
+            self.model_resyncs += 1
+            self._dropped.update(self.suites)
         for c in conds:
-            if c.kind == "wake":
-                self._note_wake_condition(c)
-                continue
             if c.kind != "flag":
                 continue
             key = (c.host, c.agent)
@@ -412,6 +359,7 @@ class AdministrationServers:
                 self._latest_flags[key] = c.time
                 self._wheel.set_deadline(key,
                                          c.time + self._ledger_gap(key))
+        self._repay_dropped(head)
         candidates = {key[0] for key in self._wheel.due(now)}
         candidates |= self._down_hosts & self.suites.keys()
         candidates |= self.hosts_escalated
@@ -420,8 +368,8 @@ class AdministrationServers:
         # the reachability leg: a host whose links all die emits no
         # condition (silence is not a delta), so the incremental model
         # alone cannot see it until the flag deadline fires -- under
-        # deep adaptive-wake backoff that window is half an hour, and
-        # the scan plan (which probes the channel on every host every
+        # deep adaptive-wake backoff that window is half an hour, where
+        # a full rescan (which probes the channel on every host every
         # sweep) escalates immediately.  Probe liveness directly; the
         # probe is byte-free, and on a healthy site it adds no
         # candidates, keeping quiet sweeps at zero examined hosts.
@@ -441,12 +389,8 @@ class AdministrationServers:
             suite = self.suites.get(host_name)
             if suite is None:
                 continue
-            stale = [a.name for a in suite.agents
-                     if now - self._latest_flags.get(
-                         (host_name, a.name), _NEG_INF)
-                     > self._ledger_gap((host_name, a.name))]
             decision = self._judge_host(host_name, suite, now, head,
-                                        stale=stale)
+                                        self._model_stale)
             if decision is not None:
                 plan.append(decision)
         tracer = self.sim.tracer
@@ -457,17 +401,26 @@ class AdministrationServers:
                 len(candidates))
         return plan, len(candidates)
 
-    def _live_gap(self, agent) -> float:
-        """Staleness gap from the agent's live wake controller (the
-        scan path's source of truth).  Agents without one -- fixtures,
-        stubs -- judge at the configured base period."""
-        period = getattr(getattr(agent, "wake", None), "current_period",
-                         self.agent_period)
-        return period + self.flag_grace
+    def _poll(self, cursor) -> tuple:
+        """Drain ``cursor``.  Both cursors see every wake-interval
+        publication; whichever polls first applies it, and the one that
+        polls later must not replay it over a newer interval."""
+        conds, overrun = cursor.poll()
+        for c in conds:
+            if c.kind == "wake" and c.version > self._wake_seen:
+                self._note_wake_condition(c)
+        self._wake_seen = cursor.last_seen
+        return conds, overrun
+
+    def _model_stale(self, host, suite, now: float) -> List[str]:
+        """Agents overdue according to the ledger-fed model."""
+        return [a.name for a in suite.agents
+                if now - self._latest_flags.get((host.name, a.name),
+                                                _NEG_INF)
+                > self._ledger_gap((host.name, a.name))]
 
     def _ledger_gap(self, key: Tuple[str, str]) -> float:
-        """Staleness gap from the published interval model (the ledger
-        path's source of truth)."""
+        """Staleness gap from the published interval model."""
         return self._intervals.get(key, self.agent_period) + self.flag_grace
 
     def _note_wake_condition(self, c) -> None:
@@ -488,32 +441,42 @@ class AdministrationServers:
             self._wheel.set_deadline(key,
                                      latest + interval + self.flag_grace)
 
-    def _resync_model(self, now: float) -> None:
-        """Cursor overrun: the ledger was trimmed past us, so deltas
-        are gone.  Rebuild the model from ground truth (one full
-        rescan), then resume incrementally."""
-        self.model_resyncs += 1
-        for host_name, suite in self.suites.items():
-            host = self.dc.hosts.get(host_name)
-            if host is None:
-                continue
-            registered = self._registered_at.get(host_name, 0.0)
-            for agent in suite.agents:
-                key = (host_name, agent.name)
-                latest = FlagStore(host.fs, agent.name).latest_time()
-                self._latest_flags[key] = latest
-                period = getattr(getattr(agent, "wake", None),
-                                 "current_period", self.agent_period)
-                if period != self.agent_period:
-                    self._intervals[key] = period
-                else:
-                    self._intervals.pop(key, None)
-                if latest > _NEG_INF:
-                    deadline = latest + period + self.flag_grace
-                else:
-                    deadline = (registered + self.watch_period
-                                + self.agent_period)
-                self._wheel.set_deadline(key, deadline)
+    def _resync_host(self, host_name: str) -> None:
+        """One host's model rows from ground truth: freshest flag per
+        agent off the flag directories, wake interval off the live
+        controller (agents without one -- fixtures, stubs -- run at the
+        configured base period)."""
+        registered = self._registered_at[host_name]
+        for agent in self.suites[host_name].agents:
+            key = (host_name, agent.name)
+            latest = agent.flags.latest_time()
+            self._latest_flags[key] = latest
+            period = getattr(getattr(agent, "wake", None),
+                             "current_period", self.agent_period)
+            if period != self.agent_period:
+                self._intervals[key] = period
+            else:
+                self._intervals.pop(key, None)
+            if latest > _NEG_INF:
+                deadline = latest + period + self.flag_grace
+            else:
+                # never flagged: first judgeable the moment the
+                # warm-up grace expires
+                deadline = (registered + self.watch_period
+                            + self.agent_period)
+            self._wheel.set_deadline(key, deadline)
+
+    def _repay_dropped(self, head) -> None:
+        """Refresh the model rows of every host that lost a condition
+        (in transit, or to a cursor overrun) and is reachable now.  A
+        host still dark keeps its debt: its flag directories cannot be
+        read from here."""
+        for host_name in sorted(self._dropped):
+            reachable = self.channel is None or self.channel.reachable(
+                head.name, host_name)
+            if reachable and self.suites[host_name].host.is_up:
+                self._resync_host(host_name)
+                self._dropped.discard(host_name)
 
     def _apply_sweep(self, now: float, plan: List[tuple]) -> int:
         stale_hosts = 0
@@ -532,9 +495,8 @@ class AdministrationServers:
                 self.demand_wakes += 1
                 if tracer.enabled:
                     tracer.metrics.counter("admin.demand_wakes").inc()
-                if self.ledger is not None:
-                    self.ledger.append("wake", host_name, status="demand",
-                                       time=now, detail=reason)
+                self.ledger.append("wake", host_name, status="demand",
+                                   time=now, detail=reason)
                 suite = self.suites.get(host_name)
                 wake_all = getattr(suite, "demand_wake_all", None)
                 woken = wake_all() if wake_all is not None else 0
@@ -555,21 +517,6 @@ class AdministrationServers:
                     stale_hosts += 1
                 self._escalate_host(host_name, reason)
         return stale_hosts
-
-    def _stale_agents(self, host, suite, now: float) -> List[str]:
-        stale = []
-        for agent in suite.agents:
-            latest = FlagStore(host.fs, agent.name).latest_time()
-            if now - latest > self._live_gap(agent):
-                stale.append(agent.name)
-        return stale
-
-    def _host_recovered(self, host_name: str) -> None:
-        """The host booted; if it was escalated, mark the incident as
-        over so a relapse escalates again (fired from ``up_signal``,
-        which also covers flaps too fast for the watchdog to see)."""
-        if host_name in self.hosts_escalated:
-            self._recovered_since.add(host_name)
 
     def _escalate_host(self, host_name: str, reason: str) -> None:
         """Local healing failed: relocate if we can, else page a human.
@@ -612,41 +559,22 @@ class AdministrationServers:
         configured floor; per-host staleness uses :meth:`_dlsp_window`)."""
         return 2 * self.agent_period + 60.0
 
-    def _status_interval(self, host_name: str) -> float:
-        """The status agent's current wake interval for a host: the
-        published value in ledger modes, the live controller otherwise."""
-        if self.ledger is not None:
-            return self._intervals.get((host_name, "status"),
-                                       self.agent_period)
-        suite = self.suites.get(host_name)
-        wake = getattr(getattr(suite, "status", None), "wake", None)
-        if wake is not None:
-            return wake.current_period
-        return self.agent_period
-
     def _dlsp_window(self, host_name: str) -> float:
         """A backed-off status agent ships profiles less often; its
-        host's DLSP stays serveable for two of *its* intervals, not two
-        base periods, so quiescent-but-healthy hosts keep their routes."""
-        return 2.0 * self._status_interval(host_name) + 60.0
+        host's DLSP stays serveable for two of *its* published
+        intervals, not two base periods, so quiescent-but-healthy hosts
+        keep their routes."""
+        return 2.0 * self._intervals.get((host_name, "status"),
+                                         self.agent_period) + 60.0
 
     def _assemble_dgspl_incremental(self, now: float) -> Dgspl:
         """Recompute per-host entries only for hosts whose DLSP changed
         since the last build; assemble the list from the cache.  The
-        iteration order (DLSP arrival order) matches the full rebuild,
-        so the result is byte-identical."""
-        conds, overrun = self._dlsp_cursor.poll()
-        if overrun:
-            dirty = set(self.dlsps)
-        else:
-            dirty = set()
-            for c in conds:
-                if c.kind == "dlsp":
-                    dirty.add(c.host)
-                elif c.kind == "wake":
-                    # interval publications change freshness windows;
-                    # both cursors consume them (idempotent)
-                    self._note_wake_condition(c)
+        iteration order (DLSP arrival order) matches a full rebuild,
+        so the result is byte-identical to one."""
+        conds, overrun = self._poll(self._dlsp_cursor)
+        dirty = set(self.dlsps) if overrun else set()
+        dirty.update(c.host for c in conds if c.kind == "dlsp")
         cache = self._dgspl_cache
         for host in dirty:
             dlsp = self.dlsps.get(host)
@@ -666,27 +594,9 @@ class AdministrationServers:
         if head is None:
             return
         now = self.sim.now
-        mode = self.control_plane
         tracer = self.sim.tracer
-        build_span = tracer.span("admin.dgspl_build", head=head.name,
-                                 mode=mode)
-        if mode == "scan":
-            fresh = [d for d in self.dlsps.values()
-                     if d.is_fresh(now, self._dlsp_window(d.hostname))]
-            self.dgspl = build_dgspl(fresh, now)
-        else:
-            self.dgspl = self._assemble_dgspl_incremental(now)
-            if mode == "paired":
-                fresh = [d for d in self.dlsps.values()
-                         if d.is_fresh(now, self._dlsp_window(d.hostname))]
-                full = build_dgspl(fresh, now)
-                if (full.to_doc().render()
-                        != self.dgspl.to_doc().render()):
-                    self.dgspl_mismatches += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter(
-                            "admin.dgspl_mismatches").inc()
-                    self.dgspl = full   # full rebuild is ground truth
+        build_span = tracer.span("admin.dgspl_build", head=head.name)
+        self.dgspl = self._assemble_dgspl_incremental(now)
         self.dgspl_generations += 1
         build_span.finish(entries=len(self.dgspl.entries))
         if tracer.enabled:
@@ -750,9 +660,9 @@ class AdministrationServers:
             "suite_order": dict(sorted(self._suite_order.items())),
             "decisions": list(self.decisions),
             "decision_log": [list(d) for d in self.decision_log],
-            "sweep_mismatches": self.sweep_mismatches,
-            "dgspl_mismatches": self.dgspl_mismatches,
             "model_resyncs": self.model_resyncs,
+            "wake_seen": self._wake_seen,
+            "dropped": sorted(self._dropped),
             "dgspl_cache": {
                 host: [[e.server, e.server_type, e.os, e.ram_mb, e.cpus,
                         e.app_name, e.app_type, e.app_version,
@@ -799,9 +709,9 @@ class AdministrationServers:
         self.decisions = list(state["decisions"])
         self.decision_log = [(float(t), a, h, r)
                              for t, a, h, r in state["decision_log"]]
-        self.sweep_mismatches = int(state["sweep_mismatches"])
-        self.dgspl_mismatches = int(state["dgspl_mismatches"])
         self.model_resyncs = int(state["model_resyncs"])
+        self._wake_seen = int(state["wake_seen"])
+        self._dropped = set(state["dropped"])
         self._dgspl_cache = {
             host: [GlobalServiceEntry(*row) for row in rows]
             for host, rows in state["dgspl_cache"].items()}

@@ -112,9 +112,8 @@ def run(seed: int = 0, *, population: int = 1_000_000,
     doors = doors_for_site(site)
     engine = FluidTrafficEngine(site.sim, curve, doors, site.streams,
                                 step=60.0)
-    if site.ledger is not None:
-        for door in doors.values():
-            door.attach_ledger(site.ledger)
+    for door in doors.values():
+        door.attach_ledger(site.ledger)
     engine.start()
     site.telemetry.attach_slis(engine.slis)
 
@@ -147,8 +146,7 @@ def run(seed: int = 0, *, population: int = 1_000_000,
     from repro.ops.console import OperatorConsole
     console = OperatorConsole(site.notifications, site.sim)
     console.attach_alerts(site.alerts)
-    if site.ledger is not None:
-        console.attach_ledger(site.ledger)
+    console.attach_ledger(site.ledger)
 
     return IncidentRunResult(
         seed=seed, population=population, horizon=horizon,

@@ -123,6 +123,8 @@ class FidelityHarness:
         restored heap is exactly the claimed set."""
         from repro.experiments.site import SiteConfig, build_site
         from repro.persist import restore_site
+        from repro.persist.core import check_format
+        check_format(snapshot)
         site = build_site(SiteConfig(**snapshot["config"]))
         harness = cls(site)
         restore_site(snapshot, site=site, extras=harness._extras())

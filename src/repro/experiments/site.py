@@ -27,6 +27,7 @@ from repro.batch.lsf import LsfCluster, LsfMaster
 from repro.batch.policies import ManualPolicy
 from repro.batch.workload import OvernightWorkload
 from repro.cluster.datacenter import Datacenter
+from repro.controlplane import ConditionLedger
 from repro.core.admin import AdministrationServers
 from repro.core.jobmgr import JobManager
 from repro.core.suite import AgentSuite
@@ -58,9 +59,6 @@ class SiteConfig:
     spare_servers: int = 0
     agents: bool = True
     agent_period: float = 300.0
-    #: observation path: "ledger" (incremental, default), "scan" (the
-    #: full-rescan ablation arm) or "paired" (both + cross-check)
-    control_plane: str = "ledger"
     #: wake scheduling: "adaptive" (default: healthy agents back their
     #: period off toward ``wake_max_period``, triggers snap them back)
     #: or "fixed" (the pre-adaptive grid, the A/B baseline)
@@ -121,7 +119,7 @@ class Site:
     spares: Optional[object] = None
     relocator: Optional[object] = None
     reroute: Optional[object] = None
-    #: the site condition ledger (None when control_plane == "scan")
+    #: the site condition ledger (deployed with the agents)
     ledger: Optional[object] = None
     #: observability tier (config.observe): the telemetry hub and the
     #: alert manager riding its rollups
@@ -289,17 +287,11 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
 def _deploy_agents(site: Site) -> None:
     """Install the intelliagent stack: admin pair, suites, job manager."""
     dc, sim = site.dc, site.sim
-    mode = site.config.control_plane
-    ledger = None
-    if mode != "scan":
-        from repro.controlplane import ConditionLedger
-        ledger = ConditionLedger()
-    site.ledger = ledger
+    ledger = site.ledger = ConditionLedger()
     admin = AdministrationServers(
         dc, dc.host("adm01"), dc.host("adm02"), site.pool,
         channel=site.channel, notifications=site.notifications,
-        agent_period=site.config.agent_period,
-        ledger=ledger, control_plane=mode)
+        agent_period=site.config.agent_period, ledger=ledger)
     admin.site_name = site.config.site_name
     site.admin = admin
     admin_targets = ["adm01", "adm02"]

@@ -14,10 +14,10 @@ immediately.  This experiment prices the trade on both axes:
   must be no worse than the fixed grid (it is, in fact, usually
   instant: the trigger fires at the fault).
 
-``paired_parity`` additionally drives the scan/ledger/paired control
-planes through a fault campaign under a chosen wake policy: the
-refactor's guarantee is that sweep decisions and DGSPL output stay
-byte-identical whatever the wake schedule.
+``paired_parity`` additionally drives a plain site and one paired with
+the full-rescan reference through a fault campaign under a chosen wake
+policy: the control plane's guarantee is that sweep decisions and DGSPL
+output equal the rescan's, byte for byte, whatever the wake schedule.
 """
 
 from __future__ import annotations
@@ -168,26 +168,26 @@ def _parity_campaign(site) -> None:
 
 def paired_parity(wake_policy: str, *, seed: int = 29,
                   max_period: float = 900.0) -> Dict[str, object]:
-    """Drive scan, ledger and paired sites through the same campaign
-    under ``wake_policy``; report every divergence counter."""
+    """Drive a plain site and one paired with the chaos tier's
+    full-rescan reference through the same campaign under
+    ``wake_policy``; report every divergence counter."""
+    from repro.chaos.oracles import ScanReference
     from repro.experiments.site import SiteConfig, build_site
-    sites = {}
-    for mode in ("scan", "ledger", "paired"):
-        site = build_site(SiteConfig.test_scale(
-            seed=seed, control_plane=mode, with_workload=False,
-            with_feeds=False, wake_policy=wake_policy,
-            wake_max_period=max_period))
+    config = SiteConfig.test_scale(
+        seed=seed, with_workload=False, with_feeds=False,
+        wake_policy=wake_policy, wake_max_period=max_period)
+    plain, paired = build_site(config), build_site(config)
+    reference = ScanReference.attach(paired.admin)
+    for site in (plain, paired):
         _parity_campaign(site)
-        sites[mode] = site
-    paired = sites["paired"].admin
     return {
-        "sweep_mismatches": paired.sweep_mismatches,
-        "dgspl_mismatches": paired.dgspl_mismatches,
-        "model_resyncs": paired.model_resyncs,
-        "decisions_equal": (sites["scan"].admin.decisions
-                            == sites["ledger"].admin.decisions),
-        "decisions": list(sites["scan"].admin.decisions),
-        "demand_wakes": paired.demand_wakes,
+        "sweep_mismatches": reference.sweep_mismatches,
+        "dgspl_mismatches": reference.dgspl_mismatches,
+        "model_resyncs": paired.admin.model_resyncs,
+        "decisions_equal": (plain.admin.decisions
+                            == paired.admin.decisions),
+        "decisions": list(paired.admin.decisions),
+        "demand_wakes": paired.admin.demand_wakes,
     }
 
 

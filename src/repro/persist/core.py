@@ -21,10 +21,19 @@ import json
 from typing import List, Protocol, runtime_checkable
 
 __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
-           "canonical_json", "state_hash"]
+           "canonical_json", "check_format", "state_hash"]
 
 #: bump when any component's snapshot layout changes incompatibly
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+def check_format(snapshot: dict) -> None:
+    """Refuse a snapshot written under another layout, before anything
+    is built from it."""
+    if snapshot.get("format") != FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint format {snapshot.get('format')!r} != "
+            f"supported {FORMAT_VERSION}")
 
 
 @runtime_checkable

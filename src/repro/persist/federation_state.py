@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.persist.core import FORMAT_VERSION, state_hash
+from repro.persist.core import FORMAT_VERSION, check_format, state_hash
 from repro.persist.site_state import restore_site, snapshot_site
 
 __all__ = ["snapshot_federation", "restore_federation"]
@@ -66,10 +66,7 @@ def restore_federation(snapshot: dict, *, extras_by_site: Optional[
     from repro.federation.build import build_federation
     from repro.federation.config import FederationConfig
 
-    if snapshot.get("format") != FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint format {snapshot.get('format')!r} != "
-            f"supported {FORMAT_VERSION}")
+    check_format(snapshot)
     extras_by_site = dict(extras_by_site or {})
 
     config = FederationConfig.from_dict(snapshot["fedconfig"])

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Dict, List, Mapping, Optional
 
-from repro.persist.core import (FORMAT_VERSION, QuiescenceError, claimed_of,
-                                state_hash)
+from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
+                                check_format, claimed_of, state_hash)
 
 __all__ = ["snapshot_site", "restore_site"]
 
@@ -194,10 +194,7 @@ def restore_site(snapshot: dict, *, site=None,
     the resumed run pops is the one the snapshotted run would have
     popped next.
     """
-    if snapshot.get("format") != FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint format {snapshot.get('format')!r} != "
-            f"supported {FORMAT_VERSION}")
+    check_format(snapshot)
     extras = dict(extras or {})
     missing = set(snapshot.get("extras", {})) - set(extras)
     if missing:

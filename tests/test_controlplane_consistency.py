@@ -1,23 +1,29 @@
 """The paired cross-check: the ledger-driven control plane must make
-exactly the decisions the full rescan makes.
+exactly the decisions a full rescan makes.
 
-Two angles:
+The rescan is the chaos tier's :class:`ScanReference`.  Two angles:
 
-- ``paired`` mode runs both planners inside one site every sweep and
-  every DGSPL build, counting any divergence;
-- separate ``scan`` and ``ledger`` sites driven through an identical
-  fault campaign must produce byte-identical decision logs.
+- a site *paired* with an attached reference runs both planners every
+  sweep and every DGSPL build, counting any divergence (and applying
+  the rescan result);
+- that site and a plain ledger site driven through an identical fault
+  campaign must produce byte-identical decision logs.
 """
 
 import pytest
 
+from repro.chaos.oracles import ScanReference
 from repro.experiments.site import SiteConfig, build_site
 
 
-def _site(mode, wake="adaptive"):
+def _site(wake="adaptive"):
     return build_site(SiteConfig.test_scale(
-        seed=29, control_plane=mode, with_workload=False,
-        with_feeds=False, wake_policy=wake))
+        seed=29, with_workload=False, with_feeds=False, wake_policy=wake))
+
+
+def _paired_site(wake="adaptive"):
+    site = _site(wake)
+    return site, ScanReference.attach(site.admin)
 
 
 def _campaign(site):
@@ -43,11 +49,11 @@ def _campaign(site):
 
 @pytest.mark.parametrize("wake", ["fixed", "adaptive"])
 def test_paired_mode_never_diverges(wake):
-    site = _site("paired", wake)
+    site, reference = _paired_site(wake)
     _campaign(site)
     admin = site.admin
-    assert admin.sweep_mismatches == 0
-    assert admin.dgspl_mismatches == 0
+    assert reference.sweep_mismatches == 0
+    assert reference.dgspl_mismatches == 0
     assert admin.model_resyncs == 0
     # the campaign actually produced decisions of every kind
     actions = {line.split()[1] for line in admin.decisions}
@@ -59,7 +65,8 @@ def test_paired_mode_never_diverges(wake):
 
 @pytest.mark.parametrize("wake", ["fixed", "adaptive"])
 def test_scan_and_ledger_runs_are_byte_identical(wake):
-    scan, ledger = _site("scan", wake), _site("ledger", wake)
+    """A run that applies the rescan's plans equals a plain run."""
+    (scan, _reference), ledger = _paired_site(wake), _site(wake)
     _campaign(scan)
     _campaign(ledger)
     assert scan.admin.decisions            # non-trivial campaign
@@ -76,7 +83,7 @@ def test_ledger_sweeps_examine_only_candidates():
     """The point of the refactor: a quiet site's sweep touches nobody.
     Decisions come from the few hosts with conditions, not a rescan."""
     from repro.trace import install_tracer
-    site = _site("ledger")
+    site = _site()
     tracer = install_tracer(site.sim)
     site.run(1500.0)
     sweeps = tracer.spans_named("admin.flag_sweep")
@@ -86,21 +93,13 @@ def test_ledger_sweeps_examine_only_candidates():
     # healthy steady state: no candidates at all, versus a full scan
     # which would have examined every registered host every time
     assert all(s.attrs["examined"] == 0 for s in settled)
-    assert all(s.attrs["mode"] == "ledger" for s in settled)
 
 
 def test_dgspl_identical_across_modes():
-    scan, ledger = _site("scan"), _site("ledger")
+    (scan, reference), ledger = _paired_site(), _site()
     for s in (scan, ledger):
         s.run(3700.0)
     assert scan.admin.dgspl is not None
+    assert reference.dgspl_mismatches == 0
     assert (scan.admin.dgspl.to_doc().render()
             == ledger.admin.dgspl.to_doc().render())
-
-
-def test_scan_site_has_no_ledger():
-    site = _site("scan")
-    assert site.ledger is None
-    assert site.admin.ledger is None
-    site.run(1500.0)
-    assert site.admin.dgspl is not None     # old path still whole

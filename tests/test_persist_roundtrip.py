@@ -79,6 +79,36 @@ def test_restore_rejects_other_format_versions():
         restore_site(snap)
 
 
+def test_format_1_checkpoint_is_refused_before_anything_is_built(tmp_path):
+    """A document written before the control-plane option was deleted
+    (format 1: ``config.control_plane``, two mismatch counters in the
+    admin block) fails on the format check itself -- never as a
+    ``SiteConfig(**...)`` TypeError, never half-way into a live site."""
+    from repro.persist import restore_site
+    harness = FidelityHarness(_site())
+    harness.run_hours(0.25)
+    doc = harness.snapshot()
+    doc["format"] = 1
+    doc["config"]["control_plane"] = "paired"
+    for gone in ("wake_seen", "dropped"):
+        del doc["admin"][gone]
+    doc["admin"].update(sweep_mismatches=0, dgspl_mismatches=0)
+    path = tmp_path / "ckpt-v1.json"
+    path.write_text(json.dumps(doc))
+    loaded = CheckpointManager.load(str(path))
+
+    with pytest.raises(ValueError, match="checkpoint format 1"):
+        restore_site(loaded)
+    with pytest.raises(ValueError, match="checkpoint format 1"):
+        FidelityHarness.resume(loaded)
+    # a pre-built target is left exactly as it was
+    target = FidelityHarness(_site())
+    before = target.snapshot()["state_hash"]
+    with pytest.raises(ValueError, match="checkpoint format 1"):
+        restore_site(loaded, site=target.site, extras=target._extras())
+    assert target.snapshot()["state_hash"] == before
+
+
 def test_restore_rejects_missing_extras():
     from repro.persist import restore_site
     harness = FidelityHarness(_site())
