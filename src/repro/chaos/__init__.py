@@ -10,7 +10,8 @@ engine:
   events over the structured fault catalog, JSON round-trip so
   scenarios are committable corpus files);
 - :mod:`repro.chaos.executor` -- runs one scenario against a live
-  paired-control-plane site and collects every guardrail's state;
+  world (a federation of one site or of three, a rescan reference on
+  every admin pair) and collects every guardrail's state;
 - :mod:`repro.chaos.coverage` -- decision-path signatures harvested
   from the admin decision log, relocation records, ledger condition
   kinds and wake/notification behaviour;

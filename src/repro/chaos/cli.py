@@ -9,13 +9,16 @@
     repro-exp chaos replay tests/corpus/cascade.json --planted-bug
     repro-exp chaos replay failing.json --checkpoint-dir epochs
     repro-exp chaos replay failing.json --from-checkpoint epochs/ep-...json
+    repro-exp chaos replay tests/corpus/site-loss.json --checkpoint-dir fed-epochs
     repro-exp chaos shrink failing.json --planted-bug --out minimal.json
 
 ``run`` drives a coverage-guided fuzz campaign and prints the coverage
 growth curve, the rarest markers and any oracle violations; ``corpus``
 (re)generates the committed builder scenarios; ``replay`` runs
 scenario files (or every ``*.json`` in a directory) and exits non-zero
-if any oracle fires; ``shrink`` reduces a violating scenario file to a
+if any oracle fires -- single-site and federated scenarios alike, so
+``--planted-bug``, ``--checkpoint-dir`` and ``--from-checkpoint`` work
+on both; ``shrink`` reduces a violating scenario file to a
 minimal reproducer that still trips the same oracles.
 """
 
@@ -187,9 +190,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="scenario JSON files or directories")
     p_replay.add_argument("--planted-bug", action="store_true")
     p_replay.add_argument("--checkpoint-dir", default=None,
-                          help="checkpoint the whole world every "
-                               "--checkpoint-every simulated seconds "
-                               "while replaying")
+                          help="checkpoint the whole world (every site "
+                               "of it) every --checkpoint-every "
+                               "simulated seconds while replaying")
     p_replay.add_argument("--checkpoint-every", type=float, default=900.0,
                           metavar="SECONDS")
     p_replay.add_argument("--from-checkpoint", metavar="CKPT", default=None,

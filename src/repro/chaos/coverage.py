@@ -16,7 +16,11 @@ episode exercised, harvested from ledgers the substrate already keeps
 - ``fault:<kind>`` / ``fizzle:<kind>`` -- what the scenario actually
   managed to break (a fault against an already-broken target fizzles);
 - ``wake:*`` / ``notify:*`` / ``admin:*`` -- demand wakes, backoff
-  depth, pages by severity, storm suppression, HA failovers.
+  depth, pages by severity, storm suppression, HA failovers;
+- ``fed:*`` -- what happened *between* sites: a site lost or
+  recovered, a cross-site takeover, geo-steered demand.
+
+Per-site markers are the union over the episode's sites.
 
 The fuzzer mutates *toward* signatures containing un-hit markers; the
 :class:`CoverageMap` is the accumulated union with hit counts, and its
@@ -90,7 +94,31 @@ def signature_of(episode) -> FrozenSet[str]:
     """Harvest the path markers of one finished episode (see module
     docstring for the marker families)."""
     sig = set()
-    site = episode.site
+    for book in episode.books.values():
+        _site_markers(book, sig)
+
+    # what the scenario actually broke
+    for kind in episode.applied_kinds:
+        sig.add(f"fault:{kind}")
+    for kind in episode.fizzled_kinds:
+        sig.add(f"fizzle:{kind}")
+
+    # what happened between the sites
+    fed = episode.fed
+    if fed.site_loss_events:
+        sig.add("fed:site-loss")
+    if fed.site_recovery_events:
+        sig.add("fed:site-recovery")
+    if fed.crosssite is not None and fed.crosssite.succeeded:
+        sig.add("fed:takeover:ok")
+    if fed.geo is not None and fed.geo.remote_steered:
+        sig.add("fed:geo-steered")
+    return frozenset(sig)
+
+
+def _site_markers(book, sig: set) -> None:
+    """One site's markers, off its episode book."""
+    site = book.site
     admin = site.admin
 
     # sweep decisions + admin behaviour
@@ -111,8 +139,7 @@ def signature_of(episode) -> FrozenSet[str]:
             sig.add("admin:probe-failure")
 
     # condition kinds seen on the site ledger (push-collected live)
-    for marker in episode.condition_markers:
-        sig.add(marker)
+    sig.update(book.condition_markers)
 
     # relocation phase outcomes
     relocator = site.relocator
@@ -126,16 +153,10 @@ def signature_of(episode) -> FrozenSet[str]:
                     sig.add(f"relocate:{out}:cold")
 
     # escalation tier that resolved each incident
-    for rep in episode.reports:
+    for rep in book.reports:
         sig.add(f"resolved:{rep.resolved_by}")
         if rep.category:
             sig.add(f"category:{rep.category}")
-
-    # what the scenario actually broke
-    for kind in episode.applied_kinds:
-        sig.add(f"fault:{kind}")
-    for kind in episode.fizzled_kinds:
-        sig.add(f"fizzle:{kind}")
 
     # wake-policy depth reached anywhere in the fleet
     deepest = 0.0
@@ -157,5 +178,3 @@ def signature_of(episode) -> FrozenSet[str]:
         sig.add(f"notify:{note.medium}:{note.severity}")
     if site.notifications.suppressed_total:
         sig.add("notify:suppressed")
-
-    return frozenset(sig)

@@ -1,40 +1,53 @@
-"""Episode execution: one scenario against one live site.
+"""Episode execution: one scenario against one live world.
 
-Every episode runs at test scale with a
-:class:`~repro.chaos.oracles.ScanReference` attached to the admin pair
+There is one executor and one world type.  Every scenario runs in a
+:class:`~repro.federation.build.Federation`: the canonical three-site
+one when ``scenario.sites == 3``, and for the classic single site a
+federation of *one* -- no regions, no traffic tier, no cross-site
+tier -- which ``tests/test_federation_parity.py`` proves state-hash
+identical to a bare ``build_site`` world, so wrapping costs a barrier
+loop (a digest and a site-loss probe per simulated minute, both
+read-only) and changes no verdict.
+
+Every site runs at test scale with a
+:class:`~repro.chaos.oracles.ScanReference` attached to its admin pair
 -- PR 4's full-rescan cross-check judges every sweep and DGSPL build
--- plus one spare host so the relocation tier is reachable, the tracer
+-- plus spare hosts so the relocation tier is reachable, the tracer
 installed so incident reports can be built, and a
 :class:`~repro.experiments.runner.FidelityHarness` keeping the
-downtime books.
+downtime books.  All of that is one :class:`_EpisodeBook` per site.
 
-Events resolve their abstract target selectors against the built site
-(indices wrap modulo pool size) and dispatch through the injector's
-structured catalog.  An event whose target cannot take the fault --
-already broken, host down, LAN already up on a repair -- **fizzles**:
-it is recorded, counted, and the episode continues, exactly like
-lightning striking a hole.  Fizzles are coverage markers too; the
-fuzzer learns which compositions are even reachable.
+Events resolve their abstract target selectors against the built world
+(indices wrap modulo pool size; a ``site:`` scope picks the site, no
+scope means the home site) and dispatch through the injector's
+structured catalog.  Site events are armed on *their own site's*
+simulator; ``wan[i]`` events belong to no site, so the executor applies
+them at the federation barrier at their time.  An event whose target
+cannot take the fault -- already broken, host down, LAN already up on
+a repair, a leased line on a world that has none -- **fizzles**: it is
+recorded, counted, and the episode continues, exactly like lightning
+striking a hole.  Fizzles are coverage markers too; the fuzzer learns
+which compositions are even reachable.
 
 ``planted_bug`` is a test-only flag wiring in a deliberate regression
-(the watchdog's deadline wheel mis-arms entries whose staleness gap is
-deeper than one backoff level, pushing them to never-due) so the
-fuzzer demo and the shrinker tests have a real defect to find.  It
-only manifests when an agent goes silent *after* its host has
-quiesced into deep backoff -- adversarial timing the fuzzer must
-compose.  Production code paths never set it.
+on every site (the watchdog's deadline wheel mis-arms entries whose
+staleness gap is deeper than one backoff level, pushing them to
+never-due) so the fuzzer demo and the shrinker tests have a real
+defect to find.  It only manifests when an agent goes silent *after*
+its host has quiesced into deep backoff -- adversarial timing the
+fuzzer must compose.  Production code paths never set it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.chaos.scenario import Scenario, parse_target, split_site
 from repro.faults.injector import OverlappingFaultError
 
-__all__ = ["Episode", "FederationEpisode", "run_episode",
-           "run_federation_episode", "PLANTED_GAP"]
+__all__ = ["Episode", "run_episode", "PLANTED_GAP"]
 
 #: staleness gaps deeper than this get mis-armed when the planted bug
 #: is on (base period + one backoff + grace = 900; deep backoff > 1500)
@@ -47,25 +60,45 @@ _HOST_GROUPS = {"dbhost": "db", "tphost": "tp", "fehost": "frontend",
 
 @dataclass
 class Episode:
-    """One scenario's run: handles, outcomes, verdicts, coverage."""
+    """One scenario's run: the world, per-site books, verdicts,
+    coverage."""
 
     scenario: Scenario
-    site: object
-    harness: object
+    #: the federation the scenario ran in (one site or three)
+    fed: object
+    #: site name -> that site's share of the episode, home site first
+    books: Dict[str, "_EpisodeBook"]
     horizon: float
-    #: the full-rescan reference attached to the site's admin pair
-    reference: object
-    #: "t op target" lines for events that applied / fizzled
-    applied: List[str] = field(default_factory=list)
-    fizzled: List[str] = field(default_factory=list)
-    applied_kinds: Set[str] = field(default_factory=set)
-    fizzled_kinds: Set[str] = field(default_factory=set)
-    #: cond:<kind>[:<status>] markers collected live off the ledger
-    condition_markers: Set[str] = field(default_factory=set)
-    reports: List = field(default_factory=list)
-    reconciliation: dict = field(default_factory=dict)
     verdicts: List = field(default_factory=list)
     coverage: FrozenSet[str] = frozenset()
+
+    @property
+    def site(self):
+        """The home site -- the only one of a single-site scenario."""
+        return next(iter(self.books.values())).site
+
+    def _fired(self, ok: bool) -> List[Tuple[int, str]]:
+        """(scenario index, "t op target" line) of every event that
+        applied / fizzled, on any site, in scenario order."""
+        return sorted((i, line) for book in self.books.values()
+                      for i, (applied, line) in book.outcomes.items()
+                      if applied is ok)
+
+    @property
+    def applied(self) -> List[str]:
+        return [line for _i, line in self._fired(True)]
+
+    @property
+    def fizzled(self) -> List[str]:
+        return [line for _i, line in self._fired(False)]
+
+    @property
+    def applied_kinds(self) -> Set[str]:
+        return {self.scenario.events[i].op for i, _l in self._fired(True)}
+
+    @property
+    def fizzled_kinds(self) -> Set[str]:
+        return {self.scenario.events[i].op for i, _l in self._fired(False)}
 
     @property
     def ok(self) -> bool:
@@ -94,7 +127,7 @@ class Episode:
         }
 
 
-def _resolve(site, selector: str):
+def _resolve(fed, site, selector: str):
     """An abstract target selector -> the live object, or None when
     the pool is empty on this site."""
     pool, idx = parse_target(selector)
@@ -113,8 +146,9 @@ def _resolve(site, selector: str):
         return site.nameservice
     elif pool == "lsf":
         return site.lsf_master
-    elif pool == "wan":
-        return None     # a single site has no leased lines to cut
+    elif pool == "wan":     # the idx-th site's leased lines
+        names = sorted(fed.sites)
+        return fed.wan, names[idx % len(names)]
     else:
         raise ValueError(f"unknown target pool {pool!r}")
     if not seq:
@@ -122,9 +156,9 @@ def _resolve(site, selector: str):
     return seq[idx % len(seq)]
 
 
-def _apply_event(site, injector, ev) -> None:
+def _apply_event(fed, site, injector, ev) -> None:
     """Apply one event; raises ValueError-family on fizzle."""
-    target = _resolve(site, ev.target)
+    target = _resolve(fed, site, ev.target)
     if target is None:
         raise OverlappingFaultError(ev.op, ev.target,
                                     "empty pool on this site")
@@ -144,6 +178,12 @@ def _apply_event(site, injector, ev) -> None:
         if target.up:
             raise OverlappingFaultError(ev.op, "dns", "already up")
         target.repair()
+    elif ev.op == "wan-repair":
+        wan, name = target
+        if all(link.reachable() for link in wan.links_of(name)):
+            raise OverlappingFaultError(ev.op, f"wan:{name}",
+                                        "no cut lines")
+        wan.repair_site(name)
     elif ev.op == "host-crash":
         if not target.is_up:
             raise OverlappingFaultError(ev.op, target.name,
@@ -158,71 +198,109 @@ def _apply_event(site, injector, ev) -> None:
 
 
 class _EpisodeBook:
-    """Snapshottable episode bookkeeping: outcome lines, coverage
-    markers and the *not-yet-fired* scenario events.
+    """One site's share of an episode: its handles (tracer, harness,
+    rescan reference), what the scenario did there, what the oracles
+    and the coverage harvest read afterwards -- and, Snapshottable, the
+    *not-yet-fired* scenario events.
 
-    Scenario events are scheduled up front as absolute-time closures;
-    a checkpoint taken mid-episode serialises each pending event's heap
-    token plus its index into the (canonical) scenario event list, so a
-    restore re-arms ``fire(events[i])`` at the exact saved token and
-    the resumed episode applies the remaining faults beat-for-beat.
+    A site's events are scheduled up front on its own simulator as
+    absolute-time closures; a checkpoint taken mid-episode serialises
+    each pending event's heap token plus its index into the (canonical)
+    scenario event list, so a restore re-arms ``fire(i)`` at the exact
+    saved token and the resumed episode applies the remaining faults
+    beat-for-beat.  The book rides its site's ``extras`` into the
+    federation checkpoint.
     """
 
-    def __init__(self, ep: Episode):
-        self.ep = ep
-        self.sim = ep.site.sim
-        self.base = 0.0
-        self.fire = None                # bound by run_episode
-        self._pending: List[tuple] = []  # (event_handle, scenario index)
+    def __init__(self, fed, site, events, planted_bug: bool):
+        from repro.chaos.oracles import ScanReference
+        from repro.experiments.runner import FidelityHarness
+        from repro.trace import install_tracer
 
-    def arm(self, base: float, fire) -> None:
-        self.base = base
-        self.fire = fire
-        for i, ev in enumerate(self.ep.scenario.events):
-            handle = self.sim.schedule_at(base + ev.time, fire, ev)
-            self._pending.append((handle, i))
+        self.fed = fed
+        self.site = site
+        self.events = events
+        self.tracer = install_tracer(site.sim)
+        self.harness = FidelityHarness(site)
+        if planted_bug:
+            _plant_bug(site.admin)
+        #: the full-rescan reference attached to the site's admin pair
+        self.reference = ScanReference.attach(site.admin)
+        #: cond:<kind>[:<status>] markers collected live off the ledger
+        self.condition_markers: Set[str] = set()
+        site.ledger.on_append(self._collect)
+        #: event times count from here (the build's warm-up already
+        #: consumed ~400 s); a restore brings the original back
+        self.base = fed.now
+        #: scenario index -> (applied?, "t op target" line)
+        self.outcomes: Dict[int, Tuple[bool, str]] = {}
+        self._pending: List[tuple] = []  # (event_handle, scenario index)
+        self.horizon = 0.0
+        self.reports: List = []
+        self.reconciliation: dict = {}
+
+    def _collect(self, cond) -> None:
+        self.condition_markers.add(f"cond:{cond.kind}")
+        if cond.status:
+            self.condition_markers.add(f"cond:{cond.kind}:{cond.status}")
+
+    def extras(self) -> Dict[str, object]:
+        """What this site adds to a checkpoint, by stable names."""
+        return {**self.harness._extras(), "episode": self,
+                "scan_reference": self.reference}
+
+    def arm(self, i: int) -> None:
+        handle = self.site.sim.schedule_at(
+            self.base + self.events[i].time, self.fire, i)
+        self._pending.append((handle, i))
+
+    def fire(self, i: int) -> None:
+        ev = self.events[i]
+        line = f"{self.site.sim.now:.0f} {ev.op} {ev.target}"
+        try:
+            _apply_event(self.fed, self.site, self.harness.injector, ev)
+        except ValueError as exc:   # includes OverlappingFaultError
+            self.outcomes[i] = (False, f"{line} ({exc})")
+        else:
+            self.outcomes[i] = (True, line)
+
+    def harvest(self) -> None:
+        """Close the books: detection stamps, incident reports and
+        their reconciliation against the downtime ledger."""
+        from repro.observe.incidents import build_reports, reconcile
+        site, downtime = self.site, self.harness.ledger
+        self.harness.scan_flags_for_detection()
+        self.horizon = site.sim.now
+        self.reports = build_reports(
+            self.tracer, downtime=downtime, horizon=self.horizon,
+            admin=site.admin, relocator=site.relocator)
+        self.reconciliation = reconcile(self.reports, downtime=downtime,
+                                        horizon=self.horizon)
 
     def snapshot_state(self) -> dict:
-        ep = self.ep
         return {
             "base": self.base,
-            "applied": list(ep.applied),
-            "fizzled": list(ep.fizzled),
-            "applied_kinds": sorted(ep.applied_kinds),
-            "fizzled_kinds": sorted(ep.fizzled_kinds),
-            "condition_markers": sorted(ep.condition_markers),
+            "outcomes": [[i, applied, line] for i, (applied, line)
+                         in sorted(self.outcomes.items())],
+            "condition_markers": sorted(self.condition_markers),
             "pending": [[[h.time, h.priority, h.seq], i]
                         for h, i in self._pending if h.alive],
         }
 
     def restore_state(self, state: dict) -> None:
-        ep = self.ep
         self.base = float(state["base"])
-        ep.applied = list(state["applied"])
-        ep.fizzled = list(state["fizzled"])
-        ep.applied_kinds = set(state["applied_kinds"])
-        ep.fizzled_kinds = set(state["fizzled_kinds"])
-        ep.condition_markers = set(state["condition_markers"])
+        self.outcomes = {int(i): (bool(applied), line)
+                         for i, applied, line in state["outcomes"]}
+        self.condition_markers = set(state["condition_markers"])
         for handle, _i in self._pending:
             handle.cancel()
-        self._pending = []
-        events = ep.scenario.events
-        for (t, prio, seq), i in state["pending"]:
-            handle = self.sim.schedule_exact(t, prio, seq, self.fire,
-                                             events[int(i)])
-            self._pending.append((handle, int(i)))
+        self._pending = [
+            (self.site.sim.schedule_exact(t, prio, seq, self.fire, int(i)),
+             int(i))
+            for (t, prio, seq), i in state["pending"]]
 
     def claimed_seqs(self) -> List[int]:
         return [h.seq for h, _i in self._pending if h.alive]
-
-
-def _collect_condition_markers(ep: Episode) -> None:
-    """Harvest ``cond:<kind>[:<status>]`` markers live off the ledger."""
-    def collect(cond):
-        ep.condition_markers.add(f"cond:{cond.kind}")
-        if cond.status:
-            ep.condition_markers.add(f"cond:{cond.kind}:{cond.status}")
-    ep.site.ledger.on_append(collect)
 
 
 def _plant_bug(admin) -> None:
@@ -243,248 +321,94 @@ def _plant_bug(admin) -> None:
     wheel.set_deadline = mis_arm
 
 
-@dataclass
-class FederationEpisode:
-    """One multi-site scenario's run: the federation, per-site shim
-    episodes for the oracles, outcomes and coverage.  Exposes the same
-    verdict surface as :class:`Episode` so replay tooling is agnostic."""
-
-    scenario: Scenario
-    fed: object
-    episodes: dict = field(default_factory=dict)
-    horizon: float = 0.0
-    applied: List[str] = field(default_factory=list)
-    fizzled: List[str] = field(default_factory=list)
-    applied_kinds: Set[str] = field(default_factory=set)
-    fizzled_kinds: Set[str] = field(default_factory=set)
-    verdicts: List = field(default_factory=list)
-    coverage: FrozenSet[str] = frozenset()
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for v in self.verdicts)
-
-    @property
-    def violated(self) -> List[str]:
-        return [v.oracle for v in self.verdicts if not v.ok]
-
-    @property
-    def violations(self) -> List[str]:
-        return [msg for v in self.verdicts for msg in v.violations]
-
-    def summary(self) -> dict:
-        return {
-            "scenario_id": self.scenario.scenario_id,
-            "scenario_json": self.scenario.to_json(),
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "violated": self.violated,
-            "coverage": sorted(self.coverage),
-            "applied": len(self.applied),
-            "fizzled": len(self.fizzled),
-        }
-
-
-def run_federation_episode(scenario: Scenario,
-                           oracle_names=None) -> FederationEpisode:
-    """One multi-site scenario against a live federation.
-
-    Builds the canonical 3-site federation (a rescan reference on
-    every site so the scan-ledger oracle bites), serves geo
-    traffic throughout, applies the scenario's events at their absolute
-    times -- site-scoped selectors resolve inside their named site,
-    ``wan[i]`` selects the i-th site's leased lines -- and judges every
-    site with the same oracle set as a single-site episode.
-    """
-    from repro.chaos.coverage import signature_of
-    from repro.chaos.oracles import (OracleVerdict, ScanReference,
-                                     run_oracles)
-    from repro.experiments.runner import FidelityHarness
-    from repro.federation import build_federation
-    from repro.federation.config import three_site_config
-
-    scenario = scenario.normalized()
-    scenario.validate()
-    if scenario.sites != 3:
-        raise ValueError(
-            f"federated episodes run the canonical 3-site world; "
-            f"got sites={scenario.sites}")
-
-    fed = build_federation(
-        three_site_config(population=60_000, seed=scenario.seed))
-    names = sorted(fed.sites)
-
-    fep = FederationEpisode(scenario=scenario, fed=fed)
-    harnesses = {}
-    for name in names:
-        site = fed.sites[name]
-        harnesses[name] = FidelityHarness(site)
-        shim = Episode(scenario=scenario, site=site,
-                       harness=harnesses[name], horizon=scenario.horizon,
-                       reference=ScanReference.attach(site.admin))
-        _collect_condition_markers(shim)
-        fep.episodes[name] = shim
-
-    def apply_event(ev) -> None:
-        line = f"{fed.now:.0f} {ev.op} {ev.target}"
-        try:
-            site_name, rest = split_site(ev.target)
-            pool, idx = parse_target(rest)
-            if pool == "wan":
-                wan_site = names[idx % len(names)]
-                if ev.op == "wan-repair":
-                    if all(l.reachable() for l in
-                           fed.wan.links_of(wan_site)):
-                        raise OverlappingFaultError(
-                            ev.op, f"wan:{wan_site}", "no cut lines")
-                    fed.wan.repair_site(wan_site)
-                else:
-                    harnesses[names[0]].injector.inject(
-                        ev.op, (fed.wan, wan_site), **ev.param_dict())
-            else:
-                if site_name not in fed.sites:
-                    site_name = names[0]
-                site = fed.sites[site_name]
-                _apply_event(site, harnesses[site_name].injector, ev)
-        except ValueError as exc:   # includes OverlappingFaultError
-            fep.fizzled.append(f"{line} ({exc})")
-            fep.fizzled_kinds.add(ev.op)
-            return
-        fep.applied.append(line)
-        fep.applied_kinds.add(ev.op)
-
-    fed.start_traffic()
-    base = fed.now
-    for ev in scenario.events:     # already time-sorted (normalized)
-        at = base + ev.time
-        if at > fed.now:
-            fed.run(at - fed.now)
-        apply_event(ev)
-    end = base + scenario.horizon
-    if end > fed.now:
-        fed.run(end - fed.now)
-    for name in names:
-        harnesses[name].scan_flags_for_detection()
-
-    fep.horizon = fed.now
-    coverage = set()
-    for name in names:
-        shim = fep.episodes[name]
-        shim.horizon = fed.sites[name].sim.now
-        for v in run_oracles(shim, oracle_names):
-            fep.verdicts.append(OracleVerdict(
-                f"{name}:{v.oracle}", v.ok, v.violations))
-        shim.coverage = signature_of(shim)
-        coverage |= shim.coverage
-    coverage |= {f"fault:{k}" for k in fep.applied_kinds}
-    coverage |= {f"fizzle:{k}" for k in fep.fizzled_kinds}
-    if fed.site_loss_events:
-        coverage.add("fed:site-loss")
-    if fed.site_recovery_events:
-        coverage.add("fed:site-recovery")
-    if fed.crosssite is not None and fed.crosssite.succeeded:
-        coverage.add("fed:takeover:ok")
-    if fed.geo is not None and fed.geo.remote_steered:
-        coverage.add("fed:geo-steered")
-    fep.coverage = frozenset(coverage)
-    return fep
+def _world_config(scenario: Scenario):
+    """The federation a scenario runs in -- the one place
+    ``scenario.sites`` is read (validation has pinned it to 1 or 3)."""
+    from repro.federation.config import (FederationConfig, SiteSpec,
+                                         three_site_config)
+    if scenario.sites == 3:
+        return three_site_config(population=60_000, seed=scenario.seed)
+    from repro.experiments.site import SiteConfig
+    config = SiteConfig.test_scale(
+        seed=scenario.seed, spare_servers=1,
+        with_workload=False, with_feeds=False)
+    return FederationConfig(
+        sites=[SiteSpec(config.site_name, "", config)], regions=(),
+        with_traffic=False, cross_site_relocation=False,
+        seed=scenario.seed)
 
 
 def run_episode(scenario: Scenario, *, planted_bug: bool = False,
                 oracle_names=None, checkpoint_dir: str = None,
                 checkpoint_every: float = 900.0,
                 from_checkpoint: str = None) -> Episode:
-    """Build the site, run the scenario, judge it.
+    """Build the world, run the scenario, judge every site of it.
 
-    Deterministic for a fixed scenario (site seed + canonical events):
+    Deterministic for a fixed scenario (site seeds + canonical events):
     two runs produce identical decision logs, verdicts and coverage.
 
     With ``checkpoint_dir`` the episode checkpoints the whole world
-    (site, harness books, tracer, *and* the not-yet-fired scenario
-    events) every ``checkpoint_every`` simulated seconds.  With
-    ``from_checkpoint`` the episode time-travels: it restores the
-    world at that epoch and replays only the remainder -- a violation
-    found at the end of a long scenario reproduces identically from
-    the last pre-incident checkpoint, without re-running the preamble.
+    (every site, its harness books and tracer, the layers between
+    sites, *and* the not-yet-fired scenario events) every
+    ``checkpoint_every`` simulated seconds.  With ``from_checkpoint``
+    the episode time-travels: it restores the world at that epoch and
+    replays only the remainder -- a violation found at the end of a
+    long scenario reproduces identically from the last pre-incident
+    checkpoint, without re-running the preamble.
     """
-    if scenario.sites != 1:
-        if planted_bug or checkpoint_dir or from_checkpoint:
-            raise ValueError("multi-site episodes support neither the "
-                             "planted bug nor checkpointing")
-        return run_federation_episode(scenario, oracle_names)
-
     from repro.chaos.coverage import signature_of
-    from repro.chaos.oracles import ScanReference, run_oracles
-    from repro.experiments.runner import FidelityHarness
-    from repro.experiments.site import SiteConfig, build_site
-    from repro.observe.incidents import build_reports, reconcile
-    from repro.trace import install_tracer
+    from repro.chaos.oracles import run_oracles
+    from repro.federation import build_federation
 
     scenario = scenario.normalized()
     scenario.validate()
+    events = scenario.events
 
-    config = SiteConfig.test_scale(
-        seed=scenario.seed, spare_servers=1,
-        with_workload=False, with_feeds=False)
-    site = build_site(config)
-    tracer = install_tracer(site.sim)
-    harness = FidelityHarness(site)
-    if planted_bug:
-        _plant_bug(site.admin)
+    fed = build_federation(_world_config(scenario))
+    books = {name: _EpisodeBook(fed, fed.sites[name], events, planted_bug)
+             for name in sorted(fed.sites)}
+    home = next(iter(books.values()))
+    extras = {name: book.extras() for name, book in books.items()}
 
-    ep = Episode(scenario=scenario, site=site, harness=harness,
-                 horizon=scenario.horizon,
-                 reference=ScanReference.attach(site.admin))
-
-    _collect_condition_markers(ep)
-
-    injector = harness.injector
-    book = _EpisodeBook(ep)
-
-    def fire(ev):
-        line = f"{site.sim.now:.0f} {ev.op} {ev.target}"
-        try:
-            _apply_event(site, injector, ev)
-        except ValueError as exc:   # includes OverlappingFaultError
-            ep.fizzled.append(f"{line} ({exc})")
-            ep.fizzled_kinds.add(ev.op)
-            return
-        ep.applied.append(line)
-        ep.applied_kinds.add(ev.op)
-
-    book.fire = fire
-    extras = dict(harness._extras())
-    extras["episode"] = book
-    extras["scan_reference"] = ep.reference
+    #: leased lines belong to no site: the executor fires these at the
+    #: barrier and books them at home
+    wan = [i for i, ev in enumerate(events)
+           if parse_target(ev.target)[0] == "wan"]
 
     if from_checkpoint is not None:
-        from repro.persist import CheckpointManager, restore_site
-        restore_site(CheckpointManager.load(from_checkpoint),
-                     site=site, extras=extras)
+        from repro.persist import CheckpointManager, restore_federation
+        restore_federation(CheckpointManager.load(from_checkpoint),
+                           fed=fed, extras_by_site=extras)
     else:
-        book.arm(site.sim.now, fire)  # warm-up already consumed ~400 s
+        if fed.traffic is not None:
+            fed.start_traffic()
+        for i, ev in enumerate(events):
+            if i not in wan:
+                books.get(split_site(ev.target)[0], home).arm(i)
 
-    end = book.base + scenario.horizon
+    end = home.base + scenario.horizon
+    mgr, next_ckpt = None, math.inf
     if checkpoint_dir is not None:
         from repro.persist import CheckpointManager
-        mgr = CheckpointManager(site, checkpoint_dir,
+        mgr = CheckpointManager(fed, checkpoint_dir,
                                 every_hours=checkpoint_every / 3600.0,
                                 retain=1_000_000, extras=extras,
                                 label=f"ep-{scenario.scenario_id}")
-        while site.sim.now < end - 1e-9:
-            site.sim.run(until=min(end, site.sim.now + checkpoint_every))
-            if site.sim.now < end - 1e-9:
-                mgr.epoch(force=True)
-    else:
-        site.sim.run(until=end)
-    harness.scan_flags_for_detection()
+        next_ckpt = fed.now + checkpoint_every
+    while fed.now < end - 1e-9:
+        waiting = [(home.base + events[i].time, i) for i in wan
+                   if i not in home.outcomes]
+        fed.run(min([end, next_ckpt] + [t for t, _i in waiting]) - fed.now)
+        for t, i in waiting:
+            if t <= fed.now + 1e-9:
+                home.fire(i)
+        if next_ckpt - 1e-9 <= fed.now < end - 1e-9:
+            mgr.epoch(force=True)
+            next_ckpt = fed.now + checkpoint_every
 
-    horizon = site.sim.now
-    ep.horizon = horizon
-    ep.reports = build_reports(
-        tracer, downtime=harness.ledger, horizon=horizon,
-        admin=site.admin, relocator=site.relocator)
-    ep.reconciliation = reconcile(ep.reports, downtime=harness.ledger,
-                                  horizon=horizon)
+    for book in books.values():
+        book.harvest()
+    ep = Episode(scenario=scenario, fed=fed, books=books, horizon=fed.now)
     ep.verdicts = run_oracles(ep, oracle_names)
     ep.coverage = signature_of(ep)
     return ep

@@ -116,8 +116,9 @@ class ScenarioFuzzer:
         self.rng = RandomStreams(self.seed).get("chaos.fuzzer")
         if corpus is None:
             corpus = list(build_corpus(self.seed).values())
-        # the fuzzer mutates single-site worlds; federated scenarios
-        # replay through their own episode path, not through here
+        # the mutation operators only know single-site selectors (no
+        # ``site:`` scopes, no ``wan[i]`` pairs); federated scenarios run
+        # through the same executor but are not mutated yet
         self.corpus: List[Scenario] = [s.normalized() for s in corpus
                                        if s.sites == 1]
         if not self.corpus:

@@ -1,7 +1,10 @@
 """Invariant oracles: the guardrails the repo already trusts, packaged.
 
-Each oracle inspects one finished :class:`~repro.chaos.executor.Episode`
-and returns a list of violation strings (empty = clean).  None of them
+Each oracle inspects one site's share of a finished
+:class:`~repro.chaos.executor.Episode` (its book: ``site``,
+``reference``, ``reconciliation``, ``horizon``) and returns a list of
+violation strings (empty = clean); :func:`run_oracles` runs them over
+every site of the episode.  None of them
 encode new theory -- they are exactly the invariants earlier PRs
 established as permanent regression guards, now run after *every*
 fuzzed episode instead of only inside their home test files:
@@ -215,7 +218,7 @@ def notification_storm(ep) -> List[str]:
     return out
 
 
-#: name -> oracle fn(episode) -> violations
+#: name -> oracle fn(one site's episode book) -> violations
 ORACLES: Dict[str, Callable] = {
     "scan-ledger-parity": scan_ledger_parity,
     "deadline-wheel": deadline_wheel,
@@ -226,9 +229,13 @@ ORACLES: Dict[str, Callable] = {
 
 
 def run_oracles(ep, names=None) -> List[OracleVerdict]:
-    """Run every (or the named) oracle over a finished episode."""
+    """Run every (or the named) oracle over every site of a finished
+    episode; a multi-site episode labels its verdicts ``site:oracle``."""
     verdicts = []
-    for name in (names if names is not None else ORACLES):
-        violations = tuple(ORACLES[name](ep))
-        verdicts.append(OracleVerdict(name, not violations, violations))
+    for site_name, book in ep.books.items():
+        label = f"{site_name}:" if len(ep.books) > 1 else ""
+        for name in (names if names is not None else ORACLES):
+            violations = tuple(ORACLES[name](book))
+            verdicts.append(OracleVerdict(label + name, not violations,
+                                          violations))
     return verdicts

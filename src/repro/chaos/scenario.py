@@ -21,9 +21,10 @@ Target selectors
 
 Indices wrap modulo the pool size, so a scenario written against a
 large site still resolves on a test-scale one.  Multi-site scenarios
-(``sites > 1``) may scope any selector to one datacentre with a
-``site:`` prefix -- ``nyc:dbhost[0]`` -- which single-site episodes
-simply ignore.
+(``sites > 1``) may scope any selector to one datacentre of their
+world (:data:`WORLDS`) with a ``site:`` prefix -- ``nyc:dbhost[0]`` --
+and an unscoped selector means the home site; single-site episodes
+simply ignore the prefix.
 
 Compositions the builders cover: correlated cascades, gray
 failures/flapping, partitions with fault overlays, adversarial timing
@@ -41,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.faults.injector import FAULT_CATALOG
 
 __all__ = ["ChaosEvent", "Scenario", "OPS", "TARGET_POOLS", "BUILDERS",
-           "build_corpus", "random_scenario", "parse_target",
+           "WORLDS", "build_corpus", "random_scenario", "parse_target",
            "split_site", "make_target"]
 
 #: wake-policy constants the adversarial-timing builders aim at
@@ -53,6 +54,12 @@ WAKE_GRACE = 300.0
 MAX_EVENTS = 64
 MIN_HORIZON = 1800.0
 MAX_HORIZON = 12 * 3600.0
+
+#: ``Scenario.sites`` -> the site names of the world the executor
+#: builds for it: 1 is the classic single site (any ``site:`` scope is
+#: ignored), 3 is :func:`repro.federation.config.three_site_config`.
+#: The first name is the home site unscoped selectors resolve in.
+WORLDS: Dict[int, Tuple[str, ...]] = {1: (), 3: ("hkg", "lon", "nyc")}
 
 #: repair / power operations that are not injector faults
 REPAIR_OPS: Dict[str, str] = {
@@ -202,8 +209,10 @@ class Scenario:
         """Raise ValueError on any malformed field."""
         if not self.name:
             raise ValueError("scenario needs a name")
-        if self.sites < 1:
-            raise ValueError(f"sites must be >= 1: {self.sites!r}")
+        names = WORLDS.get(self.sites)
+        if names is None:
+            raise ValueError(f"sites must be one of {sorted(WORLDS)}: "
+                             f"{self.sites!r}")
         if not (MIN_HORIZON <= self.horizon <= MAX_HORIZON):
             raise ValueError(f"horizon {self.horizon!r} outside "
                              f"[{MIN_HORIZON}, {MAX_HORIZON}]")
@@ -213,6 +222,11 @@ class Scenario:
         last = 0.0
         for ev in self.events:
             ev.validate()
+            scope, _rest = split_site(ev.target)
+            if names and scope is not None and scope not in names:
+                raise ValueError(
+                    f"{ev.target!r} names site {scope!r}, but a "
+                    f"{self.sites}-site world has {', '.join(names)}")
             if ev.time >= self.horizon:
                 raise ValueError(f"event at {ev.time} beyond horizon "
                                  f"{self.horizon}")

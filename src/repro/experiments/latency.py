@@ -10,11 +10,9 @@ Two arms:
 - **agents** -- full fidelity: faults are injected into a small live
   site on a schedule spanning day/overnight/weekend slots; detection is
   the first ``fault.detect`` trace span carrying the injected fault's
-  id, so the measured bound is the real cron grid, not an assumption.
-  The legacy flag-scan detection (reading fault flags off the host
-  filesystems) still runs and every incident both paths see becomes a
-  paired sample -- the two must agree to within a sim-second, which the
-  trace tests assert.
+  id, so the measured bound is the real cron grid, not an assumption
+  (``tests/integration/test_trace_correlation.py`` pins the span
+  against the downtime ledger's flag-derived stamp).
 - **manual** -- the operator-coverage model sampled at the same fault
   times (the paper's own baseline numbers came from BMC logs and human
   records, which is what the model encodes).
@@ -22,8 +20,8 @@ Two arms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -59,11 +57,6 @@ class LatencyResult:
     manual_by_period: Dict[str, float]
     agent_max_minutes: float
     samples: int
-    #: per detected fault: (span-derived latency s, flag-scan latency s);
-    #: the two measure the same event through independent paths and the
-    #: trace tests assert they agree within one sim-second
-    paired_detection_s: List[Tuple[float, float]] = field(
-        default_factory=list)
 
 
 def run(seed: int = 0, weeks: int = 2,
@@ -86,7 +79,6 @@ def run(seed: int = 0, weeks: int = 2,
                                          "weekend": []}
     manual_lat: Dict[str, List[float]] = {"day": [], "overnight": [],
                                           "weekend": []}
-    paired: List[Tuple[float, float]] = []
     targets = site.databases + site.frontends
     ti = 0
     for week in range(weeks):
@@ -106,25 +98,13 @@ def run(seed: int = 0, weeks: int = 2,
             period = period_of(fault_time)
             # let the agents catch and heal it before the next slot
             site.sim.run(until=fault_time + 2 * 3600.0)
-            harness.scan_flags_for_detection()
-            # primary measurement: the first fault.detect span stamped
-            # with this fault's correlation id
+            # the measurement: the first fault.detect span stamped with
+            # this fault's correlation id
             detects = tracer.spans_named("fault.detect",
                                          fault_id=ev.fault_id)
-            span_det = (min(s.start for s in detects) - fault_time
-                        if detects else None)
-            # legacy cross-check: flag files scanned off the host fs
-            inc = next((i for i in reversed(harness.ledger.incidents)
-                        if i.target.endswith(app.name)), None)
-            flag_det = (inc.detected_at - inc.start
-                        if inc is not None and inc.detected_at is not None
-                        else None)
-            if span_det is not None:
-                agent_lat[period].append(span_det / 3600.0)
-            elif flag_det is not None:
-                agent_lat[period].append(flag_det / 3600.0)
-            if span_det is not None and flag_det is not None:
-                paired.append((span_det, flag_det))
+            if detects:
+                agent_lat[period].append(
+                    (min(s.start for s in detects) - fault_time) / 3600.0)
             # the manual arm is a model draw, so average plenty of them
             # per slot (the simulated clock is not consumed by this)
             manual_lat[period].extend(
@@ -139,8 +119,7 @@ def run(seed: int = 0, weeks: int = 2,
         agent_by_period=mean(agent_lat),
         manual_by_period=mean(manual_lat),
         agent_max_minutes=float(np.max(all_agent)) * 60.0 if all_agent else 0.0,
-        samples=ti,
-        paired_detection_s=paired)
+        samples=ti)
 
 
 def format_result(r: LatencyResult) -> str:
@@ -156,12 +135,6 @@ def format_result(r: LatencyResult) -> str:
          "paper agents (h)", "measured agents (h)"], rows,
         title="Detection latency reproduction (paper: <=5 min with "
               "agents vs 1 h / 10 h / 25 h manual)")
-    tail = (f"\nworst agent detection: "
-            f"{r.agent_max_minutes:.1f} min "
-            f"(bound: agent period + run)")
-    if r.paired_detection_s:
-        worst = max(abs(a - b) for a, b in r.paired_detection_s)
-        tail += (f"\nspan vs flag-scan detection: "
-                 f"{len(r.paired_detection_s)} paired incidents, "
-                 f"max divergence {worst:.3f} s")
-    return body + tail
+    return body + (f"\nworst agent detection: "
+                   f"{r.agent_max_minutes:.1f} min "
+                   f"(bound: agent period + run)")

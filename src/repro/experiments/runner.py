@@ -121,11 +121,8 @@ class FidelityHarness:
         around it (structural -- subscriptions carry no state), and
         only then is every layer overwritten from the snapshot, so the
         restored heap is exactly the claimed set."""
-        from repro.experiments.site import SiteConfig, build_site
-        from repro.persist import restore_site
-        from repro.persist.core import check_format
-        check_format(snapshot)
-        site = build_site(SiteConfig(**snapshot["config"]))
+        from repro.persist import fresh_site, restore_site
+        site = fresh_site(snapshot)
         harness = cls(site)
         restore_site(snapshot, site=site, extras=harness._extras())
         return harness

@@ -15,14 +15,20 @@ checkpoints:
   by exactly one component before a checkpoint is allowed, and re-arm
   pending events at their exact ``(time, priority, seq)`` tokens on
   restore so a resumed run is byte-identical to the monolithic one.
+  One ordered layer table drives the snapshot, restore and claim walks.
+- :mod:`repro.persist.federation_state` -- :func:`snapshot_federation`
+  / :func:`restore_federation`: the per-site documents plus the layers
+  between sites.  A document of the wrong kind is refused by name.
 - :mod:`repro.persist.checkpoint` -- :class:`CheckpointManager`: epoch
   barriers between run segments, atomic writes, retention, and the
-  deferred-barrier policy for non-quiescent moments.
+  deferred-barrier policy for non-quiescent moments -- for a site or a
+  federation alike (every chaos episode checkpoint is the latter).
 """
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
                                 Snapshottable, canonical_json, state_hash)
-from repro.persist.site_state import restore_site, snapshot_site
+from repro.persist.site_state import (fresh_site, restore_site,
+                                      snapshot_site)
 from repro.persist.federation_state import (restore_federation,
                                             snapshot_federation)
 from repro.persist.checkpoint import CheckpointManager
@@ -30,7 +36,7 @@ from repro.persist.checkpoint import CheckpointManager
 __all__ = [
     "FORMAT_VERSION", "QuiescenceError", "Snapshottable",
     "canonical_json", "state_hash",
-    "snapshot_site", "restore_site",
+    "snapshot_site", "restore_site", "fresh_site",
     "snapshot_federation", "restore_federation",
     "CheckpointManager",
 ]

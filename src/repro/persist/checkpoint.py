@@ -1,7 +1,8 @@
 """Epoch-boundary checkpointing.
 
-The manager sits between run segments: the driver advances the
-simulation in epochs (``sim.run(until=next_barrier)``) and calls
+The manager sits between run segments of one world -- a site or a
+federation: the driver advances the simulation in epochs
+(``sim.run(until=next_barrier)``, or ``fed.run(seconds)``) and calls
 :meth:`CheckpointManager.epoch` at each barrier, where the kernel is
 between events and the world can be quiescent.  When a barrier lands
 on a non-quiescent moment (a relocation mid-flight, a backup running),
@@ -21,6 +22,7 @@ import time
 from typing import Dict, List, Mapping, Optional
 
 from repro.persist.core import QuiescenceError
+from repro.persist.federation_state import snapshot_federation
 from repro.persist.site_state import snapshot_site
 
 __all__ = ["CheckpointManager", "rss_mb"]
@@ -39,7 +41,9 @@ def rss_mb() -> float:
 
 
 class CheckpointManager:
-    """Periodic quiescent snapshots of one site (plus harness extras)."""
+    """Periodic quiescent snapshots of one world plus its harness
+    extras: a site (``extras`` maps name -> component) or a federation
+    (``extras`` maps site name -> that site's extras)."""
 
     def __init__(self, site, directory: str, *,
                  every_hours: float = 24.0, retain: int = 3,
@@ -61,14 +65,19 @@ class CheckpointManager:
         self.last_path: Optional[str] = None
         self.last_hash: Optional[str] = None
         self.wall_seconds = 0.0
-        self._last_at = site.sim.now
+        self._federated = hasattr(site, "sites")
+        self._last_at = self._now()
         os.makedirs(directory, exist_ok=True)
+
+    def _now(self) -> float:
+        """A federation keeps its own lockstep clock; a site's is its
+        kernel's."""
+        return self.site.now if self._federated else self.site.sim.now
 
     # -- the barrier hook -----------------------------------------------------
 
     def due(self) -> bool:
-        return (self.site.sim.now - self._last_at
-                >= self.every_hours * 3600.0)
+        return self._now() - self._last_at >= self.every_hours * 3600.0
 
     def epoch(self, *, force: bool = False) -> Optional[str]:
         """Checkpoint if an epoch has elapsed (or ``force``).
@@ -80,20 +89,24 @@ class CheckpointManager:
             return None
         t0 = time.perf_counter()
         try:
-            snap = snapshot_site(self.site, extras=self.extras)
+            if self._federated:
+                snap = snapshot_federation(self.site,
+                                           extras_by_site=self.extras)
+            else:
+                snap = snapshot_site(self.site, extras=self.extras)
         except QuiescenceError:
             self.deferred += 1
             return None
         path = self._write(snap)
         self.wall_seconds += time.perf_counter() - t0
-        self._last_at = self.site.sim.now
+        self._last_at = self._now()
         self._prune()
         return path
 
     # -- files ----------------------------------------------------------------
 
     def _name(self) -> str:
-        hours = self.site.sim.now / 3600.0
+        hours = self._now() / 3600.0
         return f"{self.label}-{hours:012.3f}h.json"
 
     def _write(self, snap: dict) -> str:

@@ -27,13 +27,18 @@ __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
 FORMAT_VERSION = 2
 
 
-def check_format(snapshot: dict) -> None:
-    """Refuse a snapshot written under another layout, before anything
-    is built from it."""
+def check_format(snapshot: dict, kind: str) -> None:
+    """Refuse a snapshot written under another layout, or holding
+    another kind of world (``"site"`` / ``"federation"``), before
+    anything is built from it."""
     if snapshot.get("format") != FORMAT_VERSION:
         raise ValueError(
             f"checkpoint format {snapshot.get('format')!r} != "
             f"supported {FORMAT_VERSION}")
+    got = "federation" if "fedconfig" in snapshot else "site"
+    if got != kind:
+        raise ValueError(
+            f"checkpoint holds a {got} document, wanted a {kind} one")
 
 
 @runtime_checkable

@@ -55,26 +55,31 @@ def snapshot_federation(fed, *, extras_by_site: Optional[
             "site_recovery_events": fed.site_recovery_events,
         },
     }
-    state["state_hash"] = state_hash(
-        {k: v for k, v in state.items() if k != "state_hash"})
+    state["state_hash"] = state_hash(state)
     return state
 
 
-def restore_federation(snapshot: dict, *, extras_by_site: Optional[
+def restore_federation(snapshot: dict, *, fed=None, extras_by_site: Optional[
         Mapping[str, Mapping[str, object]]] = None):
-    """Rebuild the snapshotted federation and return it."""
+    """Rebuild the snapshotted federation and return it.
+
+    Without ``fed``, a fresh one is built from the embedded config; a
+    caller with per-site harnesses builds the federation itself, wires
+    them, and passes both it and ``extras_by_site``.
+    """
     from repro.federation.build import build_federation
     from repro.federation.config import FederationConfig
 
-    check_format(snapshot)
+    check_format(snapshot, "federation")
     extras_by_site = dict(extras_by_site or {})
 
-    config = FederationConfig.from_dict(snapshot["fedconfig"])
-    fed = build_federation(config)
-    if set(fed.sites) != set(snapshot["sites"]):
-        raise KeyError(
-            f"site set mismatch: snapshot={sorted(snapshot['sites'])} "
-            f"build={sorted(fed.sites)}")
+    if fed is None:
+        fed = build_federation(
+            FederationConfig.from_dict(snapshot["fedconfig"]))
+    elif fed.config.to_dict() != snapshot["fedconfig"]:
+        raise ValueError(
+            "supplied federation was built from a different config "
+            "than the snapshot's")
 
     for name in sorted(fed.sites):
         restore_site(snapshot["sites"][name], site=fed.sites[name],

@@ -30,12 +30,13 @@ live in Python frames, which this layer deliberately refuses to pickle.
 from __future__ import annotations
 
 from dataclasses import asdict
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
                                 check_format, claimed_of, state_hash)
 
-__all__ = ["snapshot_site", "restore_site"]
+__all__ = ["snapshot_site", "restore_site", "fresh_site"]
 
 
 # -- quiescence --------------------------------------------------------------
@@ -89,7 +90,76 @@ def _claim(claimed: Dict[int, str], owner: str, seqs: List[int]) -> None:
         claimed[seq] = owner
 
 
-# -- the component walk -------------------------------------------------------
+# -- the component table --------------------------------------------------------
+
+def _attr(name: str):
+    return name, attrgetter(name)
+
+
+#: Every stateful layer of a Site above the kernel, in document order:
+#: ``(snapshot key, site -> component | {name: ...} | None)``.  The
+#: snapshot walk, the restore walk and the claimed-event walk all read
+#: this one table, so a new layer is one row.
+_LAYERS = (
+    ("lans", lambda site: dict(sorted(site.dc.lans.items()))),
+    ("hosts", lambda site: dict(sorted(site.dc.hosts.items()))),
+    ("apps", lambda site: {name: dict(sorted(host.apps.items()))
+                           for name, host in sorted(site.dc.hosts.items())}),
+    *map(_attr, ("nameservice", "channel", "pool", "notifications", "lsf")),
+    ("services", lambda site: {svc.name: svc for svc in site.services}),
+    ("suites", lambda site: dict(sorted(site.suites.items()))),
+    *map(_attr, ("ledger", "admin", "jobmgr", "spares", "relocator",
+                 "reroute", "telemetry", "alerts")),
+)
+
+
+def _layers(site, extras: Mapping[str, object]):
+    """``(key, node)`` per layer, the harness extras last.  Lazy: a
+    layer is looked up when the walk reaches it."""
+    for key, get in _LAYERS:
+        yield key, get(site)
+    yield "extras", dict(sorted(extras.items()))
+
+
+def _snapshot_node(node):
+    if node is None:
+        return None
+    if isinstance(node, dict):
+        return {name: _snapshot_node(child) for name, child in node.items()}
+    return node.snapshot_state()
+
+
+def _restore_node(node, state, where: str) -> None:
+    if state is None:           # the layer was absent when snapshotted
+        return
+    if not isinstance(node, dict):
+        node.restore_state(state)
+        return
+    if set(node) != set(state):
+        raise KeyError(
+            f"{where} set mismatch: "
+            f"snapshot-only={sorted(set(state) - set(node))} "
+            f"build-only={sorted(set(node) - set(state))}")
+    for name, child in node.items():
+        _restore_node(child, state[name], f"{where}/{name}")
+
+
+def _claims(layers) -> Dict[int, str]:
+    """seq -> owner for every pending event a component of the given
+    ``(key, node)`` layers claims."""
+    claimed: Dict[int, str] = {}
+
+    def walk(node, owner: str) -> None:
+        if isinstance(node, dict):
+            for name, child in node.items():
+                walk(child, f"{owner}/{name}")
+        elif node is not None:
+            _claim(claimed, owner, claimed_of(node))
+
+    for key, node in layers:
+        walk(node, key)
+    return claimed
+
 
 def _tracer_of(site):
     from repro.trace.tracer import NULL_TRACER
@@ -109,77 +179,30 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
     extras = dict(extras or {})
     _check_quiescent(site, extras)
 
-    claimed: Dict[int, str] = {}
+    tracer = _tracer_of(site)
     state: dict = {
         "format": FORMAT_VERSION,
         "config": asdict(site.config),
         "kernel": site.sim.snapshot_state(),
         "rng": site.streams.getstate(),
+        "tracer": tracer.snapshot_state() if tracer is not None else None,
     }
+    layers = list(_layers(site, extras))
+    for key, node in layers:
+        state[key] = _snapshot_node(node)
 
-    tracer = _tracer_of(site)
-    state["tracer"] = tracer.snapshot_state() if tracer is not None else None
-
-    state["lans"] = {name: lan.snapshot_state()
-                     for name, lan in sorted(site.dc.lans.items())}
-    hosts: Dict[str, dict] = {}
-    apps: Dict[str, Dict[str, dict]] = {}
-    for name, host in sorted(site.dc.hosts.items()):
-        hosts[name] = host.snapshot_state()
-        _claim(claimed, f"host:{name}", host.claimed_seqs())
-        apps[name] = {}
-        for app_name, app in sorted(host.apps.items()):
-            apps[name][app_name] = app.snapshot_state()
-            _claim(claimed, f"app:{name}/{app_name}", app.claimed_seqs())
-    state["hosts"] = hosts
-    state["apps"] = apps
-
-    state["nameservice"] = site.nameservice.snapshot_state()
-    state["channel"] = site.channel.snapshot_state()
-    state["pool"] = site.pool.snapshot_state()
-    state["notifications"] = site.notifications.snapshot_state()
-
-    state["lsf"] = site.lsf.snapshot_state()
-    _claim(claimed, "lsf", site.lsf.claimed_seqs())
-
-    state["services"] = {svc.name: svc.snapshot_state()
-                         for svc in site.services}
-
-    state["suites"] = {}
-    for name, suite in sorted(site.suites.items()):
-        state["suites"][name] = suite.snapshot_state()
-        _claim(claimed, f"suite:{name}", suite.claimed_seqs())
-
-    state["ledger"] = (site.ledger.snapshot_state()
-                       if site.ledger is not None else None)
-    state["admin"] = (site.admin.snapshot_state()
-                      if site.admin is not None else None)
-    state["jobmgr"] = (site.jobmgr.snapshot_state()
-                       if site.jobmgr is not None else None)
-
-    state["spares"] = (site.spares.snapshot_state()
-                       if site.spares is not None else None)
-    state["relocator"] = (site.relocator.snapshot_state()
-                          if site.relocator is not None else None)
-    state["reroute"] = (site.reroute.snapshot_state()
-                        if site.reroute is not None else None)
-
-    state["telemetry"] = (site.telemetry.snapshot_state()
-                          if site.telemetry is not None else None)
-    if site.telemetry is not None:
-        _claim(claimed, "telemetry", site.telemetry.claimed_seqs())
-    state["alerts"] = (site.alerts.snapshot_state()
-                       if site.alerts is not None else None)
-
-    state["extras"] = {}
-    for name, comp in sorted(extras.items()):
-        state["extras"][name] = comp.snapshot_state()
-        _claim(claimed, f"extra:{name}", claimed_of(comp))
-
-    _coverage_check(site, claimed)
-    state["state_hash"] = state_hash(
-        {k: v for k, v in state.items() if k != "state_hash"})
+    _coverage_check(site, _claims(layers))
+    state["state_hash"] = state_hash(state)
     return state
+
+
+def fresh_site(snapshot: dict):
+    """Check a site document, then build the (not yet restored) site it
+    describes -- for callers that wire a harness around the site before
+    handing both to :func:`restore_site`."""
+    from repro.experiments.site import SiteConfig, build_site
+    check_format(snapshot, "site")
+    return build_site(SiteConfig(**snapshot["config"]))
 
 
 def restore_site(snapshot: dict, *, site=None,
@@ -187,29 +210,25 @@ def restore_site(snapshot: dict, *, site=None,
     """Rebuild the snapshotted world and return the restored Site.
 
     Without ``site``, a fresh one is built from the snapshot's config
-    (the caller then wires its own harness around the result *before*
-    restoring extras -- pass the pre-built site and the extras mapping
-    in that case).  The fresh world's schedule is wiped and every
+    (a caller with a harness builds it through :func:`fresh_site`,
+    wires the harness, and passes both the site and the extras
+    mapping).  The fresh world's schedule is wiped and every
     pending event re-armed at its exact saved token, so the first event
     the resumed run pops is the one the snapshotted run would have
     popped next.
     """
-    check_format(snapshot)
+    check_format(snapshot, "site")
     extras = dict(extras or {})
-    missing = set(snapshot.get("extras", {})) - set(extras)
-    if missing:
+    if set(snapshot["extras"]) != set(extras):
         raise KeyError(
-            f"snapshot carries extras {sorted(missing)} with no restore "
-            f"target supplied")
-
+            f"snapshot carries extras {sorted(snapshot['extras'])} but "
+            f"the restore targets supplied are {sorted(extras)}")
     if site is None:
-        from repro.experiments.site import SiteConfig, build_site
-        site = build_site(SiteConfig(**snapshot["config"]))
-    else:
-        if asdict(site.config) != snapshot["config"]:
-            raise ValueError(
-                "supplied site was built from a different config than "
-                "the snapshot's")
+        site = fresh_site(snapshot)
+    elif asdict(site.config) != snapshot["config"]:
+        raise ValueError(
+            "supplied site was built from a different config than "
+            "the snapshot's")
 
     sim = site.sim
     sim.restore_state(snapshot["kernel"])
@@ -223,77 +242,15 @@ def restore_site(snapshot: dict, *, site=None,
             tracer = install_tracer(sim)
         tracer.restore_state(snapshot["tracer"])
 
-    for name, lan_state in snapshot["lans"].items():
-        site.dc.lans[name].restore_state(lan_state)
-    saved_hosts = set(snapshot["hosts"])
-    built_hosts = set(site.dc.hosts)
-    if saved_hosts != built_hosts:
-        raise KeyError(
-            f"host set mismatch: snapshot-only={sorted(saved_hosts - built_hosts)} "
-            f"build-only={sorted(built_hosts - saved_hosts)}")
-    for name in sorted(saved_hosts):
-        site.dc.hosts[name].restore_state(snapshot["hosts"][name])
-    for name, app_states in snapshot["apps"].items():
-        host = site.dc.hosts[name]
-        if set(app_states) != set(host.apps):
-            raise KeyError(
-                f"{name}: app set mismatch (snapshot "
-                f"{sorted(app_states)} vs built {sorted(host.apps)})")
-        for app_name, app_state in app_states.items():
-            host.apps[app_name].restore_state(app_state)
-
-    site.nameservice.restore_state(snapshot["nameservice"])
-    site.channel.restore_state(snapshot["channel"])
-    site.pool.restore_state(snapshot["pool"])
-    site.notifications.restore_state(snapshot["notifications"])
-    site.lsf.restore_state(snapshot["lsf"])
-
-    by_name = {svc.name: svc for svc in site.services}
-    for name, svc_state in snapshot["services"].items():
-        by_name[name].restore_state(svc_state)
-
-    if set(snapshot["suites"]) != set(site.suites):
-        raise KeyError("suite set mismatch between snapshot and build")
-    for name, suite_state in snapshot["suites"].items():
-        site.suites[name].restore_state(suite_state)
-
-    if snapshot["ledger"] is not None:
-        site.ledger.restore_state(snapshot["ledger"])
-    if snapshot["admin"] is not None:
-        site.admin.restore_state(snapshot["admin"])
-    if snapshot["jobmgr"] is not None:
-        site.jobmgr.restore_state(snapshot["jobmgr"])
-    if snapshot["spares"] is not None:
-        site.spares.restore_state(snapshot["spares"])
-    if snapshot["relocator"] is not None:
-        site.relocator.restore_state(snapshot["relocator"])
-    if snapshot["reroute"] is not None:
-        site.reroute.restore_state(snapshot["reroute"])
-    if snapshot["telemetry"] is not None:
-        site.telemetry.restore_state(snapshot["telemetry"])
-    if snapshot["alerts"] is not None:
-        site.alerts.restore_state(snapshot["alerts"])
-
-    for name, comp_state in snapshot.get("extras", {}).items():
-        extras[name].restore_state(comp_state)
+    for key, node in _layers(site, extras):
+        _restore_node(node, snapshot[key], key)
 
     # the re-armed heap must be exactly the claimed set the snapshot
     # covered -- anything else means a restore path scheduled fresh work
     live = sorted(ev.seq for ev in sim.live_events())
-    claimed: Dict[int, str] = {}
-    for name, host in site.dc.hosts.items():
-        _claim(claimed, f"host:{name}", host.claimed_seqs())
-        for app_name, app in host.apps.items():
-            _claim(claimed, f"app:{name}/{app_name}", app.claimed_seqs())
-    _claim(claimed, "lsf", site.lsf.claimed_seqs())
-    for name, suite in site.suites.items():
-        _claim(claimed, f"suite:{name}", suite.claimed_seqs())
-    if site.telemetry is not None:
-        _claim(claimed, "telemetry", site.telemetry.claimed_seqs())
-    for name, comp in extras.items():
-        _claim(claimed, f"extra:{name}", claimed_of(comp))
-    if live != sorted(claimed):
+    claimed = sorted(_claims(_layers(site, extras)))
+    if live != claimed:
         raise QuiescenceError(
             f"restored heap does not match claims: live={live[:12]} "
-            f"claimed={sorted(claimed)[:12]}")
+            f"claimed={claimed[:12]}")
     return site

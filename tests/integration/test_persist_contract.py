@@ -98,31 +98,48 @@ def test_checkpoint_hash_matches_recorded_hash(tmp_path):
     assert state_hash(snap) == recorded
 
 
-@pytest.mark.slow
-def test_chaos_time_travel_reproduces_violation(tmp_path):
-    """A planted-bug violation found at the end of the adversarial
-    wake scenario reproduces identically from a mid-episode epoch."""
+def _time_travel(corpus_file: str, tmp_path, **kw):
+    """Run a corpus scenario with checkpoints, then again from its
+    first and its last epoch: every replay must reproduce the
+    uninterrupted run's outcome.  Returns that run."""
     from repro.chaos.executor import run_episode
     from repro.chaos.scenario import Scenario
 
-    with open(os.path.join("tests", "corpus",
-                           "wake-adversarial.json")) as fh:
+    with open(os.path.join("tests", "corpus", corpus_file)) as fh:
         sc = Scenario.from_json(fh.read())
 
     ckdir = str(tmp_path / "epochs")
-    full = run_episode(sc, planted_bug=True, checkpoint_dir=ckdir)
-    assert not full.ok, "planted bug must trip an oracle"
+    full = run_episode(sc, checkpoint_dir=ckdir, **kw)
 
     epochs = sorted(os.listdir(ckdir))
     assert len(epochs) >= 2, "scenario long enough for multiple epochs"
 
     for epoch in (epochs[0], epochs[-1]):     # earliest and last
         replay = run_episode(
-            sc, planted_bug=True,
-            from_checkpoint=os.path.join(ckdir, epoch))
+            sc, from_checkpoint=os.path.join(ckdir, epoch), **kw)
         assert replay.violated == full.violated
         assert replay.applied == full.applied
         assert replay.fizzled == full.fizzled
         assert replay.coverage == full.coverage
         assert canonical_json([v.to_dict() for v in replay.verdicts]) \
             == canonical_json([v.to_dict() for v in full.verdicts])
+    return full
+
+
+@pytest.mark.slow
+def test_chaos_time_travel_reproduces_violation(tmp_path):
+    """A planted-bug violation found at the end of the adversarial
+    wake scenario reproduces identically from a mid-episode epoch."""
+    full = _time_travel("wake-adversarial.json", tmp_path,
+                        planted_bug=True)
+    assert not full.ok, "planted bug must trip an oracle"
+
+
+@pytest.mark.slow
+def test_federated_chaos_time_travel_reproduces_the_run(tmp_path):
+    """The three-site episode checkpoints and time-travels like the
+    single-site one: every site, the WAN, the geo tier and the pending
+    scenario events all ride one federation document."""
+    full = _time_travel("site-loss.json", tmp_path)
+    assert full.ok, full.violations
+    assert "fed:site-loss" in full.coverage

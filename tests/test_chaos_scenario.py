@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos.scenario import (BUILDERS, MAX_EVENTS, MAX_HORIZON,
-                                  MIN_HORIZON, OPS, TARGET_POOLS,
+                                  MIN_HORIZON, OPS, TARGET_POOLS, WORLDS,
                                   ChaosEvent, Scenario, build_corpus,
                                   make_target, parse_target,
                                   random_scenario)
@@ -103,3 +103,55 @@ def test_random_scenario_is_valid_and_stream_deterministic():
     b = random_scenario(RandomStreams(5).get("g"), "r", seed=5)
     a.validate()
     assert a.to_json() == b.to_json()
+
+
+# -- the world a scenario names -------------------------------------------------
+
+
+def _scoped(target: str, sites: int, op: str = "host-crash") -> Scenario:
+    return Scenario(name="scoped", events=[ChaosEvent(600.0, op, target)],
+                    horizon=MIN_HORIZON, sites=sites)
+
+
+def test_worlds_name_the_sites_the_executor_builds():
+    from repro.federation import three_site_config
+    built = sorted(s.name for s in three_site_config().sites)
+    assert list(WORLDS[3]) == built
+
+
+def test_validate_rejects_a_scope_naming_no_site_of_the_world():
+    """``par:`` is not a datacentre of the three-site world; the event
+    must not be quietly re-aimed at the home site."""
+    with pytest.raises(ValueError, match="names site 'par'"):
+        _scoped("par:dbhost[0]", sites=3).validate()
+    _scoped("nyc:dbhost[0]", sites=3).validate()
+
+
+@pytest.mark.parametrize("sites", [0, 2, 4])
+def test_validate_rejects_worlds_the_executor_cannot_build(sites):
+    with pytest.raises(ValueError, match="sites must be one of"):
+        _scoped("dbhost[0]", sites=sites).validate()
+
+
+def test_unscoped_selector_in_a_federation_means_the_home_site():
+    from repro.chaos.executor import run_episode
+    ep = run_episode(_scoped("dbhost[0]", sites=3))
+    assert ep.applied == ["1000 host-crash dbhost[0]"]
+    assert list(ep.books["hkg"].outcomes) == [0]
+    assert not ep.books["hkg"].site.dc.group("db")[0].is_up
+
+
+def test_scope_on_a_single_site_scenario_is_ignored():
+    from repro.chaos.executor import run_episode
+    ep = run_episode(_scoped("nyc:dbhost[0]", sites=1))
+    assert ep.applied == ["1000 host-crash nyc:dbhost[0]"]
+    assert not ep.site.dc.group("db")[0].is_up
+
+
+@pytest.mark.parametrize("op", ["wan-partition", "wan-repair"])
+def test_wan_ops_fizzle_on_a_world_with_no_leased_lines(op):
+    from repro.chaos.executor import run_episode
+    ep = run_episode(_scoped("wan[2]", sites=1, op=op))
+    assert not ep.applied
+    assert ep.fizzled_kinds == {op}
+    assert f"fizzle:{op}" in ep.coverage

@@ -109,6 +109,46 @@ def test_format_1_checkpoint_is_refused_before_anything_is_built(tmp_path):
     assert target.snapshot()["state_hash"] == before
 
 
+def test_wrong_kind_of_document_is_refused_before_anything_is_built(
+        tmp_path):
+    """A federation document is not a site document and vice versa:
+    each restore names the kind it got and the kind it wanted, and a
+    pre-built target is left exactly as it was."""
+    from repro.chaos.executor import run_episode
+    from repro.chaos.scenario import build_corpus
+    from repro.federation import build_federation, three_site_config
+    from repro.persist import (restore_federation, restore_site,
+                               snapshot_federation)
+    harness = FidelityHarness(_site())
+    harness.run_hours(0.25)
+    site_doc = harness.snapshot()
+    fed = build_federation(three_site_config(population=60_000))
+    fed_doc = snapshot_federation(fed)
+
+    wants_site = "holds a federation document, wanted a site one"
+    with pytest.raises(ValueError, match=wants_site):
+        restore_site(fed_doc)
+    with pytest.raises(ValueError, match=wants_site):
+        FidelityHarness.resume(fed_doc)
+    with pytest.raises(ValueError, match=wants_site):
+        restore_site(fed_doc, site=harness.site, extras=harness._extras())
+    assert harness.snapshot()["state_hash"] == site_doc["state_hash"]
+
+    wants_fed = "holds a site document, wanted a federation one"
+    with pytest.raises(ValueError, match=wants_fed):
+        restore_federation(site_doc)
+    with pytest.raises(ValueError, match=wants_fed):
+        restore_federation(site_doc, fed=fed)
+    assert snapshot_federation(fed)["state_hash"] == fed_doc["state_hash"]
+
+    # an episode checkpoint written before single-site episodes ran in
+    # a federation of one is such a site document
+    path = tmp_path / "ep-old.json"
+    path.write_text(json.dumps(site_doc))
+    with pytest.raises(ValueError, match=wants_fed):
+        run_episode(build_corpus(0)["cascade"], from_checkpoint=str(path))
+
+
 def test_restore_rejects_missing_extras():
     from repro.persist import restore_site
     harness = FidelityHarness(_site())
