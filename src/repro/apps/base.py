@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.process import SimProc
+from repro.persist.core import (Persistent, group, member, pending, scalar,
+                                scalars, signal, via)
 
 __all__ = ["AppState", "ProcessSpec", "StartupStep", "Application"]
 
@@ -62,10 +64,25 @@ class StartupStep:
     duration: float
 
 
-class Application:
+class Application(Persistent):
     """Base class for every simulated application."""
 
     app_type = "generic"
+
+    #: a subclass's own state, saved under ``"extra"``
+    _persist_extra: tuple = ()
+    #: lifecycle state plus process links, as pids into the host's
+    #: process table -- which must therefore restore first
+    _persist = (
+        member("state", AppState), scalar("config_ok", bool),
+        scalar("data_ok", bool), scalar("started_at"),
+        *scalars(int, "crash_count", "restart_count"),
+        signal("state_changed",
+               lambda v: v if v is None else AppState(v),
+               lambda v: v.value if isinstance(v, AppState) else v),
+        via("proc_pids", "_save_pids", "_relink_procs"),
+        pending("startup_event", "_startup_event", "_finish_start"),
+        group("extra", "_persist_extra"))
 
     def __init__(self, host, name: str, *, version: str = "1.0",
                  port: Optional[int] = None, user: str = "appuser",
@@ -321,72 +338,11 @@ class Application:
 
     # -- persistence ------------------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Lifecycle state plus process links (as pids into the host's
-        already-restored table).  Subclasses contribute via
-        :meth:`_persist_extra`."""
-        ev = self._startup_event if (self._startup_event is not None
-                                     and self._startup_event.alive) else None
-        last = self.state_changed.last_value
-        return {
-            "state": self.state.value,
-            "config_ok": self.config_ok,
-            "data_ok": self.data_ok,
-            "proc_pids": [p.pid for p in self.procs],
-            "started_at": self.started_at,
-            "crash_count": self.crash_count,
-            "restart_count": self.restart_count,
-            "state_changed": [
-                self.state_changed.fire_count,
-                last.value if isinstance(last, AppState) else last],
-            "startup_event": ([ev.time, ev.priority, ev.seq]
-                              if ev is not None else None),
-            "extra": self._persist_extra(),
-        }
+    def _save_pids(self) -> list:
+        return [p.pid for p in self.procs]
 
-    def restore_state(self, state: dict) -> None:
-        """Must run after the owning host restored its process table --
-        process links are re-established by pid."""
-        self.state = AppState(state["state"])
-        self.config_ok = bool(state["config_ok"])
-        self.data_ok = bool(state["data_ok"])
-        self.started_at = state["started_at"]
-        self.crash_count = int(state["crash_count"])
-        self.restart_count = int(state["restart_count"])
-        fire_count, last = state["state_changed"]
-        self.state_changed.fire_count = int(fire_count)
-        try:
-            self.state_changed.last_value = AppState(last)
-        except ValueError:
-            self.state_changed.last_value = last
-        self.procs = []
-        for pid in state["proc_pids"]:
-            proc = self.host.ptable.get(pid)
-            if proc is None:
-                raise KeyError(
-                    f"{self.name}: snapshot process pid {pid} missing "
-                    f"from {self.host.name}'s restored table")
-            proc.owner = self
-            self.procs.append(proc)
-        self._cancel_startup()
-        tok = state.get("startup_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._startup_event = self.sim.schedule_exact(
-                t, prio, seq, self._finish_start)
-        self._restore_extra(state["extra"])
-
-    def _persist_extra(self) -> dict:
-        """Subclass state rider (see :class:`repro.apps.database.Database`)."""
-        return {}
-
-    def _restore_extra(self, extra: dict) -> None:
-        pass
-
-    def claimed_seqs(self) -> List[int]:
-        if self._startup_event is not None and self._startup_event.alive:
-            return [self._startup_event.seq]
-        return []
+    def _relink_procs(self, pids: list) -> None:
+        self.procs = [self.host.ptable.adopt(pid, self) for pid in pids]
 
     def serve_batch(self, n: int) -> Tuple[int, int, float]:
         """Serve an aggregated batch of ``n`` user requests.

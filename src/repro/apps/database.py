@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
+from repro.persist.core import pending, scalar, scalars, table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.jobs import BatchJob
@@ -30,6 +31,11 @@ class Database(Application):
     """A simulated relational database server."""
 
     app_type = "database"
+    _persist_extra = (
+        table("connected_users", float),
+        *scalars(int, "checkpoints", "transactions"),
+        scalar("backup_running", bool), scalar("jobs_crashed_total", int),
+        pending("backup_event", "_backup_event", "_finish_backup"))
 
     def __init__(self, host, name: str, *, db_type: str = "oracle",
                  version: str = "8.1.7", max_job_slots: int = 4,
@@ -175,45 +181,13 @@ class Database(Application):
 
     # -- persistence ------------------------------------------------------------------
 
-    def _persist_extra(self) -> dict:
+    def snapshot_state(self) -> dict:
         if self.active_jobs:
             # batch jobs are generator-driven; a checkpoint barrier must
             # not land while any are attached (see repro.persist)
             raise RuntimeError(
                 f"{self.name}: cannot snapshot with active batch jobs")
-        ev = self._backup_event if (self._backup_event is not None
-                                    and self._backup_event.alive) else None
-        return {
-            "connected_users": dict(self.connected_users),
-            "checkpoints": self.checkpoints,
-            "transactions": self.transactions,
-            "backup_running": self.backup_running,
-            "jobs_crashed_total": self.jobs_crashed_total,
-            "backup_event": ([ev.time, ev.priority, ev.seq]
-                             if ev is not None else None),
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.connected_users = {u: float(t)
-                                for u, t in extra["connected_users"].items()}
-        self.checkpoints = int(extra["checkpoints"])
-        self.transactions = int(extra["transactions"])
-        self.backup_running = bool(extra["backup_running"])
-        self.jobs_crashed_total = int(extra["jobs_crashed_total"])
-        if self._backup_event is not None:
-            self._backup_event.cancel()
-            self._backup_event = None
-        tok = extra.get("backup_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._backup_event = self.sim.schedule_exact(
-                t, prio, seq, self._finish_backup)
-
-    def claimed_seqs(self):
-        seqs = super().claimed_seqs()
-        if self._backup_event is not None and self._backup_event.alive:
-            seqs.append(self._backup_event.seq)
-        return seqs
+        return super().snapshot_state()
 
     def db_metrics(self) -> Dict[str, float]:
         """The ten §3.6 database measurements, as one snapshot."""

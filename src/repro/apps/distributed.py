@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.tcp import tcp_connect
+from repro.persist.core import Persistent, scalars
 
 __all__ = ["Component", "DistributedService"]
 
@@ -36,8 +37,10 @@ class Component:
         return self.app.host.name
 
 
-class DistributedService:
+class DistributedService(Persistent):
     """A named service spanning several hosts."""
+
+    _persist = scalars(int, "probes_run", "probe_failures")
 
     def __init__(self, dc, name: str):
         self.dc = dc
@@ -162,16 +165,6 @@ class DistributedService:
             return (True, started, "")
 
         return sim.spawn(driver(), name=f"svc-start.{self.name}")
-
-    # -- persistence -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"probes_run": self.probes_run,
-                "probe_failures": self.probe_failures}
-
-    def restore_state(self, state: dict) -> None:
-        self.probes_run = int(state["probes_run"])
-        self.probe_failures = int(state["probe_failures"])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<DistributedService {self.name} "

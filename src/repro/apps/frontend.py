@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
+from repro.persist.core import scalars
 
 __all__ = ["FrontendApp"]
 
@@ -23,6 +24,7 @@ class FrontendApp(Application):
     """An analyst-facing GUI application server."""
 
     app_type = "frontend"
+    _persist_extra = scalars(int, "queries_served", "sessions")
 
     def __init__(self, host, name: str, *, version: str = "4.2",
                  backend: Optional[object] = None, **kw):
@@ -56,14 +58,6 @@ class FrontendApp(Application):
     def logout(self, user: str) -> None:
         self.sessions = max(0, self.sessions - 1)
         self.host.logged_in_users.discard(user)
-
-    def _persist_extra(self) -> dict:
-        return {"queries_served": self.queries_served,
-                "sessions": self.sessions}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.queries_served = int(extra["queries_served"])
-        self.sessions = int(extra["sessions"])
 
     def run_query(self) -> Tuple[bool, float, str]:
         """A user-level query: front-end work plus a backend round trip.

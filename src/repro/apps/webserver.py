@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
+from repro.persist.core import scalars, table
 
 __all__ = ["WebServer"]
 
@@ -18,6 +19,8 @@ class WebServer(Application):
     """An httpd-style server."""
 
     app_type = "webserver"
+    _persist_extra = (*scalars(int, "requests_attempted", "requests_served"),
+                      table("open_connections", float))
 
     def __init__(self, host, name: str, *, version: str = "1.3.26",
                  workers: int = 8, **kw):
@@ -67,14 +70,3 @@ class WebServer(Application):
 
     def close_connection(self, client: str) -> None:
         self.open_connections.pop(client, None)
-
-    def _persist_extra(self) -> dict:
-        return {"requests_attempted": self.requests_attempted,
-                "requests_served": self.requests_served,
-                "open_connections": dict(self.open_connections)}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.requests_attempted = int(extra["requests_attempted"])
-        self.requests_served = int(extra["requests_served"])
-        self.open_connections = {c: float(t)
-                                 for c, t in extra["open_connections"].items()}

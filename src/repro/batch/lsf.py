@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.apps.base import Application, ProcessSpec, StartupStep
 from repro.batch.jobs import BatchJob, JobState
 from repro.batch.policies import PlacementPolicy, RandomPolicy
+from repro.persist.core import Persistent, part, scalars
 
 __all__ = ["LsfMaster", "LsfCluster"]
 
@@ -39,11 +40,15 @@ class LsfMaster(Application):
                          shutdown_duration=10.0, **kw)
 
 
-class LsfCluster:
+class LsfCluster(Persistent):
     """The cluster-wide scheduler state."""
 
     #: mbatchd scheduling cycle
     DISPATCH_PERIOD = 60.0
+    #: counters plus the dispatch loop's pending tick
+    _persist = (*scalars(int, "jobs_done", "jobs_failed", "dispatches",
+                         "crashes_caused"),
+                part("loop", "_loop"))
 
     def __init__(self, dc, master: LsfMaster, *,
                  policy: Optional[PlacementPolicy] = None,
@@ -185,9 +190,7 @@ class LsfCluster:
     # -- persistence -----------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Counters plus the dispatch loop's pending tick.
-
-        Batch jobs themselves are *not* serialised: checkpointable
+        """Batch jobs themselves are *not* serialised: checkpointable
         configurations run with the workload generator off, so a
         quiescent site has no jobs in any state.  A snapshot attempted
         with live jobs is refused rather than silently lossy.
@@ -197,30 +200,7 @@ class LsfCluster:
                 f"cannot snapshot LSF with jobs on the books "
                 f"(pending={len(self.pending)} running={len(self.running)} "
                 f"history={len(self.history)})")
-        return {
-            "jobs_done": self.jobs_done,
-            "jobs_failed": self.jobs_failed,
-            "dispatches": self.dispatches,
-            "crashes_caused": self.crashes_caused,
-            "loop": (self._loop.snapshot_state()
-                     if self._loop is not None else None),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.pending = []
-        self.running = {}
-        self.history = []
-        self.jobs_done = int(state["jobs_done"])
-        self.jobs_failed = int(state["jobs_failed"])
-        self.dispatches = int(state["dispatches"])
-        self.crashes_caused = int(state["crashes_caused"])
-        if self._loop is not None and state["loop"] is not None:
-            self._loop.restore_state(state["loop"])
-
-    def claimed_seqs(self) -> List[int]:
-        if self._loop is not None:
-            return self._loop.claimed_seqs()
-        return []
+        return super().snapshot_state()
 
     # -- queries (the 'pre-scripted LSF specific commands') -------------------------
 

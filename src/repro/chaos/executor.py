@@ -46,6 +46,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.chaos.scenario import Scenario, parse_target, split_site
 from repro.faults.injector import OverlappingFaultError
+from repro.persist.core import Persistent, pendings, scalar, sortedset
 
 __all__ = ["Episode", "run_episode", "PLANTED_GAP"]
 
@@ -197,7 +198,7 @@ def _apply_event(fed, site, injector, ev) -> None:
         injector.inject(ev.op, target, **ev.param_dict())
 
 
-class _EpisodeBook:
+class _EpisodeBook(Persistent):
     """One site's share of an episode: its handles (tracer, harness,
     rescan reference), what the scenario did there, what the oracles
     and the coverage harvest read afterwards -- and, Snapshottable, the
@@ -212,6 +213,16 @@ class _EpisodeBook:
     federation checkpoint.
     """
 
+    _persist = (
+        scalar("base", float),
+        scalar("outcomes",
+               lambda saved: {int(i): (bool(applied), line)
+                              for i, applied, line in saved},
+               enc=lambda outcomes: [[i, applied, line] for i, (applied, line)
+                                     in sorted(outcomes.items())]),
+        sortedset("condition_markers"),
+        pendings("pending", "_pending", "fire", int))
+
     def __init__(self, fed, site, events, planted_bug: bool):
         from repro.chaos.oracles import ScanReference
         from repro.experiments.runner import FidelityHarness
@@ -219,6 +230,7 @@ class _EpisodeBook:
 
         self.fed = fed
         self.site = site
+        self.sim = site.sim
         self.events = events
         self.tracer = install_tracer(site.sim)
         self.harness = FidelityHarness(site)
@@ -276,31 +288,6 @@ class _EpisodeBook:
             admin=site.admin, relocator=site.relocator)
         self.reconciliation = reconcile(self.reports, downtime=downtime,
                                         horizon=self.horizon)
-
-    def snapshot_state(self) -> dict:
-        return {
-            "base": self.base,
-            "outcomes": [[i, applied, line] for i, (applied, line)
-                         in sorted(self.outcomes.items())],
-            "condition_markers": sorted(self.condition_markers),
-            "pending": [[[h.time, h.priority, h.seq], i]
-                        for h, i in self._pending if h.alive],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.base = float(state["base"])
-        self.outcomes = {int(i): (bool(applied), line)
-                         for i, applied, line in state["outcomes"]}
-        self.condition_markers = set(state["condition_markers"])
-        for handle, _i in self._pending:
-            handle.cancel()
-        self._pending = [
-            (self.site.sim.schedule_exact(t, prio, seq, self.fire, int(i)),
-             int(i))
-            for (t, prio, seq), i in state["pending"]]
-
-    def claimed_seqs(self) -> List[int]:
-        return [h.seq for h, _i in self._pending if h.alive]
 
 
 def _plant_bug(admin) -> None:

@@ -32,6 +32,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from repro.persist.core import Persistent, scalars
+
 __all__ = ["OracleVerdict", "ORACLES", "run_oracles", "ScanReference",
            "NOTIFY_STORM_BOUND"]
 
@@ -52,7 +54,7 @@ class OracleVerdict:
                 "violations": list(self.violations)}
 
 
-class ScanReference:
+class ScanReference(Persistent):
     """The paper-faithful control plane (§3.1.2), kept as the reference
     judge outside the system under test: read every agent's flag
     directory on every host every sweep, rebuild the DGSPL from every
@@ -65,6 +67,8 @@ class ScanReference:
     and the rescan result is what gets applied.  Snapshottable, so an
     attached reference rides a checkpoint's ``extras``.
     """
+
+    _persist = scalars(int, "sweep_mismatches", "dgspl_mismatches")
 
     def __init__(self, admin):
         self.admin = admin
@@ -132,14 +136,6 @@ class ScanReference:
         return build_dgspl(
             [d for d in admin.dlsps.values()
              if d.is_fresh(now, admin._dlsp_window(d.hostname))], now)
-
-    def snapshot_state(self) -> dict:
-        return {"sweep_mismatches": self.sweep_mismatches,
-                "dgspl_mismatches": self.dgspl_mismatches}
-
-    def restore_state(self, state: dict) -> None:
-        self.sweep_mismatches = int(state["sweep_mismatches"])
-        self.dgspl_mismatches = int(state["dgspl_mismatches"])
 
 
 def scan_ledger_parity(ep) -> List[str]:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.persist.core import (Persistent, load_state, rearm, save_state,
+                                scalar, scalars, token, via)
 from repro.sim.calendar import next_grid
 
 __all__ = ["CronJob", "Crond"]
@@ -35,8 +37,18 @@ class CronJob:
     last_run: Optional[float] = None
 
 
-class Crond:
+#: what a crontab row carries besides its name and armed event
+_JOB_STATE = (scalar("period", float), scalar("offset", float),
+              scalar("enabled", bool),
+              *scalars(int, "runs", "missed", "demand_runs"),
+              scalar("last_run"))
+
+
+class Crond(Persistent):
     """Per-host cron daemon on an absolute grid."""
+
+    _persist = (scalar("running", bool),
+                via("jobs", "_save_jobs", "_load_jobs"))
 
     def __init__(self, host) -> None:
         self.host = host
@@ -151,57 +163,35 @@ class Crond:
 
     # -- persistence ------------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Jobs in crontab order with their armed-event heap tokens.
-        Job callables are structural (re-registered by the rebuild);
-        restore overwrites the counters and re-arms each pending fire at
-        its exact original token -- including off-grid demand wakes."""
-        rows = []
-        for name, job in self.jobs.items():
-            ev = self._events.get(name)
-            if ev is not None and not ev.alive:
-                ev = None
-            rows.append({
-                "name": name, "period": job.period, "offset": job.offset,
-                "enabled": job.enabled, "runs": job.runs,
-                "missed": job.missed, "demand_runs": job.demand_runs,
-                "last_run": job.last_run,
-                "event": ([ev.time, ev.priority, ev.seq]
-                          if ev is not None else None),
-            })
-        return {"running": self.running, "jobs": rows}
+    def _save_jobs(self) -> list:
+        """Jobs in crontab order, each with its armed event's heap token
+        (off-grid demand wakes included).  Job callables are structural:
+        the rebuild re-registers them."""
+        return [{"name": name, **save_state(job, _JOB_STATE),
+                 "event": token(self._events.get(name))}
+                for name, job in self.jobs.items()]
 
-    def restore_state(self, state: dict) -> None:
-        self.running = bool(state["running"])
+    def _load_jobs(self, saved: list) -> None:
         for ev in self._events.values():
             ev.cancel()
         self._events.clear()
-        saved = {row["name"]: row for row in state["jobs"]}
-        unknown = [n for n in saved if n not in self.jobs]
+        unknown = [row["name"] for row in saved
+                   if row["name"] not in self.jobs]
         if unknown:
             raise KeyError(
                 f"{self.host.name}: snapshot has cron jobs the rebuilt "
                 f"host never registered: {unknown}")
-        for name in [n for n in self.jobs if n not in saved]:
-            del self.jobs[name]
         # crontab order is behavioural (restart() iterates it): rebuild
-        # the dict in the snapshot's order around the fresh callables
+        # the dict in the snapshot's order around the fresh callables,
+        # dropping jobs that were removed before the snapshot
         jobs = {}
-        for row in state["jobs"]:
-            job = self.jobs[row["name"]]
-            job.period = float(row["period"])
-            job.offset = float(row["offset"])
-            job.enabled = bool(row["enabled"])
-            job.runs = int(row["runs"])
-            job.missed = int(row["missed"])
-            job.demand_runs = int(row["demand_runs"])
-            job.last_run = row["last_run"]
-            jobs[job.name] = job
-            tok = row["event"]
+        for row in saved:
+            row = dict(row)
+            name, tok = row.pop("name"), row.pop("event")
+            jobs[name] = self.jobs[name]
+            load_state(jobs[name], _JOB_STATE, row)
             if tok is not None:
-                t, prio, seq = tok
-                self._events[job.name] = self.sim.schedule_exact(
-                    t, prio, seq, self._fire, job.name)
+                self._events[name] = rearm(self.sim, tok, self._fire, name)
         self.jobs = jobs
 
     def claimed_seqs(self) -> List[int]:

@@ -23,6 +23,8 @@ from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.shell import Shell
 from repro.cluster.specs import ServerSpec
 from repro.cluster.syslog import Syslog
+from repro.persist.core import (Persistent, member, part, pending, scalar,
+                                scalars, signal, sortedset)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -41,8 +43,20 @@ class HostState(enum.Enum):
     BOOTING = "booting"
 
 
-class Host:
+class Host(Persistent):
     """One simulated Unix server."""
+
+    #: everything the host owns: OS scalars plus the nested substrate.
+    #: Installed apps and agents snapshot through their own layers.
+    _persist = (
+        member("state", HostState), scalar("booted_at", float),
+        scalar("crash_count", int), scalar("io_demand", float),
+        scalar("extra_runnable", int), sortedset("logged_in_users"),
+        *scalars(int, "nfs_calls", "nfs_retrans"),
+        signal("up_signal"), signal("down_signal"),
+        part("inventory"), part("fs"), part("ptable"), part("syslog"),
+        part("crond"), part("shell"), part("nics"),
+        pending("boot_event", "_boot_event", "_finish_boot"))
 
     def __init__(self, sim: "Simulator", name: str, spec: ServerSpec, *,
                  site: str = "london", location: str = "dc1",
@@ -284,74 +298,6 @@ class Host:
 
     def log_error(self, tag: str, message: str) -> None:
         self.syslog.error(self.sim.now, tag, message)
-
-    # -- persistence -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Everything the host owns: OS scalars plus the nested
-        substrate (inventory, fs, ptable, syslog, crond, shell, nics).
-        Installed apps and agents snapshot through their own layers."""
-        ev = self._boot_event if (self._boot_event is not None
-                                  and self._boot_event.alive) else None
-        return {
-            "state": self.state.value,
-            "booted_at": self.booted_at,
-            "crash_count": self.crash_count,
-            "io_demand": self.io_demand,
-            "extra_runnable": self.extra_runnable,
-            "logged_in_users": sorted(self.logged_in_users),
-            "nfs_calls": self.nfs_calls,
-            "nfs_retrans": self.nfs_retrans,
-            "boot_event": ([ev.time, ev.priority, ev.seq]
-                           if ev is not None else None),
-            "up_signal": [self.up_signal.fire_count,
-                          self.up_signal.last_value],
-            "down_signal": [self.down_signal.fire_count,
-                            self.down_signal.last_value],
-            "inventory": self.inventory.snapshot_state(),
-            "fs": self.fs.snapshot_state(),
-            "ptable": self.ptable.snapshot_state(),
-            "syslog": self.syslog.snapshot_state(),
-            "crond": self.crond.snapshot_state(),
-            "shell": self.shell.snapshot_state(),
-            "nics": {name: nic.snapshot_state()
-                     for name, nic in sorted(self.nics.items())},
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.state = HostState(state["state"])
-        self.booted_at = float(state["booted_at"])
-        self.crash_count = int(state["crash_count"])
-        self.io_demand = float(state["io_demand"])
-        self.extra_runnable = int(state["extra_runnable"])
-        self.logged_in_users = set(state["logged_in_users"])
-        self.nfs_calls = int(state["nfs_calls"])
-        self.nfs_retrans = int(state["nfs_retrans"])
-        self.up_signal.fire_count, self.up_signal.last_value = \
-            state["up_signal"]
-        self.down_signal.fire_count, self.down_signal.last_value = \
-            state["down_signal"]
-        self.inventory.restore_state(state["inventory"])
-        self.fs.restore_state(state["fs"])
-        self.ptable.restore_state(state["ptable"])
-        self.syslog.restore_state(state["syslog"])
-        self.crond.restore_state(state["crond"])
-        self.shell.restore_state(state["shell"])
-        for name, nic_state in state["nics"].items():
-            self.nics[name].restore_state(nic_state)
-        self._boot_event = None
-        tok = state.get("boot_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._boot_event = self.sim.schedule_exact(
-                t, prio, seq, self._finish_boot)
-
-    def claimed_seqs(self) -> list:
-        seqs = []
-        if self._boot_event is not None and self._boot_event.alive:
-            seqs.append(self._boot_event.seq)
-        seqs.extend(self.crond.claimed_seqs())
-        return seqs
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Host {self.name} {self.spec.model} {self.state.value} "

@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.persist.core import Persistent, scalar, via
+
 __all__ = ["ProcState", "SimProc", "ProcessTable",
            "RUNNABLE_CPU_THRESHOLD"]
 
@@ -78,13 +80,17 @@ class SimProc:
             self.micro.sleep += dt
 
 
-class ProcessTable:
+class ProcessTable(Persistent):
     """The host's process table.
 
     PIDs are allocated monotonically per host.  Lookup by command name
     is the hot path (service agents check for expected daemons), so an
     index is maintained.
     """
+
+    _persist = (scalar("next_pid", int, "_next_pid"),
+                scalar("last_advance", float, "_last_advance"),
+                via("procs", "_save_procs", "_load_procs"))
 
     def __init__(self, hostname: str = ""):
         self.hostname = hostname
@@ -196,30 +202,33 @@ class ProcessTable:
 
     # -- persistence -----------------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def _save_procs(self) -> list:
         """Entries in insertion order (restore then reproduces both the
         pid map and the per-command index order exactly).  ``owner``
         object links are not serialised; owners relink their own
         processes by pid when they restore."""
-        return {
-            "next_pid": self._next_pid,
-            "last_advance": self._last_advance,
-            "procs": [
-                {"pid": p.pid, "user": p.user, "command": p.command,
+        return [{"pid": p.pid, "user": p.user, "command": p.command,
                  "args": p.args, "cpu_pct": p.cpu_pct, "mem_mb": p.mem_mb,
                  "state": p.state.value, "started_at": p.started_at,
                  "micro": [p.micro.user, p.micro.system,
                            p.micro.wait_io, p.micro.sleep]}
-                for p in self._procs.values()
-            ],
-        }
+                for p in self._procs.values()]
 
-    def restore_state(self, state: dict) -> None:
+    def adopt(self, pid: int, owner) -> SimProc:
+        """Restore-time relink: ``owner`` reclaims the entry it spawned
+        before the snapshot."""
+        proc = self._procs.get(pid)
+        if proc is None:
+            raise KeyError(
+                f"{owner.name}: snapshot process pid {pid} missing from "
+                f"{self.hostname}'s restored table")
+        proc.owner = owner
+        return proc
+
+    def _load_procs(self, saved: list) -> None:
         self._procs.clear()
         self._by_command.clear()
-        self._next_pid = int(state["next_pid"])
-        self._last_advance = float(state["last_advance"])
-        for row in state["procs"]:
+        for row in saved:
             u, s, w, z = row["micro"]
             proc = SimProc(
                 pid=int(row["pid"]), user=row["user"],

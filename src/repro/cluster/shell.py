@@ -19,6 +19,8 @@ import shlex
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.persist.core import Persistent, rows, scalar
+
 __all__ = ["CommandResult", "Shell", "CommandError"]
 
 
@@ -53,8 +55,12 @@ class CommandError(Exception):
 Handler = Callable[[List[str]], CommandResult]
 
 
-class Shell:
+class Shell(Persistent):
     """Per-host command dispatcher."""
+
+    #: history tail only; registered commands are structural (apps and
+    #: agents re-register their ctl scripts on rebuild)
+    _persist = (rows("history"), scalar("history_trimmed", int))
 
     #: recent command lines retained per host; a year-scale run issues
     #: millions of agent commands, so the tail is bounded
@@ -106,18 +112,6 @@ class Shell:
             return handler(argv[1:])
         except Exception as exc:  # commands fail Unix-style, not Python-style
             return CommandResult.failure(1, f"{argv[0]}: {exc}")
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """History tail only; registered commands are structural (apps
-        and agents re-register their ctl scripts on rebuild)."""
-        return {"history": list(self.history),
-                "history_trimmed": self.history_trimmed}
-
-    def restore_state(self, state: dict) -> None:
-        self.history = list(state["history"])
-        self.history_trimmed = int(state["history_trimmed"])
 
     # -- built-in commands ---------------------------------------------------
 

@@ -17,11 +17,18 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Hashable, List, Set, Tuple
 
+from repro.persist.core import Persistent, sortedset, via
+
 __all__ = ["DeadlineWheel"]
 
 
-class DeadlineWheel:
+class DeadlineWheel(Persistent):
     """A lazy-deletion heap of (deadline, key) with a sticky due-set."""
+
+    #: deadlines and the sticky due-set; keys are serialised as lists
+    #: (the control plane keys on ``(host, agent)`` tuples)
+    _persist = (via("deadlines", "_save_deadlines", "_load_deadlines"),
+                sortedset("due", tuple, list, "_due"))
 
     def __init__(self):
         self._deadline: Dict[Hashable, float] = {}
@@ -60,22 +67,14 @@ class DeadlineWheel:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Deadlines and the sticky due-set; keys are serialised as
-        lists (the control plane keys on ``(host, agent)`` tuples).
-        The heap itself is derived state: lazy deletion means only the
-        entry matching ``_deadline[key]`` is ever believed, so a heap
-        rebuilt from the live deadlines is behaviour-identical."""
-        return {
-            "deadlines": [[list(k), d]
-                          for k, d in sorted(self._deadline.items())],
-            "due": [list(k) for k in sorted(self._due)],
-        }
+    def _save_deadlines(self) -> list:
+        return [[list(k), d] for k, d in sorted(self._deadline.items())]
 
-    def restore_state(self, state: dict) -> None:
-        self._deadline = {tuple(k): float(d)
-                          for k, d in state["deadlines"]}
-        self._due = {tuple(k) for k in state["due"]}
+    def _load_deadlines(self, saved: list) -> None:
+        """The heap itself is derived state: lazy deletion means only
+        the entry matching ``_deadline[key]`` is ever believed, so a
+        heap rebuilt from the live deadlines is behaviour-identical."""
+        self._deadline = {tuple(k): float(d) for k, d in saved}
         self._heap = []
         self._push_seq = 0
         for key, deadline in sorted(self._deadline.items(),

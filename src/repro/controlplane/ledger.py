@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.persist.core import Persistent, record, rows, scalars, via
+
 __all__ = ["Condition", "ConditionLedger", "LedgerCursor", "watch_host"]
 
 #: condition kinds appended by the current producers
@@ -80,8 +82,15 @@ class LedgerCursor:
                 f"consumed={self.consumed}>")
 
 
-class ConditionLedger:
+class ConditionLedger(Persistent):
     """Per-site append-only log of conditions with monotonic versions."""
+
+    #: entries, version watermarks and every cursor's position; push
+    #: listeners are structural (re-wired at rebuild)
+    _persist = (*scalars(int, "maxlen", "version", "floor", "appended",
+                         "trimmed", "push_errors"),
+                rows("entries", *record(Condition), attr="_entries"),
+                via("cursors", "_save_cursors", "_load_cursors"))
 
     def __init__(self, maxlen: int = 1 << 18):
         self.maxlen = int(maxlen)
@@ -181,49 +190,24 @@ class ConditionLedger:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Entries, version watermarks and every cursor's position.
-        Push listeners are structural (re-wired at rebuild)."""
+    def _save_cursors(self) -> dict:
         names = [c.name for c in self._cursors]
         if len(set(names)) != len(names):
             raise ValueError(
                 f"cannot snapshot ledger with duplicate cursor names: "
                 f"{sorted(names)}")
-        return {
-            "maxlen": self.maxlen,
-            "version": self.version,
-            "floor": self.floor,
-            "appended": self.appended,
-            "trimmed": self.trimmed,
-            "push_errors": self.push_errors,
-            "entries": [[c.version, c.kind, c.host, c.agent, c.status,
-                         c.time, c.detail] for c in self._entries],
-            "cursors": {c.name: [c.last_seen, c.polls, c.consumed,
-                                 c.overruns] for c in self._cursors},
-        }
+        return {c.name: [c.last_seen, c.polls, c.consumed, c.overruns]
+                for c in self._cursors}
 
-    def restore_state(self, state: dict) -> None:
-        self.maxlen = int(state["maxlen"])
-        self.version = int(state["version"])
-        self.floor = int(state["floor"])
-        self.appended = int(state["appended"])
-        self.trimmed = int(state["trimmed"])
-        self.push_errors = int(state["push_errors"])
-        self._entries = deque(
-            Condition(int(v), kind, host, agent, status, float(t), detail)
-            for v, kind, host, agent, status, t, detail in state["entries"])
-        saved = state["cursors"]
+    def _load_cursors(self, saved: dict) -> None:
         names = {c.name for c in self._cursors}
         if set(saved) != names:
             raise KeyError(
                 f"ledger snapshot cursors {sorted(saved)} != rebuilt "
                 f"cursors {sorted(names)}")
         for c in self._cursors:
-            last_seen, polls, consumed, overruns = saved[c.name]
-            c.last_seen = int(last_seen)
-            c.polls = int(polls)
-            c.consumed = int(consumed)
-            c.overruns = int(overruns)
+            c.last_seen, c.polls, c.consumed, c.overruns = map(
+                int, saved[c.name])
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<ConditionLedger v{self.version} "

@@ -45,21 +45,56 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controlplane import ConditionLedger, DeadlineWheel
 from repro.core.healing import apply_action
-from repro.ontology.dgspl import Dgspl, host_entries
+from repro.ontology.base import OntologyDoc
+from repro.ontology.dgspl import Dgspl, GlobalServiceEntry, host_entries
 from repro.ontology.dlsp import Dlsp
+from repro.persist.core import (Persistent, pairs, part, record, rows,
+                                scalar, scalars, sortedset, table, via)
 
 __all__ = ["AdministrationServers"]
 
 _NEG_INF = float("-inf")
+_entry_from_row, _entry_row = record(GlobalServiceEntry)
 
 
-class AdministrationServers:
+class AdministrationServers(Persistent):
     """The coordinator pair."""
 
     DGSPL_PERIOD = 900.0        # 15 minutes
     #: "every 15 to 30 minutes we initiated a dummy process to run
     #: through all application components, simulating a user" (§3.6)
     SVC_PROBE_PERIOD = 1800.0
+
+    #: the coordinator pair's whole evolving model.  Cron jobs are
+    #: re-armed through each head's crond snapshot; the ledger and its
+    #: cursors (including this object's two) snapshot with the ledger
+    _persist = (
+        via("registered_at", "_save_registered", "_load_registered"),
+        pairs("intervals", float, attr="_intervals"),
+        table("demand_woken", float, attr="_demand_woken"),
+        scalar("demand_wakes", int),
+        # -inf means "never flagged"; keep the snapshot strict-JSON
+        pairs("latest_flags",
+              lambda v: _NEG_INF if v is None else float(v),
+              lambda v: None if v == _NEG_INF else v, "_latest_flags"),
+        part("wheel", "_wheel"), sortedset("down_hosts", attr="_down_hosts"),
+        table("suite_order", int, attr="_suite_order"),
+        rows("decisions"), rows("decision_log", tuple, list),
+        scalar("model_resyncs", int), scalar("wake_seen", int, "_wake_seen"),
+        sortedset("dropped", attr="_dropped"),
+        table("dgspl_cache",
+              lambda saved: [_entry_from_row(row) for row in saved],
+              lambda entries: [_entry_row(e) for e in entries],
+              "_dgspl_cache"),
+        via("dlsps", "_save_dlsps", "_load_dlsps"),
+        via("dgspl", "_save_dgspl", "_load_dgspl"),
+        *scalars(int, "dgspl_generations", "cron_repairs"),
+        sortedset("hosts_escalated"),
+        sortedset("recovered_since", attr="_recovered_since"),
+        *scalars(int, "pool_write_failures", "failovers"),
+        scalar("last_active", attr="_last_active"),
+        sortedset("services_unhealthy"),
+        *scalars(int, "service_probes", "service_probe_failures"))
 
     def __init__(self, dc, primary, standby, pool, *, channel=None,
                  notifications=None, relocator=None,
@@ -639,98 +674,34 @@ class AdministrationServers:
 
     # -- persistence ----------------------------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """The coordinator pair's whole evolving model.  Cron jobs are
-        re-armed through each head's crond snapshot; the ledger and its
-        cursors (including this object's two) snapshot with the ledger
-        itself.  DLSPs and the DGSPL ride the loss-free ontology codec;
-        DLSP insertion order is preserved because the incremental DGSPL
-        assembly iterates arrival order."""
-        return {
-            "intervals": [[list(k), v]
-                          for k, v in sorted(self._intervals.items())],
-            "demand_woken": dict(sorted(self._demand_woken.items())),
-            "demand_wakes": self.demand_wakes,
-            # -inf means "never flagged"; keep the snapshot strict-JSON
-            "latest_flags": [
-                [list(k), None if v == _NEG_INF else v]
-                for k, v in sorted(self._latest_flags.items())],
-            "wheel": self._wheel.snapshot_state(),
-            "down_hosts": sorted(self._down_hosts),
-            "suite_order": dict(sorted(self._suite_order.items())),
-            "decisions": list(self.decisions),
-            "decision_log": [list(d) for d in self.decision_log],
-            "model_resyncs": self.model_resyncs,
-            "wake_seen": self._wake_seen,
-            "dropped": sorted(self._dropped),
-            "dgspl_cache": {
-                host: [[e.server, e.server_type, e.os, e.ram_mb, e.cpus,
-                        e.app_name, e.app_type, e.app_version,
-                        e.current_load, e.users, e.location, e.site]
-                       for e in entries]
-                for host, entries in sorted(self._dgspl_cache.items())},
-            "registered_at": dict(sorted(self._registered_at.items())),
-            "dlsps": [[host, dlsp.to_doc().render()]
-                      for host, dlsp in self.dlsps.items()],
-            "dgspl": (self.dgspl.to_doc().render()
-                      if self.dgspl is not None else None),
-            "dgspl_generations": self.dgspl_generations,
-            "cron_repairs": self.cron_repairs,
-            "hosts_escalated": sorted(self.hosts_escalated),
-            "recovered_since": sorted(self._recovered_since),
-            "pool_write_failures": self.pool_write_failures,
-            "failovers": self.failovers,
-            "last_active": self._last_active,
-            "services_unhealthy": sorted(self.services_unhealthy),
-            "service_probes": self.service_probes,
-            "service_probe_failures": self.service_probe_failures,
-        }
+    def _save_registered(self) -> dict:
+        return dict(sorted(self._registered_at.items()))
 
-    def restore_state(self, state: dict) -> None:
-        from repro.ontology.base import OntologyDoc
-        from repro.ontology.dgspl import GlobalServiceEntry
-        saved_suites = set(state["registered_at"])
-        if saved_suites != set(self.suites):
+    def _load_registered(self, saved: dict) -> None:
+        if set(saved) != set(self.suites):
             raise KeyError(
-                f"admin snapshot watches {sorted(saved_suites)} != "
+                f"admin snapshot watches {sorted(saved)} != "
                 f"rebuilt suites {sorted(self.suites)}")
-        self._intervals = {tuple(k): float(v)
-                           for k, v in state["intervals"]}
-        self._demand_woken = {h: float(t)
-                              for h, t in state["demand_woken"].items()}
-        self.demand_wakes = int(state["demand_wakes"])
-        self._latest_flags = {
-            tuple(k): (_NEG_INF if v is None else float(v))
-            for k, v in state["latest_flags"]}
-        self._wheel.restore_state(state["wheel"])
-        self._down_hosts = set(state["down_hosts"])
-        self._suite_order = {h: int(i)
-                             for h, i in state["suite_order"].items()}
-        self.decisions = list(state["decisions"])
-        self.decision_log = [(float(t), a, h, r)
-                             for t, a, h, r in state["decision_log"]]
-        self.model_resyncs = int(state["model_resyncs"])
-        self._wake_seen = int(state["wake_seen"])
-        self._dropped = set(state["dropped"])
-        self._dgspl_cache = {
-            host: [GlobalServiceEntry(*row) for row in rows]
-            for host, rows in state["dgspl_cache"].items()}
-        self._registered_at = {h: float(t)
-                               for h, t in state["registered_at"].items()}
+        self._registered_at = {h: float(t) for h, t in saved.items()}
+
+    def _save_dlsps(self) -> list:
+        """DLSPs and the DGSPL ride the loss-free ontology codec; DLSP
+        insertion order is preserved because the incremental DGSPL
+        assembly iterates arrival order."""
+        return [[host, dlsp.to_doc().render()]
+                for host, dlsp in self.dlsps.items()]
+
+    def _load_dlsps(self, saved: list) -> None:
         self.dlsps = {host: Dlsp.from_doc(OntologyDoc.parse(lines))
-                      for host, lines in state["dlsps"]}
-        self.dgspl = (Dgspl.from_doc(OntologyDoc.parse(state["dgspl"]))
-                      if state["dgspl"] is not None else None)
-        self.dgspl_generations = int(state["dgspl_generations"])
-        self.cron_repairs = int(state["cron_repairs"])
-        self.hosts_escalated = set(state["hosts_escalated"])
-        self._recovered_since = set(state["recovered_since"])
-        self.pool_write_failures = int(state["pool_write_failures"])
-        self.failovers = int(state["failovers"])
-        self._last_active = state["last_active"]
-        self.services_unhealthy = set(state["services_unhealthy"])
-        self.service_probes = int(state["service_probes"])
-        self.service_probe_failures = int(state["service_probe_failures"])
+                      for host, lines in saved}
+
+    def _save_dgspl(self) -> Optional[list]:
+        return (self.dgspl.to_doc().render()
+                if self.dgspl is not None else None)
+
+    def _load_dgspl(self, lines: Optional[list]) -> None:
+        self.dgspl = (Dgspl.from_doc(OntologyDoc.parse(lines))
+                      if lines is not None else None)
 
     # -- queries --------------------------------------------------------------------------------
 

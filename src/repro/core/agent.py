@@ -20,7 +20,7 @@ One wake runs the five parts in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.core.flags import FlagStore
@@ -28,6 +28,8 @@ from repro.core.healing import ActionResult, apply_action
 from repro.core.parts import Finding, PartSwitches
 from repro.core.reasoning import Diagnosis, RuleEngine
 from repro.metrics.circular_log import CircularLog
+from repro.persist.core import (Persistent, group, part, pending, scalar,
+                                sortedset, table, via)
 from repro.wake import WakePolicy
 
 __all__ = ["Intelliagent", "RunStats"]
@@ -59,13 +61,32 @@ class RunStats:
     cpu_seconds: float = 0.0
 
 
-class Intelliagent:
+#: the order a snapshot's ``"stats"`` row carries the counters in
+_STATS = tuple(f.name for f in fields(RunStats))
+
+
+class Intelliagent(Persistent):
     """Base class for the six agent categories."""
 
     category = "generic"
     #: CPU cost of one wake, seconds of one CPU (shell-tool sweeps are
     #: cheap; this is what makes Fig. 3's ~0.045 % amortised cost)
     RUN_CPU_SECONDS = 0.018
+
+    #: a subclass's own state, saved under ``"extra"``
+    _persist_extra: tuple = ()
+    #: run counters, lockout state (process link by pid -- the host's
+    #: process table restores first -- plus the pending release event)
+    #: and the adaptive wake controller
+    _persist = (
+        via("stats", "_save_stats", "_load_stats"),
+        via("proc_pid", "_save_pid", "_relink_proc"),
+        scalar("busy_until", float, "_busy_until"),
+        pending("busy_event", "_busy_event", "_end_proc"),
+        scalar("published_interval", float, "_published_interval"),
+        table("attempts", int, attr="_attempts"),
+        sortedset("escalated", attr="_escalated"), part("wake"),
+        group("extra", "_persist_extra"))
 
     def __init__(self, host, name: str, *, period: float = 300.0,
                  channel=None, admin_targets: Optional[List[str]] = None,
@@ -369,72 +390,20 @@ class Intelliagent:
 
     # -- persistence -----------------------------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Run counters, lockout state (process link by pid plus the
-        pending release event) and the adaptive wake controller.
-        Subclasses ride along via :meth:`_persist_extra`."""
-        ev = self._busy_event if (self._busy_event is not None
-                                  and self._busy_event.alive) else None
-        s = self.stats
-        return {
-            "stats": [s.runs, s.skipped, s.faults_found, s.heals_attempted,
-                      s.heals_succeeded, s.escalations, s.demand_wakes,
-                      s.cpu_seconds],
-            "proc_pid": self._proc.pid if self._proc is not None else None,
-            "busy_until": self._busy_until,
-            "busy_event": ([ev.time, ev.priority, ev.seq]
-                           if ev is not None else None),
-            "published_interval": self._published_interval,
-            "attempts": dict(self._attempts),
-            "escalated": sorted(self._escalated),
-            "wake": self.wake.snapshot_state(),
-            "extra": self._persist_extra(),
-        }
+    def _save_stats(self) -> list:
+        return [getattr(self.stats, name) for name in _STATS]
 
-    def restore_state(self, state: dict) -> None:
-        """Runs after the host restored its process table; a mid-lockout
-        agent relinks its process entry by pid."""
-        (self.stats.runs, self.stats.skipped, self.stats.faults_found,
-         self.stats.heals_attempted, self.stats.heals_succeeded,
-         self.stats.escalations, self.stats.demand_wakes,
-         self.stats.cpu_seconds) = state["stats"]
-        pid = state["proc_pid"]
-        if pid is None:
-            self._proc = None
-        else:
-            proc = self.host.ptable.get(pid)
-            if proc is None:
-                raise KeyError(
-                    f"{self.name}: snapshot agent pid {pid} missing from "
-                    f"{self.host.name}'s restored table")
-            proc.owner = self
-            self._proc = proc
-        self._busy_until = float(state["busy_until"])
-        if self._busy_event is not None:
-            self._busy_event.cancel()
-            self._busy_event = None
-        tok = state.get("busy_event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._busy_event = self.sim.schedule_exact(
-                t, prio, seq, self._end_proc)
-        self._published_interval = float(state["published_interval"])
-        self._attempts = {k: int(v) for k, v in state["attempts"].items()}
-        self._escalated = set(state["escalated"])
-        self.wake.restore_state(state["wake"])
-        self._restore_extra(state["extra"])
+    def _load_stats(self, row: list) -> None:
+        for name, value in zip(_STATS, row):
+            setattr(self.stats, name, value)
 
-    def _persist_extra(self) -> dict:
-        """Subclass state rider (perf/status agents carry counters)."""
-        return {}
+    def _save_pid(self) -> Optional[int]:
+        return self._proc.pid if self._proc is not None else None
 
-    def _restore_extra(self, extra: dict) -> None:
-        pass
-
-    def claimed_seqs(self) -> List[int]:
-        if self._busy_event is not None and self._busy_event.alive:
-            return [self._busy_event.seq]
-        return []
+    def _relink_proc(self, pid: Optional[int]) -> None:
+        """A mid-lockout agent relinks its process entry by pid."""
+        self._proc = (None if pid is None
+                      else self.host.ptable.adopt(pid, self))
 
     # -- introspection ---------------------------------------------------------------------------------
 

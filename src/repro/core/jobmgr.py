@@ -23,16 +23,22 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.batch.jobs import BatchJob, JobState
+from repro.persist.core import Persistent, scalars
 from repro.sim.calendar import DAY
 
 __all__ = ["JobManager"]
 
 
-class JobManager:
+class JobManager(Persistent):
     """DGSPL-driven batch-job babysitter."""
 
     MAX_RESUBMITS = 3
     CHECK_PERIOD = 300.0        # "checked every 5 minutes"
+    #: counters only; the five-minute checks and the daily report
+    #: re-arm through the admin heads' crond snapshots
+    _persist = scalars(int, "resubmitted", "gave_up",
+                       "lsf_restarts_requested", "checks_run",
+                       "daily_reports_sent")
 
     def __init__(self, admin, lsf, *, notifications=None,
                  daily_report: bool = True):
@@ -156,26 +162,6 @@ class JobManager:
                 self.notifications.sms(
                     "oncall-admin", "LSF master host is down",
                     severity="critical", sender="jobmgr")
-
-    # -- persistence -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters only; the five-minute checks and the daily report
-        re-arm through the admin heads' crond snapshots."""
-        return {
-            "resubmitted": self.resubmitted,
-            "gave_up": self.gave_up,
-            "lsf_restarts_requested": self.lsf_restarts_requested,
-            "checks_run": self.checks_run,
-            "daily_reports_sent": self.daily_reports_sent,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.resubmitted = int(state["resubmitted"])
-        self.gave_up = int(state["gave_up"])
-        self.lsf_restarts_requested = int(state["lsf_restarts_requested"])
-        self.checks_run = int(state["checks_run"])
-        self.daily_reports_sent = int(state["daily_reports_sent"])
 
     def snapshot(self) -> Dict[str, object]:
         """What §4 says the agents recorded every cycle."""

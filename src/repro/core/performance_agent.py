@@ -24,6 +24,7 @@ from repro.core.thresholds import Baselines
 from repro.metrics.accounting import ProcessAccountant
 from repro.metrics.circular_log import CircularLog
 from repro.metrics.samplers import SamplerSuite
+from repro.persist.core import scalar, scalars
 
 __all__ = ["PerformanceAgent"]
 
@@ -33,6 +34,8 @@ class PerformanceAgent(Intelliagent):
 
     category = "performance"
     RUN_CPU_SECONDS = 0.035      # the full five-group sweep
+    _persist_extra = (*scalars(int, "breaches_seen", "reports_sent"),
+                      scalar("samples_taken", int, "samplers.samples_taken"))
 
     def __init__(self, host, *, baselines: Optional[Baselines] = None, **kw):
         self.baselines = baselines or Baselines.for_host(host)
@@ -43,16 +46,6 @@ class PerformanceAgent(Intelliagent):
         super().__init__(host, "perf", **kw)
         self.report_log = CircularLog(
             host.fs, "/logs/intelliagents/perf/reports", maxlen=200)
-
-    def _persist_extra(self) -> dict:
-        return {"breaches_seen": self.breaches_seen,
-                "reports_sent": self.reports_sent,
-                "samples_taken": self.samplers.samples_taken}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self.breaches_seen = int(extra["breaches_seen"])
-        self.reports_sent = int(extra["reports_sent"])
-        self.samplers.samples_taken = int(extra["samples_taken"])
 
     def monitor(self) -> List[Finding]:
         samples = self.samplers.sample_all()

@@ -17,6 +17,7 @@ from typing import Callable, List, Optional
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
 from repro.ontology.dlsp import Dlsp, DlspBuilder, build_dlsp
+from repro.persist.core import part, scalars
 
 __all__ = ["StatusAgent"]
 
@@ -32,6 +33,13 @@ class StatusAgent(Intelliagent):
     """One per host."""
 
     category = "status"
+    #: counters plus the incremental builder's cache -- the cache
+    #: determines which apps get re-probed (and probes have observable
+    #: side effects, e.g. database transaction counts), so a resumed
+    #: run must carry it over rather than rebuild cold
+    _persist_extra = (*scalars(int, "profiles_built", "profiles_delivered",
+                               "rebuild_mismatches"),
+                      part("builder", "_builder"))
     RUN_CPU_SECONDS = 0.020
 
     def __init__(self, host, *, deliver: Optional[Callable[[Dlsp], None]] = None,
@@ -84,43 +92,6 @@ class StatusAgent(Intelliagent):
             self.deliver(dlsp)
             self.profiles_delivered += 1
         return dlsp
-
-    def _persist_extra(self) -> dict:
-        """Counters plus the incremental builder's cache -- the cache
-        determines which apps get re-probed (and probes have observable
-        side effects, e.g. database transaction counts), so a resumed
-        run must carry it over rather than rebuild cold."""
-        b = self._builder
-        return {
-            "profiles_built": self.profiles_built,
-            "profiles_delivered": self.profiles_delivered,
-            "rebuild_mismatches": self.rebuild_mismatches,
-            "builder": {
-                "entries": {
-                    name: [e.name, e.app_type, e.version, e.state,
-                           e.port, e.healthy, e.response_ms]
-                    for name, e in sorted(b._entries.items())},
-                "fingerprints": {name: list(fp) for name, fp
-                                 in sorted(b._fingerprints.items())},
-                "load_key": b._load_key,
-                "probes": b.probes,
-                "reused": b.reused,
-            },
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        from repro.ontology.dlsp import ServiceStatus
-        self.profiles_built = int(extra["profiles_built"])
-        self.profiles_delivered = int(extra["profiles_delivered"])
-        self.rebuild_mismatches = int(extra["rebuild_mismatches"])
-        b, saved = self._builder, extra["builder"]
-        b._entries = {name: ServiceStatus(*row)
-                      for name, row in saved["entries"].items()}
-        b._fingerprints = {name: tuple(fp)
-                           for name, fp in saved["fingerprints"].items()}
-        b._load_key = saved["load_key"]
-        b.probes = int(saved["probes"])
-        b.reused = int(saved["reused"])
 
     def _prune_old_profiles(self) -> None:
         cutoff = self.sim.now - DLSP_RETENTION

@@ -24,13 +24,18 @@ from repro.core.service_agent import ServiceAgent
 from repro.core.status_agent import StatusAgent
 from repro.core.thresholds import Baselines
 from repro.ontology.slkt import Slkt, build_slkt
+from repro.persist.core import Persistent, part
 from repro.wake import TriggerBus
 
 __all__ = ["AgentSuite"]
 
 
-class AgentSuite:
+class AgentSuite(Persistent):
     """All intelliagents installed on one host."""
+
+    _persist = (part("agents", lambda suite: {a.name: a
+                                              for a in suite.agents}),
+                part("triggers"))
 
     def __init__(self, host, *, period: float = 300.0, channel=None,
                  admin_targets: Optional[List[str]] = None,
@@ -158,27 +163,3 @@ class AgentSuite:
             if a.name == name:
                 return a
         raise KeyError(f"no agent {name!r} on {self.host.name}")
-
-    # -- persistence ------------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "agents": {a.name: a.snapshot_state() for a in self.agents},
-            "triggers": (self.triggers.snapshot_state()
-                         if self.triggers is not None else None),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        saved = state["agents"]
-        names = {a.name for a in self.agents}
-        if set(saved) != names:
-            raise KeyError(
-                f"{self.host.name}: suite snapshot agents {sorted(saved)} "
-                f"!= rebuilt complement {sorted(names)}")
-        for a in self.agents:
-            a.restore_state(saved[a.name])
-        if self.triggers is not None and state["triggers"] is not None:
-            self.triggers.restore_state(state["triggers"])
-
-    def claimed_seqs(self) -> List[int]:
-        return [s for a in self.agents for s in a.claimed_seqs()]

@@ -26,12 +26,14 @@ Two contracts the chaos tooling (:mod:`repro.chaos`) builds on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.base import AppState
 from repro.apps.database import Database
 from repro.faults.models import Category, FaultEvent
 from repro.cluster.hardware import ComponentKind, ComponentState
+from repro.persist.core import Persistent, pendings, rows, scalar
 
 __all__ = ["FaultInjector", "FaultSpec", "FAULT_CATALOG",
            "OverlappingFaultError", "spec_for"]
@@ -112,8 +114,19 @@ def spec_for(kind: str) -> FaultSpec:
     return _CATALOG_BY_KIND[kind]
 
 
-class FaultInjector:
+class FaultInjector(Persistent):
     """Breaks things on purpose."""
+
+    #: the injection history plus the not-yet-fired arrival tail
+    _persist = (
+        rows("injected",
+             lambda row: FaultEvent(Category(row[0]), *row[1:]),
+             lambda e: [e.category.value, e.kind, e.time, e.target,
+                        e.fault_id, e.detected_at, e.repaired_at,
+                        e.auto_repaired, e.prevented]),
+        scalar("rejected_overlaps", int),
+        pendings("arrivals", "_arrivals", "_fire_random", Category,
+                 attrgetter("value")))
 
     def __init__(self, dc, rng):
         self.dc = dc
@@ -435,44 +448,6 @@ class FaultInjector:
             self.random_fault(category)
         except ValueError:
             pass        # no eligible target right now: the fault fizzles
-
-    # -- persistence -------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """The injection history plus the not-yet-fired arrival tail."""
-        return {
-            "injected": [[e.category.value, e.kind, e.time, e.target,
-                          e.fault_id, e.detected_at, e.repaired_at,
-                          e.auto_repaired, e.prevented]
-                         for e in self.injected],
-            "rejected_overlaps": self.rejected_overlaps,
-            "arrivals": [[[ev.time, ev.priority, ev.seq], cat.value]
-                         for ev, cat in self._arrivals if ev.alive],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.injected = []
-        for cat, kind, t, target, fid, det, rep, auto, prev in \
-                state["injected"]:
-            ev = FaultEvent(Category(cat), kind, float(t), target)
-            ev.fault_id = fid
-            ev.detected_at = det
-            ev.repaired_at = rep
-            ev.auto_repaired = auto
-            ev.prevented = bool(prev)
-            self.injected.append(ev)
-        self.rejected_overlaps = int(state["rejected_overlaps"])
-        for ev, _cat in self._arrivals:
-            ev.cancel()
-        self._arrivals = []
-        for (t, prio, seq), cat in state["arrivals"]:
-            category = Category(cat)
-            ev = self.sim.schedule_exact(t, prio, seq, self._fire_random,
-                                         category)
-            self._arrivals.append((ev, category))
-
-    def claimed_seqs(self) -> List[int]:
-        return [ev.seq for ev, _cat in self._arrivals if ev.alive]
 
     # -- helpers -----------------------------------------------------------------
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.persist.core import (Persistent, part, scalar, snapshot_node,
+                                table, via)
 from repro.traffic.engine import dispatch_fluid
 from repro.traffic.slo import Sli, rollup_slis
 from repro.traffic.workload import MINUTE, DemandCurve
@@ -33,8 +35,14 @@ from repro.traffic.workload import MINUTE, DemandCurve
 __all__ = ["GeoTrafficDriver"]
 
 
-class GeoTrafficDriver:
+class GeoTrafficDriver(Persistent):
     """Epoch-driven demand against the whole federation."""
+
+    #: SLIs are created on first use, so the document decides which
+    #: exist; the doors are the rebuilt ones, checked by name
+    _persist = (scalar("ticks", int),
+                via("slis", "_save_slis", "_load_slis"),
+                table("user_minutes_lost", float), part("doors"))
 
     def __init__(self, curves: Dict[str, DemandCurve], geo, crosssite,
                  streams, *, pinned_fraction: Dict[str, float] = None):
@@ -172,31 +180,10 @@ class GeoTrafficDriver:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "slis": {key: sli.snapshot_state()
-                     for key, sli in sorted(self.slis.items())},
-            "user_minutes_lost": {k: v for k, v in sorted(
-                self.user_minutes_lost.items())},
-            "doors": {site: {name: door.snapshot_state()
-                             for name, door in sorted(doors.items())}
-                      for site, doors in sorted(self.doors.items())},
-        }
+    def _save_slis(self) -> dict:
+        return snapshot_node(dict(sorted(self.slis.items())))
 
-    def restore_state(self, state: dict, resolve_app_for) -> None:
-        """``resolve_app_for(site)`` returns that site's
-        ``resolve_app(host, app)`` rebinder for its doors."""
-        self.ticks = int(state["ticks"])
+    def _load_slis(self, saved: dict) -> None:
         self.slis = {}
-        for key, sli_state in state["slis"].items():
-            sli = Sli(key.split("/", 1)[1])
-            sli.restore_state(sli_state)
-            self.slis[key] = sli
-        self.user_minutes_lost = {k: float(v) for k, v in
-                                  state["user_minutes_lost"].items()}
-        for site, doors in self.doors.items():
-            saved = state["doors"][site]
-            resolve = resolve_app_for(site)
-            for name, door in doors.items():
-                door.restore_state(saved[name], resolve)
+        for key, state in saved.items():
+            self._sli(*key.split("/", 1)).restore_state(state)

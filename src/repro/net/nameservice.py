@@ -10,11 +10,19 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.persist.core import Persistent, scalar, scalars, table
+
 __all__ = ["FederatedNameService", "NameService"]
 
 
-class NameService:
+class NameService(Persistent):
     """A single logical name server for the site."""
+
+    #: records too, not just health: spare promotion and cutovers can
+    #: register names after build, so the table is state
+    _persist = (table("records"), scalar("up", bool),
+                scalar("degraded", bool),
+                *scalars(int, "lookups", "failures"))
 
     def __init__(self, sim, base_response_ms: float = 2.0):
         self.sim = sim
@@ -55,26 +63,6 @@ class NameService:
             return -1.0
         return self.base_response_ms * (50.0 if self.degraded else 1.0)
 
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Records too, not just health: spare promotion and cutovers
-        can register names after build, so the table is state."""
-        return {
-            "records": dict(sorted(self.records.items())),
-            "up": self.up,
-            "degraded": self.degraded,
-            "lookups": self.lookups,
-            "failures": self.failures,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.records = dict(state["records"])
-        self.up = bool(state["up"])
-        self.degraded = bool(state["degraded"])
-        self.lookups = int(state["lookups"])
-        self.failures = int(state["failures"])
-
     def fail(self) -> None:
         self.up = False
 
@@ -86,7 +74,7 @@ class NameService:
         self.degraded = False
 
 
-class FederatedNameService:
+class FederatedNameService(Persistent):
     """Cross-site delegation over the per-site authoritative servers.
 
     Each site keeps its own :class:`NameService` as the authority for
@@ -100,6 +88,10 @@ class FederatedNameService:
     takeover site registers the ``svc.<app>`` alias in *its* zone and
     every other site finds it there on the next resolution.
     """
+
+    #: counters only: zone records snapshot with their sites and the
+    #: WAN snapshots with the federation
+    _persist = scalars(int, "lookups", "delegations", "wan_failures")
 
     def __init__(self, wan):
         self.wan = wan
@@ -153,17 +145,3 @@ class FederatedNameService:
             if ip is not None:
                 return (ip, spent_ms, authority)
         return (None, spent_ms, None)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters only: zone records snapshot with their sites and
-        the WAN snapshots with the federation."""
-        return {"lookups": self.lookups,
-                "delegations": self.delegations,
-                "wan_failures": self.wan_failures}
-
-    def restore_state(self, state: dict) -> None:
-        self.lookups = int(state["lookups"])
-        self.delegations = int(state["delegations"])
-        self.wan_failures = int(state["wan_failures"])

@@ -15,15 +15,21 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Tuple
 
+from repro.persist.core import Persistent, part, scalar, scalars
+
 __all__ = ["Lan", "Nic", "Wan", "WanLink"]
 
 
-class Nic:
+class Nic(Persistent):
     """One network interface attached to one LAN."""
 
     __slots__ = ("host", "lan", "ifname", "ip", "ok",
                  "packets_in", "packets_out", "bytes_in", "bytes_out",
                  "errors_in", "errors_out", "collisions")
+    _persist = (scalar("ok", bool),
+                *scalars(int, "packets_in", "packets_out", "bytes_in",
+                         "bytes_out", "errors_in", "errors_out",
+                         "collisions"))
 
     def __init__(self, host, lan: "Lan", ifname: str, ip: str):
         self.host = host
@@ -45,33 +51,11 @@ class Nic:
     def repair(self) -> None:
         self.ok = True
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"ok": self.ok,
-                "packets_in": self.packets_in,
-                "packets_out": self.packets_out,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "errors_in": self.errors_in,
-                "errors_out": self.errors_out,
-                "collisions": self.collisions}
-
-    def restore_state(self, state: dict) -> None:
-        self.ok = bool(state["ok"])
-        self.packets_in = int(state["packets_in"])
-        self.packets_out = int(state["packets_out"])
-        self.bytes_in = int(state["bytes_in"])
-        self.bytes_out = int(state["bytes_out"])
-        self.errors_in = int(state["errors_in"])
-        self.errors_out = int(state["errors_out"])
-        self.collisions = int(state["collisions"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Nic {self.host.name}:{self.ifname} on {self.lan.name}>"
 
 
-class Lan:
+class Lan(Persistent):
     """A shared network segment.
 
     ``base_latency_ms`` is the unloaded round-trip; effective latency
@@ -82,6 +66,12 @@ class Lan:
 
     #: window (seconds) over which traffic counts toward utilisation
     UTIL_WINDOW = 300.0
+    #: segment state only; per-NIC counters snapshot with their hosts
+    #: (membership itself is structural)
+    _persist = (scalar("up", bool),
+                scalar("window_bytes", float, "_window_bytes"),
+                scalar("window_start", float, "_window_start"),
+                *scalars(int, "total_bytes", "total_messages"))
 
     def __init__(self, sim, name: str, *, kind: str = "public",
                  bandwidth_mbps: float = 100.0,
@@ -176,30 +166,12 @@ class Lan:
         self.total_messages += 1
         return (True, latency)
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Segment state only; per-NIC counters snapshot with their
-        hosts (membership itself is structural)."""
-        return {"up": self.up,
-                "window_bytes": self._window_bytes,
-                "window_start": self._window_start,
-                "total_bytes": self.total_bytes,
-                "total_messages": self.total_messages}
-
-    def restore_state(self, state: dict) -> None:
-        self.up = bool(state["up"])
-        self._window_bytes = float(state["window_bytes"])
-        self._window_start = float(state["window_start"])
-        self.total_bytes = int(state["total_bytes"])
-        self.total_messages = int(state["total_messages"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"
         return f"<Lan {self.name} ({self.kind}) {state} hosts={len(self.nics)}>"
 
 
-class WanLink:
+class WanLink(Persistent):
     """One long-haul link between two named sites.
 
     Where a :class:`Lan` is a shared segment inside a datacentre, a
@@ -219,6 +191,8 @@ class WanLink:
 
     __slots__ = ("a", "b", "name", "base_latency_ms", "up", "degraded",
                  "total_bytes", "total_messages", "drops")
+    _persist = (scalar("up", bool), scalar("degraded", bool),
+                *scalars(int, "total_bytes", "total_messages", "drops"))
 
     def __init__(self, a: str, b: str, *, base_latency_ms: float = 70.0):
         if a == b:
@@ -264,21 +238,6 @@ class WanLink:
         self.total_messages += 1
         return (True, self.latency_ms())
 
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"up": self.up, "degraded": self.degraded,
-                "total_bytes": self.total_bytes,
-                "total_messages": self.total_messages,
-                "drops": self.drops}
-
-    def restore_state(self, state: dict) -> None:
-        self.up = bool(state["up"])
-        self.degraded = bool(state["degraded"])
-        self.total_bytes = int(state["total_bytes"])
-        self.total_messages = int(state["total_messages"])
-        self.drops = int(state["drops"])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "PARTITIONED"
         if self.up and self.degraded:
@@ -286,13 +245,16 @@ class WanLink:
         return f"<WanLink {self.a}<->{self.b} {state}>"
 
 
-class Wan:
+class Wan(Persistent):
     """The full mesh of :class:`WanLink` segments between named sites.
 
     Intra-site paths (``a == b``) are always reachable at zero WAN
     latency -- the LANs model those.  Links are keyed by the sorted
     site pair, so lookups are direction-free.
     """
+
+    _persist = (part("links", lambda wan: {
+        f"{a}|{b}": link for (a, b), link in sorted(wan.links.items())}),)
 
     def __init__(self):
         self.links: Dict[Tuple[str, str], WanLink] = {}
@@ -347,20 +309,6 @@ class Wan:
         for link in touched:
             link.repair()
         return len(touched)
-
-    # -- persistence ----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"links": {f"{a}|{b}": link.snapshot_state()
-                          for (a, b), link in sorted(self.links.items())}}
-
-    def restore_state(self, state: dict) -> None:
-        for name, link_state in state["links"].items():
-            a, b = name.split("|", 1)
-            link = self.link(a, b)
-            if link is None:
-                raise ValueError(f"snapshot names unknown WAN link {name!r}")
-            link.restore_state(link_state)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Wan links={len(self.links)}>"

@@ -12,12 +12,17 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cluster.filesystem import FileSystem, FsOfflineError
+from repro.persist.core import Persistent, part, scalars
 
 __all__ = ["SharedPool"]
 
 
-class SharedPool:
+class SharedPool(Persistent):
     """A dual-headed NFS filesystem."""
+
+    #: pool contents plus the nfsstat counters; serving heads are
+    #: structural (re-attached at rebuild)
+    _persist = (part("fs"), *scalars(int, "calls", "failed_calls"))
 
     def __init__(self, sim, capacity_bytes: int = 8 * 1024**3):
         self.sim = sim
@@ -43,22 +48,6 @@ class SharedPool:
             if client is not None:
                 client.nfs_retrans += 1
             raise FsOfflineError("nfs: server not responding")
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Pool contents plus the nfsstat counters; serving heads are
-        structural (re-attached at rebuild)."""
-        return {
-            "fs": self.fs.snapshot_state(),
-            "calls": self.calls,
-            "failed_calls": self.failed_calls,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.fs.restore_state(state["fs"])
-        self.calls = int(state["calls"])
-        self.failed_calls = int(state["failed_calls"])
 
     # -- proxied file operations --------------------------------------------
 

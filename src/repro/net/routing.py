@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.persist.core import Persistent, scalars, table
+
 __all__ = ["AgentChannel", "Delivery", "WanCourier"]
 
 
@@ -28,8 +30,11 @@ class Delivery:
     error: str = ""
 
 
-class AgentChannel:
+class AgentChannel(Persistent):
     """Datacentre-wide message channel for agent traffic."""
+
+    _persist = (*scalars(int, "sent", "delivered", "rerouted", "failed"),
+                table("bytes_by_lan", int))
 
     def __init__(self, dc, private_lan: str, public_lans: List[str]):
         self.dc = dc
@@ -94,24 +99,6 @@ class AgentChannel:
                   nbytes: int = 2048) -> List[Delivery]:
         return [self.send(src_name, d, nbytes) for d in dst_names]
 
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "rerouted": self.rerouted,
-            "failed": self.failed,
-            "bytes_by_lan": dict(sorted(self.bytes_by_lan.items())),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.sent = int(state["sent"])
-        self.delivered = int(state["delivered"])
-        self.rerouted = int(state["rerouted"])
-        self.failed = int(state["failed"])
-        self.bytes_by_lan = {k: int(v)
-                             for k, v in state["bytes_by_lan"].items()}
 
     def stats(self) -> Dict[str, float]:
         return {
@@ -126,7 +113,7 @@ class AgentChannel:
         }
 
 
-class WanCourier:
+class WanCourier(Persistent):
     """Site-to-site control-plane transport (digest exchange, cross-site
     escalation chatter) over the :class:`repro.net.network.Wan` mesh.
 
@@ -135,6 +122,9 @@ class WanCourier:
     a partitioned link simply fails the delivery and the caller's
     freshness window does the rest.
     """
+
+    _persist = (*scalars(int, "sent", "delivered", "failed"),
+                table("bytes_by_pair", int))
 
     def __init__(self, wan):
         self.wan = wan
@@ -155,17 +145,3 @@ class WanCourier:
         self.bytes_by_pair[pair] = self.bytes_by_pair.get(pair, 0) + nbytes
         return Delivery(True, lan_name=pair, lan_kind="wan",
                         latency_ms=latency_ms)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"sent": self.sent, "delivered": self.delivered,
-                "failed": self.failed,
-                "bytes_by_pair": dict(sorted(self.bytes_by_pair.items()))}
-
-    def restore_state(self, state: dict) -> None:
-        self.sent = int(state["sent"])
-        self.delivered = int(state["delivered"])
-        self.failed = int(state["failed"])
-        self.bytes_by_pair = {k: int(v)
-                              for k, v in state["bytes_by_pair"].items()}

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.persist.core import (Persistent, record, rows, scalars, table,
+                                via)
 from repro.traffic.slo import burn_rate
 
 __all__ = ["BurnRateRule", "DEFAULT_BURN_RULES", "EwmaAnomalyDetector",
@@ -120,8 +122,15 @@ class Alert:
         return self.state == "firing"
 
 
-class AlertManager:
+class AlertManager(Persistent):
     """Evaluates rules on every hub rollup and owns alert lifecycles."""
+
+    #: alert lifecycles, detector baselines and counters
+    _persist = (via("detectors", "_save_detectors", "_load_detectors"),
+                table("det_seen", float, attr="_det_seen"),
+                rows("history", *record(Alert)),
+                via("active", "_save_active", "_load_active"),
+                *scalars(int, "pages_sent", "flaps_suppressed"))
 
     def __init__(self, sim, hub, *, channel=None, objective: float = 0.999,
                  rules: Tuple[BurnRateRule, ...] = DEFAULT_BURN_RULES,
@@ -295,30 +304,11 @@ class AlertManager:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Alert lifecycles, detector baselines and counters.  Active
-        alerts are saved as indices into the history list so
-        ``_transition``'s ``history.remove`` keeps operating on the
-        same objects after a restore."""
-        index = {id(a): i for i, a in enumerate(self.history)}
-        return {
-            "detectors": {key: [det.mean, det.var, det.samples,
-                                det.last_score]
-                          for key, det in sorted(self._detectors.items())},
-            "det_seen": dict(sorted(self._det_seen.items())),
-            "history": [[a.key, a.subject, a.severity, a.opened_at,
-                         a.state, a.fired_at, a.resolved_at,
-                         a.last_active, a.fault_id, a.value, a.threshold,
-                         a.pages, a.escalated, list(a.notes)]
-                        for a in self.history],
-            "active": {key: index[id(a)]
-                       for key, a in sorted(self._active.items())},
-            "pages_sent": self.pages_sent,
-            "flaps_suppressed": self.flaps_suppressed,
-        }
+    def _save_detectors(self) -> dict:
+        return {key: [det.mean, det.var, det.samples, det.last_score]
+                for key, det in sorted(self._detectors.items())}
 
-    def restore_state(self, state: dict) -> None:
-        saved = state["detectors"]
+    def _load_detectors(self, saved: dict) -> None:
         if set(saved) != set(self._detectors):
             raise KeyError(
                 f"alert snapshot detectors {sorted(saved)} != rebuilt "
@@ -329,23 +319,18 @@ class AlertManager:
             det.var = float(var)
             det.samples = int(samples)
             det.last_score = float(last_score)
-        self._det_seen = {k: float(v)
-                          for k, v in state["det_seen"].items()}
-        self.history = []
-        for (key, subject, severity, opened_at, st, fired_at,
-             resolved_at, last_active, fault_id, value, threshold, pages,
-             escalated, notes) in state["history"]:
-            self.history.append(Alert(
-                key=key, subject=subject, severity=severity,
-                opened_at=float(opened_at), state=st, fired_at=fired_at,
-                resolved_at=resolved_at, last_active=float(last_active),
-                fault_id=fault_id, value=float(value),
-                threshold=float(threshold), pages=int(pages),
-                escalated=bool(escalated), notes=list(notes)))
+
+    def _save_active(self) -> dict:
+        """Active alerts are saved as indices into the history list so
+        ``_transition``'s ``history.remove`` keeps operating on the
+        same objects after a restore."""
+        index = {id(a): i for i, a in enumerate(self.history)}
+        return {key: index[id(a)]
+                for key, a in sorted(self._active.items())}
+
+    def _load_active(self, saved: dict) -> None:
         self._active = {key: self.history[int(i)]
-                        for key, i in state["active"].items()}
-        self.pages_sent = int(state["pages_sent"])
-        self.flaps_suppressed = int(state["flaps_suppressed"])
+                        for key, i in saved.items()}
 
     # -- queries -------------------------------------------------------------
 

@@ -25,7 +25,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.controlplane.ledger import Condition
 from repro.metrics.timeseries import TimeSeries
+from repro.persist.core import (Persistent, pending, record, rows, scalar,
+                                scalars, snapshot_node, sortedset, table,
+                                via)
 
 __all__ = ["TelemetryHub", "DEFAULT_COUNTERS"]
 
@@ -40,8 +44,20 @@ DEFAULT_COUNTERS = (
 )
 
 
-class TelemetryHub:
+class TelemetryHub(Persistent):
     """Windowed per-host / per-service telemetry over ring buffers."""
+
+    #: ring series, tallies and the rollup tick; sources (ledger, SLIs,
+    #: rollup listeners) are structural wiring
+    _persist = (
+        via("series", "_save_series", "_load_series"),
+        table("prev_counters", float, attr="_prev_counters"),
+        table("conditions_by_kind", int),
+        rows("condition_log", *record(Condition)),
+        scalar("condition_log_dropped", int), sortedset("hosts_down"),
+        *scalars(int, "ticks", "events_in"),
+        scalar("running", bool, "_running"),
+        pending("event", "_event", "_tick"))
 
     def __init__(self, sim, *, interval: float = 60.0, maxlen: int = 720,
                  registry=None,
@@ -204,58 +220,10 @@ class TelemetryHub:
 
     # -- persistence -----------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Ring series, tallies and the rollup tick.  Sources (ledger,
-        SLIs, rollup listeners) are structural wiring."""
-        return {
-            "series": {key: s.snapshot_state()
-                       for key, s in sorted(self._series.items())},
-            "prev_counters": dict(sorted(self._prev_counters.items())),
-            "conditions_by_kind": dict(
-                sorted(self.conditions_by_kind.items())),
-            "condition_log": [[c.version, c.kind, c.host, c.agent,
-                               c.status, c.time, c.detail]
-                              for c in self.condition_log],
-            "condition_log_dropped": self.condition_log_dropped,
-            "hosts_down": sorted(self.hosts_down),
-            "ticks": self.ticks,
-            "events_in": self.events_in,
-            "running": self._running,
-            "event": ([self._event.time, self._event.priority,
-                       self._event.seq]
-                      if self._event is not None and self._event.alive
-                      else None),
-        }
+    def _save_series(self) -> dict:
+        return snapshot_node(dict(sorted(self._series.items())))
 
-    def restore_state(self, state: dict) -> None:
-        from repro.controlplane.ledger import Condition
+    def _load_series(self, saved: dict) -> None:
         self._series = {}
-        for key, s in state["series"].items():
-            ts = self._series[key] = TimeSeries(key, maxlen=self.maxlen)
-            ts.restore_state(s)
-        self._prev_counters = {k: float(v)
-                               for k, v in state["prev_counters"].items()}
-        self.conditions_by_kind = {k: int(v) for k, v
-                                   in state["conditions_by_kind"].items()}
-        self.condition_log = deque(
-            (Condition(int(v), kind, host, agent, status, float(t), detail)
-             for v, kind, host, agent, status, t, detail
-             in state["condition_log"]),
-            maxlen=16 * self.maxlen)
-        self.condition_log_dropped = int(state["condition_log_dropped"])
-        self.hosts_down = set(state["hosts_down"])
-        self.ticks = int(state["ticks"])
-        self.events_in = int(state["events_in"])
-        self._running = bool(state["running"])
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        token = state["event"]
-        if token is not None:
-            t, prio, seq = token
-            self._event = self.sim.schedule_exact(t, prio, seq, self._tick)
-
-    def claimed_seqs(self) -> List[int]:
-        if self._event is not None and self._event.alive:
-            return [self._event.seq]
-        return []
+        for key, state in saved.items():
+            self.series(key).restore_state(state)

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.cluster.specs import SPEC_CATALOGUE
 from repro.ontology.base import OntologyDoc, OntologyError
 from repro.ontology.dlsp import Dlsp
+from repro.persist.core import Persistent, scalar, table
 
 __all__ = ["GlobalServiceEntry", "Dgspl", "build_dgspl", "host_entries",
            "TierDigest", "SiteDigest", "digest_of", "FederatedDgspl"]
@@ -252,7 +253,7 @@ def digest_of(dgspl: Dgspl, site: str, *, hosts_up: int = 0) -> SiteDigest:
                       hosts_up=hosts_up, tiers=tiers)
 
 
-class FederatedDgspl:
+class FederatedDgspl(Persistent):
     """The global service view, merged from per-site digests.
 
     Each site's digest carries two clocks: when the site *generated*
@@ -262,6 +263,11 @@ class FederatedDgspl:
     stops being received, a dead site stops generating, and either
     path ages the site out of the merged view.
     """
+
+    _persist = (scalar("default_freshness", float),
+                table("freshness", float),
+                table("digests", SiteDigest.from_dict, SiteDigest.to_dict),
+                table("received_at", float), scalar("ingested", int))
 
     def __init__(self, *, freshness: float = 1800.0):
         self.default_freshness = float(freshness)
@@ -305,25 +311,3 @@ class FederatedDgspl:
         """site -> app_type -> tier digest, for boards and reports."""
         return {site: dict(sorted(digest.tiers.items()))
                 for site, digest in sorted(self.digests.items())}
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "default_freshness": self.default_freshness,
-            "freshness": dict(sorted(self.freshness.items())),
-            "digests": {s: d.to_dict()
-                        for s, d in sorted(self.digests.items())},
-            "received_at": dict(sorted(self.received_at.items())),
-            "ingested": self.ingested,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.default_freshness = float(state["default_freshness"])
-        self.freshness = {k: float(v)
-                          for k, v in state["freshness"].items()}
-        self.digests = {s: SiteDigest.from_dict(d)
-                        for s, d in state["digests"].items()}
-        self.received_at = {k: float(v)
-                            for k, v in state["received_at"].items()}
-        self.ingested = int(state["ingested"])

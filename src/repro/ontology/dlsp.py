@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ontology.base import OntologyDoc, OntologyError
+from repro.persist.core import (Persistent, record, scalar, scalars,
+                                table)
 
 __all__ = ["ServiceStatus", "Dlsp", "DlspBuilder", "build_dlsp"]
 
@@ -134,7 +136,7 @@ def build_dlsp(host) -> Dlsp:
         up=host.is_up, services=services)
 
 
-class DlspBuilder:
+class DlspBuilder(Persistent):
     """Incremental profile generation for one host.
 
     An app's probe is a pure function of its (state, version, port)
@@ -144,6 +146,11 @@ class DlspBuilder:
     redeploy) or a load shift re-probe, and then only the changed apps.
     The assembled profile is byte-identical to :func:`build_dlsp`.
     """
+
+    _persist = (table("entries", *record(ServiceStatus), attr="_entries"),
+                table("fingerprints", tuple, list, "_fingerprints"),
+                scalar("load_key", attr="_load_key"),
+                *scalars(int, "probes", "reused"))
 
     def __init__(self, host):
         self.host = host

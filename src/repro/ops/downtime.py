@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.faults.models import Category
+from repro.persist.core import Persistent, rows, via
 
 __all__ = ["Incident", "DowntimeLedger"]
 
@@ -57,8 +58,14 @@ class Incident:
         return self.detected_at - self.start
 
 
-class DowntimeLedger:
+class DowntimeLedger(Persistent):
     """Collects incidents and produces the Fig. 2 aggregation."""
+
+    _persist = (
+        rows("incidents", lambda row: Incident(Category(row[0]), *row[1:]),
+             lambda i: [i.category.value, i.target, i.start, i.end,
+                        i.detected_at, i.auto_repaired, i.escalated, i.note]),
+        via("open", "_save_open", "_load_open"))
 
     def __init__(self):
         self.incidents: List[Incident] = []
@@ -109,28 +116,16 @@ class DowntimeLedger:
 
     # -- persistence -----------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """Incidents plus the open-incident index (as positions into
-        the incident list, so identity survives the round trip)."""
+    def _save_open(self) -> dict:
+        """As positions into the incident list, so identity survives
+        the round trip."""
         index = {id(inc): i for i, inc in enumerate(self.incidents)}
-        return {
-            "incidents": [[i.category.value, i.target, i.start, i.end,
-                           i.detected_at, i.auto_repaired, i.escalated,
-                           i.note] for i in self.incidents],
-            "open": {target: index[id(inc)]
-                     for target, inc in self._open.items()},
-        }
+        return {target: index[id(inc)]
+                for target, inc in self._open.items()}
 
-    def restore_state(self, state: dict) -> None:
-        self.incidents = []
-        for cat, target, start, end, det, auto, esc, note in \
-                state["incidents"]:
-            self.incidents.append(Incident(
-                Category(cat), target, float(start), end=end,
-                detected_at=det, auto_repaired=auto, escalated=bool(esc),
-                note=note))
+    def _load_open(self, saved: dict) -> None:
         self._open = {target: self.incidents[int(i)]
-                      for target, i in state["open"].items()}
+                      for target, i in saved.items()}
 
     # -- aggregation -----------------------------------------------------------
 

@@ -20,6 +20,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import defaultdict, deque
 
+from repro.persist.core import (Persistent, record, rows, scalar, table,
+                                via)
+
 __all__ = ["Notification", "NotificationChannel"]
 
 
@@ -36,8 +39,16 @@ class Notification:
     suppressed: int = 0
 
 
-class NotificationChannel:
+class NotificationChannel(Persistent):
     """Site-wide message ledger with optional live subscribers."""
+
+    _persist = (
+        rows("sent", *record(Notification)),
+        scalar("suppressed_total", int),
+        table("suppressed_by_recipient", int),
+        via("last_sent", "_save_last_sent", "_load_last_sent"),
+        table("recent", lambda times: deque(float(t) for t in times), list,
+              "_recent"))
 
     def __init__(self, sim, *, dedup_window: float = 0.0,
                  rate_limit: Optional[int] = None,
@@ -121,39 +132,17 @@ class NotificationChannel:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """The whole ledger; dedup bookkeeping references are saved as
-        indices into the sent list so folding keeps mutating the same
-        records after a restore."""
+    def _save_last_sent(self) -> list:
+        """Dedup bookkeeping references are saved as indices into the
+        sent list so folding keeps mutating the same records after a
+        restore."""
         index = {id(n): i for i, n in enumerate(self.sent)}
-        return {
-            "sent": [[n.time, n.medium, n.recipient, n.subject, n.body,
-                      n.severity, n.sender, n.suppressed]
-                     for n in self.sent],
-            "suppressed_total": self.suppressed_total,
-            "suppressed_by_recipient": dict(
-                sorted(self.suppressed_by_recipient.items())),
-            "last_sent": [[list(key), index[id(n)]]
-                          for key, n in self._last_sent.items()],
-            "recent": {r: list(times)
-                       for r, times in sorted(self._recent.items())},
-        }
+        return [[list(key), index[id(n)]]
+                for key, n in self._last_sent.items()]
 
-    def restore_state(self, state: dict) -> None:
-        self.sent = [Notification(float(t), medium, recipient, subject,
-                                  body, severity, sender,
-                                  suppressed=int(sup))
-                     for t, medium, recipient, subject, body, severity,
-                     sender, sup in state["sent"]]
-        self.suppressed_total = int(state["suppressed_total"])
-        self.suppressed_by_recipient = defaultdict(int)
-        for r, n in state["suppressed_by_recipient"].items():
-            self.suppressed_by_recipient[r] = int(n)
+    def _load_last_sent(self, saved: list) -> None:
         self._last_sent = {tuple(key): self.sent[int(i)]
-                           for key, i in state["last_sent"]}
-        self._recent = defaultdict(deque)
-        for r, times in state["recent"].items():
-            self._recent[r] = deque(float(t) for t in times)
+                           for key, i in saved}
 
     # -- queries -------------------------------------------------------------
 

@@ -3,12 +3,16 @@
 Every stateful layer of the reproduction exposes the
 :class:`~repro.persist.core.Snapshottable` pair --
 ``snapshot_state() -> dict`` / ``restore_state(state)`` -- plus, for
-components that own pending kernel events, ``claimed_seqs()``.  This
-package assembles those per-component protocols into whole-world
-checkpoints:
+components that own pending kernel events, ``claimed_seqs()``.  A
+layer does not write those methods: it declares its state once, as a
+``_persist`` tuple of entries, and :mod:`repro.persist.core` derives
+all three.  This package assembles the per-component protocols into
+whole-world checkpoints:
 
-- :mod:`repro.persist.core` -- the protocol, the canonical-JSON state
-  hash, and :class:`~repro.persist.core.QuiescenceError`.
+- :mod:`repro.persist.core` -- the protocol, its one implementation
+  (:class:`~repro.persist.core.Persistent` and the entry vocabulary),
+  the canonical-JSON state hash, and
+  :class:`~repro.persist.core.QuiescenceError`.
 - :mod:`repro.persist.site_state` -- :func:`snapshot_site` /
   :func:`restore_site`: walk a built :class:`~repro.experiments.site.Site`
   section by section, verifying that *every* live heap event is claimed
@@ -18,9 +22,11 @@ checkpoints:
   One ordered layer table drives the snapshot, restore and claim walks.
 - :mod:`repro.persist.federation_state` -- :func:`snapshot_federation`
   / :func:`restore_federation`: the per-site documents plus the layers
-  between sites.  A document of the wrong kind is refused by name.
+  between sites, listed once in the same entry vocabulary.  A document
+  of the wrong kind is refused by name.
 - :mod:`repro.persist.checkpoint` -- :class:`CheckpointManager`: epoch
-  barriers between run segments, atomic writes, retention, and the
+  barriers between run segments, atomic writes through the one
+  canonical encoder, a hash check on load, retention, and the
   deferred-barrier policy for non-quiescent moments -- for a site or a
   federation alike (every chaos episode checkpoint is the latter).
 """

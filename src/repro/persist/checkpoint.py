@@ -10,8 +10,13 @@ the snapshot defers to the next epoch instead of failing the run.
 
 Writes are atomic (tmp file + ``os.replace``) so a run killed mid-write
 never leaves a truncated checkpoint, and retention keeps the newest N
-so a year-long segmented campaign holds bounded disk.  Wall-clock cost
-is accounted per checkpoint -- the overhead benchmark reads it back.
+so a year-long segmented campaign holds bounded disk.  The file is the
+:func:`~repro.persist.core.canonical_json` rendering -- the bytes the
+``state_hash`` was taken over -- and :meth:`CheckpointManager.load`,
+the one place a document enters from outside the program, recomputes
+that hash: a truncated, edited or bit-flipped file is a ``ValueError``
+naming the path, never a running world.  Wall-clock cost is accounted
+per checkpoint -- the overhead benchmark reads it back.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import os
 import time
 from typing import Dict, List, Mapping, Optional
 
-from repro.persist.core import QuiescenceError
+from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
+                                canonical_json, state_hash)
 from repro.persist.federation_state import snapshot_federation
 from repro.persist.site_state import snapshot_site
 
@@ -113,8 +119,7 @@ class CheckpointManager:
         path = os.path.join(self.directory, self._name())
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(snap, fh, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+            fh.write(canonical_json(snap))
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
@@ -141,8 +146,31 @@ class CheckpointManager:
 
     @staticmethod
     def load(path: str) -> dict:
-        with open(path) as fh:
-            return json.load(fh)
+        """Read a checkpoint file and prove it is the document that was
+        written: a truncated, non-JSON, hash-less or bit-flipped file
+        is a ``ValueError`` naming the path, never a running world."""
+        try:
+            with open(path) as fh:
+                snap = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: not a checkpoint (truncated or not JSON: "
+                f"{exc})") from exc
+        if not isinstance(snap, dict):
+            raise ValueError(f"{path}: not a checkpoint document")
+        if snap.get("format") != FORMAT_VERSION:
+            # another layout's hash is not ours to judge; the restore
+            # refuses the document by its format number
+            return snap
+        recorded = snap.get("state_hash")
+        actual = state_hash({key: value for key, value in snap.items()
+                             if key != "state_hash"})
+        if actual != recorded:
+            raise ValueError(
+                f"{path}: state_hash mismatch (the file records "
+                f"{recorded!r}, its contents hash to {actual}): the "
+                f"checkpoint is corrupt or incomplete")
+        return snap
 
     @staticmethod
     def latest(directory: str, label: str = "ckpt") -> Optional[str]:

@@ -1,4 +1,4 @@
-"""The uniform persistence protocol.
+"""The uniform persistence protocol and its one implementation.
 
 A *snapshot* is a plain, strictly-JSON-serialisable dict: no live
 objects, no tuples-as-keys, no ``inf``/``nan`` (components encode
@@ -7,21 +7,44 @@ two world states is therefore decidable by comparing canonical JSON --
 the byte string :func:`canonical_json` produces -- and cheap to assert
 via :func:`state_hash`.
 
-Pending kernel events are never pickled.  A component that owns one
-serialises its heap token ``[time, priority, seq]`` and re-arms it on
-restore through :meth:`Simulator.schedule_exact`; ``claimed_seqs()``
-declares ownership so the site walker can prove the whole heap is
-accounted for.
+A component does not write the protocol's methods.  It subclasses
+:class:`Persistent` and *declares* its state once, as a class-level
+``_persist`` tuple of entries built from the small vocabulary below
+(:func:`scalar`, :func:`member`, :func:`sortedset`, :func:`table`,
+:func:`pairs`, :func:`rows`, :func:`part`, :func:`pending`,
+:func:`pendings`, :func:`signal`, :func:`group`, and :func:`via` for
+what those cannot say).  One entry names one document key; the tuple's
+order is the restore order.  ``snapshot_state`` / ``restore_state`` /
+``claimed_seqs`` are derived from it here and nowhere else, so a field
+cannot be saved but not restored, and a timer cannot be saved but not
+claimed.  What is *not* listed is structural wiring the deterministic
+rebuild recreates -- leaving a field out is the visible decision.
+
+Pending kernel events are never pickled.  A :func:`pending` entry
+serialises the heap token ``[time, priority, seq]``, re-arms it on
+restore through :meth:`Simulator.schedule_exact`, and claims its seq so
+the site walker can prove the whole heap is accounted for.
+
+Restore is strict: a document whose key set differs from the declared
+one -- either way -- is refused with an error naming the class and the
+keys, before the component is touched.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import List, Protocol, runtime_checkable
+from operator import attrgetter
+from typing import Callable, List, Optional, Protocol, runtime_checkable
 
 __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
-           "canonical_json", "check_format", "state_hash"]
+           "canonical_json", "check_format", "state_hash",
+           "Persistent", "Entry", "scalar", "scalars", "member", "sortedset",
+           "table", "pairs", "rows", "record", "part", "pending", "pendings",
+           "signal", "group", "via", "token", "rearm",
+           "snapshot_node", "restore_node", "claimed_of",
+           "save_state", "load_state"]
 
 #: bump when any component's snapshot layout changes incompatibly
 FORMAT_VERSION = 2
@@ -81,7 +104,307 @@ def state_hash(state: dict) -> str:
     return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
 
 
-def claimed_of(component) -> List[int]:
-    """A component's claimed pending-event seqs ([] when it has none)."""
-    fn = getattr(component, "claimed_seqs", None)
+# -- component trees ---------------------------------------------------------
+# A *node* is a component, ``None`` (an absent optional layer) or a
+# dict of nodes by name.  The site walker's layer table and every
+# ``part`` entry go through these three walks.
+
+def snapshot_node(node):
+    if node is None:
+        return None
+    if isinstance(node, dict):
+        return {name: snapshot_node(child) for name, child in node.items()}
+    return node.snapshot_state()
+
+
+def restore_node(node, state, where: str) -> None:
+    """``where`` names the node in errors: a child map whose names
+    differ from the document's -- either way -- is refused whole."""
+    if state is None:           # the layer was absent when snapshotted
+        return
+    if node is None:
+        raise ValueError(f"{where}: the snapshot has state for a "
+                         f"component the rebuilt world lacks")
+    if not isinstance(node, dict):
+        node.restore_state(state)
+        return
+    if set(node) != set(state):
+        raise KeyError(
+            f"{where} set mismatch: "
+            f"snapshot-only={sorted(set(state) - set(node))} "
+            f"build-only={sorted(set(node) - set(state))}")
+    for name, child in node.items():
+        restore_node(child, state[name], f"{where}/{name}")
+
+
+def claimed_of(node) -> List[int]:
+    """The pending-event seqs a node claims ([] when it owns none)."""
+    if isinstance(node, dict):
+        return [seq for child in node.values() for seq in claimed_of(child)]
+    fn = getattr(node, "claimed_seqs", None)
     return list(fn()) if fn is not None else []
+
+
+# -- heap tokens -------------------------------------------------------------
+
+def token(ev) -> Optional[list]:
+    """A pending event as its heap token (None once fired/cancelled)."""
+    if ev is None or not ev.alive:
+        return None
+    return [ev.time, ev.priority, ev.seq]
+
+
+def rearm(sim, tok, fn, *args):
+    """Inverse of :func:`token`: the event back on ``sim``'s heap at its
+    exact slot, or None."""
+    return None if tok is None else sim.schedule_exact(*tok, fn, *args)
+
+
+# -- the vocabulary ----------------------------------------------------------
+
+def _setter(path: str) -> Callable:
+    """``attrgetter``'s inverse for a dotted path."""
+    owner, _, leaf = path.rpartition(".")
+    if not owner:
+        return lambda obj, value: setattr(obj, leaf, value)
+    get = attrgetter(owner)
+    return lambda obj, value: setattr(get(obj), leaf, value)
+
+
+def _same(value):
+    return value
+
+
+class Entry:
+    """One piece of a component's state under one document key:
+    ``save(obj) -> json``, ``load(obj, json)``, ``claims(obj) -> seqs``.
+    ``methods`` are the component methods it calls by name and ``sub``
+    a group's nested entries (tuple, or the class attribute holding
+    it) -- both only so a lint can check a declaration without an
+    instance."""
+
+    __slots__ = ("key", "save", "load", "claims", "methods", "sub")
+
+    def __init__(self, key: str, save: Callable, load: Callable,
+                 claims: Optional[Callable] = None, methods=(), sub=None):
+        self.key, self.save, self.load = key, save, load
+        self.claims, self.methods, self.sub = claims, tuple(methods), sub
+
+
+def scalar(key: str, coerce: Optional[Callable] = None,
+           attr: Optional[str] = None, enc: Callable = _same) -> Entry:
+    """A value at ``attr`` (a dotted path; default: the key): ``enc``
+    on the way out, ``coerce`` on the way back in.  No ``coerce`` keeps
+    it as read -- for nullable stamps."""
+    coerce = coerce or _same
+    get, put = attrgetter(attr or key), _setter(attr or key)
+    return Entry(key, get if enc is _same else lambda obj: enc(get(obj)),
+                 lambda obj, v: put(obj, coerce(v)))
+
+
+def scalars(coerce: Optional[Callable], *keys: str) -> tuple:
+    """One :func:`scalar` per key, all of one type."""
+    return tuple(scalar(key, coerce) for key in keys)
+
+
+def member(key: str, cls, attr: Optional[str] = None) -> Entry:
+    """An enum member, saved as its value."""
+    return scalar(key, cls, attr, attrgetter("value"))
+
+
+def sortedset(key: str, dec: Callable = _same, enc: Callable = _same,
+              attr: Optional[str] = None) -> Entry:
+    """A set of strings (or of ``enc``-able members), saved sorted."""
+    return scalar(key, lambda v: {dec(x) for x in v}, attr,
+                  lambda s: [enc(x) for x in sorted(s)])
+
+
+def pairs(key: str, dec: Callable = _same, enc: Callable = _same,
+          attr: Optional[str] = None) -> Entry:
+    """A tuple-keyed dict as a key-sorted ``[[*key], value]`` list (the
+    control plane keys on ``(host, agent)``; JSON keys are strings)."""
+    return scalar(key, lambda v: {tuple(k): dec(x) for k, x in v}, attr,
+                  lambda d: [[list(k), enc(x)] for k, x in sorted(d.items())])
+
+
+def table(key: str, dec: Callable = _same, enc: Callable = _same,
+          attr: Optional[str] = None) -> Entry:
+    """A str-keyed dict, saved in key order.  Loaded *into* the live
+    dict, so a ``defaultdict`` stays one."""
+    get = attrgetter(attr or key)
+
+    def load(obj, value):
+        live = get(obj)
+        live.clear()
+        live.update((k, dec(v)) for k, v in value.items())
+    return Entry(key, lambda obj: {k: enc(v) for k, v
+                                   in sorted(get(obj).items())}, load)
+
+
+def rows(key: str, dec: Callable = _same, enc: Callable = _same,
+         attr: Optional[str] = None) -> Entry:
+    """A sequence in its own order: ``enc`` flattens a record to a JSON
+    row, ``dec`` is the record's constructor.  Loaded *into* the live
+    list or deque, so a ring keeps its bound."""
+    get = attrgetter(attr or key)
+
+    def load(obj, value):
+        live = get(obj)
+        live.clear()
+        live.extend(dec(x) for x in value)
+    return Entry(key, lambda obj: [enc(x) for x in get(obj)], load)
+
+
+def record(cls) -> tuple:
+    """``(dec, enc)`` for :func:`rows` / :func:`table` over a dataclass
+    saved as one row in field order.  List-valued fields are copied
+    both ways, so a document never aliases a live record."""
+    fields = dataclasses.fields(cls)
+    get = attrgetter(*(f.name for f in fields))
+    if not any(f.default_factory is list for f in fields):
+        return (lambda row: cls(*row)), (lambda rec: list(get(rec)))
+
+    def copied(values):
+        return [list(v) if isinstance(v, list) else v for v in values]
+    return (lambda row: cls(*copied(row))), (lambda rec: copied(get(rec)))
+
+
+def part(key: str, get=None) -> Entry:
+    """A nested node: a component, an optional one, or a name -> node
+    dict checked two-sidedly.  ``get`` is the attribute (default: the
+    key) or a ``component -> node`` function."""
+    get = get if callable(get) else attrgetter(get or key)
+    return Entry(
+        key, lambda obj: snapshot_node(get(obj)),
+        lambda obj, v: restore_node(get(obj), v,
+                                    f"{type(obj).__name__}.{key}"),
+        lambda obj: claimed_of(get(obj)))
+
+
+def pending(key: str, attr: str, callback: str) -> Entry:
+    """One pending kernel event held at ``attr``, fired into the method
+    named ``callback``.  Load cancels whatever the fresh build armed,
+    then re-arms the saved token on ``obj.sim``."""
+    def load(obj, tok):
+        live = getattr(obj, attr)
+        if live is not None:
+            live.cancel()
+        setattr(obj, attr, rearm(obj.sim, tok, getattr(obj, callback)))
+
+    def claims(obj):
+        ev = getattr(obj, attr)
+        return [ev.seq] if ev is not None and ev.alive else []
+    return Entry(key, lambda obj: token(getattr(obj, attr)), load, claims,
+                 methods=(callback,))
+
+
+def pendings(key: str, attr: str, callback: str, dec: Callable = _same,
+             enc: Callable = _same) -> Entry:
+    """A list of ``(event, arg)`` pairs, each event calling
+    ``callback(arg)``; saved as ``[[token, enc(arg)], ...]``."""
+    def live(obj):
+        return [(ev, arg) for ev, arg in getattr(obj, attr) if ev.alive]
+
+    def load(obj, value):
+        for ev, _arg in getattr(obj, attr):
+            ev.cancel()
+        fn, armed = getattr(obj, callback), []
+        for tok, arg in value:
+            arg = dec(arg)
+            armed.append((rearm(obj.sim, tok, fn, arg), arg))
+        setattr(obj, attr, armed)
+    return Entry(
+        key, lambda obj: [[token(ev), enc(arg)] for ev, arg in live(obj)],
+        load, lambda obj: [ev.seq for ev, _arg in live(obj)],
+        methods=(callback,))
+
+
+def signal(key: str, dec: Callable = _same, enc: Callable = _same,
+           attr: Optional[str] = None) -> Entry:
+    """A :class:`~repro.sim.kernel.Signal`'s ``[fire_count,
+    last_value]``; waiters and subscribers are wiring."""
+    get = attrgetter(attr or key)
+
+    def load(obj, value):
+        sig = get(obj)
+        sig.fire_count, sig.last_value = int(value[0]), dec(value[1])
+    return Entry(key, lambda obj: [get(obj).fire_count,
+                                   enc(get(obj).last_value)], load)
+
+
+def group(key: str, sub) -> Entry:
+    """Entries of the same component nested under one sub-dict.  ``sub``
+    is the tuple, or the name of the class attribute holding it -- which
+    is how subclasses extend a base class's document (``"extra"``)."""
+    return Entry(key, lambda obj: save_state(obj, _sub(obj, sub)),
+                 lambda obj, v: _load(obj, _sub(obj, sub), v),
+                 lambda obj: _claims(obj, _sub(obj, sub)), sub=sub)
+
+
+def _sub(obj, sub) -> tuple:
+    return getattr(type(obj), sub) if isinstance(sub, str) else sub
+
+
+def via(key: str, save: str, load: str) -> Entry:
+    """The escape hatch: ``obj.<save>() -> json`` / ``obj.<load>(json)``
+    for state the vocabulary cannot express (object identity, derived
+    indexes, order that is behaviour)."""
+    return Entry(key, lambda obj: getattr(obj, save)(),
+                 lambda obj, v: getattr(obj, load)(v), methods=(save, load))
+
+
+# -- the derivation ----------------------------------------------------------
+
+def save_state(obj, entries) -> dict:
+    return {e.key: e.save(obj) for e in entries}
+
+
+def _check(obj, entries, state) -> None:
+    """Both ways, groups included, before anything is loaded."""
+    want = {e.key for e in entries}
+    got = set(state) if isinstance(state, dict) else {"<not an object>"}
+    if got != want:
+        raise KeyError(
+            f"{type(obj).__name__}: snapshot keys do not match the "
+            f"declared state: missing={sorted(want - got)} "
+            f"unknown={sorted(got - want)}")
+    for e in entries:
+        if e.sub is not None:
+            _check(obj, _sub(obj, e.sub), state[e.key])
+
+
+def _load(obj, entries, state) -> None:
+    for e in entries:
+        e.load(obj, state[e.key])
+
+
+def load_state(obj, entries, state) -> None:
+    """Check ``state``'s key set against ``entries``, then load each
+    in declaration order."""
+    _check(obj, entries, state)
+    _load(obj, entries, state)
+
+
+def _claims(obj, entries) -> List[int]:
+    return [seq for e in entries if e.claims is not None
+            for seq in e.claims(obj)]
+
+
+class Persistent:
+    """Derives the :class:`Snapshottable` trio from ``_persist``.
+
+    A subclass that must refuse non-quiescent moments overrides
+    ``snapshot_state`` with its guard and calls ``super()``."""
+
+    __slots__ = ()
+    #: the component's state, one entry per document key, restore order
+    _persist: tuple = ()
+
+    def snapshot_state(self) -> dict:
+        return save_state(self, self._persist)
+
+    def restore_state(self, state: dict) -> None:
+        load_state(self, self._persist, state)
+
+    def claimed_seqs(self) -> List[int]:
+        return _claims(self, self._persist)

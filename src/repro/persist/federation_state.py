@@ -5,21 +5,43 @@ A federation checkpoint is the per-site :func:`snapshot_site` documents
 the layers that only exist *between* sites: the WAN links, the courier
 and federated name-service counters, the merged DGSPL view, the geo
 front door, the geo traffic tier's SLIs, the cross-site relocation
-records, the federation RNG and the lockstep clock.  Restore rebuilds
-the federation fresh from the embedded :class:`FederationConfig`
-(:func:`build_federation` is deterministic), then overwrites every
-layer -- a restored federation produces byte-identical summaries to
-the one that never stopped.
+records, the federation RNG and the lockstep clock.  Those layers and
+the six clock fields are listed once, in :data:`_LAYERS`, in the entry
+vocabulary of :mod:`repro.persist.core`; snapshot and restore both
+read that table, the way :data:`site_state._LAYERS` drives a site's
+walks.  Restore rebuilds the federation fresh from the embedded
+:class:`FederationConfig` (:func:`build_federation` is deterministic),
+then overwrites every layer -- a restored federation produces
+byte-identical summaries to the one that never stopped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.persist.core import FORMAT_VERSION, check_format, state_hash
+from repro.persist.core import (FORMAT_VERSION, Entry, check_format, group,
+                                load_state, part, save_state, scalar,
+                                scalars, sortedset, state_hash)
 from repro.persist.site_state import restore_site, snapshot_site
 
 __all__ = ["snapshot_federation", "restore_federation"]
+
+
+#: Everything a Federation holds between its sites, in document order:
+#: the snapshot and the restore both read this one table (the per-site
+#: documents and the envelope keys around it are written by hand below).
+_LAYERS = (
+    part("wan"), part("courier"), part("fed_nameservice", "nameservice"),
+    part("fed_dgspl"),
+    Entry("fed_rng", lambda fed: fed.streams.getstate(),
+          lambda fed, state: fed.streams.setstate(state)),
+    part("geo"), part("traffic"), part("crosssite"),
+    group("clock", (
+        scalar("now", float), scalar("next_digest", float, "_next_digest"),
+        sortedset("lost_sites"), scalar("traffic_on", bool),
+        *scalars(int, "site_loss_events", "site_recovery_events"))),
+)
+_ENVELOPE = ("format", "fedconfig", "sites", "state_hash")
 
 
 def snapshot_federation(fed, *, extras_by_site: Optional[
@@ -36,24 +58,7 @@ def snapshot_federation(fed, *, extras_by_site: Optional[
         "sites": {name: snapshot_site(fed.sites[name],
                                       extras=extras_by_site.get(name))
                   for name in sorted(fed.sites)},
-        "wan": fed.wan.snapshot_state(),
-        "courier": fed.courier.snapshot_state(),
-        "fed_nameservice": fed.nameservice.snapshot_state(),
-        "fed_dgspl": fed.fed_dgspl.snapshot_state(),
-        "fed_rng": fed.streams.getstate(),
-        "geo": fed.geo.snapshot_state() if fed.geo is not None else None,
-        "traffic": (fed.traffic.snapshot_state()
-                    if fed.traffic is not None else None),
-        "crosssite": (fed.crosssite.snapshot_state()
-                      if fed.crosssite is not None else None),
-        "clock": {
-            "now": fed.now,
-            "next_digest": fed._next_digest,
-            "lost_sites": sorted(fed.lost_sites),
-            "traffic_on": fed.traffic_on,
-            "site_loss_events": fed.site_loss_events,
-            "site_recovery_events": fed.site_recovery_events,
-        },
+        **save_state(fed, _LAYERS),
     }
     state["state_hash"] = state_hash(state)
     return state
@@ -84,27 +89,6 @@ def restore_federation(snapshot: dict, *, fed=None, extras_by_site: Optional[
     for name in sorted(fed.sites):
         restore_site(snapshot["sites"][name], site=fed.sites[name],
                      extras=extras_by_site.get(name))
-
-    fed.wan.restore_state(snapshot["wan"])
-    fed.courier.restore_state(snapshot["courier"])
-    fed.nameservice.restore_state(snapshot["fed_nameservice"])
-    fed.fed_dgspl.restore_state(snapshot["fed_dgspl"])
-    fed.streams.setstate(snapshot["fed_rng"])
-    if snapshot["geo"] is not None:
-        fed.geo.restore_state(snapshot["geo"])
-    if snapshot["traffic"] is not None:
-        def resolve_app_for(site_name: str):
-            site = fed.sites[site_name]
-            return lambda host, app: site.dc.hosts[host].apps[app]
-        fed.traffic.restore_state(snapshot["traffic"], resolve_app_for)
-    if snapshot["crosssite"] is not None:
-        fed.crosssite.restore_state(snapshot["crosssite"])
-
-    clock = snapshot["clock"]
-    fed.now = float(clock["now"])
-    fed._next_digest = float(clock["next_digest"])
-    fed.lost_sites = set(clock["lost_sites"])
-    fed.traffic_on = bool(clock["traffic_on"])
-    fed.site_loss_events = int(clock["site_loss_events"])
-    fed.site_recovery_events = int(clock["site_recovery_events"])
+    load_state(fed, _LAYERS, {key: value for key, value in snapshot.items()
+                              if key not in _ENVELOPE})
     return fed

@@ -34,7 +34,8 @@ from operator import attrgetter
 from typing import Dict, List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
-                                check_format, claimed_of, state_hash)
+                                check_format, claimed_of, restore_node,
+                                snapshot_node, state_hash)
 
 __all__ = ["snapshot_site", "restore_site", "fresh_site"]
 
@@ -121,29 +122,6 @@ def _layers(site, extras: Mapping[str, object]):
     yield "extras", dict(sorted(extras.items()))
 
 
-def _snapshot_node(node):
-    if node is None:
-        return None
-    if isinstance(node, dict):
-        return {name: _snapshot_node(child) for name, child in node.items()}
-    return node.snapshot_state()
-
-
-def _restore_node(node, state, where: str) -> None:
-    if state is None:           # the layer was absent when snapshotted
-        return
-    if not isinstance(node, dict):
-        node.restore_state(state)
-        return
-    if set(node) != set(state):
-        raise KeyError(
-            f"{where} set mismatch: "
-            f"snapshot-only={sorted(set(state) - set(node))} "
-            f"build-only={sorted(set(node) - set(state))}")
-    for name, child in node.items():
-        _restore_node(child, state[name], f"{where}/{name}")
-
-
 def _claims(layers) -> Dict[int, str]:
     """seq -> owner for every pending event a component of the given
     ``(key, node)`` layers claims."""
@@ -172,7 +150,7 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
     """One dict for the whole world.
 
     ``extras`` adds harness-owned components (fault injector, downtime
-    ledger, traffic engine, ...) by name; each must be Snapshottable
+    ledger, ...) by name; each must be Snapshottable
     and participates in claimed-event coverage when it owns events.
     The same names must be passed to :func:`restore_site`.
     """
@@ -189,7 +167,7 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
     }
     layers = list(_layers(site, extras))
     for key, node in layers:
-        state[key] = _snapshot_node(node)
+        state[key] = snapshot_node(node)
 
     _coverage_check(site, _claims(layers))
     state["state_hash"] = state_hash(state)
@@ -243,7 +221,7 @@ def restore_site(snapshot: dict, *, site=None,
         tracer.restore_state(snapshot["tracer"])
 
     for key, node in _layers(site, extras):
-        _restore_node(node, snapshot[key], key)
+        restore_node(node, snapshot[key], key)
 
     # the re-armed heap must be exactly the claimed set the snapshot
     # covered -- anything else means a restore path scheduled fresh work

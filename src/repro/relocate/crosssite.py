@@ -29,6 +29,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.healing import apply_action
 from repro.ontology.slkt import app_template_of
+from repro.persist.core import (Persistent, rows, scalar, scalars,
+                                sortedset, via)
 from repro.relocate.reroute import service_alias
 
 __all__ = ["CrossSiteRecord", "CrossSiteRelocator"]
@@ -89,7 +91,7 @@ class _Takeover:
         return cls(**doc)
 
 
-class CrossSiteRelocator:
+class CrossSiteRelocator(Persistent):
     """Epoch-driven cross-site takeover state machines.
 
     ``sites`` maps site name -> the built :class:`Site` world; the
@@ -97,6 +99,18 @@ class CrossSiteRelocator:
     barrier.  ``page_cb(subject, reason)`` is the last tier -- wired by
     the federation to a surviving site's paging channel.
     """
+
+    _persist = (
+        sortedset("lost_sites"),
+        rows("records", CrossSiteRecord.from_dict, CrossSiteRecord.to_dict),
+        via("active", "_save_active", "_load_active"),
+        rows("takeovers", _Takeover.from_dict, _Takeover.to_dict),
+        scalar("tier_totals",
+               lambda saved: {tuple(key.split("|", 1)): int(n)
+                              for key, n in saved.items()},
+               enc=lambda totals: {"|".join(key): n for key, n
+                                   in sorted(totals.items())}),
+        *scalars(int, "attempted", "succeeded", "failed", "paged"))
 
     #: control-plane round trips a verify/cutover handshake costs; the
     #: WAN-aware budget adds this many RTTs to the base verify budget
@@ -299,33 +313,9 @@ class CrossSiteRelocator:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        return {
-            "lost_sites": sorted(self.lost_sites),
-            "records": [r.to_dict() for r in self.records],
-            "active": [r.subject for r in self.active],
-            "takeovers": [t.to_dict() for t in self.takeovers],
-            "tier_totals": {f"{s}|{t}": v for (s, t), v
-                            in sorted(self.tier_totals.items())},
-            "attempted": self.attempted,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "paged": self.paged,
-        }
+    def _save_active(self) -> list:
+        return [r.subject for r in self.active]
 
-    def restore_state(self, state: dict) -> None:
-        self.lost_sites = set(state["lost_sites"])
-        self.records = [CrossSiteRecord.from_dict(d)
-                        for d in state["records"]]
+    def _load_active(self, subjects: list) -> None:
         by_subject = {r.subject: r for r in self.records}
-        self.active = [by_subject[s] for s in state["active"]]
-        self.takeovers = [_Takeover.from_dict(d)
-                          for d in state["takeovers"]]
-        self.tier_totals = {}
-        for key, value in state["tier_totals"].items():
-            s, t = key.split("|", 1)
-            self.tier_totals[(s, t)] = int(value)
-        self.attempted = int(state["attempted"])
-        self.succeeded = int(state["succeeded"])
-        self.failed = int(state["failed"])
-        self.paged = int(state["paged"])
+        self.active = [by_subject[s] for s in subjects]

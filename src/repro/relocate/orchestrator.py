@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 from repro.apps.base import AppState
 from repro.core.healing import apply_action
 from repro.ontology.slkt import app_template_of
+from repro.persist.core import Persistent, record, rows, scalars
 
 __all__ = ["RelocationRecord", "ServiceRelocator"]
 
@@ -53,8 +54,11 @@ class RelocationRecord:
         return self.finished - self.started
 
 
-class ServiceRelocator:
+class ServiceRelocator(Persistent):
     """Drives service failovers for the administration servers."""
+
+    _persist = (rows("records", *record(RelocationRecord)),
+                *scalars(int, "succeeded", "failed"))
 
     def __init__(self, dc, planner, spares, *, reroute=None,
                  notifications=None, page_cb: Optional[Callable] = None,
@@ -249,24 +253,4 @@ class ServiceRelocator:
             raise ValueError(
                 f"cannot snapshot with in-flight relocations: "
                 f"{sorted(self.active)}")
-        return {
-            "records": [[r.subject, r.source_host, r.started,
-                         r.target_host, r.fault_id, r.finished,
-                         r.success, r.cold, r.phase, r.reason]
-                        for r in self.records],
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.active = {}
-        self.records = []
-        for (subject, source, started, target, fid, finished, success,
-             cold, phase, reason) in state["records"]:
-            self.records.append(RelocationRecord(
-                subject=subject, source_host=source, started=float(started),
-                target_host=target, fault_id=fid, finished=finished,
-                success=bool(success), cold=bool(cold), phase=phase,
-                reason=reason))
-        self.succeeded = int(state["succeeded"])
-        self.failed = int(state["failed"])
+        return super().snapshot_state()

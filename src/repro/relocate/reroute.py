@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.persist.core import Persistent, scalars
+
 __all__ = ["RerouteDirectory", "service_alias"]
 
 
@@ -29,8 +31,12 @@ def service_alias(app_name: str) -> str:
     return f"svc.{app_name}"
 
 
-class RerouteDirectory:
+class RerouteDirectory(Persistent):
     """Everything that must learn about a service's new address."""
+
+    #: counters only; doors re-register at rebuild and carry their own
+    #: state
+    _persist = scalars(int, "cutovers", "drains")
 
     def __init__(self, nameservice=None, ledger=None):
         self.nameservice = nameservice
@@ -75,17 +81,6 @@ class RerouteDirectory:
             self.ledger.append("route", new_app.host.name,
                                agent=old_app.name, status="cutover",
                                detail=old_app.app_type)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters only; doors re-register at rebuild and carry their
-        own state."""
-        return {"cutovers": self.cutovers, "drains": self.drains}
-
-    def restore_state(self, state: dict) -> None:
-        self.cutovers = int(state["cutovers"])
-        self.drains = int(state["drains"])
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         tiers = sum(len(v) for v in self.doors.values())

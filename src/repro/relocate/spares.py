@@ -19,12 +19,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.ontology.slkt import Slkt, build_slkt
+from repro.persist.core import Persistent, scalars, table
 
 __all__ = ["SparePool"]
 
 
-class SparePool:
+class SparePool(Persistent):
     """Warm standby servers available as relocation targets."""
+
+    #: claims only; templates are structural (registered at build from
+    #: the same deterministic site construction)
+    _persist = (table("claims"),
+                *scalars(int, "claims_made", "claims_released"))
 
     def __init__(self, dc):
         self.dc = dc
@@ -84,20 +90,6 @@ class SparePool:
 
     def claimed_for(self, host_name: str) -> Optional[str]:
         return self.claims.get(host_name)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Claims only; templates are structural (registered at build
-        from the same deterministic site construction)."""
-        return {"claims": dict(sorted(self.claims.items())),
-                "claims_made": self.claims_made,
-                "claims_released": self.claims_released}
-
-    def restore_state(self, state: dict) -> None:
-        self.claims = dict(state["claims"])
-        self.claims_made = int(state["claims_made"])
-        self.claims_released = int(state["claims_released"])
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<SparePool spares={len(self.templates)} "

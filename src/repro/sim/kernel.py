@@ -24,6 +24,7 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.persist.core import Persistent, pending, scalar
 from repro.trace.tracer import NULL_TRACER
 
 __all__ = ["Simulator", "Event", "Signal", "SimProcess", "Interrupt"]
@@ -257,13 +258,18 @@ class SimProcess:
         return f"<SimProcess {name!r} done={done}>"
 
 
-class Simulator:
+class Simulator(Persistent):
     """The event loop.
 
     Time is a float number of seconds since the simulation epoch
     (defined by :mod:`repro.sim.calendar` as a Monday, 00:00).  The loop
     never moves time backwards; scheduling in the past raises.
     """
+
+    #: kernel scalars only; pending events are claimed and re-armed by
+    #: the components that own them (see repro.persist)
+    _persist = (scalar("now", float), scalar("next_seq", int, "_seq"),
+                scalar("events_processed", int))
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
@@ -428,20 +434,6 @@ class Simulator:
             ev._alive = False
         self._heap.clear()
 
-    def snapshot_state(self) -> dict:
-        """Kernel scalars only; pending events are claimed and re-armed
-        by the components that own them (see repro.persist)."""
-        return {
-            "now": self.now,
-            "next_seq": self._seq,
-            "events_processed": self.events_processed,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.now = float(state["now"])
-        self._seq = int(state["next_seq"])
-        self.events_processed = int(state["events_processed"])
-
     # -- conveniences ----------------------------------------------------
 
     def every(self, period: float, fn: Callable[..., Any], *args: Any,
@@ -466,11 +458,15 @@ class Simulator:
         return f"<Simulator now={self.now:.3f} queued={len(self._heap)}>"
 
 
-class Periodic:
+class Periodic(Persistent):
     """A cancellable periodic callback (the engine behind crond ticks)."""
 
     __slots__ = ("sim", "period", "fn", "args", "jitter_rng", "jitter",
                  "_event", "cancelled", "fire_count")
+    #: counters plus the pending tick (fn/args are structural -- the
+    #: rebuilt controller supplies them)
+    _persist = (scalar("fire_count", int), scalar("cancelled", bool),
+                pending("event", "_event", "_tick"))
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[..., Any],
                  args: tuple, jitter_rng=None, jitter: float = 0.0):
@@ -505,35 +501,3 @@ class Periodic:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    # -- persistence -----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters plus the pending tick's heap token (fn/args are
-        structural -- the rebuilt controller supplies them)."""
-        ev = self._event if self._event is not None and self._event.alive \
-            else None
-        return {
-            "fire_count": self.fire_count,
-            "cancelled": self.cancelled,
-            "event": ([ev.time, ev.priority, ev.seq]
-                      if ev is not None else None),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Re-arm the next tick at its exact saved token (the fresh
-        controller's own pending event is cancelled first)."""
-        self.fire_count = int(state["fire_count"])
-        self.cancelled = bool(state["cancelled"])
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        tok = state.get("event")
-        if tok is not None:
-            t, prio, seq = tok
-            self._event = self.sim.schedule_exact(t, prio, seq, self._tick)
-
-    def claimed_seqs(self) -> list[int]:
-        if self._event is not None and self._event.alive:
-            return [self._event.seq]
-        return []

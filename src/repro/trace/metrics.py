@@ -13,6 +13,8 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.persist.core import Persistent, rows, scalar, snapshot_node
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
 
@@ -56,11 +58,15 @@ class Gauge:
         return f"<Gauge {self.name}={self.value:g}>"
 
 
-class Histogram:
+class Histogram(Persistent):
     """Fixed-bucket histogram: counts of observations per upper bound,
     plus an overflow bucket, total and count for the mean."""
 
     __slots__ = ("name", "bounds", "counts", "count", "total")
+    _persist = (scalar("bounds", lambda v: tuple(float(b) for b in v),
+                       enc=list),
+                rows("counts", int), scalar("count", int),
+                scalar("total", float))
 
     def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
         if not buckets or list(buckets) != sorted(buckets):
@@ -194,10 +200,8 @@ class MetricsRegistry:
             "counters": {n: c.value
                          for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: {"bounds": list(h.bounds), "counts": list(h.counts),
-                    "count": h.count, "total": h.total}
-                for n, h in sorted(self._histograms.items())},
+            "histograms": snapshot_node(
+                dict(sorted(self._histograms.items()))),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -209,10 +213,7 @@ class MetricsRegistry:
         for name, value in state["gauges"].items():
             self.gauge(name).value = float(value)
         for name, h in state["histograms"].items():
-            hist = self.histogram(name, h["bounds"])
-            hist.counts = [int(c) for c in h["counts"]]
-            hist.count = int(h["count"])
-            hist.total = float(h["total"])
+            self.histogram(name, h["bounds"]).restore_state(h)
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.persist.core import Persistent, part, rows, scalar, via
 from repro.trace.metrics import MetricsRegistry
 
 __all__ = ["Span", "Tracer", "NULL_SPAN", "NULL_TRACER", "install_tracer"]
@@ -109,13 +110,29 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Tracer:
+class Tracer(Persistent):
     """Span/instant recorder plus the metrics registry.
 
     ``sim`` supplies the clock; a simless tracer (model-sampled
     experiments like MTTR) can pass ``clock`` or rely on
     :meth:`record_span`'s explicit timestamps.
     """
+
+    #: the full record -- spans, instants, correlations and metrics --
+    #: so chaos reports and incident reconciliation built after a
+    #: restore are byte-identical to the uninterrupted run
+    _persist = (
+        scalar("enabled", bool), scalar("capture_resumes", bool),
+        scalar("next_fault_seq", int, "_fault_seq"),
+        # insertion order is load-bearing: fault_id_for scans for the
+        # first suffix match
+        scalar("correlations", dict, "_correlations", dict),
+        via("spans", "_save_spans", "_load_spans"),
+        rows("instants",
+             lambda row: {"name": row[0], "ts": float(row[1]),
+                          "args": dict(row[2])},
+             lambda i: [i["name"], i["ts"], dict(i["args"])]),
+        part("metrics"))
 
     def __init__(self, sim=None, *, enabled: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
@@ -235,45 +252,28 @@ class Tracer:
     # -- persistence ---------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """The full record -- spans (parents encoded as indices into
-        the span list), instants, correlations and metrics -- so chaos
-        reports and incident reconciliation built after a restore are
-        byte-identical to the uninterrupted run.  Refuses to snapshot
-        mid-operation: the open-span stack must be empty."""
+        """Refuses to snapshot mid-operation: the open-span stack must
+        be empty."""
         if self._stack:
             raise ValueError(
                 f"cannot snapshot tracer with {len(self._stack)} open "
                 f"span(s): {[sp.name for sp in self._stack]}")
-        index = {id(sp): i for i, sp in enumerate(self.spans)}
-        return {
-            "enabled": self.enabled,
-            "capture_resumes": self.capture_resumes,
-            "next_fault_seq": self._fault_seq,
-            # insertion order is load-bearing: fault_id_for scans for
-            # the first suffix match
-            "correlations": dict(self._correlations),
-            "spans": [[sp.name, sp.start, sp.end, dict(sp.attrs),
-                       index.get(id(sp.parent))] for sp in self.spans],
-            "instants": [[i["name"], i["ts"], dict(i["args"])]
-                         for i in self.instants],
-            "metrics": self.metrics.snapshot_state(),
-        }
+        return super().snapshot_state()
 
-    def restore_state(self, state: dict) -> None:
-        self.enabled = bool(state["enabled"])
-        self.capture_resumes = bool(state["capture_resumes"])
-        self._fault_seq = int(state["next_fault_seq"])
-        self._correlations = dict(state["correlations"])
+    def _save_spans(self) -> list:
+        """Parents are encoded as indices into the span list."""
+        index = {id(sp): i for i, sp in enumerate(self.spans)}
+        return [[sp.name, sp.start, sp.end, dict(sp.attrs),
+                 index.get(id(sp.parent))] for sp in self.spans]
+
+    def _load_spans(self, saved: list) -> None:
         self.spans = []
         self._stack = []
-        for name, start, end, attrs, parent_idx in state["spans"]:
+        for name, start, end, attrs, parent_idx in saved:
             parent = self.spans[parent_idx] if parent_idx is not None else None
             sp = Span(self, name, float(start), dict(attrs), parent)
             sp.end = None if end is None else float(end)
             self.spans.append(sp)
-        self.instants = [{"name": name, "ts": float(ts), "args": dict(args)}
-                         for name, ts, args in state["instants"]]
-        self.metrics.restore_state(state["metrics"])
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"

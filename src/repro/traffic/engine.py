@@ -23,7 +23,7 @@ registry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.traffic.frontdoor import FrontDoor
 from repro.traffic.slo import Sli
@@ -121,48 +121,6 @@ class _EngineBase:
     def snapshot(self) -> Dict[str, dict]:
         return {name: sli.snapshot()
                 for name, sli in sorted(self.slis.items())}
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "running": self._running,
-            "event": ([self._event.time, self._event.priority,
-                       self._event.seq]
-                      if self._event is not None and self._event.alive
-                      else None),
-            "slis": {name: sli.snapshot_state()
-                     for name, sli in sorted(self.slis.items())},
-            "doors": {name: door.snapshot_state()
-                      for name, door in sorted(self.doors.items())},
-        }
-
-    def restore_state(self, state: dict, resolve_app) -> None:
-        """``resolve_app(host_name, app_name)`` re-binds door servers
-        (relocations may have moved them off the built tier)."""
-        self.ticks = int(state["ticks"])
-        self._running = bool(state["running"])
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        token = state["event"]
-        if token is not None:
-            t, prio, seq = token
-            self._event = self.sim.schedule_exact(t, prio, seq, self._tick)
-        saved = state["slis"]
-        if set(saved) != set(self.slis):
-            raise KeyError(f"engine snapshot classes {sorted(saved)} != "
-                           f"rebuilt classes {sorted(self.slis)}")
-        for name, sli in self.slis.items():
-            sli.restore_state(saved[name])
-        for name, door in self.doors.items():
-            door.restore_state(state["doors"][name], resolve_app)
-
-    def claimed_seqs(self) -> List[int]:
-        if self._event is not None and self._event.alive:
-            return [self._event.seq]
-        return []
 
 
 def dispatch_fluid(door, n: int, now: float,

@@ -20,14 +20,23 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.persist.core import (Persistent, scalar, scalars, sortedset,
+                                via)
+
 __all__ = ["FrontDoor", "GeoFrontDoor", "Allocation"]
 
 #: (app, request count) pairs plus the shed remainder
 Allocation = Tuple[List[Tuple[object, int]], int]
 
 
-class FrontDoor:
+class FrontDoor(Persistent):
     """Spreads aggregated demand batches across one application tier."""
+
+    _persist = (via("apps", "_save_apps", "_load_apps"),
+                sortedset("down", attr="_down"),
+                scalar("rr_offset", int, "_rr_offset"),
+                *scalars(int, "routed", "shed_total", "rr_batches",
+                         "weighted_batches", "conditions_applied"))
 
     def __init__(self, app_type: str, apps: Sequence,
                  dgspl_fn: Optional[Callable[[], Optional[object]]] = None,
@@ -183,39 +192,20 @@ class FrontDoor:
 
     # -- persistence ---------------------------------------------------------
 
-    def snapshot_state(self) -> dict:
+    def _save_apps(self) -> list:
+        return [[a.host.name, a.name] for a in self.apps]
+
+    def _load_apps(self, saved: list) -> None:
         """The server set is part of the state: relocation cutovers may
         have swapped instances in, so the (host, app) pairs are saved
-        and re-resolved at restore rather than trusting the rebuild."""
-        return {"apps": [[a.host.name, a.name] for a in self.apps],
-                "down": sorted(self._down),
-                "rr_offset": self._rr_offset,
-                "routed": self.routed,
-                "shed_total": self.shed_total,
-                "rr_batches": self.rr_batches,
-                "weighted_batches": self.weighted_batches,
-                "conditions_applied": self.conditions_applied}
-
-    def restore_state(self, state: dict, resolve_app) -> None:
-        """``resolve_app(host_name, app_name)`` must return the live
-        application instance in the restored site."""
-        self.apps = [resolve_app(host, name)
-                     for host, name in state["apps"]]
-        self.apps.sort(key=lambda a: (a.host.name, a.name))
-        self._down = set(state["down"])
-        self._rr_offset = int(state["rr_offset"])
-        self.routed = int(state["routed"])
-        self.shed_total = int(state["shed_total"])
-        self.rr_batches = int(state["rr_batches"])
-        self.weighted_batches = int(state["weighted_batches"])
-        self.conditions_applied = int(state["conditions_applied"])
-
-    def __repr__(self) -> str:   # pragma: no cover - debug aid
-        return (f"<FrontDoor {self.app_type} servers={len(self.apps)} "
-                f"down={len(self._down)}>")
+        and re-resolved -- in the datacentre this tier's servers live
+        in -- rather than trusting the rebuild."""
+        hosts = self.apps[0].host.datacenter.hosts
+        self.apps = sorted((hosts[host].apps[name] for host, name in saved),
+                           key=lambda a: (a.host.name, a.name))
 
 
-class GeoFrontDoor:
+class GeoFrontDoor(Persistent):
     """The federation's global tier above the per-site front doors.
 
     Splits one region's demand batch across *sites* the same way a
@@ -236,6 +226,8 @@ class GeoFrontDoor:
 
     #: latency deflation scale (ms): a site this far away halves its weight
     LATENCY_SCALE_MS = 100.0
+    _persist = (sortedset("flagged_down"),
+                *scalars(int, "steered", "shed_total", "remote_steered"))
 
     def __init__(self, fed_dgspl, *, home_site, region_latency_ms,
                  geo_steering: bool = True):
@@ -310,19 +302,3 @@ class GeoFrontDoor:
         self.remote_steered += sum(c for s, c in zip(live, counts)
                                    if s != home)
         return ([(s, c) for s, c in zip(live, counts) if c > 0], 0)
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "flagged_down": sorted(self.flagged_down),
-            "steered": self.steered,
-            "shed_total": self.shed_total,
-            "remote_steered": self.remote_steered,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.flagged_down = set(state["flagged_down"])
-        self.steered = int(state["steered"])
-        self.shed_total = int(state["shed_total"])
-        self.remote_steered = int(state["remote_steered"])

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim.calendar import HOUR, MINUTE, is_business_hours, is_weekend
+from repro.persist.core import Persistent, part, scalars
 from repro.trace.metrics import Histogram
 
 __all__ = ["LATENCY_BUCKETS_MS", "Sli", "Slo", "SloStatus",
@@ -54,7 +55,7 @@ LATENCY_BUCKETS_MS = (5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
                       1000.0, 3000.0, 8000.0)
 
 
-class Sli:
+class Sli(Persistent):
     """Streaming service-level indicators for one traffic class.
 
     Fed by the traffic engines in aggregated batches; all state is a
@@ -63,6 +64,8 @@ class Sli:
     """
 
     __slots__ = ("name", "attempted", "served", "shed", "latency")
+    _persist = (*scalars(float, "attempted", "served", "shed"),
+                part("latency"))
 
     def __init__(self, name: str,
                  buckets: Sequence[float] = LATENCY_BUCKETS_MS):
@@ -108,26 +111,6 @@ class Sli:
                 "availability": self.availability,
                 "latency_p50_ms": self.latency_quantile(0.50),
                 "latency_p99_ms": self.latency_quantile(0.99)}
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"attempted": self.attempted, "served": self.served,
-                "shed": self.shed,
-                "latency": {"bounds": list(self.latency.bounds),
-                            "counts": list(self.latency.counts),
-                            "count": self.latency.count,
-                            "total": self.latency.total}}
-
-    def restore_state(self, state: dict) -> None:
-        self.attempted = float(state["attempted"])
-        self.served = float(state["served"])
-        self.shed = float(state["shed"])
-        h = state["latency"]
-        self.latency = Histogram(f"{self.name}.latency_ms", h["bounds"])
-        self.latency.counts = [int(c) for c in h["counts"]]
-        self.latency.count = int(h["count"])
-        self.latency.total = float(h["total"])
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<Sli {self.name} avail={self.availability:.6f} "

@@ -18,13 +18,18 @@ The policy itself never talks to the cron; the agent reads
 
 from __future__ import annotations
 
+from repro.persist.core import Persistent, scalar, scalars
+
 __all__ = ["WakePolicy"]
 
 MODES = ("fixed", "adaptive")
 
 
-class WakePolicy:
+class WakePolicy(Persistent):
     """Adaptive wake interval for one agent."""
+
+    _persist = (scalar("current_period", float),
+                *scalars(int, "backoffs", "resets", "triggers"))
 
     def __init__(self, base_period: float, *, mode: str = "adaptive",
                  max_period: float = 1800.0, backoff: float = 2.0):
@@ -75,20 +80,6 @@ class WakePolicy:
         self.current_period = self.base_period
         self.resets += 1
         return True
-
-    # -- persistence ---------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"current_period": self.current_period,
-                "backoffs": self.backoffs,
-                "resets": self.resets,
-                "triggers": self.triggers}
-
-    def restore_state(self, state: dict) -> None:
-        self.current_period = float(state["current_period"])
-        self.backoffs = int(state["backoffs"])
-        self.resets = int(state["resets"])
-        self.triggers = int(state["triggers"])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<WakePolicy {self.mode} {self.current_period:g}s "

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.cluster.syslog import SEVERITIES
+from repro.persist.core import Persistent, scalar, scalars, table
 
 __all__ = ["Trigger", "TriggerBus"]
 
@@ -43,8 +44,14 @@ class Trigger:
     time: float = 0.0
 
 
-class TriggerBus:
+class TriggerBus(Persistent):
     """Per-host bridge from local signals to agent demand-wakes."""
+
+    #: cooldown clocks and counters; subscriptions and source taps are
+    #: structural (re-wired when the suite is rebuilt)
+    _persist = (scalar("enabled", bool),
+                table("last_wake", float, attr="_last_wake"),
+                *scalars(int, "published", "demand_wakes", "suppressed"))
 
     def __init__(self, host, *, cooldown: float = 60.0):
         self.host = host
@@ -119,25 +126,6 @@ class TriggerBus:
                 self.demand_wakes += 1
                 woken += 1
         return woken
-
-    # -- persistence -----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Cooldown clocks and counters; subscriptions and source taps
-        are structural (re-wired when the suite is rebuilt)."""
-        return {"enabled": self.enabled,
-                "last_wake": dict(sorted(self._last_wake.items())),
-                "published": self.published,
-                "demand_wakes": self.demand_wakes,
-                "suppressed": self.suppressed}
-
-    def restore_state(self, state: dict) -> None:
-        self.enabled = bool(state["enabled"])
-        self._last_wake = {k: float(v)
-                           for k, v in state["last_wake"].items()}
-        self.published = int(state["published"])
-        self.demand_wakes = int(state["demand_wakes"])
-        self.suppressed = int(state["suppressed"])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TriggerBus {self.host.name} subs={len(self._subs)} "
