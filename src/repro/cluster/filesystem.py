@@ -182,6 +182,17 @@ class FileSystem:
         mount.used_bytes += extra
         return f
 
+    def drop_head(self, path: str, count: int, now: float = 0.0) -> None:
+        """Evict the oldest ``count`` lines in place: what
+        ``write(path, lines[count:])`` does to the file, its mount and
+        ``mtime``, without copying the lines that stay."""
+        f = self.stat(path)
+        freed = sum(len(l) + 1 for l in f.lines[:count])
+        mount = self._check_writable(f.path, -freed)
+        del f.lines[:count]
+        f.mtime = now
+        mount.used_bytes -= freed
+
     def read(self, path: str) -> List[str]:
         path = _norm(path)
         mount = self.mount_of(path)

@@ -5,7 +5,8 @@ logs.  These intelliagents can suggest what may be wrong during service
 degradation and have limited troubleshooting capabilities."
 
 Every wake samples all five measurement workgroups into the circular
-logs, compares the snapshot against the baselines, and on a breach
+logs (the store timelines are read back from), compares the fresh
+snapshot against the baselines, and on a breach
 notifies administrators with a *report* that narrows the candidate
 causes ("created comprehensive reports about what may have caused a
 performance related problem and helped narrow down various
@@ -102,5 +103,6 @@ class PerformanceAgent(Intelliagent):
             pass
 
     def timeline(self, group: str, metric: str):
-        """Administrators 'can generate timelines of system behaviour'."""
+        """Administrators 'can generate timelines of system behaviour':
+        the metric's history as the circular log retains it."""
         return self.samplers.get_series(group, metric)

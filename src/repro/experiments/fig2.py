@@ -11,6 +11,7 @@ paper-vs-measured rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -85,26 +86,19 @@ def _replication_worker(seed: int, horizon: float = YEAR,
 
 def run_replicated(seeds: List[int], *, horizon: float = YEAR,
                    agent_period: float = 300.0,
-                   parallel: bool = False,
                    processes: Optional[int] = None) -> Fig2Result:
     """Average the campaign over independent replications.
 
-    With ``parallel=True`` the replications fan out over a process
-    pool (they are embarrassingly parallel; results are identical to
-    the serial path because every replication derives its randomness
-    from its own seed)."""
+    The replications go through :func:`repro.parallel.replicate`
+    (process pool when it pays, in-process otherwise or with
+    ``processes=1``); results are identical either way because every
+    replication derives its randomness from its own seed."""
     if not seeds:
         raise ValueError("need at least one seed")
-    if parallel:
-        from functools import partial
-        from repro.parallel import replicate
-        outcomes = replicate(
-            partial(_replication_worker, horizon=horizon,
-                    agent_period=agent_period),
-            seeds, processes=processes, min_parallel=2)
-    else:
-        outcomes = [_replication_worker(s, horizon, agent_period)
-                    for s in seeds]
+    from repro.parallel import replicate   # pulls in multiprocessing
+    worker = partial(_replication_worker, horizon=horizon,
+                     agent_period=agent_period)
+    outcomes = replicate(worker, seeds, processes=processes, min_parallel=2)
 
     acc_b = {c: 0.0 for c in Category}
     acc_a = {c: 0.0 for c in Category}

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
 from repro.experiments.report import table
-from repro.experiments.userqos import PipelineQos, _merge_mean, _score
+from repro.experiments.userqos import PipelineQos, _mean_summary, _score
 from repro.faults.campaign import Campaign
 from repro.relocate.model import RelocationPolicy, apply_relocation
 from repro.sim import RandomStreams
@@ -101,35 +101,15 @@ def run_once(seed: int = 0, *, horizon: float = YEAR,
         relocations=stats.summary())
 
 
-def _replication_worker(seed: int, horizon: float = YEAR,
-                        step: float = 5 * MINUTE,
-                        population: int = 1_000_000,
-                        agent_period: float = 300.0) -> dict:
-    return run_once(seed, horizon=horizon, step=step,
-                    population=population,
-                    agent_period=agent_period).summary()
-
-
 def run_replicated(seeds: List[int], *, horizon: float = YEAR,
                    step: float = 5 * MINUTE, population: int = 1_000_000,
-                   agent_period: float = 300.0, parallel: bool = False,
+                   agent_period: float = 300.0,
                    processes: Optional[int] = None) -> dict:
-    """Mean summary over independent fault draws (serial == parallel,
-    same contract as the userqos experiment)."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    from functools import partial
-    worker = partial(_replication_worker, horizon=horizon, step=step,
-                     population=population, agent_period=agent_period)
-    if parallel:
-        from repro.parallel import replicate
-        summaries = replicate(worker, seeds, processes=processes,
-                              min_parallel=2)
-    else:
-        summaries = [worker(s) for s in seeds]
-    merged = _merge_mean(summaries)
-    merged["replications"] = len(seeds)
-    return merged
+    """Mean summary over independent fault draws (pool or in-process,
+    same result: the userqos experiment's contract)."""
+    return _mean_summary(run_once, seeds, processes, horizon=horizon,
+                         step=step, population=population,
+                         agent_period=agent_period)
 
 
 def _pct(a: float) -> str:

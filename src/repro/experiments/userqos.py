@@ -19,6 +19,7 @@ same faults" -- the statement the title actually makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -193,14 +194,10 @@ def run_once(seed: int = 0, *, horizon: float = YEAR,
         overnight_hour_user_minutes=overnight)
 
 
-def _replication_worker(seed: int, horizon: float = YEAR,
-                        step: float = 5 * MINUTE,
-                        population: int = 1_000_000,
-                        agent_period: float = 300.0) -> dict:
+def _summary(run, seed: int, **kw) -> dict:
     """One replication reduced to its summary dict (picklable: the
     process-pool unit of work)."""
-    return run_once(seed, horizon=horizon, step=step, population=population,
-                    agent_period=agent_period).summary()
+    return run(seed, **kw).summary()
 
 
 def _merge_mean(dicts: List[dict]) -> dict:
@@ -217,28 +214,30 @@ def _merge_mean(dicts: List[dict]) -> dict:
     return out
 
 
-def run_replicated(seeds: List[int], *, horizon: float = YEAR,
-                   step: float = 5 * MINUTE, population: int = 1_000_000,
-                   agent_period: float = 300.0, parallel: bool = False,
-                   processes: Optional[int] = None) -> dict:
-    """Mean summary over independent fault draws.  With ``parallel``
-    the replications fan out over the process pool; results are
-    identical to the serial path (each draw derives all randomness from
-    its own seed, and the mean runs over the same ordered list)."""
+def _mean_summary(run, seeds, processes, **kw) -> dict:
+    """Mean of ``run(seed, **kw).summary()`` over independent fault
+    draws.  The draws go through :func:`repro.parallel.replicate`
+    (process pool when it pays, in-process otherwise or with
+    ``processes=1``); results are identical either way (each draw
+    derives all randomness from its own seed, and the mean runs over
+    the same ordered list)."""
     if not seeds:
         raise ValueError("need at least one seed")
-    from functools import partial
-    worker = partial(_replication_worker, horizon=horizon, step=step,
-                     population=population, agent_period=agent_period)
-    if parallel:
-        from repro.parallel import replicate
-        summaries = replicate(worker, seeds, processes=processes,
-                              min_parallel=2)
-    else:
-        summaries = [worker(s) for s in seeds]
-    merged = _merge_mean(summaries)
+    from repro.parallel import replicate   # pulls in multiprocessing
+    merged = _merge_mean(replicate(partial(_summary, run, **kw), seeds,
+                                   processes=processes, min_parallel=2))
     merged["replications"] = len(seeds)
     return merged
+
+
+def run_replicated(seeds: List[int], *, horizon: float = YEAR,
+                   step: float = 5 * MINUTE, population: int = 1_000_000,
+                   agent_period: float = 300.0,
+                   processes: Optional[int] = None) -> dict:
+    """Mean summary over independent fault draws."""
+    return _mean_summary(run_once, seeds, processes, horizon=horizon,
+                         step=step, population=population,
+                         agent_period=agent_period)
 
 
 def _pct(a: float) -> str:

@@ -5,6 +5,10 @@ a circular queue, the length of which was configurable."  The log lives
 in the host's simulated filesystem as a real flat-ASCII file, so disk
 accounting and the agents' file-based workflows see it; the circular
 discipline caps its length.
+
+The file is the only copy of what was appended (sampler timelines are
+parsed back out of it) and is checkpointed with the host filesystem;
+eviction drops the head in place rather than rewriting the file.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ class CircularLog:
     def append(self, line: str, now: float = 0.0) -> None:
         """Append, evicting the oldest line(s) beyond capacity."""
         f = self.fs.append(self.path, line, now=now)
-        if len(f.lines) > self.maxlen:
-            # rewrite keeps mount accounting consistent
-            self.fs.write(self.path, f.lines[-self.maxlen:], now=now)
+        excess = len(f.lines) - self.maxlen
+        if excess > 0:
+            self.fs.drop_head(self.path, excess, now=now)
 
     def lines(self) -> List[str]:
         return self.fs.read(self.path)

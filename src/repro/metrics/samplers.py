@@ -4,9 +4,11 @@
 disks, application processes and user processes.  Each sampler runs the
 relevant shell tools on its host (vmstat/sar for OS, netstat/nfsstat
 for network, iostat for disks, ps-walks for processes), parses the
-ASCII, appends a record to the group's circular log under
-``/logs/perf/<group>`` and feeds the in-memory time series the
-threshold checks read.
+ASCII and appends a record to the group's circular log under
+``/logs/perf/<host>/<group>``.  That file is the only copy: threshold
+checks read the fresh sample, and a timeline
+(:meth:`SamplerSuite.get_series`) is parsed back out of the retained
+lines, as deep as the log is long and as durable as the host's disk.
 
 "All techniques were non-intrusive": a sampler is pull-only; it never
 mutates the thing it measures.
@@ -55,31 +57,25 @@ class SamplerSuite:
 
     def __init__(self, host, *, log_maxlen: int = 2000):
         self.host = host
-        self.series: Dict[str, Dict[str, TimeSeries]] = {
-            g: {} for g in WORKGROUPS}
         self.logs: Dict[str, CircularLog] = {}
         self.log_maxlen = log_maxlen
         self.samples_taken = 0
 
+    def _path(self, group: str) -> str:
+        # "classified first by server name and then by measurement group"
+        return f"/logs/perf/{self.host.name}/{group}"
+
     def _log(self, group: str) -> CircularLog:
         log = self.logs.get(group)
         if log is None:
-            # "classified first by server name and then by measurement group"
-            path = f"/logs/perf/{self.host.name}/{group}"
-            log = CircularLog(self.host.fs, path, self.log_maxlen)
-            self.logs[group] = log
+            log = self.logs[group] = CircularLog(
+                self.host.fs, self._path(group), self.log_maxlen)
         return log
 
     def _record(self, group: str, now: float,
                 metrics: Dict[str, float]) -> Sample:
         sample = Sample(now, group, metrics)
         self._log(group).append(sample.format(), now=now)
-        bucket = self.series[group]
-        for key, value in metrics.items():
-            ts = bucket.get(key)
-            if ts is None:
-                ts = bucket[key] = TimeSeries(f"{group}.{key}")
-            ts.append(now, value)
         self.samples_taken += 1
         return sample
 
@@ -185,4 +181,19 @@ class SamplerSuite:
                 self.sample_user_procs()]
 
     def get_series(self, group: str, key: str) -> Optional[TimeSeries]:
-        return self.series.get(group, {}).get(key)
+        """One metric's retained history, parsed from the group's log
+        (``None`` if never sampled).  Reads the file directly:
+        :meth:`_log` would create one."""
+        fs, path = self.host.fs, self._path(group)
+        if not fs.exists(path):
+            return None
+        ts = TimeSeries(f"{group}.{key}")
+        for lineno, line in enumerate(fs.read(path), 1):
+            try:
+                sample = Sample.parse(group, line)
+                if key in sample.metrics:
+                    ts.append(sample.time, sample.metrics[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad sample line "
+                                 f"{line!r}: {exc}") from exc
+        return ts if len(ts) else None

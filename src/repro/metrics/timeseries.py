@@ -25,6 +25,10 @@ class TimeSeries:
     the backing lists are sliced in blocks once they reach twice the
     cap, so appends stay O(1) amortised while the telemetry rollup
     loop appends to hundreds of series every tick.
+
+    Only :class:`repro.observe.pipeline.TelemetryHub` keeps series
+    alive between calls (ringed, snapshotted); any other is built on
+    read from the store that owns the samples, e.g. a sampler log.
     """
 
     def __init__(self, name: str = "", maxlen: Optional[int] = None):

@@ -41,11 +41,41 @@ def default_workers() -> int:
     return max(1, cpus - 1)
 
 
-def _call(fn: Callable[[int], T], seed: int) -> T:
-    try:
-        return fn(seed)
-    except Exception as exc:
-        raise ReplicationError(seed, exc) from exc
+def _fan_out(worker: Callable[[int], T], seeds: Sequence[int],
+             processes: Optional[int], min_parallel: int,
+             lost: Callable[[int, Exception], T]) -> List[T]:
+    """``worker(seed)`` for every seed, results in seed order: on a
+    process pool when the batch and the machine make that pay, else
+    (or if the pool cannot spawn) in this process.  ``lost(seed, exc)``
+    answers for a call that raised: the seed's result, or it raises."""
+    seeds = list(seeds)
+    workers = processes if processes is not None else default_workers()
+
+    def gather(results):
+        out = []
+        for seed, result in zip(seeds, results):
+            try:
+                out.append(result())
+            except Exception as exc:
+                out.append(lost(seed, exc))
+        return out
+
+    if len(seeds) >= min_parallel and workers > 1:
+        try:
+            with ProcessPoolExecutor(min(workers, len(seeds))) as ex:
+                return gather([ex.submit(worker, s).result for s in seeds])
+        except (OSError, PermissionError, RuntimeError):
+            # restricted environment: do the work here instead
+            # (ReplicationError deliberately escapes this net)
+            pass
+    return gather(partial(worker, s) for s in seeds)
+
+
+def _failed(seed: int, exc: Exception):
+    if isinstance(exc, BrokenProcessPool):
+        # pool infrastructure died, not fn: serial fallback
+        raise exc
+    raise ReplicationError(seed, exc) from exc
 
 
 def replicate(fn: Callable[[int], T], seeds: Sequence[int], *,
@@ -59,27 +89,7 @@ def replicate(fn: Callable[[int], T], seeds: Sequence[int], *,
     replication raises :class:`ReplicationError` with the seed, on
     either path.
     """
-    seeds = list(seeds)
-    workers = processes if processes is not None else default_workers()
-    if len(seeds) < min_parallel or workers <= 1:
-        return [_call(fn, s) for s in seeds]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as ex:
-            futures = [(s, ex.submit(fn, s)) for s in seeds]
-            results = []
-            for seed, fut in futures:
-                try:
-                    results.append(fut.result())
-                except BrokenProcessPool:
-                    # pool infrastructure died, not fn: serial fallback
-                    raise
-                except Exception as exc:
-                    raise ReplicationError(seed, exc) from exc
-            return results
-    except (OSError, PermissionError, RuntimeError):
-        # restricted environment: do the work here instead
-        # (ReplicationError deliberately escapes this net)
-        return [_call(fn, s) for s in seeds]
+    return _fan_out(fn, seeds, processes, min_parallel, _failed)
 
 
 @dataclass
@@ -125,22 +135,8 @@ def replicate_outcomes(fn: Callable[[int], T], seeds: Sequence[int], *,
     as :func:`replicate`; ``fn`` must be module-level picklable for
     the pool path (``functools.partial`` of one is fine).
     """
-    worker: Callable[[int], SeedOutcome] = partial(_outcome_call, fn)
-    seeds = list(seeds)
-    workers = processes if processes is not None else default_workers()
-    if len(seeds) < min_parallel or workers <= 1:
-        return [worker(s) for s in seeds]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as ex:
-            futures = [(s, ex.submit(worker, s)) for s in seeds]
-            out: List[SeedOutcome] = []
-            for seed, fut in futures:
-                try:
-                    out.append(fut.result())
-                except Exception as exc:
-                    # pool-level failure for this seed (e.g. the value
-                    # would not pickle): still a structured outcome
-                    out.append(SeedOutcome(seed, False, error=repr(exc)))
-            return out
-    except (OSError, PermissionError, RuntimeError):
-        return [worker(s) for s in seeds]
+    # a pool-level failure for one seed (e.g. the value would not
+    # pickle) is still a structured outcome
+    return _fan_out(
+        partial(_outcome_call, fn), seeds, processes, min_parallel,
+        lambda seed, exc: SeedOutcome(seed, False, error=repr(exc)))

@@ -438,17 +438,15 @@ class Simulator(Persistent):
 
     def every(self, period: float, fn: Callable[..., Any], *args: Any,
               offset: float = 0.0, jitter_rng=None,
-              jitter: float = 0.0) -> Event:
+              jitter: float = 0.0) -> Periodic:
         """Run ``fn`` periodically, starting at ``now + offset``.
 
-        Returns the first :class:`Event`; cancel the returned handle's
-        chain via the callable's ``.cancel()`` on the *controller*
-        object stashed on the function: use :class:`Periodic` instead
-        when cancellation is needed.
+        Returns the started :class:`Periodic`; its ``cancel()`` stops
+        the chain.
         """
         controller = Periodic(self, period, fn, args, jitter_rng, jitter)
         controller.start(offset)
-        return controller  # type: ignore[return-value]
+        return controller
 
     def process_all(self, gens: Iterable[Generator]) -> list[SimProcess]:
         """Spawn a batch of generator processes."""

@@ -57,28 +57,25 @@ def test_relocation_same_seed_byte_identical():
 def test_relocation_serial_and_parallel_replication_agree():
     seeds = [1, 2, 3]
     serial = relocation.run_replicated(seeds, horizon=HORIZON,
-                                       population=100_000, parallel=False)
+                                       population=100_000, processes=1)
     pooled = relocation.run_replicated(seeds, horizon=HORIZON,
-                                       population=100_000, parallel=True,
-                                       processes=2)
+                                       population=100_000, processes=2)
     assert canon(serial) == canon(pooled)
 
 
 def test_userqos_serial_and_parallel_replication_agree():
     seeds = [1, 2, 3]
     serial = userqos.run_replicated(seeds, horizon=HORIZON,
-                                    population=100_000, parallel=False)
+                                    population=100_000, processes=1)
     pooled = userqos.run_replicated(seeds, horizon=HORIZON,
-                                    population=100_000, parallel=True,
-                                    processes=2)
+                                    population=100_000, processes=2)
     assert canon(serial) == canon(pooled)
 
 
 def test_fig2_serial_and_parallel_replication_agree():
     seeds = [1, 2]
-    serial = fig2.run_replicated(seeds, horizon=HORIZON, parallel=False)
-    pooled = fig2.run_replicated(seeds, horizon=HORIZON, parallel=True,
-                                 processes=2)
+    serial = fig2.run_replicated(seeds, horizon=HORIZON, processes=1)
+    pooled = fig2.run_replicated(seeds, horizon=HORIZON, processes=2)
     assert serial.before_hours == pooled.before_hours
     assert serial.after_hours == pooled.after_hours
     assert serial.detection_before == pooled.detection_before

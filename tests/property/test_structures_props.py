@@ -9,6 +9,7 @@ from repro.faults.models import Category
 from repro.metrics.circular_log import CircularLog
 from repro.metrics.timeseries import TimeSeries
 from repro.ops.downtime import DowntimeLedger
+from tests.test_metrics_circular_log import rewrite_append
 
 lines = st.text(alphabet=st.characters(min_codepoint=32,
                                        max_codepoint=126), max_size=30)
@@ -18,11 +19,17 @@ lines = st.text(alphabet=st.characters(min_codepoint=32,
        st.integers(min_value=1, max_value=20))
 @settings(max_examples=150, deadline=None)
 def test_circular_log_keeps_exactly_the_tail(entries, maxlen):
-    log = CircularLog(FileSystem(), "/logs/x", maxlen=maxlen)
-    for e in entries:
-        log.append(e)
+    fs, ref = FileSystem(), FileSystem()
+    log = CircularLog(fs, "/logs/x", maxlen=maxlen)
+    CircularLog(ref, "/logs/x", maxlen=maxlen)
+    for i, e in enumerate(entries):
+        log.append(e, now=float(i))
+        rewrite_append(ref, "/logs/x", e, maxlen, now=float(i))
     assert log.lines() == entries[-maxlen:]
     assert len(log) <= maxlen
+    # the in-place head drop leaves the bytes, mtime and mount
+    # accounting the rewrite-from-tail reference leaves
+    assert fs.snapshot_state() == ref.snapshot_state()
 
 
 @given(st.lists(lines, min_size=1, max_size=200),

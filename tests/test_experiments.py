@@ -41,8 +41,8 @@ def test_fig2_requires_seeds():
 
 
 def test_fig2_parallel_matches_serial():
-    serial = fig2.run_replicated([5, 6])
-    par = fig2.run_replicated([5, 6], parallel=True)
+    serial = fig2.run_replicated([5, 6], processes=1)
+    par = fig2.run_replicated([5, 6], processes=2)
     assert par.before_hours == serial.before_hours
     assert par.after_hours == serial.after_hours
 

@@ -1,15 +1,18 @@
 """Memory discipline: every unbounded-looking collection is ringed.
 
-A year-scale run appends to shell histories, telemetry series and the
-condition log millions of times; these regression tests pin (a) the
+A year-scale run appends to shell histories, telemetry series, the
+condition log and the samplers' per-host measurement history millions
+of times; these regression tests pin (a) the
 caps actually trim, (b) the ``dropped``/``trimmed`` counters own up to
 what was clipped, and (c) the trimmed state survives a snapshot round
 trip -- so a resumed segment inherits bounded books, not a fresh leak.
 """
 
+import gc
 from collections import deque
 
 from repro.controlplane.ledger import ConditionLedger
+from repro.metrics.samplers import WORKGROUPS, SamplerSuite
 from repro.metrics.timeseries import TimeSeries
 from repro.observe.pipeline import TelemetryHub
 
@@ -56,6 +59,39 @@ def test_timeseries_ring_bounds_growth_and_counts():
     assert ts.dropped + len(ts) == 100
     # clipped lookups fall back to the oldest *retained* sample
     assert ts.value_at(0.0) == ts.times[0]
+
+
+# -- sampler history -----------------------------------------------------------
+
+
+def _live_timeseries() -> int:
+    gc.collect()
+    return sum(isinstance(o, TimeSeries) for o in gc.get_objects())
+
+
+def test_sampler_history_is_the_circular_log_and_nothing_else(
+        database, notifications):
+    """The measurement history has one copy, the ringed ASCII log: no
+    series object outlives a wake, and a timeline is that log read
+    back -- the newest ``log_maxlen`` samples, no more."""
+    from repro.core.performance_agent import PerformanceAgent
+    host = database.host
+    agent = PerformanceAgent(host, notifications=notifications)
+    host.crond.remove(agent.name)               # manual drive only
+    agent.samplers = SamplerSuite(host, log_maxlen=5)
+    before = _live_timeseries()
+    wakes = []
+    for _ in range(12):
+        host.sim.run(until=host.sim.now + 300)
+        agent.run()
+        wakes.append(host.sim.now)
+    assert _live_timeseries() == before
+    for group in WORKGROUPS:
+        assert len(host.fs.read(f"/logs/perf/{host.name}/{group}")) == 5
+    ts = agent.timeline("os", "cpu_idle")
+    assert list(ts.times) == wakes[-5:]
+    del ts
+    assert _live_timeseries() == before
 
 
 # -- telemetry condition log -------------------------------------------------

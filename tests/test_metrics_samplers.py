@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.filesystem import FsOfflineError
 from repro.metrics.samplers import Sample, SamplerSuite, WORKGROUPS
 
 
@@ -85,3 +86,57 @@ def test_sample_format_roundtrip():
     parsed = Sample.parse("os", s.format())
     assert parsed.time == 12.5
     assert parsed.metrics == {"a": 1.25, "b": -3.0}
+
+
+# -- reading history back from the log -------------------------------------------
+
+
+def _garble_third_line(host):
+    host.fs.append(f"/logs/perf/{host.name}/os", "1400.0 cpu_idle=n/a")
+
+
+def _out_of_order_line(host):
+    host.fs.append(f"/logs/perf/{host.name}/os", "1.0 cpu_idle=50.000")
+
+
+def _logs_offline(host):
+    host.fs.mounts["/logs"].online = False
+
+
+@pytest.mark.parametrize("damage, group, key, expected", [
+    (_garble_third_line, "os", "cpu_idle",
+     (ValueError, r"^/logs/perf/db01/os:3: .*cpu_idle=n/a")),
+    (_out_of_order_line, "os", "cpu_idle",
+     (ValueError, r"^/logs/perf/db01/os:3: .*non-decreasing")),
+    (_logs_offline, "os", "cpu_idle", (FsOfflineError, r"^/logs: I/O error")),
+    (None, "tape", "cpu_idle", None),            # group never sampled
+    (None, "os", "nonexistent", None),           # key never sampled
+    (None, "os", "cpu_idle", 2),                 # the plain read
+], ids=["malformed-line", "time-goes-back", "logs-offline", "unknown-group",
+        "unknown-key", "after-resume"])
+def test_history_read_back_is_loud_and_read_only(suite, sim, database,
+                                                 damage, group, key,
+                                                 expected):
+    """Every read goes through a suite with no log handles yet -- the
+    state ``FidelityHarness.resume`` leaves -- and, whatever it
+    answers, leaves the host's filesystem as it found it."""
+    host = database.host
+    suite.sample_all()
+    sim.run(until=sim.now + 600)
+    suite.sample_all()
+    if damage is not None:
+        damage(host)
+    resumed = SamplerSuite(host)
+    before = host.fs.snapshot_state()
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error, match=message):
+            resumed.get_series(group, key)
+    elif expected is None:
+        assert resumed.get_series(group, key) is None
+    else:
+        ts = resumed.get_series(group, key)
+        assert ts.name == "os.cpu_idle" and len(ts) == expected
+        assert list(ts.times) == [200.0, 800.0]
+    assert host.fs.snapshot_state() == before
+    assert resumed.logs == {}

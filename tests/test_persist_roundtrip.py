@@ -169,6 +169,39 @@ def test_restore_rejects_config_mismatch():
         restore_site(snap, site=other)
 
 
+# -- measurement history ---------------------------------------------------------
+
+
+def _cpu_idle_timelines(harness):
+    out = {}
+    for name, suite in sorted(harness.site.suites.items()):
+        ts = suite.perf.timeline("os", "cpu_idle")
+        out[name] = (ts.times.tolist(), ts.values.tolist())
+    return out
+
+
+def test_resumed_timelines_equal_the_uninterrupted_run():
+    """The sampler history lives on the host filesystem the checkpoint
+    carries, so a resumed site answers ``timeline()`` with every sample
+    the uninterrupted one holds -- right after the restore (when the
+    read must not touch the world either) and two hours on."""
+    mono = FidelityHarness(_site())
+    mono.run_hours(6.0)
+    doc = json.loads(json.dumps(mono.snapshot()))
+    twin = FidelityHarness.resume(doc)
+
+    want = _cpu_idle_timelines(mono)
+    assert all(len(times) > 4 for times, _ in want.values())
+    assert _cpu_idle_timelines(twin) == want
+    assert twin.snapshot()["state_hash"] == doc["state_hash"]
+
+    mono.run_hours(2.0)
+    twin.run_hours(2.0)
+    later = _cpu_idle_timelines(mono)
+    assert all(len(later[h][0]) > len(want[h][0]) for h in want)
+    assert _cpu_idle_timelines(twin) == later
+
+
 # -- checkpoint files ----------------------------------------------------------
 
 
