@@ -44,6 +44,25 @@ def test_kernel_heap_stress(benchmark):
     assert processed > 6000
 
 
+def test_kernel_armed_cron_grid(benchmark):
+    """The shape of a 1000-host site: 6 000 periodic events armed at
+    once, each re-armed as it fires, nine rounds.  Unlike the chain
+    above (one entry in the heap, so nothing is ever compared) every
+    push and pop here sifts through ~12 levels -- this is the case that
+    prices heap ordering."""
+    armed, rounds = 6_000, 9
+
+    def grid():
+        sim = Simulator()
+        for i in range(armed):
+            sim.every(300.0, int, offset=299.0 * i / armed)
+        sim.run(until=rounds * 300.0 - 1.0)
+        return sim.events_processed
+
+    events = benchmark(grid)
+    assert events == armed * rounds
+
+
 def test_site_simulation_rate(benchmark):
     """A live agented site must simulate hours-per-second: one simulated
     hour of the test-scale site, timed."""

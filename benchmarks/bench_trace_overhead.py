@@ -20,9 +20,10 @@ _REPEATS = 7
 
 
 class _BareSimulator(Simulator):
-    """The pre-instrumentation event loop, verbatim from the seed
-    kernel: identical scheduling and budget bookkeeping, no tracer
-    check.  The honest baseline the <5% bound is against."""
+    """The event loop with the instrumentation taken out: verbatim
+    ``Simulator.run`` -- same heap entries, scheduling and budget
+    bookkeeping -- minus the tracer and profiler checks.  The honest
+    baseline the <5% bound is against."""
 
     def run(self, until=None, max_events=None):
         if self._running:
@@ -32,21 +33,21 @@ class _BareSimulator(Simulator):
         heap = self._heap
         try:
             while heap and budget > 0:
-                ev = heap[0]
+                time, _priority, _seq, ev = heap[0]
                 if not ev._alive:
                     heapq.heappop(heap)
                     continue
-                if until is not None and ev.time > until:
+                if until is not None and time > until:
                     break
                 heapq.heappop(heap)
-                self.now = ev.time
+                self.now = time
                 ev._fired = True
                 self.events_processed += 1
                 budget -= 1
                 ev.fn(*ev.args)
         finally:
             self._running = False
-        if until is not None and self.now < until:
+        if until is not None and self.now < until < self.peek():
             self.now = float(until)
 
 

@@ -39,6 +39,9 @@ class AppState(enum.Enum):
     STOPPING = "stopping"
 
 
+#: States in which the listener accepts a connection.
+_ACCEPTING = (AppState.RUNNING, AppState.DEGRADED)
+
 #: States in which processes exist in the process table.
 _PROC_STATES = {AppState.STARTING, AppState.RUNNING, AppState.DEGRADED,
                 AppState.HUNG, AppState.STOPPING}
@@ -298,15 +301,14 @@ class Application(Persistent):
 
     def accept_latency_ms(self) -> float:
         """Time to accept a TCP connection; negative = never accepts."""
-        if self.state is AppState.RUNNING:
-            return self.base_response_ms * self._load_multiplier()
+        if self.state not in _ACCEPTING:
+            return -1.0
+        return self._accept_ms(self._load_multiplier())
+
+    def _accept_ms(self, stretch: float) -> float:
         if self.state is AppState.DEGRADED:
-            return self.base_response_ms * 20.0 * self._load_multiplier()
-        if self.state is AppState.STARTING:
-            return -1.0
-        if self.state is AppState.HUNG:
-            return -1.0
-        return -1.0
+            return self.base_response_ms * 20.0 * stretch
+        return self.base_response_ms * stretch
 
     def _load_multiplier(self) -> float:
         """Response times stretch as the host saturates."""
@@ -316,22 +318,26 @@ class Application(Persistent):
 
     def service_time_ms(self) -> float:
         """Time for the probe's basic command after connecting."""
-        return 2.0 * self.base_response_ms * self._load_multiplier()
+        return self._service_ms(self._load_multiplier())
+
+    def _service_ms(self, stretch: float) -> float:
+        return 2.0 * self.base_response_ms * stretch
 
     def probe(self) -> Tuple[bool, float, str]:
         """Local health probe: "connect and run a basic command".
 
         Returns (ok, response_ms, error).  This is what the service
         intelliagents run; remote probes wrap it in a tcp_connect.
+        The connect and the command share one load reading.
         """
-        accept = self.accept_latency_ms()
-        if accept < 0:
+        if self.state not in _ACCEPTING:
             if self.state is AppState.STARTING:
                 return (False, self.connect_timeout_ms, "starting")
             if self.state is AppState.HUNG:
                 return (False, self.connect_timeout_ms, "timeout")
             return (False, 0.0, "refused")
-        total = accept + self.service_time_ms()
+        stretch = self._load_multiplier()
+        total = self._accept_ms(stretch) + self._service_ms(stretch)
         if total > self.connect_timeout_ms:
             return (False, self.connect_timeout_ms, "timeout")
         return (True, total, "")

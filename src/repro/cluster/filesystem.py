@@ -11,6 +11,15 @@ is written under them but can also be created explicitly (needed by
 filesystem-offline errors surface as exceptions that the shell layer
 converts to non-zero exit codes, which is exactly the signal the
 resource agents key on.
+
+Every agent wake writes a flag, most append to a log, so the per-call
+work is kept to what the call changes: a path is normalised once per
+operation (and an already-canonical one is returned untouched), a
+file's size is computed once, and the directory bookkeeping runs only
+when a directory gains its first file.  The one memo, mount lookup, is
+keyed by *directory* -- directories recur, file names (flag and profile
+stamps) are minted per wake -- and is derived state: never snapshotted,
+dropped whenever the mount table changes.
 """
 
 from __future__ import annotations
@@ -70,6 +79,8 @@ class Mount:
 def _norm(path: str) -> str:
     if not path.startswith("/"):
         raise FsError(f"path must be absolute: {path!r}")
+    if "//" not in path and not path.endswith("/"):
+        return path             # already canonical: the usual case
     while "//" in path:
         path = path.replace("//", "/")
     return path.rstrip("/") or "/"
@@ -92,6 +103,7 @@ class FileSystem:
         #: directory -> names of files directly inside (fast listings)
         self._dir_index: Dict[str, set] = {}
         self.mounts: Dict[str, Mount] = {}
+        #: directory -> mount of the paths directly inside it
         self._mount_cache: Dict[str, Mount] = {}
         for point, cap in (mounts or dict(self.DEFAULT_MOUNTS)).items():
             self.add_mount(point, cap)
@@ -107,23 +119,32 @@ class FileSystem:
         return mount
 
     def mount_of(self, path: str) -> Mount:
-        """Longest-prefix mount match (memoised: paths recur heavily)."""
-        path = _norm(path)
-        cached = self._mount_cache.get(path)
-        if cached is not None:
-            return cached
-        best: Optional[Mount] = None
+        """Longest-prefix mount match."""
+        return self._mount(_norm(path))
+
+    def _mount(self, path: str) -> Mount:
+        """:meth:`mount_of` for a path already normalised.  A mount
+        point is its own mount; any other path shares the mount of its
+        parent directory, which is what the memo is keyed by."""
+        mount = self.mounts.get(path)
+        if mount is not None:
+            return mount
+        parent = path.rsplit("/", 1)[0] or "/"
+        best = self._mount_cache.get(parent)
+        if best is not None:
+            return best
         for point, mount in self.mounts.items():
-            if path == point or path.startswith(point + "/") or point == "/":
+            if path.startswith(point + "/") or point == "/":
                 if best is None or len(point) > len(best.point):
                     best = mount
         if best is None:
             raise FsError(f"no mount covers {path!r}")
-        self._mount_cache[path] = best
+        self._mount_cache[parent] = best
         return best
 
     def _check_writable(self, path: str, extra_bytes: int) -> Mount:
-        mount = self.mount_of(path)
+        """``path`` is already normalised."""
+        mount = self._mount(path)
         if not mount.online:
             raise FsOfflineError(f"{mount.point}: I/O error")
         if mount.readonly:
@@ -156,15 +177,24 @@ class FileSystem:
         if isinstance(lines, str):
             lines = lines.splitlines()
         old = self._files.get(path)
-        old_size = old.size if old else 0
         new = SimFile(path, list(lines), mtime=now)
-        mount = self._check_writable(path, new.size - old_size)
+        growth = new.size - (old.size if old else 0)
+        mount = self._check_writable(path, growth)
         self._files[path] = new
-        mount.used_bytes += new.size - old_size
-        parent = path.rsplit("/", 1)[0] or "/"
-        self.mkdir(parent)
-        self._dir_index.setdefault(parent, set()).add(path)
+        mount.used_bytes += growth
+        if old is None:
+            self._index(path)
         return new
+
+    def _index(self, path: str) -> None:
+        """Enter a new file in its directory's listing; the directory
+        (and its ancestors) are created with its first file."""
+        parent = path.rsplit("/", 1)[0] or "/"
+        bucket = self._dir_index.get(parent)
+        if bucket is None:
+            self.mkdir(parent)
+            bucket = self._dir_index[parent] = set()
+        bucket.add(path)
 
     def append(self, path: str, line: str, now: float = 0.0) -> SimFile:
         path = _norm(path)
@@ -174,9 +204,7 @@ class FileSystem:
         if f is None:
             f = SimFile(path, [], mtime=now)
             self._files[path] = f
-            parent = path.rsplit("/", 1)[0] or "/"
-            self.mkdir(parent)
-            self._dir_index.setdefault(parent, set()).add(path)
+            self._index(path)
         f.lines.append(line)
         f.mtime = now
         mount.used_bytes += extra
@@ -195,7 +223,7 @@ class FileSystem:
 
     def read(self, path: str) -> List[str]:
         path = _norm(path)
-        mount = self.mount_of(path)
+        mount = self._mount(path)
         if not mount.online:
             raise FsOfflineError(f"{mount.point}: I/O error")
         f = self._files.get(path)
@@ -214,7 +242,7 @@ class FileSystem:
         f = self._files.pop(path, None)
         if f is None:
             return False
-        mount = self.mount_of(path)
+        mount = self._mount(path)
         mount.used_bytes = max(0, mount.used_bytes - f.size)
         parent = path.rsplit("/", 1)[0] or "/"
         bucket = self._dir_index.get(parent)

@@ -11,6 +11,7 @@ can *detect and report* but -- matching the paper's §4 finding that
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -65,28 +66,52 @@ class Component:
         self.failed_at = None
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(spec) -> Dict[ComponentKind, slice]:
+    """Where each kind's units sit in the FRU list a spec builds.  The
+    list is fixed at build time (faults and restores change a unit's
+    state, never the list), so one layout -- shared, never mutated --
+    serves every host of a spec."""
+    layout, start = {}, 0
+    for kind, count in (
+            # one board per 4 CPUs (minimum one), one bank per GB-ish chunk
+            (ComponentKind.CPU_BOARD, max(1, spec.cpus // 4)),
+            (ComponentKind.MEMORY_BANK, max(1, spec.ram_mb // 2048)),
+            (ComponentKind.DISK, spec.disks),
+            (ComponentKind.NIC, spec.nics),
+            (ComponentKind.PSU, 1),
+            (ComponentKind.SYSTEM_BOARD, 1)):
+        layout[kind] = slice(start, start + count)
+        start += count
+    return layout
+
+
+def _online(units: List[Component]) -> int:
+    ok = 0
+    for unit in units:
+        if unit.state is not ComponentState.FAILED:
+            ok += 1
+    return ok
+
+
 class HardwareInventory:
     """All FRUs of one host, built from its :class:`ServerSpec`."""
 
     def __init__(self, spec) -> None:
         self.spec = spec
-        self.components: List[Component] = []
-        # One board per 4 CPUs (minimum one), one bank per GB-ish chunk.
-        for i in range(max(1, spec.cpus // 4)):
-            self.components.append(Component(ComponentKind.CPU_BOARD, i))
-        for i in range(max(1, spec.ram_mb // 2048)):
-            self.components.append(Component(ComponentKind.MEMORY_BANK, i))
-        for i in range(spec.disks):
-            self.components.append(Component(ComponentKind.DISK, i))
-        for i in range(spec.nics):
-            self.components.append(Component(ComponentKind.NIC, i))
-        self.components.append(Component(ComponentKind.PSU, 0))
-        self.components.append(Component(ComponentKind.SYSTEM_BOARD, 0))
+        self._layout = _layout(spec)
+        self.components: List[Component] = [
+            Component(kind, i) for kind, span in self._layout.items()
+            for i in range(span.stop - span.start)]
 
     # -- queries ---------------------------------------------------------
 
     def of_kind(self, kind: ComponentKind) -> List[Component]:
-        return [c for c in self.components if c.kind is kind]
+        return self.components[self._layout[kind]]
+
+    def online(self, kind: ComponentKind) -> int:
+        """How many units of ``kind`` have not failed."""
+        return _online(self.of_kind(kind))
 
     def find(self, name: str) -> Component:
         for c in self.components:
@@ -120,19 +145,17 @@ class HardwareInventory:
 
     # -- capacity effects --------------------------------------------------
 
+    def _scaled(self, nominal: int, kind: ComponentKind) -> int:
+        """``nominal`` capacity times the share of ``kind`` units that
+        have not failed (every spec builds at least one board and bank)."""
+        units = self.of_kind(kind)
+        return max(0, round(nominal * _online(units) / len(units)))
+
     def effective_cpus(self) -> int:
-        boards = self.of_kind(ComponentKind.CPU_BOARD)
-        ok = sum(1 for b in boards if b.state is not ComponentState.FAILED)
-        if not boards:
-            return self.spec.cpus
-        return max(0, round(self.spec.cpus * ok / len(boards)))
+        return self._scaled(self.spec.cpus, ComponentKind.CPU_BOARD)
 
     def effective_ram_mb(self) -> int:
-        banks = self.of_kind(ComponentKind.MEMORY_BANK)
-        ok = sum(1 for b in banks if b.state is not ComponentState.FAILED)
-        if not banks:
-            return self.spec.ram_mb
-        return max(0, round(self.spec.ram_mb * ok / len(banks)))
+        return self._scaled(self.spec.ram_mb, ComponentKind.MEMORY_BANK)
 
     def status_report(self) -> Dict[str, str]:
         """Component-name → state map (what ``prtdiag``-style probes show)."""

@@ -18,7 +18,8 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.cluster.cron import Crond
 from repro.cluster.filesystem import FileSystem
-from repro.cluster.hardware import HardwareInventory
+from repro.cluster.hardware import (ComponentKind, ComponentState,
+                                    HardwareInventory)
 from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.shell import Shell
 from repro.cluster.specs import ServerSpec
@@ -35,6 +36,15 @@ __all__ = ["Host", "HostState"]
 OS_BASE_MB = 128.0
 #: Free-memory fraction below which the pager starts scanning.
 PAGING_THRESHOLD = 0.05
+
+
+def _memory_pressure(ram: float, free: float) -> float:
+    if ram <= 0:
+        return 1.0
+    free_frac = free / ram
+    if free_frac >= PAGING_THRESHOLD:
+        return 0.0
+    return 1.0 - free_frac / PAGING_THRESHOLD
 
 
 class HostState(enum.Enum):
@@ -192,23 +202,24 @@ class Host(Persistent):
 
     def cpu_utilization(self) -> float:
         """0..100 across all effective CPUs."""
+        return self._cpu_utilization(self.effective_cpus())
+
+    def _cpu_utilization(self, cpus: int) -> float:
         if not self.is_up:
             return 0.0
-        total = self.ptable.total_cpu_pct()
-        return min(100.0, total / self.effective_cpus())
+        return min(100.0, self.ptable.total_cpu_pct() / cpus)
 
-    def run_queue(self) -> int:
+    def _queued(self) -> int:
+        """Processes wanting a CPU (none while the host is not up)."""
         if not self.is_up:
             return 0
-        cpus = self.effective_cpus()
-        runnable = self.ptable.runnable() + self.extra_runnable
-        return max(0, runnable - cpus)
+        return self.ptable.runnable() + self.extra_runnable
+
+    def run_queue(self) -> int:
+        return max(0, self._queued() - self.effective_cpus())
 
     def load_average(self) -> float:
-        if not self.is_up:
-            return 0.0
-        return (self.ptable.runnable() + self.extra_runnable) / max(
-            1, self.effective_cpus())
+        return self._queued() / self.effective_cpus()
 
     def memory_used_mb(self) -> float:
         return OS_BASE_MB + self.ptable.total_mem_mb()
@@ -219,24 +230,24 @@ class Host(Persistent):
     def memory_pressure(self) -> float:
         """0 when plenty free; grows toward 1 as free memory vanishes."""
         ram = self.effective_ram_mb()
-        if ram <= 0:
-            return 1.0
-        free_frac = self.memory_free_mb() / ram
-        if free_frac >= PAGING_THRESHOLD:
-            return 0.0
-        return 1.0 - free_frac / PAGING_THRESHOLD
+        return _memory_pressure(ram, max(0.0, ram - self.memory_used_mb()))
 
     def os_metrics(self) -> Dict[str, float]:
         """The numbers §3.6 says the OS agents watch: sr, po, page
-        faults, free memory, run queue, idle %, blocked processes."""
-        pressure = self.memory_pressure()
-        util = self.cpu_utilization()
+        faults, free memory, run queue, load, idle %, blocked processes.
+        Capacity and each process-table total are read once."""
+        cpus = self.effective_cpus()
+        ram = self.effective_ram_mb()
+        free = max(0.0, ram - self.memory_used_mb())
+        pressure = _memory_pressure(ram, free)
+        util = self._cpu_utilization(cpus)
+        queued = self._queued()
         wio = min(30.0, 10.0 * self.io_pressure())
         idle = max(0.0, 100.0 - util - wio)
         return {
-            "run_queue": self.run_queue(),
+            "run_queue": max(0, queued - cpus),
             "blocked": self.ptable.blocked(),
-            "free_mb": self.memory_free_mb(),
+            "free_mb": free,
             "scan_rate": round(pressure * 400.0),
             "page_out": round(pressure * 150.0),
             "page_faults": round(20.0 + pressure * 800.0),
@@ -244,14 +255,13 @@ class Host(Persistent):
             "cpu_user": util * 0.7,
             "cpu_sys": util * 0.3,
             "cpu_wio": wio,
+            "load_avg": queued / cpus,
         }
 
     # -- disk I/O ---------------------------------------------------------------
 
     def online_disks(self) -> int:
-        from repro.cluster.hardware import ComponentKind, ComponentState
-        return sum(1 for c in self.inventory.of_kind(ComponentKind.DISK)
-                   if c.state is not ComponentState.FAILED)
+        return self.inventory.online(ComponentKind.DISK)
 
     def io_pressure(self) -> float:
         """Aggregate demand over online disks, 0..1+ (1 = saturated)."""
@@ -264,7 +274,6 @@ class Host(Persistent):
         """Per-disk iostat rows.  Service times follow an M/M/1-style
         blow-up as the disk approaches saturation (the asvc_t / wsvc_t
         values §3.6 watches)."""
-        from repro.cluster.hardware import ComponentKind, ComponentState
         disks = self.inventory.of_kind(ComponentKind.DISK)
         online = [d for d in disks if d.state is not ComponentState.FAILED]
         share = self.io_demand / len(online) if online else 0.0

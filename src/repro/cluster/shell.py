@@ -15,6 +15,7 @@ scripts, LSF utilities) via :meth:`Shell.register`.
 
 from __future__ import annotations
 
+import functools
 import shlex
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -53,6 +54,14 @@ class CommandError(Exception):
 
 
 Handler = Callable[[List[str]], CommandResult]
+
+
+@functools.lru_cache(maxsize=1024)
+def _tokenise(cmdline: str) -> tuple:
+    """``shlex.split`` once per distinct command line: agents issue the
+    same handful wake after wake, and the split is most of what a
+    one-word command costs."""
+    return tuple(shlex.split(cmdline))
 
 
 class Shell(Persistent):
@@ -100,7 +109,7 @@ class Shell(Persistent):
             self.history_trimmed += len(self.history) - self.HISTORY_LIMIT
             del self.history[:-self.HISTORY_LIMIT]
         try:
-            argv = shlex.split(cmdline)
+            argv = _tokenise(cmdline)
         except ValueError as exc:
             return CommandResult.failure(2, f"sh: parse error: {exc}")
         if not argv:
@@ -109,7 +118,7 @@ class Shell(Persistent):
         if handler is None:
             return CommandResult.failure(127, f"sh: {argv[0]}: not found")
         try:
-            return handler(argv[1:])
+            return handler(list(argv[1:]))
         except Exception as exc:  # commands fail Unix-style, not Python-style
             return CommandResult.failure(1, f"{argv[0]}: {exc}")
 

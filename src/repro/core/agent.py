@@ -390,6 +390,12 @@ class Intelliagent(Persistent):
 
     # -- persistence -----------------------------------------------------------------------------
 
+    def restore_state(self, state: dict) -> None:
+        """The host's filesystem is restored under the flag store, so
+        what the store derived from the old directory goes too."""
+        super().restore_state(state)
+        self.flags.forget()
+
     def _save_stats(self) -> list:
         return [getattr(self.stats, name) for name in _STATS]
 

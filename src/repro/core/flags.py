@@ -16,6 +16,14 @@ A store can additionally be bound to the site's condition ledger
 (:mod:`repro.controlplane`): every successful flag write then also
 appends a ``flag`` condition, which is how the incremental control
 plane learns about agent activity without re-reading the directories.
+
+Self-maintenance runs on every wake but has something to delete only
+when the oldest flag has outlived the retention, so the store carries
+a lower bound on the oldest stamp in its directory and lists the
+directory only once the cutoff has passed it.  The bound is derived,
+never saved: :meth:`FlagStore.raise_flag` lowers it, a real scan
+recomputes it, and :meth:`FlagStore.clear_all`, a new store or a
+restored filesystem (:meth:`FlagStore.forget`) start from "unknown".
 """
 
 from __future__ import annotations
@@ -66,6 +74,8 @@ class FlagStore:
         self.ledger = ledger
         self.host = host
         self.transport = transport
+        #: no flag in the directory is stamped earlier (None: unknown)
+        self._oldest: Optional[float] = None
         fs.mkdir(self.dir)
 
     def bind(self, ledger, host: str,
@@ -89,6 +99,10 @@ class FlagStore:
             flag = Flag(self.agent, status, now, detail, flag.seq + 1)
             path = f"{self.dir}/{flag.filename}"
         self.fs.write(path, [detail] if detail else [], now=now)
+        if self._oldest is not None:
+            # the name carries the stamp rounded to 0.1 s, and the name
+            # is what pruning reads
+            self._oldest = min(self._oldest, now - 0.1)
         if self.ledger is not None and (
                 self.transport is None or self.transport(self.host)):
             self.ledger.append("flag", self.host, agent=self.agent,
@@ -97,16 +111,30 @@ class FlagStore:
 
     def clear_before(self, cutoff: float) -> int:
         """Self-maintenance: drop flags older than ``cutoff``."""
+        if self._oldest is not None and cutoff <= self._oldest:
+            return 0            # nothing here can have expired yet
         removed = 0
+        oldest = float("inf")
         for path in self.fs.files_in_dir(self.dir):
             parsed = self._parse_name(path)
-            if parsed is not None and parsed[1] < cutoff:
+            if parsed is None:
+                continue
+            if parsed[1] < cutoff:
                 self.fs.remove(path)
                 removed += 1
+            elif parsed[1] < oldest:
+                oldest = parsed[1]
+        self._oldest = oldest
         return removed
 
     def clear_all(self) -> int:
+        self.forget()
         return self.fs.remove_tree(self.dir)
+
+    def forget(self) -> None:
+        """Drop what was derived from the directory (it was replaced
+        under the store, e.g. by a filesystem restore)."""
+        self._oldest = None
 
     # -- reading --------------------------------------------------------------
 

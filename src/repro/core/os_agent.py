@@ -40,9 +40,7 @@ class OsNetworkAgent(Intelliagent):
 
     def monitor(self) -> List[Finding]:
         findings: List[Finding] = []
-        m = self.host.os_metrics()
-        m["load_avg"] = self.host.load_average()
-        for breach in self.baselines.check(m):
+        for breach in self.baselines.check(self.host.os_metrics()):
             findings.append(Finding(
                 "os-threshold", self.host.name,
                 f"{breach.metric}={breach.value:.1f} "

@@ -64,24 +64,27 @@ class StatusAgent(Intelliagent):
     def build_and_ship(self) -> Optional[Dlsp]:
         dlsp = self._builder.build()
         self.profiles_built += 1
+        # rendered once: the same lines are compared, filed and weighed
+        lines = dlsp.to_doc().render()
         if self.profiles_built % FULL_REBUILD_EVERY == 0:
             full = build_dlsp(self.host)
-            if full.to_doc().render() != dlsp.to_doc().render():
+            full_lines = full.to_doc().render()
+            if full_lines != lines:
                 self.rebuild_mismatches += 1
                 self._builder.invalidate()
-                dlsp = full     # ground truth wins
+                dlsp, lines = full, full_lines      # ground truth wins
                 tracer = self.sim.tracer
                 if tracer.enabled:
                     tracer.metrics.counter(
                         "status.rebuild_mismatches").inc()
         path = f"{DLSP_DIR}/{self.host.name}.{self.sim.now:.0f}"
         try:
-            dlsp.write_to(self.host.fs, path)
+            self.host.fs.write(path, lines, now=dlsp.generated_at)
         except Exception:
             pass        # a full disk must not stop the shipment
         self._prune_old_profiles()
         if self.deliver is not None and self.channel is not None:
-            payload = sum(len(l) + 1 for l in dlsp.to_doc().render())
+            payload = sum(len(l) + 1 for l in lines)
             for target in self.admin_targets:
                 d = self.channel.send(self.host.name, target, payload)
                 if d.ok:

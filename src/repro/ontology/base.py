@@ -27,12 +27,13 @@ hypothesis round-trip tests enforce.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["OntologyError", "OntologyDoc", "encode_list", "decode_list"]
 
-_FORBIDDEN_IN_KEY = set("=\n\r #")
+_FORBIDDEN_IN_KEY = frozenset("=\n\r #")
 
 
 class OntologyError(Exception):
@@ -84,8 +85,11 @@ class OntologyDoc:
         return recs[0] if recs else None
 
     @staticmethod
+    @functools.lru_cache(maxsize=1024)
     def _check_key(key: str) -> str:
-        if not key or any(c in _FORBIDDEN_IN_KEY for c in key):
+        """Field names recur record after record, wake after wake: a
+        good one is checked once (a bad one raises every time)."""
+        if not key or not _FORBIDDEN_IN_KEY.isdisjoint(key):
             raise OntologyError(f"bad ontology key: {key!r}")
         return key
 

@@ -6,6 +6,8 @@ of times; these regression tests pin (a) the
 caps actually trim, (b) the ``dropped``/``trimmed`` counters own up to
 what was clipped, and (c) the trimmed state survives a snapshot round
 trip -- so a resumed segment inherits bounded books, not a fresh leak.
+Memos count too: one keyed by something minted per wake (a flag's
+file name) is a leak with a hit rate.
 """
 
 import gc
@@ -46,6 +48,41 @@ def test_shell_history_trim_survives_snapshot(db_host):
     other.restore_state(state)
     assert other.history == shell.history
     assert other.history_trimmed == shell.history_trimmed
+
+
+# -- filesystem mount memo ---------------------------------------------------
+
+
+def test_mount_memo_is_bounded_by_directories_not_files():
+    """Flag and profile names are timestamps: 7 new paths per host per
+    grid point, pruned after hours.  The memo is keyed by directory, so
+    two simulated days leave it no bigger than the directory tree (it
+    used to hold ~4 000 entries per host by now, and counting)."""
+    from repro.experiments.wakes import build_fleet
+    sim, _dc, suites = build_fleet(2, "fixed", seed=0)
+    sim.run(until=sim.now + 48 * 3600.0)
+    for suite in suites:
+        fs = suite.host.fs
+        assert len(fs._files) < 400              # pruning keeps up
+        assert 0 < len(fs._mount_cache) <= len(fs._dirs)
+
+
+def test_mount_of_answers_by_longest_prefix_through_the_memo(db_host):
+    fs = db_host.fs
+    fs.add_mount("/logs/archive", 1 << 20)
+    cases = {"/": "/", "/logs": "/logs", "/logs/archive": "/logs/archive",
+             "/logs/syslog": "/logs", "/logsx": "/", "/unmounted/x": "/",
+             "/logs/intelliagents/osnet/ok.300.0": "/logs",
+             "/logs/archive/2002/jan": "/logs/archive",
+             "/logs//intelliagents///osnet/": "/logs", "/var/": "/var",
+             "//": "/"}
+    for _cold_then_warm in range(2):
+        for path, point in cases.items():
+            assert fs.mount_of(path).point == point, path
+    fs.add_mount("/logs/intelliagents", 1 << 20)     # drops the memo
+    assert fs.mount_of("/logs/intelliagents/osnet/ok.300.0").point == \
+        "/logs/intelliagents"
+    assert fs.mount_of("/logs/syslog").point == "/logs"
 
 
 # -- timeseries rings --------------------------------------------------------

@@ -92,6 +92,30 @@ def test_max_events_budget(sim):
     assert fired == [0, 1, 2]
 
 
+def test_budgeted_run_never_jumps_past_a_pending_event(sim):
+    """``run(until=T, max_events=n)`` ended by the budget leaves the
+    clock at the last event fired; only a run that reached the horizon
+    tiles to it.  (It used to jump to ``T`` and then step *back*.)"""
+    fired = []
+    for t in (1.0, 2.0, 2.0, 3.0):
+        sim.schedule(t, lambda: fired.append(sim.now))
+    cancelled = sim.schedule(1.5, fired.append, "never")
+    cancelled.cancel()
+    clock = []
+    for _ in range(4):
+        sim.run(until=100.0, max_events=1)
+        assert sim.now <= sim.peek()
+        clock.append(sim.now)
+    # the fourth run fired t=3 and, nothing left before 100, tiled
+    assert clock == [1.0, 2.0, 2.0, 100.0]
+    assert fired == [1.0, 2.0, 2.0, 3.0]
+    sim.schedule_at(100.0, lambda: fired.append(sim.now))
+    sim.run(until=100.0, max_events=0)      # due exactly at the horizon
+    assert sim.now == 100.0 and len(fired) == 4
+    sim.run(until=100.0)
+    assert fired[-1] == 100.0
+
+
 def test_peek_skips_cancelled(sim):
     ev = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
