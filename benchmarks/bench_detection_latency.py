@@ -15,12 +15,8 @@ from conftest import emit
 from repro.experiments import latency
 
 
-def _run():
-    return latency.run(seed=0, weeks=2)
-
-
-def test_detection_latency(one_shot):
-    r = one_shot(_run)
+def test_detection_latency():
+    r = latency.run(seed=0, weeks=2)
     emit(latency.format_result(r))
 
     # agents: everything within the 5-minute grid plus the run itself

@@ -7,26 +7,17 @@ Shape asserted: request-weighted availability under site loss is
 with either disabled -- each mechanism recovers demand the other
 cannot (steering moves the stateless classes, relocation brings the
 pinned databases back up).
-
-The full-size run (1M users) writes ``BENCH_federation.json``.
 """
-
-import json
-import os
 
 from conftest import emit
 
 from repro.experiments import federation
 
 
-def _run(population: int, observe_h: float):
-    return federation.run(population=population, observe_h=observe_h)
-
-
-def test_site_loss_availability(one_shot, quick):
+def test_site_loss_availability(quick):
     population = 100_000 if quick else 1_000_000
     observe_h = 2.0 if quick else federation.OBSERVE_H
-    story = one_shot(_run, population, observe_h)
+    story = federation.run(population=population, observe_h=observe_h)
     emit(federation.format_result(story))
 
     full = story.arms["full"]
@@ -54,25 +45,3 @@ def test_site_loss_availability(one_shot, quick):
         assert 0.0 < arm["global"]["availability"] < 1.0
     assert full["global"]["user_minutes_lost"] \
         < no_geo["global"]["user_minutes_lost"]
-
-    if quick:
-        return
-    baseline = {
-        "population": population,
-        "lost_site": story.lost_site,
-        "loss_at_h": story.loss_at_h,
-        "observe_h": story.observe_h,
-        "availability": {arm: round(story.availability(arm), 6)
-                         for arm in story.arms},
-        "user_minutes_lost": {
-            arm: round(s["global"]["user_minutes_lost"], 1)
-            for arm, s in story.arms.items()},
-        "takeovers": full["crosssite"]["succeeded"],
-        "remote_steered": full["geo"]["remote_steered"],
-        "wan_delivered": full["wan"]["delivered"],
-        "wan_failed": full["wan"]["failed"],
-    }
-    path = os.path.join(os.path.dirname(__file__), "BENCH_federation.json")
-    with open(path, "w") as fh:
-        json.dump(baseline, fh, indent=2, sort_keys=True)
-        fh.write("\n")

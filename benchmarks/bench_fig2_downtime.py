@@ -14,12 +14,8 @@ from repro.experiments import fig2
 from repro.faults.models import Category
 
 
-def _run_fig2():
-    return fig2.run_replicated(list(range(5)))
-
-
-def test_fig2_downtime(one_shot):
-    result = one_shot(_run_fig2)
+def test_fig2_downtime():
+    result = fig2.run_replicated(list(range(5)))
     emit(fig2.format_result(result))
 
     before, after = result.before_hours, result.after_hours

@@ -12,12 +12,8 @@ from conftest import emit
 from repro.experiments import overhead
 
 
-def _run():
-    return overhead.run(seed=20)
-
-
-def test_fig3_cpu(one_shot):
-    r = one_shot(_run)
+def test_fig3_cpu():
+    r = overhead.run(seed=20)
     emit(overhead.format_cpu(r))
 
     # the agent series sits in the paper's band and is nearly flat

@@ -12,12 +12,8 @@ from conftest import emit
 from repro.experiments import overhead
 
 
-def _run():
-    return overhead.run(seed=21)
-
-
-def test_fig4_memory(one_shot):
-    r = one_shot(_run)
+def test_fig4_memory():
+    r = overhead.run(seed=21)
     emit(overhead.format_memory(r))
 
     # agents: small and flat (the paper's 1.6 MB line)

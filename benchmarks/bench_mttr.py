@@ -16,12 +16,8 @@ from repro.experiments import mttr
 from repro.faults.models import Category
 
 
-def _run():
-    return mttr.run(seed=0, samples_per_category=500)
-
-
-def test_mttr(one_shot):
-    r = one_shot(_run)
+def test_mttr():
+    r = mttr.run(seed=0, samples_per_category=500)
     emit(mttr.format_result(r))
 
     # "up to 2 hours for a restart": the typical manual repair is

@@ -12,13 +12,9 @@ from conftest import emit
 from repro.experiments import relocation
 
 
-def _run(replications: int):
-    return relocation.run_replicated(list(range(replications)))
-
-
-def test_relocation_user_qos(one_shot, quick):
+def test_relocation_user_qos(quick):
     replications = 2 if quick else 5
-    summary = one_shot(_run, replications)
+    summary = relocation.run_replicated(list(range(replications)))
     emit(relocation.format_result(summary))
 
     before = summary["before"]

@@ -14,13 +14,9 @@ from conftest import emit
 from repro.experiments import userqos
 
 
-def _run(replications: int):
-    return userqos.run_replicated(list(range(replications)))
-
-
-def test_user_perceived_qos(one_shot, quick):
+def test_user_perceived_qos(quick):
     replications = 2 if quick else 5
-    summary = one_shot(_run, replications)
+    summary = userqos.run_replicated(list(range(replications)))
     emit(userqos.format_result(summary))
 
     before, after = summary["before"], summary["after"]

@@ -1,10 +1,10 @@
 """Benchmark-suite configuration.
 
-Every bench regenerates one of the paper's evaluation artefacts,
+Every bench regenerates one of the paper's evaluation artefacts once,
 prints the paper-vs-measured table (run pytest with ``-s`` to see
-them; they are also asserted structurally), and reports its wall time
-through pytest-benchmark.  The heavy simulations run one round --
-they are experiments, not microbenchmarks.
+them) and asserts its shape on *simulated* statistics only.  Nothing
+here reads a wall clock: host time and memory are measured by
+``benchmarks/e2e`` (``BENCHMARK.json``), the one timer in the repo.
 """
 
 import pytest
@@ -26,15 +26,3 @@ def emit(text: str) -> None:
     """Print a result table under pytest's capture (visible with -s,
     and in the captured-output section otherwise)."""
     print("\n" + text)
-
-
-@pytest.fixture
-def one_shot(benchmark):
-    """Run an expensive experiment exactly once under the benchmark
-    timer and return its result."""
-
-    def run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    return run

@@ -21,6 +21,7 @@ artefacts from the terminal:
     repro-exp ablation-resubmission
     repro-exp ablation-network
     repro-exp ablation-centralised
+    repro-exp ablation-checkpointing
     repro-exp all
     repro-exp chaos run --episodes 200
     repro-exp chaos corpus | replay tests/corpus | shrink failing.json
@@ -41,6 +42,8 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
+
+from repro.experiments.ablations import ABLATIONS
 
 __all__ = ["main"]
 
@@ -240,34 +243,9 @@ def _trace_outputs(args, tracer, *, timeline: bool = True) -> str:
     return extra
 
 
-def _ablation_frequency(args) -> str:
-    from repro.experiments import ablations
-    return ablations.format_frequency(
-        ablations.frequency_sweep(seed=args.seed))
-
-
-def _ablation_resubmission(args) -> str:
-    from repro.experiments import ablations
-    return ablations.format_resubmission(
-        ablations.resubmission_comparison(seed=args.seed))
-
-
-def _ablation_network(args) -> str:
-    from repro.experiments import ablations
-    return ablations.format_network(
-        ablations.network_failover(seed=args.seed))
-
-
-def _ablation_centralised(args) -> str:
-    from repro.experiments import ablations
-    return ablations.format_centralised(
-        ablations.centralised_comparison())
-
-
-def _ablation_checkpointing(args) -> str:
-    from repro.experiments import ablations
-    return ablations.format_checkpointing(
-        ablations.checkpointing_comparison(seed=args.seed))
+def _ablation(run, fmt):
+    """The ``ablation-<name>`` runner for one ``ABLATIONS`` row."""
+    return lambda args: fmt(run(args.seed))
 
 
 _EXPERIMENTS = {
@@ -282,11 +260,8 @@ _EXPERIMENTS = {
     "metrics": _metrics,
     "wakes": _wakes,
     "incidents": _incidents,
-    "ablation-frequency": _ablation_frequency,
-    "ablation-resubmission": _ablation_resubmission,
-    "ablation-network": _ablation_network,
-    "ablation-centralised": _ablation_centralised,
-    "ablation-checkpointing": _ablation_checkpointing,
+    **{f"ablation-{name}": _ablation(run, fmt)
+       for name, (run, fmt) in ABLATIONS.items()},
 }
 
 

@@ -9,6 +9,8 @@
 - **A-local** -- local agents vs a centralised resident monitor as the
   fleet grows (§3.4: "centralised management methodologies have been
   proven unsuccessful in big complex environments").
+- **A-ckpt**  -- job checkpointing under DGSPL rescue (extension; the
+  related-work technique [18]): rescue turnaround vs interval.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from repro.faults.campaign import Campaign, PipelineParams
 from repro.sim import RandomStreams
 from repro.sim.calendar import DAY, HOUR, MINUTE, YEAR
 
-__all__ = ["frequency_sweep", "format_frequency",
+__all__ = ["ABLATIONS",
+           "frequency_sweep", "format_frequency",
            "resubmission_comparison", "format_resubmission",
            "network_failover", "format_network",
            "centralised_comparison", "format_centralised",
@@ -291,3 +294,15 @@ def format_centralised(rows: List[dict]) -> str:
           round(r["admin_mem_mb"], 1)) for r in rows],
         title="A-local: centralised monitor vs local agents as the "
               "fleet grows")
+
+
+#: ``repro-exp ablation-<name>``: name -> (run(seed), format(result))
+ABLATIONS = {
+    "frequency": (frequency_sweep, format_frequency),
+    "resubmission": (resubmission_comparison, format_resubmission),
+    "checkpointing": (checkpointing_comparison, format_checkpointing),
+    "network": (network_failover, format_network),
+    # a closed-form cost model: it draws nothing, so the seed is dropped
+    "centralised": (lambda seed: centralised_comparison(),
+                    format_centralised),
+}

@@ -13,11 +13,6 @@ immediately.  This experiment prices the trade on both axes:
   from injection to the owning agent's first ``fault`` flag.  Adaptive
   must be no worse than the fixed grid (it is, in fact, usually
   instant: the trigger fires at the fault).
-
-``paired_parity`` additionally drives a plain site and one paired with
-the full-rescan reference through a fault campaign under a chosen wake
-policy: the control plane's guarantee is that sweep decisions and DGSPL
-output equal the rescan's, byte for byte, whatever the wake schedule.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from repro.net.network import Lan
 from repro.sim import RandomStreams, Simulator
 
 __all__ = ["WakesResult", "build_fleet", "steady_state",
-           "detection_campaign", "paired_parity", "run", "format_result"]
+           "detection_campaign", "run", "format_result"]
 
 BASE_PERIOD = 300.0
 MAX_PERIOD = 1800.0
@@ -145,50 +140,6 @@ def detection_campaign(wake_policy: str, *, n_hosts: int = 12,
         if detected is not None:
             latencies.append(detected - t0)
     return latencies
-
-
-def _parity_campaign(site) -> None:
-    """The consistency-test fault walk: dead crond, host crash,
-    recovery, quiet agents -- every watchdog decision type, with
-    windows generous enough for fully backed-off agents."""
-    admin = site.admin
-    site.run(1500.0)
-    site.dc.host("db001").crond.kill()
-    site.run(2 * admin.watch_period)
-    fe = site.dc.host("fe001")
-    fe.crash("power supply")
-    site.run(2 * admin.watch_period)
-    fe.boot()
-    site.run(fe.boot_duration + 3 * admin.watch_period)
-    db = site.dc.host("db000")
-    for agent in site.suites["db000"].agents:
-        db.crond.remove(agent.name)
-    site.run(site.config.wake_max_period + 5 * admin.watch_period)
-
-
-def paired_parity(wake_policy: str, *, seed: int = 29,
-                  max_period: float = 900.0) -> Dict[str, object]:
-    """Drive a plain site and one paired with the chaos tier's
-    full-rescan reference through the same campaign under
-    ``wake_policy``; report every divergence counter."""
-    from repro.chaos.oracles import ScanReference
-    from repro.experiments.site import SiteConfig, build_site
-    config = SiteConfig.test_scale(
-        seed=seed, with_workload=False, with_feeds=False,
-        wake_policy=wake_policy, wake_max_period=max_period)
-    plain, paired = build_site(config), build_site(config)
-    reference = ScanReference.attach(paired.admin)
-    for site in (plain, paired):
-        _parity_campaign(site)
-    return {
-        "sweep_mismatches": reference.sweep_mismatches,
-        "dgspl_mismatches": reference.dgspl_mismatches,
-        "model_resyncs": paired.admin.model_resyncs,
-        "decisions_equal": (plain.admin.decisions
-                            == paired.admin.decisions),
-        "decisions": list(paired.admin.decisions),
-        "demand_wakes": paired.admin.demand_wakes,
-    }
 
 
 def run(seed: int = 0, *, n_hosts: int = 200,

@@ -1,4 +1,4 @@
-"""repro.observe: telemetry, alerting, incident reports, profiling.
+"""repro.observe: telemetry, alerting, incident reports.
 
 The observability subsystem built over the substrate's existing
 surfaces: :class:`TelemetryHub` turns the metrics registry, condition
@@ -6,8 +6,8 @@ ledger and traffic SLIs into windowed ring-buffer series;
 :class:`AlertManager` runs multi-window burn-rate and anomaly rules
 over them and pages through the notification channel;
 :func:`build_reports` joins every ledger into per-fault causal
-incident reports; :class:`KernelProfiler` attributes the kernel's own
-wall-clock by subsystem.
+incident reports.  Where the simulator's own wall-clock goes is measured
+from outside the package, by ``benchmarks/e2e/layers.py``.
 """
 
 from repro.observe.alerts import (Alert, AlertManager, BurnRateRule,
@@ -17,8 +17,6 @@ from repro.observe.incidents import (IncidentReport, build_reports,
                                      render_markdown_all, reports_to_json,
                                      write_json)
 from repro.observe.pipeline import DEFAULT_COUNTERS, TelemetryHub
-from repro.observe.profile import (KernelProfiler, format_profile,
-                                   install_profiler)
 
 __all__ = [
     "TelemetryHub", "DEFAULT_COUNTERS",
@@ -26,5 +24,4 @@ __all__ = [
     "EwmaAnomalyDetector",
     "IncidentReport", "build_reports", "reconcile", "render_markdown",
     "render_markdown_all", "reports_to_json", "write_json",
-    "KernelProfiler", "format_profile", "install_profiler",
 ]

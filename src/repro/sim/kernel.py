@@ -290,11 +290,6 @@ class Simulator(Persistent):
         #: observability hook; the shared disabled tracer by default so
         #: instrumented components can call it unconditionally
         self.tracer = NULL_TRACER
-        #: self-observability hook (repro.observe.profile.KernelProfiler);
-        #: None keeps the dispatch a direct call -- the hot loop hoists
-        #: this once per run, so attaching mid-run takes effect at the
-        #: next run()/step() boundary
-        self.profiler = None
 
     # -- scheduling ------------------------------------------------------
 
@@ -367,10 +362,7 @@ class Simulator(Persistent):
             self.events_processed += 1
             if self.tracer.enabled:
                 self.tracer.metrics.counter("sim.events").inc()
-            if self.profiler is None:
-                ev.fn(*ev.args)
-            else:
-                self.profiler.record(ev.fn, ev.args)
+            ev.fn(*ev.args)
             return True
         return False
 
@@ -393,7 +385,6 @@ class Simulator(Persistent):
         # hoisted per-run: keeps the disabled-tracer loop branch-only
         count_event = (self.tracer.metrics.counter("sim.events").inc
                        if self.tracer.enabled else None)
-        profiler = self.profiler
         try:
             while heap and budget > 0:
                 time, _priority, _seq, ev = heap[0]
@@ -409,10 +400,7 @@ class Simulator(Persistent):
                 budget -= 1
                 if count_event is not None:
                     count_event()
-                if profiler is None:
-                    ev.fn(*ev.args)
-                else:
-                    profiler.record(ev.fn, ev.args)
+                ev.fn(*ev.args)
         finally:
             self._running = False
         if until is not None and self.now < until < self.peek():
@@ -449,14 +437,13 @@ class Simulator(Persistent):
     # -- conveniences ----------------------------------------------------
 
     def every(self, period: float, fn: Callable[..., Any], *args: Any,
-              offset: float = 0.0, jitter_rng=None,
-              jitter: float = 0.0) -> Periodic:
+              offset: float = 0.0) -> Periodic:
         """Run ``fn`` periodically, starting at ``now + offset``.
 
         Returns the started :class:`Periodic`; its ``cancel()`` stops
         the chain.
         """
-        controller = Periodic(self, period, fn, args, jitter_rng, jitter)
+        controller = Periodic(self, period, fn, args)
         controller.start(offset)
         return controller
 
@@ -469,25 +456,25 @@ class Simulator(Persistent):
 
 
 class Periodic(Persistent):
-    """A cancellable periodic callback (the engine behind crond ticks)."""
+    """A cancellable periodic callback, returned by
+    :meth:`Simulator.every` (the BMC console's poll and the LSF
+    dispatcher; ``cluster/cron.py`` arms its own events)."""
 
-    __slots__ = ("sim", "period", "fn", "args", "jitter_rng", "jitter",
-                 "_event", "cancelled", "fire_count")
+    __slots__ = ("sim", "period", "fn", "args", "_event", "cancelled",
+                 "fire_count")
     #: counters plus the pending tick (fn/args are structural -- the
     #: rebuilt controller supplies them)
     _persist = (scalar("fire_count", int), scalar("cancelled", bool),
                 pending("event", "_event", "_tick"))
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[..., Any],
-                 args: tuple, jitter_rng=None, jitter: float = 0.0):
+                 args: tuple):
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
         self.sim = sim
         self.period = float(period)
         self.fn = fn
         self.args = args
-        self.jitter_rng = jitter_rng
-        self.jitter = float(jitter)
         self._event: Optional[Event] = None
         self.cancelled = False
         self.fire_count = 0
@@ -501,10 +488,7 @@ class Periodic(Persistent):
             return
         self.fire_count += 1
         self.fn(*self.args)
-        delay = self.period
-        if self.jitter and self.jitter_rng is not None:
-            delay += float(self.jitter_rng.uniform(0.0, self.jitter))
-        self._event = self.sim.schedule(delay, self._tick)
+        self._event = self.sim.schedule(self.period, self._tick)
 
     def cancel(self) -> None:
         self.cancelled = True

@@ -66,6 +66,10 @@ def test_clean_campaign_no_violations_monotonic_coverage():
     sizes = [size for _ep, size in res.coverage.growth]
     assert sizes == sorted(sizes)
     assert len(res.coverage) > 10
+    # mutants add markers the two corpus seeds alone missed, or the
+    # fuzzer is just replaying
+    assert sizes[-1] > sizes[len(_small_corpus()) - 1]
+    assert res.admitted
 
 
 def test_campaign_deterministic_under_fixed_seed():

@@ -115,3 +115,14 @@ def test_stop_cancels_the_rollup(sim, hub):
     hub.stop()
     sim.run(until=600.0)
     assert hub.ticks == 1
+
+
+def test_constructed_but_unstarted_pipeline_schedules_nothing(sim, hub):
+    """A hub with an alert manager hanging off it costs a run nothing
+    until ``start()``: no event armed, no rollup, no series."""
+    from repro.observe import AlertManager
+    AlertManager(sim, hub).add_detector("metric/agent.runs/rate")
+    assert sim.pending() == 0
+    sim.run(until=600.0)
+    assert sim.events_processed == 0
+    assert hub.ticks == 0 and hub.names() == []

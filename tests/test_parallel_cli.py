@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.ablations import ABLATIONS
 from repro.parallel import ReplicationError, default_workers, replicate
 
 
@@ -64,6 +65,14 @@ def test_cli_ablation_centralised(capsys):
     assert main(["ablation-centralised"]) == 0
     out = capsys.readouterr().out
     assert "A-local" in out
+
+
+@pytest.mark.parametrize("name", sorted(ABLATIONS))
+def test_every_ablation_is_a_cli_choice(name):
+    """One table feeds the CLI: each ``ABLATIONS`` row is reachable as
+    ``repro-exp ablation-<name>`` (the arithmetic one is run above)."""
+    from repro import cli
+    assert f"ablation-{name}" in cli._EXPERIMENTS
 
 
 def test_cli_fig3_and_fig4(capsys):
