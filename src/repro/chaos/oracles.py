@@ -24,6 +24,10 @@ fuzzed episode instead of only inside their home test files:
 - **notification-storm** -- no recipient is paged more than a bounded
   number of times per simulated hour; a healing system that fixes the
   fault but melts the pager is a failure.
+- **host-books** -- what a host keeps instead of recounting (the
+  process table's runnable / blocked counts, the inventory's online
+  units and effective capacity) equals a from-scratch recount, on
+  every host, after whatever the episode did to it.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from repro.cluster.hardware import ComponentKind, ComponentState
+from repro.cluster.process import RUNNABLE_CPU_THRESHOLD, ProcState
 from repro.persist.core import Persistent, scalars
 
 __all__ = ["OracleVerdict", "ORACLES", "run_oracles", "ScanReference",
-           "NOTIFY_STORM_BOUND"]
+           "NOTIFY_STORM_BOUND", "table_books", "inventory_books"]
 
 #: max pages one recipient may receive per simulated hour
 NOTIFY_STORM_BOUND = 30
@@ -214,6 +220,43 @@ def notification_storm(ep) -> List[str]:
     return out
 
 
+def table_books(ptable) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """(kept, recounted): the process table's run-queue books beside
+    the same numbers counted from its entries."""
+    procs = list(ptable)
+    return ({"runnable": ptable.runnable(), "blocked": ptable.blocked()},
+            {"runnable": sum(1 for p in procs
+                             if p.state is ProcState.RUNNING
+                             and p.cpu_pct >= RUNNABLE_CPU_THRESHOLD),
+             "blocked": sum(1 for p in procs
+                            if p.state is ProcState.BLOCKED)})
+
+
+def inventory_books(inv) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """(kept, recounted): the inventory's capacity books beside the
+    same numbers counted from its components."""
+    kept = {kind.value: inv.online(kind) for kind in ComponentKind}
+    kept["cpus"] = inv.effective_cpus()
+    kept["ram_mb"] = inv.effective_ram_mb()
+    recount = {kind.value: sum(1 for c in inv.of_kind(kind)
+                               if c.state is not ComponentState.FAILED)
+               for kind in ComponentKind}
+    recount["cpus"] = inv._scaled(inv.spec.cpus, ComponentKind.CPU_BOARD)
+    recount["ram_mb"] = inv._scaled(inv.spec.ram_mb,
+                                    ComponentKind.MEMORY_BANK)
+    return kept, recount
+
+
+def host_books(ep) -> List[str]:
+    out = []
+    for name, host in sorted(ep.site.dc.hosts.items()):
+        for kept, recount in (table_books(host.ptable),
+                              inventory_books(host.inventory)):
+            out.extend(f"{name}: kept {key} {kept[key]} != recount {n}"
+                       for key, n in recount.items() if kept[key] != n)
+    return out
+
+
 #: name -> oracle fn(one site's episode book) -> violations
 ORACLES: Dict[str, Callable] = {
     "scan-ledger-parity": scan_ledger_parity,
@@ -221,6 +264,7 @@ ORACLES: Dict[str, Callable] = {
     "stuck-relocations": stuck_relocations,
     "downtime-reconciliation": downtime_reconciliation,
     "notification-storm": notification_storm,
+    "host-books": host_books,
 }
 
 

@@ -6,6 +6,15 @@ components; a component can degrade or fail, which the hardware agent
 can *detect and report* but -- matching the paper's §4 finding that
 "our software was unable to take care of ... hardware related errors"
 -- cannot repair.  Repair requires a (simulated) field engineer.
+
+The inventory keeps its own books.  What the host can still use --
+``online(kind)``, ``effective_cpus()``, ``effective_ram_mb()`` -- is
+derived once per component state change and read back as plain
+attributes, not recounted per load reading.  ``Component.state`` has
+two writers, both of which re-derive: ``Component._set_state`` (behind
+``degrade`` / ``fail`` / ``replace``) and
+``HardwareInventory.restore_state``.  The books are derived state and
+are never serialised.
 """
 
 from __future__ import annotations
@@ -43,25 +52,35 @@ class Component:
     state: ComponentState = ComponentState.OK
     error_count: int = 0
     failed_at: Optional[float] = None
+    #: the inventory whose books this unit's state feeds
+    inventory: Optional["HardwareInventory"] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
         return f"{self.kind.value}{self.index}"
 
+    def _set_state(self, state: ComponentState) -> None:
+        if state is self.state:
+            return
+        self.state = state
+        if self.inventory is not None:
+            self.inventory._derive()
+
     def degrade(self, now: float) -> None:
         """Record a correctable error; enough of them degrade the unit."""
         self.error_count += 1
         if self.state is ComponentState.OK and self.error_count >= 3:
-            self.state = ComponentState.DEGRADED
+            self._set_state(ComponentState.DEGRADED)
             self.failed_at = now
 
     def fail(self, now: float) -> None:
-        self.state = ComponentState.FAILED
+        self._set_state(ComponentState.FAILED)
         self.failed_at = now
 
     def replace(self) -> None:
         """Field-engineer swap: back to factory state."""
-        self.state = ComponentState.OK
+        self._set_state(ComponentState.OK)
         self.error_count = 0
         self.failed_at = None
 
@@ -101,8 +120,10 @@ class HardwareInventory:
         self.spec = spec
         self._layout = _layout(spec)
         self.components: List[Component] = [
-            Component(kind, i) for kind, span in self._layout.items()
+            Component(kind, i, inventory=self)
+            for kind, span in self._layout.items()
             for i in range(span.stop - span.start)]
+        self._derive()
 
     # -- queries ---------------------------------------------------------
 
@@ -111,7 +132,7 @@ class HardwareInventory:
 
     def online(self, kind: ComponentKind) -> int:
         """How many units of ``kind`` have not failed."""
-        return _online(self.of_kind(kind))
+        return self._online_units[kind]
 
     def find(self, name: str) -> Component:
         for c in self.components:
@@ -147,15 +168,25 @@ class HardwareInventory:
 
     def _scaled(self, nominal: int, kind: ComponentKind) -> int:
         """``nominal`` capacity times the share of ``kind`` units that
-        have not failed (every spec builds at least one board and bank)."""
+        have not failed (every spec builds at least one board and bank).
+        Counted from the units themselves: this is what the books are
+        derived from, and checked against."""
         units = self.of_kind(kind)
         return max(0, round(nominal * _online(units) / len(units)))
 
+    def _derive(self) -> None:
+        """Bring the books up to date with the components' states."""
+        self._online_units = {kind: _online(self.components[span])
+                              for kind, span in self._layout.items()}
+        self._cpus = self._scaled(self.spec.cpus, ComponentKind.CPU_BOARD)
+        self._ram_mb = self._scaled(self.spec.ram_mb,
+                                    ComponentKind.MEMORY_BANK)
+
     def effective_cpus(self) -> int:
-        return self._scaled(self.spec.cpus, ComponentKind.CPU_BOARD)
+        return self._cpus
 
     def effective_ram_mb(self) -> int:
-        return self._scaled(self.spec.ram_mb, ComponentKind.MEMORY_BANK)
+        return self._ram_mb
 
     def status_report(self) -> Dict[str, str]:
         """Component-name → state map (what ``prtdiag``-style probes show)."""
@@ -181,3 +212,4 @@ class HardwareInventory:
             comp.state = ComponentState(st)
             comp.error_count = int(errs)
             comp.failed_at = failed_at
+        self._derive()

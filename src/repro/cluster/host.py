@@ -8,7 +8,10 @@ Load is *derived*, not scripted: CPU utilisation, run queue, memory
 pressure and paging all fall out of what is actually in the process
 table plus the I/O demand registered by applications and batch jobs.
 That keeps the performance agents honest -- they see metrics move
-because simulated work moved them.
+because simulated work moved them.  The two facts every load reading
+starts from, the run-queue counts and the effective capacity, are kept
+up to date by the process table and the inventory where they are
+written, so reading them here costs no walk over either.
 """
 
 from __future__ import annotations

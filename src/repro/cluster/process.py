@@ -8,6 +8,16 @@ process names/counts.
 
 Microstate accounting (§3.5 of the paper) is modelled per process:
 cumulative user/system/wait times advance whenever the host samples.
+
+The table keeps its own books.  ``runnable()`` and ``blocked()`` --
+the run-queue facts every load reading, probe and DLSP hangs on -- are
+integers maintained where the table is written (``spawn``, ``kill``,
+``update``, ``clear``, restore), not recounted where it is read.  That
+makes :meth:`ProcessTable.update` the only way to change ``cpu_pct``,
+``mem_mb`` or ``state`` of a live entry: a direct assignment would
+leave the books behind.  The counts are derived state and are never
+serialised; the float totals stay a ``sum()`` over insertion order,
+because an incrementally kept float would round differently.
 """
 
 from __future__ import annotations
@@ -102,6 +112,9 @@ class ProcessTable(Persistent):
         #: live taps (the trigger bus): called per individual kill;
         #: a host crash wipes the table via clear() without notifying
         self.exit_listeners: List[Callable[[SimProc], None]] = []
+        #: the books: entries queueing for a CPU / in I/O wait
+        self._runnable = 0
+        self._blocked = 0
 
     def __len__(self) -> int:
         return len(self._procs)
@@ -110,6 +123,17 @@ class ProcessTable(Persistent):
         return iter(list(self._procs.values()))
 
     # -- lifecycle -------------------------------------------------------
+
+    def _book(self, proc: SimProc, sign: int) -> None:
+        """Enter (+1) or strike (-1) one entry in the run-queue books.
+        Idle daemons sit in the table with a couple of percent of
+        demand; they do not queue for a processor, so only genuinely
+        busy processes count toward the run queue."""
+        if proc.state is ProcState.RUNNING:
+            if proc.cpu_pct >= RUNNABLE_CPU_THRESHOLD:
+                self._runnable += sign
+        elif proc.state is ProcState.BLOCKED:
+            self._blocked += sign
 
     def spawn(self, user: str, command: str, args: str = "", *,
               cpu_pct: float = 0.0, mem_mb: float = 1.0,
@@ -120,12 +144,34 @@ class ProcessTable(Persistent):
                        started_at=now, owner=owner)
         self._procs[proc.pid] = proc
         self._by_command.setdefault(command, []).append(proc)
+        self._book(proc, +1)
         return proc
+
+    def update(self, pid: int, *, cpu_pct: Optional[float] = None,
+               mem_mb: Optional[float] = None,
+               state: Optional[ProcState] = None) -> bool:
+        """Change a live entry's demand or state -- the only writer of
+        those fields once an entry is in the table.  False (and no
+        change) when ``pid`` is not live: a killed entry is out of the
+        books and stays out."""
+        proc = self._procs.get(pid)
+        if proc is None:
+            return False
+        self._book(proc, -1)
+        if cpu_pct is not None:
+            proc.cpu_pct = cpu_pct
+        if mem_mb is not None:
+            proc.mem_mb = mem_mb
+        if state is not None:
+            proc.state = state
+        self._book(proc, +1)
+        return True
 
     def kill(self, pid: int) -> bool:
         proc = self._procs.pop(pid, None)
         if proc is None:
             return False
+        self._book(proc, -1)
         peers = self._by_command.get(proc.command)
         if peers:
             try:
@@ -150,6 +196,7 @@ class ProcessTable(Persistent):
         """Host crash/reboot wipes the table."""
         self._procs.clear()
         self._by_command.clear()
+        self._runnable = self._blocked = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -179,17 +226,12 @@ class ProcessTable(Persistent):
         return sum(p.mem_mb for p in self._procs.values())
 
     def runnable(self) -> int:
-        """Processes effectively occupying a CPU.  Idle daemons sit in
-        the table with a couple of percent of demand; they do not queue
-        for a processor, so only genuinely busy processes count toward
-        the run queue."""
-        return sum(1 for p in self._procs.values()
-                   if p.state is ProcState.RUNNING
-                   and p.cpu_pct >= RUNNABLE_CPU_THRESHOLD)
+        """Processes effectively occupying a CPU (kept, see
+        :meth:`_book`)."""
+        return self._runnable
 
     def blocked(self) -> int:
-        return sum(1 for p in self._procs.values()
-                   if p.state is ProcState.BLOCKED)
+        return self._blocked
 
     def advance(self, now: float) -> None:
         """Advance per-process microstate clocks to ``now``."""
@@ -226,8 +268,7 @@ class ProcessTable(Persistent):
         return proc
 
     def _load_procs(self, saved: list) -> None:
-        self._procs.clear()
-        self._by_command.clear()
+        self.clear()
         for row in saved:
             u, s, w, z = row["micro"]
             proc = SimProc(
@@ -239,3 +280,4 @@ class ProcessTable(Persistent):
                 micro=Microstates(user=u, system=s, wait_io=w, sleep=z))
             self._procs[proc.pid] = proc
             self._by_command.setdefault(proc.command, []).append(proc)
+            self._book(proc, +1)

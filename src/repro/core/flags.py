@@ -29,7 +29,7 @@ restored filesystem (:meth:`FlagStore.forget`) start from "unknown".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.filesystem import FsError
 
@@ -176,7 +176,8 @@ class FlagStore:
         out.sort(key=lambda f: (f.time, f.seq))
         return out
 
-    def latest(self) -> Optional[Flag]:
+    def _latest_name(self) -> Tuple[Optional[tuple], Optional[str]]:
+        """(parsed name, path) of the freshest flag, from names alone."""
         best: Optional[tuple] = None
         best_path: Optional[str] = None
         for path in self.fs.files_in_dir(self.dir):
@@ -184,15 +185,18 @@ class FlagStore:
             if parsed is not None and (
                     best is None or parsed[1:] > best[1:]):
                 best, best_path = parsed, path
-        if best_path is None:
-            return None
-        return self._parse_path(best_path)
+        return best, best_path
+
+    def latest(self) -> Optional[Flag]:
+        _parsed, path = self._latest_name()
+        return None if path is None else self._parse_path(path)
 
     def latest_time(self) -> float:
         """Freshest flag timestamp (-inf when none exist), the number
-        the watchdog compares against the expected cron grid."""
-        latest = self.latest()
-        return latest.time if latest else float("-inf")
+        the watchdog compares against the expected cron grid.  It is in
+        the name: no file is opened."""
+        parsed, _path = self._latest_name()
+        return float("-inf") if parsed is None else parsed[1]
 
     @staticmethod
     def agents_on(fs) -> List[str]:

@@ -125,12 +125,19 @@ def build_dlsp(host) -> Dlsp:
             state=app.state.value, port=app.port or 0,
             healthy=ok, response_ms=ms))
     services.sort(key=lambda s: s.name)
+    return _profile(host, host.load_average(), services)
+
+
+def _profile(host, load: float, services: List[ServiceStatus]) -> Dlsp:
+    """The host half of a profile; capacity is read once."""
+    cpus = host.effective_cpus()
+    ram = host.effective_ram_mb()
     return Dlsp(
         hostname=host.name, generated_at=host.sim.now,
         model=host.spec.model, os=host.spec.os,
-        cpus=host.effective_cpus(), ram_mb=int(host.effective_ram_mb()),
-        load_avg=host.load_average(), cpu_util=host.cpu_utilization(),
-        free_mem_mb=host.memory_free_mb(),
+        cpus=cpus, ram_mb=int(ram),
+        load_avg=load, cpu_util=host.cpu_utilization(),
+        free_mem_mb=max(0.0, ram - host.memory_used_mb()),
         users=len(host.logged_in_users),
         site=host.site, location=host.location,
         up=host.is_up, services=services)
@@ -196,13 +203,4 @@ class DlspBuilder(Persistent):
         for gone in set(self._entries) - set(host.apps):
             del self._entries[gone]
             del self._fingerprints[gone]
-        return Dlsp(
-            hostname=host.name, generated_at=host.sim.now,
-            model=host.spec.model, os=host.spec.os,
-            cpus=host.effective_cpus(),
-            ram_mb=int(host.effective_ram_mb()),
-            load_avg=load, cpu_util=host.cpu_utilization(),
-            free_mem_mb=host.memory_free_mb(),
-            users=len(host.logged_in_users),
-            site=host.site, location=host.location,
-            up=host.is_up, services=services)
+        return _profile(host, load, services)

@@ -87,8 +87,8 @@ class BaselineMonitor:
         if not self.host.is_up:
             return
         # keep the visible process footprint in sync with the model
-        self.proc.cpu_pct = self.cpu_pct()
-        self.proc.mem_mb = self.memory_mb()
+        self.host.ptable.update(self.proc.pid, cpu_pct=self.cpu_pct(),
+                                mem_mb=self.memory_mb())
         for app in self.host.apps.values():
             if app is self:
                 continue

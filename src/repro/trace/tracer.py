@@ -124,8 +124,8 @@ class Tracer(Persistent):
     _persist = (
         scalar("enabled", bool), scalar("capture_resumes", bool),
         scalar("next_fault_seq", int, "_fault_seq"),
-        # insertion order is load-bearing: fault_id_for scans for the
-        # first suffix match
+        # insertion order is load-bearing: fault_id_for answers with
+        # the first-bound key a subject is a suffix of
         scalar("correlations", dict, "_correlations", dict),
         via("spans", "_save_spans", "_load_spans"),
         rows("instants",
@@ -149,6 +149,9 @@ class Tracer(Persistent):
         self._stack: List[Span] = []
         self._clock = clock
         self._correlations: Dict[str, str] = {}
+        #: "/"-suffix of a correlated key -> the first-bound such key
+        #: (derived from ``_correlations``; rebuilt on restore)
+        self._suffix_keys: Dict[str, str] = {}
         # plain int so checkpoints can capture and restore it
         self._fault_seq = 1
 
@@ -212,24 +215,43 @@ class Tracer(Persistent):
         indexed under its leaf name (``host/app`` -> ``app``,
         ``host:/mount`` -> ``/mount``) because agent findings name the
         local subject, not the site-wide path."""
-        self._correlations[target] = fault_id
+        self._bind(target, fault_id)
         leaf = target.rpartition("/")[2]
         if leaf != target:
-            self._correlations[leaf] = fault_id
+            self._bind(leaf, fault_id)
         host, sep, mount = target.partition(":")
         if sep:
-            self._correlations[mount] = fault_id
-            self._correlations.setdefault(host, fault_id)
+            self._bind(mount, fault_id)
+            if host not in self._correlations:
+                self._bind(host, fault_id)
+
+    def _bind(self, key: str, fault_id: str) -> None:
+        """A key is indexed when first bound; re-binding it keeps its
+        place in the order and takes the new id."""
+        if key not in self._correlations:
+            self._index_suffixes(key)
+        self._correlations[key] = fault_id
+
+    def _index_suffixes(self, key: str) -> None:
+        start = key.find("/") + 1
+        while start:
+            self._suffix_keys.setdefault(key[start:], key)
+            start = key.find("/", start) + 1
 
     def fault_id_for(self, subject: str) -> str:
-        """The fault id correlated with a subject, or ``""``."""
+        """The fault id correlated with a subject -- bound to it, or
+        to the first-bound key ending in ``/subject`` -- or ``""``."""
         fid = self._correlations.get(subject)
         if fid is not None:
             return fid
-        for target, fid in self._correlations.items():
-            if target.endswith("/" + subject):
-                return fid
-        return ""
+        key = self._suffix_keys.get(subject)
+        return self._correlations[key] if key is not None else ""
+
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        self._suffix_keys = {}
+        for key in self._correlations:
+            self._index_suffixes(key)
 
     # -- queries -------------------------------------------------------------
 

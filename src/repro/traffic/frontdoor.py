@@ -14,6 +14,14 @@ A door attached to the site's condition ledger reacts to deltas the
 moment they are appended: a ``host down`` condition or a relocation
 ``drain`` for this tier sheds the server within that same delivery (no
 refresh wait), ``host up`` / ``cutover`` restore it.
+
+Weights are derived once per published list, not once per batch.  The
+admin pair assigns a fresh :class:`Dgspl` object each generation and
+nothing mutates it afterwards, and a :class:`SiteDigest` is frozen, so
+the doors key what they derived on the *object* they derived it from
+(held by reference, compared with ``is``) and re-derive when a new one
+is published or restored.  Whether a list is still fresh depends on
+``now`` and is tested on every call.
 """
 
 from __future__ import annotations
@@ -55,6 +63,9 @@ class FrontDoor(Persistent):
         self._down: set = set()
         self._rr_offset = 0
         self._ledgers: List[object] = []
+        #: the DGSPL the kept weights were derived from, and the weights
+        self._weighed: Optional[object] = None
+        self._weights_kept: Dict[str, float] = {}
         #: counters for tests/benches
         self.routed = 0
         self.shed_total = 0
@@ -126,6 +137,12 @@ class FrontDoor(Persistent):
         dgspl = self.dgspl_fn()
         if dgspl is None or (now - dgspl.generated_at) > self.staleness:
             return None
+        if dgspl is not self._weighed:
+            self._weighed = dgspl
+            self._weights_kept = self._derive_weights(dgspl)
+        return self._weights_kept
+
+    def _derive_weights(self, dgspl) -> Dict[str, float]:
         weights: Dict[str, float] = {}
         for e in dgspl.services_of_type(self.app_type):
             # least-loaded-first: weight falls as advertised load rises
@@ -239,6 +256,8 @@ class GeoFrontDoor(Persistent):
         self.geo_steering = bool(geo_steering)
         self.sites: List[str] = []
         self.flagged_down: set = set()
+        #: (region, site, tier) -> (the digest weighed, its weight)
+        self._weighed: Dict[tuple, tuple] = {}
         self.steered = 0
         self.shed_total = 0
         self.remote_steered = 0
@@ -259,11 +278,18 @@ class GeoFrontDoor(Persistent):
 
     def _weight(self, region: str, site: str, app_type: str,
                 now: float) -> float:
-        capacity = self.fed_dgspl.capacity(site, app_type, now)
-        if capacity <= 0.0:
-            return 0.0
-        distance = self.latency_ms(region, site)
-        return capacity / (1.0 + distance / self.LATENCY_SCALE_MS)
+        if not self.fed_dgspl.is_fresh(site, now):
+            return 0.0      # a stale site advertises nothing
+        digest = self.fed_dgspl.digests[site]
+        key = (region, site, app_type)
+        kept = self._weighed.get(key)
+        if kept is None or kept[0] is not digest:
+            capacity = digest.capacity(app_type)
+            distance = self.latency_ms(region, site)
+            weight = (capacity / (1.0 + distance / self.LATENCY_SCALE_MS)
+                      if capacity > 0.0 else 0.0)
+            kept = self._weighed[key] = (digest, weight)
+        return kept[1]
 
     def steer(self, region: str, app_type: str, n: int,
               now: float) -> Tuple[List[Tuple[str, int]], int]:

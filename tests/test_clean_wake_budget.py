@@ -143,3 +143,113 @@ def test_an_agent_write_normalises_its_canonical_path_once(
     sim.run(until=sim.now + 3 * GRID)
     assert per_call == {1}
     assert norms and all(norms)          # handed back as the same object
+
+
+class _CountedTable(dict):
+    """A process-table dict that reports every sweep over itself."""
+
+    sweeps = 0
+
+    def _swept(self):
+        type(self).sweeps += 1
+
+    def values(self):
+        self._swept()
+        return super().values()
+
+    def items(self):
+        self._swept()
+        return super().items()
+
+    def __iter__(self):
+        self._swept()
+        return super().__iter__()
+
+
+def test_a_load_reading_never_walks_the_process_table(fleet):
+    """Run queue and load are kept where the table is written."""
+    _sim, suites = fleet
+    host = suites[0].host
+    host.ptable.spawn("u", "busy", cpu_pct=95.0)
+    host.ptable._procs = _CountedTable(host.ptable._procs)
+    _CountedTable.sweeps = 0
+    readings = [host.load_average(), host.run_queue(), host._queued()]
+    assert _CountedTable.sweeps == 0
+    assert readings[2] == 1 and readings[0] == 1 / host.effective_cpus()
+    host.os_metrics()           # the float totals are still summed
+    assert _CountedTable.sweeps == 2
+
+
+def test_capacity_is_derived_once_per_component_state_change(
+        fleet, monkeypatch):
+    from repro.cluster.hardware import ComponentKind, HardwareInventory
+    _sim, suites = fleet
+    host = suites[0].host
+    derived = []
+    _counted(monkeypatch, HardwareInventory, "_scaled",
+             lambda args, _r: derived.append(args[2]))
+    per_change = [ComponentKind.CPU_BOARD, ComponentKind.MEMORY_BANK]
+
+    def reads():
+        for _ in range(5):
+            host.effective_cpus(), host.effective_ram_mb()
+            host.load_average(), host.os_metrics(), host.online_disks()
+        return (host.effective_cpus(), host.effective_ram_mb())
+
+    healthy = reads()
+    assert derived == []
+    bank = host.inventory.of_kind(ComponentKind.MEMORY_BANK)[0]
+    bank.fail(0.0)
+    degraded = reads()
+    assert derived == per_change
+    bank.fail(1.0)              # already failed: no change, no derivation
+    disk = host.inventory.of_kind(ComponentKind.DISK)[0]
+    disk.degrade(0.0), disk.degrade(0.0)        # counted, still OK
+    assert reads() == degraded and derived == per_change
+    disk.degrade(0.0)           # third strike: OK -> DEGRADED
+    bank.replace()
+    assert derived == 3 * per_change
+    assert reads() == healthy and degraded[1] < healthy[1]
+
+
+def test_door_weights_are_derived_once_per_published_dgspl(monkeypatch):
+    """... and a published DGSPL is never written again, which is what
+    lets a door key its weights on the object."""
+    from repro.core.admin import AdministrationServers
+    from repro.federation import build_federation
+    from repro.federation.config import three_site_config
+    from repro.ontology.dgspl import Dgspl
+    from repro.traffic.frontdoor import FrontDoor
+
+    routing, derivations, routes = [], [0], [0]
+    original = FrontDoor.route
+
+    def route(self, n, now):
+        routing.append(self)
+        routes[0] += 1
+        try:
+            return original(self, n, now)
+        finally:
+            routing.pop()
+    monkeypatch.setattr(FrontDoor, "route", route)
+    _counted(monkeypatch, Dgspl, "services_of_type",
+             lambda _a, _r: routing and derivations.__setitem__(
+                 0, derivations[0] + 1))
+    published = []              # (the object, its rendering when built)
+    _counted(monkeypatch, AdministrationServers, "_build_dgspl",
+             lambda args, _r: args[0].dgspl is not None and published.append(
+                 (args[0].dgspl, args[0].dgspl.to_doc().render())))
+
+    fed = build_federation(three_site_config(population=1_000_000, seed=0))
+    fed.start_traffic()
+    fed.run(4 * 3600.0)
+
+    doors = sum(len(site_doors) for site_doors in fed.traffic.doors.values())
+    generations = sum(site.admin.dgspl_generations
+                      for site in fed.sites.values())
+    assert len(published) == generations >= 3 * 10
+    assert routes[0] > 10 * generations
+    assert 0 < derivations[0] <= doors * generations / len(fed.sites)
+    assert len({id(dgspl) for dgspl, _ in published}) == len(published)
+    for dgspl, rendered in published:
+        assert dgspl.to_doc().render() == rendered

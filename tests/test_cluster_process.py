@@ -45,7 +45,7 @@ def test_accounting_sums():
     pt.spawn("u", "a", cpu_pct=50.0, mem_mb=100.0)
     pt.spawn("u", "b", cpu_pct=25.0, mem_mb=50.0)
     blocked = pt.spawn("u", "c", cpu_pct=10.0, mem_mb=10.0)
-    blocked.state = ProcState.BLOCKED
+    assert pt.update(blocked.pid, state=ProcState.BLOCKED)
     assert pt.total_cpu_pct() == 75.0        # blocked not counted
     assert pt.total_mem_mb() == 160.0
     # only genuinely busy processes queue for a CPU (25% is an idle-ish
@@ -77,7 +77,7 @@ def test_microstate_advance():
 def test_blocked_accumulates_wait_io():
     pt = ProcessTable("h")
     p = pt.spawn("u", "d")
-    p.state = ProcState.BLOCKED
+    pt.update(p.pid, state=ProcState.BLOCKED)
     pt.advance(5.0)
     assert p.micro.wait_io == 5.0
 

@@ -94,6 +94,20 @@ def test_collision_filenames_round_trip(store, db_host):
     assert store.clear_before(8.0) == 2
 
 
+def test_latest_time_reads_names_not_files(store, db_host, monkeypatch):
+    """The watchdog's number is in the file names; the detail line
+    latest() opens the winner for is not part of it."""
+    store.raise_flag("ok", 7.0, "older")
+    store.raise_flag("fault", 9.0, "first")
+    store.raise_flag("fault", 9.0, "second")
+    db_host.fs.write(f"{store.dir}/README", ["not a flag"])
+    db_host.fs.write(f"{store.dir}/ok.garbage", [])
+    assert store.latest().detail == "second"
+    monkeypatch.setattr(db_host.fs, "read", lambda path: pytest.fail(
+        f"latest_time opened {path}"))
+    assert store.latest_time() == 9.0
+
+
 def test_distinct_buckets_still_collision_free(store):
     store.raise_flag("ok", 1.0)
     store.raise_flag("ok", 1.2)

@@ -207,6 +207,25 @@ def test_geo_steering_sheds_only_when_every_site_is_dark():
     assert split == [] and shed == 1000
 
 
+def test_geo_weight_follows_the_digest_and_the_clock():
+    """The weight is kept per ingested digest; a newer digest replaces
+    it and freshness is still judged on every call."""
+    geo = _geo()
+    fd = geo.fed_dgspl
+    first = geo._weight("emea", "lon", "database", 200.0)
+    assert first == geo._weight("emea", "lon", "database", 300.0)
+    assert first == pytest.approx(
+        fd.capacity("lon", "database", 200.0) / (1.0 + 8.0 / 100.0))
+    assert geo._weight("amer", "lon", "database", 200.0) < first
+    assert geo._weight("emea", "lon", "webserver", 200.0) == 0.0
+    assert geo._weight("emea", "lon", "database", 701.0) == 0.0   # stale
+    busier = TierDigest(app_type="database", services=4, hosts=4,
+                        total_load=12.0, total_power=4000.0)
+    fd.ingest(SiteDigest(site="lon", generated_at=690.0, hosts_up=10,
+                         tiers={"database": busier}), now=700.0)
+    assert 0.0 < geo._weight("emea", "lon", "database", 701.0) < first
+
+
 def test_geo_steering_disabled_pins_to_home():
     geo = _geo(geo_steering=False)
     split, shed = geo.steer("emea", "database", 1000, now=200.0)
