@@ -11,8 +11,10 @@ whole-world checkpoints:
 
 - :mod:`repro.persist.core` -- the protocol, its one implementation
   (:class:`~repro.persist.core.Persistent` and the entry vocabulary),
-  the canonical-JSON state hash, and
-  :class:`~repro.persist.core.QuiescenceError`.
+  the canonical-JSON state hash and :func:`~repro.persist.core.seal`
+  (the same hash and the file's bytes from one encoding),
+  :func:`~repro.persist.core.collector_paused` for the resume path,
+  and :class:`~repro.persist.core.QuiescenceError`.
 - :mod:`repro.persist.site_state` -- :func:`snapshot_site` /
   :func:`restore_site`: walk a built :class:`~repro.experiments.site.Site`
   section by section, verifying that *every* live heap event is claimed
@@ -25,8 +27,8 @@ whole-world checkpoints:
   between sites, listed once in the same entry vocabulary.  A document
   of the wrong kind is refused by name.
 - :mod:`repro.persist.checkpoint` -- :class:`CheckpointManager`: epoch
-  barriers between run segments, atomic writes through the one
-  canonical encoder, a hash check on load, retention, and the
+  barriers between run segments, atomic writes of the sealed pieces,
+  a from-scratch hash check on load, retention, and the
   deferred-barrier policy for non-quiescent moments -- for a site or a
   federation alike (every chaos episode checkpoint is the latter).
 """

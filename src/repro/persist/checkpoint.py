@@ -11,12 +11,16 @@ the snapshot defers to the next epoch instead of failing the run.
 Writes are atomic (tmp file + ``os.replace``) so a run killed mid-write
 never leaves a truncated checkpoint, and retention keeps the newest N
 so a year-long segmented campaign holds bounded disk.  The file is the
-:func:`~repro.persist.core.canonical_json` rendering -- the bytes the
-``state_hash`` was taken over -- and :meth:`CheckpointManager.load`,
-the one place a document enters from outside the program, recomputes
-that hash: a truncated, edited or bit-flipped file is a ``ValueError``
-naming the path, never a running world.  Wall-clock cost is accounted
-per checkpoint -- the overhead benchmark reads it back.
+:func:`~repro.persist.core.canonical_json` rendering of the sealed
+document: the bytes the ``state_hash`` was taken over *plus* the
+``"state_hash"`` member itself, spliced in at its sorted place by
+:func:`repro.persist.core.seal`, whose pieces :meth:`CheckpointManager.epoch`
+writes as they are -- one encoding per epoch.
+:meth:`CheckpointManager.load`, the one place a document enters from
+outside the program, recomputes that hash from scratch: a truncated,
+edited or bit-flipped file is a ``ValueError`` naming the path, never
+a running world.  Wall-clock cost is accounted per attempt, deferred
+ones included -- the overhead benchmark reads it back.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ import time
 from typing import Dict, List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
-                                canonical_json, state_hash)
-from repro.persist.federation_state import snapshot_federation
-from repro.persist.site_state import snapshot_site
+                                collector_paused, state_hash)
+from repro.persist.federation_state import sealed_federation
+from repro.persist.site_state import sealed_site
 
 __all__ = ["CheckpointManager", "rss_mb"]
 
@@ -44,6 +48,12 @@ def rss_mb() -> float:
     ru = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # linux reports KiB, macOS bytes
     return ru / 1024.0 if ru < 1 << 32 else ru / (1024.0 * 1024.0)
+
+
+def _refuse_constant(name: str):
+    """``json``'s hook for ``NaN`` / ``Infinity`` / ``-Infinity``,
+    which Python parses and no canonical document can hold."""
+    raise ValueError(f"non-finite literal {name}")
 
 
 class CheckpointManager:
@@ -93,18 +103,17 @@ class CheckpointManager:
         """
         if not force and not self.due():
             return None
+        sealed = sealed_federation if self._federated else sealed_site
         t0 = time.perf_counter()
         try:
-            if self._federated:
-                snap = snapshot_federation(self.site,
-                                           extras_by_site=self.extras)
-            else:
-                snap = snapshot_site(self.site, extras=self.extras)
+            snap, pieces = sealed(self.site, self.extras)
+            path = self._write(pieces)
         except QuiescenceError:
             self.deferred += 1
             return None
-        path = self._write(snap)
-        self.wall_seconds += time.perf_counter() - t0
+        finally:
+            self.wall_seconds += time.perf_counter() - t0
+        self.last_hash = snap["state_hash"]
         self._last_at = self._now()
         self._prune()
         return path
@@ -115,47 +124,65 @@ class CheckpointManager:
         hours = self._now() / 3600.0
         return f"{self.label}-{hours:012.3f}h.json"
 
-    def _write(self, snap: dict) -> str:
+    def _write(self, pieces: List[str]) -> str:
+        """The sealed document's pieces, then a newline, atomically."""
         path = os.path.join(self.directory, self._name())
         tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(canonical_json(snap))
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines(pieces)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            # disk full, ^C: a half-written tmp is nobody's checkpoint
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
         self.written += 1
         self.last_path = path
-        self.last_hash = snap["state_hash"]
         return path
+
+    @staticmethod
+    def _listing(directory: str, label: str, suffix: str) -> List[str]:
+        """``label``'s files ending in ``suffix``, oldest first (the
+        zero-padded hour stamp sorts by time)."""
+        try:
+            names = sorted(n for n in os.listdir(directory)
+                           if n.startswith(label + "-")
+                           and n.endswith(suffix))
+        except FileNotFoundError:
+            return []
+        return [os.path.join(directory, n) for n in names]
 
     def checkpoints(self) -> List[str]:
         """Existing checkpoint paths for this label, oldest first."""
-        try:
-            names = sorted(n for n in os.listdir(self.directory)
-                           if n.startswith(self.label + "-")
-                           and n.endswith(".json"))
-        except FileNotFoundError:
-            return []
-        return [os.path.join(self.directory, n) for n in names]
+        return self._listing(self.directory, self.label, ".json")
 
     def _prune(self) -> None:
+        """Keep the newest ``retain``; a ``.json.tmp`` of this label is
+        what a killed writer left (ours is renamed by now)."""
         paths = self.checkpoints()
-        for path in paths[:max(0, len(paths) - self.retain)]:
+        stale = self._listing(self.directory, self.label, ".json.tmp")
+        for path in paths[:max(0, len(paths) - self.retain)] + stale:
             os.remove(path)
 
     @staticmethod
+    @collector_paused
     def load(path: str) -> dict:
         """Read a checkpoint file and prove it is the document that was
-        written: a truncated, non-JSON, hash-less or bit-flipped file
-        is a ``ValueError`` naming the path, never a running world."""
+        written: a truncated, non-UTF-8, non-JSON (``NaN`` included),
+        bottomlessly nested, hash-less or bit-flipped file is a
+        ``ValueError`` naming the path, never a running world."""
         try:
-            with open(path) as fh:
-                snap = json.load(fh)
-        except json.JSONDecodeError as exc:
+            with open(path, encoding="utf-8") as fh:
+                snap = json.load(fh, parse_constant=_refuse_constant)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ValueError(
-                f"{path}: not a checkpoint (truncated or not JSON: "
-                f"{exc})") from exc
+                f"{path}: not a checkpoint (truncated, or not strict "
+                f"UTF-8 JSON: {exc})") from exc
         if not isinstance(snap, dict):
             raise ValueError(f"{path}: not a checkpoint document")
         if snap.get("format") != FORMAT_VERSION:
@@ -174,13 +201,8 @@ class CheckpointManager:
 
     @staticmethod
     def latest(directory: str, label: str = "ckpt") -> Optional[str]:
-        try:
-            names = sorted(n for n in os.listdir(directory)
-                           if n.startswith(label + "-")
-                           and n.endswith(".json"))
-        except FileNotFoundError:
-            return None
-        return os.path.join(directory, names[-1]) if names else None
+        paths = CheckpointManager._listing(directory, label, ".json")
+        return paths[-1] if paths else None
 
     def stats(self) -> Dict[str, float]:
         return {

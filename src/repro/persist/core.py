@@ -33,13 +33,17 @@ keys, before the component is touched.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import hashlib
 import json
-from operator import attrgetter
-from typing import Callable, List, Optional, Protocol, runtime_checkable
+from operator import attrgetter, itemgetter
+from typing import (Callable, Iterable, Iterator, List, Mapping, Optional,
+                    Protocol, Tuple, runtime_checkable)
 
 __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
-           "canonical_json", "check_format", "state_hash",
+           "canonical_json", "check_format", "state_hash", "seal",
+           "compose", "collector_paused",
            "Persistent", "Entry", "scalar", "scalars", "member", "sortedset",
            "table", "pairs", "rows", "record", "part", "pending", "pendings",
            "signal", "group", "via", "token", "rearm",
@@ -100,8 +104,74 @@ def canonical_json(state: dict) -> str:
 
 
 def state_hash(state: dict) -> str:
-    """sha256 of the canonical JSON -- the checkpoint's content hash."""
+    """sha256 of the canonical JSON -- the checkpoint's content hash.
+
+    The from-scratch definition: :meth:`CheckpointManager.load` and the
+    tests check against it; a snapshot takes the same hash through
+    :func:`seal`, which does not encode the document a second time."""
     return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
+
+
+def compose(members: Iterable[Tuple[str, Iterable[str]]]) -> Iterator[str]:
+    """Canonical JSON composes: the rendering of a str-keyed object, in
+    pieces, from ``(key, pieces of its value's rendering)`` pairs given
+    in key order."""
+    opener = "{"
+    for key, pieces in members:
+        yield f"{opener}{json.dumps(key)}:"
+        yield from pieces
+        opener = ","
+    yield "}" if opener == "," else "{}"
+
+
+def seal(state: dict,
+         encoded: Optional[Mapping[str, List[str]]] = None) -> List[str]:
+    """Record ``state``'s :func:`state_hash` in it as ``"state_hash"``
+    and return the sealed document's :func:`canonical_json` in pieces,
+    every byte encoded once: ``"".join(seal(s))`` is
+    ``canonical_json(s)`` afterwards.
+
+    Each top-level member is encoded on its own and fed to one sha256
+    as it goes -- the hashed body is never joined into one string --
+    then the ``"state_hash"`` member is spliced in at its sorted place.
+    ``encoded`` maps the members whose rendering the caller already
+    holds (a federation's sealed site documents) to its pieces.
+    """
+    if "state_hash" in state:
+        raise ValueError("document is already sealed")
+    encoded = encoded or {}
+    members = [(key, encoded[key] if key in encoded
+                else [canonical_json(state[key])]) for key in sorted(state)]
+    digest = hashlib.sha256()
+    for piece in compose(members):
+        digest.update(piece.encode("utf-8"))
+    state["state_hash"] = digest.hexdigest()
+    members.append(("state_hash", [json.dumps(state["state_hash"])]))
+    members.sort(key=itemgetter(0))
+    return list(compose(members))
+
+
+def collector_paused(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic collector off, and hand it back in
+    the state the caller had it, raise or return.
+
+    For the resume path only -- parse, verify, build, restore: it adds
+    a whole world of containers every one of which is reachable from
+    the result, so the full-heap sweeps CPython's "pending > total / 4"
+    rule fires in the middle of it cannot free an object.  Not for the
+    snapshot side: the world a resume replaced is cyclic garbage that
+    only the sweeps during the next snapshot free (DESIGN.md has the
+    RSS figures)."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
 
 
 # -- component trees ---------------------------------------------------------

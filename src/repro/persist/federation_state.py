@@ -17,14 +17,15 @@ byte-identical summaries to the one that never stopped.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
-from repro.persist.core import (FORMAT_VERSION, Entry, check_format, group,
-                                load_state, part, save_state, scalar,
-                                scalars, sortedset, state_hash)
-from repro.persist.site_state import restore_site, snapshot_site
+from repro.persist.core import (FORMAT_VERSION, Entry, check_format,
+                                collector_paused, compose, group, load_state,
+                                part, save_state, scalar, scalars, seal,
+                                sortedset)
+from repro.persist.site_state import restore_site, sealed_site
 
-__all__ = ["snapshot_federation", "restore_federation"]
+__all__ = ["snapshot_federation", "sealed_federation", "restore_federation"]
 
 
 #: Everything a Federation holds between its sites, in document order:
@@ -51,19 +52,29 @@ def snapshot_federation(fed, *, extras_by_site: Optional[
     ``extras_by_site`` forwards harness-owned components to each site's
     :func:`snapshot_site` (same names must be passed on restore).
     """
+    return sealed_federation(fed, extras_by_site)[0]
+
+
+def sealed_federation(fed, extras_by_site: Optional[
+        Mapping[str, Mapping[str, object]]] = None) -> Tuple[dict, List[str]]:
+    """:func:`snapshot_federation`'s document and the pieces of its
+    canonical JSON.  Each site is sealed once and its text handed on as
+    is: the federation's hash and file reuse it, not re-encode it."""
     extras_by_site = dict(extras_by_site or {})
+    sealed = {name: sealed_site(fed.sites[name], extras_by_site.get(name))
+              for name in sorted(fed.sites)}
     state: dict = {
         "format": FORMAT_VERSION,
         "fedconfig": fed.config.to_dict(),
-        "sites": {name: snapshot_site(fed.sites[name],
-                                      extras=extras_by_site.get(name))
-                  for name in sorted(fed.sites)},
+        "sites": {name: doc for name, (doc, _pieces) in sealed.items()},
         **save_state(fed, _LAYERS),
     }
-    state["state_hash"] = state_hash(state)
-    return state
+    sites = list(compose((name, pieces)
+                         for name, (_doc, pieces) in sealed.items()))
+    return state, seal(state, {"sites": sites})
 
 
+@collector_paused
 def restore_federation(snapshot: dict, *, fed=None, extras_by_site: Optional[
         Mapping[str, Mapping[str, object]]] = None):
     """Rebuild the snapshotted federation and return it.

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import asdict
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
-                                check_format, claimed_of, restore_node,
-                                snapshot_node, state_hash)
+                                check_format, claimed_of, collector_paused,
+                                restore_node, seal, snapshot_node)
 
-__all__ = ["snapshot_site", "restore_site", "fresh_site"]
+__all__ = ["snapshot_site", "sealed_site", "restore_site", "fresh_site"]
 
 
 # -- quiescence --------------------------------------------------------------
@@ -154,6 +154,15 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
     and participates in claimed-event coverage when it owns events.
     The same names must be passed to :func:`restore_site`.
     """
+    return sealed_site(site, extras)[0]
+
+
+def sealed_site(site, extras: Optional[Mapping[str, object]] = None
+                ) -> Tuple[dict, List[str]]:
+    """:func:`snapshot_site`'s document and, beside it, the pieces of
+    its canonical JSON (:func:`~repro.persist.core.seal`) -- for the
+    checkpoint writer and the federation walk, which would otherwise
+    encode the document again."""
     extras = dict(extras or {})
     _check_quiescent(site, extras)
 
@@ -170,10 +179,10 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
         state[key] = snapshot_node(node)
 
     _coverage_check(site, _claims(layers))
-    state["state_hash"] = state_hash(state)
-    return state
+    return state, seal(state)
 
 
+@collector_paused
 def fresh_site(snapshot: dict):
     """Check a site document, then build the (not yet restored) site it
     describes -- for callers that wire a harness around the site before
@@ -183,6 +192,7 @@ def fresh_site(snapshot: dict):
     return build_site(SiteConfig(**snapshot["config"]))
 
 
+@collector_paused
 def restore_site(snapshot: dict, *, site=None,
                  extras: Optional[Mapping[str, object]] = None):
     """Rebuild the snapshotted world and return the restored Site.

@@ -231,3 +231,34 @@ def test_corrupt_checkpoint_files_are_refused_before_anything_is_built(
     doc["kernel"]["events_processed"] += 400
     resumed = FidelityHarness.resume(doc | {"state_hash": "stale"})
     assert resumed.sim.events_processed == doc["kernel"]["events_processed"]
+
+
+def test_hostile_checkpoint_files_are_refused_naming_the_path(tmp_path):
+    """A byte that is not UTF-8 (a flip in the high bit), a ``NaN``
+    literal (which Python's parser accepts) and a bottomless nest each
+    fail in ``CheckpointManager.load`` as the documented ``ValueError``
+    naming the path -- not as a bare ``UnicodeDecodeError``, an
+    encoder's "Out of range float" or a ``RecursionError``."""
+    harness = _twenty_hosts()
+    harness.run_hours(0.25)
+    mgr = CheckpointManager(harness.site, str(tmp_path),
+                            extras=harness._extras())
+    with open(mgr.epoch(force=True), "rb") as fh:
+        raw = fh.read()
+    events = b'"events_processed":%d' % harness.sim.events_processed
+    assert events in raw
+    hostile = {
+        "high-bit.json": raw.replace(b'"kernel"', b'"kerne\xec"'),
+        "nan.json": raw.replace(events, b'"events_processed":NaN'),
+        "infinity.json": raw.replace(events,
+                                     b'"events_processed":-Infinity'),
+        "bottomless.json": b"[" * 100_000,
+    }
+    for name, body in hostile.items():
+        assert body != raw
+        path = tmp_path / name
+        path.write_bytes(body)
+        with pytest.raises(ValueError,
+                           match=f"{name}: not a checkpoint") as err:
+            FidelityHarness.resume(CheckpointManager.load(str(path)))
+        assert type(err.value) is ValueError

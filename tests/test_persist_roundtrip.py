@@ -266,3 +266,69 @@ def test_constructor_validates_knobs(tmp_path):
         CheckpointManager(harness.site, str(tmp_path), every_hours=0.0)
     with pytest.raises(ValueError):
         CheckpointManager(harness.site, str(tmp_path), retain=0)
+
+
+def test_a_checkpoint_file_is_the_canonical_rendering_of_its_document(
+        tmp_path):
+    """Written from the sealed pieces, never re-encoded -- and still,
+    byte for byte, what encoding the loaded document from scratch
+    gives, for a site and for a federation; a federation's embedded
+    site documents each verify on their own."""
+    from repro.federation import build_federation, three_site_config
+    harness, mgr = _manager(tmp_path)
+    harness.run_hours(0.5)
+    fed = build_federation(three_site_config(population=60_000))
+    fed.run(600.0)
+    fed_mgr = CheckpointManager(fed, str(tmp_path), label="fed")
+    for manager in (mgr, fed_mgr):
+        path = manager.epoch(force=True)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        doc = CheckpointManager.load(path)
+        assert raw == (canonical_json(doc) + "\n").encode("ascii")
+        assert doc["state_hash"] == manager.last_hash
+    assert sorted(doc["sites"]) == sorted(fed.sites)
+    for site_doc in doc["sites"].values():
+        recorded = site_doc.pop("state_hash")
+        assert state_hash(site_doc) == recorded
+
+
+def test_a_deferred_epoch_is_on_the_books(tmp_path, monkeypatch):
+    """A snapshot that walked the world and was refused at the end
+    cost what it cost: ``wall_seconds`` counts the attempt."""
+    import time
+    harness, mgr = _manager(tmp_path)
+    harness.run_hours(0.5)
+    harness.site.sim.schedule(60.0, lambda: None)     # nobody's event
+    clock = iter(range(100, 1000, 7))
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    assert mgr.epoch(force=True) is None
+    monkeypatch.undo()
+    assert mgr.stats() == {**mgr.stats(), "written": 0, "deferred": 1,
+                           "wall_seconds": 7.0}
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_write_leaves_no_tmp_and_prune_sweeps_stale_ones(
+        tmp_path, monkeypatch):
+    harness, mgr = _manager(tmp_path, retain=1)
+    harness.run_hours(0.5)
+
+    def disk_full(_fd):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        mgr.epoch(force=True)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == []
+    assert mgr.stats()["written"] == 0 and mgr.last_path is None
+
+    # what a killed writer of this label left, and one of another's
+    stale = tmp_path / "ckpt-000000000.250h.json.tmp"
+    other = tmp_path / "other-000000000.250h.json.tmp"
+    stale.write_text("{")
+    other.write_text("{")
+    path = mgr.epoch(force=True)
+    assert mgr.checkpoints() == [path]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [os.path.basename(path), other.name])
