@@ -16,7 +16,7 @@ episode exercised, harvested from ledgers the substrate already keeps
 - ``fault:<kind>`` / ``fizzle:<kind>`` -- what the scenario actually
   managed to break (a fault against an already-broken target fizzles);
 - ``wake:*`` / ``notify:*`` / ``admin:*`` -- demand wakes, backoff
-  depth, pages by severity, storm suppression, HA failovers;
+  depth, pages by medium and severity, HA failovers;
 - ``fed:*`` -- what happened *between* sites: a site lost or
   recovered, a cross-site takeover, geo-steered demand.
 
@@ -176,5 +176,3 @@ def _site_markers(book, sig: set) -> None:
     # notification behaviour
     for note in site.notifications.sent:
         sig.add(f"notify:{note.medium}:{note.severity}")
-    if site.notifications.suppressed_total:
-        sig.add("notify:suppressed")

@@ -351,6 +351,12 @@ def run_episode(scenario: Scenario, *, planted_bug: bool = False,
     scenario.validate()
     events = scenario.events
 
+    if from_checkpoint is not None:
+        from repro.persist import CheckpointManager, restore_federation
+        from repro.persist.core import check_format
+        saved = CheckpointManager.load(from_checkpoint)
+        check_format(saved, "federation")       # before anything is built
+
     fed = build_federation(_world_config(scenario))
     books = {name: _EpisodeBook(fed, fed.sites[name], events, planted_bug)
              for name in sorted(fed.sites)}
@@ -363,9 +369,7 @@ def run_episode(scenario: Scenario, *, planted_bug: bool = False,
            if parse_target(ev.target)[0] == "wan"]
 
     if from_checkpoint is not None:
-        from repro.persist import CheckpointManager, restore_federation
-        restore_federation(CheckpointManager.load(from_checkpoint),
-                           fed=fed, extras_by_site=extras)
+        restore_federation(saved, fed=fed, extras_by_site=extras)
     else:
         if fed.traffic is not None:
             fed.start_traffic()

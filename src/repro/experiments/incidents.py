@@ -19,7 +19,7 @@ Two claims are checked every run (and asserted by the tier-1 tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.experiments.report import table
 from repro.experiments.runner import FidelityHarness
@@ -48,7 +48,6 @@ class IncidentRunResult:
     #: fault_id -> seconds from injection to first burn-rate page
     alert_latency: Dict[str, float] = field(default_factory=dict)
     pages_sent: int = 0
-    pages_suppressed: int = 0
     board: str = ""
 
     @property
@@ -72,7 +71,6 @@ class IncidentRunResult:
             "alert_latency_s": dict(sorted(self.alert_latency.items())),
             "alerts_beat_cron": self.alerts_beat_cron,
             "pages_sent": self.pages_sent,
-            "pages_suppressed": self.pages_suppressed,
         }
         return doc
 
@@ -81,8 +79,7 @@ class IncidentRunResult:
             "# Incident-report workflow run", "",
             f"- seed {self.seed}, population {self.population:,}, "
             f"horizon {self.horizon / HOUR:.1f} h",
-            f"- burn-rate pages: {self.pages_sent} sent, "
-            f"{self.pages_suppressed} suppressed",
+            f"- burn-rate pages: {self.pages_sent} sent",
             f"- cron-grid detection bound: {self.detection_bound:.0f} s; "
             f"alerts beat it: {self.alerts_beat_cron}", "",
         ]
@@ -92,7 +89,6 @@ class IncidentRunResult:
 
 def run(seed: int = 0, *, population: int = 1_000_000,
         warmup: float = 2 * HOUR, settle: float = 2 * HOUR,
-        observe_interval: float = 60.0,
         agent_period: float = 300.0) -> IncidentRunResult:
     """One observed fault storm on the test-scale live site.
 
@@ -103,7 +99,7 @@ def run(seed: int = 0, *, population: int = 1_000_000,
     config = SiteConfig.test_scale(
         seed=seed, agent_period=agent_period, spare_servers=1,
         with_workload=False, with_feeds=False,
-        observe=True, observe_interval=observe_interval)
+        observe=True)
     site = build_site(config)
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
@@ -153,7 +149,6 @@ def run(seed: int = 0, *, population: int = 1_000_000,
         agent_period=agent_period, reports=reports, reconciliation=recon,
         alert_latency=latency,
         pages_sent=site.alerts.pages_sent,
-        pages_suppressed=site.notifications.suppressed_total,
         board=console.board())
 
 
@@ -181,8 +176,7 @@ def format_result(result: IncidentRunResult) -> str:
     recon = result.reconciliation
     lines = [
         body, "",
-        f"burn-rate pages: {result.pages_sent} sent "
-        f"({result.pages_suppressed} storm-suppressed); detection bound "
+        f"burn-rate pages: {result.pages_sent} sent; detection bound "
         f"{result.detection_bound:.0f} s (cron grid); "
         f"alerts beat it: {result.alerts_beat_cron}",
         f"reconciliation: downtime reports "

@@ -76,8 +76,6 @@ class SiteConfig:
     #: rollup tick, which the parity/determinism experiments must not
     #: see
     observe: bool = False
-    #: telemetry rollup period, seconds
-    observe_interval: float = 60.0
     #: the site's name in a federation (DGSPL entries, WAN addressing,
     #: cross-site escalation); the default keeps the paper's single site
     site_name: str = "london"
@@ -336,13 +334,12 @@ def _deploy_agents(site: Site) -> None:
 def _deploy_observability(site: Site) -> None:
     """Install the telemetry hub + alert manager (config.observe).
 
-    The hub rides the condition ledger (when one exists) and whatever
-    metrics registry the installed tracer carries; traffic SLIs join
-    later -- experiments that attach an engine call
+    The hub rides the condition ledger (when one exists); traffic SLIs
+    join later -- experiments that attach an engine call
     ``site.telemetry.attach_slis(engine.slis)``.
     """
     from repro.observe import AlertManager, TelemetryHub
-    hub = TelemetryHub(site.sim, interval=site.config.observe_interval)
+    hub = TelemetryHub(site.sim)
     if site.ledger is not None:
         hub.attach_ledger(site.ledger)
     manager = AlertManager(site.sim, hub, channel=site.notifications)

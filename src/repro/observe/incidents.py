@@ -161,23 +161,27 @@ def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
                                   step=qos_step)
             reports[fid].user_minutes = outcome.user_minutes_lost
 
-    # -- the other ledgers ---------------------------------------------------
+    # -- the other ledgers, each grouped by host once, in log order ----------
+    conditions_of: Dict[str, list] = {}
+    for c in (hub.condition_log if hub is not None else ()):
+        conditions_of.setdefault(c.host, []).append(c)
+    decisions_of: Dict[str, list] = {}
+    for entry in (admin.decision_log if admin is not None else ()):
+        decisions_of.setdefault(entry[2], []).append(entry)
     for rep in reports.values():
         if alerts is not None and rep.fault_id:
             mine = alerts.alerts_for(rep.fault_id)
             rep.alerts = [a.subject for a in mine]
-            fired = [a.fired_at for a in mine if a.fired_at is not None]
-            if fired:
-                rep.first_alert_at = min(fired)
-        if hub is not None and rep.host:
+            if mine:
+                rep.first_alert_at = min(a.fired_at for a in mine)
+        if rep.host:
             rep.conditions = [
                 f"{c.time:.0f} {c.kind} {c.host} {c.status} "
                 f"{c.detail}".rstrip()
-                for c in hub.condition_log if c.host == rep.host]
-        if admin is not None and rep.host:
+                for c in conditions_of.get(rep.host, ())]
             rep.decisions = [f"{t:.0f} {action} {host} {reason}".rstrip()
                              for t, action, host, reason
-                             in admin.decision_log if host == rep.host]
+                             in decisions_of.get(rep.host, ())]
         if relocator is not None:
             recs = [r for r in relocator.records
                     if (rep.fault_id and r.fault_id == rep.fault_id)

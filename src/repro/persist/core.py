@@ -51,7 +51,7 @@ __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
            "save_state", "load_state"]
 
 #: bump when any component's snapshot layout changes incompatibly
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def check_format(snapshot: dict, kind: str) -> None:

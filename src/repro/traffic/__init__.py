@@ -8,8 +8,7 @@ users experience it:
 - :mod:`workload` -- open-loop, diurnal/weekday-aware arrival models
   per application class, seeded from named RNG streams.
 - :mod:`engine` -- the fluid (aggregated-flow) traffic engine that
-  makes 1M+ users affordable, plus a per-request discrete mode for
-  tests.
+  makes 1M+ users affordable.
 - :mod:`slo` -- streaming SLIs (availability, latency percentiles),
   SLOs with error budgets and burn rates, and the request-weighted
   unavailability join ("user-minutes lost") that prices downtime
@@ -29,8 +28,7 @@ from repro.traffic.workload import (DemandCurve, DiurnalProfile,
 from repro.traffic.slo import (LATENCY_BUCKETS_MS, IncidentWindow,
                                QosOutcome, Sli, Slo, SloStatus, join_demand)
 from repro.traffic.frontdoor import FrontDoor
-from repro.traffic.engine import (DiscreteTrafficEngine, FluidTrafficEngine,
-                                  doors_for_site)
+from repro.traffic.engine import FluidTrafficEngine, doors_for_site
 
 __all__ = [
     "DemandCurve", "DiurnalProfile", "TrafficClass",
@@ -38,5 +36,5 @@ __all__ = [
     "LATENCY_BUCKETS_MS", "IncidentWindow", "QosOutcome",
     "Sli", "Slo", "SloStatus", "join_demand",
     "FrontDoor",
-    "DiscreteTrafficEngine", "FluidTrafficEngine", "doors_for_site",
+    "FluidTrafficEngine", "doors_for_site",
 ]

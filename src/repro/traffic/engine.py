@@ -1,40 +1,32 @@
-"""Traffic engines: drive user demand against the live site.
+"""The traffic engine: drive user demand against the live site.
 
-Two fidelities, one accounting surface:
+:class:`FluidTrafficEngine` models users as an *aggregated flow*: each
+tick it Poisson-samples the interval's demand per class from the
+diurnal curve, spreads the batch through the front door, and serves it
+with one :meth:`Application.serve_batch` call per server.  A simulated
+day of 1M+ users costs thousands of events instead of billions of
+per-request events, which is what makes user-perceived QoS measurable
+at the paper's scale.  (The per-request reference it is checked
+against lives with the unit tests.)
 
-- :class:`FluidTrafficEngine` -- the production path.  Users are an
-  *aggregated flow*: each tick it Poisson-samples the interval's demand
-  per class from the diurnal curve, spreads the batch through the
-  front door, and serves it with one :meth:`Application.serve_batch`
-  call per server.  A simulated day of 1M+ users costs thousands of
-  events instead of billions of per-request events, which is what makes
-  user-perceived QoS measurable at the paper's scale.
-- :class:`DiscreteTrafficEngine` -- per-request mode for tests and
-  small horizons: the same sampled counts, but every request becomes
-  its own simulation event at a uniformly-drawn instant inside the
-  interval.  The two modes agree on availability by construction
-  (identical arrival counts, identical serving surface); the unit
-  tests hold them together.
-
-Both record into :class:`repro.traffic.slo.Sli` per class and, when a
-tracer is installed, bump ``traffic.*`` counters in the metrics
+It records into :class:`repro.traffic.slo.Sli` per class and, when a
+tracer is installed, bumps ``traffic.*`` counters in the metrics
 registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.traffic.frontdoor import FrontDoor
 from repro.traffic.slo import Sli
 from repro.traffic.workload import DemandCurve
 
-__all__ = ["FluidTrafficEngine", "DiscreteTrafficEngine", "doors_for_site",
-           "dispatch_fluid"]
+__all__ = ["FluidTrafficEngine", "doors_for_site", "dispatch_fluid"]
 
 
-class _EngineBase:
-    """Shared tick scaffolding and SLI accounting."""
+class FluidTrafficEngine:
+    """Aggregated-flow mode: one serve_batch call per server per tick."""
 
     def __init__(self, sim, curve: DemandCurve,
                  doors: Dict[str, FrontDoor], streams, *,
@@ -80,7 +72,11 @@ class _EngineBase:
         self._event = self.sim.schedule(self.step, self._tick)
 
     def _dispatch(self, cls_name: str, n: int, now: float) -> None:
-        raise NotImplementedError
+        dispatch_fluid(
+            self.doors[cls_name], n, now,
+            lambda served, failed, ms:
+                self._account(cls_name, served, failed, ms),
+            lambda shed: self._account_shed(cls_name, shed))
 
     # -- accounting ----------------------------------------------------------
 
@@ -137,52 +133,6 @@ def dispatch_fluid(door, n: int, now: float,
         record_batch(served, failed, ms)
     if shed:
         record_shed(shed)
-
-
-class FluidTrafficEngine(_EngineBase):
-    """Aggregated-flow mode: one serve_batch call per server per tick."""
-
-    def _dispatch(self, cls_name: str, n: int, now: float) -> None:
-        dispatch_fluid(
-            self.doors[cls_name], n, now,
-            lambda served, failed, ms:
-                self._account(cls_name, served, failed, ms),
-            lambda shed: self._account_shed(cls_name, shed))
-
-
-class DiscreteTrafficEngine(_EngineBase):
-    """Per-request mode: every request is its own simulation event.
-
-    Kept for tests and short horizons -- it exercises the same front
-    door and serving surface request-by-request, so the fluid engine's
-    aggregation can be checked against it.  ``max_requests_per_tick``
-    guards against accidentally pointing a million-user curve at it.
-    """
-
-    def __init__(self, sim, curve: DemandCurve,
-                 doors: Dict[str, FrontDoor], streams, *,
-                 step: float = 60.0, max_requests_per_tick: int = 10_000):
-        super().__init__(sim, curve, doors, streams, step=step)
-        self.max_requests_per_tick = int(max_requests_per_tick)
-
-    def _dispatch(self, cls_name: str, n: int, now: float) -> None:
-        if n > self.max_requests_per_tick:
-            raise RuntimeError(
-                f"{n} requests in one tick: the discrete engine is for "
-                f"small horizons; use FluidTrafficEngine")
-        offsets = sorted(float(x) for x in
-                         self.rng.uniform(0.0, self.step, size=n))
-        for off in offsets:
-            self.sim.schedule(off, self._one_request, cls_name)
-
-    def _one_request(self, cls_name: str) -> None:
-        alloc, shed = self.doors[cls_name].route(1, self.sim.now)
-        if shed:
-            self._account_shed(cls_name, shed)
-            return
-        for app, count in alloc:
-            served, failed, ms = app.serve_batch(count)
-            self._account(cls_name, served, failed, ms)
 
 
 def doors_for_site(site, *, use_dgspl: bool = True,

@@ -2,7 +2,7 @@
 identity, for every standalone Snapshottable component.
 
 Each test drives a component through a random operation sequence
-(hitting the trim/dedup/lazy-deletion paths, not just happy appends),
+(hitting the trim and lazy-deletion paths, not just happy appends),
 snapshots it, restores into a *fresh* instance, and demands (a) the
 re-snapshot is byte-identical under the canonical codec and (b) the
 restored object answers queries exactly like the original.
@@ -139,20 +139,14 @@ def test_downtime_ledger_roundtrip(ops):
     st.floats(min_value=0.0, max_value=900.0,
               allow_nan=False, allow_infinity=False)), max_size=30))
 def test_notification_channel_roundtrip(sends):
-    def build():
-        return NotificationChannel(_FakeSim(), dedup_window=300.0,
-                                   rate_limit=5, rate_window=3600.0)
-
-    chan = build()
+    chan = NotificationChannel(_FakeSim())
     for recipient, subject, dt in sends:
         chan.sim.now += dt
         chan.email(recipient, subject)
-    chan2 = roundtrip(chan, build())
+    chan2 = roundtrip(chan, NotificationChannel(_FakeSim()))
     chan2.sim.now = chan.sim.now
-    assert chan2.count() == chan.count()
-    assert chan2.suppressed_total == chan.suppressed_total
-    # dedup folding keeps working against the *restored* records
+    assert chan2.sent == chan.sent
+    # the restored ledger keeps appending where the original does
     a = chan.email("ops", "db01 down")
     b = chan2.email("ops", "db01 down")
-    assert a.suppressed == b.suppressed
-    assert chan2.suppressed_total == chan.suppressed_total
+    assert a == b and chan2.sent == chan.sent

@@ -16,7 +16,7 @@ from collections import deque
 from repro.controlplane.ledger import ConditionLedger
 from repro.metrics.samplers import WORKGROUPS, SamplerSuite
 from repro.metrics.timeseries import TimeSeries
-from repro.observe.pipeline import TelemetryHub
+from repro.observe.pipeline import MAXLEN, TelemetryHub
 
 
 class _FakeSim:
@@ -135,19 +135,24 @@ def test_sampler_history_is_the_circular_log_and_nothing_else(
 
 
 def test_condition_log_ring_drops_and_counts():
-    hub = TelemetryHub(_FakeSim(), maxlen=2)   # log cap = 16 * 2 = 32
+    hub = TelemetryHub(_FakeSim())
     ledger = ConditionLedger()
     hub.attach_ledger(ledger)
-    for i in range(40):
+    cap = 16 * 720
+    n = cap + 40
+    for i in range(n):
         ledger.append("flag", "db01", status="fault", time=float(i))
-    cap = 16 * 2
     assert isinstance(hub.condition_log, deque)
     assert len(hub.condition_log) == cap
-    assert hub.condition_log_dropped == 40 - cap
-    assert hub.events_in == 40
+    assert hub.condition_log_dropped == n - cap
     # newest retained, oldest shed
-    assert hub.condition_log[-1].time == 39.0
-    assert hub.condition_log[0].time == float(40 - cap)
+    assert hub.condition_log[-1].time == float(n - 1)
+    assert hub.condition_log[0].time == float(n - cap)
+    # the SLI rings hold 12 h of 60 s rollups, trimmed amortised
+    ring = hub.series("svc/web/attempted")
+    for i in range(3 * MAXLEN):
+        ring.append(60.0 * i, float(i))
+    assert MAXLEN == 720 and 720 <= len(ring) < 1440
 
 
 # -- condition ledger backlog cap --------------------------------------------

@@ -1,10 +1,10 @@
-"""Unit tests for the alerting tier: burn-rate math, the EWMA
-detector, the alert state machine and the console pane."""
+"""Unit tests for the alerting tier: burn-rate math, the alert state
+machine at its module constants, and the console pane."""
 
 import pytest
 
-from repro.observe import (AlertManager, BurnRateRule, EwmaAnomalyDetector,
-                           TelemetryHub)
+from repro.observe import AlertManager, TelemetryHub
+from repro.observe.alerts import ESCALATE_AFTER, RESOLVE_HOLD
 from repro.ops.console import OperatorConsole
 from repro.trace import install_tracer
 from repro.traffic.slo import burn_rate
@@ -22,36 +22,6 @@ def test_burn_rate_math():
     assert burn_rate(100.0, 0.0, 1.0) == 0.0
 
 
-# -- the anomaly detector -----------------------------------------------------
-
-
-def test_ewma_detector_triggers_on_spike_after_warmup():
-    det = EwmaAnomalyDetector(alpha=0.3, z=4.0, warmup=5, min_std=0.1)
-    for _ in range(10):
-        assert det.observe(10.0) is False
-    assert det.observe(100.0) is True
-    assert det.last_score > 4.0
-
-
-def test_ewma_anomalies_do_not_poison_the_baseline():
-    det = EwmaAnomalyDetector(warmup=5, min_std=0.1)
-    for _ in range(10):
-        det.observe(10.0)
-    mean_before = det.mean
-    det.observe(1000.0)
-    assert det.mean == mean_before
-
-
-def test_ewma_warmup_never_triggers():
-    det = EwmaAnomalyDetector(warmup=50, min_std=1e-6)
-    assert all(not det.observe(v) for v in (0.0, 1e6, -1e6, 42.0))
-
-
-def test_ewma_alpha_validated():
-    with pytest.raises(ValueError):
-        EwmaAnomalyDetector(alpha=0.0)
-
-
 # -- burn-rate alerts on a live hub -------------------------------------------
 
 
@@ -65,12 +35,10 @@ class FakeSli:
 def stack(sim, notifications):
     """Hub + manager + one traffic class fed by a 60 s drip whose
     badness is switchable."""
-    hub = TelemetryHub(sim, interval=60.0, registry=None)
+    hub = TelemetryHub(sim)
     sli = FakeSli()
     hub.attach_slis({"web": sli})
-    mgr = AlertManager(sim, hub, channel=notifications,
-                       rules=(BurnRateRule("fast", 600.0, 120.0, 10.0,
-                                           "critical"),))
+    mgr = AlertManager(sim, hub, channel=notifications)
     state = {"bad": 0.0}
 
     def drip():
@@ -97,16 +65,18 @@ def test_burn_alert_fires_pages_and_resolves(sim, notifications, stack):
     state["bad"] = 0.5                  # 50% failures >> 0.1% budget
     sim.run(until=1500.0)
     firing = mgr.firing()
-    assert len(firing) == 1 and firing[0].severity == "critical"
-    assert mgr.pages_sent == 1
+    assert [(a.key, a.severity) for a in firing] == [
+        ("burn:fast-burn:web", "critical"), ("burn:slow-burn:web", "warning")]
+    assert mgr.pages_sent == 2
     assert notifications.sent[-1].subject.startswith("ALERT slo-burn web")
-    assert [c.status for c in ledger_events] == ["firing"]
+    assert [c.status for c in ledger_events] == ["firing", "firing"]
 
     state["bad"] = 0.0                  # recover; both windows drain
     sim.run(until=4000.0)
     assert mgr.firing() == []
-    assert mgr.history[0].state == "resolved"
-    assert [c.status for c in ledger_events] == ["firing", "resolved"]
+    assert [a.state for a in mgr.history] == ["resolved", "resolved"]
+    assert [c.status for c in ledger_events] == [
+        "firing", "firing", "resolved", "resolved"]
 
 
 def test_alert_attributed_to_newest_fault(sim, notifications, stack):
@@ -117,55 +87,73 @@ def test_alert_attributed_to_newest_fault(sim, notifications, stack):
                    target="db01/ora")
     state["bad"] = 0.5
     sim.run(until=1500.0)
-    assert mgr.firing()[0].fault_id == "F0042"
+    assert [a.fault_id for a in mgr.firing()] == ["F0042", "F0042"]
     assert "F0042" in notifications.sent[-1].subject
     assert mgr.first_fired_at(fault_id="F0042") is not None
-    assert mgr.alerts_for("F0042") == [mgr.firing()[0]]
+    assert mgr.alerts_for("F0042") == mgr.firing()
 
 
 # -- the state machine straight on ---------------------------------------------
 
 
-def _mgr(sim, **kw):
-    hub = TelemetryHub(sim, interval=60.0)
-    return AlertManager(sim, hub, **kw)
-
-
-def test_hold_swallows_flaps(sim):
-    mgr = _mgr(sim, hold=120.0)
-    kw = dict(subject="s", severity="warning", value=1.0, threshold=1.0)
-    mgr._transition("k", True, 0.0, **kw)
-    assert mgr._active["k"].state == "pending" and mgr.pages_sent == 0
-    mgr._transition("k", False, 60.0, **kw)
-    assert mgr._active == {} and mgr.history == []
-    assert mgr.flaps_suppressed == 1
+def _mgr(sim):
+    return AlertManager(sim, TelemetryHub(sim))
 
 
 def test_fire_after_hold_then_resolve_after_quiet(sim):
-    mgr = _mgr(sim, hold=120.0, resolve_hold=300.0)
+    """There is no hold before paging (the multi-window rule is the
+    flap guard); resolving waits for RESOLVE_HOLD quiet seconds."""
+    mgr = _mgr(sim)
     kw = dict(subject="s", severity="warning", value=1.0, threshold=1.0)
     mgr._transition("k", True, 0.0, **kw)
-    mgr._transition("k", True, 120.0, **kw)
     alert = mgr._active["k"]
     assert alert.state == "firing" and alert.pages == 1
-    mgr._transition("k", False, 200.0, **kw)    # not quiet long enough
-    assert alert.state == "firing"
-    mgr._transition("k", False, 420.0, **kw)
+    mgr._transition("k", True, 120.0, **kw)
+    assert alert.pages == 1
+    mgr._transition("k", False, 120.0 + RESOLVE_HOLD - 1.0, **kw)
+    assert alert.state == "firing"      # not quiet long enough
+    mgr._transition("k", False, 120.0 + RESOLVE_HOLD, **kw)
     assert alert.state == "resolved" and mgr._active == {}
     assert mgr.history == [alert]
 
 
 def test_escalation_repages_at_critical(sim):
-    mgr = _mgr(sim, escalate_after=1800.0)
+    mgr = _mgr(sim)
     kw = dict(subject="s", severity="warning", value=1.0, threshold=1.0)
     mgr._transition("k", True, 0.0, **kw)
     alert = mgr._active["k"]
     assert alert.severity == "warning" and alert.pages == 1
-    mgr._escalate(1000.0)
+    mgr._escalate(ESCALATE_AFTER - 1.0)
     assert not alert.escalated
-    mgr._escalate(1800.0)
+    mgr._escalate(ESCALATE_AFTER)
     assert alert.escalated and alert.severity == "critical"
     assert alert.pages == 2 and alert.notes
+
+
+def test_alert_lifecycle_at_the_module_constants(sim, notifications, stack):
+    """Through real rollups: a burn pages on the first rollup that sees
+    it, resolves 300 s after it was last active, and the warning-level
+    burn still firing 1 800 s after it paged re-pages at critical."""
+    hub, mgr, state = stack
+    assert (RESOLVE_HOLD, ESCALATE_AFTER) == (300.0, 1800.0)
+    sim.run(until=1200.0)
+    state["bad"] = 0.5
+    sim.run(until=1260.0)               # the first drip and rollup of it
+    fast, slow = mgr.firing()
+    assert fast.fired_at == slow.fired_at == 1260.0
+    assert [n.severity for n in notifications.sent] == ["critical",
+                                                        "warning"]
+    state["bad"] = 0.0
+    sim.run(until=6 * 3600.0)
+    assert fast.resolved_at == fast.last_active + 300.0
+    assert slow.resolved_at == slow.last_active + 300.0
+    assert not fast.escalated and fast.pages == 1
+    assert slow.escalated and slow.severity == "critical"
+    assert slow.pages == 2 and slow.notes == ["3060 escalated to critical"]
+    assert slow.resolved_at > 1260.0 + 1800.0
+    repage = notifications.sent[-1]
+    assert (repage.time, repage.severity) == (3060.0, "critical")
+    assert repage.subject == "ALERT slo-burn web slow-burn"
 
 
 # -- the console pane ---------------------------------------------------------
@@ -178,8 +166,8 @@ def test_console_shows_firing_alerts_pane(sim, notifications, stack):
     state["bad"] = 0.5
     sim.run(until=1500.0)
     board = console.board()
-    assert "-- alerts: 1 firing, 1 page(s) sent" in board
-    assert "slo-burn web fast" in board
+    assert "-- alerts: 2 firing, 2 page(s) sent" in board
+    assert "slo-burn web fast-burn" in board
 
 
 def test_console_without_alert_manager_has_no_pane(sim, notifications):

@@ -5,8 +5,8 @@ import pytest
 
 from repro.controlplane.ledger import ConditionLedger
 from repro.metrics.timeseries import TimeSeries
-from repro.observe import DEFAULT_COUNTERS, TelemetryHub
-from repro.trace.metrics import MetricsRegistry
+from repro.observe import TelemetryHub
+from repro.observe.pipeline import INTERVAL, MAXLEN
 
 
 class FakeSli:
@@ -16,47 +16,19 @@ class FakeSli:
 
 
 @pytest.fixture
-def registry():
-    return MetricsRegistry()
-
-
-@pytest.fixture
-def hub(sim, registry):
-    return TelemetryHub(sim, interval=60.0, maxlen=8, registry=registry)
-
-
-def test_interval_must_be_positive(sim):
-    with pytest.raises(ValueError):
-        TelemetryHub(sim, interval=0.0)
+def hub(sim):
+    return TelemetryHub(sim)
 
 
 def test_series_are_ring_bounded(hub):
     s = hub.series("x")
-    assert isinstance(s, TimeSeries) and s.maxlen == 8
-    for i in range(40):
+    assert isinstance(s, TimeSeries) and s.maxlen == MAXLEN
+    n = 5 * MAXLEN
+    for i in range(n):
         s.append(float(i), float(i))
-    assert len(s) <= 16          # amortised trim: never 2x the cap
-    assert s.dropped >= 24
-    assert s.last() == 39.0      # the newest samples survive
-
-
-def test_rollup_tick_snapshots_watched_counters(sim, hub, registry):
-    registry.counter("agent.runs").inc(10)
-    hub.watch_counter("agent.runs")
-    hub.start()
-    sim.run(until=60.0)
-    registry.counter("agent.runs").inc(30)
-    sim.run(until=120.0)
-    assert hub.ticks == 2
-    cum = hub.series("metric/agent.runs")
-    rate = hub.series("metric/agent.runs/rate")
-    assert cum.last() == 40.0
-    assert rate.last() == pytest.approx(30.0 / 60.0)
-
-
-def test_default_counters_are_watched(sim, hub):
-    for name in DEFAULT_COUNTERS:
-        assert name in hub.watched
+    assert len(s) <= 2 * MAXLEN  # amortised trim: never 2x the cap
+    assert s.dropped >= n - 2 * MAXLEN
+    assert s.last() == n - 1.0   # the newest samples survive
 
 
 def test_sli_rollup_builds_cumulative_attempted_and_bad(sim, hub):
@@ -64,13 +36,15 @@ def test_sli_rollup_builds_cumulative_attempted_and_bad(sim, hub):
     hub.attach_slis({"web": sli})
     hub.start()
     sli.attempted, sli.served = 100.0, 90.0
-    sim.run(until=60.0)
+    sim.run(until=INTERVAL)
     assert hub.series("svc/web/attempted").last() == 100.0
     assert hub.series("svc/web/bad").last() == 10.0
     assert hub.service_names() == ["web"]
 
 
 def test_condition_push_is_o1_per_event(sim, hub):
+    """Each streamed condition is one ring append -- no tally, no
+    per-host series: the condition log is the only copy."""
     ledger = ConditionLedger()
     hub.attach_ledger(ledger)
     hub.attach_ledger(ledger)           # idempotent
@@ -78,15 +52,10 @@ def test_condition_push_is_o1_per_event(sim, hub):
     ledger.append("host", "db01", status="down", time=sim.now)
     ledger.append("flag", "db01", agent="svc_ora", status="fault",
                   time=sim.now)
-    assert hub.hosts_down == {"db01"}
-    assert hub.conditions_by_kind == {"host": 1, "flag": 1}
-    assert hub.events_in == 2
-    assert hub.series("host/db01/up").last() == 0.0
-    assert hub.series("host/db01/faults").last() == 1.0
     ledger.append("host", "db01", status="up", time=sim.now)
-    assert hub.hosts_down == set()
-    assert hub.series("host/db01/up").last() == 1.0
-    assert len(hub.condition_log) == 3
+    assert [(c.kind, c.status) for c in hub.condition_log] == [
+        ("host", "down"), ("flag", "fault"), ("host", "up")]
+    assert hub._series == {}
 
 
 def test_window_delta_on_cumulative_series(sim, hub):
@@ -100,20 +69,12 @@ def test_window_delta_on_cumulative_series(sim, hub):
     assert hub.window_delta("missing", 60.0) == 0.0
 
 
-def test_record_and_snapshot(sim, hub):
-    sim.run(until=5.0)
-    hub.record("adhoc", 42.0)
-    snap = hub.snapshot()
-    assert snap["adhoc"] == {"len": 1, "last": 42.0, "dropped": 0}
-    assert "adhoc" in hub.names()
-
-
 def test_stop_cancels_the_rollup(sim, hub):
     hub.start()
-    sim.run(until=60.0)
+    sim.run(until=INTERVAL)
     assert hub.ticks == 1
     hub.stop()
-    sim.run(until=600.0)
+    sim.run(until=10 * INTERVAL)
     assert hub.ticks == 1
 
 
@@ -121,8 +82,42 @@ def test_constructed_but_unstarted_pipeline_schedules_nothing(sim, hub):
     """A hub with an alert manager hanging off it costs a run nothing
     until ``start()``: no event armed, no rollup, no series."""
     from repro.observe import AlertManager
-    AlertManager(sim, hub).add_detector("metric/agent.runs/rate")
+    AlertManager(sim, hub)
     assert sim.pending() == 0
-    sim.run(until=600.0)
+    sim.run(until=10 * INTERVAL)
     assert sim.events_processed == 0
-    assert hub.ticks == 0 and hub.names() == []
+    assert hub.ticks == 0 and hub._series == {}
+
+
+def test_an_observed_storm_keeps_only_the_burn_inputs():
+    """After an observed, traced fault storm with traffic, the hub's
+    rings are exactly the per-class attempted/bad pairs the burn rules
+    read, and the tracer's registry holds only counters some producer
+    incremented -- the hub neither mirrors nor creates them."""
+    from repro.experiments.runner import FidelityHarness
+    from repro.experiments.site import SiteConfig, build_site
+    from repro.faults.models import Category
+    from repro.trace import install_tracer
+    from repro.traffic.engine import FluidTrafficEngine, doors_for_site
+    from repro.traffic.workload import financial_curve
+
+    site = build_site(SiteConfig.test_scale(
+        seed=0, spare_servers=1, observe=True, with_workload=False,
+        with_feeds=False))
+    tracer = install_tracer(site.sim)
+    harness = FidelityHarness(site)
+    engine = FluidTrafficEngine(site.sim, financial_curve(100_000),
+                                doors_for_site(site), site.streams)
+    engine.start()
+    site.telemetry.attach_slis(engine.slis)
+    harness.injector.schedule_poisson({c: 60.0 for c in Category}, 3600.0)
+    site.run(2 * 3600.0)
+
+    hub = site.telemetry
+    assert hub.ticks > 0 and len(hub.condition_log) > 0
+    assert sorted(hub._series) == sorted(
+        f"svc/{name}/{side}" for name in engine.slis
+        for side in ("attempted", "bad"))
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["faults.injected"] > 0
+    assert [name for name, value in counters.items() if not value] == []

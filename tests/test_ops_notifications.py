@@ -36,82 +36,15 @@ def test_timestamps_from_sim_clock(notifications, sim):
     assert n.time == 42.0
 
 
-# -- storm control: dedup window ----------------------------------------------
+# -- a 1:1 ledger -------------------------------------------------------------
 
 
 def test_dedup_off_by_default(notifications, sim):
+    """Repeats are each their own page: folding them for operators is
+    the console's job, not the channel's."""
+    seen = []
+    notifications.subscribe(seen.append)
     for _ in range(3):
         notifications.sms("oncall", "db down")
     assert notifications.count() == 3
-    assert notifications.suppressed_total == 0
-
-
-def test_dedup_window_folds_repeats(sim):
-    from repro.ops.notifications import NotificationChannel
-    ch = NotificationChannel(sim, dedup_window=600.0)
-    first = ch.sms("oncall", "db down")
-    again = ch.sms("oncall", "db down")
-    assert again is first and first.suppressed == 1
-    assert ch.count() == 1
-    assert ch.suppressed_total == 1
-    assert ch.suppressed_by_recipient["oncall"] == 1
-    # different subject, recipient or medium: its own page
-    ch.sms("oncall", "fs full")
-    ch.sms("backup", "db down")
-    ch.email("oncall", "db down")
-    assert ch.count() == 4 and ch.suppressed_total == 1
-
-
-def test_dedup_window_expires(sim):
-    from repro.ops.notifications import NotificationChannel
-    ch = NotificationChannel(sim, dedup_window=600.0)
-    first = ch.sms("oncall", "db down")
-    sim.run(until=600.0)
-    second = ch.sms("oncall", "db down")
-    assert second is not first
-    assert ch.count() == 2 and ch.suppressed_total == 0
-
-
-# -- storm control: per-recipient rate limit ----------------------------------
-
-
-def test_rate_limit_suppresses_per_recipient(sim):
-    from repro.ops.notifications import NotificationChannel
-    ch = NotificationChannel(sim, rate_limit=2, rate_window=3600.0)
-    ch.sms("oncall", "a")
-    ch.sms("oncall", "b")
-    third = ch.sms("oncall", "c")
-    assert ch.count() == 2
-    assert third.suppressed == 1            # folded into the last page
-    assert ch.suppressed_by_recipient["oncall"] == 1
-    # another recipient has their own budget
-    assert ch.sms("backup", "a").suppressed == 0
-    assert ch.count() == 3
-
-
-def test_rate_limit_window_slides(sim):
-    from repro.ops.notifications import NotificationChannel
-    ch = NotificationChannel(sim, rate_limit=1, rate_window=100.0)
-    ch.sms("oncall", "a")
-    ch.sms("oncall", "b")                   # suppressed
-    sim.run(until=100.0)
-    ch.sms("oncall", "c")                   # budget refilled
-    assert [n.subject for n in ch.sent] == ["a", "c"]
-    assert ch.suppressed_total == 1
-
-
-def test_rate_limited_first_page_is_marked_unsent(sim):
-    from repro.ops.notifications import NotificationChannel
-    ch = NotificationChannel(sim, rate_limit=0)
-    note = ch.sms("oncall", "a")
-    assert note.suppressed == 1 and ch.count() == 0
-
-
-def test_suppressed_pages_do_not_reach_subscribers(sim):
-    from repro.ops.notifications import NotificationChannel
-    ch = NotificationChannel(sim, dedup_window=600.0)
-    seen = []
-    ch.subscribe(seen.append)
-    ch.sms("oncall", "db down")
-    ch.sms("oncall", "db down")
-    assert len(seen) == 1
+    assert seen == notifications.sent

@@ -6,6 +6,7 @@ The end-to-end byte-identity guarantee lives in
 sharp edges each piece promises on its own.
 """
 
+import gzip
 import json
 import os
 
@@ -16,6 +17,17 @@ from repro.experiments.site import SiteConfig, build_site
 from repro.persist import (FORMAT_VERSION, CheckpointManager,
                            QuiescenceError, canonical_json, snapshot_site,
                            state_hash)
+
+
+#: a real checkpoint of the previous layout: the first epoch of the
+#: ``wake-adversarial`` corpus episode (a federation of one), written by
+#: ``repro-exp chaos replay tests/corpus/wake-adversarial.json
+#: --checkpoint-dir DIR`` at commit c8764d4, the last with
+#: ``FORMAT_VERSION`` 2 -- its hub still mirrored registry counters and
+#: its notification channel still carried suppression books
+FORMAT_2_CHECKPOINT = os.path.join(os.path.dirname(__file__), "golden",
+                                   "format2-checkpoint.json.gz")
+CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def _site(**kw):
@@ -107,6 +119,63 @@ def test_format_1_checkpoint_is_refused_before_anything_is_built(tmp_path):
     with pytest.raises(ValueError, match="checkpoint format 1"):
         restore_site(loaded, site=target.site, extras=target._extras())
     assert target.snapshot()["state_hash"] == before
+
+
+def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
+                                                     monkeypatch):
+    """The previous format's checkpoint -- the federation document and
+    the site document inside it -- is refused by its number at every
+    entry point: the two restores, the harness resume, ``fig2 --resume``
+    and ``chaos replay --from-checkpoint``.  Nothing is built first and
+    a pre-built site or federation is left exactly as it was."""
+    from repro.cli import main
+    from repro.federation import build_federation, three_site_config
+    from repro.persist import (restore_federation, restore_site,
+                               snapshot_federation)
+    fed_path = tmp_path / "ep-format2.json"
+    with gzip.open(FORMAT_2_CHECKPOINT, "rb") as fh:
+        fed_path.write_bytes(fh.read())
+    fed_doc = CheckpointManager.load(str(fed_path))
+    site_doc = fed_doc["sites"]["london"]
+    assert fed_doc["format"] == site_doc["format"] == 2
+    site_path = tmp_path / "ckpt-format2.json"
+    site_path.write_text(json.dumps(site_doc))
+
+    target = FidelityHarness(_site())
+    site_before = target.snapshot()["state_hash"]
+    fed = build_federation(three_site_config(population=60_000))
+    fed_before = snapshot_federation(fed)["state_hash"]
+
+    def built(*_args, **_kw):
+        raise AssertionError("a world was built from a refused document")
+    monkeypatch.setattr("repro.experiments.site.build_site", built)
+    monkeypatch.setattr("repro.federation.build.build_federation", built)
+    monkeypatch.setattr("repro.federation.build_federation", built)
+
+    refused = "checkpoint format 2 != supported 3"
+    for doc in (site_doc, fed_doc):
+        with pytest.raises(ValueError, match=refused):
+            restore_site(doc)
+        with pytest.raises(ValueError, match=refused):
+            restore_federation(doc)
+        with pytest.raises(ValueError, match=refused):
+            FidelityHarness.resume(doc)
+    with pytest.raises(ValueError, match=refused):
+        restore_site(site_doc, site=target.site, extras=target._extras())
+    with pytest.raises(ValueError, match=refused):
+        restore_federation(fed_doc, fed=fed)
+    with pytest.raises(ValueError, match=refused):
+        main(["fig2", "--resume", str(site_path), "--hours", "2",
+              "--segments", "2", "--checkpoint-dir", str(tmp_path / "ck")])
+    with pytest.raises(ValueError, match=refused):
+        main(["chaos", "replay",
+              os.path.join(CORPUS, "wake-adversarial.json"),
+              "--from-checkpoint", str(fed_path)])
+    monkeypatch.undo()
+
+    assert target.snapshot()["state_hash"] == site_before
+    assert snapshot_federation(fed)["state_hash"] == fed_before
+    assert not (tmp_path / "ck").exists()
 
 
 def test_wrong_kind_of_document_is_refused_before_anything_is_built(
