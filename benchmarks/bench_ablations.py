@@ -17,7 +17,7 @@ def test_frequency_sweep():
     more often than every few minutes is small, because repair time (not
     detection) then dominates.
     """
-    rows = ablations.frequency_sweep(seed=0, replications=3)
+    rows = ablations.frequency_sweep(seed=0)
     emit(ablations.format_frequency(rows))
 
     downtimes = [r["downtime_h"] for r in rows]
@@ -49,7 +49,7 @@ def test_resubmission_policies():
     Three arms over the same site and workload: no resubmission, random
     resubmission, DGSPL resubmission.
     """
-    rows = ablations.resubmission_comparison(seed=3, days=3.0)
+    rows = ablations.resubmission_comparison(seed=3)
     emit(ablations.format_resubmission(rows))
     by_arm = {r["arm"]: r for r in rows}
 
@@ -92,7 +92,7 @@ def test_checkpointing_sweep():
     crash destroys, so rescue turnaround falls monotonically while banked
     work grows.
     """
-    rows = ablations.checkpointing_comparison(seed=3, days=3.0)
+    rows = ablations.checkpointing_comparison(seed=3)
     emit(ablations.format_checkpointing(rows))
 
     # rows ordered none -> coarse -> fine
@@ -123,7 +123,7 @@ def test_network_failover():
     agent traffic keeps flowing after the failure, every post-failure
     delivery is rerouted, and the public LANs carry the displaced bytes.
     """
-    r = ablations.network_failover(seed=1, hours_each=2.0)
+    r = ablations.network_failover(seed=1)
     emit(ablations.format_network(r))
 
     # traffic kept flowing across the failure

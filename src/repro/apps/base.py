@@ -286,9 +286,6 @@ class Application(Persistent):
             self._startup_event.cancel()
             self._startup_event = None
 
-    def expected_processes(self) -> List[ProcessSpec]:
-        return list(self.process_specs)
-
     def processes_present(self) -> bool:
         """Do all expected daemons exist in the process table?  (What a
         naive ps-based check sees -- true even when HUNG.)"""

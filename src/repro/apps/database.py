@@ -31,6 +31,8 @@ class Database(Application):
     """A simulated relational database server."""
 
     app_type = "database"
+    #: system global area (MB); a quarter of it per server process
+    sga_mb = 512.0
     _persist_extra = (
         table("connected_users", float),
         *scalars(int, "checkpoints", "transactions"),
@@ -38,20 +40,18 @@ class Database(Application):
         pending("backup_event", "_backup_event", "_finish_backup"))
 
     def __init__(self, host, name: str, *, db_type: str = "oracle",
-                 version: str = "8.1.7", max_job_slots: int = 4,
-                 sga_mb: float = 512.0, **kw):
+                 max_job_slots: int = 4, **kw):
         if db_type not in _DB_PORTS:
             raise ValueError(f"unknown db_type {db_type!r}")
         self.db_type = db_type
         self.max_job_slots = max_job_slots
-        self.sga_mb = sga_mb
         procs = [
             ProcessSpec(f"{db_type}_pmon", 1, cpu_pct=0.5, mem_mb=16.0),
             ProcessSpec(f"{db_type}_dbwr", 2, cpu_pct=2.0, mem_mb=24.0),
             ProcessSpec(f"{db_type}_lgwr", 1, cpu_pct=1.0, mem_mb=16.0),
             ProcessSpec(f"{db_type}_listener", 1, cpu_pct=0.2, mem_mb=8.0),
             ProcessSpec(f"{db_type}_server", 4, cpu_pct=1.0,
-                        mem_mb=sga_mb / 4.0),
+                        mem_mb=self.sga_mb / 4.0),
         ]
         startup = [
             StartupStep("mount", 20.0),
@@ -62,7 +62,7 @@ class Database(Application):
         kw.setdefault("user", db_type)
         kw.setdefault("base_response_ms", 20.0)
         kw.setdefault("connect_timeout_ms", 10_000.0)
-        super().__init__(host, name, version=version, processes=procs,
+        super().__init__(host, name, version="8.1.7", processes=procs,
                          startup=startup, shutdown_duration=90.0, **kw)
         self.io_demand = 0.3          # resting I/O of a warm database
 

@@ -132,8 +132,7 @@ class DistributedService(Persistent):
 
     # -- orchestrated startup ----------------------------------------------------
 
-    def orchestrated_start(self, sim, *, settle: float = 10.0,
-                           per_component_timeout: float = 600.0):
+    def orchestrated_start(self, sim, *, per_component_timeout: float = 600.0):
         """Start the whole service in dependency order (§5: service
         integrity requires components "available in the sequence they
         are meant to be").
@@ -142,6 +141,7 @@ class DistributedService(Persistent):
         ``(ok, started, error)``: each component is started only after
         every dependency probes healthy, with a per-component timeout.
         """
+        settle = 10.0
 
         def driver():
             started: List[str] = []

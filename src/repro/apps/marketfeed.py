@@ -22,14 +22,12 @@ class MarketFeed:
     """An external data feed pushing ticks into the site's databases."""
 
     def __init__(self, dc, name: str, source_host: str,
-                 targets: List[Database], *, interval: float = 60.0,
-                 batch_bytes: int = 16_384):
+                 targets: List[Database], *, interval: float = 60.0):
         self.dc = dc
         self.name = name
         self.source_host = source_host
         self.targets = list(targets)
         self.interval = float(interval)
-        self.batch_bytes = batch_bytes
         self.ticks_sent = 0
         self.ticks_delivered = 0
         self.ticks_dropped = 0

@@ -22,16 +22,15 @@ class WebServer(Application):
     _persist_extra = (*scalars(int, "requests_attempted", "requests_served"),
                       table("open_connections", float))
 
-    def __init__(self, host, name: str, *, version: str = "1.3.26",
-                 workers: int = 8, **kw):
-        procs = [
-            ProcessSpec("httpd", 1 + workers, cpu_pct=0.5, mem_mb=6.0),
+    def __init__(self, host, name: str, **kw):
+        procs = [       # the master and eight workers
+            ProcessSpec("httpd", 9, cpu_pct=0.5, mem_mb=6.0),
         ]
         kw.setdefault("port", 80)
         kw.setdefault("user", "www")
         kw.setdefault("base_response_ms", 10.0)
         kw.setdefault("connect_timeout_ms", 3000.0)
-        super().__init__(host, name, version=version, processes=procs,
+        super().__init__(host, name, version="1.3.26", processes=procs,
                          startup=[StartupStep("spawn-workers", 10.0)],
                          shutdown_duration=5.0, **kw)
         self.io_demand = 0.05

@@ -52,8 +52,7 @@ class LsfCluster(Persistent):
 
     def __init__(self, dc, master: LsfMaster, *,
                  policy: Optional[PlacementPolicy] = None,
-                 rng=None, base_crash_prob: float = 0.012,
-                 run_dispatch_loop: bool = True):
+                 rng=None, base_crash_prob: float = 0.012):
         self.dc = dc
         self.sim = dc.sim
         self.master = master
@@ -71,11 +70,8 @@ class LsfCluster(Persistent):
         self.dispatches = 0
         self.crashes_caused = 0
         self._exit_listeners: List[Callable[[BatchJob], None]] = []
-        if run_dispatch_loop:
-            self._loop = self.sim.every(self.DISPATCH_PERIOD,
-                                        self._dispatch_cycle)
-        else:
-            self._loop = None
+        self._loop = self.sim.every(self.DISPATCH_PERIOD,
+                                    self._dispatch_cycle)
 
     # -- configuration ---------------------------------------------------------
 
@@ -226,5 +222,4 @@ class LsfCluster(Persistent):
         }
 
     def shutdown(self) -> None:
-        if self._loop is not None:
-            self._loop.cancel()
+        self._loop.cancel()

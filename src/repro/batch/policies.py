@@ -130,9 +130,6 @@ class DgsplPolicy:
 
     name = "dgspl"
 
-    def __init__(self, rng=None):
-        self.rng = rng  # unused; kept for a uniform constructor shape
-
     def choose(self, job: "BatchJob",
                candidates: Sequence["Database"]) -> Optional["Database"]:
         min_power = 0.0

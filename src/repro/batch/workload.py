@@ -9,7 +9,7 @@ when a policy places them); daytime brings lighter ad-hoc jobs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.batch.jobs import BatchJob
 from repro.batch.lsf import LsfCluster
@@ -30,20 +30,18 @@ class OvernightWorkload:
     """Submits the nightly batch and light daytime jobs."""
 
     def __init__(self, lsf: LsfCluster, rng, *,
-                 users: Optional[Sequence[str]] = None,
                  jobs_per_night: int = 40,
                  daytime_jobs_per_hour: float = 2.0,
-                 manual_targeting: bool = True,
-                 submit_hour: float = 20.0):
+                 manual_targeting: bool = True):
         self.lsf = lsf
         self.sim = lsf.sim
         self.rng = rng
-        self.users = list(users or (f"analyst{i:02d}" for i in range(25)))
+        self.users = [f"analyst{i:02d}" for i in range(25)]
         self.jobs_per_night = jobs_per_night
         self.daytime_jobs_per_hour = daytime_jobs_per_hour
         #: pre-agent practice: users pin jobs to their favourite server
         self.manual_targeting = manual_targeting
-        self.submit_hour = submit_hour
+        self.submit_hour = 20.0
         self.submitted: List[BatchJob] = []
         self.bounced = 0
         self._procs = []

@@ -48,7 +48,7 @@ _INSERTABLE = tuple(sorted(k for k, kind in OPS.items()
 
 
 def _run_packed(scenario_jsons: Sequence[str], planted_bug: bool,
-                oracle_names, index: int) -> dict:
+                index: int) -> dict:
     """Pool worker: run the index-th scenario of a packed batch.
 
     Module-level (and driven through ``functools.partial``) so it
@@ -58,8 +58,7 @@ def _run_packed(scenario_jsons: Sequence[str], planted_bug: bool,
     from repro.chaos.executor import run_episode
 
     scenario = Scenario.from_json(scenario_jsons[index])
-    ep = run_episode(scenario, planted_bug=planted_bug,
-                     oracle_names=oracle_names)
+    ep = run_episode(scenario, planted_bug=planted_bug)
     return ep.summary()
 
 
@@ -78,11 +77,6 @@ class FuzzResult:
     corpus: List[Scenario] = field(default_factory=list)
     #: scenario ids admitted for novelty, in admission order
     admitted: List[str] = field(default_factory=list)
-
-    @property
-    def violating_scenarios(self) -> List[Scenario]:
-        return [Scenario.from_json(v["scenario_json"])
-                for v in self.violations]
 
     def to_dict(self) -> dict:
         return {
@@ -109,7 +103,6 @@ class ScenarioFuzzer:
                  corpus: Optional[Sequence[Scenario]] = None,
                  episodes: int = 60, batch: int = 8,
                  planted_bug: bool = False,
-                 oracle_names: Optional[Sequence[str]] = None,
                  max_violations: int = 5,
                  processes: Optional[int] = None):
         self.seed = int(seed)
@@ -128,8 +121,6 @@ class ScenarioFuzzer:
         self.episodes = int(episodes)
         self.batch = max(1, int(batch))
         self.planted_bug = bool(planted_bug)
-        self.oracle_names = (list(oracle_names)
-                             if oracle_names is not None else None)
         self.max_violations = int(max_violations)
         self.processes = processes
         self._children = 0
@@ -267,8 +258,7 @@ class ScenarioFuzzer:
                 batch.append(self.mutate(self._pick_parent()))
 
             jsons = [sc.to_json() for sc in batch]
-            worker = partial(_run_packed, jsons, self.planted_bug,
-                             self.oracle_names)
+            worker = partial(_run_packed, jsons, self.planted_bug)
             outcomes = replicate_outcomes(worker, range(len(batch)),
                                           processes=self.processes)
 

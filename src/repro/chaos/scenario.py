@@ -496,11 +496,11 @@ def random_event(rng, horizon: float) -> ChaosEvent:
     return ChaosEvent(max(0.0, t), op, make_target(pool, index))
 
 
-def random_scenario(rng, name: str, *, seed: int = 0,
-                    horizon: float = 3 * 3600.0,
-                    max_events: int = 6) -> Scenario:
-    """A small random scenario (fuzzer corpus seeding)."""
-    n = int(rng.integers(1, max_events + 1))
-    events = [random_event(rng, horizon) for _ in range(n)]
+def random_scenario(rng, name: str, *, seed: int = 0) -> Scenario:
+    """A small random scenario of one to six events over three hours
+    (fuzzer corpus seeding)."""
+    horizon = 3 * 3600.0
+    events = [random_event(rng, horizon)
+              for _ in range(int(rng.integers(1, 7)))]
     return Scenario(name=name, events=events, horizon=horizon,
                     seed=seed).normalized()

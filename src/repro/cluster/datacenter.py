@@ -9,7 +9,7 @@ primitives here.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, List, TYPE_CHECKING
 
 from repro.cluster.host import Host
 from repro.cluster.specs import ServerSpec, spec as lookup_spec
@@ -75,11 +75,9 @@ class Datacenter:
     def lan(self, name: str) -> "Lan":
         return self.lans[name]
 
-    def connect(self, host_name: str, lan_name: str,
-                ifname: Optional[str] = None):
+    def connect(self, host_name: str, lan_name: str):
         """Attach a host NIC to a LAN (delegates to the net layer)."""
-        lan = self.lans[lan_name]
-        return lan.attach(self.hosts[host_name], ifname)
+        return self.lans[lan_name].attach(self.hosts[host_name])
 
     # -- reachability -----------------------------------------------------------------
 

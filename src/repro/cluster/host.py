@@ -72,13 +72,12 @@ class Host(Persistent):
         pending("boot_event", "_boot_event", "_finish_boot"))
 
     def __init__(self, sim: "Simulator", name: str, spec: ServerSpec, *,
-                 site: str = "london", location: str = "dc1",
-                 boot_duration: float = 300.0):
+                 site: str = "london", boot_duration: float = 300.0):
         self.sim = sim
         self.name = name
         self.spec = spec
         self.site = site
-        self.location = location
+        self.location = "dc1"
         self.boot_duration = float(boot_duration)
 
         self.inventory = HardwareInventory(spec)

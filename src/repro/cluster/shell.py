@@ -91,9 +91,6 @@ class Shell(Persistent):
     def unregister(self, name: str) -> None:
         self._commands.pop(name, None)
 
-    def has_command(self, name: str) -> bool:
-        return name in self._commands
-
     def run(self, cmdline: str) -> CommandResult:
         """Execute a command line on this host.
 

@@ -55,17 +55,14 @@ class Syslog:
 
     # convenience severities ------------------------------------------------
 
-    def error(self, time: float, tag: str, message: str,
-              facility: str = "daemon") -> SyslogRecord:
-        return self.log(time, facility, "err", tag, message)
+    def error(self, time: float, tag: str, message: str) -> SyslogRecord:
+        return self.log(time, "daemon", "err", tag, message)
 
-    def warning(self, time: float, tag: str, message: str,
-                facility: str = "daemon") -> SyslogRecord:
-        return self.log(time, facility, "warning", tag, message)
+    def warning(self, time: float, tag: str, message: str) -> SyslogRecord:
+        return self.log(time, "daemon", "warning", tag, message)
 
-    def info(self, time: float, tag: str, message: str,
-             facility: str = "daemon") -> SyslogRecord:
-        return self.log(time, facility, "info", tag, message)
+    def info(self, time: float, tag: str, message: str) -> SyslogRecord:
+        return self.log(time, "daemon", "info", tag, message)
 
     # queries ---------------------------------------------------------------
 

@@ -97,7 +97,7 @@ class AdministrationServers(Persistent):
         *scalars(int, "service_probes", "service_probe_failures"))
 
     def __init__(self, dc, primary, standby, pool, *, channel=None,
-                 notifications=None, relocator=None,
+                 notifications=None,
                  agent_period: float = 300.0,
                  ledger: Optional[ConditionLedger] = None):
         self.dc = dc
@@ -109,7 +109,7 @@ class AdministrationServers(Persistent):
         self.notifications = notifications
         #: optional relocation tier (repro.relocate.ServiceRelocator);
         #: sits between local healing and paging the on-call human
-        self.relocator = relocator
+        self.relocator = None
         #: which federation site this admin pair administers (single-site
         #: worlds keep the default; the federation stamps its site name)
         self.site_name = "london"
@@ -587,12 +587,6 @@ class AdministrationServers(Persistent):
         self._log_pool(f"{self.sim.now:.0f} ESCALATED {host_name}: {reason}")
 
     # -- DGSPL generation ---------------------------------------------------------------------
-
-    @property
-    def dlsp_freshness_window(self) -> float:
-        """The base-period window (kept for callers that want the
-        configured floor; per-host staleness uses :meth:`_dlsp_window`)."""
-        return 2 * self.agent_period + 60.0
 
     def _dlsp_window(self, host_name: str) -> float:
         """A backed-off status agent ships profiles less often; its

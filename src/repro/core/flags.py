@@ -65,15 +65,14 @@ class FlagStore:
     """Reads and writes one agent's flag directory on a host fs."""
 
     def __init__(self, fs, agent_name: str, *, ledger=None,
-                 host: str = "",
-                 transport: Optional[Callable[[str], bool]] = None):
+                 host: str = ""):
         self.fs = fs
         self.agent = agent_name
         self.dir = f"{FLAG_DIR}/{agent_name}"
         #: condition-ledger binding (see :meth:`bind`)
         self.ledger = ledger
         self.host = host
-        self.transport = transport
+        self.transport = None
         #: no flag in the directory is stamped earlier (None: unknown)
         self._oldest: Optional[float] = None
         fs.mkdir(self.dir)

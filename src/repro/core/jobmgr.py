@@ -40,8 +40,7 @@ class JobManager(Persistent):
                        "lsf_restarts_requested", "checks_run",
                        "daily_reports_sent")
 
-    def __init__(self, admin, lsf, *, notifications=None,
-                 daily_report: bool = True):
+    def __init__(self, admin, lsf, *, notifications=None):
         self.admin = admin
         self.lsf = lsf
         self.sim = admin.sim
@@ -55,10 +54,9 @@ class JobManager(Persistent):
         for head in (admin.primary, admin.standby):
             head.crond.register("jobmgr_check", self.CHECK_PERIOD,
                                 admin._make_guarded(head, self._check))
-            if daily_report:
-                head.crond.register(
-                    "jobmgr_daily", DAY,
-                    admin._make_guarded(head, self._daily_report))
+            head.crond.register(
+                "jobmgr_daily", DAY,
+                admin._make_guarded(head, self._daily_report))
 
     # -- resubmission ------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.core.resource_agent import ResourceAgent
 from repro.core.service_agent import ServiceAgent
 from repro.core.status_agent import StatusAgent
 from repro.core.thresholds import Baselines
-from repro.ontology.slkt import Slkt, build_slkt
+from repro.ontology.slkt import build_slkt
 from repro.persist.core import Persistent, part
 from repro.wake import TriggerBus
 
@@ -41,7 +41,7 @@ class AgentSuite(Persistent):
                  admin_targets: Optional[List[str]] = None,
                  notifications=None, nameservice=None,
                  deliver_dlsp: Optional[Callable] = None,
-                 slkt: Optional[Slkt] = None, ledger=None,
+                 ledger=None,
                  wake_policy: str = "fixed",
                  wake_max_period: float = 1800.0):
         self.host = host
@@ -49,7 +49,7 @@ class AgentSuite(Persistent):
         self.wake_policy = wake_policy
         #: the host's static template, captured at installation time
         #: from the known-good build
-        self.slkt = slkt or build_slkt(host)
+        self.slkt = build_slkt(host)
         self.baselines = Baselines.for_host(host)
         self.agents: List[Intelliagent] = []
 

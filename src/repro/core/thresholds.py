@@ -77,20 +77,20 @@ class Baselines:
 
     # -- the adjust-on-evidence rule ------------------------------------------------
 
-    def adjust(self, metric: str, observed: float,
-               margin: float = 0.2) -> None:
+    def adjust(self, metric: str, observed: float) -> None:
         """A human confirmed `observed` was actually fine: widen the
-        violated side to cover it plus a margin.  "This happened quite
-        often in the case of newly installed applications primarily."
+        violated side to cover it plus a 20 % margin.  "This happened
+        quite often in the case of newly installed applications
+        primarily."
         """
         band = self.bands.get(metric)
         if band is None:
             return
         if band.hi is not None and observed > band.hi:
-            band.hi = observed * (1.0 + margin)
+            band.hi = observed * 1.2
             band.adjustments += 1
         elif band.lo is not None and observed < band.lo:
-            band.lo = observed * (1.0 - margin)
+            band.lo = observed * 0.8
             band.adjustments += 1
 
     # -- seeding -----------------------------------------------------------------------

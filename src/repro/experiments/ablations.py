@@ -36,15 +36,14 @@ __all__ = ["ABLATIONS",
 
 # ---------------------------------------------------------------- A-freq --
 
-def frequency_sweep(seed: int = 0,
-                    periods_min: Tuple[float, ...] = (1, 5, 15, 30, 60),
-                    replications: int = 3) -> List[dict]:
-    """Total agent-pipeline downtime for each wake period X."""
+def frequency_sweep(seed: int = 0) -> List[dict]:
+    """Total agent-pipeline downtime for each wake period X, over
+    three replications."""
     rows = []
-    for period_min in periods_min:
+    for period_min in (1, 5, 15, 30, 60):
         totals = []
         detections = []
-        for rep in range(replications):
+        for rep in range(3):
             rs = RandomStreams(seed * 1000 + rep)
             campaign = Campaign(rs.get("afreq.campaign"))
             result = campaign.run(
@@ -73,11 +72,9 @@ def format_frequency(rows: List[dict]) -> str:
 
 # --------------------------------------------------------------- A-resub --
 
-def resubmission_comparison(seed: int = 0, days: float = 3.0,
-                            db_servers: int = 6,
-                            jobs_per_night: int = 45,
-                            crash_coupling: float = 0.06) -> List[dict]:
-    """Full-fidelity: same site and workload, three resubmission arms.
+def resubmission_comparison(seed: int = 0) -> List[dict]:
+    """Full-fidelity: same site and workload, three resubmission arms,
+    three simulated days each.
 
     The crash coupling is raised above the fig2-calibrated default so
     that placement quality is actually exercised within a few simulated
@@ -87,9 +84,8 @@ def resubmission_comparison(seed: int = 0, days: float = 3.0,
     out = []
     for arm in arms:
         site = build_site(SiteConfig.test_scale(
-            seed=seed, db_servers=db_servers,
-            jobs_per_night=jobs_per_night, with_feeds=False,
-            crash_coupling=crash_coupling))
+            seed=seed, db_servers=6, jobs_per_night=45, with_feeds=False,
+            crash_coupling=0.06))
         if arm == "none":
             # unplug the job manager's resubmission (keep its checks)
             site.lsf._exit_listeners = [
@@ -113,7 +109,7 @@ def resubmission_comparison(seed: int = 0, days: float = 3.0,
                 site.lsf.resubmit(job)
 
             site.lsf.on_job_exit(random_resubmit)
-        site.run(days * DAY)
+        site.run(3.0 * DAY)
         stats = site.workload.completion_stats()
         q = site.lsf.queue_stats()
         rescued = [j for j in site.workload.submitted if j.resubmits > 0]
@@ -155,9 +151,7 @@ def format_resubmission(rows: List[dict]) -> str:
 
 # ---------------------------------------------------------------- A-ckpt --
 
-def checkpointing_comparison(seed: int = 0, days: float = 3.0,
-                             intervals=(0.0, 7200.0, 1800.0, 600.0),
-                             crash_coupling: float = 0.06) -> List[dict]:
+def checkpointing_comparison(seed: int = 0) -> List[dict]:
     """Extension ablation: job checkpointing ([18] in the paper's
     related work) under the DGSPL rescue pipeline.
 
@@ -165,10 +159,10 @@ def checkpointing_comparison(seed: int = 0, days: float = 3.0,
     scratch).  Smaller intervals cap the work lost per mid-job crash,
     so rescue turnaround should fall monotonically."""
     out = []
-    for interval in intervals:
+    for interval in (0.0, 7200.0, 1800.0, 600.0):
         site = build_site(SiteConfig.test_scale(
             seed=seed, db_servers=6, jobs_per_night=45,
-            with_feeds=False, crash_coupling=crash_coupling))
+            with_feeds=False, crash_coupling=0.06))
         wl = site.workload
 
         # wrap the workload's job factory to stamp the interval
@@ -181,7 +175,7 @@ def checkpointing_comparison(seed: int = 0, days: float = 3.0,
             return job
 
         wl.make_job = make_with_ckpt
-        site.run(days * DAY)
+        site.run(3.0 * DAY)
 
         rescued = [j for j in wl.submitted if j.resubmits > 0]
         turnarounds = [j.finished_at - j.submitted_at for j in rescued
@@ -217,15 +211,16 @@ def format_checkpointing(rows: List[dict]) -> str:
 
 # ----------------------------------------------------------------- A-net --
 
-def network_failover(seed: int = 0, hours_each: float = 2.0) -> dict:
-    """Fail the private agent LAN mid-run; agent traffic must reroute."""
+def network_failover(seed: int = 0) -> dict:
+    """Fail the private agent LAN two hours in; for the two hours
+    after, agent traffic must reroute."""
     site = build_site(SiteConfig.test_scale(seed=seed, with_workload=False,
                                             with_feeds=False))
     ch = site.channel
-    site.run(hours_each * HOUR)
+    site.run(2.0 * HOUR)
     before = dict(ch.stats())
     site.dc.lan("agentnet").fail()
-    site.run(hours_each * HOUR)
+    site.run(2.0 * HOUR)
     after = ch.stats()
     return {
         "before": before,

@@ -37,8 +37,9 @@ ARMS: Dict[str, tuple] = {
     "no-xsite": (True, False),
 }
 
-#: when Hong Kong dies: 03:00 UTC = 11:00 in APAC, the trading morning
-LOSS_AT_H = 3.0
+#: the site that dies, and when: 03:00 UTC = 11:00 in APAC, Hong
+#: Kong's trading morning
+LOST_SITE, LOSS_AT_H = "hkg", 3.0
 #: how long the federation runs on after the loss
 OBSERVE_H = 4.0
 
@@ -66,9 +67,7 @@ class FederationStory:
 
 def run_arm(*, geo_steering: bool, cross_site_relocation: bool,
             population: int = 1_000_000, seed: int = 0,
-            loss_at_h: float = LOSS_AT_H,
-            observe_h: float = OBSERVE_H,
-            lost_site: str = "hkg") -> dict:
+            observe_h: float = OBSERVE_H) -> dict:
     """One arm of the story; returns the federation summary dict."""
     from repro.federation import build_federation
     from repro.federation.config import three_site_config
@@ -77,8 +76,8 @@ def run_arm(*, geo_steering: bool, cross_site_relocation: bool,
         population=population, seed=seed, geo_steering=geo_steering,
         cross_site_relocation=cross_site_relocation))
     fed.start_traffic()
-    fed.run(loss_at_h * HOUR - fed.now)
-    site = fed.sites[lost_site]
+    fed.run(LOSS_AT_H * HOUR - fed.now)
+    site = fed.sites[LOST_SITE]
     for name in sorted(site.dc.hosts):
         site.dc.hosts[name].crash()
     fed.run(observe_h * HOUR)
@@ -86,17 +85,15 @@ def run_arm(*, geo_steering: bool, cross_site_relocation: bool,
 
 
 def run(*, seed: int = 0, population: int = 1_000_000,
-        loss_at_h: float = LOSS_AT_H, observe_h: float = OBSERVE_H,
-        lost_site: str = "hkg") -> FederationStory:
+        observe_h: float = OBSERVE_H) -> FederationStory:
     """All three arms of the same site-loss story."""
     story = FederationStory(seed=seed, population=population,
-                            lost_site=lost_site, loss_at_h=loss_at_h,
+                            lost_site=LOST_SITE, loss_at_h=LOSS_AT_H,
                             observe_h=observe_h)
     for arm, (geo, xsite) in ARMS.items():
         story.arms[arm] = run_arm(
             geo_steering=geo, cross_site_relocation=xsite,
-            population=population, seed=seed, loss_at_h=loss_at_h,
-            observe_h=observe_h, lost_site=lost_site)
+            population=population, seed=seed, observe_h=observe_h)
     return story
 
 

@@ -63,29 +63,24 @@ class Fig2Result:
         return out
 
 
-def run_once(seed: int = 0, *, horizon: float = YEAR,
-             agent_period: float = 300.0
+def run_once(seed: int = 0, *, horizon: float = YEAR
              ) -> Tuple[CampaignResult, CampaignResult]:
     """One fault draw scored through both pipelines."""
     rs = RandomStreams(seed)
     campaign = Campaign(rs.get("fig2.campaign"), horizon=horizon)
-    return campaign.run_pair(agent_period=agent_period,
-                             before_rng=rs.get("fig2.ops.before"),
+    return campaign.run_pair(before_rng=rs.get("fig2.ops.before"),
                              after_rng=rs.get("fig2.ops.after"))
 
 
-def _replication_worker(seed: int, horizon: float = YEAR,
-                        agent_period: float = 300.0) -> tuple:
+def _replication_worker(seed: int, horizon: float = YEAR) -> tuple:
     """One replication, reduced to plain dicts (picklable: this is the
     unit of work the process pool ships around)."""
-    before, after = run_once(seed, horizon=horizon,
-                             agent_period=agent_period)
+    before, after = run_once(seed, horizon=horizon)
     return (before.hours_by_category(), after.hours_by_category(),
             before.detection_by_period(), after.detection_by_period())
 
 
 def run_replicated(seeds: List[int], *, horizon: float = YEAR,
-                   agent_period: float = 300.0,
                    processes: Optional[int] = None) -> Fig2Result:
     """Average the campaign over independent replications.
 
@@ -96,8 +91,7 @@ def run_replicated(seeds: List[int], *, horizon: float = YEAR,
     if not seeds:
         raise ValueError("need at least one seed")
     from repro.parallel import replicate   # pulls in multiprocessing
-    worker = partial(_replication_worker, horizon=horizon,
-                     agent_period=agent_period)
+    worker = partial(_replication_worker, horizon=horizon)
     outcomes = replicate(worker, seeds, processes=processes, min_parallel=2)
 
     acc_b = {c: 0.0 for c in Category}

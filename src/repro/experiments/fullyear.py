@@ -85,9 +85,9 @@ def _fault_rates() -> Dict[Category, float]:
 def run_full_year(seed: int = 0, *, hosts: int = 1000,
                   hours: float = YEAR / 3600.0, segments: int = 12,
                   checkpoint_dir: str = "checkpoints",
-                  resume: Optional[str] = None,
-                  retain: int = 2) -> FullYearResult:
-    """Run (or resume) the segmented full-fidelity year.
+                  resume: Optional[str] = None) -> FullYearResult:
+    """Run (or resume) the segmented full-fidelity year, keeping the
+    newest two epoch checkpoints.
 
     ``resume`` names a checkpoint file: the world restores from it and
     the remaining segments run to the same ``hours`` horizon -- fault
@@ -114,7 +114,7 @@ def run_full_year(seed: int = 0, *, hosts: int = 1000,
     sim = harness.sim
     epoch_hours = hours / segments
     mgr = CheckpointManager(harness.site, checkpoint_dir,
-                            every_hours=epoch_hours, retain=retain,
+                            every_hours=epoch_hours, retain=2,
                             extras=harness._extras())
     result = FullYearResult(
         hosts=len(harness.site.dc.hosts), seed=seed, horizon_hours=hours,

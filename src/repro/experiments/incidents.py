@@ -87,20 +87,14 @@ class IncidentRunResult:
                                                      self.reconciliation)
 
 
-def run(seed: int = 0, *, population: int = 1_000_000,
-        warmup: float = 2 * HOUR, settle: float = 2 * HOUR,
-        agent_period: float = 300.0) -> IncidentRunResult:
-    """One observed fault storm on the test-scale live site.
-
-    ``warmup`` runs traffic before the first injection (burn-rate
-    baselines need history); ``settle`` runs after the last one so
-    healing/relocation and alert resolution complete.
+def _observed_site(seed: int, population: int):
+    """The test-scale live site with one spare and the observability
+    tier, ``population`` users flowing through front doors that the
+    relocation tier reroutes: ``(site, harness, tracer, curve, doors)``.
     """
-    config = SiteConfig.test_scale(
-        seed=seed, agent_period=agent_period, spare_servers=1,
-        with_workload=False, with_feeds=False,
-        observe=True)
-    site = build_site(config)
+    site = build_site(SiteConfig.test_scale(
+        seed=seed, spare_servers=1, with_workload=False, with_feeds=False,
+        observe=True))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
 
@@ -109,11 +103,22 @@ def run(seed: int = 0, *, population: int = 1_000_000,
     engine = FluidTrafficEngine(site.sim, curve, doors, site.streams,
                                 step=60.0)
     for door in doors.values():
-        door.attach_ledger(site.ledger)
+        # drain / cutover reach the door; so do the ledger's conditions
+        site.reroute.register_door(door)
     engine.start()
     site.telemetry.attach_slis(engine.slis)
+    return site, harness, tracer, curve, doors
 
-    site.run(warmup)
+
+def run(seed: int = 0, *, population: int = 1_000_000) -> IncidentRunResult:
+    """One observed fault storm on the test-scale live site.
+
+    Traffic runs two hours before the first injection (burn-rate
+    baselines need history) and two hours after the last, so
+    healing/relocation and alert resolution complete.
+    """
+    site, harness, tracer, curve, _doors = _observed_site(seed, population)
+    site.run(2 * HOUR)
 
     inj = harness.injector
     faults = []
@@ -122,7 +127,7 @@ def run(seed: int = 0, *, population: int = 1_000_000,
     faults.append(inj.app_hang(site.frontends[0]))
     site.run(40 * MINUTE)
     faults.append(inj.app_crash(site.webservers[1]))
-    site.run(settle)
+    site.run(2 * HOUR)
 
     harness.scan_flags_for_detection()
     horizon = site.sim.now
@@ -146,7 +151,8 @@ def run(seed: int = 0, *, population: int = 1_000_000,
 
     return IncidentRunResult(
         seed=seed, population=population, horizon=horizon,
-        agent_period=agent_period, reports=reports, reconciliation=recon,
+        agent_period=site.config.agent_period, reports=reports,
+        reconciliation=recon,
         alert_latency=latency,
         pages_sent=site.alerts.pages_sent,
         board=console.board())

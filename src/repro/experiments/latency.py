@@ -31,7 +31,7 @@ from repro.experiments.site import SiteConfig, build_site
 from repro.faults.models import CATEGORY_PROFILES, Category
 from repro.ops.operators import OperatorModel
 from repro.sim import RandomStreams
-from repro.sim.calendar import DAY, HOUR, MINUTE, period_of
+from repro.sim.calendar import DAY, HOUR, period_of
 from repro.trace import Tracer
 
 __all__ = ["LatencyResult", "PAPER_HOURS", "run", "format_result"]
@@ -60,11 +60,9 @@ class LatencyResult:
 
 
 def run(seed: int = 0, weeks: int = 2,
-        agent_period: float = 5 * MINUTE,
         tracer: Optional[Tracer] = None) -> LatencyResult:
     site = build_site(SiteConfig.test_scale(
-        seed=seed, agent_period=agent_period,
-        with_workload=False, with_feeds=False))
+        seed=seed, with_workload=False, with_feeds=False))
     if tracer is None:
         tracer = Tracer(site.sim)
     else:
@@ -72,7 +70,7 @@ def run(seed: int = 0, weeks: int = 2,
     site.sim.tracer = tracer
     harness = FidelityHarness(site)
     rs = site.streams
-    ops = OperatorModel(rs.get("latency.ops"), agent_period=agent_period)
+    ops = OperatorModel(rs.get("latency.ops"))
     profile = CATEGORY_PROFILES[Category.FRONT_END]
 
     agent_lat: Dict[str, List[float]] = {"day": [], "overnight": [],

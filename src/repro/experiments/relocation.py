@@ -24,11 +24,11 @@ from typing import List, Mapping, Optional
 from repro.experiments.report import table
 from repro.experiments.userqos import PipelineQos, _mean_summary, _score
 from repro.faults.campaign import Campaign
-from repro.relocate.model import RelocationPolicy, apply_relocation
+from repro.relocate.model import apply_relocation
 from repro.sim import RandomStreams
 from repro.sim.calendar import MINUTE, YEAR
 from repro.trace.tracer import NULL_TRACER
-from repro.traffic.workload import DemandCurve, financial_curve
+from repro.traffic.workload import financial_curve
 
 __all__ = ["RelocationQosResult", "run_once", "run_replicated",
            "format_result"]
@@ -73,23 +73,20 @@ class RelocationQosResult:
 
 
 def run_once(seed: int = 0, *, horizon: float = YEAR,
-             step: float = 5 * MINUTE, population: int = 1_000_000,
-             agent_period: float = 300.0,
-             policy: Optional[RelocationPolicy] = None,
-             curve: Optional[DemandCurve] = None,
+             population: int = 1_000_000,
              tracer=None) -> RelocationQosResult:
-    """One fault draw, three arms, priced against user demand."""
+    """One fault draw, three arms, priced against user demand in
+    five-minute steps."""
     tracer = tracer if tracer is not None else NULL_TRACER
     rs = RandomStreams(seed)
     campaign = Campaign(rs.get("relocation.campaign"), horizon=horizon)
     before, escalate = campaign.run_pair(
-        agent_period=agent_period,
         before_rng=rs.get("relocation.ops.before"),
         after_rng=rs.get("relocation.ops.after"))
     relocated, stats = apply_relocation(
-        escalate, rs.get("relocation.failover"), policy=policy,
-        tracer=tracer, label="relocate")
-    curve = curve or financial_curve(population)
+        escalate, rs.get("relocation.failover"), tracer=tracer,
+        label="relocate")
+    curve, step = financial_curve(population), 5 * MINUTE
     return RelocationQosResult(
         population=curve.population, horizon=horizon, step=step,
         replications=1,
@@ -102,14 +99,12 @@ def run_once(seed: int = 0, *, horizon: float = YEAR,
 
 
 def run_replicated(seeds: List[int], *, horizon: float = YEAR,
-                   step: float = 5 * MINUTE, population: int = 1_000_000,
-                   agent_period: float = 300.0,
+                   population: int = 1_000_000,
                    processes: Optional[int] = None) -> dict:
     """Mean summary over independent fault draws (pool or in-process,
     same result: the userqos experiment's contract)."""
     return _mean_summary(run_once, seeds, processes, horizon=horizon,
-                         step=step, population=population,
-                         agent_period=agent_period)
+                         population=population)
 
 
 def _pct(a: float) -> str:

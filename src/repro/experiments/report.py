@@ -7,12 +7,8 @@ from typing import Iterable, List, Optional, Sequence
 __all__ = ["table", "fmt", "metrics_summary"]
 
 
-def fmt(value, width: int = 0) -> str:
-    if isinstance(value, float):
-        s = f"{value:.2f}"
-    else:
-        s = str(value)
-    return s.rjust(width) if width else s
+def fmt(value) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 def table(headers: Sequence[str], rows: Iterable[Sequence],

@@ -25,32 +25,15 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.faults.campaign import Campaign, CampaignResult
-from repro.faults.models import Category
+from repro.faults.models import CATEGORY_IMPACT
 from repro.experiments.report import table
 from repro.sim import RandomStreams
 from repro.sim.calendar import HOUR, MINUTE, YEAR
 from repro.traffic.slo import IncidentWindow, QosOutcome, join_demand
 from repro.traffic.workload import DemandCurve, financial_curve
 
-__all__ = ["CATEGORY_IMPACT", "PipelineQos", "UserQosResult",
+__all__ = ["PipelineQos", "UserQosResult",
            "run_once", "run_replicated", "format_result"]
-
-#: Fraction of each demand class an incident of a category takes out.
-#: Calibrated to the site inventory: one of ~100 databases, one of ~60
-#: front-end servers, one LAN of two, the whole site for corruption
-#: outages.  LSF faults hit the batch window, which users feel only as
-#: a thin slice of database demand.
-CATEGORY_IMPACT: Dict[Category, Dict[str, float]] = {
-    Category.MID_CRASH: {"frontend": 0.010, "db": 0.010},
-    Category.HUMAN: {"web": 0.020, "frontend": 0.020, "db": 0.010},
-    Category.PERFORMANCE: {"web": 0.020, "frontend": 0.020, "db": 0.020},
-    Category.FRONT_END: {"web": 1.0 / 60.0, "frontend": 1.0 / 60.0},
-    Category.LSF: {"db": 0.020},
-    Category.FIREWALL_NETWORK: {"web": 0.5, "frontend": 0.5, "db": 0.5},
-    Category.HARDWARE: {"web": 0.005, "frontend": 0.005, "db": 0.010},
-    Category.COMPLETELY_DOWN: {"web": 1.0, "frontend": 1.0, "db": 1.0},
-}
-
 
 @dataclass
 class PipelineQos:
@@ -167,17 +150,15 @@ def _score(label: str, result: CampaignResult, curve: DemandCurve, *,
 
 
 def run_once(seed: int = 0, *, horizon: float = YEAR,
-             step: float = 5 * MINUTE, population: int = 1_000_000,
-             agent_period: float = 300.0,
-             curve: Optional[DemandCurve] = None) -> UserQosResult:
-    """One fault draw, both pipelines, priced against user demand."""
+             population: int = 1_000_000) -> UserQosResult:
+    """One fault draw, both pipelines, priced against user demand in
+    five-minute steps."""
     rs = RandomStreams(seed)
     campaign = Campaign(rs.get("userqos.campaign"), horizon=horizon)
     before, after = campaign.run_pair(
-        agent_period=agent_period,
         before_rng=rs.get("userqos.ops.before"),
         after_rng=rs.get("userqos.ops.after"))
-    curve = curve or financial_curve(population)
+    curve, step = financial_curve(population), 5 * MINUTE
 
     # synthetic probes: identical 1 h full outage at Tuesday 11:00 vs
     # Tuesday 03:00 -- the time-of-day weighting, isolated from the draw
@@ -231,13 +212,11 @@ def _mean_summary(run, seeds, processes, **kw) -> dict:
 
 
 def run_replicated(seeds: List[int], *, horizon: float = YEAR,
-                   step: float = 5 * MINUTE, population: int = 1_000_000,
-                   agent_period: float = 300.0,
+                   population: int = 1_000_000,
                    processes: Optional[int] = None) -> dict:
     """Mean summary over independent fault draws."""
     return _mean_summary(run_once, seeds, processes, horizon=horizon,
-                         step=step, population=population,
-                         agent_period=agent_period)
+                         population=population)
 
 
 def _pct(a: float) -> str:

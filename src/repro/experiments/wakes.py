@@ -59,8 +59,7 @@ class WakesResult:
                 / max(1e-9, self.cpu_seconds["adaptive"]))
 
 
-def build_fleet(n_hosts: int, wake_policy: str, *,
-                seed: int = 0, max_period: float = MAX_PERIOD):
+def build_fleet(n_hosts: int, wake_policy: str, *, seed: int = 0):
     """A standalone fleet: one database server per host, the standard
     agent complement on each, no coordinators (wake accounting and
     trigger dispatch are host-local)."""
@@ -75,7 +74,7 @@ def build_fleet(n_hosts: int, wake_policy: str, *,
         db.start()
         suites.append(AgentSuite(host, period=BASE_PERIOD,
                                  wake_policy=wake_policy,
-                                 wake_max_period=max_period))
+                                 wake_max_period=MAX_PERIOD))
     sim.run(until=sim.now + 400.0)      # everything RUNNING
     return sim, dc, suites
 
@@ -89,12 +88,10 @@ def _fleet_totals(suites) -> Dict[str, float]:
 
 
 def steady_state(wake_policy: str, *, n_hosts: int,
-                 window: float, seed: int = 0,
-                 max_period: float = MAX_PERIOD) -> Dict[str, float]:
+                 window: float, seed: int = 0) -> Dict[str, float]:
     """Warm a healthy fleet past the back-off ramp, then measure wakes
     and CPU across ``window`` seconds of steady state."""
-    sim, dc, suites = build_fleet(n_hosts, wake_policy, seed=seed,
-                                  max_period=max_period)
+    sim, dc, suites = build_fleet(n_hosts, wake_policy, seed=seed)
     sim.run(until=sim.now + WARM_SECONDS)
     before = _fleet_totals(suites)
     sim.run(until=sim.now + window)
@@ -116,14 +113,12 @@ def _first_fault_flag(agent, since: float) -> Optional[float]:
     return None
 
 
-def detection_campaign(wake_policy: str, *, n_hosts: int = 12,
-                       faults: int = 8, seed: int = 1,
-                       max_period: float = MAX_PERIOD) -> List[float]:
-    """Crash databases at off-grid instants on a fully backed-off fleet
-    (the adaptive policy's worst case) and measure injection-to-fault-
-    flag latency at the owning service agent."""
-    sim, dc, suites = build_fleet(n_hosts, wake_policy, seed=seed,
-                                  max_period=max_period)
+def detection_campaign(wake_policy: str, *, faults: int = 8,
+                       seed: int = 1) -> List[float]:
+    """Crash databases at off-grid instants on a fully backed-off
+    12-host fleet (the adaptive policy's worst case) and measure
+    injection-to-fault-flag latency at the owning service agent."""
+    sim, dc, suites = build_fleet(12, wake_policy, seed=seed)
     sim.run(until=sim.now + WARM_SECONDS)
     latencies = []
     for k in range(faults):
@@ -135,15 +130,16 @@ def detection_campaign(wake_policy: str, *, n_hosts: int = 12,
         sim.run(until=sim.now + 211.0 + 97.0 * (k % 5))
         t0 = sim.now
         app.crash("detection-campaign")
-        sim.run(until=t0 + max_period + 2 * BASE_PERIOD)
+        sim.run(until=t0 + MAX_PERIOD + 2 * BASE_PERIOD)
         detected = _first_fault_flag(suite.service_agents[app.name], t0)
         if detected is not None:
             latencies.append(detected - t0)
     return latencies
 
 
-def run(seed: int = 0, *, n_hosts: int = 200,
-        window: float = 2 * 3600.0) -> WakesResult:
+def run(seed: int = 0) -> WakesResult:
+    """The A/B on 200 hosts over a two-hour steady-state window."""
+    n_hosts, window = 200, 2 * 3600.0
     result = WakesResult(n_hosts=n_hosts, window_hours=window / 3600.0)
     for policy in ("fixed", "adaptive"):
         steady = steady_state(policy, n_hosts=n_hosts, window=window,

@@ -104,10 +104,6 @@ class CampaignResult:
         return {k: float(np.mean(v)) / 3600.0 if v else 0.0
                 for k, v in sums.items()}
 
-    def mean_downtime_hours(self) -> float:
-        vals = [r.downtime for r in self.records if not r.prevented]
-        return float(np.mean(vals)) / 3600.0 if vals else 0.0
-
     def auto_repair_rate(self) -> float:
         scored = [r for r in self.records if not r.prevented]
         if not scored:
@@ -123,12 +119,11 @@ class CampaignResult:
 class Campaign:
     """Samples fault arrivals and scores pipelines over them."""
 
-    def __init__(self, rng, *, horizon: float = YEAR, scale: float = 1.0,
-                 profiles: Optional[Dict[Category, CategoryProfile]] = None):
+    def __init__(self, rng, *, horizon: float = YEAR, scale: float = 1.0):
         self.rng = rng
         self.horizon = float(horizon)
         self.scale = float(scale)
-        self.profiles = dict(profiles or CATEGORY_PROFILES)
+        self.profiles = dict(CATEGORY_PROFILES)
         self._arrivals: Optional[Dict[Category, np.ndarray]] = None
 
     # -- arrival sampling ---------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 __all__ = ["Category", "TimePattern", "CategoryProfile", "FaultEvent",
-           "CATEGORY_PROFILES", "PAPER_FIG2_HOURS"]
+           "CATEGORY_PROFILES", "CATEGORY_IMPACT", "PAPER_FIG2_HOURS"]
 
 
 class Category(enum.Enum):
@@ -193,6 +193,22 @@ CATEGORY_PROFILES: Dict[Category, CategoryProfile] = {
         auto_fixable=True, auto_fix_prob=0.5,
         auto_repair=Dist(25 * _MIN, 0.5),
         detection_scale=0.5),
+}
+
+#: Fraction of each demand class an incident of a category takes out.
+#: Calibrated to the site inventory: one of ~100 databases, one of ~60
+#: front-end servers, one LAN of two, the whole site for corruption
+#: outages.  LSF faults hit the batch window, which users feel only as
+#: a thin slice of database demand.
+CATEGORY_IMPACT: Dict[Category, Dict[str, float]] = {
+    Category.MID_CRASH: {"frontend": 0.010, "db": 0.010},
+    Category.HUMAN: {"web": 0.020, "frontend": 0.020, "db": 0.010},
+    Category.PERFORMANCE: {"web": 0.020, "frontend": 0.020, "db": 0.020},
+    Category.FRONT_END: {"web": 1.0 / 60.0, "frontend": 1.0 / 60.0},
+    Category.LSF: {"db": 0.020},
+    Category.FIREWALL_NETWORK: {"web": 0.5, "frontend": 0.5, "db": 0.5},
+    Category.HARDWARE: {"web": 0.005, "frontend": 0.005, "db": 0.010},
+    Category.COMPLETELY_DOWN: {"web": 1.0, "frontend": 1.0, "db": 1.0},
 }
 
 

@@ -142,17 +142,14 @@ class FederationConfig:
 
 
 def three_site_config(*, population: int = 1_000_000, seed: int = 0,
-                      scale: str = "test", spare_servers: int = 2,
                       **overrides) -> FederationConfig:
     """The canonical 3-site follow-the-sun federation: London (emea),
-    New York (amer), Hong Kong (apac)."""
+    New York (amer), Hong Kong (apac), each a test-scale site with two
+    spares."""
     def site_cfg(name: str, offset: int) -> SiteConfig:
-        kw = dict(site_name=name, seed=seed + offset,
-                  spare_servers=spare_servers,
-                  with_workload=False, with_feeds=False)
-        if scale == "test":
-            return SiteConfig.test_scale(**kw)
-        return SiteConfig(**kw)
+        return SiteConfig.test_scale(
+            site_name=name, seed=seed + offset, spare_servers=2,
+            with_workload=False, with_feeds=False)
 
     sites = [
         SiteSpec("hkg", "apac", site_cfg("hkg", 3),

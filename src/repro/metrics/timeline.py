@@ -60,10 +60,9 @@ def sparkline(values: Sequence[float], *, width: int = 60,
     return "".join(_BLOCKS[i] for i in ramp)
 
 
-def render_timeline(series: TimeSeries, *, width: int = 60,
-                    label: Optional[str] = None) -> List[str]:
+def render_timeline(series: TimeSeries, *, width: int = 60) -> List[str]:
     """One series as [header, sparkline, axis] lines."""
-    name = label if label is not None else series.name
+    name = series.name
     vals = series.values
     if vals.size == 0:
         return [f"{name}: (no samples)"]

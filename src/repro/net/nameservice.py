@@ -23,10 +23,11 @@ class NameService(Persistent):
     _persist = (table("records"), scalar("up", bool),
                 scalar("degraded", bool),
                 *scalars(int, "lookups", "failures"))
+    #: an answering, undegraded lookup (ms)
+    base_response_ms = 2.0
 
-    def __init__(self, sim, base_response_ms: float = 2.0):
+    def __init__(self, sim):
         self.sim = sim
-        self.base_response_ms = base_response_ms
         self.records: Dict[str, str] = {}
         self.up = True
         self.degraded = False      # slow but answering
@@ -36,11 +37,10 @@ class NameService(Persistent):
     def register(self, name: str, ip: str) -> None:
         self.records[name] = ip
 
-    def register_host(self, host, lan_name: Optional[str] = None) -> None:
-        """Register every NIC address of a host (or just one LAN's)."""
+    def register_host(self, host) -> None:
+        """Register every NIC address of a host."""
         for nic in host.nics.values():
-            if lan_name is None or nic.lan.name == lan_name:
-                self.records[f"{host.name}.{nic.lan.name}"] = nic.ip
+            self.records[f"{host.name}.{nic.lan.name}"] = nic.ip
         self.records.setdefault(host.name, next(
             (n.ip for n in host.nics.values()), "0.0.0.0"))
 

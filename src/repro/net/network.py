@@ -66,6 +66,9 @@ class Lan(Persistent):
 
     #: window (seconds) over which traffic counts toward utilisation
     UTIL_WINDOW = 300.0
+    #: a switched 100BASE-T segment and its unloaded round-trip
+    bandwidth_mbps = 100.0
+    base_latency_ms = 0.5
     #: segment state only; per-NIC counters snapshot with their hosts
     #: (membership itself is structural)
     _persist = (scalar("up", bool),
@@ -74,14 +77,10 @@ class Lan(Persistent):
                 *scalars(int, "total_bytes", "total_messages"))
 
     def __init__(self, sim, name: str, *, kind: str = "public",
-                 bandwidth_mbps: float = 100.0,
-                 base_latency_ms: float = 0.5,
                  subnet: str = "192.168.1"):
         self.sim = sim
         self.name = name
         self.kind = kind
-        self.bandwidth_mbps = bandwidth_mbps
-        self.base_latency_ms = base_latency_ms
         self.subnet = subnet
         self.up = True
         self.nics: Dict[str, Nic] = {}      # keyed by host name
@@ -93,10 +92,10 @@ class Lan(Persistent):
 
     # -- membership -----------------------------------------------------------
 
-    def attach(self, host, ifname: Optional[str] = None) -> Nic:
+    def attach(self, host) -> Nic:
         if host.name in self.nics:
             raise ValueError(f"{host.name} already on LAN {self.name}")
-        ifname = ifname or f"hme{len(host.nics)}"
+        ifname = f"hme{len(host.nics)}"
         ip = f"{self.subnet}.{next(self._ip_counter)}"
         nic = Nic(host, self, ifname, ip)
         self.nics[host.name] = nic

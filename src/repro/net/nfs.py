@@ -24,9 +24,9 @@ class SharedPool(Persistent):
     #: structural (re-attached at rebuild)
     _persist = (part("fs"), *scalars(int, "calls", "failed_calls"))
 
-    def __init__(self, sim, capacity_bytes: int = 8 * 1024**3):
+    def __init__(self, sim):
         self.sim = sim
-        self.fs = FileSystem(mounts={"/": capacity_bytes})
+        self.fs = FileSystem(mounts={"/": 8 * 1024**3})
         #: hosts that can serve the pool (the admin pair)
         self.servers: List[object] = []
         self.calls = 0

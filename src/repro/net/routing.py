@@ -95,9 +95,9 @@ class AgentChannel(Persistent):
                 return True
         return False
 
-    def broadcast(self, src_name: str, dst_names: List[str],
-                  nbytes: int = 2048) -> List[Delivery]:
-        return [self.send(src_name, d, nbytes) for d in dst_names]
+    def broadcast(self, src_name: str,
+                  dst_names: List[str]) -> List[Delivery]:
+        return [self.send(src_name, d) for d in dst_names]
 
 
     def stats(self) -> Dict[str, float]:

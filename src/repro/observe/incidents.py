@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.faults.models import CATEGORY_IMPACT
 from repro.sim.calendar import MINUTE, format_time
 from repro.trace.export import incident_traces
 from repro.traffic.slo import IncidentWindow, join_demand
@@ -99,16 +100,13 @@ def _host_of(target: str) -> str:
 
 def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
                   hub=None, admin=None, relocator=None, alerts=None,
-                  curve=None,
-                  impact_of: Optional[Mapping[str, Mapping[str, float]]]
-                  = None,
-                  qos_step: float = MINUTE) -> List[IncidentReport]:
+                  curve=None, qos_step: float = MINUTE
+                  ) -> List[IncidentReport]:
     """Join every ledger onto the tracer's correlated incidents.
 
-    ``impact_of`` maps a downtime category *name* to per-class demand
-    impact fractions (defaults to the user-QoS experiment's
-    calibration); ``horizon`` clamps open incidents, defaulting to the
-    tracer's current clock.
+    Demand impact per downtime category comes from
+    :data:`~repro.faults.models.CATEGORY_IMPACT`; ``horizon`` clamps
+    open incidents, defaulting to the tracer's current clock.
     """
     horizon = tracer.now if horizon is None else float(horizon)
     traces = incident_traces(tracer)
@@ -126,10 +124,6 @@ def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
     # -- downtime attribution: every ledger incident lands somewhere ---------
     windows: Dict[str, List[IncidentWindow]] = {}
     if downtime is not None:
-        if impact_of is None:
-            from repro.experiments.userqos import CATEGORY_IMPACT
-            impact_of = {cat.name: imp
-                         for cat, imp in CATEGORY_IMPACT.items()}
         catchall: Optional[IncidentReport] = None
         for inc in downtime.incidents:
             fid = tracer.fault_id_for(inc.target)
@@ -145,7 +139,7 @@ def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
             if not rep.category:
                 rep.category = inc.category.name
             if inc.start < horizon and dur > 0:
-                imp = dict(impact_of.get(inc.category.name, {}))
+                imp = dict(CATEGORY_IMPACT.get(inc.category, {}))
                 if imp:
                     windows.setdefault(rep.fault_id, []).append(
                         IncidentWindow(start=inc.start, duration=dur,
@@ -239,9 +233,7 @@ def _finish_report(rep: IncidentReport) -> None:
 
 
 def reconcile(reports: List[IncidentReport], *, downtime, curve=None,
-              horizon: float, qos_step: float = MINUTE,
-              impact_of: Optional[Mapping[str, Mapping[str, float]]] = None
-              ) -> dict:
+              horizon: float, qos_step: float = MINUTE) -> dict:
     """Check the reports against the books they were built from.
 
     Downtime: the per-report sum must equal the downtime ledger's
@@ -262,14 +254,10 @@ def reconcile(reports: List[IncidentReport], *, downtime, curve=None,
         "downtime_ok": abs(reports_h - ledger_h) < 1e-6,
     }
     if curve is not None:
-        if impact_of is None:
-            from repro.experiments.userqos import CATEGORY_IMPACT
-            impact_of = {cat.name: imp
-                         for cat, imp in CATEGORY_IMPACT.items()}
         wins = []
         for inc in downtime.incidents:
             dur = inc.duration_until(horizon)
-            imp = dict(impact_of.get(inc.category.name, {}))
+            imp = dict(CATEGORY_IMPACT.get(inc.category, {}))
             if inc.start < horizon and dur > 0 and imp:
                 wins.append(IncidentWindow(start=inc.start, duration=dur,
                                            impact=imp))

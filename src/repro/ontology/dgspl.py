@@ -298,16 +298,8 @@ class FederatedDgspl(Persistent):
         return (now - self.received_at[site] <= window
                 and now - digest.generated_at <= window)
 
-    def fresh_sites(self, now: float) -> List[str]:
-        return [s for s in sorted(self.digests) if self.is_fresh(s, now)]
-
     def capacity(self, site: str, app_type: str, now: float) -> float:
         """Steering weight input; a stale site advertises nothing."""
         if not self.is_fresh(site, now):
             return 0.0
         return self.digests[site].capacity(app_type)
-
-    def merged_entries(self) -> Dict[str, Dict[str, TierDigest]]:
-        """site -> app_type -> tier digest, for boards and reports."""
-        return {site: dict(sorted(digest.tiers.items()))
-                for site, digest in sorted(self.digests.items())}

@@ -31,19 +31,14 @@ class BaselineMonitor:
     #: daemon poll interval, seconds (commercial defaults were seconds,
     #: not minutes -- that is where the CPU cost comes from)
     POLL_INTERVAL = 30.0
+    #: resident base (MB), and a history cache growing 2.5 MB an hour
+    #: until its flush every eight hours
+    BASE_MEM_MB, CACHE_MB_PER_HOUR, CACHE_FLUSH_HOURS = 28.0, 2.5, 8.0
 
-    def __init__(self, host, *, notifications=None,
-                 recipient: str = "operators",
-                 base_mem_mb: float = 28.0,
-                 cache_mb_per_hour: float = 2.5,
-                 cache_flush_hours: float = 8.0):
+    def __init__(self, host, *, notifications=None):
         self.host = host
         self.sim = host.sim
         self.notifications = notifications
-        self.recipient = recipient
-        self.base_mem_mb = base_mem_mb
-        self.cache_mb_per_hour = cache_mb_per_hour
-        self.cache_flush_hours = cache_flush_hours
         self.started_at = self.sim.now
         self.alerts_raised = 0
         self._known_down: set[str] = set()
@@ -78,8 +73,8 @@ class BaselineMonitor:
         grows until its periodic flush (the 32-58 MB sawtooth)."""
         entities = self.monitored_entities()
         hours_up = max(0.0, (self.sim.now - self.started_at) / 3600.0)
-        cache = (hours_up % self.cache_flush_hours) * self.cache_mb_per_hour
-        return self.base_mem_mb + 0.12 * entities + cache
+        cache = (hours_up % self.CACHE_FLUSH_HOURS) * self.CACHE_MB_PER_HOUR
+        return self.BASE_MEM_MB + 0.12 * entities + cache
 
     # -- detect-only alerting ------------------------------------------------------
 
@@ -101,7 +96,7 @@ class BaselineMonitor:
                     self.alerts_raised += 1
                     if self.notifications is not None:
                         self.notifications.email(
-                            self.recipient,
+                            "operators",
                             f"ALERT {self.host.name}/{app.name} down",
                             severity="critical", sender="patrol")
             elif healthy:

@@ -112,16 +112,15 @@ class CrossSiteRelocator(Persistent):
                                    in sorted(totals.items())}),
         *scalars(int, "attempted", "succeeded", "failed", "paged"))
 
-    #: control-plane round trips a verify/cutover handshake costs; the
-    #: WAN-aware budget adds this many RTTs to the base verify budget
-    CHATTER_ROUNDS = 100
+    #: base verify budget (s), and the control-plane round trips a
+    #: verify/cutover handshake costs: the WAN-aware budget adds this
+    #: many RTTs to the base
+    VERIFY_BUDGET, CHATTER_ROUNDS = 600.0, 100
 
-    def __init__(self, *, wan, nameservice=None, page_cb=None,
-                 verify_budget: float = 600.0):
+    def __init__(self, *, wan, nameservice=None, page_cb=None):
         self.wan = wan
         self.nameservice = nameservice
         self.page_cb = page_cb
-        self.verify_budget = float(verify_budget)
         self.sites: Dict[str, object] = {}
         #: sites currently considered lost (no placements into them)
         self.lost_sites: set = set()
@@ -157,12 +156,11 @@ class CrossSiteRelocator(Persistent):
 
     def _budget_for(self, source_site: str, target_site: str) -> float:
         rtt_s = 2.0 * self.wan.latency_ms(source_site, target_site) / 1000.0
-        return self.verify_budget + self.CHATTER_ROUNDS * rtt_s
+        return self.VERIFY_BUDGET + self.CHATTER_ROUNDS * rtt_s
 
     # -- entry points --------------------------------------------------------
 
-    def site_loss(self, source_site: str, now: float,
-                  reason: str = "site loss") -> int:
+    def site_loss(self, source_site: str, now: float) -> int:
         """Relocate every user-facing database service of a lost site.
 
         The databases are the *pinned* tier -- their region's demand
@@ -182,7 +180,7 @@ class CrossSiteRelocator(Persistent):
             subject = f"{source_site}/{app.name}"
             if subject in settled:
                 continue
-            if self._start(app, source_site, now, reason):
+            if self._start(app, source_site, now, "site loss"):
                 started += 1
         return started
 

@@ -59,11 +59,12 @@ class ServiceRelocator(Persistent):
 
     _persist = (rows("records", *record(RelocationRecord)),
                 *scalars(int, "succeeded", "failed"))
+    #: seconds one relocation may take end to end, between start /
+    #: verify probes, and for in-flight work to drain
+    budget, poll, drain_grace = 900.0, 15.0, 20.0
 
     def __init__(self, dc, planner, spares, *, reroute=None,
-                 notifications=None, page_cb: Optional[Callable] = None,
-                 budget: float = 900.0, poll: float = 15.0,
-                 drain_grace: float = 20.0):
+                 notifications=None, page_cb: Optional[Callable] = None):
         self.dc = dc
         self.sim = dc.sim
         self.planner = planner
@@ -73,9 +74,6 @@ class ServiceRelocator(Persistent):
         #: called as ``page_cb(host_name, reason)`` when a relocation
         #: rolls back; the admin pair passes its SMS escalation here
         self.page_cb = page_cb
-        self.budget = float(budget)
-        self.poll = float(poll)
-        self.drain_grace = float(drain_grace)
 
         #: subject -> source host of in-flight relocations
         self.active: Dict[str, str] = {}

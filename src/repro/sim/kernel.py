@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.persist.core import Persistent, pending, scalar
 from repro.trace.tracer import NULL_TRACER
@@ -446,10 +446,6 @@ class Simulator(Persistent):
         controller = Periodic(self, period, fn, args)
         controller.start(offset)
         return controller
-
-    def process_all(self, gens: Iterable[Generator]) -> list[SimProcess]:
-        """Spawn a batch of generator processes."""
-        return [self.spawn(g) for g in gens]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now:.3f} queued={len(self._heap)}>"

@@ -135,8 +135,7 @@ def dispatch_fluid(door, n: int, now: float,
         record_shed(shed)
 
 
-def doors_for_site(site, *, use_dgspl: bool = True,
-                   staleness: float = 900.0) -> Dict[str, FrontDoor]:
+def doors_for_site(site, *, use_dgspl: bool = True) -> Dict[str, FrontDoor]:
     """Front doors for a built Site, one per user-facing tier.  With
     ``use_dgspl`` (and an agented site) routing follows the admin
     pair's load advertisements; otherwise plain round-robin."""
@@ -145,12 +144,9 @@ def doors_for_site(site, *, use_dgspl: bool = True,
         dgspl_fn = site.admin.current_dgspl
     doors: Dict[str, FrontDoor] = {}
     if site.webservers:
-        doors["web"] = FrontDoor("webserver", site.webservers, dgspl_fn,
-                                 staleness=staleness)
+        doors["web"] = FrontDoor("webserver", site.webservers, dgspl_fn)
     if site.frontends:
-        doors["frontend"] = FrontDoor("frontend", site.frontends, dgspl_fn,
-                                      staleness=staleness)
+        doors["frontend"] = FrontDoor("frontend", site.frontends, dgspl_fn)
     if site.databases:
-        doors["db"] = FrontDoor("database", site.databases, dgspl_fn,
-                                staleness=staleness)
+        doors["db"] = FrontDoor("database", site.databases, dgspl_fn)
     return doors

@@ -19,7 +19,7 @@ Three layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -67,14 +67,13 @@ class Sli(Persistent):
     _persist = (*scalars(float, "attempted", "served", "shed"),
                 part("latency"))
 
-    def __init__(self, name: str,
-                 buckets: Sequence[float] = LATENCY_BUCKETS_MS):
+    def __init__(self, name: str):
         self.name = name
         self.attempted = 0.0
         self.served = 0.0
         #: requests the front door dropped because no server was up
         self.shed = 0.0
-        self.latency = Histogram(f"{name}.latency_ms", buckets)
+        self.latency = Histogram(f"{name}.latency_ms", LATENCY_BUCKETS_MS)
 
     def record_batch(self, served: float, failed: float,
                      latency_ms: float) -> None:
@@ -147,10 +146,6 @@ class SloStatus:
     @property
     def budget(self) -> float:
         return self.slo.error_budget(self.attempted)
-
-    @property
-    def budget_remaining(self) -> float:
-        return self.budget - self.bad
 
     @property
     def burn_rate(self) -> float:

@@ -110,19 +110,17 @@ class DemandCurve:
     request-weighted unavailability.
     """
 
+    peak_active_fraction = PEAK_ACTIVE_FRACTION
+
     def __init__(self, classes: Iterable[TrafficClass],
-                 population: int,
-                 profile: DiurnalProfile = FINANCIAL_PROFILE,
-                 peak_active_fraction: float = PEAK_ACTIVE_FRACTION,
-                 tz_offset: float = 0.0):
+                 population: int, tz_offset: float = 0.0):
         self.classes: Tuple[TrafficClass, ...] = tuple(classes)
         if not self.classes:
             raise ValueError("need at least one traffic class")
         self.by_name: Dict[str, TrafficClass] = {c.name: c
                                                  for c in self.classes}
         self.population = int(population)
-        self.profile = profile
-        self.peak_active_fraction = float(peak_active_fraction)
+        self.profile = FINANCIAL_PROFILE
         #: seconds added to sim time before evaluating the diurnal
         #: profile -- a region east of the reference peaks earlier
         #: (follow-the-sun; 0.0 keeps the single-site behaviour).
@@ -169,15 +167,13 @@ class DemandCurve:
         return scale * self.profile.shape(t + self.tz_offset, 0.25)
 
     def incident_user_minutes(self, start: float, duration: float,
-                              impact: float = 1.0,
-                              step: float = MINUTE) -> float:
+                              impact: float = 1.0) -> float:
         """User-minutes lost to a hypothetical incident: concurrent
-        users integrated over its window, scaled by the demand fraction
-        it takes out.  This is why a midnight crash costs less QoS than
-        a peak-hours one of the same length."""
-        t = self.grid(start, start + duration, step)
-        users = self.active_users(t)
-        return float(np.sum(users) * (step / MINUTE) * impact)
+        users integrated minute by minute over its window, scaled by the
+        demand fraction it takes out.  This is why a midnight crash
+        costs less QoS than a peak-hours one of the same length."""
+        users = self.active_users(self.grid(start, start + duration, MINUTE))
+        return float(np.sum(users) * impact)
 
     def __repr__(self) -> str:    # pragma: no cover - debug aid
         return (f"<DemandCurve population={self.population} "
@@ -214,9 +210,7 @@ FINANCIAL_REGIONS: Tuple[Region, ...] = (
 
 
 def regional_curves(population: int,
-                    regions: Iterable[Region] = FINANCIAL_REGIONS,
-                    classes: Iterable[TrafficClass] = None,
-                    profile: DiurnalProfile = FINANCIAL_PROFILE,
+                    regions: Iterable[Region] = FINANCIAL_REGIONS
                     ) -> Dict[str, DemandCurve]:
     """Split one global population into per-region demand curves.
 
@@ -224,7 +218,6 @@ def regional_curves(population: int,
     name order) absorbing the rounding remainder, so the totals add up
     to ``population`` exactly."""
     regions = sorted(regions, key=lambda r: r.name)
-    classes = tuple(classes) if classes is not None else FINANCIAL_CLASSES
     total_share = sum(r.share for r in regions)
     if not regions or total_share <= 0:
         raise ValueError("need at least one region with positive share")
@@ -237,6 +230,5 @@ def regional_curves(population: int,
             pop = int(round(population * region.share / total_share))
         allotted += pop
         curves[region.name] = DemandCurve(
-            classes, pop, profile=profile,
-            tz_offset=region.utc_offset_hours * HOUR)
+            FINANCIAL_CLASSES, pop, tz_offset=region.utc_offset_hours * HOUR)
     return curves

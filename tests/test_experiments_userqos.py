@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.faults.models import Category
-from repro.experiments.userqos import (CATEGORY_IMPACT, format_result,
-                                       run_once, run_replicated, windows_of)
+from repro.faults.models import CATEGORY_IMPACT, Category
+from repro.experiments.userqos import (format_result, run_once,
+                                       run_replicated, windows_of)
 from repro.sim.calendar import DAY
 
 HORIZON = 60 * DAY        # a couple of months is enough signal for tests

@@ -85,3 +85,35 @@ def test_format_result_renders(result):
     text = incidents.format_result(result)
     assert "reconciliation" in text and "[OK]" in text
     assert "MISMATCH" not in text
+
+
+def test_a_relocated_front_end_takes_the_observed_doors_demand(monkeypatch):
+    """The observed site keeps a spare, so a front end whose host dies
+    is relocated.  Its front door must then route to the replacement,
+    not keep the dead instance in its server set."""
+    built, doors = [], []
+    build_site, doors_for_site = incidents.build_site, incidents.doors_for_site
+
+    def build_and_doom(config):
+        site = build_site(config)
+        # after the storm's last fault, with the settle hours to recover
+        site.sim.schedule(13_200.0 - site.sim.now,
+                          site.dc.host("fe000").crash, "power supply")
+        built.append(site)
+        return site
+
+    monkeypatch.setattr(incidents, "build_site", build_and_doom)
+    monkeypatch.setattr(incidents, "doors_for_site",
+                        lambda site: doors.append(doors_for_site(site))
+                        or doors[-1])
+    incidents.run(seed=0, population=100_000)
+
+    site, door = built[0], doors[0]["frontend"]
+    moved = [r for r in site.relocator.records
+             if r.subject == "fe000/finapp_fe000"]
+    assert len(moved) == 1 and moved[0].success, moved
+    old = site.dc.host("fe000").apps["finapp_fe000"]
+    new = [app for app in door.apps if app.host.name == moved[0].target_host]
+    assert old not in door.apps and len(new) == 1
+    alloc, shed = door.route(1000, site.sim.now)
+    assert shed == 0 and dict(alloc).get(new[0], 0) > 0, alloc
