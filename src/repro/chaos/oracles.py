@@ -97,7 +97,7 @@ class ScanReference(Persistent):
         def assemble_checked(now):
             dgspl = assemble(now)
             truth = ref.build_dgspl(now)
-            if truth.to_doc().render() != dgspl.to_doc().render():
+            if truth.render() != dgspl.render():
                 ref.dgspl_mismatches += 1
                 return truth
             return dgspl
@@ -109,14 +109,12 @@ class ScanReference(Persistent):
     def stale_agents(self, host, suite, now: float) -> List[str]:
         """Agents whose freshest flag *on disk* is older than their
         *live* wake period plus the grace (agents without a wake
-        controller -- fixtures, stubs -- run at the base period)."""
-        # imported on use, like the executor's: ``import repro.chaos``
-        # (every fuzzer worker's start-up) must not load the product
-        from repro.core.flags import FlagStore
+        controller -- fixtures, stubs -- run at the base period).  The
+        directory is read through the agent's own store: a pure read."""
         admin = self.admin
         stale = []
         for agent in suite.agents:
-            latest = FlagStore(host.fs, agent.name).latest_time()
+            latest = agent.flags.latest_time()
             period = getattr(getattr(agent, "wake", None),
                              "current_period", admin.agent_period)
             if now - latest > period + admin.flag_grace:

@@ -43,7 +43,7 @@ class FsOfflineError(FsError):
     """The mount is unavailable (disk failed / not mounted)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SimFile:
     """A flat ASCII file: a list of lines plus metadata."""
 
@@ -53,7 +53,7 @@ class SimFile:
 
     @property
     def size(self) -> int:
-        return sum(len(l) + 1 for l in self.lines)
+        return sum(map(len, self.lines)) + len(self.lines)
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -174,13 +174,11 @@ class FileSystem:
     def write(self, path: str, lines: List[str] | str, now: float = 0.0) -> SimFile:
         """Create or truncate-and-write a file."""
         path = _norm(path)
-        if isinstance(lines, str):
-            lines = lines.splitlines()
+        lines = lines.splitlines() if isinstance(lines, str) else list(lines)
         old = self._files.get(path)
-        new = SimFile(path, list(lines), mtime=now)
-        growth = new.size - (old.size if old else 0)
+        growth = sum(map(len, lines)) + len(lines) - (old.size if old else 0)
         mount = self._check_writable(path, growth)
-        self._files[path] = new
+        new = self._files[path] = SimFile(path, lines, now)
         mount.used_bytes += growth
         if old is None:
             self._index(path)

@@ -44,7 +44,7 @@ class ProcState(enum.Enum):
     STOPPED = "T"
 
 
-@dataclass
+@dataclass(slots=True)
 class Microstates:
     """Cumulative microstate clocks, in seconds (paper cites
     microsecond resolution; floats carry that precision fine)."""
@@ -58,7 +58,7 @@ class Microstates:
         return self.user + self.system + self.wait_io + self.sleep
 
 
-@dataclass
+@dataclass(slots=True)
 class SimProc:
     """One process-table entry."""
 
@@ -180,8 +180,9 @@ class ProcessTable(Persistent):
                 pass
             if not peers:
                 del self._by_command[proc.command]
-        for fn in list(self.exit_listeners):
-            fn(proc)
+        if self.exit_listeners:
+            for fn in list(self.exit_listeners):
+                fn(proc)
         return True
 
     def kill_command(self, command: str) -> int:

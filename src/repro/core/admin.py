@@ -312,8 +312,7 @@ class AdministrationServers(Persistent):
         head = self.active()
         if self.pool is not None and head is not None:
             try:
-                self.pool.write(head, f"/dlsp/{dlsp.hostname}",
-                                dlsp.to_doc().render())
+                self.pool.write(head, f"/dlsp/{dlsp.hostname}", dlsp.render())
             except Exception as exc:
                 # pool outage: keep the in-memory copy, but observably
                 self._pool_write_failed(head, f"dlsp/{dlsp.hostname}", exc)
@@ -636,13 +635,11 @@ class AdministrationServers(Persistent):
             for entry in self.dgspl.entries:
                 by_type.setdefault(entry.app_type, [])
             try:
-                self.pool.write(head, "/dgspl/all",
-                                self.dgspl.to_doc().render())
+                self.pool.write(head, "/dgspl/all", self.dgspl.render())
                 for app_type in by_type:
                     sub = Dgspl(now)
                     sub.entries = self.dgspl.services_of_type(app_type)
-                    self.pool.write(head, f"/dgspl/{app_type}",
-                                    sub.to_doc().render())
+                    self.pool.write(head, f"/dgspl/{app_type}", sub.render())
             except Exception as exc:
                 self._pool_write_failed(head, "dgspl", exc)
 
@@ -682,16 +679,14 @@ class AdministrationServers(Persistent):
         """DLSPs and the DGSPL ride the loss-free ontology codec; DLSP
         insertion order is preserved because the incremental DGSPL
         assembly iterates arrival order."""
-        return [[host, dlsp.to_doc().render()]
-                for host, dlsp in self.dlsps.items()]
+        return [[host, dlsp.render()] for host, dlsp in self.dlsps.items()]
 
     def _load_dlsps(self, saved: list) -> None:
         self.dlsps = {host: Dlsp.from_doc(OntologyDoc.parse(lines))
                       for host, lines in saved}
 
     def _save_dgspl(self) -> Optional[list]:
-        return (self.dgspl.to_doc().render()
-                if self.dgspl is not None else None)
+        return self.dgspl.render() if self.dgspl is not None else None
 
     def _load_dgspl(self, lines: Optional[list]) -> None:
         self.dgspl = (Dgspl.from_doc(OntologyDoc.parse(lines))

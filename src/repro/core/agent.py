@@ -110,6 +110,7 @@ class Intelliagent(Persistent):
 
         self.flags = FlagStore(host.fs, name, ledger=ledger,
                                host=host.name)
+        host.fs.mkdir(self.flags.dir)       # the agent owns its directory
         self.activity = CircularLog(host.fs,
                                     f"/logs/intelliagents/{name}/activity",
                                     maxlen=500)

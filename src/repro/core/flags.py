@@ -45,6 +45,12 @@ FLAG_DIR = "/logs/intelliagents"
 FLAG_STATUSES = ("ok", "fault", "fixed", "failed", "skipped")
 
 
+def _flag_name(status: str, time: float, seq: int) -> str:
+    """The naming rule: ``<status>.<time to 0.1 s>[.<seq>]``."""
+    base = f"{status}.{time:.1f}"
+    return base if seq == 0 else f"{base}.{seq}"
+
+
 @dataclass(frozen=True)
 class Flag:
     agent: str
@@ -57,12 +63,12 @@ class Flag:
 
     @property
     def filename(self) -> str:
-        base = f"{self.status}.{self.time:.1f}"
-        return base if self.seq == 0 else f"{base}.{self.seq}"
+        return _flag_name(self.status, self.time, self.seq)
 
 
 class FlagStore:
-    """Reads and writes one agent's flag directory on a host fs."""
+    """Reads and writes one agent's flag directory on a host fs (only
+    a raised flag writes: the owning agent creates the directory)."""
 
     def __init__(self, fs, agent_name: str, *, ledger=None,
                  host: str = ""):
@@ -75,7 +81,6 @@ class FlagStore:
         self.transport = None
         #: no flag in the directory is stamped earlier (None: unknown)
         self._oldest: Optional[float] = None
-        fs.mkdir(self.dir)
 
     def bind(self, ledger, host: str,
              transport: Optional[Callable[[str], bool]] = None) -> None:
@@ -89,14 +94,14 @@ class FlagStore:
 
     # -- writing ------------------------------------------------------------
 
-    def raise_flag(self, status: str, now: float, detail: str = "") -> Flag:
+    def raise_flag(self, status: str, now: float, detail: str = "") -> None:
         if status not in FLAG_STATUSES:
             raise ValueError(f"unknown flag status {status!r}")
-        flag = Flag(self.agent, status, now, detail)
-        path = f"{self.dir}/{flag.filename}"
+        path = f"{self.dir}/{_flag_name(status, now, 0)}"
+        seq = 0
         while self.fs.exists(path):
-            flag = Flag(self.agent, status, now, detail, flag.seq + 1)
-            path = f"{self.dir}/{flag.filename}"
+            seq += 1
+            path = f"{self.dir}/{_flag_name(status, now, seq)}"
         self.fs.write(path, [detail] if detail else [], now=now)
         if self._oldest is not None:
             # the name carries the stamp rounded to 0.1 s, and the name
@@ -106,7 +111,6 @@ class FlagStore:
                 self.transport is None or self.transport(self.host)):
             self.ledger.append("flag", self.host, agent=self.agent,
                                status=status, time=now, detail=detail)
-        return flag
 
     def clear_before(self, cutoff: float) -> int:
         """Self-maintenance: drop flags older than ``cutoff``."""

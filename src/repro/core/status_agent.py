@@ -7,7 +7,9 @@ woken by cron, "compiles dynamically its local DLSP" (invoking the
 local service probes), writes it under the agent log tree, and ships it
 to the administration servers over the private network.
 
-It also self-maintains "old local dynamic service profiles".
+It also self-maintains "old local dynamic service profiles", listing
+the directory only once the retention cutoff passes a derived lower
+bound on the oldest stamp, as :mod:`repro.core.flags` does for flags.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class StatusAgent(Intelliagent):
         self.rebuild_mismatches = 0
         super().__init__(host, "status", **kw)
         self._builder = DlspBuilder(host)
+        #: no profile in the directory is stamped earlier (None: unknown)
+        self._oldest_profile: Optional[float] = None
         host.fs.mkdir(DLSP_DIR)
 
     # status agents report, they do not repair
@@ -65,10 +69,10 @@ class StatusAgent(Intelliagent):
         dlsp = self._builder.build()
         self.profiles_built += 1
         # rendered once: the same lines are compared, filed and weighed
-        lines = dlsp.to_doc().render()
+        lines = dlsp.render()
         if self.profiles_built % FULL_REBUILD_EVERY == 0:
             full = build_dlsp(self.host)
-            full_lines = full.to_doc().render()
+            full_lines = full.render()
             if full_lines != lines:
                 self.rebuild_mismatches += 1
                 self._builder.invalidate()
@@ -82,6 +86,10 @@ class StatusAgent(Intelliagent):
             self.host.fs.write(path, lines, now=dlsp.generated_at)
         except Exception:
             pass        # a full disk must not stop the shipment
+        if self._oldest_profile is not None:
+            # the name carries the stamp rounded to the second
+            self._oldest_profile = min(self._oldest_profile,
+                                       self.sim.now - 0.5)
         self._prune_old_profiles()
         if self.deliver is not None and self.channel is not None:
             payload = sum(len(l) + 1 for l in lines)
@@ -98,6 +106,9 @@ class StatusAgent(Intelliagent):
 
     def _prune_old_profiles(self) -> None:
         cutoff = self.sim.now - DLSP_RETENTION
+        if self._oldest_profile is not None and cutoff <= self._oldest_profile:
+            return              # nothing here can have expired yet
+        oldest = float("inf")
         for path in self.host.fs.files_in_dir(DLSP_DIR):
             name = path.rsplit("/", 1)[-1]
             if not name.startswith(self.host.name + "."):
@@ -108,3 +119,11 @@ class StatusAgent(Intelliagent):
                 continue
             if stamp < cutoff:
                 self.host.fs.remove(path)
+            elif stamp < oldest:
+                oldest = stamp
+        self._oldest_profile = oldest
+
+    def restore_state(self, state: dict) -> None:
+        """The directory was restored under the bound: forget it."""
+        super().restore_state(state)
+        self._oldest_profile = None

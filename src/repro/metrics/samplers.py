@@ -23,7 +23,7 @@ f-string per metric per wake.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.circular_log import CircularLog
@@ -37,7 +37,7 @@ WORKGROUPS = ("os", "network", "disks", "app_procs", "user_procs")
 SYSTEM_USERS = frozenset({"root", "daemon", "patrol", "www", "lsfadmin"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     """One measurement record: a timestamped metric map."""
 

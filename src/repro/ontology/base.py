@@ -23,6 +23,10 @@ every record must be ``record`` (its type tag).  Values are single-line
 strings; lists are comma-joined.  The codec is strict and loss-free:
 ``parse(render(doc)) == doc`` for any well-formed doc, which the
 hypothesis round-trip tests enforce.
+
+:class:`OntologyDoc` parses every kind and renders the static ones; the
+live DLSP and DGSPL render straight to lines, pinned to it by property
+tests.
 """
 
 from __future__ import annotations
@@ -101,10 +105,15 @@ class OntologyDoc:
 
     # -- codec ---------------------------------------------------------------------
 
+    @classmethod
+    def header(cls, kind: str, generated_at: float) -> List[str]:
+        """The two lines every document starts with."""
+        return [f"#ONTOLOGY {kind} {cls.VERSION}",
+                f"#GENERATED {generated_at!r}"]
+
     def render(self) -> List[str]:
         """Serialise to lines (what gets written to the flat file)."""
-        lines = [f"#ONTOLOGY {self.kind} {self.VERSION}",
-                 f"#GENERATED {self.generated_at!r}"]
+        lines = self.header(self.kind, self.generated_at)
         for rec in self.records:
             if "record" not in rec:
                 raise OntologyError(f"record without type tag: {rec!r}")

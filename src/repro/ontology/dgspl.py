@@ -105,17 +105,22 @@ class Dgspl:
 
     # -- codec -------------------------------------------------------------------
 
-    def to_doc(self) -> OntologyDoc:
-        doc = OntologyDoc("DGSPL", self.generated_at)
+    def render(self) -> List[str]:
+        """The document's lines in one pass, spelled as ``Dlsp.render``."""
+        one_line = OntologyDoc._check_value
+        lines = OntologyDoc.header("DGSPL", self.generated_at)
         for e in self.entries:
-            doc.add("service",
-                    server=e.server, server_type=e.server_type, os=e.os,
-                    ram_mb=str(e.ram_mb), cpus=str(e.cpus),
-                    app_name=e.app_name, app_type=e.app_type,
-                    app_version=e.app_version,
-                    current_load=repr(e.current_load),
-                    users=str(e.users), location=e.location, site=e.site)
-        return doc
+            lines += (
+                "", "record=service", f"server={one_line(e.server)}",
+                f"server_type={one_line(e.server_type)}",
+                f"os={one_line(e.os)}", f"ram_mb={e.ram_mb}",
+                f"cpus={e.cpus}", f"app_name={one_line(e.app_name)}",
+                f"app_type={one_line(e.app_type)}",
+                f"app_version={one_line(e.app_version)}",
+                f"current_load={e.current_load!r}", f"users={e.users}",
+                f"location={one_line(e.location)}",
+                f"site={one_line(e.site)}")
+        return lines
 
     @classmethod
     def from_doc(cls, doc: OntologyDoc) -> "Dgspl":
@@ -134,7 +139,7 @@ class Dgspl:
         return out
 
     def write_to(self, fs, path: str, now: float = 0.0) -> None:
-        self.to_doc().write_to(fs, path, now=now or self.generated_at)
+        fs.write(path, self.render(), now=now or self.generated_at)
 
     @classmethod
     def read_from(cls, fs, path: str) -> "Dgspl":

@@ -67,21 +67,29 @@ class Dlsp:
 
     # -- codec -----------------------------------------------------------------
 
-    def to_doc(self) -> OntologyDoc:
-        doc = OntologyDoc("DLSP", self.generated_at)
-        doc.add("host",
-                name=self.hostname, model=self.model, os=self.os,
-                cpus=str(self.cpus), ram_mb=str(self.ram_mb),
-                load_avg=repr(self.load_avg), cpu_util=repr(self.cpu_util),
-                free_mem_mb=repr(self.free_mem_mb), users=str(self.users),
-                site=self.site, location=self.location,
-                up="yes" if self.up else "no")
+    def render(self) -> List[str]:
+        """The document's lines in one pass: ints ``str``, floats
+        ``repr``, flags ``yes``/``no``; only free text is checked."""
+        one_line = OntologyDoc._check_value
+        lines = OntologyDoc.header("DLSP", self.generated_at)
+        lines += (
+            "", "record=host", f"name={one_line(self.hostname)}",
+            f"model={one_line(self.model)}", f"os={one_line(self.os)}",
+            f"cpus={self.cpus}", f"ram_mb={self.ram_mb}",
+            f"load_avg={self.load_avg!r}", f"cpu_util={self.cpu_util!r}",
+            f"free_mem_mb={self.free_mem_mb!r}", f"users={self.users}",
+            f"site={one_line(self.site)}",
+            f"location={one_line(self.location)}",
+            "up=yes" if self.up else "up=no")
         for s in self.services:
-            doc.add("service", name=s.name, type=s.app_type,
-                    version=s.version, state=s.state, port=str(s.port),
-                    healthy="yes" if s.healthy else "no",
-                    response_ms=repr(s.response_ms))
-        return doc
+            lines += (
+                "", "record=service", f"name={one_line(s.name)}",
+                f"type={one_line(s.app_type)}",
+                f"version={one_line(s.version)}",
+                f"state={one_line(s.state)}", f"port={s.port}",
+                "healthy=yes" if s.healthy else "healthy=no",
+                f"response_ms={s.response_ms!r}")
+        return lines
 
     @classmethod
     def from_doc(cls, doc: OntologyDoc) -> "Dlsp":
@@ -106,7 +114,7 @@ class Dlsp:
             services=services)
 
     def write_to(self, fs, path: str) -> None:
-        self.to_doc().write_to(fs, path, now=self.generated_at)
+        fs.write(path, self.render(), now=self.generated_at)
 
     @classmethod
     def read_from(cls, fs, path: str) -> "Dlsp":

@@ -20,6 +20,7 @@ from repro.cluster.datacenter import Datacenter
 from repro.cluster.hardware import HardwareInventory
 from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.specs import SPEC_CATALOGUE
+from repro.ontology.base import OntologyDoc
 from repro.ontology.dgspl import Dgspl
 from repro.sim import RandomStreams, Simulator
 from repro.trace.tracer import Tracer
@@ -183,7 +184,8 @@ def test_door_weights_follow_whatever_is_published(steps):
             current[0] = None
         elif kind == "restored" and current[0] is not None:
             # what a checkpoint load publishes: equal content, new object
-            current[0] = Dgspl.from_doc(current[0].to_doc())
+            current[0] = Dgspl.from_doc(
+                OntologyDoc.parse(current[0].render()))
         dgspl = current[0]
         expected = None
         if dgspl is not None and now - dgspl.generated_at <= 900.0:

@@ -4,10 +4,10 @@ A healthy fleet wakes six agents per host per grid point and nearly
 every one of those wakes finds nothing.  What such a wake may cost is
 pinned here as work that must *not* happen -- a Python-level heap
 comparison, a directory listing with nothing to prune, a second render
-of the same profile, a second parse of the same command line, a second
-normalisation of the same path -- so the cost cannot creep back
-unnoticed.  Same spirit as ``test_memory_discipline.py``; every count
-is deterministic.
+of the same profile, a flag record built only to be named, a second
+parse of the same command line, a second normalisation of the same
+path -- so the cost cannot creep back unnoticed.  Same spirit as
+``test_memory_discipline.py``; every count is deterministic.
 """
 
 import pytest
@@ -15,10 +15,10 @@ import pytest
 from repro.cluster import filesystem as fs_mod
 from repro.cluster import shell as shell_mod
 from repro.cluster.filesystem import FileSystem
-from repro.core.flags import FlagStore
+from repro.core.flags import Flag, FlagStore
 from repro.core.status_agent import FULL_REBUILD_EVERY, StatusAgent
 from repro.experiments.wakes import build_fleet
-from repro.ontology.base import OntologyDoc
+from repro.ontology.dlsp import Dlsp
 from repro.sim.kernel import Event
 
 GRID = 300.0
@@ -54,24 +54,54 @@ def test_heap_ordering_never_reaches_python(fleet, monkeypatch):
     assert compared == []
 
 
+def _listings_during(monkeypatch, owner, name) -> list:
+    """Directories listed while ``owner.name`` runs (filled in as the
+    caller drives the fleet)."""
+    pruning, listed = [], []
+    original = getattr(owner, name)
+
+    def pruner(self, *args):
+        pruning.append(name)
+        try:
+            return original(self, *args)
+        finally:
+            pruning.pop()
+    monkeypatch.setattr(owner, name, pruner)
+    _counted(monkeypatch, FileSystem, "files_in_dir",
+             lambda args, _r: pruning and listed.append(args[1]))
+    return listed
+
+
 def test_flag_maintenance_lists_nothing_while_nothing_can_expire(
         fleet, monkeypatch):
     """The first flags are minutes old and retention is four hours."""
     sim, _suites = fleet
-    pruning, listed = [], []
-    original = FlagStore.clear_before
-
-    def clear_before(self, cutoff):
-        pruning.append(self.dir)
-        try:
-            return original(self, cutoff)
-        finally:
-            pruning.pop()
-    monkeypatch.setattr(FlagStore, "clear_before", clear_before)
-    _counted(monkeypatch, FileSystem, "files_in_dir",
-             lambda args, _r: pruning and listed.append(args[1]))
+    listed = _listings_during(monkeypatch, FlagStore, "clear_before")
     sim.run(until=sim.now + 3 * GRID)
     assert listed == []
+
+
+def test_profile_pruning_lists_nothing_while_nothing_can_expire(
+        fleet, monkeypatch):
+    """The first profiles are minutes old and retention is an hour."""
+    sim, _suites = fleet
+    listed = _listings_during(monkeypatch, StatusAgent,
+                              "_prune_old_profiles")
+    sim.run(until=sim.now + 3 * GRID)
+    assert listed == []
+
+
+def test_a_clean_wake_builds_no_flag_record(fleet, monkeypatch):
+    """A raised flag is named and written; no ``Flag`` is made for it."""
+    sim, _suites = fleet
+    raised, made = [], []
+    _counted(monkeypatch, FlagStore, "raise_flag",
+             lambda args, _r: raised.append(args[1]))
+    _counted(monkeypatch, Flag, "__init__",
+             lambda args, _r: made.append(args))
+    sim.run(until=sim.now + 3 * GRID)
+    assert raised == ["ok"] * (3 * 6 * 12)
+    assert made == []
 
 
 def test_status_wake_renders_its_profile_once():
@@ -85,7 +115,7 @@ def test_status_wake_renders_its_profile_once():
     counting = [True]
     per_wake = {False: set(), True: set()}
     with pytest.MonkeyPatch.context() as patch:
-        _counted(patch, OntologyDoc, "render",
+        _counted(patch, Dlsp, "render",
                  lambda _a, _r: renders.__setitem__(
                      0, renders[0] + counting[0]))
         original = StatusAgent.build_and_ship
@@ -238,7 +268,7 @@ def test_door_weights_are_derived_once_per_published_dgspl(monkeypatch):
     published = []              # (the object, its rendering when built)
     _counted(monkeypatch, AdministrationServers, "_build_dgspl",
              lambda args, _r: args[0].dgspl is not None and published.append(
-                 (args[0].dgspl, args[0].dgspl.to_doc().render())))
+                 (args[0].dgspl, args[0].dgspl.render())))
 
     fed = build_federation(three_site_config(population=1_000_000, seed=0))
     fed.start_traffic()
@@ -252,4 +282,4 @@ def test_door_weights_are_derived_once_per_published_dgspl(monkeypatch):
     assert 0 < derivations[0] <= doors * generations / len(fed.sites)
     assert len({id(dgspl) for dgspl, _ in published}) == len(published)
     for dgspl, rendered in published:
-        assert dgspl.to_doc().render() == rendered
+        assert dgspl.render() == rendered

@@ -101,5 +101,28 @@ def test_dgspl_identical_across_modes():
         s.run(3700.0)
     assert scan.admin.dgspl is not None
     assert reference.dgspl_mismatches == 0
-    assert (scan.admin.dgspl.to_doc().render()
-            == ledger.admin.dgspl.to_doc().render())
+    assert scan.admin.dgspl.render() == ledger.admin.dgspl.render()
+
+
+def test_judging_the_flag_directories_writes_nothing():
+    """The reference sweep and the harness's detection scan read every
+    agent's flag directory -- including directories that are gone --
+    and leave every host's directory set exactly as they found it."""
+    from repro.experiments.runner import FidelityHarness
+    from repro.faults.models import Category
+    site = _site()
+    harness = FidelityHarness(site)
+    site.run(1500.0)
+    suite = site.suites["db000"]
+    for agent in suite.agents:
+        agent.flags.clear_all()             # the directories go too
+    app = sorted(suite.host.apps)[0]
+    harness.ledger.open_incident(Category.MID_CRASH, f"db000/{app}",
+                                 site.sim.now)
+    dirs = lambda: {name: host.fs.snapshot_state()["dirs"]
+                    for name, host in site.dc.hosts.items()}
+    before = dirs()
+    ScanReference(site.admin).plan_sweep(site.sim.now, site.admin.active())
+    harness.scan_flags_for_detection()
+    assert harness.ledger.incidents[-1].detected_at is None
+    assert dirs() == before

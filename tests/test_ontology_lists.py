@@ -8,6 +8,36 @@ from repro.ontology.dlsp import Dlsp, build_dlsp
 from repro.ontology.issl import MAX_ENTRIES, Issl
 
 
+def to_doc(x) -> OntologyDoc:
+    """The oracle for the live lists' one-pass renderers: a DLSP or
+    DGSPL as the record-by-record document ``OntologyDoc.render`` turns
+    into lines.  ``x.render()`` must equal ``to_doc(x).render()``."""
+    if isinstance(x, Dlsp):
+        doc = OntologyDoc("DLSP", x.generated_at)
+        doc.add("host",
+                name=x.hostname, model=x.model, os=x.os,
+                cpus=str(x.cpus), ram_mb=str(x.ram_mb),
+                load_avg=repr(x.load_avg), cpu_util=repr(x.cpu_util),
+                free_mem_mb=repr(x.free_mem_mb), users=str(x.users),
+                site=x.site, location=x.location, up="yes" if x.up else "no")
+        for s in x.services:
+            doc.add("service", name=s.name, type=s.app_type,
+                    version=s.version, state=s.state, port=str(s.port),
+                    healthy="yes" if s.healthy else "no",
+                    response_ms=repr(s.response_ms))
+        return doc
+    doc = OntologyDoc("DGSPL", x.generated_at)
+    for e in x.entries:
+        doc.add("service",
+                server=e.server, server_type=e.server_type, os=e.os,
+                ram_mb=str(e.ram_mb), cpus=str(e.cpus),
+                app_name=e.app_name, app_type=e.app_type,
+                app_version=e.app_version,
+                current_load=repr(e.current_load),
+                users=str(e.users), location=e.location, site=e.site)
+    return doc
+
+
 # ------------------------------------------------------------------ ISSL --
 
 def test_issl_add_lookup_remove():
@@ -67,8 +97,11 @@ def test_dlsp_marks_dead_service(database):
 
 def test_dlsp_roundtrip(database):
     dlsp = build_dlsp(database.host)
-    back = Dlsp.from_doc(OntologyDoc.parse(dlsp.to_doc().render()))
+    assert dlsp.render() == to_doc(dlsp).render()
+    back = Dlsp.from_doc(OntologyDoc.parse(dlsp.render()))
     assert back == dlsp
+    dlsp.write_to(database.host.fs, "/apps/dlsp")
+    assert Dlsp.read_from(database.host.fs, "/apps/dlsp") == dlsp
 
 
 # ----------------------------------------------------------------- DGSPL --
@@ -120,8 +153,12 @@ def test_power_of_unknown_server(database):
 
 def test_dgspl_roundtrip_and_grid_ads(database):
     g = build_dgspl([build_dlsp(database.host)], now=7.0)
-    back = Dgspl.from_doc(OntologyDoc.parse(g.to_doc().render()))
+    assert g.render() == to_doc(g).render()
+    back = Dgspl.from_doc(OntologyDoc.parse(g.render()))
     assert back.entries == g.entries
+    g.write_to(database.host.fs, "/apps/dgspl")
+    again = Dgspl.read_from(database.host.fs, "/apps/dgspl")
+    assert (again.generated_at, again.entries) == (7.0, g.entries)
     ads = g.grid_advertisement()
     assert len(ads) == 1
     assert ads[0].startswith("service://london/db01/")
