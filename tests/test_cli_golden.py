@@ -2,7 +2,7 @@
 
 ``tests/golden/cli_outputs.json`` maps each row -- the arguments after
 ``repro-exp``, without ``--seed 0`` -- to the sha256 of what the
-command prints.  ``latency`` is left out: it simulates a fortnight.
+command prints.
 
 The rows below ``FAST`` run here, in process through :func:`main`;
 the CI ``cli-golden`` job runs the ``SLOW`` ones through the installed
@@ -34,7 +34,7 @@ FAST = ("mttr", "fig3", "fig4", "ablation-centralised", "ablation-network",
         "relocation --replications 1")
 SLOW = ("wakes", "ablation-resubmission", "ablation-checkpointing",
         "federation --population 100000", "federation", "fig2", "userqos",
-        "relocation")
+        "relocation", "latency")
 
 
 def _sha256(text: str) -> str:
@@ -51,10 +51,10 @@ def test_row_prints_what_it_printed_when_pinned(row):
     assert _sha256(out.getvalue()) == want, out.getvalue()
 
 
-def test_every_row_but_latency_is_pinned():
+def test_every_row_is_pinned():
     from repro.cli import _EXPERIMENTS
     rows = {row.split()[0] for row in FAST + SLOW}
-    assert rows == set(_EXPERIMENTS) - {"latency"}
+    assert rows == set(_EXPERIMENTS)
     with open(GOLDEN) as fh:
         assert sorted(json.load(fh)) == sorted(FAST + SLOW)
 
