@@ -1,7 +1,7 @@
 """Ablation benches: the design choices DESIGN.md calls out, one test
-per ``repro.experiments.ablations.ABLATIONS`` row.  Each asserts the
-shape the paper (or, for A-ckpt, its related work) argues for; the
-tables are ``repro-exp ablation-<name>``.
+per ``ablation-*`` row of ``repro.experiments.EXPERIMENTS``.  Each
+asserts the shape the paper (or, for A-ckpt, its related work) argues
+for; the tables are ``repro-exp ablation-<name>``.
 """
 
 from conftest import emit
@@ -149,7 +149,8 @@ def test_centralised_vs_local():
     fleet and saturates a 2002-class console box around the paper's fleet
     size, while the agent coordinators stay near-idle.
     """
-    rows = ablations.centralised_comparison((10, 50, 100, 200, 400))
+    rows = ablations.centralised_comparison(
+        fleet_sizes=(10, 50, 100, 200, 400))
     emit(ablations.format_centralised(rows))
 
     console = [r["console_cpu_pct"] for r in rows]

@@ -14,7 +14,7 @@ from repro.experiments import relocation
 
 def test_relocation_user_qos(quick):
     replications = 2 if quick else 5
-    summary = relocation.run_replicated(list(range(replications)))
+    summary = relocation.run_replicated(replications=replications)
     emit(relocation.format_result(summary))
 
     before = summary["before"]

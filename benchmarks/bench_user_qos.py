@@ -16,7 +16,7 @@ from repro.experiments import userqos
 
 def test_user_perceived_qos(quick):
     replications = 2 if quick else 5
-    summary = userqos.run_replicated(list(range(replications)))
+    summary = userqos.run_replicated(replications=replications)
     emit(userqos.format_result(summary))
 
     before, after = summary["before"], summary["after"]

@@ -22,8 +22,7 @@ def main() -> None:
 
     print("simulating the pilot site: 100 database / 55 TP / 60 "
           "front-end servers, one year per arm ...")
-    seeds = list(range(args.seed, args.seed + args.replications))
-    result = fig2.run_replicated(seeds)
+    result = fig2.run_replicated(args.seed, replications=args.replications)
 
     print()
     print(fig2.format_result(result))
@@ -31,8 +30,8 @@ def main() -> None:
     print()
     print(table(
         ["period", "manual detection (h)", "agent detection (h)"],
-        [(p, round(result.detection_before[p], 2),
-          round(result.detection_after[p], 3))
+        [(p, round(result["detection_before"][p], 2),
+          round(result["detection_after"][p], 3))
          for p in ("day", "overnight", "weekend")],
         title="Detection latency by period (paper: 1 h / 10 h / 25 h "
               "manual; <=5 min with agents)"))

@@ -26,8 +26,7 @@ from repro.faults.campaign import Campaign, PipelineParams
 from repro.sim import RandomStreams
 from repro.sim.calendar import DAY, HOUR, MINUTE, YEAR
 
-__all__ = ["ABLATIONS",
-           "frequency_sweep", "format_frequency",
+__all__ = ["frequency_sweep", "format_frequency",
            "resubmission_comparison", "format_resubmission",
            "network_failover", "format_network",
            "centralised_comparison", "format_centralised",
@@ -247,10 +246,12 @@ def format_network(r: dict) -> str:
 
 # --------------------------------------------------------------- A-local --
 
-def centralised_comparison(fleet_sizes: Tuple[int, ...] = (10, 50, 100, 200)
+def centralised_comparison(seed: int = 0, *,
+                           fleet_sizes: Tuple[int, ...] = (10, 50, 100, 200)
                            ) -> List[dict]:
     """Cost model comparison: per-host resident monitor + central
-    console vs cron-run local agents + light coordinators.
+    console vs cron-run local agents + light coordinators.  A closed
+    form: it draws nothing, so ``seed`` changes nothing.
 
     The centralised console pays O(fleet) work per poll cycle (it walks
     every host's entities); the agent coordinators only watch flag
@@ -290,14 +291,3 @@ def format_centralised(rows: List[dict]) -> str:
         title="A-local: centralised monitor vs local agents as the "
               "fleet grows")
 
-
-#: ``repro-exp ablation-<name>``: name -> (run(seed), format(result))
-ABLATIONS = {
-    "frequency": (frequency_sweep, format_frequency),
-    "resubmission": (resubmission_comparison, format_resubmission),
-    "checkpointing": (checkpointing_comparison, format_checkpointing),
-    "network": (network_failover, format_network),
-    # a closed-form cost model: it draws nothing, so the seed is dropped
-    "centralised": (lambda seed: centralised_comparison(),
-                    format_centralised),
-}

@@ -18,8 +18,9 @@ Two claims are checked every run (and asserted by the tier-1 tests):
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.experiments.report import table
 from repro.experiments.runner import FidelityHarness
@@ -49,6 +50,8 @@ class IncidentRunResult:
     alert_latency: Dict[str, float] = field(default_factory=dict)
     pages_sent: int = 0
     board: str = ""
+    #: where --json / --markdown wrote the reports, as printed lines
+    artifacts: str = ""
 
     @property
     def detection_bound(self) -> float:
@@ -110,12 +113,16 @@ def _observed_site(seed: int, population: int):
     return site, harness, tracer, curve, doors
 
 
-def run(seed: int = 0, *, population: int = 1_000_000) -> IncidentRunResult:
+def run(seed: int = 0, *, population: int = 1_000_000,
+        json_out: Optional[str] = None,
+        markdown: Optional[str] = None) -> IncidentRunResult:
     """One observed fault storm on the test-scale live site.
 
     Traffic runs two hours before the first injection (burn-rate
     baselines need history) and two hours after the last, so
-    healing/relocation and alert resolution complete.
+    healing/relocation and alert resolution complete.  ``json_out`` /
+    ``markdown`` name files for the full reports, machine- and
+    human-readable.
     """
     site, harness, tracer, curve, _doors = _observed_site(seed, population)
     site.run(2 * HOUR)
@@ -149,13 +156,24 @@ def run(seed: int = 0, *, population: int = 1_000_000) -> IncidentRunResult:
     console.attach_alerts(site.alerts)
     console.attach_ledger(site.ledger)
 
-    return IncidentRunResult(
+    result = IncidentRunResult(
         seed=seed, population=population, horizon=horizon,
         agent_period=site.config.agent_period, reports=reports,
         reconciliation=recon,
         alert_latency=latency,
         pages_sent=site.alerts.pages_sent,
         board=console.board())
+    if json_out:
+        with open(json_out, "w") as fh:
+            json.dump(result.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        result.artifacts += f"\n[incident reports written to {json_out}]"
+    if markdown:
+        with open(markdown, "w") as fh:
+            fh.write(result.to_markdown())
+        result.artifacts += (f"\n[markdown post-mortems written to "
+                             f"{markdown}]")
+    return result
 
 
 def format_result(result: IncidentRunResult) -> str:
@@ -198,4 +216,4 @@ def format_result(result: IncidentRunResult) -> str:
             f"[{'OK' if recon['user_minutes_ok'] else 'MISMATCH'}]")
     lines.append("")
     lines.append(result.board)
-    return "\n".join(lines)
+    return "\n".join(lines) + result.artifacts

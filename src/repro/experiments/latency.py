@@ -25,14 +25,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.report import table
+from repro.experiments.report import table, trace_artifacts
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.faults.models import CATEGORY_PROFILES, Category
 from repro.ops.operators import OperatorModel
 from repro.sim import RandomStreams
 from repro.sim.calendar import DAY, HOUR, period_of
-from repro.trace import Tracer
+from repro.trace import install_tracer
 
 __all__ = ["LatencyResult", "PAPER_HOURS", "run", "format_result"]
 
@@ -57,17 +57,15 @@ class LatencyResult:
     manual_by_period: Dict[str, float]
     agent_max_minutes: float
     samples: int
+    #: the --timeline text and --trace note (:func:`trace_artifacts`)
+    artifacts: str = ""
 
 
-def run(seed: int = 0, weeks: int = 2,
-        tracer: Optional[Tracer] = None) -> LatencyResult:
+def run(seed: int = 0, weeks: int = 2, *, trace: Optional[str] = None,
+        timeline: bool = False) -> LatencyResult:
     site = build_site(SiteConfig.test_scale(
         seed=seed, with_workload=False, with_feeds=False))
-    if tracer is None:
-        tracer = Tracer(site.sim)
-    else:
-        tracer.sim = site.sim
-    site.sim.tracer = tracer
+    tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
     rs = site.streams
     ops = OperatorModel(rs.get("latency.ops"))
@@ -117,7 +115,8 @@ def run(seed: int = 0, weeks: int = 2,
         agent_by_period=mean(agent_lat),
         manual_by_period=mean(manual_lat),
         agent_max_minutes=float(np.max(all_agent)) * 60.0 if all_agent else 0.0,
-        samples=ti)
+        samples=ti,
+        artifacts=trace_artifacts(tracer, trace, timeline))
 
 
 def format_result(r: LatencyResult) -> str:
@@ -135,4 +134,4 @@ def format_result(r: LatencyResult) -> str:
               "agents vs 1 h / 10 h / 25 h manual)")
     return body + (f"\nworst agent detection: "
                    f"{r.agent_max_minutes:.1f} min "
-                   f"(bound: agent period + run)")
+                   f"(bound: agent period + run)") + r.artifacts

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.report import table
+from repro.experiments.report import table, trace_artifacts
 from repro.faults.models import CATEGORY_PROFILES, Category
 from repro.ops.operators import OperatorModel
 from repro.sim import RandomStreams
@@ -37,10 +37,12 @@ class MttrResult:
     manual_median_repair_h: float
     manual_escalated_mean_h: float
     agent_mean_repair_h: float
+    #: the --trace note (:func:`trace_artifacts`)
+    artifacts: str = ""
 
 
-def run(seed: int = 0, samples_per_category: int = 400,
-        tracer: Optional[Tracer] = None) -> MttrResult:
+def run(seed: int = 0, samples_per_category: int = 400, *,
+        trace: Optional[str] = None) -> MttrResult:
     rs = RandomStreams(seed)
     ops = OperatorModel(rs.get("mttr.ops"))
     rng = rs.get("mttr.times")
@@ -48,8 +50,7 @@ def run(seed: int = 0, samples_per_category: int = 400,
     # each model draw becomes a recorded repair span; every statistic
     # below is then derived from the trace, so the numbers the table
     # reports and the spans a viewer shows are the same data
-    if tracer is None:
-        tracer = Tracer()
+    tracer = Tracer()
     for cat, prof in CATEGORY_PROFILES.items():
         for _ in range(samples_per_category):
             t = float(rng.uniform(0, 7 * DAY))
@@ -86,7 +87,8 @@ def run(seed: int = 0, samples_per_category: int = 400,
         manual_escalated_mean_h=float(np.mean(escalated_all)) / HOUR
         if len(escalated_all) else 0.0,
         agent_mean_repair_h=float(np.mean(agent_all)) / HOUR
-        if len(agent_all) else 0.0)
+        if len(agent_all) else 0.0,
+        artifacts=trace_artifacts(tracer, trace, False))
 
 
 def format_result(r: MttrResult) -> str:
@@ -103,4 +105,4 @@ def format_result(r: MttrResult) -> str:
     return body + (
         f"\noverall: manual median {r.manual_median_repair_h:.2f} h, "
         f"escalated mean {r.manual_escalated_mean_h:.2f} h, "
-        f"agent mean {r.agent_mean_repair_h:.2f} h")
+        f"agent mean {r.agent_mean_repair_h:.2f} h") + r.artifacts

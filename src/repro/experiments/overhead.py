@@ -18,7 +18,7 @@ suite, and samples both every 30 minutes for 4 hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence
 
 from repro.apps.database import Database
 from repro.apps.frontend import FrontendApp
@@ -53,12 +53,14 @@ class OverheadResult:
     agent_mem: List[float]
 
     def mean_ratio_cpu(self) -> float:
-        return (sum(self.bmc_cpu) / len(self.bmc_cpu)) / max(
-            1e-9, sum(self.agent_cpu) / len(self.agent_cpu))
+        return _mean_ratio(self.bmc_cpu, self.agent_cpu)
 
     def mean_ratio_mem(self) -> float:
-        return (sum(self.bmc_mem) / len(self.bmc_mem)) / max(
-            1e-9, sum(self.agent_mem) / len(self.agent_mem))
+        return _mean_ratio(self.bmc_mem, self.agent_mem)
+
+
+def _mean_ratio(bmc: Sequence[float], agent: Sequence[float]) -> float:
+    return (sum(bmc) / len(bmc)) / max(1e-9, sum(agent) / len(agent))
 
 
 def _build_peak_host():
@@ -128,31 +130,28 @@ def run(seed: int = 20) -> OverheadResult:
     return result
 
 
-def format_cpu(result: OverheadResult) -> str:
-    rows = []
-    for i in range(N_SAMPLES):
-        rows.append((i + 1, PAPER_FIG3_BMC[i], PAPER_FIG3_AGENT[i],
-                     result.bmc_cpu[i], result.agent_cpu[i]))
+def _render(title: str, unit: str, paper_bmc: Sequence[float],
+            paper_agent: Sequence[float], bmc: List[float],
+            agent: List[float]) -> str:
+    """One figure: the paper's BMC and agent series beside ours."""
     body = table(
-        ["sample", "paper BMC %", "paper agent %",
-         "measured BMC %", "measured agent %"], rows,
-        title="Figure 3 reproduction -- CPU utilisation at peak, "
-              "8 half-hour samples")
+        ["sample", f"paper BMC {unit}", f"paper agent {unit}",
+         f"measured BMC {unit}", f"measured agent {unit}"],
+        [(i + 1, paper_bmc[i], paper_agent[i], bmc[i], agent[i])
+         for i in range(N_SAMPLES)],
+        title=f"{title} at peak, {N_SAMPLES} half-hour samples")
     return (body + f"\nmean BMC/agent ratio: paper "
-            f"{sum(PAPER_FIG3_BMC)/sum(PAPER_FIG3_AGENT):.1f}x, "
-            f"measured {result.mean_ratio_cpu():.1f}x")
+            f"{sum(paper_bmc)/sum(paper_agent):.1f}x, "
+            f"measured {_mean_ratio(bmc, agent):.1f}x")
+
+
+def format_cpu(result: OverheadResult) -> str:
+    return _render("Figure 3 reproduction -- CPU utilisation", "%",
+                   PAPER_FIG3_BMC, PAPER_FIG3_AGENT,
+                   result.bmc_cpu, result.agent_cpu)
 
 
 def format_memory(result: OverheadResult) -> str:
-    rows = []
-    for i in range(N_SAMPLES):
-        rows.append((i + 1, PAPER_FIG4_BMC[i], PAPER_FIG4_AGENT[i],
-                     result.bmc_mem[i], result.agent_mem[i]))
-    body = table(
-        ["sample", "paper BMC MB", "paper agent MB",
-         "measured BMC MB", "measured agent MB"], rows,
-        title="Figure 4 reproduction -- memory consumed at peak, "
-              "8 half-hour samples")
-    return (body + f"\nmean BMC/agent ratio: paper "
-            f"{sum(PAPER_FIG4_BMC)/sum(PAPER_FIG4_AGENT):.1f}x, "
-            f"measured {result.mean_ratio_mem():.1f}x")
+    return _render("Figure 4 reproduction -- memory consumed", "MB",
+                   PAPER_FIG4_BMC, PAPER_FIG4_AGENT,
+                   result.bmc_mem, result.agent_mem)

@@ -18,65 +18,25 @@ relocation tier -- nothing else moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.experiments.report import table
-from repro.experiments.userqos import PipelineQos, _mean_summary, _score
+from repro.experiments.report import mean_summary, pct, table, trace_artifacts
+from repro.experiments.userqos import score
 from repro.faults.campaign import Campaign
 from repro.relocate.model import apply_relocation
 from repro.sim import RandomStreams
 from repro.sim.calendar import MINUTE, YEAR
-from repro.trace.tracer import NULL_TRACER
+from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.traffic.workload import financial_curve
 
-__all__ = ["RelocationQosResult", "run_once", "run_replicated",
-           "format_result"]
-
-
-@dataclass
-class RelocationQosResult:
-    """Relocation on/off over one paired fault draw."""
-
-    population: int
-    horizon: float
-    step: float
-    replications: int
-    before: PipelineQos
-    escalate: PipelineQos
-    relocate: PipelineQos
-    #: what the relocation tier did (RelocationStats.summary())
-    relocations: dict
-
-    @property
-    def availability_gain(self) -> float:
-        return self.relocate.availability - self.escalate.availability
-
-    @property
-    def user_minutes_saved(self) -> float:
-        return (self.escalate.user_minutes_lost
-                - self.relocate.user_minutes_lost)
-
-    def summary(self) -> dict:
-        """Plain nested dict (deterministic key order) -- the unit the
-        determinism tests byte-compare."""
-        return {
-            "population": self.population,
-            "horizon_s": self.horizon,
-            "step_s": self.step,
-            "replications": self.replications,
-            "before": self.before.summary(),
-            "escalate": self.escalate.summary(),
-            "relocate": self.relocate.summary(),
-            "relocations": dict(sorted(self.relocations.items())),
-        }
+__all__ = ["run_once", "run_replicated", "format_result"]
 
 
 def run_once(seed: int = 0, *, horizon: float = YEAR,
-             population: int = 1_000_000,
-             tracer=None) -> RelocationQosResult:
+             population: int = 1_000_000, tracer=None) -> dict:
     """One fault draw, three arms, priced against user demand in
-    five-minute steps."""
+    five-minute steps: a plain nested dict (deterministic key order),
+    the unit the determinism tests byte-compare."""
     tracer = tracer if tracer is not None else NULL_TRACER
     rs = RandomStreams(seed)
     campaign = Campaign(rs.get("relocation.campaign"), horizon=horizon)
@@ -87,28 +47,38 @@ def run_once(seed: int = 0, *, horizon: float = YEAR,
         escalate, rs.get("relocation.failover"), tracer=tracer,
         label="relocate")
     curve, step = financial_curve(population), 5 * MINUTE
-    return RelocationQosResult(
-        population=curve.population, horizon=horizon, step=step,
-        replications=1,
-        before=_score("before", before, curve, horizon=horizon, step=step),
-        escalate=_score("escalate-only", escalate, curve,
-                        horizon=horizon, step=step),
-        relocate=_score("relocate", relocated, curve,
-                        horizon=horizon, step=step),
-        relocations=stats.summary())
+    return {
+        "population": curve.population,
+        "horizon_s": horizon,
+        "step_s": step,
+        "replications": 1,
+        "before": score("before", before, curve, horizon=horizon, step=step),
+        "escalate": score("escalate-only", escalate, curve,
+                          horizon=horizon, step=step),
+        "relocate": score("relocate", relocated, curve,
+                          horizon=horizon, step=step),
+        # what the relocation tier did
+        "relocations": dict(sorted(stats.summary().items())),
+    }
 
 
-def run_replicated(seeds: List[int], *, horizon: float = YEAR,
+def run_replicated(seed: int = 0, *, replications: int = 5,
                    population: int = 1_000_000,
+                   trace: Optional[str] = None, timeline: bool = False,
+                   horizon: float = YEAR,
                    processes: Optional[int] = None) -> dict:
     """Mean summary over independent fault draws (pool or in-process,
-    same result: the userqos experiment's contract)."""
-    return _mean_summary(run_once, seeds, processes, horizon=horizon,
-                         population=population)
-
-
-def _pct(a: float) -> str:
-    return f"{100.0 * a:.4f}%"
+    same result: the userqos experiment's contract).  ``trace`` /
+    ``timeline`` rerun the first draw traced, so they show the
+    ``relocate.*`` phases of every modelled failover."""
+    summary = mean_summary(run_once, seed, replications, processes,
+                           horizon=horizon, population=population)
+    if trace or timeline:
+        tracer = Tracer()
+        run_once(seed, horizon=horizon, population=population,
+                 tracer=tracer)
+        summary["artifacts"] = trace_artifacts(tracer, trace, timeline)
+    return summary
 
 
 def format_result(summary: Mapping) -> str:
@@ -117,7 +87,7 @@ def format_result(summary: Mapping) -> str:
     body = table(
         ["pipeline", "availability", "failed requests (M)",
          "user-minutes lost (M)"],
-        [(p["label"], _pct(p["availability"]),
+        [(p["label"], pct(p["availability"]),
           round(p["failed_requests"] / 1e6, 2),
           round(p["user_minutes_lost"] / 1e6, 2))
          for p in arms],
@@ -138,4 +108,4 @@ def format_result(summary: Mapping) -> str:
     verdict = (f"\nrelocation on vs off: availability "
                f"{'+' if gain >= 0 else ''}{100.0 * gain:.4f} pp, "
                f"{saved / 1e6:.2f}M user-minutes saved")
-    return body + tier + verdict
+    return body + tier + verdict + summary.get("artifacts", "")

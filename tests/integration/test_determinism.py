@@ -21,62 +21,46 @@ def canon(d) -> str:
 
 
 def test_userqos_same_seed_byte_identical():
-    a = userqos.run_once(7, horizon=HORIZON, population=100_000).summary()
-    b = userqos.run_once(7, horizon=HORIZON, population=100_000).summary()
+    a = userqos.run_once(7, horizon=HORIZON, population=100_000)
+    b = userqos.run_once(7, horizon=HORIZON, population=100_000)
     assert canon(a) == canon(b)
-    c = userqos.run_once(8, horizon=HORIZON, population=100_000).summary()
+    c = userqos.run_once(8, horizon=HORIZON, population=100_000)
     assert canon(a) != canon(c)
 
 
 def test_fig2_same_seed_byte_identical():
-    def summary(seed):
-        before, after = fig2.run_once(seed, horizon=HORIZON)
-        return {
-            "before": {c.value: h
-                       for c, h in before.hours_by_category().items()},
-            "after": {c.value: h
-                      for c, h in after.hours_by_category().items()},
-            "detection": after.detection_by_period(),
-        }
-
-    assert canon(summary(7)) == canon(summary(7))
-    assert canon(summary(7)) != canon(summary(9))
+    a = fig2.run_once(7, horizon=HORIZON)
+    assert canon(a) == canon(fig2.run_once(7, horizon=HORIZON))
+    assert canon(a) != canon(fig2.run_once(9, horizon=HORIZON))
 
 
 def test_relocation_same_seed_byte_identical():
-    a = relocation.run_once(7, horizon=HORIZON,
-                            population=100_000).summary()
-    b = relocation.run_once(7, horizon=HORIZON,
-                            population=100_000).summary()
+    a = relocation.run_once(7, horizon=HORIZON, population=100_000)
+    b = relocation.run_once(7, horizon=HORIZON, population=100_000)
     assert canon(a) == canon(b)
-    c = relocation.run_once(8, horizon=HORIZON,
-                            population=100_000).summary()
+    c = relocation.run_once(8, horizon=HORIZON, population=100_000)
     assert canon(a) != canon(c)
 
 
 def test_relocation_serial_and_parallel_replication_agree():
-    seeds = [1, 2, 3]
-    serial = relocation.run_replicated(seeds, horizon=HORIZON,
+    serial = relocation.run_replicated(1, replications=3, horizon=HORIZON,
                                        population=100_000, processes=1)
-    pooled = relocation.run_replicated(seeds, horizon=HORIZON,
+    pooled = relocation.run_replicated(1, replications=3, horizon=HORIZON,
                                        population=100_000, processes=2)
     assert canon(serial) == canon(pooled)
 
 
 def test_userqos_serial_and_parallel_replication_agree():
-    seeds = [1, 2, 3]
-    serial = userqos.run_replicated(seeds, horizon=HORIZON,
+    serial = userqos.run_replicated(1, replications=3, horizon=HORIZON,
                                     population=100_000, processes=1)
-    pooled = userqos.run_replicated(seeds, horizon=HORIZON,
+    pooled = userqos.run_replicated(1, replications=3, horizon=HORIZON,
                                     population=100_000, processes=2)
     assert canon(serial) == canon(pooled)
 
 
 def test_fig2_serial_and_parallel_replication_agree():
-    seeds = [1, 2]
-    serial = fig2.run_replicated(seeds, horizon=HORIZON, processes=1)
-    pooled = fig2.run_replicated(seeds, horizon=HORIZON, processes=2)
-    assert serial.before_hours == pooled.before_hours
-    assert serial.after_hours == pooled.after_hours
-    assert serial.detection_before == pooled.detection_before
-    assert serial.detection_after == pooled.detection_after
+    serial = fig2.run_replicated(1, replications=2, horizon=HORIZON,
+                                 processes=1)
+    pooled = fig2.run_replicated(1, replications=2, horizon=HORIZON,
+                                 processes=2)
+    assert canon(serial) == canon(pooled)

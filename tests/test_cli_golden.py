@@ -52,9 +52,9 @@ def test_row_prints_what_it_printed_when_pinned(row):
 
 
 def test_every_row_is_pinned():
-    from repro.cli import _EXPERIMENTS
+    from repro.experiments import EXPERIMENTS
     rows = {row.split()[0] for row in FAST + SLOW}
-    assert rows == set(_EXPERIMENTS)
+    assert rows == set(EXPERIMENTS)
     with open(GOLDEN) as fh:
         assert sorted(json.load(fh)) == sorted(FAST + SLOW)
 

@@ -4,7 +4,9 @@ import pytest
 
 from repro.experiments import fig2, mttr, overhead, report
 from repro.experiments.site import SiteConfig, build_site
+from repro.faults.campaign import Campaign
 from repro.faults.models import Category
+from repro.sim import RandomStreams
 from repro.sim.calendar import YEAR
 
 
@@ -17,40 +19,50 @@ def test_report_table_renders():
 
 
 def test_fig2_run_once_pairing():
-    before, after = fig2.run_once(seed=3)
+    """Both pipelines score one fault draw: the streams ``run_once``
+    hands :meth:`Campaign.run_pair`, and the hours it reports."""
+    rs = RandomStreams(3)
+    before, after = Campaign(rs.get("fig2.campaign")).run_pair(
+        before_rng=rs.get("fig2.ops.before"),
+        after_rng=rs.get("fig2.ops.after"))
     assert len(before.records) == len(after.records)
     assert after.total_hours() < before.total_hours()
+    summary = fig2.run_once(seed=3)
+    assert summary["before_hours"] == {
+        c.value: h for c, h in before.hours_by_category().items()}
+    assert summary["after_hours"] == {
+        c.value: h for c, h in after.hours_by_category().items()}
 
 
 def test_fig2_replicated_shape():
-    result = fig2.run_replicated([0, 1, 2])
-    assert result.replications == 3
-    assert result.total_before > 5 * result.total_after
+    result = fig2.run_replicated(0, replications=3)
+    assert result["replications"] == 3
+    before, after = result["before_hours"], result["after_hours"]
+    assert sum(before.values()) > 5 * sum(after.values())
     # mid-crash dominates the before column (the paper's headline)
-    assert result.before_hours[Category.MID_CRASH] == max(
-        result.before_hours.values())
-    rows = result.rows()
-    assert rows[-1][0] == "TOTAL"
+    assert before[Category.MID_CRASH.value] == max(before.values())
     txt = fig2.format_result(result)
     assert "Figure 2" in txt and "mid-crash" in txt
+    assert txt.splitlines()[-2].lstrip().startswith("TOTAL")
 
 
 def test_fig2_requires_seeds():
     with pytest.raises(ValueError):
-        fig2.run_replicated([])
+        fig2.run_replicated(0, replications=0)
 
 
 def test_fig2_parallel_matches_serial():
-    serial = fig2.run_replicated([5, 6], processes=1)
-    par = fig2.run_replicated([5, 6], processes=2)
-    assert par.before_hours == serial.before_hours
-    assert par.after_hours == serial.after_hours
+    serial = fig2.run_replicated(5, replications=2, processes=1)
+    par = fig2.run_replicated(5, replications=2, processes=2)
+    assert par["before_hours"] == serial["before_hours"]
+    assert par["after_hours"] == serial["after_hours"]
 
 
 def test_fig2_detection_summary():
-    result = fig2.run_replicated([0, 1])
-    assert result.detection_before["weekend"] > result.detection_before["day"]
-    assert result.detection_after["day"] < 0.2       # hours
+    result = fig2.run_replicated(0, replications=2)
+    assert (result["detection_before"]["weekend"]
+            > result["detection_before"]["day"])
+    assert result["detection_after"]["day"] < 0.2       # hours
 
 
 def test_overhead_shape():

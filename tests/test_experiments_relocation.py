@@ -9,8 +9,7 @@ HORIZON = 45 * DAY
 
 
 def test_summary_shape():
-    res = relocation.run_once(3, horizon=HORIZON, population=100_000)
-    s = res.summary()
+    s = relocation.run_once(3, horizon=HORIZON, population=100_000)
     assert set(s) == {"population", "horizon_s", "step_s", "replications",
                       "before", "escalate", "relocate", "relocations"}
     assert s["before"]["label"] == "before"
@@ -27,17 +26,17 @@ def test_summary_shape():
 
 def test_relocation_improves_user_qos_over_a_year():
     res = relocation.run_once(0, horizon=YEAR, population=100_000)
-    assert res.relocations["candidates"] > 0
-    assert res.availability_gain > 0
-    assert res.user_minutes_saved > 0
-    assert (res.relocate.availability > res.escalate.availability
-            > res.before.availability)
-    assert (res.relocate.user_minutes_lost < res.escalate.user_minutes_lost
-            < res.before.user_minutes_lost)
+    assert res["relocations"]["candidates"] > 0
+    before, escalate, relocate = (res[arm] for arm in
+                                  ("before", "escalate", "relocate"))
+    assert (relocate["availability"] > escalate["availability"]
+            > before["availability"])
+    assert (relocate["user_minutes_lost"] < escalate["user_minutes_lost"]
+            < before["user_minutes_lost"])
 
 
 def test_replicated_mean_keeps_shape():
-    merged = relocation.run_replicated([0, 1], horizon=HORIZON,
+    merged = relocation.run_replicated(0, replications=2, horizon=HORIZON,
                                        population=100_000)
     assert merged["replications"] == 2
     assert merged["relocate"]["availability"] <= 1.0
@@ -45,7 +44,7 @@ def test_replicated_mean_keeps_shape():
 
 
 def test_format_result_renders():
-    merged = relocation.run_replicated([0], horizon=HORIZON,
+    merged = relocation.run_replicated(0, replications=1, horizon=HORIZON,
                                        population=100_000)
     text = relocation.format_result(merged)
     for needle in ("Service relocation", "before", "escalate-only",

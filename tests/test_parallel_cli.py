@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.ablations import ABLATIONS
+from repro.experiments import EXPERIMENTS, resolve
 from repro.parallel import ReplicationError, default_workers, replicate
 
 
@@ -67,12 +67,54 @@ def test_cli_ablation_centralised(capsys):
     assert "A-local" in out
 
 
-@pytest.mark.parametrize("name", sorted(ABLATIONS))
-def test_every_ablation_is_a_cli_choice(name):
-    """One table feeds the CLI: each ``ABLATIONS`` row is reachable as
-    ``repro-exp ablation-<name>`` (the arithmetic one is run above)."""
+# -- the experiment table ------------------------------------------------------
+
+@pytest.mark.parametrize("row", sorted(EXPERIMENTS))
+def test_every_row_is_wired(row):
+    """Each row -- in each variant -- runs from a seed, is a parser
+    choice and is pinned in the CLI golden file."""
+    import inspect
+    import json
+    import os
     from repro import cli
-    assert f"ablation-{name}" in cli._EXPERIMENTS
+    for name, (run, fmt) in cli._PAIRS:
+        if name == row:
+            assert "seed" in inspect.signature(resolve(run)).parameters
+            assert callable(resolve(fmt))
+    assert cli._parser()[0].parse_args([row]).experiment == row
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "cli_outputs.json")) as fh:
+        assert row in json.load(fh)
+
+
+def test_every_option_is_taken_by_a_row():
+    from repro import cli
+    _, flags = cli._parser()
+    for dest, flag in flags.items():
+        assert any(dest in cli._accepts(row, pair)
+                   for row, pair in cli._PAIRS), f"{flag} is a dead flag"
+
+
+@pytest.mark.parametrize("argv, needle", [
+    ("fig2 --replications 0", "--replications"),
+    ("userqos --population 0 --replications 1", "--population"),
+    ("fig2 --population 5 --hosts 3", "fig2 takes no --population"),
+    ("mttr --timeline", "mttr takes no --timeline"),
+    ("fig2 --full-year --hosts 12 --hours 0", "--hours"),
+    ("fig2 --full-year --hosts 12 --hours 1 --segments 0", "--segments"),
+    ("fig2 --full-year --hosts 0 --hours 0.5", "--hosts"),
+    ("all --trace out.json", "all takes no --trace"),
+])
+def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path,
+                                    monkeypatch):
+    """Out-of-range values and options the row's run does not take
+    exit 2 before anything runs, naming what is wrong."""
+    from repro.cli import main
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_cli_fig3_and_fig4(capsys):

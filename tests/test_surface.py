@@ -17,7 +17,9 @@ module-level functions and classes, ``cls(...)`` inside the class
 itself, and ``anything.m(...)`` for a method ``m``.  A call that
 spreads ``*args`` or ``**kwargs`` passes everything, and so does a
 function or method used as a value -- put in a table or handed over as
-a callback -- since its callers cannot be seen.  ``__init__`` of a
+a callback -- since its callers cannot be seen.  A ``"module:function"``
+string in a package (the lazy :data:`repro.experiments.EXPERIMENTS`
+rows) names ``package.module.function`` as such a value.  ``__init__`` of a
 subclassed class is skipped: ``super().__init__`` passes those.
 
 An entry in ``UNPASSED_OK`` / ``UNNAMED_OK`` keeps a name on purpose
@@ -184,6 +186,11 @@ def _uses(source):
                 if isinstance(node, ast.Attribute):
                     escaped.add("." + node.attr)
                 escaped.add(source.qualify(path, node))
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+:\w+", node.value)):
+                escaped.add(f"{_module_of(path)}."
+                            + node.value.replace(":", "."))
     return calls, escaped
 
 
