@@ -31,7 +31,6 @@ Packages:
 - :mod:`repro.ontology` -- ISSL / SLKT / DLSP / DGSPL.
 - :mod:`repro.core` -- the intelliagents and administration servers.
 - :mod:`repro.experiments` -- drivers for every table and figure.
-- :mod:`repro.grid` -- the §5 grid resource broker over DGSPLs.
 - :mod:`repro.parallel` -- process-pool Monte-Carlo helpers.
 """
 

@@ -251,10 +251,6 @@ class Application(Persistent):
                                      f"performance degraded: {reason}")
             self._set_state(AppState.DEGRADED)
 
-    def recover_degradation(self) -> None:
-        if self.state is AppState.DEGRADED:
-            self._set_state(AppState.RUNNING)
-
     def host_went_down(self, reason: str) -> None:
         """Called by the host on crash/shutdown."""
         self._cancel_startup()

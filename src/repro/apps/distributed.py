@@ -125,47 +125,6 @@ class DistributedService(Persistent):
                 return (False, total_ms, f"{name}: {err or 'down'}")
         return (True, total_ms, "")
 
-    def unhealthy_components(self) -> List[str]:
-        """Names of components whose own probe fails (ignoring links)."""
-        return [name for name, comp in self.components.items()
-                if not comp.app.probe()[0]]
-
-    # -- orchestrated startup ----------------------------------------------------
-
-    def orchestrated_start(self, sim, *, per_component_timeout: float = 600.0):
-        """Start the whole service in dependency order (§5: service
-        integrity requires components "available in the sequence they
-        are meant to be").
-
-        Returns a :class:`~repro.sim.kernel.SimProcess` whose result is
-        ``(ok, started, error)``: each component is started only after
-        every dependency probes healthy, with a per-component timeout.
-        """
-        settle = 10.0
-
-        def driver():
-            started: List[str] = []
-            for name in self.startup_order():
-                comp = self.components[name]
-                app = comp.app
-                if not app.host.is_up:
-                    return (False, started,
-                            f"{name}: host {app.host.name} is down")
-                if not app.is_healthy():
-                    app.start()
-                deadline = sim.now + per_component_timeout
-                while not app.probe()[0]:
-                    if sim.now >= deadline:
-                        return (False, started,
-                                f"{name}: not healthy after "
-                                f"{per_component_timeout:.0f}s")
-                    yield min(settle, max(1.0, deadline - sim.now))
-                started.append(name)
-                yield settle        # let it warm before dependents
-            return (True, started, "")
-
-        return sim.spawn(driver(), name=f"svc-start.{self.name}")
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<DistributedService {self.name} "
                 f"components={list(self.components)}>")

@@ -26,7 +26,7 @@ class FrontendApp(Application):
     app_type = "frontend"
     _persist_extra = scalars(int, "queries_served", "sessions")
 
-    def __init__(self, host, name: str, *, version: str = "4.2",
+    def __init__(self, host, name: str, *,
                  backend: Optional[object] = None, **kw):
         procs = [
             ProcessSpec(f"{name}_gui", 2, cpu_pct=2.0, mem_mb=64.0),
@@ -36,7 +36,7 @@ class FrontendApp(Application):
         kw.setdefault("user", "finapp")
         kw.setdefault("base_response_ms", 80.0)
         kw.setdefault("connect_timeout_ms", 8000.0)
-        super().__init__(host, name, version=version, processes=procs,
+        super().__init__(host, name, version="4.2", processes=procs,
                          startup=[StartupStep("load-models", 45.0),
                                   StartupStep("bind", 15.0)],
                          shutdown_duration=15.0, **kw)

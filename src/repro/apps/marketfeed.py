@@ -67,12 +67,6 @@ class MarketFeed:
                 else:
                     self.ticks_dropped += 1
 
-    def stalled_for(self, now: float) -> float:
-        """Seconds since the last successful delivery (inf if never)."""
-        if self.last_delivery is None:
-            return float("inf") if self.ticks_sent else 0.0
-        return now - self.last_delivery
-
     def delivery_rate(self) -> float:
         if not self.ticks_sent:
             return 1.0

@@ -40,7 +40,7 @@ class WebServer(Application):
         self.requests_served = 0
         self.open_connections: Dict[str, float] = {}
 
-    def http_get(self, path: str = "/") -> Tuple[int, float]:
+    def http_get(self) -> Tuple[int, float]:
         """Serve a GET; returns (status_code, response_ms).
 
         Status 0 means no TCP-level answer at all (crashed/hung),

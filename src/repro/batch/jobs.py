@@ -34,9 +34,7 @@ class BatchJob:
 
     def __init__(self, name: str, user: str, *, duration: float,
                  cpu_slots: int = 1, io_demand: float = 0.2,
-                 requested_server: Optional[str] = None,
-                 submitted_at: float = 0.0,
-                 checkpoint_interval: float = 0.0):
+                 requested_server: Optional[str] = None):
         self.job_id = next(_job_ids)
         self.name = name
         self.user = user
@@ -45,12 +43,12 @@ class BatchJob:
         self.io_demand = io_demand
         #: the server the user manually picked (None = let LSF choose)
         self.requested_server = requested_server
-        self.submitted_at = submitted_at
+        self.submitted_at = 0.0
         #: checkpointing support ([18] in the paper's related work):
         #: > 0 means the job saves state every this-many seconds and a
         #: resubmission resumes from the last checkpoint instead of
         #: restarting from scratch
-        self.checkpoint_interval = float(checkpoint_interval)
+        self.checkpoint_interval = 0.0
         #: work already banked at the last checkpoint, seconds
         self.checkpointed_work = 0.0
 

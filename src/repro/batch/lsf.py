@@ -200,17 +200,6 @@ class LsfCluster(Persistent):
 
     # -- queries (the 'pre-scripted LSF specific commands') -------------------------
 
-    def bjobs(self, state: Optional[JobState] = None) -> List[BatchJob]:
-        if state is None:
-            return list(self.history)
-        return [j for j in self.history if j.state is state]
-
-    def jobs_on(self, host_name: str) -> List[BatchJob]:
-        """'number of LSF scheduled jobs per database server'."""
-        return [j for j in self.running.values()
-                if j.database is not None
-                and j.database.host.name == host_name]
-
     def queue_stats(self) -> Dict[str, int]:
         return {
             "pending": len(self.pending),

@@ -50,10 +50,10 @@ class ManualPolicy:
     """
 
     name = "manual"
+    favourites_per_user = 3
 
-    def __init__(self, rng, favourites_per_user: int = 3):
+    def __init__(self, rng):
         self.rng = rng
-        self.favourites_per_user = favourites_per_user
 
     def choose(self, job: "BatchJob",
                candidates: Sequence["Database"]) -> Optional["Database"]:

@@ -31,14 +31,13 @@ class OvernightWorkload:
 
     def __init__(self, lsf: LsfCluster, rng, *,
                  jobs_per_night: int = 40,
-                 daytime_jobs_per_hour: float = 2.0,
                  manual_targeting: bool = True):
         self.lsf = lsf
         self.sim = lsf.sim
         self.rng = rng
         self.users = [f"analyst{i:02d}" for i in range(25)]
         self.jobs_per_night = jobs_per_night
-        self.daytime_jobs_per_hour = daytime_jobs_per_hour
+        self.daytime_jobs_per_hour = 2.0
         #: pre-agent practice: users pin jobs to their favourite server
         self.manual_targeting = manual_targeting
         self.submit_hour = 20.0

@@ -28,12 +28,12 @@ from repro.chaos.executor import Episode, run_episode
 from repro.chaos.fuzzer import FuzzResult, ScenarioFuzzer
 from repro.chaos.oracles import ORACLES, OracleVerdict, run_oracles
 from repro.chaos.scenario import (BUILDERS, ChaosEvent, Scenario,
-                                  build_corpus, random_scenario)
+                                  build_corpus)
 from repro.chaos.shrink import ShrinkResult, shrink, shrink_episode
 
 __all__ = [
     "BUILDERS", "ChaosEvent", "CoverageMap", "Episode", "FuzzResult",
     "ORACLES", "OracleVerdict", "Scenario", "ScenarioFuzzer",
-    "ShrinkResult", "build_corpus", "random_scenario", "run_episode",
+    "ShrinkResult", "build_corpus", "run_episode",
     "run_oracles", "shrink", "shrink_episode", "signature_of",
 ]

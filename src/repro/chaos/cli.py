@@ -30,6 +30,7 @@ import os
 from typing import List, Optional
 
 from repro.chaos.scenario import Scenario, build_corpus
+from repro.cli import _positive
 
 __all__ = ["main"]
 
@@ -81,7 +82,7 @@ def _cmd_run(args) -> int:
         f"{m}({n})" for m, n in result.coverage.rarest(6)))
     for err in result.errors:
         print(f"worker error: {err}")
-    if not result.violations:
+    if not result.violations and not result.errors:
         print("violations  none -- every episode satisfied every oracle")
     for v in result.violations:
         print(f"\nVIOLATION  {v['scenario_id']}  "
@@ -169,9 +170,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="run a fuzz campaign")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--episodes", type=int, default=60)
-    p_run.add_argument("--batch", type=int, default=8)
-    p_run.add_argument("--max-violations", type=int, default=5)
+    p_run.add_argument("--episodes", type=_positive(int), default=60)
+    p_run.add_argument("--batch", type=_positive(int), default=8)
+    p_run.add_argument("--max-violations", type=_positive(int), default=5)
     p_run.add_argument("--processes", type=int, default=None)
     p_run.add_argument("--planted-bug", action="store_true",
                        help="arm the test-only planted regression")
@@ -193,8 +194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="checkpoint the whole world (every site "
                                "of it) every --checkpoint-every "
                                "simulated seconds while replaying")
-    p_replay.add_argument("--checkpoint-every", type=float, default=900.0,
-                          metavar="SECONDS")
+    p_replay.add_argument("--checkpoint-every", type=_positive(float),
+                          default=900.0, metavar="SECONDS")
     p_replay.add_argument("--from-checkpoint", metavar="CKPT", default=None,
                           help="time-travel: restore the episode at a "
                                "saved epoch and replay only the "

@@ -4,7 +4,7 @@ The loop is the classic greybox shape -- corpus, mutate, execute,
 admit -- with the coverage map built from decision-path markers the
 substrate already records (see :mod:`repro.chaos.coverage`):
 
-1. seed the corpus (the committed builders by default);
+1. seed the corpus with the committed builders;
 2. pick parents, favouring recent additions (they hold the markers the
    map just learned about) and occasionally splicing two parents;
 3. mutate: perturb event times (snapping toward wake-backoff
@@ -20,7 +20,7 @@ substrate already records (see :mod:`repro.chaos.coverage`):
 Everything draws from one named stream of the repo's
 :class:`~repro.sim.rand.RandomStreams`, and batches are generated
 *before* execution, so a fuzz run is fully determined by
-``(seed, corpus, episodes, batch)`` -- the determinism test replays a
+``(seed, episodes, batch)`` -- the determinism test replays a
 whole campaign twice and compares violation sets and coverage maps.
 """
 
@@ -34,7 +34,7 @@ from repro.chaos.coverage import CoverageMap
 from repro.chaos.scenario import (MAX_EVENTS, OPS, POOLS_FOR_KIND,
                                   WAKE_BASE, ChaosEvent, Scenario,
                                   build_corpus, make_target, parse_target,
-                                  random_event, random_scenario)
+                                  random_event)
 from repro.parallel import replicate_outcomes
 from repro.sim.rand import RandomStreams
 
@@ -100,24 +100,18 @@ class ScenarioFuzzer:
     """
 
     def __init__(self, seed: int = 0, *,
-                 corpus: Optional[Sequence[Scenario]] = None,
                  episodes: int = 60, batch: int = 8,
                  planted_bug: bool = False,
                  max_violations: int = 5,
                  processes: Optional[int] = None):
         self.seed = int(seed)
         self.rng = RandomStreams(self.seed).get("chaos.fuzzer")
-        if corpus is None:
-            corpus = list(build_corpus(self.seed).values())
         # the mutation operators only know single-site selectors (no
         # ``site:`` scopes, no ``wan[i]`` pairs); federated scenarios run
         # through the same executor but are not mutated yet
-        self.corpus: List[Scenario] = [s.normalized() for s in corpus
-                                       if s.sites == 1]
-        if not self.corpus:
-            self.corpus = [random_scenario(self.rng, f"gen{i:03d}",
-                                           seed=self.seed)
-                           for i in range(4)]
+        self.corpus: List[Scenario] = [
+            s.normalized() for s in build_corpus(self.seed).values()
+            if s.sites == 1]
         self.episodes = int(episodes)
         self.batch = max(1, int(batch))
         self.planted_bug = bool(planted_bug)

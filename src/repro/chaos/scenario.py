@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.faults.injector import FAULT_CATALOG
 
 __all__ = ["ChaosEvent", "Scenario", "OPS", "TARGET_POOLS", "BUILDERS",
-           "WORLDS", "build_corpus", "random_scenario", "parse_target",
+           "WORLDS", "build_corpus", "parse_target",
            "split_site", "make_target"]
 
 #: wake-policy constants the adversarial-timing builders aim at
@@ -475,7 +475,7 @@ def build_corpus(seed: int = 0) -> Dict[str, Scenario]:
     return {name: fn(seed) for name, fn in BUILDERS.items()}
 
 
-# -- generation (fuzzer seeding) ------------------------------------------------
+# -- generation (fuzzer insertion) ----------------------------------------------
 
 #: ops a generated event may use (host-boot only makes sense after a
 #: crash, so generation pairs it; repairs likewise).  WAN faults need
@@ -494,13 +494,3 @@ def random_event(rng, horizon: float) -> ChaosEvent:
     k = int(rng.integers(1, int(horizon / WAKE_BASE)))
     t = min(horizon - 1.0, k * WAKE_BASE + float(rng.uniform(-60.0, 60.0)))
     return ChaosEvent(max(0.0, t), op, make_target(pool, index))
-
-
-def random_scenario(rng, name: str, *, seed: int = 0) -> Scenario:
-    """A small random scenario of one to six events over three hours
-    (fuzzer corpus seeding)."""
-    horizon = 3 * 3600.0
-    events = [random_event(rng, horizon)
-              for _ in range(int(rng.integers(1, 7)))]
-    return Scenario(name=name, events=events, horizon=horizon,
-                    seed=seed).normalized()

@@ -44,10 +44,6 @@ class ShrinkResult:
     #: ddmin rounds until a fixpoint
     rounds: int
 
-    @property
-    def events_removed(self) -> int:
-        return len(self.original.events) - len(self.shrunk.events)
-
 
 class _Prober:
     """Memoising wrapper around the caller's predicate."""

@@ -156,11 +156,6 @@ class Crond(Persistent):
                 tracer.metrics.counter("cron.missed").inc()
         self._arm(job)
 
-    def next_fire(self, name: str) -> float:
-        """Next grid point for a job (for tests and the watchdog)."""
-        job = self.jobs[name]
-        return next_grid(self.sim.now, job.period, job.offset)
-
     # -- persistence ------------------------------------------------------------
 
     def _save_jobs(self) -> list:

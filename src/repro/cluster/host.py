@@ -229,11 +229,6 @@ class Host(Persistent):
     def memory_free_mb(self) -> float:
         return max(0.0, self.effective_ram_mb() - self.memory_used_mb())
 
-    def memory_pressure(self) -> float:
-        """0 when plenty free; grows toward 1 as free memory vanishes."""
-        ram = self.effective_ram_mb()
-        return _memory_pressure(ram, max(0.0, ram - self.memory_used_mb()))
-
     def os_metrics(self) -> Dict[str, float]:
         """The numbers §3.6 says the OS agents watch: sr, po, page
         faults, free memory, run queue, load, idle %, blocked processes.

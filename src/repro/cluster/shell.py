@@ -88,9 +88,6 @@ class Shell(Persistent):
         """Install or replace a command."""
         self._commands[name] = handler
 
-    def unregister(self, name: str) -> None:
-        self._commands.pop(name, None)
-
     def run(self, cmdline: str) -> CommandResult:
         """Execute a command line on this host.
 

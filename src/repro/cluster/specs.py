@@ -11,7 +11,7 @@ CPUs and memory").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 __all__ = ["ServerSpec", "SPEC_CATALOGUE", "spec"]
@@ -43,13 +43,6 @@ class ServerSpec:
     def power(self) -> float:
         """Capability scalar: CPU throughput plus memory headroom."""
         return self.cpus * self.cpu_mhz + self.ram_mb / 16.0
-
-    def scaled(self, cpus: int | None = None,
-               ram_mb: int | None = None) -> "ServerSpec":
-        """A configuration variant of the same model (e.g. a bigger
-        E10K domain)."""
-        return replace(self, cpus=cpus or self.cpus,
-                       ram_mb=ram_mb or self.ram_mb)
 
 
 #: Server models present at the pilot site (section 4 of the paper).

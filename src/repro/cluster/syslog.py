@@ -33,8 +33,10 @@ class SyslogRecord:
 class Syslog:
     """Bounded, append-only host log."""
 
-    def __init__(self, maxlen: int = 20000):
-        self.records: Deque[SyslogRecord] = deque(maxlen=maxlen)
+    MAXLEN = 20000
+
+    def __init__(self):
+        self.records: Deque[SyslogRecord] = deque(maxlen=self.MAXLEN)
         self.total_logged = 0
         #: live taps (the trigger bus): called synchronously per record
         self.listeners: List[Callable[[SyslogRecord], None]] = []
@@ -66,9 +68,6 @@ class Syslog:
 
     # queries ---------------------------------------------------------------
 
-    def tail(self, n: int = 50) -> List[SyslogRecord]:
-        return list(self.records)[-n:]
-
     def grep(self, *, tag: Optional[str] = None,
              min_severity: str = "info",
              since: float = float("-inf"),
@@ -88,10 +87,6 @@ class Syslog:
                 continue
             out.append(rec)
         return out
-
-    def errors_since(self, since: float,
-                     tag: Optional[str] = None) -> List[SyslogRecord]:
-        return self.grep(tag=tag, min_severity="err", since=since)
 
     def clear(self) -> None:
         self.records.clear()

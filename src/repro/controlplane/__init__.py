@@ -12,7 +12,7 @@ preserved while the per-cycle cost drops from O(site) to O(changes).
 
 from repro.controlplane.deadline import DeadlineWheel
 from repro.controlplane.ledger import (Condition, ConditionLedger,
-                                       LedgerCursor, watch_host)
+                                       LedgerCursor)
 
 __all__ = ["Condition", "ConditionLedger", "LedgerCursor",
-           "DeadlineWheel", "watch_host"]
+           "DeadlineWheel"]

@@ -46,9 +46,6 @@ class DeadlineWheel(Persistent):
         self._push_seq += 1
         heapq.heappush(self._heap, (deadline, self._push_seq, key))
 
-    def deadline_of(self, key: Hashable) -> float:
-        return self._deadline.get(key, float("inf"))
-
     def drop(self, key: Hashable) -> None:
         self._deadline.pop(key, None)
         self._due.discard(key)

@@ -23,11 +23,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.persist.core import Persistent, record, rows, scalars, via
 
-__all__ = ["Condition", "ConditionLedger", "LedgerCursor", "watch_host"]
+__all__ = ["Condition", "ConditionLedger", "LedgerCursor"]
 
 #: condition kinds appended by the current producers
 KINDS = ("flag", "dlsp", "host", "route", "wake", "alert")
@@ -92,8 +92,8 @@ class ConditionLedger(Persistent):
                 rows("entries", *record(Condition), attr="_entries"),
                 via("cursors", "_save_cursors", "_load_cursors"))
 
-    def __init__(self, maxlen: int = 1 << 18):
-        self.maxlen = int(maxlen)
+    def __init__(self):
+        self.maxlen = 1 << 18
         self._entries: deque = deque()
         #: version of the newest appended condition (0 = none yet)
         self.version = 0
@@ -153,12 +153,6 @@ class ConditionLedger(Persistent):
             return list(self._entries)
         return list(islice(self._entries, start, None))
 
-    def dirty_hosts_since(self, version: int,
-                          kind: Optional[str] = None) -> Set[str]:
-        """The dirty-set view: hosts touched since ``version``."""
-        return {c.host for c in self.read_since(version)
-                if kind is None or c.kind == kind}
-
     def backlog(self) -> int:
         return len(self._entries)
 
@@ -213,16 +207,3 @@ class ConditionLedger(Persistent):
         return (f"<ConditionLedger v{self.version} "
                 f"backlog={len(self._entries)} "
                 f"cursors={len(self._cursors)}>")
-
-
-def watch_host(ledger: ConditionLedger, host) -> None:
-    """Publish a host's up/down transitions as conditions.  (The
-    administration servers do this for every registered suite; this
-    helper covers ledger consumers running without an admin pair.)"""
-    host.down_signal.subscribe(
-        lambda reason, h=host: ledger.append(
-            "host", h.name, status="down", time=h.sim.now,
-            detail=str(reason or "")))
-    host.up_signal.subscribe(
-        lambda _v, h=host: ledger.append(
-            "host", h.name, status="up", time=h.sim.now))

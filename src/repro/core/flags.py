@@ -200,11 +200,3 @@ class FlagStore:
         the name: no file is opened."""
         parsed, _path = self._latest_name()
         return float("-inf") if parsed is None else parsed[1]
-
-    @staticmethod
-    def agents_on(fs) -> List[str]:
-        """Agent names that have flag directories on this host."""
-        try:
-            return fs.listdir(FLAG_DIR)
-        except FsError:
-            return []

@@ -67,9 +67,6 @@ class RuleEngine:
         for r in rules:
             self.add_rule(r)
 
-    def rules_for(self, symptom: str) -> List[CausalRule]:
-        return list(self._rules.get(symptom, ()))
-
     def diagnose(self, host, finding: Finding) -> Diagnosis:
         """Walk the candidate causes for this symptom; first confirmed
         test wins.  When no rule confirms, the diagnosis is the

@@ -113,12 +113,6 @@ class AgentSuite(Persistent):
         for app_name, agent in self.service_agents.items():
             bus.subscribe(agent, lambda t, name=app_name: t.subject == name)
 
-    # -- manual drive (tests, examples) ------------------------------------------
-
-    def run_all_now(self) -> None:
-        for agent in self.agents:
-            agent.run()
-
     def demand_wake_all(self) -> int:
         """The admin watchdog's troubleshooting knock: wake the whole
         complement now.  Returns how many agents accepted the wake."""

@@ -12,9 +12,7 @@ see the simulation-speed note in DESIGN.md).
 from repro.faults.models import (Category, CategoryProfile, FaultEvent,
                                  CATEGORY_PROFILES)
 from repro.faults.injector import FaultInjector
-from repro.faults.campaign import (Campaign, CampaignResult, PipelineParams,
-                                   paper_comparison_rows)
+from repro.faults.campaign import Campaign, CampaignResult, PipelineParams
 
 __all__ = ["Category", "CategoryProfile", "FaultEvent", "CATEGORY_PROFILES",
-           "FaultInjector", "Campaign", "CampaignResult", "PipelineParams",
-           "paper_comparison_rows"]
+           "FaultInjector", "Campaign", "CampaignResult", "PipelineParams"]

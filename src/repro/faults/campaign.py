@@ -24,8 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.faults.models import (CATEGORY_PROFILES, Category,
-                                 CategoryProfile, TimePattern,
-                                 PAPER_FIG2_HOURS)
+                                 CategoryProfile, TimePattern)
 from repro.ops.operators import OperatorModel, Resolution
 from repro.sim.calendar import (BUSINESS_END, BUSINESS_START, DAY, HOUR,
                                 WEEK, YEAR, period_of)
@@ -104,25 +103,14 @@ class CampaignResult:
         return {k: float(np.mean(v)) / 3600.0 if v else 0.0
                 for k, v in sums.items()}
 
-    def auto_repair_rate(self) -> float:
-        scored = [r for r in self.records if not r.prevented]
-        if not scored:
-            return 0.0
-        return sum(r.auto for r in scored) / len(scored)
-
-    def prevention_rate(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.prevented for r in self.records) / len(self.records)
-
 
 class Campaign:
     """Samples fault arrivals and scores pipelines over them."""
 
-    def __init__(self, rng, *, horizon: float = YEAR, scale: float = 1.0):
+    def __init__(self, rng, *, horizon: float = YEAR):
         self.rng = rng
         self.horizon = float(horizon)
-        self.scale = float(scale)
+        self.scale = 1.0
         self.profiles = dict(CATEGORY_PROFILES)
         self._arrivals: Optional[Dict[Category, np.ndarray]] = None
 
@@ -199,35 +187,12 @@ class Campaign:
                     weight=prof.downtime_weight))
         return result
 
-    def run_pair(self, *, agent_period: float = 300.0,
-                 before_rng=None, after_rng=None
+    def run_pair(self, *, before_rng=None, after_rng=None
                  ) -> tuple[CampaignResult, CampaignResult]:
         """The Fig. 2 comparison: manual year vs agent year over the
         same fault draw."""
-        before = self.run(PipelineParams(False, agent_period, "before"),
+        before = self.run(PipelineParams(False, label="before"),
                           operator_rng=before_rng)
-        after = self.run(PipelineParams(True, agent_period, "after"),
+        after = self.run(PipelineParams(True, label="after"),
                          operator_rng=after_rng)
         return before, after
-
-
-def paper_comparison_rows(before: CampaignResult,
-                          after: CampaignResult) -> List[dict]:
-    """Rows joining measured hours with the paper's Fig. 2 values."""
-    hb, ha = before.hours_by_category(), after.hours_by_category()
-    rows = []
-    for cat in Category:
-        pb, pa = PAPER_FIG2_HOURS[cat]
-        rows.append({
-            "category": cat.value,
-            "paper_before_h": pb, "paper_after_h": pa,
-            "measured_before_h": hb[cat], "measured_after_h": ha[cat],
-        })
-    rows.append({
-        "category": "total",
-        "paper_before_h": sum(v[0] for v in PAPER_FIG2_HOURS.values()),
-        "paper_after_h": sum(v[1] for v in PAPER_FIG2_HOURS.values()),
-        "measured_before_h": before.total_hours(),
-        "measured_after_h": after.total_hours(),
-    })
-    return rows

@@ -36,7 +36,7 @@ from repro.cluster.hardware import ComponentKind, ComponentState
 from repro.persist.core import Persistent, pendings, rows, scalar
 
 __all__ = ["FaultInjector", "FaultSpec", "FAULT_CATALOG",
-           "OverlappingFaultError", "spec_for"]
+           "OverlappingFaultError"]
 
 
 class OverlappingFaultError(ValueError):
@@ -107,11 +107,6 @@ FAULT_CATALOG: Tuple[FaultSpec, ...] = (
 )
 
 _CATALOG_BY_KIND: Dict[str, FaultSpec] = {s.kind: s for s in FAULT_CATALOG}
-
-
-def spec_for(kind: str) -> FaultSpec:
-    """The catalog entry for ``kind`` (KeyError when unknown)."""
-    return _CATALOG_BY_KIND[kind]
 
 
 class FaultInjector(Persistent):

@@ -65,11 +65,11 @@ class Dist:
     mean: float
     sigma: float = 0.6
 
-    def sample(self, rng, n: Optional[int] = None):
+    def sample(self, rng):
         import numpy as np
         # lognormal with E[X] = mean: mu = ln(mean) - sigma^2/2
         mu = np.log(self.mean) - self.sigma ** 2 / 2.0
-        return rng.lognormal(mu, self.sigma, size=n)
+        return rng.lognormal(mu, self.sigma)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,10 @@ from repro.metrics.circular_log import CircularLog
 from repro.metrics.samplers import (Sample, SamplerSuite, WORKGROUPS)
 from repro.metrics.microstate import MicrostateAccountant
 from repro.metrics.timeseries import TimeSeries, merge_by_timestamp
-from repro.metrics.timeline import (render_dashboard, render_timeline,
-                                    sparkline)
+from repro.metrics.timeline import render_dashboard, sparkline
 from repro.metrics.accounting import ProcessAccountant
 
 __all__ = ["CircularLog", "Sample", "SamplerSuite", "WORKGROUPS",
            "MicrostateAccountant", "TimeSeries", "merge_by_timestamp",
-           "render_dashboard", "render_timeline", "sparkline",
+           "render_dashboard", "sparkline",
            "ProcessAccountant"]

@@ -40,9 +40,6 @@ class CircularLog:
     def lines(self) -> List[str]:
         return self.fs.read(self.path)
 
-    def last(self, n: int = 1) -> List[str]:
-        return self.lines()[-n:]
-
     def __len__(self) -> int:
         return len(self.fs.read(self.path))
 

@@ -13,25 +13,22 @@ workgroups can be eyeballed together.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.metrics.timeseries import TimeSeries
 
-__all__ = ["sparkline", "render_timeline", "render_dashboard"]
+__all__ = ["sparkline", "render_dashboard"]
 
 _BLOCKS = " .:-=+*#%@"
 
 
-def sparkline(values: Sequence[float], *, width: int = 60,
-              lo: Optional[float] = None,
-              hi: Optional[float] = None) -> str:
+def sparkline(values: Sequence[float], *, width: int = 60) -> str:
     """Render values as a fixed-width ASCII sparkline.
 
     Values are bucket-averaged down (or sampled up) to ``width`` cells
-    and mapped onto a 10-level block ramp.  ``lo``/``hi`` pin the scale
-    (defaults: data min/max).
+    and mapped onto a 10-level block ramp scaled to the data's min/max.
     """
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
@@ -51,28 +48,13 @@ def sparkline(values: Sequence[float], *, width: int = 60,
             last = c
         filled.append(last)
     cells = np.asarray(filled)
-    floor = float(np.min(vals)) if lo is None else lo
-    ceil = float(np.max(vals)) if hi is None else hi
+    floor = float(np.min(vals))
+    ceil = float(np.max(vals))
     span = max(1e-12, ceil - floor)
     levels = np.clip((cells - floor) / span, 0.0, 1.0)
     ramp = np.minimum((levels * (len(_BLOCKS) - 1)).round().astype(int),
                       len(_BLOCKS) - 1)
     return "".join(_BLOCKS[i] for i in ramp)
-
-
-def render_timeline(series: TimeSeries, *, width: int = 60) -> List[str]:
-    """One series as [header, sparkline, axis] lines."""
-    name = series.name
-    vals = series.values
-    if vals.size == 0:
-        return [f"{name}: (no samples)"]
-    t = series.times
-    head = (f"{name}: min={vals.min():.1f} mean={vals.mean():.1f} "
-            f"max={vals.max():.1f} (n={vals.size})")
-    line = "|" + sparkline(vals, width=width) + "|"
-    axis = (f" t=[{t[0]:.0f} .. {t[-1]:.0f}]s "
-            f"({(t[-1] - t[0]) / 3600.0:.1f} h)")
-    return [head, line, axis]
 
 
 def render_dashboard(named_series: Dict[str, TimeSeries], *,

@@ -65,10 +65,6 @@ class TimeSeries:
         """Newest value (0.0 on an empty series)."""
         return self._v[-1] if self._v else 0.0
 
-    def last_time(self) -> float:
-        """Newest timestamp (-inf on an empty series)."""
-        return self._t[-1] if self._t else float("-inf")
-
     def value_at(self, t: float) -> float:
         """Value of the newest sample with timestamp <= ``t``.
 
@@ -143,12 +139,6 @@ class TimeSeries:
         sums = np.bincount(inverse, weights=v)
         counts = np.bincount(inverse)
         return (uniq * period, sums / counts)
-
-    def breaches(self, threshold: float, above: bool = True) -> np.ndarray:
-        """Timestamps where the series crosses a threshold."""
-        t, v = self.times, self.values
-        mask = v > threshold if above else v < threshold
-        return t[mask]
 
 
 def merge_by_timestamp(series: Sequence[TimeSeries], *,

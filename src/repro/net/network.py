@@ -102,9 +102,6 @@ class Lan(Persistent):
         host.nics[ifname] = nic
         return nic
 
-    def nic_of(self, host) -> Optional[Nic]:
-        return self.nics.get(host.name)
-
     # -- failure ------------------------------------------------------------------
 
     def fail(self) -> None:

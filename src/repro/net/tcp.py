@@ -27,10 +27,6 @@ class ConnectResult:
     app: object = None
     lan_name: str = ""
 
-    @property
-    def timed_out(self) -> bool:
-        return self.error == "timeout"
-
 
 def find_listener(host, port: int):
     """The application on ``host`` listening on ``port``, if any."""
@@ -42,13 +38,11 @@ def find_listener(host, port: int):
 
 def tcp_connect(dc, src_name: str, dst_name: str, port: int, *,
                 timeout_ms: float = 5000.0,
-                prefer_kind: str = "public",
                 restrict_kind: str = "") -> ConnectResult:
     """Attempt a connection from ``src`` to ``dst``:``port``.
 
-    ``prefer_kind`` selects which LAN class to try first ("public" for
-    user/application traffic, "private" for agent traffic), with the
-    other class as a fall-back.  ``restrict_kind`` forbids the
+    Public LANs are tried first (this is user/application traffic),
+    with the private class as a fall-back.  ``restrict_kind`` forbids the
     fall-back entirely: application traffic is *never* allowed onto the
     private agent network (its whole point is isolation), so service
     probes pass ``restrict_kind="public"``.  The
@@ -73,7 +67,7 @@ def tcp_connect(dc, src_name: str, dst_name: str, port: int, *,
     lans = dc.shared_lans(src_name, dst_name)
     if restrict_kind:
         lans = [l for l in lans if l.kind == restrict_kind]
-    lans.sort(key=lambda l: (l.kind != prefer_kind, l.name))
+    lans.sort(key=lambda l: (l.kind != "public", l.name))
     chosen = None
     latency = 0.0
     for lan in lans:

@@ -16,13 +16,12 @@ from repro.observe.alerts import (Alert, AlertManager, BurnRateRule,
                                   DEFAULT_BURN_RULES)
 from repro.observe.incidents import (IncidentReport, build_reports,
                                      reconcile, render_markdown,
-                                     render_markdown_all, reports_to_json,
-                                     write_json)
+                                     render_markdown_all, reports_to_json)
 from repro.observe.pipeline import TelemetryHub
 
 __all__ = [
     "TelemetryHub",
     "Alert", "AlertManager", "BurnRateRule", "DEFAULT_BURN_RULES",
     "IncidentReport", "build_reports", "reconcile", "render_markdown",
-    "render_markdown_all", "reports_to_json", "write_json",
+    "render_markdown_all", "reports_to_json",
 ]

@@ -227,12 +227,5 @@ class AlertManager(Persistent):
         return sorted(self._active.values(),
                       key=lambda a: (a.fired_at, a.key))
 
-    def first_fired_at(self, *, fault_id: str = "") -> Optional[float]:
-        """Earliest page time (optionally only alerts attributed to one
-        fault id) -- the detection-latency probe the experiments use."""
-        times = [a.fired_at for a in self.history
-                 if not fault_id or a.fault_id == fault_id]
-        return min(times) if times else None
-
     def alerts_for(self, fault_id: str) -> List[Alert]:
         return [a for a in self.history if a.fault_id == fault_id]

@@ -21,7 +21,6 @@ pass over the same windows.  :func:`reconcile` checks both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -31,8 +30,7 @@ from repro.trace.export import incident_traces
 from repro.traffic.slo import IncidentWindow, join_demand
 
 __all__ = ["IncidentReport", "build_reports", "reconcile",
-           "render_markdown", "render_markdown_all", "reports_to_json",
-           "write_json"]
+           "render_markdown", "render_markdown_all", "reports_to_json"]
 
 
 @dataclass
@@ -350,10 +348,3 @@ def reports_to_json(reports: List[IncidentReport],
     if recon is not None:
         doc["reconciliation"] = dict(recon)
     return doc
-
-
-def write_json(reports: List[IncidentReport], path: str,
-               recon: Optional[Mapping] = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(reports_to_json(reports, recon), fh, indent=2,
-                  sort_keys=True)

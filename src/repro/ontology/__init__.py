@@ -11,7 +11,7 @@ tools (operators) and human administrators":
   server *does* look like right now, regenerated by its status agent.
 - **DGSPL** (:mod:`dgspl`) -- dynamic global service profile lists:
   datacentre-wide service availability, built by the administration
-  servers from the DLSPs (and usable to "present services to grids").
+  servers from the DLSPs.
 
 :mod:`base` holds the shared flat-ASCII record codec; every ontology
 round-trips exactly through text.

@@ -8,8 +8,7 @@ logged in, Geographical Location, Site Name>."
 Built by the administration servers from collected DLSPs, regenerated
 "per database type every 15 minutes on average", and queried by the
 job manager to produce the best-server-first shortlist for
-resubmissions.  §5 notes the same lists could feed grid resource
-discovery, which :meth:`Dgspl.grid_advertisement` sketches.
+resubmissions.
 """
 
 from __future__ import annotations
@@ -69,9 +68,6 @@ class Dgspl:
     def services_of_type(self, app_type: str) -> List[GlobalServiceEntry]:
         return [e for e in self.entries if e.app_type == app_type]
 
-    def on_server(self, server: str) -> List[GlobalServiceEntry]:
-        return [e for e in self.entries if e.server == server]
-
     def shortlist(self, app_type: str, *, min_power: float = 0.0,
                   exclude_servers: Iterable[str] = (),
                   max_load: Optional[float] = None
@@ -92,16 +88,6 @@ class Dgspl:
             if e.server == server:
                 return e.power
         return 0.0
-
-    def grid_advertisement(self) -> List[str]:
-        """§5's future-work hook: present available services to a grid
-        resource-discovery mechanism as one line per service."""
-        return [
-            f"service://{e.site}/{e.server}/{e.app_name} "
-            f"type={e.app_type} version={e.app_version} os={e.os} "
-            f"cpus={e.cpus} ram_mb={e.ram_mb} load={e.current_load:.2f}"
-            for e in sorted(self.entries, key=lambda x: x.server)
-        ]
 
     # -- codec -------------------------------------------------------------------
 

@@ -56,9 +56,6 @@ class Dlsp:
                 return s
         return None
 
-    def healthy_services(self) -> List[ServiceStatus]:
-        return [s for s in self.services if s.healthy]
-
     def is_fresh(self, now: float, window: float) -> bool:
         """Whether this profile is recent enough to act on -- the one
         freshness rule shared by the full DGSPL rebuild and the

@@ -16,7 +16,7 @@ template to honour the "equal or higher in power" reallocation rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ontology.base import (OntologyDoc, OntologyError, decode_list,
                                  encode_list)
@@ -80,11 +80,10 @@ class Deviation:
 class Slkt:
     """A host's static knowledge template."""
 
-    def __init__(self, hostname: str, hardware: HardwareTemplate,
-                 apps: Optional[Dict[str, AppTemplate]] = None):
+    def __init__(self, hostname: str, hardware: HardwareTemplate):
         self.hostname = hostname
         self.hardware = hardware
-        self.apps: Dict[str, AppTemplate] = dict(apps or {})
+        self.apps: Dict[str, AppTemplate] = {}
 
     def add_app(self, tmpl: AppTemplate) -> None:
         self.apps[tmpl.name] = tmpl

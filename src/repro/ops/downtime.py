@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.faults.models import Category
 from repro.persist.core import Persistent, rows, via
 
@@ -103,17 +101,6 @@ class DowntimeLedger(Persistent):
         inc.escalated = escalated
         return inc
 
-    def record(self, category: Category, target: str, start: float,
-               duration: float, *, detected_at: Optional[float] = None,
-               auto_repaired: Optional[bool] = None,
-               note: str = "") -> Incident:
-        """Record a complete incident in one call (campaign fast path)."""
-        inc = Incident(category, target, start, end=start + duration,
-                       detected_at=detected_at, auto_repaired=auto_repaired,
-                       note=note)
-        self.incidents.append(inc)
-        return inc
-
     # -- persistence -----------------------------------------------------------
 
     def _save_open(self) -> dict:
@@ -153,28 +140,3 @@ class DowntimeLedger(Persistent):
 
     def total_hours(self, as_of: Optional[float] = None) -> float:
         return sum(self.hours_by_category(as_of).values())
-
-    def count_by_category(self) -> Dict[Category, int]:
-        out: Dict[Category, int] = {c: 0 for c in Category}
-        for inc in self.incidents:
-            out[inc.category] += 1
-        return out
-
-    def mean_duration_hours(self, category: Optional[Category] = None) -> float:
-        durations = [i.duration for i in self.closed()
-                     if category is None or i.category is category]
-        if not durations:
-            return 0.0
-        return float(np.mean(durations)) / 3600.0
-
-    def detection_latencies(self) -> np.ndarray:
-        vals = [i.detection_latency for i in self.incidents
-                if i.detection_latency is not None]
-        return np.asarray(vals, dtype=np.float64)
-
-    def auto_repair_rate(self) -> float:
-        flags = [i.auto_repaired for i in self.closed()
-                 if i.auto_repaired is not None]
-        if not flags:
-            return 0.0
-        return sum(flags) / len(flags)

@@ -65,8 +65,5 @@ class NotificationChannel(Persistent):
     def since(self, t: float) -> List[Notification]:
         return [n for n in self.sent if n.time >= t]
 
-    def by_severity(self, severity: str) -> List[Notification]:
-        return [n for n in self.sent if n.severity == severity]
-
     def count(self) -> int:
         return len(self.sent)

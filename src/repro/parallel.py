@@ -23,6 +23,9 @@ from typing import Callable, Generic, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
+#: smallest batch worth a process pool
+MIN_PARALLEL = 4
+
 __all__ = ["ReplicationError", "SeedOutcome", "replicate",
            "replicate_outcomes", "default_workers"]
 
@@ -80,7 +83,7 @@ def _failed(seed: int, exc: Exception):
 
 def replicate(fn: Callable[[int], T], seeds: Sequence[int], *,
               processes: Optional[int] = None,
-              min_parallel: int = 4) -> List[T]:
+              min_parallel: int = MIN_PARALLEL) -> List[T]:
     """Run ``fn(seed)`` for every seed, in parallel when it pays.
 
     ``fn`` must be a module-level (picklable) callable.  Results come
@@ -110,11 +113,6 @@ class SeedOutcome(Generic[T]):
     value: Optional[T] = None
     error: str = ""
 
-    def unwrap(self) -> T:
-        if not self.ok:
-            raise ReplicationError(self.seed, RuntimeError(self.error))
-        return self.value
-
 
 def _outcome_call(fn: Callable[[int], T], seed: int) -> SeedOutcome:
     try:
@@ -124,8 +122,7 @@ def _outcome_call(fn: Callable[[int], T], seed: int) -> SeedOutcome:
 
 
 def replicate_outcomes(fn: Callable[[int], T], seeds: Sequence[int], *,
-                       processes: Optional[int] = None,
-                       min_parallel: int = 4) -> List[SeedOutcome]:
+                       processes: Optional[int] = None) -> List[SeedOutcome]:
     """Run ``fn(seed)`` for every seed, returning per-seed
     :class:`SeedOutcome` records in seed order.
 
@@ -138,5 +135,5 @@ def replicate_outcomes(fn: Callable[[int], T], seeds: Sequence[int], *,
     # a pool-level failure for one seed (e.g. the value would not
     # pickle) is still a structured outcome
     return _fan_out(
-        partial(_outcome_call, fn), seeds, processes, min_parallel,
+        partial(_outcome_call, fn), seeds, processes, MIN_PARALLEL,
         lambda seed, exc: SeedOutcome(seed, False, error=repr(exc)))

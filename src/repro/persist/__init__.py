@@ -22,7 +22,7 @@ whole-world checkpoints:
   pending events at their exact ``(time, priority, seq)`` tokens on
   restore so a resumed run is byte-identical to the monolithic one.
   One ordered layer table drives the snapshot, restore and claim walks.
-- :mod:`repro.persist.federation_state` -- :func:`snapshot_federation`
+- :mod:`repro.persist.federation_state` -- :func:`sealed_federation`
   / :func:`restore_federation`: the per-site documents plus the layers
   between sites, listed once in the same entry vocabulary.  A document
   of the wrong kind is refused by name.
@@ -38,13 +38,13 @@ from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
 from repro.persist.site_state import (fresh_site, restore_site,
                                       snapshot_site)
 from repro.persist.federation_state import (restore_federation,
-                                            snapshot_federation)
+                                            sealed_federation)
 from repro.persist.checkpoint import CheckpointManager
 
 __all__ = [
     "FORMAT_VERSION", "QuiescenceError", "Snapshottable",
     "canonical_json", "state_hash",
     "snapshot_site", "restore_site", "fresh_site",
-    "snapshot_federation", "restore_federation",
+    "sealed_federation", "restore_federation",
     "CheckpointManager",
 ]

@@ -199,11 +199,6 @@ class CheckpointManager:
                 f"checkpoint is corrupt or incomplete")
         return snap
 
-    @staticmethod
-    def latest(directory: str, label: str = "ckpt") -> Optional[str]:
-        paths = CheckpointManager._listing(directory, label, ".json")
-        return paths[-1] if paths else None
-
     def stats(self) -> Dict[str, float]:
         return {
             "written": self.written,

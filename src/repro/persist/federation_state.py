@@ -25,7 +25,7 @@ from repro.persist.core import (FORMAT_VERSION, Entry, check_format,
                                 sortedset)
 from repro.persist.site_state import restore_site, sealed_site
 
-__all__ = ["snapshot_federation", "sealed_federation", "restore_federation"]
+__all__ = ["sealed_federation", "restore_federation"]
 
 
 #: Everything a Federation holds between its sites, in document order:
@@ -45,21 +45,14 @@ _LAYERS = (
 _ENVELOPE = ("format", "fedconfig", "sites", "state_hash")
 
 
-def snapshot_federation(fed, *, extras_by_site: Optional[
-        Mapping[str, Mapping[str, object]]] = None) -> dict:
-    """One dict for the whole federation.
-
-    ``extras_by_site`` forwards harness-owned components to each site's
-    :func:`snapshot_site` (same names must be passed on restore).
-    """
-    return sealed_federation(fed, extras_by_site)[0]
-
-
 def sealed_federation(fed, extras_by_site: Optional[
         Mapping[str, Mapping[str, object]]] = None) -> Tuple[dict, List[str]]:
-    """:func:`snapshot_federation`'s document and the pieces of its
-    canonical JSON.  Each site is sealed once and its text handed on as
-    is: the federation's hash and file reuse it, not re-encode it."""
+    """One document for the whole federation and the pieces of its
+    canonical JSON.  ``extras_by_site`` forwards harness-owned
+    components to each site's :func:`sealed_site` (same names must be
+    passed on restore).  Each site is sealed once and its text handed
+    on as is: the federation's hash and file reuse it, not re-encode
+    it."""
     extras_by_site = dict(extras_by_site or {})
     sealed = {name: sealed_site(fed.sites[name], extras_by_site.get(name))
               for name in sorted(fed.sites)}

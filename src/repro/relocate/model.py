@@ -35,7 +35,7 @@ failovers exactly like the live orchestrator's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.faults.campaign import CampaignResult, FaultRecord, PipelineParams
 from repro.faults.models import Category, Dist
@@ -81,6 +81,10 @@ class RelocationPolicy:
                 float(self.verify.sample(rng)))
 
 
+#: the one relocation model every campaign is re-scored with
+POLICY = RelocationPolicy()
+
+
 @dataclass
 class RelocationStats:
     """What the relocation tier did across one campaign."""
@@ -116,7 +120,6 @@ def _record_spans(tracer, rec: FaultRecord, phases, outcome: str) -> None:
 
 
 def apply_relocation(result: CampaignResult, rng, *,
-                     policy: Optional[RelocationPolicy] = None,
                      tracer=NULL_TRACER, label: str = "relocate"
                      ) -> Tuple[CampaignResult, RelocationStats]:
     """Re-score an escalation-only campaign with the relocation tier.
@@ -124,7 +127,7 @@ def apply_relocation(result: CampaignResult, rng, *,
     Deterministic given ``rng``: draws happen in record order, only for
     candidate records, so the same seed gives byte-identical results.
     """
-    policy = policy or RelocationPolicy()
+    policy = POLICY
     stats = RelocationStats()
     out = CampaignResult(
         PipelineParams(True, result.pipeline.agent_period, label),

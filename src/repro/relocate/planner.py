@@ -55,23 +55,19 @@ class PlacementPlan:
     #: candidate host -> first failed constraint
     rejections: Dict[str, str] = field(default_factory=dict)
 
-    def describe(self) -> str:
-        kind = "cold-start on spare" if self.cold else "warm takeover by"
-        return (f"{self.app_name} ({self.app_type}/{self.version}) "
-                f"{self.source_host} -> {self.target_host} ({kind})")
-
 
 class PlacementPlanner:
     """Searches spares + DGSPL under SLKT constraints."""
 
-    def __init__(self, dc, spares, dgspl_fn=None, *,
-                 dgspl_staleness: float = 1800.0):
+    #: a DGSPL older than this (seconds) is not planned from
+    dgspl_staleness = 1800.0
+
+    def __init__(self, dc, spares, dgspl_fn=None):
         self.dc = dc
         self.spares = spares
         #: returns the freshest DGSPL or None; typically
         #: ``admin.current_dgspl``
         self.dgspl_fn = dgspl_fn
-        self.dgspl_staleness = float(dgspl_staleness)
         self.plans_made = 0
         self.plans_failed = 0
 

@@ -49,10 +49,6 @@ class SparePool(Persistent):
         what it can take over)."""
         self.templates[host.name] = slkt or build_slkt(host)
 
-    def deregister(self, host_name: str) -> None:
-        self.templates.pop(host_name, None)
-        self.claims.pop(host_name, None)
-
     # -- queries -------------------------------------------------------------
 
     def is_spare(self, host_name: str) -> bool:
@@ -87,9 +83,6 @@ class SparePool(Persistent):
     def release(self, host_name: str) -> None:
         if self.claims.pop(host_name, None) is not None:
             self.claims_released += 1
-
-    def claimed_for(self, host_name: str) -> Optional[str]:
-        return self.claims.get(host_name)
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<SparePool spares={len(self.templates)} "

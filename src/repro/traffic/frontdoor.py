@@ -46,9 +46,11 @@ class FrontDoor(Persistent):
                 *scalars(int, "routed", "shed_total", "rr_batches",
                          "weighted_batches", "conditions_applied"))
 
+    #: DGSPL older than this is stale -> round-robin fallback
+    staleness = 900.0
+
     def __init__(self, app_type: str, apps: Sequence,
-                 dgspl_fn: Optional[Callable[[], Optional[object]]] = None,
-                 *, staleness: float = 900.0):
+                 dgspl_fn: Optional[Callable[[], Optional[object]]] = None):
         if not apps:
             raise ValueError("front door needs at least one server")
         #: deterministic service order (sorted once; dict draws are not
@@ -58,8 +60,6 @@ class FrontDoor(Persistent):
         #: returns the latest DGSPL (or None); typically
         #: ``lambda: admin.current_dgspl()``
         self.dgspl_fn = dgspl_fn
-        #: DGSPL older than this is stale -> round-robin fallback
-        self.staleness = float(staleness)
         self._down: set = set()
         self._rr_offset = 0
         self._ledgers: List[object] = []
@@ -107,9 +107,6 @@ class FrontDoor(Persistent):
 
     def flag_up(self, server: str) -> None:
         self._down.discard(server)
-
-    def down_servers(self) -> set:
-        return set(self._down)
 
     # -- relocation cutover --------------------------------------------------
 

@@ -155,10 +155,6 @@ class SloStatus:
             return 0.0 if self.bad <= 0 else float("inf")
         return self.bad / self.budget
 
-    @property
-    def met(self) -> bool:
-        return self.bad <= self.budget
-
     @classmethod
     def evaluate(cls, sli: Sli, slo: Slo) -> "SloStatus":
         bad = sli.failed

@@ -68,10 +68,6 @@ class DiurnalProfile:
         base = float(self.weights[int(hours)])
         return base * weekend_factor if is_weekend(t) else base
 
-    @property
-    def peak_hour(self) -> int:
-        return int(np.argmax(self.weights))
-
 
 #: Financial-site profile: a deep overnight trough, a morning ramp as
 #: analysts log in, sustained business-hours load peaking late morning
@@ -147,15 +143,6 @@ class DemandCurve:
             raise ValueError(f"step must be positive, got {step!r}")
         return np.arange(t0, t1, step, dtype=np.float64)
 
-    def demand_per_interval(self, cls: TrafficClass, t0: float, t1: float,
-                            step: float) -> np.ndarray:
-        """Expected requests per ``step``-second interval, vectorised."""
-        return self.rate(cls, self.grid(t0, t1, step)) * step
-
-    def total_requests(self, t0: float, t1: float, step: float) -> float:
-        return float(sum(self.demand_per_interval(c, t0, t1, step).sum()
-                         for c in self.classes))
-
     # -- concurrency (the user-minutes view) ---------------------------------
 
     def active_users(self, t: ArrayLike) -> ArrayLike:
@@ -166,14 +153,13 @@ class DemandCurve:
         scale = self.population * self.peak_active_fraction / peak
         return scale * self.profile.shape(t + self.tz_offset, 0.25)
 
-    def incident_user_minutes(self, start: float, duration: float,
-                              impact: float = 1.0) -> float:
-        """User-minutes lost to a hypothetical incident: concurrent
-        users integrated minute by minute over its window, scaled by the
-        demand fraction it takes out.  This is why a midnight crash
-        costs less QoS than a peak-hours one of the same length."""
+    def incident_user_minutes(self, start: float, duration: float) -> float:
+        """User-minutes lost to a hypothetical full outage: concurrent
+        users integrated minute by minute over its window.  This is why
+        a midnight crash costs less QoS than a peak-hours one of the
+        same length."""
         users = self.active_users(self.grid(start, start + duration, MINUTE))
-        return float(np.sum(users) * impact)
+        return float(np.sum(users))
 
     def __repr__(self) -> str:    # pragma: no cover - debug aid
         return (f"<DemandCurve population={self.population} "

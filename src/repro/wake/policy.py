@@ -31,8 +31,11 @@ class WakePolicy(Persistent):
     _persist = (scalar("current_period", float),
                 *scalars(int, "backoffs", "resets", "triggers"))
 
+    #: multiplicative back-off per clean run
+    backoff = 2.0
+
     def __init__(self, base_period: float, *, mode: str = "adaptive",
-                 max_period: float = 1800.0, backoff: float = 2.0):
+                 max_period: float = 1800.0):
         if mode not in MODES:
             raise ValueError(f"unknown wake policy mode {mode!r}")
         if base_period <= 0:
@@ -40,12 +43,9 @@ class WakePolicy(Persistent):
         if max_period < base_period:
             raise ValueError(
                 f"max period {max_period!r} below base {base_period!r}")
-        if backoff <= 1.0:
-            raise ValueError(f"backoff factor must exceed 1: {backoff!r}")
         self.mode = mode
         self.base_period = float(base_period)
         self.max_period = float(max_period)
-        self.backoff = float(backoff)
         self.current_period = float(base_period)
         self.backoffs = 0
         self.resets = 0

@@ -53,10 +53,12 @@ class TriggerBus(Persistent):
                 table("last_wake", float, attr="_last_wake"),
                 *scalars(int, "published", "demand_wakes", "suppressed"))
 
-    def __init__(self, host, *, cooldown: float = 60.0):
+    #: seconds an agent is not demand-woken again after a wake
+    cooldown = 60.0
+
+    def __init__(self, host):
         self.host = host
         self.sim = host.sim
-        self.cooldown = float(cooldown)
         self.enabled = True
         self._subs: List[Tuple[object, Callable[[Trigger], bool]]] = []
         self._last_wake: Dict[str, float] = {}

@@ -32,7 +32,7 @@ def test_host_down_condition_sheds_within_one_delivery(site):
 
     site.dc.host("fe000").crash("power supply")
     # zero simulated seconds later: the delivery already happened
-    assert "fe000" in door.down_servers()
+    assert "fe000" in door._down
     assert door.conditions_applied >= 1
     assert _targets(door, 100, site.sim.now) == {"fe001"}
 
@@ -76,5 +76,5 @@ def test_ledger_only_door_survives_drain_of_other_tiers(site):
     door.attach_ledger(site.ledger)
     db_app = site.databases[0]
     site.reroute.drain(db_app)
-    assert db_app.host.name not in door.down_servers()
-    assert door.down_servers() == set()
+    assert db_app.host.name not in door._down
+    assert door._down == set()

@@ -38,7 +38,7 @@ def test_feed_stall_bounded_by_healing_time(site):
     assert feed.ticks_dropped <= 10
     assert feed.delivery_rate() > 0.9
     # and the stall is over
-    assert feed.stalled_for(site.sim.now) < 3 * feed.interval
+    assert site.sim.now - feed.last_delivery < 3 * feed.interval
 
 
 def test_feed_survives_one_public_lan(site):
@@ -49,5 +49,4 @@ def test_feed_survives_one_public_lan(site):
     site.run(1 * HOUR)
     # the second public LAN carries the feed (never the agent LAN)
     assert feed.ticks_dropped == dropped_before
-    assert site.dc.lan("agentnet").nic_of(
-        site.dc.host("reuters-gw")) is not None   # attached but unused
+    assert "reuters-gw" in site.dc.lan("agentnet").nics  # attached but unused

@@ -55,7 +55,7 @@ def test_soak_closes_its_incidents(soaked):
     assert len(closed) >= 10
     assert harness.open_incidents() == []
     # repairs were fast: restart-scale, not operator-scale
-    assert ledger.mean_duration_hours() < 0.75
+    assert sum(i.duration for i in closed) / len(closed) < 0.75 * 3600.0
 
 
 def test_soak_agents_did_the_work(soaked):

@@ -174,7 +174,7 @@ _publish = st.one_of(
 def test_door_weights_follow_whatever_is_published(steps):
     current = [None]
     door = FrontDoor("webserver", apps("w1", "w2", "w3"),
-                     lambda: current[0], staleness=900.0)
+                     lambda: current[0])
     now = 0.0
     for (kind, *payload), dt in steps:
         now += dt
@@ -198,7 +198,7 @@ def test_door_derives_once_per_published_list():
     first = dgspl_at(0.0, {"w1": 0.0, "w2": 3.0})
     current = [first]
     door = FrontDoor("webserver", apps("w1", "w2"),
-                     lambda: current[0], staleness=900.0)
+                     lambda: current[0])
     derived = []
     derive = door._derive_weights
     door._derive_weights = lambda d: derived.append(d) or derive(d)

@@ -71,7 +71,8 @@ def test_timeseries_stats_match_numpy(pairs):
 def test_ledger_total_is_sum_of_categories(incidents):
     ledger = DowntimeLedger()
     for i, (cat, start, dur) in enumerate(incidents):
-        ledger.record(cat, f"t{i}", start, dur)
+        ledger.open_incident(cat, f"t{i}", start)
+        ledger.close_incident(f"t{i}", start + dur)
     by_cat = ledger.hours_by_category()
     assert abs(ledger.total_hours() - sum(by_cat.values())) < 1e-6
     expected = sum(d for _, _, d in incidents) / 3600.0

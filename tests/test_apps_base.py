@@ -38,7 +38,7 @@ def test_crash_reaps_processes_and_logs(app, sim):
     app.crash("segfault")
     assert app.state is AppState.CRASHED
     assert not app.processes_present()
-    recs = app.host.syslog.errors_since(0.0, tag="svc")
+    recs = app.host.syslog.grep(tag="svc", min_severity="err")
     assert any("segfault" in r.message for r in recs)
     assert app.crash_count == 1
 
@@ -101,7 +101,8 @@ def test_degrade_and_recover(app, sim):
     assert app.state is AppState.DEGRADED
     ok, ms, _ = app.probe()
     assert ms > healthy_ms or not ok
-    app.recover_degradation()
+    app.restart()
+    sim.run(until=sim.now + app.startup_duration() + 1)
     assert app.is_healthy()
 
 

@@ -53,7 +53,6 @@ def test_one_dead_component_kills_the_service(service, webserver):
     ok, _, err = service.end_to_end_probe()
     assert not ok
     assert "web" in err
-    assert service.unhealthy_components() == ["web"]
 
 
 def test_hung_component_detected(service, database):

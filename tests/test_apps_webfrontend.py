@@ -4,7 +4,7 @@ from repro.apps.frontend import FrontendApp
 
 
 def test_http_get_200(webserver):
-    status, ms = webserver.http_get("/")
+    status, ms = webserver.http_get()
     assert status == 200 and ms > 0
     assert webserver.requests_served == 1
     assert webserver.requests_attempted == 1
@@ -12,7 +12,7 @@ def test_http_get_200(webserver):
 
 def test_http_get_no_answer_when_crashed(webserver):
     webserver.crash("x")
-    status, _ = webserver.http_get("/")
+    status, _ = webserver.http_get()
     assert status == 0
     # a failed GET still counts as an attempt: availability SLIs are
     # served/attempted, so the denominator must include failures
@@ -22,7 +22,7 @@ def test_http_get_no_answer_when_crashed(webserver):
 
 def test_http_get_times_out_when_hung(webserver):
     webserver.hang()
-    status, ms = webserver.http_get("/")
+    status, ms = webserver.http_get()
     assert status == 0 and ms > 0
     assert webserver.requests_attempted == 1
 

@@ -28,9 +28,14 @@ def lsf(dc, sim, rs):
     return cluster
 
 
+def _checkpointing_job(duration, interval):
+    job = BatchJob("ckpt", "u", duration=duration, requested_server="db01")
+    job.checkpoint_interval = interval
+    return job
+
+
 def test_checkpoints_bank_work_on_failure(sim, lsf):
-    job = BatchJob("ckpt", "u", duration=3600.0,
-                   checkpoint_interval=600.0, requested_server="db01")
+    job = _checkpointing_job(3600.0, 600.0)
     lsf.submit(job)
     sim.run(until=sim.now + 1550.0)       # 2 full checkpoints + change
     job.database.crash("mid-job")
@@ -40,8 +45,7 @@ def test_checkpoints_bank_work_on_failure(sim, lsf):
 
 
 def test_resumed_job_finishes_early(sim, lsf):
-    job = BatchJob("ckpt", "u", duration=3600.0,
-                   checkpoint_interval=600.0, requested_server="db01")
+    job = _checkpointing_job(3600.0, 600.0)
     lsf.submit(job)
     sim.run(until=sim.now + 1900.0)
     job.database.crash("x")
@@ -66,8 +70,7 @@ def test_non_checkpointing_job_restarts_from_scratch(sim, lsf):
 
 
 def test_checkpoints_accumulate_across_failures(sim, lsf):
-    job = BatchJob("ckpt", "u", duration=3600.0,
-                   checkpoint_interval=300.0, requested_server="db01")
+    job = _checkpointing_job(3600.0, 300.0)
     lsf.submit(job)
     sim.run(until=sim.now + 700.0)
     job.database.crash("first")
@@ -80,8 +83,7 @@ def test_checkpoints_accumulate_across_failures(sim, lsf):
 
 
 def test_time_left_accounts_for_checkpoints(sim, lsf):
-    job = BatchJob("ckpt", "u", duration=3600.0,
-                   checkpoint_interval=600.0, requested_server="db01")
+    job = _checkpointing_job(3600.0, 600.0)
     lsf.submit(job)
     sim.run(until=sim.now + 650.0)
     job.database.crash("x")
@@ -91,8 +93,7 @@ def test_time_left_accounts_for_checkpoints(sim, lsf):
 
 
 def test_banked_work_capped_at_duration(sim, lsf):
-    job = BatchJob("ckpt", "u", duration=1000.0,
-                   checkpoint_interval=100.0, requested_server="db01")
+    job = _checkpointing_job(1000.0, 100.0)
     lsf.submit(job)
     sim.run(until=sim.now + 999.0)
     job.database.crash("photo finish")

@@ -70,7 +70,8 @@ def test_manual_policy_honours_pinned_server(fleet, rs):
 
 
 def test_manual_policy_habits_are_stable_and_load_blind(fleet, rs):
-    pol = ManualPolicy(rs.get("m"), favourites_per_user=1)
+    pol = ManualPolicy(rs.get("m"))
+    pol.favourites_per_user = 1
     first = pol.choose(_job(user="alice"), fleet)
     # same user, same favourite, regardless of load
     first.host.extra_runnable = first.host.effective_cpus() * 20

@@ -22,8 +22,8 @@ def lsf(dc, sim, rs):
 
 
 def test_nightly_batch_submits_on_weekday_evening(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=10,
-                           daytime_jobs_per_hour=0.0)
+    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=10)
+    wl.daytime_jobs_per_hour = 0.0
     wl.start()
     # epoch is Monday 00:00; submissions land at 20:00
     sim.run(until=19.9 * HOUR)
@@ -33,8 +33,8 @@ def test_nightly_batch_submits_on_weekday_evening(sim, lsf, rs):
 
 
 def test_no_nightly_batch_on_weekend(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=10,
-                           daytime_jobs_per_hour=0.0)
+    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=10)
+    wl.daytime_jobs_per_hour = 0.0
     wl.start()
     # run through Friday night...
     sim.run(until=5 * DAY)
@@ -54,8 +54,8 @@ def test_manual_targeting_pins_to_habitual_server(sim, lsf, rs):
 
 
 def test_daytime_jobs_only_in_business_hours(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=0,
-                           daytime_jobs_per_hour=4.0)
+    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=0)
+    wl.daytime_jobs_per_hour = 4.0
     wl.start()
     sim.run(until=7.0 * HOUR)       # before business hours
     assert len(wl.submitted) == 0
@@ -65,8 +65,8 @@ def test_daytime_jobs_only_in_business_hours(sim, lsf, rs):
 
 def test_bounced_submissions_counted(sim, lsf, rs):
     lsf.master.crash("x")
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5,
-                           daytime_jobs_per_hour=0.0)
+    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5)
+    wl.daytime_jobs_per_hour = 0.0
     wl.start()
     sim.run(until=21 * HOUR)
     assert wl.bounced == 5
@@ -74,8 +74,8 @@ def test_bounced_submissions_counted(sim, lsf, rs):
 
 
 def test_completion_stats(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5,
-                           daytime_jobs_per_hour=0.0)
+    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5)
+    wl.daytime_jobs_per_hour = 0.0
     wl.start()
     sim.run(until=3 * DAY)      # Mon, Tue and Wed evenings
     stats = wl.completion_stats()
@@ -85,8 +85,8 @@ def test_completion_stats(sim, lsf, rs):
 
 
 def test_stop_halts_generation(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5,
-                           daytime_jobs_per_hour=0.0)
+    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5)
+    wl.daytime_jobs_per_hour = 0.0
     wl.start()
     sim.run(until=21 * HOUR)
     n = len(wl.submitted)

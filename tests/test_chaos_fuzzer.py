@@ -3,6 +3,7 @@ baseline, and the headline planted-bug demo (discover + shrink)."""
 
 import pytest
 
+from repro.chaos import fuzzer
 from repro.chaos.coverage import CoverageMap
 from repro.chaos.executor import run_episode
 from repro.chaos.fuzzer import ScenarioFuzzer
@@ -51,14 +52,20 @@ def test_rarest_orders_by_count():
 # -- campaigns (each episode ~0.2 s; budgets kept small) ------------------------
 
 
-def _small_corpus():
-    corpus = build_corpus(0)
-    return [corpus["cron-silence"], corpus["cascade"]]
+SMALL_CORPUS = ("cron-silence", "cascade")
 
 
-def test_clean_campaign_no_violations_monotonic_coverage():
-    fz = ScenarioFuzzer(seed=0, corpus=_small_corpus(), episodes=10,
-                        batch=5)
+@pytest.fixture
+def small_corpus(monkeypatch):
+    """The fuzzer seeded with two of the committed builders only."""
+    def two_builders(seed):
+        corpus = build_corpus(seed)
+        return {name: corpus[name] for name in SMALL_CORPUS}
+    monkeypatch.setattr(fuzzer, "build_corpus", two_builders)
+
+
+def test_clean_campaign_no_violations_monotonic_coverage(small_corpus):
+    fz = ScenarioFuzzer(seed=0, episodes=10, batch=5)
     res = fz.run()
     assert res.episodes == 10
     assert res.violations == []
@@ -68,14 +75,13 @@ def test_clean_campaign_no_violations_monotonic_coverage():
     assert len(res.coverage) > 10
     # mutants add markers the two corpus seeds alone missed, or the
     # fuzzer is just replaying
-    assert sizes[-1] > sizes[len(_small_corpus()) - 1]
+    assert sizes[-1] > sizes[len(SMALL_CORPUS) - 1]
     assert res.admitted
 
 
-def test_campaign_deterministic_under_fixed_seed():
+def test_campaign_deterministic_under_fixed_seed(small_corpus):
     def campaign():
-        fz = ScenarioFuzzer(seed=11, corpus=_small_corpus(),
-                            episodes=10, batch=5)
+        fz = ScenarioFuzzer(seed=11, episodes=10, batch=5)
         return fz.run()
     a, b = campaign(), campaign()
     assert a.coverage.to_json() == b.coverage.to_json()
@@ -84,26 +90,20 @@ def test_campaign_deterministic_under_fixed_seed():
             == [v["scenario_id"] for v in b.violations])
 
 
-def test_empty_corpus_self_seeds():
-    fz = ScenarioFuzzer(seed=2, corpus=[], episodes=4, batch=4)
-    assert len(fz.corpus) == 4
-    res = fz.run()
-    assert res.episodes == 4
-
-
 # -- the planted-bug demo -------------------------------------------------------
 
 
 @pytest.mark.slow
-def test_fuzzer_finds_planted_bug_and_shrinker_reduces_it():
+def test_fuzzer_finds_planted_bug_and_shrinker_reduces_it(monkeypatch):
     """The acceptance demo: with the test-only planted regression armed
     (deadline-wheel mis-arms deep-backoff deadlines), a fuzzer seeded
     WITHOUT the wake-adversarial scenario must compose the adversarial
     timing itself, and the shrinker must reduce the find to <= 5
     events that still trip the same oracle."""
-    corpus = [sc for name, sc in build_corpus(0).items()
-              if name != "wake-adversarial"]
-    fz = ScenarioFuzzer(seed=0, corpus=corpus, episodes=200, batch=10,
+    monkeypatch.setattr(fuzzer, "build_corpus", lambda seed: {
+        name: sc for name, sc in build_corpus(seed).items()
+        if name != "wake-adversarial"})
+    fz = ScenarioFuzzer(seed=0, episodes=200, batch=10,
                         planted_bug=True, max_violations=1)
     res = fz.run()
     assert res.violations, "fuzzer failed to find the planted bug"

@@ -5,9 +5,7 @@ import pytest
 from repro.chaos.scenario import (BUILDERS, MAX_EVENTS, MAX_HORIZON,
                                   MIN_HORIZON, OPS, TARGET_POOLS, WORLDS,
                                   ChaosEvent, Scenario, build_corpus,
-                                  make_target, parse_target,
-                                  random_scenario)
-from repro.sim import RandomStreams
+                                  make_target, parse_target)
 
 
 def test_parse_target():
@@ -96,13 +94,6 @@ def test_every_builder_is_valid_and_named():
         sc.validate()
         for ev in sc.events:
             assert ev.op in OPS
-
-
-def test_random_scenario_is_valid_and_stream_deterministic():
-    a = random_scenario(RandomStreams(5).get("g"), "r", seed=5)
-    b = random_scenario(RandomStreams(5).get("g"), "r", seed=5)
-    a.validate()
-    assert a.to_json() == b.to_json()
 
 
 # -- the world a scenario names -------------------------------------------------

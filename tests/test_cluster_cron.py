@@ -81,8 +81,11 @@ def test_bad_period_rejected(db_host):
 
 
 def test_next_fire(sim, db_host):
-    db_host.crond.register("t", 300.0, lambda: None, offset=10.0)
-    assert db_host.crond.next_fire("t") == 10.0
+    ticks = []
+    db_host.crond.register("t", 300.0, lambda: ticks.append(sim.now),
+                           offset=10.0)
+    sim.run(until=11.0)
+    assert ticks == [10.0]
 
 
 def test_set_period_rearms_onto_new_grid(sim, db_host):

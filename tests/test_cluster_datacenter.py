@@ -60,9 +60,9 @@ def test_probe_unknown_host(dc):
 
 
 def test_probe_fails_when_nic_dead(dc):
-    nic = dc.lan("public0").nic_of(dc.host("db01"))
+    nic = dc.lan("public0").nics["db01"]
     nic.fail()
     # agentnet still shared and healthy
     assert dc.probe("db01", "adm01")[0]
-    dc.lan("agentnet").nic_of(dc.host("db01")).fail()
+    dc.lan("agentnet").nics["db01"].fail()
     assert not dc.probe("db01", "adm01")[0]

@@ -31,13 +31,6 @@ def test_power_orders_models_sensibly():
     assert spec("sun-e4500").power > spec("sun-ultra10").power
 
 
-def test_scaled_variant():
-    big = spec("sun-e10k").scaled(cpus=32, ram_mb=32768)
-    assert big.cpus == 32
-    assert big.model == "sun-e10k"
-    assert big.power > spec("sun-e10k").power
-
-
 def test_specs_are_frozen():
     with pytest.raises(Exception):
         spec("sun-e450").cpus = 64

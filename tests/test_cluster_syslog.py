@@ -7,13 +7,13 @@ from repro.cluster.syslog import Syslog
 
 @pytest.fixture
 def log():
-    return Syslog(maxlen=100)
+    return Syslog()
 
 
 def test_log_and_tail(log):
     log.info(1.0, "oracle", "started")
     log.error(2.0, "oracle", "ORA-00600 internal error")
-    recs = log.tail(10)
+    recs = list(log.records)
     assert len(recs) == 2
     assert recs[-1].severity == "err"
 
@@ -36,11 +36,12 @@ def test_grep_by_tag_severity_and_time(log):
 def test_errors_since(log):
     log.error(1.0, "a", "x")
     log.error(5.0, "a", "y")
-    assert len(log.errors_since(2.0)) == 1
+    assert len(log.grep(min_severity="err", since=2.0)) == 1
 
 
-def test_bounded_history():
-    log = Syslog(maxlen=5)
+def test_bounded_history(monkeypatch):
+    monkeypatch.setattr(Syslog, "MAXLEN", 5)
+    log = Syslog()
     for i in range(10):
         log.info(float(i), "t", f"m{i}")
     assert len(log.records) == 5

@@ -62,7 +62,6 @@ def test_rules_dispatch_on_symptom_kind(db_host):
     assert engine.diagnose(db_host, _finding("a")).cause == "cause-a"
     assert engine.diagnose(db_host, _finding("b")).cause == "cause-b"
     assert len(engine) == 2
-    assert len(engine.rules_for("a")) == 1
 
 
 def test_runtime_rule_extension(db_host):

@@ -58,7 +58,6 @@ def test_windows_skip_prevented_faults(result):
     rs = rsim.RandomStreams(3)
     campaign = Campaign(rs.get("userqos.campaign"), horizon=HORIZON)
     before, after = campaign.run_pair(
-        agent_period=300.0,
         before_rng=rs.get("userqos.ops.before"),
         after_rng=rs.get("userqos.ops.after"))
     wins = windows_of(after)

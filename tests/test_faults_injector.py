@@ -53,8 +53,9 @@ def test_wrong_process_killed_degrades(inj, database, sim):
 def test_runaway_and_leak(inj, db_host):
     inj.runaway_process(db_host)
     assert any(p.cpu_pct > 90 for p in db_host.ptable)
+    free_mb = db_host.os_metrics()["free_mb"]
     inj.memory_leak(db_host)
-    assert db_host.memory_pressure() > 0
+    assert db_host.os_metrics()["free_mb"] < free_mb
 
 
 def test_disk_fill(inj, db_host):
@@ -105,8 +106,7 @@ def test_random_fault_returns_none_without_targets(dc, rs):
 
 # -- overlap rejection + the structured catalog (chaos contracts) ---------------
 
-from repro.faults.injector import (FAULT_CATALOG, OverlappingFaultError,
-                                   spec_for)
+from repro.faults.injector import FAULT_CATALOG, OverlappingFaultError
 
 
 def test_double_crash_rejected_not_last_writer_wins(inj, database):
@@ -166,7 +166,6 @@ def test_lan_failure_twice_rejected(inj, dc):
 def test_catalog_methods_exist_and_dispatch(inj, database):
     for spec in FAULT_CATALOG:
         assert callable(getattr(inj, spec.method)), spec.kind
-        assert spec_for(spec.kind) is spec
     ev = inj.inject("db-crash", database)
     assert ev.kind == "db-crash"
     assert ev.category is Category.MID_CRASH

@@ -8,7 +8,7 @@ import json
 from repro.experiments.site import SiteConfig, build_site
 from repro.federation import (FederationConfig, SiteSpec,
                               build_federation, three_site_config)
-from repro.persist import (restore_federation, snapshot_federation,
+from repro.persist import (restore_federation, sealed_federation,
                            snapshot_site)
 from repro.sim.calendar import HOUR
 from repro.traffic.workload import Region
@@ -73,10 +73,10 @@ def test_checkpoint_restore_continues_identically():
 
     fed = build()
     fed.run(1 * HOUR - fed.now)
-    snap = snapshot_federation(fed)
+    snap = sealed_federation(fed)[0]
 
     restored = restore_federation(snap)
-    assert snapshot_federation(restored)["state_hash"] == snap["state_hash"]
+    assert sealed_federation(restored)[0]["state_hash"] == snap["state_hash"]
 
     fed.run(1 * HOUR)
     restored.run(1 * HOUR)

@@ -159,7 +159,8 @@ def test_condition_log_ring_drops_and_counts():
 
 
 def test_ledger_force_trim_counts_and_flags_overrun():
-    ledger = ConditionLedger(maxlen=8)
+    ledger = ConditionLedger()
+    ledger.maxlen = 8
     cursor = ledger.subscribe("slow")
     for i in range(20):
         ledger.append("flag", "db01", time=float(i))
@@ -174,7 +175,7 @@ def test_ledger_force_trim_counts_and_flags_overrun():
 
 
 def test_ledger_cursor_driven_trim_keeps_backlog_small():
-    ledger = ConditionLedger(maxlen=1 << 18)
+    ledger = ConditionLedger()
     cursor = ledger.subscribe("fast")
     for i in range(50):
         ledger.append("flag", "db01", time=float(i))

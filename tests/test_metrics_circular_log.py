@@ -17,7 +17,6 @@ def test_append_and_read(fs):
     log.append("a", now=1.0)
     log.append("b", now=2.0)
     assert log.lines() == ["a", "b"]
-    assert log.last(1) == ["b"]
     assert len(log) == 2
 
 

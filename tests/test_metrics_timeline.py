@@ -1,6 +1,6 @@
 """Unit tests for ASCII timelines."""
 
-from repro.metrics.timeline import render_dashboard, render_timeline, sparkline
+from repro.metrics.timeline import render_dashboard, sparkline
 from repro.metrics.timeseries import TimeSeries
 
 
@@ -28,27 +28,6 @@ def test_sparkline_monotone_input_monotone_output():
 def test_sparkline_flat_series():
     s = sparkline([5.0] * 30, width=10)
     assert len(set(s)) == 1
-
-
-def test_sparkline_pinned_scale():
-    # with lo/hi pinned, a mid value maps mid-ramp
-    s = sparkline([50.0] * 10, width=5, lo=0.0, hi=100.0)
-    ramp = " .:-=+*#%@"
-    assert all(3 <= ramp.index(c) <= 6 for c in s)
-
-
-def test_render_timeline_blocks():
-    ts = _ts("cpu_idle", [90, 80, 30, 95])
-    lines = render_timeline(ts, width=20)
-    assert len(lines) == 3
-    assert "cpu_idle" in lines[0] and "max=95.0" in lines[0]
-    assert lines[1].startswith("|") and lines[1].endswith("|")
-    assert "h)" in lines[2]
-
-
-def test_render_timeline_empty():
-    lines = render_timeline(TimeSeries("x"))
-    assert "no samples" in lines[0]
 
 
 def test_render_dashboard_aligned():

@@ -46,12 +46,6 @@ def test_resample_means_per_bucket():
     assert means.tolist() == [2.0, 10.0, 20.0]
 
 
-def test_breaches():
-    ts = _ts("x", [(0, 1.0), (10, 9.0), (20, 2.0), (30, 11.0)])
-    assert ts.breaches(8.0).tolist() == [10.0, 30.0]
-    assert ts.breaches(2.0, above=False).tolist() == [0.0]
-
-
 def test_merge_exact_timestamps():
     a = _ts("a", [(0, 1.0), (10, 2.0), (20, 3.0)])
     b = _ts("b", [(0, 10.0), (10, 20.0), (20, 30.0)])
@@ -139,7 +133,6 @@ def test_ring_cap_validated():
 def test_last_and_last_time_on_empty():
     ts = TimeSeries("x")
     assert ts.last() == 0.0
-    assert ts.last_time() == float("-inf")
 
 
 def test_value_at_steps_and_clamps():
@@ -160,7 +153,6 @@ def test_empty_series_percentile_window_resample():
     assert len(ts.window(0.0, 100.0)) == 0
     starts, means = ts.resample(60.0)
     assert starts.size == 0 and means.size == 0
-    assert ts.breaches(1.0).size == 0
 
 
 # -- merge ordering and tie-breaking ------------------------------------------

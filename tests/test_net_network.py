@@ -23,7 +23,7 @@ def test_send_updates_counters(dc):
     src, dst = dc.host("db01"), dc.host("adm01")
     ok, latency = lan.send(src, dst, 14600)
     assert ok and latency > 0
-    nsrc, ndst = lan.nic_of(src), lan.nic_of(dst)
+    nsrc, ndst = lan.nics[src.name], lan.nics[dst.name]
     assert nsrc.packets_out == 10    # 14600 / 1460
     assert ndst.packets_in == 10
     assert nsrc.bytes_out == 14600
@@ -35,14 +35,14 @@ def test_send_fails_on_lan_down(dc):
     lan.fail()
     ok, _ = lan.send(dc.host("db01"), dc.host("adm01"), 100)
     assert not ok
-    assert lan.nic_of(dc.host("db01")).errors_out == 1
+    assert lan.nics["db01"].errors_out == 1
     lan.repair()
     assert lan.send(dc.host("db01"), dc.host("adm01"), 100)[0]
 
 
 def test_send_fails_on_dead_nic(dc):
     lan = dc.lan("public0")
-    lan.nic_of(dc.host("adm01")).fail()
+    lan.nics["adm01"].fail()
     assert not lan.send(dc.host("db01"), dc.host("adm01"), 100)[0]
 
 
@@ -72,4 +72,4 @@ def test_collisions_on_saturated_segment(sim, dc):
     # saturate: ~100 Mb/s over the window
     for _ in range(200):
         lan.send(src, dst, 4 * 10**6)
-    assert lan.nic_of(src).collisions > 0
+    assert lan.nics[src.name].collisions > 0

@@ -25,7 +25,7 @@ def test_reroutes_over_public_on_private_failure(dc, ch):
 
 
 def test_reroutes_on_private_nic_failure(dc, ch):
-    dc.lan("agentnet").nic_of(dc.host("db01")).fail()
+    dc.lan("agentnet").nics["db01"].fail()
     d = ch.send("db01", "adm01")
     assert d.ok and d.rerouted
 

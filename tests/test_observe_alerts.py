@@ -89,7 +89,6 @@ def test_alert_attributed_to_newest_fault(sim, notifications, stack):
     sim.run(until=1500.0)
     assert [a.fault_id for a in mgr.firing()] == ["F0042", "F0042"]
     assert "F0042" in notifications.sent[-1].subject
-    assert mgr.first_fired_at(fault_id="F0042") is not None
     assert mgr.alerts_for("F0042") == mgr.firing()
 
 

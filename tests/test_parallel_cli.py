@@ -104,6 +104,10 @@ def test_every_option_is_taken_by_a_row():
     ("fig2 --full-year --hosts 12 --hours 1 --segments 0", "--segments"),
     ("fig2 --full-year --hosts 0 --hours 0.5", "--hosts"),
     ("all --trace out.json", "all takes no --trace"),
+    ("chaos run --episodes 0", "--episodes"),
+    ("chaos run --episodes 5 --max-violations 0", "--max-violations"),
+    ("chaos run --batch 0", "--batch"),
+    ("chaos replay cascade.json --checkpoint-every 0", "--checkpoint-every"),
 ])
 def test_bad_input_is_a_usage_error(argv, needle, capsys, tmp_path,
                                     monkeypatch):
@@ -141,11 +145,11 @@ def test_cli_rejects_unknown_experiment():
 
 # -- structured per-seed outcomes (chaos batch contract) ------------------------
 
-from repro.parallel import SeedOutcome, replicate_outcomes
+from repro.parallel import replicate_outcomes
 
 
 def test_outcomes_never_raise_and_preserve_order():
-    out = replicate_outcomes(_boom, [1, 2, 3, 4], min_parallel=10)
+    out = replicate_outcomes(_boom, [1, 2, 3, 4], processes=1)
     assert [o.seed for o in out] == [1, 2, 3, 4]
     assert [o.ok for o in out] == [True, True, False, True]
     assert out[0].value == 1
@@ -153,18 +157,10 @@ def test_outcomes_never_raise_and_preserve_order():
 
 
 def test_outcomes_parallel_matches_serial():
-    serial = replicate_outcomes(_boom, list(range(8)), min_parallel=100)
-    pooled = replicate_outcomes(_boom, list(range(8)), min_parallel=2)
+    serial = replicate_outcomes(_boom, list(range(8)), processes=1)
+    pooled = replicate_outcomes(_boom, list(range(8)), processes=2)
     assert [(o.seed, o.ok, o.value) for o in serial] == \
            [(o.seed, o.ok, o.value) for o in pooled]
-
-
-def test_outcome_unwrap():
-    ok, bad = replicate_outcomes(_boom, [1, 3], min_parallel=10)
-    assert ok.unwrap() == 1
-    with pytest.raises(ReplicationError, match="seed 3"):
-        bad.unwrap()
-    assert isinstance(ok, SeedOutcome)
 
 
 def test_cli_chaos_corpus_round_trips(tmp_path, capsys):

@@ -58,14 +58,14 @@ def faulted_site_snapshot() -> dict:
 def federation_snapshot() -> dict:
     """Three sites, 60 000 users, New York lost an hour in."""
     from repro.federation import build_federation, three_site_config
-    from repro.persist import snapshot_federation
+    from repro.persist import sealed_federation
     fed = build_federation(three_site_config(population=60_000))
     fed.start_traffic()
     fed.run(1 * HOUR - fed.now)
     for _name, host in sorted(fed.sites["nyc"].dc.hosts.items()):
         host.crash()
     fed.run(1 * HOUR)
-    return snapshot_federation(fed)
+    return sealed_federation(fed)[0]
 
 
 def episode_snapshot(tmp: str) -> dict:

@@ -131,7 +131,7 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
     from repro.cli import main
     from repro.federation import build_federation, three_site_config
     from repro.persist import (restore_federation, restore_site,
-                               snapshot_federation)
+                               sealed_federation)
     fed_path = tmp_path / "ep-format2.json"
     with gzip.open(FORMAT_2_CHECKPOINT, "rb") as fh:
         fed_path.write_bytes(fh.read())
@@ -144,7 +144,7 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
     target = FidelityHarness(_site())
     site_before = target.snapshot()["state_hash"]
     fed = build_federation(three_site_config(population=60_000))
-    fed_before = snapshot_federation(fed)["state_hash"]
+    fed_before = sealed_federation(fed)[0]["state_hash"]
 
     def built(*_args, **_kw):
         raise AssertionError("a world was built from a refused document")
@@ -174,7 +174,7 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
     monkeypatch.undo()
 
     assert target.snapshot()["state_hash"] == site_before
-    assert snapshot_federation(fed)["state_hash"] == fed_before
+    assert sealed_federation(fed)[0]["state_hash"] == fed_before
     assert not (tmp_path / "ck").exists()
 
 
@@ -187,12 +187,12 @@ def test_wrong_kind_of_document_is_refused_before_anything_is_built(
     from repro.chaos.scenario import build_corpus
     from repro.federation import build_federation, three_site_config
     from repro.persist import (restore_federation, restore_site,
-                               snapshot_federation)
+                               sealed_federation)
     harness = FidelityHarness(_site())
     harness.run_hours(0.25)
     site_doc = harness.snapshot()
     fed = build_federation(three_site_config(population=60_000))
-    fed_doc = snapshot_federation(fed)
+    fed_doc = sealed_federation(fed)[0]
 
     wants_site = "holds a federation document, wanted a site one"
     with pytest.raises(ValueError, match=wants_site):
@@ -208,7 +208,7 @@ def test_wrong_kind_of_document_is_refused_before_anything_is_built(
         restore_federation(site_doc)
     with pytest.raises(ValueError, match=wants_fed):
         restore_federation(site_doc, fed=fed)
-    assert snapshot_federation(fed)["state_hash"] == fed_doc["state_hash"]
+    assert sealed_federation(fed)[0]["state_hash"] == fed_doc["state_hash"]
 
     # an episode checkpoint written before single-site episodes ran in
     # a federation of one is such a site document
@@ -314,19 +314,8 @@ def test_retention_keeps_newest_n(tmp_path):
         assert mgr.epoch(force=True) is not None
     kept = mgr.checkpoints()
     assert len(kept) == 2
-    assert mgr.latest(str(tmp_path)) == kept[-1]
     # the newest survives and names the latest sim hour
     assert kept[-1] == mgr.last_path
-
-
-def test_latest_ignores_other_labels_and_empty_dirs(tmp_path):
-    assert CheckpointManager.latest(str(tmp_path / "absent")) is None
-    harness, mgr = _manager(tmp_path, label="alpha")
-    harness.run_hours(0.5)
-    path = mgr.epoch(force=True)
-    assert CheckpointManager.latest(str(tmp_path), "alpha") == path
-    assert CheckpointManager.latest(str(tmp_path), "beta") is None
-    assert CheckpointManager.load(path)["format"] == FORMAT_VERSION
 
 
 def test_constructor_validates_knobs(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults.campaign import Campaign
 from repro.faults.models import Category, Dist
+from repro.relocate import model
 from repro.relocate.model import (RELOCATABLE, RelocationPolicy,
                                   apply_relocation)
 from repro.sim import RandomStreams
@@ -15,7 +16,6 @@ def _escalate_arm(seed: int, horizon: float = YEAR):
     rs = RandomStreams(seed)
     campaign = Campaign(rs.get("relocation.campaign"), horizon=horizon)
     _, escalate = campaign.run_pair(
-        agent_period=300.0,
         before_rng=rs.get("relocation.ops.before"),
         after_rng=rs.get("relocation.ops.after"))
     return escalate, rs.get("relocation.failover")
@@ -61,10 +61,11 @@ def test_successful_relocation_ends_escalation():
         assert after.repair <= RelocationPolicy().budget
 
 
-def test_forced_failures_cost_at_most_the_budget():
+def test_forced_failures_cost_at_most_the_budget(monkeypatch):
     policy = RelocationPolicy(success_prob={})      # nothing ever lands
+    monkeypatch.setattr(model, "POLICY", policy)
     escalate, rng = _escalate_arm(1)
-    relocated, stats = apply_relocation(escalate, rng, policy=policy)
+    relocated, stats = apply_relocation(escalate, rng)
     assert stats.succeeded == 0
     assert stats.failed == stats.candidates > 0
     assert stats.hours_lost_to_rollbacks > 0
@@ -74,15 +75,16 @@ def test_forced_failures_cost_at_most_the_budget():
         assert 0.0 <= after.repair - before.repair <= policy.budget
 
 
-def test_slow_relocation_is_superseded_by_the_human():
+def test_slow_relocation_is_superseded_by_the_human(monkeypatch):
     # success guaranteed but each attempt takes ~46 days: the sampled
     # human always finishes first and every record stays untouched
     policy = RelocationPolicy(
         plan=Dist(1e6, 0.0), drain=Dist(1e6, 0.0),
         start=Dist(1e6, 0.0), verify=Dist(1e6, 0.0), budget=1e9,
         success_prob={c: 1.0 for c in Category})
+    monkeypatch.setattr(model, "POLICY", policy)
     escalate, rng = _escalate_arm(2)
-    relocated, stats = apply_relocation(escalate, rng, policy=policy)
+    relocated, stats = apply_relocation(escalate, rng)
     assert stats.superseded == stats.candidates > 0
     assert stats.succeeded == stats.failed == 0
     assert relocated.total_hours() == escalate.total_hours()

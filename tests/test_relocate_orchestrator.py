@@ -50,7 +50,7 @@ def test_crashed_host_relocates_instead_of_paging(site):
     assert fin.cold and fin.target_host == "sp000"
     assert not web.cold and web.target_host == "fe001"
     assert fin.duration is not None and fin.duration <= rel.budget
-    assert site.spares.claimed_for("sp000") == "fe000/finapp_fe000"
+    assert site.spares.claims["sp000"] == "fe000/finapp_fe000"
 
     # escalation stopped at the relocation tier: nobody was paged
     assert _sms(site) == []
@@ -70,7 +70,7 @@ def test_crashed_host_relocates_instead_of_paging(site):
     assert old_fe not in door.apps
     new_fe = site.dc.host("sp000").apps["finapp_sp000"]
     assert new_fe in door.apps and new_fe.is_running()
-    assert "sp000" not in door.down_servers()
+    assert "sp000" not in door._down
     # ... and so did the name service
     ip, _ = site.nameservice.lookup(service_alias("finapp_fe000"))
     assert ip in {n.ip for n in site.dc.host("sp000").nics.values()}
@@ -114,7 +114,7 @@ def test_relocation_budget_blows_to_rollback(site):
     assert not fin.success
     assert fin.duration is not None and fin.duration >= rel.budget - 60.0
     # the claimed spare went back to the pool on rollback
-    assert site.spares.claimed_for("sp000") is None
+    assert "sp000" not in site.spares.claims
     assert any("fe000" in n.subject for n in _sms(site))
 
 

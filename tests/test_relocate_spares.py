@@ -32,7 +32,7 @@ def test_available_is_name_ordered(spares):
 
 def test_claim_and_release(spares):
     assert spares.claim("sp01", "fe01/finapp01")
-    assert spares.claimed_for("sp01") == "fe01/finapp01"
+    assert spares.claims["sp01"] == "fe01/finapp01"
     assert spares.available() == ["sp02"]
     # a claimed spare cannot be claimed again
     assert not spares.claim("sp01", "fe01/other")
@@ -49,11 +49,3 @@ def test_claim_and_release(spares):
 def test_down_spare_not_available(spares, dc):
     dc.host("sp01").crash("power")
     assert spares.available() == ["sp02"]
-
-
-def test_deregister(spares):
-    spares.claim("sp02", "x")
-    spares.deregister("sp02")
-    assert not spares.is_spare("sp02")
-    assert spares.claimed_for("sp02") is None
-    assert spares.available() == ["sp01"]

@@ -1,15 +1,24 @@
-"""The public surface of :mod:`repro` against the code that uses it.
+"""The public surface of :mod:`repro` against the product code that uses it.
 
-Three lints over the source of every ``.py`` file in the repository:
+*Product code* is every ``.py`` file outside ``tests/`` -- ``src``,
+``benchmarks``, ``examples`` -- except ``test_*.py`` files.  A test is
+not a caller: what only tests reach is not behaviour the program has.
+Four lints:
 
 (a) *unpassed defaults* -- a defaulted parameter of a public function
-    or method under ``src/repro`` that no call site anywhere passes, by
+    or method under ``src/repro`` that no product call site passes, by
     keyword or by position, is a configuration nobody runs: make it the
     constant it always is;
 (b) *unnamed definitions* -- a public function, class or method that
-    no ``.py`` file names anywhere but at its own ``def`` is a path
-    nobody takes: delete it;
-(c) ``repro.observe`` imports nothing from ``repro.experiments``.
+    no product file names anywhere but at its own ``def`` is a path
+    nobody takes: delete it.  An ``__all__`` list or a package
+    ``__init__``'s import (a re-export) does not count as naming it;
+(c) *unimported modules* -- a module under ``src/repro`` that no
+    product file imports is code nothing runs: delete it.  A package
+    ``__init__``'s own imports are re-exports and do not count; package
+    ``__init__``s and the ``[project.scripts]`` entry modules of
+    ``pyproject.toml`` need no importer;
+(d) ``repro.observe`` imports nothing from ``repro.experiments``.
 
 What (a) counts as a call site: ``f(...)`` or ``mod.f(...)`` resolved
 through the caller's imports (and the packages' re-exports) for
@@ -19,11 +28,27 @@ spreads ``*args`` or ``**kwargs`` passes everything, and so does a
 function or method used as a value -- put in a table or handed over as
 a callback -- since its callers cannot be seen.  A ``"module:function"``
 string in a package (the lazy :data:`repro.experiments.EXPERIMENTS`
-rows) names ``package.module.function`` as such a value.  ``__init__`` of a
-subclassed class is skipped: ``super().__init__`` passes those.
+rows) names ``package.module.function`` as such a value, and imports
+``package.module`` for (c).  ``__init__`` of a subclassed class is
+skipped: ``super().__init__`` passes those.
 
-An entry in ``UNPASSED_OK`` / ``UNNAMED_OK`` keeps a name on purpose
-and says why; an entry the lint no longer needs fails too.
+An entry in ``UNPASSED_OK`` / ``UNNAMED_OK`` / ``UNIMPORTED_OK`` keeps
+a name on purpose, and its reason starts with one of the tags in
+``REASON``:
+
+- ``outside input:`` the value comes from outside the program (scenario
+  JSON through ``FaultInjector.inject(**params)``, ``argv``);
+- ``primitive:`` a kernel, calendar or persist-vocabulary primitive;
+- ``persisted:`` removing it would change a ``_persist`` declaration or
+  a format-3 document, so it goes with the next format bump;
+- ``paper §N:`` the behaviour is the paper's own (§1-§4) -- §5 future
+  work does not qualify;
+- ``ROADMAP item N:`` the ROADMAP names it as the knob a planned
+  workload sets;
+- ``test seam:`` a test passes an *object* through it (a fake, a
+  clock); a value does not qualify.
+
+An entry the lint no longer needs fails too.
 """
 
 import ast
@@ -35,57 +60,117 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+TESTS = os.path.join(ROOT, "tests")
+
+REASON = re.compile(r"(outside input|primitive|persisted"
+                    r"|paper §[1-4](\.\d+)*|ROADMAP item \d+|test seam): \S")
 
 UNPASSED_OK = {
-    # scenario JSON reaches these through FaultInjector.inject(kind,
-    # target, **params): outside input, not a call site
+    "repro.cli.main(argv)": "outside input: the command line",
     "repro.faults.injector.FaultInjector.app_crash(category)":
-        "scenario JSON passes it through FaultInjector.inject",
+        "outside input: scenario JSON passes it through "
+        "FaultInjector.inject",
+    "repro.faults.injector.FaultInjector.app_hang(category)":
+        "outside input: scenario JSON passes it through "
+        "FaultInjector.inject",
     "repro.faults.injector.FaultInjector.memory_leak(mb)":
-        "scenario JSON passes it through FaultInjector.inject",
+        "outside input: scenario JSON passes it through "
+        "FaultInjector.inject",
     "repro.faults.injector.FaultInjector.nic_failure(ifname)":
-        "scenario JSON passes it through FaultInjector.inject",
-    "repro.grid.GridResourceBroker.discover(max_load)":
-        "the section 5 broker's query API for external schedulers",
-    "repro.grid.GridResourceBroker.discover(min_ram_mb)":
-        "the section 5 broker's query API for external schedulers",
+        "outside input: scenario JSON passes it through "
+        "FaultInjector.inject",
     "repro.persist.core.member(attr)":
-        "persist vocabulary: the attribute name when it differs",
+        "primitive: persist vocabulary, the attribute name when it differs",
     "repro.persist.core.signal(attr)":
-        "persist vocabulary: the attribute name when it differs",
-    "repro.sim.kernel.Simulator.__init__(start)": "kernel primitive",
-    "repro.sim.kernel.Simulator.every(offset)": "kernel primitive",
-    "repro.sim.kernel.Simulator.schedule_at(priority)": "kernel primitive",
-    "repro.sim.calendar.grid_points(offset)": "kernel primitive",
-    "repro.batch.jobs.BatchJob.__init__(submitted_at)":
-        "record constructor: every field is settable",
-    "repro.ontology.slkt.Slkt.__init__(apps)":
-        "record constructor: every field is settable",
-    "repro.ops.downtime.DowntimeLedger.record(note)":
-        "record constructor: every field is settable",
+        "primitive: persist vocabulary, the attribute name when it differs",
+    "repro.sim.kernel.Simulator.__init__(start)": "primitive: the kernel's",
+    "repro.sim.kernel.Simulator.every(offset)": "primitive: the kernel's",
+    "repro.sim.kernel.Simulator.schedule(priority)":
+        "primitive: the kernel's",
+    "repro.sim.kernel.Simulator.schedule_at(priority)":
+        "primitive: the kernel's",
+    "repro.sim.kernel.SimProcess.interrupt(cause)": "primitive: the kernel's",
+    "repro.sim.calendar.next_grid(strict)": "primitive: the calendar's",
+    "repro.metrics.samplers.SamplerSuite.__init__(log_maxlen)":
+        "ROADMAP item 1: the aged-world workload shrinks the log ring "
+        "through it to reach a wrap",
+    "repro.cluster.cron.Crond.enable(enabled)":
+        "persisted: the only writer of the checkpointed CronJob.enabled",
+    "repro.cluster.process.ProcessTable.spawn(args)":
+        "persisted: a process-table row's checkpointed args",
+    "repro.cluster.process.ProcessTable.update(state)":
+        "persisted: the only writer of a row's checkpointed state once "
+        "it is in the table",
     "repro.ops.downtime.DowntimeLedger.close_incident(escalated)":
-        "record constructor: every field is settable",
-    "repro.persist.federation_state.snapshot_federation(extras_by_site)":
-        "mirrors restore_federation's, until the two entry pairs fold",
+        "persisted: the only writer of the checkpointed "
+        "Incident.escalated",
 }
 
 UNNAMED_OK = {
+    "repro.apps.database.Database.connect_user":
+        "persisted: the only writer of the checkpointed connected_users",
+    "repro.apps.database.Database.disconnect_user":
+        "persisted: connect_user's pair over connected_users",
+    "repro.apps.database.Database.start_backup":
+        "persisted: the only writer of the checkpointed backup_running "
+        "and backup_event",
+    "repro.apps.database.Database.db_metrics":
+        "paper §3.6: the ten database measurements",
+    "repro.apps.webserver.WebServer.http_get":
+        "paper §3.4: a web server's probe is an http get",
+    "repro.apps.webserver.WebServer.open_connection":
+        "persisted: the only writer of the checkpointed open_connections",
+    "repro.apps.webserver.WebServer.close_connection":
+        "persisted: open_connection's pair over open_connections",
+    "repro.apps.frontend.FrontendApp.login":
+        "persisted: the only writer of the checkpointed sessions",
+    "repro.apps.frontend.FrontendApp.logout":
+        "persisted: login's pair over sessions",
     "repro.core.parts.PartSwitches.activate":
-        "the paper's part switches come as an on/off pair with deactivate",
-    "repro.grid.GridResourceBroker.refresh_from_lines":
-        "the broker's line-consuming entry",
+        "paper §3.3: each of the five parts can be activated or "
+        "deactivated",
+    "repro.core.parts.PartSwitches.deactivate":
+        "paper §3.3: each of the five parts can be activated or "
+        "deactivated",
+    "repro.metrics.accounting.ProcessAccountant.per_command":
+        "paper §3.5: processes per command name",
+    "repro.metrics.accounting.ProcessAccountant.per_command_args":
+        "paper §3.5: processes per command name and arguments",
+    "repro.metrics.accounting.ProcessAccountant.per_cpu":
+        "paper §3.5: processes per CPU",
+    "repro.metrics.accounting.ProcessAccountant.per_user_command":
+        "paper §3.5: processes per user and command name",
+    "repro.metrics.timeseries.merge_by_timestamp":
+        "paper §3.5: measurements associated by matching timestamps",
     "repro.ontology.dgspl.FederatedDgspl.set_freshness":
-        "it fills a persisted map",
+        "persisted: the only writer of the checkpointed freshness map",
+    "repro.sim.calendar.grid_points": "primitive: the calendar's",
+    "repro.sim.calendar.is_overnight": "primitive: the calendar's",
+    "repro.sim.calendar.prev_grid": "primitive: the calendar's",
+    "repro.sim.kernel.Signal.unsubscribe": "primitive: the kernel's",
+}
+
+UNIMPORTED_OK = {
+    "repro.metrics.microstate":
+        "paper §3.5: microstate accounting of every process",
+    "repro.ontology.issl":
+        "paper §3.1.4: the index static service lists, kept by hand",
 }
 
 
-def _python_files():
+def _is_product(path):
+    return not (path.startswith(TESTS + os.sep)
+                or os.path.basename(path).startswith("test_"))
+
+
+def _product_files():
     for top, dirs, files in os.walk(ROOT):
         dirs[:] = sorted(d for d in dirs
                          if not d.startswith(".") and d != "__pycache__")
         for name in sorted(files):
-            if name.endswith(".py"):
-                yield os.path.join(top, name)
+            path = os.path.join(top, name)
+            if name.endswith(".py") and _is_product(path):
+                yield path
 
 
 def _module_of(path):
@@ -94,13 +179,23 @@ def _module_of(path):
     return ".".join(rel[:-1] if rel[-1] == "__init__" else rel)
 
 
+def _is_package(path):
+    return os.path.basename(path) == "__init__.py"
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        getattr(t, "id", "") == "__all__" for t in node.targets)
+
+
 class _Source:
-    """Every file parsed once, with its imports as qualified names."""
+    """Every product file parsed once, with its imports as qualified
+    names."""
 
     def __init__(self):
         self.text, self.tree, self.names = {}, {}, {}
         reexport = {}
-        for path in _python_files():
+        for path in _product_files():
             with open(path) as fh:
                 self.text[path] = fh.read()
             self.tree[path] = tree = ast.parse(self.text[path], path)
@@ -115,11 +210,17 @@ class _Source:
                 elif isinstance(node, ast.ImportFrom) and node.module:
                     for a in node.names:
                         names[a.asname or a.name] = f"{node.module}.{a.name}"
-                        if node in tree.body and path.startswith(SRC):
+                        if (node in tree.body and path.startswith(SRC)
+                                and node.module != module):
                             reexport[f"{module}.{a.asname or a.name}"] = \
                                 f"{node.module}.{a.name}"
             self.names[path] = names
         self.reexport = reexport
+
+    def resolve(self, name):
+        while name in self.reexport:
+            name = self.reexport[name]
+        return name
 
     def qualify(self, path, expr):
         """``a.b.c`` with ``a`` resolved through the file's imports and
@@ -131,10 +232,7 @@ class _Source:
         if not isinstance(expr, ast.Name):
             return None
         parts.append(self.names[path].get(expr.id, expr.id))
-        name = ".".join(reversed(parts))
-        while name in self.reexport:
-            name = self.reexport[name]
-        return name
+        return self.resolve(".".join(reversed(parts)))
 
 
 def _used_as_value(node, parents):
@@ -203,9 +301,9 @@ def _public_defs(source):
                   for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                   for base in node.bases}
     for path, tree in source.tree.items():
-        if not path.startswith(SRC):
-            continue
         module = _module_of(path)
+        if not path.startswith(SRC) or module in UNIMPORTED_OK:
+            continue
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 if not node.name.startswith("_"):
@@ -230,7 +328,8 @@ def _unpassed_defaults(source):
     calls, escaped = _uses(source)
     found = []
     for name, key, fn, skip in _public_defs(source):
-        if key in escaped:
+        if key in escaped or name in UNNAMED_OK or \
+                name.rsplit(".", 1)[0] in UNNAMED_OK:
             continue
         a = fn.args
         positional = a.posonlyargs + a.args
@@ -248,20 +347,31 @@ def _unpassed_defaults(source):
     return found
 
 
+def _naming_text(path, source):
+    """The file's text without its ``__all__`` lists and, in a package
+    ``__init__``, its imports: neither names a definition."""
+    lines = source.text[path].splitlines()
+    for node in ast.walk(source.tree[path]):
+        if _is_all(node) or (_is_package(path) and isinstance(
+                node, (ast.Import, ast.ImportFrom))):
+            lines[node.lineno - 1:node.end_lineno] = \
+                [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
 def _unnamed_definitions(source):
     words = collections.Counter()
-    for path, text in source.text.items():
-        if path != os.path.abspath(__file__):
-            words.update(re.findall(r"\w+", text))
+    for path in source.text:
+        words.update(re.findall(r"\w+", _naming_text(path, source)))
     defined = collections.Counter(
         node.name for tree in source.tree.values()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
     found = []
     for path, tree in source.tree.items():
-        if not path.startswith(SRC):
-            continue
         module = _module_of(path)
+        if not path.startswith(SRC) or module in UNIMPORTED_OK:
+            continue
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
@@ -276,6 +386,40 @@ def _unnamed_definitions(source):
     return found
 
 
+def _script_modules():
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        text = fh.read()
+    scripts = text.split("[project.scripts]", 1)[-1].split("\n[", 1)[0]
+    return set(re.findall(r'=\s*"([\w.]+):\w+"', scripts))
+
+
+def _unimported_modules(source):
+    imported = _script_modules()
+    for path, tree in source.tree.items():
+        module = _module_of(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and not _is_package(path):
+                targets = [a.name for a in node.names]
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and not _is_package(path)):
+                targets = [node.module] + [f"{node.module}.{a.name}"
+                                           for a in node.names]
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+:\w+", node.value)):
+                targets = [f"{module}.{node.value.split(':')[0]}"]
+            else:
+                continue
+            for target in targets:
+                parts = source.resolve(target).split(".")
+                imported.update(".".join(parts[:i])
+                                for i in range(1, len(parts) + 1)
+                                if ".".join(parts[:i]) != module)
+    return [_module_of(path) for path in source.tree
+            if path.startswith(SRC) and not _is_package(path)
+            and _module_of(path) not in imported]
+
+
 @pytest.fixture(scope="module")
 def source():
     return _Source()
@@ -285,8 +429,9 @@ def test_every_defaulted_parameter_is_passed_somewhere(source):
     found = _unpassed_defaults(source)
     unexplained = sorted(set(found) - set(UNPASSED_OK))
     assert not unexplained, (
-        "no call site passes these; make each the constant it always "
-        "is, or allow-list it with a reason:\n  " + "\n  ".join(unexplained))
+        "no product call site passes these; make each the constant it "
+        "always is, or allow-list it with a reason:\n  "
+        + "\n  ".join(unexplained))
     assert not sorted(set(UNPASSED_OK) - set(found)), "stale allow-list"
 
 
@@ -294,9 +439,26 @@ def test_every_public_definition_is_named_somewhere(source):
     found = _unnamed_definitions(source)
     unexplained = sorted(set(found) - set(UNNAMED_OK))
     assert not unexplained, (
-        "nothing names these but their own def; delete each, or "
+        "no product file names these but their own def; delete each, or "
         "allow-list it with a reason:\n  " + "\n  ".join(unexplained))
     assert not sorted(set(UNNAMED_OK) - set(found)), "stale allow-list"
+
+
+def test_every_module_is_imported_by_product_code(source):
+    found = _unimported_modules(source)
+    unexplained = sorted(set(found) - set(UNIMPORTED_OK))
+    assert not unexplained, (
+        "no product file imports these; delete each, or allow-list it "
+        "with a reason:\n  " + "\n  ".join(unexplained))
+    assert not sorted(set(UNIMPORTED_OK) - set(found)), "stale allow-list"
+
+
+def test_every_allow_list_entry_carries_a_reason_tag():
+    untagged = sorted(name for allowed in (UNPASSED_OK, UNNAMED_OK,
+                                           UNIMPORTED_OK)
+                      for name, why in allowed.items()
+                      if not REASON.match(why))
+    assert not untagged, "no reason tag: " + ", ".join(untagged)
 
 
 def test_observe_imports_nothing_from_experiments(source):

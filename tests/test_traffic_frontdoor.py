@@ -68,8 +68,7 @@ def test_weighted_split_favours_low_load():
 
 def test_stale_dgspl_degrades_to_round_robin():
     door = FrontDoor("webserver", apps("a", "b"),
-                     dgspl_fn=lambda: dgspl_at(0.0, {"a": 0.0, "b": 9.0}),
-                     staleness=900.0)
+                     dgspl_fn=lambda: dgspl_at(0.0, {"a": 0.0, "b": 9.0}))
     door.route(100, now=10_000.0)          # DGSPL is 10000 s old: stale
     assert door.rr_batches == 1 and door.weighted_batches == 0
     door.route(100, now=800.0)             # fresh again

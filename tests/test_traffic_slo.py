@@ -64,11 +64,11 @@ def test_slo_error_budget_and_burn():
     st = SloStatus.evaluate(sli, slo)
     assert st.budget == pytest.approx(100.0)
     assert st.burn_rate == pytest.approx(0.5)
-    assert st.met
+    assert st.bad <= st.budget
     sli.record_shed(100)                  # blow through the budget
     st = SloStatus.evaluate(sli, slo)
     assert st.burn_rate > 1.0
-    assert not st.met
+    assert st.bad > st.budget
 
 
 def test_slo_latency_counts_slow_as_bad():
@@ -78,7 +78,7 @@ def test_slo_latency_counts_slow_as_bad():
     sli.record_batch(100, 0, 700.0)       # served but slow
     st = SloStatus.evaluate(sli, slo)
     assert st.bad == 100
-    assert not st.met
+    assert st.bad > st.budget
 
 
 # -- join_demand --------------------------------------------------------------

@@ -6,8 +6,7 @@ import pytest
 from repro.sim import RandomStreams
 from repro.sim.calendar import DAY, HOUR, WEEK
 from repro.traffic.workload import (DemandCurve, DiurnalProfile,
-                                    FINANCIAL_CLASSES, FINANCIAL_PROFILE,
-                                    financial_curve)
+                                    FINANCIAL_PROFILE, financial_curve)
 
 MONDAY_11 = 11 * HOUR
 MONDAY_03 = 3 * HOUR
@@ -21,7 +20,7 @@ def curve():
 
 def test_profile_normalised_to_mean_one():
     assert FINANCIAL_PROFILE.weights.mean() == pytest.approx(1.0)
-    assert 8 <= FINANCIAL_PROFILE.peak_hour <= 17
+    assert 8 <= int(np.argmax(FINANCIAL_PROFILE.weights)) <= 17
 
 
 def test_profile_rejects_bad_weights():
@@ -54,17 +53,10 @@ def test_weekday_volume_matches_requests_per_user_day(curve):
     """Integrating a weekday at a fine step recovers the class's mean
     requests/user/day (the profile is normalised)."""
     cls = curve.by_name["web"]
-    demand = curve.demand_per_interval(cls, 0.0, DAY, 60.0)
+    demand = curve.rate(cls, curve.grid(0.0, DAY, 60.0)) * 60.0
     total = demand.sum()
     expected = curve.population * cls.requests_per_user_day
     assert total == pytest.approx(expected, rel=0.01)
-
-
-def test_total_requests_sums_classes(curve):
-    per_class = sum(
-        curve.demand_per_interval(c, 0.0, WEEK, 3600.0).sum()
-        for c in FINANCIAL_CLASSES)
-    assert curve.total_requests(0.0, WEEK, 3600.0) == pytest.approx(per_class)
 
 
 def test_active_users_bounded_and_diurnal(curve):
@@ -80,16 +72,13 @@ def test_incident_user_minutes_peak_heavier(curve):
     weekend = curve.incident_user_minutes(5 * DAY + 11 * HOUR, HOUR)
     assert peak > 5 * night
     assert peak > weekend
-    # impact scales linearly
-    half = curve.incident_user_minutes(DAY + 11 * HOUR, HOUR, impact=0.5)
-    assert half == pytest.approx(peak / 2)
 
 
 def test_arrival_sampling_deterministic():
     """Same seed => identical Poisson draws off the demand grid."""
     curve = financial_curve(100_000)
     cls = curve.by_name["web"]
-    lam = curve.demand_per_interval(cls, 0.0, DAY, 300.0)
+    lam = curve.rate(cls, curve.grid(0.0, DAY, 300.0)) * 300.0
     a = RandomStreams(7).get("traffic.arrivals").poisson(lam)
     b = RandomStreams(7).get("traffic.arrivals").poisson(lam)
     c = RandomStreams(8).get("traffic.arrivals").poisson(lam)

@@ -52,5 +52,3 @@ def test_validation():
         WakePolicy(0.0)
     with pytest.raises(ValueError):
         WakePolicy(300.0, max_period=200.0)
-    with pytest.raises(ValueError):
-        WakePolicy(300.0, backoff=1.0)

@@ -61,7 +61,7 @@ def test_app_state_flip_wakes_subscribers(sim, db_host, database):
 
 
 def test_cooldown_debounces_trigger_storms(sim, db_host):
-    bus = TriggerBus(db_host, cooldown=60.0)
+    bus = TriggerBus(db_host)
     probe = _Probe("p")
     bus.subscribe(probe, lambda t: True)
     for _ in range(5):
