@@ -98,9 +98,6 @@ class Database(Application):
     def disconnect_user(self, user: str) -> None:
         self.connected_users.pop(user, None)
 
-    def user_count(self) -> int:
-        return len(self.connected_users)
-
     # -- batch job attachment ---------------------------------------------------------
 
     def attach_job(self, job: "BatchJob") -> bool:
@@ -200,7 +197,7 @@ class Database(Application):
             "backup_s": self.backup_duration,
             "proc_cpu_pct": sum(p.cpu_pct for p in self.procs),
             "proc_mem_mb": sum(p.mem_mb for p in self.procs),
-            "users": self.user_count(),
+            "users": len(self.connected_users),
             "startup_mem_mb": self.sga_mb,
             "checkpoints": self.checkpoints,
             "mem_per_txn_kb": self.mem_per_txn_kb,

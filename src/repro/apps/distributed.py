@@ -91,10 +91,6 @@ class DistributedService(Persistent):
 
     # -- health ----------------------------------------------------------------
 
-    def healthy(self) -> bool:
-        ok, _, _ = self.end_to_end_probe()
-        return ok
-
     def end_to_end_probe(self) -> Tuple[bool, float, str]:
         """The dummy user: walk every component in dependency order,
         connect to it from its dependents' side, and run its probe.

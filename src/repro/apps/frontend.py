@@ -59,30 +59,12 @@ class FrontendApp(Application):
         self.sessions = max(0, self.sessions - 1)
         self.host.logged_in_users.discard(user)
 
-    def run_query(self) -> Tuple[bool, float, str]:
-        """A user-level query: front-end work plus a backend round trip.
-
-        This is the response time end users feel; if the backend
-        database is dead the query fails even though the GUI is up --
-        the "available services would often become unavailable without
-        any explanation" experience.
-        """
-        ok, ms, err = self.probe()
-        if not ok:
-            return (False, ms, f"frontend-{err}" if err else "frontend")
-        total = ms
-        if self.backend is not None:
-            bok, bms, berr = self.backend.probe()
-            if not bok:
-                return (False, total + bms,
-                        f"backend-{berr}" if berr else "backend")
-            total += bms
-        self.queries_served += 1
-        return (True, total, "")
-
     def serve_batch(self, n: int) -> Tuple[int, int, float]:
-        """Aggregated queries ride the same path as :meth:`run_query`:
-        a dead backend fails the whole batch even though the GUI is up."""
+        """A batch of user-level queries: front-end work plus a backend
+        round trip, the response time end users feel.  A dead backend
+        fails the whole batch even though the GUI is up -- the
+        "available services would often become unavailable without any
+        explanation" experience."""
         if n <= 0:
             return (0, 0, 0.0)
         ok, ms, _err = self.probe()

@@ -7,17 +7,12 @@ scheduled to run overnight would frequently crash databases".
 
 - :mod:`jobs` -- the batch job model and its failure semantics.
 - :mod:`lsf` -- the scheduler: master daemon, queues, slots, dispatch.
-- :mod:`policies` -- placement policies (manual, random, and the
-  DGSPL-informed policy the administration servers use).
 - :mod:`workload` -- the overnight analyst workload generator.
 """
 
 from repro.batch.jobs import BatchJob, JobState
 from repro.batch.lsf import LsfCluster, LsfMaster
-from repro.batch.policies import (DgsplPolicy, ManualPolicy, PlacementPolicy,
-                                  RandomPolicy)
 from repro.batch.workload import OvernightWorkload
 
 __all__ = ["BatchJob", "JobState", "LsfCluster", "LsfMaster",
-           "PlacementPolicy", "ManualPolicy", "RandomPolicy", "DgsplPolicy",
            "OvernightWorkload"]

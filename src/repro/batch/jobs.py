@@ -130,19 +130,6 @@ class BatchJob:
             self.database = None
         self._fire_exit()
 
-    def cancel(self, now: float) -> None:
-        if self.state in (JobState.DONE, JobState.FAILED, JobState.CANCELLED):
-            return
-        self.state = JobState.CANCELLED
-        self.finished_at = now
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
-        if self.database is not None:
-            self.database.detach_job(self)
-            self.database = None
-        self._fire_exit()
-
     def database_died(self, reason: str, now: float) -> None:
         """Called by the database when it stops under this job.  The
         database has already detached us, so record the failed server
@@ -170,11 +157,6 @@ class BatchJob:
         if self.state is not JobState.RUNNING or self.started_at is None:
             return 0.0
         return max(0.0, self.started_at + self.remaining_work - now)
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in (JobState.DONE, JobState.FAILED,
-                              JobState.CANCELLED)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<BatchJob {self.job_id} {self.name!r} "

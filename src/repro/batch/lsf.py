@@ -11,11 +11,10 @@ is the mechanism that makes placement policy matter.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from repro.apps.base import Application, ProcessSpec, StartupStep
 from repro.batch.jobs import BatchJob, JobState
-from repro.batch.policies import PlacementPolicy, RandomPolicy
 from repro.persist.core import Persistent, part, scalars
 
 __all__ = ["LsfMaster", "LsfCluster"]
@@ -51,13 +50,11 @@ class LsfCluster(Persistent):
                 part("loop", "_loop"))
 
     def __init__(self, dc, master: LsfMaster, *,
-                 policy: Optional[PlacementPolicy] = None,
                  rng=None, base_crash_prob: float = 0.012):
         self.dc = dc
         self.sim = dc.sim
         self.master = master
         self.rng = rng if rng is not None else dc.streams.get("lsf")
-        self.policy: PlacementPolicy = policy or RandomPolicy(self.rng)
         #: probability that a *well-placed* job crashes its database
         self.base_crash_prob = base_crash_prob
 
@@ -132,17 +129,14 @@ class LsfCluster(Persistent):
         self.pending = still_pending
 
     def _place(self, job: BatchJob):
-        if job.requested_server:
-            for db in self.servers:
-                if db.host.name == job.requested_server:
-                    if db.is_healthy() and self._free_slots(db) > 0:
-                        return db
-                    return None     # pinned to a busy/dead server: wait
-            return None
-        candidates = [db for db in self.servers if self._free_slots(db) > 0]
-        if not candidates:
-            return None
-        return self.policy.choose(job, candidates)
+        """The server the job names -- the submitting user's pick, or
+        the job manager's on a resubmission -- once it has a free slot."""
+        for db in self.servers:
+            if db.host.name == job.requested_server:
+                if db.is_healthy() and self._free_slots(db) > 0:
+                    return db
+                return None     # pinned to a busy/dead server: wait
+        return None
 
     def _dispatch(self, job: BatchJob, db) -> None:
         if not db.attach_job(job):
@@ -209,6 +203,3 @@ class LsfCluster(Persistent):
             "dispatches": self.dispatches,
             "db_crashes_caused": self.crashes_caused,
         }
-
-    def shutdown(self) -> None:
-        self._loop.cancel()

@@ -43,20 +43,13 @@ class OvernightWorkload:
         self.submit_hour = 20.0
         self.submitted: List[BatchJob] = []
         self.bounced = 0
-        self._procs = []
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        self._procs.append(self.sim.spawn(self._nightly(), name="wl.night"))
+        self.sim.spawn(self._nightly(), name="wl.night")
         if self.daytime_jobs_per_hour > 0:
-            self._procs.append(self.sim.spawn(self._daytime(), name="wl.day"))
-
-    def stop(self) -> None:
-        for p in self._procs:
-            if not p.done:
-                p.stop()
-        self._procs.clear()
+            self.sim.spawn(self._daytime(), name="wl.day")
 
     # -- job synthesis -----------------------------------------------------------
 

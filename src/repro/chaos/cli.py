@@ -131,8 +131,9 @@ def _cmd_replay(args) -> int:
               f"coverage={len(ep.coverage)}")
         if not ep.ok:
             failures += 1
-            for msg in ep.violations:
-                print(f"    {msg}")
+            for verdict in ep.verdicts:
+                for msg in verdict.violations:
+                    print(f"    {msg}")
     return 1 if failures else 0
 
 

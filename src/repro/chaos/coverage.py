@@ -29,7 +29,6 @@ size is monotonic by construction.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 __all__ = ["CoverageMap", "signature_of"]
@@ -63,27 +62,10 @@ class CoverageMap:
         self.growth.append((self.episodes, len(self.counts)))
         return new
 
-    def novelty(self, signature: Iterable[str]) -> int:
-        """How many markers of ``signature`` are unseen (no mutation)."""
-        return sum(1 for m in set(signature) if m not in self.counts)
-
     def rarest(self, n: int = 10) -> List[Tuple[str, int]]:
         """The n least-hit markers -- what the fuzzer should chase."""
         return sorted(self.counts.items(),
                       key=lambda kv: (kv[1], kv[0]))[:n]
-
-    def to_json(self) -> str:
-        return json.dumps({"counts": self.counts, "growth": self.growth,
-                           "episodes": self.episodes}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoverageMap":
-        doc = json.loads(text)
-        cm = cls()
-        cm.counts = {str(k): int(v) for k, v in doc["counts"].items()}
-        cm.growth = [tuple(g) for g in doc["growth"]]
-        cm.episodes = int(doc["episodes"])
-        return cm
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<CoverageMap markers={len(self.counts)} "

@@ -110,10 +110,6 @@ class Episode:
         """Names of oracles that fired."""
         return [v.oracle for v in self.verdicts if not v.ok]
 
-    @property
-    def violations(self) -> List[str]:
-        return [msg for v in self.verdicts for msg in v.violations]
-
     def summary(self) -> dict:
         """Picklable structured result for batch workers: scenario id
         + JSON, oracle verdicts, coverage signature, event outcomes."""

@@ -6,8 +6,7 @@ performance logs, ontology files.  Hosts therefore carry a small
 filesystem model with mount points, capacity accounting and text files.
 
 Paths are plain POSIX strings; directories exist implicitly once a file
-is written under them but can also be created explicitly (needed by
-``listdir`` on empty flag directories).  Disk-full and
+is written under them but can also be created explicitly.  Disk-full and
 filesystem-offline errors surface as exceptions that the shell layer
 converts to non-zero exit codes, which is exactly the signal the
 resource agents key on.
@@ -54,9 +53,6 @@ class SimFile:
     @property
     def size(self) -> int:
         return sum(map(len, self.lines)) + len(self.lines)
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
 @dataclass
@@ -118,12 +114,8 @@ class FileSystem:
         self._mount_cache.clear()
         return mount
 
-    def mount_of(self, path: str) -> Mount:
-        """Longest-prefix mount match."""
-        return self._mount(_norm(path))
-
     def _mount(self, path: str) -> Mount:
-        """:meth:`mount_of` for a path already normalised.  A mount
+        """The longest-prefix mount of a normalised path.  A mount
         point is its own mount; any other path shares the mount of its
         parent directory, which is what the memo is keyed by."""
         mount = self.mounts.get(path)
@@ -162,9 +154,6 @@ class FileSystem:
         for part in parts:
             cur += "/" + part
             self._dirs.add(cur)
-
-    def isdir(self, path: str) -> bool:
-        return _norm(path) in self._dirs
 
     # -- files -----------------------------------------------------------
 
@@ -247,36 +236,6 @@ class FileSystem:
         if bucket is not None:
             bucket.discard(path)
         return True
-
-    def remove_tree(self, prefix: str) -> int:
-        """``rm -rf`` equivalent; returns files removed."""
-        prefix = _norm(prefix)
-        doomed = [p for p in self._files
-                  if p == prefix or p.startswith(prefix + "/")]
-        for p in doomed:
-            self.remove(p)
-        self._dirs = {d for d in self._dirs
-                      if not (d == prefix or d.startswith(prefix + "/"))}
-        for key in [d for d in self._dir_index
-                    if d == prefix or d.startswith(prefix + "/")]:
-            del self._dir_index[key]
-        return len(doomed)
-
-    def listdir(self, path: str) -> List[str]:
-        """Immediate children (files and dirs) of ``path``."""
-        path = _norm(path)
-        if path not in self._dirs and not any(
-                p.startswith(path + "/") for p in self._files):
-            raise FsError(f"{path}: no such directory")
-        prefix = path + "/" if path != "/" else "/"
-        names: set[str] = set()
-        for p in self._files:
-            if p.startswith(prefix):
-                names.add(p[len(prefix):].split("/", 1)[0])
-        for d in self._dirs:
-            if d != path and d.startswith(prefix):
-                names.add(d[len(prefix):].split("/", 1)[0])
-        return sorted(names)
 
     def glob_files(self, prefix: str) -> List[str]:
         """All file paths under ``prefix`` (recursive), sorted."""

@@ -78,12 +78,6 @@ class Component:
         self._set_state(ComponentState.FAILED)
         self.failed_at = now
 
-    def replace(self) -> None:
-        """Field-engineer swap: back to factory state."""
-        self._set_state(ComponentState.OK)
-        self.error_count = 0
-        self.failed_at = None
-
 
 @functools.lru_cache(maxsize=64)
 def _layout(spec) -> Dict[ComponentKind, slice]:
@@ -133,23 +127,6 @@ class HardwareInventory:
     def online(self, kind: ComponentKind) -> int:
         """How many units of ``kind`` have not failed."""
         return self._online_units[kind]
-
-    def find(self, name: str) -> Component:
-        for c in self.components:
-            if c.name == name:
-                return c
-        raise KeyError(f"no component {name!r}")
-
-    def failed(self) -> List[Component]:
-        return [c for c in self.components
-                if c.state is ComponentState.FAILED]
-
-    def degraded(self) -> List[Component]:
-        return [c for c in self.components
-                if c.state is ComponentState.DEGRADED]
-
-    def healthy(self) -> bool:
-        return not self.failed()
 
     def fatal(self) -> bool:
         """True when the host cannot stay up: dead system board or PSU,

@@ -139,15 +139,6 @@ class Host(Persistent):
             app.host_went_down(reason)
         self.down_signal.fire(reason)
 
-    def shutdown(self) -> None:
-        """Orderly stop (apps get their shutdown scripts run first)."""
-        if self.state is HostState.DOWN:
-            return
-        for app in list(self.apps.values()):
-            if app.is_running():
-                app.stop()
-        self.crash("shutdown")
-
     def boot(self) -> None:
         """Power on: BOOTING for ``boot_duration``, then UP.  rc scripts
         start every installed auto-start application."""
@@ -179,20 +170,12 @@ class Host(Persistent):
                 app.start()
         self.up_signal.fire()
 
-    def reboot(self) -> None:
-        """The classic remedy: orderly shutdown then boot."""
-        self.shutdown()
-        self.boot()
-
     # -- application registry ---------------------------------------------------
 
     def install_app(self, app) -> None:
         if app.name in self.apps:
             raise ValueError(f"{self.name}: app {app.name!r} already installed")
         self.apps[app.name] = app
-
-    def app(self, name: str):
-        return self.apps[name]
 
     # -- derived OS metrics -------------------------------------------------------
 
@@ -216,9 +199,6 @@ class Host(Persistent):
         if not self.is_up:
             return 0
         return self.ptable.runnable() + self.extra_runnable
-
-    def run_queue(self) -> int:
-        return max(0, self._queued() - self.effective_cpus())
 
     def load_average(self) -> float:
         return self._queued() / self.effective_cpus()

@@ -54,9 +54,6 @@ class Microstates:
     wait_io: float = 0.0
     sleep: float = 0.0
 
-    def total(self) -> float:
-        return self.user + self.system + self.wait_io + self.sleep
-
 
 @dataclass(slots=True)
 class SimProc:
@@ -206,12 +203,6 @@ class ProcessTable(Persistent):
 
     def by_command(self, command: str) -> List[SimProc]:
         return list(self._by_command.get(command, ()))
-
-    def by_user(self, user: str) -> List[SimProc]:
-        return [p for p in self._procs.values() if p.user == user]
-
-    def matching(self, predicate: Callable[[SimProc], bool]) -> List[SimProc]:
-        return [p for p in self._procs.values() if predicate(p)]
 
     def alive(self, command: str) -> bool:
         return bool(self._by_command.get(command))

@@ -7,10 +7,11 @@ applications -- by trying to use them and read the resulting exit code
 in the Unix shell").  This module provides that boundary for the
 simulated hosts.
 
-Built-in commands mirror the tools §3.5 lists (vmstat, iostat, sar,
-netstat, nfsstat, top/ps, df, uptime, prtdiag, ping).  Applications and
-agents can register additional commands (start/stop/status control
-scripts, LSF utilities) via :meth:`Shell.register`.
+Two commands are built in, ``prtdiag`` and ``ping``; the §3.5
+measurement tools (vmstat, iostat, sar, ...) are read straight from the
+host by :mod:`repro.metrics.samplers`.  Applications and agents
+register their own commands (start/stop/status control scripts, LSF
+utilities) via :meth:`Shell.register`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import shlex
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.persist.core import Persistent, rows, scalar
 
@@ -36,13 +37,6 @@ class CommandResult:
     @property
     def ok(self) -> bool:
         return self.exit_code == 0
-
-    def text(self) -> str:
-        return "\n".join(self.stdout)
-
-    @classmethod
-    def success(cls, *lines: str) -> "CommandResult":
-        return cls(0, list(lines))
 
     @classmethod
     def failure(cls, code: int, *lines: str) -> "CommandResult":
@@ -107,7 +101,7 @@ class Shell(Persistent):
         except ValueError as exc:
             return CommandResult.failure(2, f"sh: parse error: {exc}")
         if not argv:
-            return CommandResult.success()
+            return CommandResult(0)
         handler = self._commands.get(argv[0])
         if handler is None:
             return CommandResult.failure(127, f"sh: {argv[0]}: not found")
@@ -119,109 +113,8 @@ class Shell(Persistent):
     # -- built-in commands ---------------------------------------------------
 
     def _register_builtins(self) -> None:
-        self.register("ps", self._cmd_ps)
-        self.register("pgrep", self._cmd_pgrep)
-        self.register("pkill", self._cmd_pkill)
-        self.register("vmstat", self._cmd_vmstat)
-        self.register("iostat", self._cmd_iostat)
-        self.register("sar", self._cmd_sar)
-        self.register("netstat", self._cmd_netstat)
-        self.register("nfsstat", self._cmd_nfsstat)
-        self.register("uptime", self._cmd_uptime)
-        self.register("df", self._cmd_df)
         self.register("prtdiag", self._cmd_prtdiag)
         self.register("ping", self._cmd_ping)
-        self.register("uname", self._cmd_uname)
-        self.register("who", self._cmd_who)
-
-    def _cmd_ps(self, args: List[str]) -> CommandResult:
-        host = self.host
-        lines = ["  PID USER     %CPU  MEM_MB ST COMMAND"]
-        procs = sorted(host.ptable, key=lambda p: p.pid)
-        if "-u" in args:
-            idx = args.index("-u")
-            user = args[idx + 1] if idx + 1 < len(args) else ""
-            procs = [p for p in procs if p.user == user]
-        for p in procs:
-            lines.append(f"{p.pid:5d} {p.user:<8s} {p.cpu_pct:5.1f} "
-                         f"{p.mem_mb:7.1f} {p.state.value:>2s} {p.cmdline}")
-        return CommandResult(0, lines)
-
-    def _cmd_pgrep(self, args: List[str]) -> CommandResult:
-        names = [a for a in args if not a.startswith("-")]
-        if not names:
-            return CommandResult.failure(2, "pgrep: missing pattern")
-        procs = self.host.ptable.by_command(names[0])
-        if not procs:
-            return CommandResult(1, [])
-        return CommandResult(0, [str(p.pid) for p in procs])
-
-    def _cmd_pkill(self, args: List[str]) -> CommandResult:
-        names = [a for a in args if not a.startswith("-")]
-        if not names:
-            return CommandResult.failure(2, "pkill: missing pattern")
-        n = self.host.ptable.kill_command(names[0])
-        return CommandResult(0 if n else 1, [])
-
-    def _cmd_vmstat(self, args: List[str]) -> CommandResult:
-        """One-line vmstat: r b w  free sr po fault  id%"""
-        host = self.host
-        m = host.os_metrics()
-        lines = [
-            " r  b  w    free    sr    po  fault   id",
-            (f"{m['run_queue']:2d} {m['blocked']:2d}  0 "
-             f"{m['free_mb'] * 1024:7.0f} {m['scan_rate']:5.0f} "
-             f"{m['page_out']:5.0f} {m['page_faults']:6.0f} "
-             f"{m['cpu_idle']:4.0f}"),
-        ]
-        return CommandResult(0, lines)
-
-    def _cmd_iostat(self, args: List[str]) -> CommandResult:
-        host = self.host
-        lines = ["device     %b  asvc_t  wsvc_t"]
-        for d in host.disk_metrics():
-            lines.append(f"{d['device']:<9s} {d['busy_pct']:4.0f} "
-                         f"{d['asvc_t']:7.1f} {d['wsvc_t']:7.1f}")
-        return CommandResult(0, lines)
-
-    def _cmd_sar(self, args: List[str]) -> CommandResult:
-        m = self.host.os_metrics()
-        lines = ["%usr %sys %wio %idle",
-                 (f"{m['cpu_user']:4.0f} {m['cpu_sys']:4.0f} "
-                  f"{m['cpu_wio']:4.0f} {m['cpu_idle']:5.0f}")]
-        return CommandResult(0, lines)
-
-    def _cmd_netstat(self, args: List[str]) -> CommandResult:
-        host = self.host
-        lines = ["iface      ipkts  opkts  ierrs oerrs  colls"]
-        for nic in host.nics.values():
-            lines.append(f"{nic.ifname:<9s} {nic.packets_in:6d} "
-                         f"{nic.packets_out:6d} {nic.errors_in:6d} "
-                         f"{nic.errors_out:5d} {nic.collisions:6d}")
-        return CommandResult(0, lines)
-
-    def _cmd_nfsstat(self, args: List[str]) -> CommandResult:
-        host = self.host
-        calls = getattr(host, "nfs_calls", 0)
-        retrans = getattr(host, "nfs_retrans", 0)
-        return CommandResult(0, ["calls   retrans",
-                                 f"{calls:6d} {retrans:8d}"])
-
-    def _cmd_uptime(self, args: List[str]) -> CommandResult:
-        host = self.host
-        up_for = host.sim.now - host.booted_at
-        load = host.load_average()
-        return CommandResult(0, [
-            f"up {up_for / 3600.0:.1f}h, load average: "
-            f"{load:.2f}, {load:.2f}, {load:.2f}"])
-
-    def _cmd_df(self, args: List[str]) -> CommandResult:
-        lines = ["Filesystem       capacity  used%"]
-        for m in self.host.fs.df():
-            state = "" if m.online else "  (offline)"
-            lines.append(f"{m.point:<16s} {m.capacity_bytes:9d} "
-                         f"{m.pct_used:5.1f}{state}")
-        return CommandResult(0, lines)
 
     def _cmd_prtdiag(self, args: List[str]) -> CommandResult:
         report = self.host.inventory.status_report()
@@ -237,13 +130,3 @@ class Shell(Persistent):
         if reachable:
             return CommandResult(0, [f"{targets[0]} is alive ({rtt_ms:.1f} ms)"])
         return CommandResult.failure(1, f"no answer from {targets[0]}")
-
-    def _cmd_uname(self, args: List[str]) -> CommandResult:
-        host = self.host
-        return CommandResult(0, [f"{host.spec.os} {host.name} "
-                                 f"{host.spec.model}"])
-
-    def _cmd_who(self, args: List[str]) -> CommandResult:
-        users = sorted({p.user for p in self.host.ptable
-                        if p.user not in ("root", "daemon")})
-        return CommandResult(0, users)

@@ -25,10 +25,6 @@ class SyslogRecord:
     tag: str            # program name, e.g. "oracle", "httpd"
     message: str
 
-    def format(self) -> str:
-        return (f"{self.time:12.1f} {self.facility}.{self.severity} "
-                f"{self.tag}: {self.message}")
-
 
 class Syslog:
     """Bounded, append-only host log."""
@@ -87,9 +83,6 @@ class Syslog:
                 continue
             out.append(rec)
         return out
-
-    def clear(self) -> None:
-        self.records.clear()
 
     # -- persistence --------------------------------------------------------
 

@@ -36,19 +36,12 @@ class DeadlineWheel(Persistent):
         self._due: Set[Hashable] = set()
         self._push_seq = 0
 
-    def __len__(self) -> int:
-        return len(self._deadline)
-
     def set_deadline(self, key: Hashable, deadline: float) -> None:
         """(Re)arm ``key``; a fresher deadline rescues a due key."""
         self._deadline[key] = deadline
         self._due.discard(key)
         self._push_seq += 1
         heapq.heappush(self._heap, (deadline, self._push_seq, key))
-
-    def drop(self, key: Hashable) -> None:
-        self._deadline.pop(key, None)
-        self._due.discard(key)
 
     def due(self, now: float) -> Set[Hashable]:
         """Keys whose current deadline is <= ``now``.  Pops newly due

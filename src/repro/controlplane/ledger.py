@@ -45,9 +45,6 @@ class Condition:
     time: float = 0.0   # producer's sim-time stamp
     detail: str = ""
 
-    def key(self) -> Tuple[str, str]:
-        return (self.host, self.agent)
-
 
 class LedgerCursor:
     """One consumer's read position."""
@@ -152,9 +149,6 @@ class ConditionLedger(Persistent):
         if start == 0:
             return list(self._entries)
         return list(islice(self._entries, start, None))
-
-    def backlog(self) -> int:
-        return len(self._entries)
 
     # -- trimming ------------------------------------------------------------
 

@@ -132,10 +132,6 @@ class Intelliagent(Persistent):
 
     # -- subclass surface ------------------------------------------------------
 
-    def monitor(self) -> List[Finding]:
-        """Inspect the agent's one subject; return anomalies."""
-        raise NotImplementedError
-
     def install_rules(self, engine: RuleEngine) -> None:
         """Populate the causal rules (constraints come from ontologies)."""
 

@@ -22,8 +22,8 @@ when the oldest flag has outlived the retention, so the store carries
 a lower bound on the oldest stamp in its directory and lists the
 directory only once the cutoff has passed it.  The bound is derived,
 never saved: :meth:`FlagStore.raise_flag` lowers it, a real scan
-recomputes it, and :meth:`FlagStore.clear_all`, a new store or a
-restored filesystem (:meth:`FlagStore.forget`) start from "unknown".
+recomputes it, and a new store or a restored filesystem
+(:meth:`FlagStore.forget`) start from "unknown".
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ class Flag:
     #: disambiguates flags of the same status raised within the same
     #: 0.1 s filename bucket (they used to silently overwrite)
     seq: int = 0
-
-    @property
-    def filename(self) -> str:
-        return _flag_name(self.status, self.time, self.seq)
 
 
 class FlagStore:
@@ -130,10 +126,6 @@ class FlagStore:
         self._oldest = oldest
         return removed
 
-    def clear_all(self) -> int:
-        self.forget()
-        return self.fs.remove_tree(self.dir)
-
     def forget(self) -> None:
         """Drop what was derived from the directory (it was replaced
         under the store, e.g. by a filesystem restore)."""
@@ -189,10 +181,6 @@ class FlagStore:
                     best is None or parsed[1:] > best[1:]):
                 best, best_path = parsed, path
         return best, best_path
-
-    def latest(self) -> Optional[Flag]:
-        _parsed, path = self._latest_name()
-        return None if path is None else self._parse_path(path)
 
     def latest_time(self) -> float:
         """Freshest flag timestamp (-inf when none exist), the number

@@ -161,13 +161,6 @@ def restart_cron(host, subject: str) -> ActionResult:
     return ActionResult("restart_cron", True, 15.0, "crond restarted")
 
 
-def reboot_host(host, subject: str) -> ActionResult:
-    """The blunt instrument; the paper treats reboot as last resort."""
-    host.reboot()
-    return ActionResult("reboot_host", True, host.boot_duration + 120.0,
-                        f"rebooted {host.name}")
-
-
 def request_field_engineer(host, subject: str) -> ActionResult:
     """Not a repair: hardware needs hands.  Returns success=False so
     the agent escalates to humans."""
@@ -184,7 +177,6 @@ ACTIONS: Dict[str, Callable[[object, str], ActionResult]] = {
     "kill_leaky": kill_leaky,
     "clean_logs": clean_logs,
     "restart_cron": restart_cron,
-    "reboot_host": reboot_host,
     "request_field_engineer": request_field_engineer,
 }
 

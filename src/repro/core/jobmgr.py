@@ -20,7 +20,7 @@ the daily summary report.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.batch.jobs import BatchJob, JobState
 from repro.persist.core import Persistent, scalars
@@ -160,20 +160,6 @@ class JobManager(Persistent):
                 self.notifications.sms(
                     "oncall-admin", "LSF master host is down",
                     severity="critical", sender="jobmgr")
-
-    def snapshot(self) -> Dict[str, object]:
-        """What §4 says the agents recorded every cycle."""
-        per_server = {db.host.name: db.job_count()
-                      for db in self.lsf.servers}
-        running = list(self.lsf.running.values())
-        return {
-            "lsf_up": self.lsf.up,
-            "jobs_running": len(running),
-            "jobs_pending": len(self.lsf.pending),
-            "time_left_s": {j.job_id: j.time_left(self.sim.now)
-                            for j in running},
-            "jobs_per_server": per_server,
-        }
 
     # -- daily summary ------------------------------------------------------------------
 

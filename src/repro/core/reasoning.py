@@ -86,6 +86,3 @@ class RuleEngine:
                                  evidence)
         return Diagnosis(finding, f"unknown ({finding.kind})", [],
                          evidence, confirmed=False)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._rules.values())

@@ -151,9 +151,3 @@ class AgentSuite(Persistent):
             out["demand_wakes"] += s.demand_wakes
             out["cpu_seconds"] += s.cpu_seconds
         return out
-
-    def agent(self, name: str) -> Intelliagent:
-        for a in self.agents:
-            if a.name == name:
-                return a
-        raise KeyError(f"no agent {name!r} on {self.host.name}")

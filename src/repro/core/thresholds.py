@@ -56,9 +56,6 @@ class Baselines:
         self.bands[metric] = band
         return band
 
-    def band(self, metric: str) -> Optional[Band]:
-        return self.bands.get(metric)
-
     # -- checking ---------------------------------------------------------------
 
     def check(self, metrics: Dict[str, float]) -> List[Breach]:

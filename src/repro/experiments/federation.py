@@ -59,11 +59,6 @@ class FederationStory:
     def availability(self, arm: str) -> float:
         return self.arms[arm]["global"]["availability"]
 
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "population": self.population,
-                "lost_site": self.lost_site, "loss_at_h": self.loss_at_h,
-                "observe_h": self.observe_h, "arms": self.arms}
-
 
 def run_arm(*, geo_steering: bool, cross_site_relocation: bool,
             population: int = 1_000_000, seed: int = 0,

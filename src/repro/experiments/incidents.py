@@ -154,7 +154,6 @@ def run(seed: int = 0, *, population: int = 1_000_000,
     from repro.ops.console import OperatorConsole
     console = OperatorConsole(site.notifications, site.sim)
     console.attach_alerts(site.alerts)
-    console.attach_ledger(site.ledger)
 
     result = IncidentRunResult(
         seed=seed, population=population, horizon=horizon,

@@ -24,7 +24,6 @@ from repro.apps.frontend import FrontendApp
 from repro.apps.marketfeed import MarketFeed
 from repro.apps.webserver import WebServer
 from repro.batch.lsf import LsfCluster, LsfMaster
-from repro.batch.policies import ManualPolicy
 from repro.batch.workload import OvernightWorkload
 from repro.cluster.datacenter import Datacenter
 from repro.controlplane import ConditionLedger
@@ -224,8 +223,10 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
     # -- LSF on the first TP host -----------------------------------------------
     lsf_host = tp_hosts[0] if tp_hosts else adm1
     lsf_master = LsfMaster(lsf_host, "lsf")
+    # format 3 checkpoints the stream the retired manual placement
+    # policy drew from: it stays materialised until the next format
+    streams.get("site.manual")
     lsf = LsfCluster(dc, lsf_master,
-                     policy=ManualPolicy(streams.get("site.manual")),
                      rng=streams.get("site.lsf"),
                      base_crash_prob=config.crash_coupling)
     for db in databases:

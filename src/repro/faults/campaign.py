@@ -40,10 +40,6 @@ class PipelineParams:
     agent_period: float = 300.0
     label: str = ""
 
-    @property
-    def name(self) -> str:
-        return self.label or ("intelliagents" if self.agents else "manual")
-
 
 @dataclass
 class FaultRecord:
@@ -85,12 +81,6 @@ class CampaignResult:
 
     def total_hours(self) -> float:
         return sum(r.downtime for r in self.records) / 3600.0
-
-    def counts(self) -> Dict[Category, int]:
-        out = {c: 0 for c in Category}
-        for r in self.records:
-            out[r.category] += 1
-        return out
 
     def detection_by_period(self) -> Dict[str, float]:
         """Mean detection latency (hours) split day/overnight/weekend --

@@ -155,10 +155,6 @@ class FaultInjector(Persistent):
 
     # -- catalog dispatch --------------------------------------------------------
 
-    def catalog(self) -> Tuple[FaultSpec, ...]:
-        """The structured fault catalog (see :data:`FAULT_CATALOG`)."""
-        return FAULT_CATALOG
-
     def inject(self, kind: str, target, **params) -> FaultEvent:
         """Apply the catalog fault ``kind`` to a resolved ``target``.
 

@@ -227,17 +227,3 @@ class FaultEvent:
     repaired_at: Optional[float] = None
     auto_repaired: Optional[bool] = None
     prevented: bool = False
-
-    @property
-    def downtime(self) -> float:
-        if self.prevented:
-            return 0.0
-        if self.repaired_at is None:
-            return float("inf")
-        return self.repaired_at - self.time
-
-    @property
-    def detection_latency(self) -> float:
-        if self.detected_at is None:
-            return float("inf")
-        return self.detected_at - self.time

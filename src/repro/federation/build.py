@@ -70,9 +70,6 @@ class Federation:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def site(self, name: str) -> Site:
-        return self.sites[name]
-
     def start_traffic(self) -> None:
         """Begin serving user demand from the next :meth:`run` epoch
         (kept explicit so warm-up runs don't pollute the SLIs)."""

@@ -43,14 +43,6 @@ class SiteSpec:
                     self.region_latency_ms.items())),
                 "remote_latency_ms": self.remote_latency_ms}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SiteSpec":
-        return cls(name=str(doc["name"]), region=str(doc["region"]),
-                   config=SiteConfig(**doc["config"]),
-                   region_latency_ms={k: float(v) for k, v in
-                                      doc["region_latency_ms"].items()},
-                   remote_latency_ms=float(doc["remote_latency_ms"]))
-
 
 @dataclass
 class FederationConfig:
@@ -118,27 +110,6 @@ class FederationConfig:
             "pinned_fraction": dict(sorted(self.pinned_fraction.items())),
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FederationConfig":
-        return cls(
-            sites=[SiteSpec.from_dict(s) for s in doc["sites"]],
-            regions=tuple(Region(str(n), float(s), float(o))
-                          for n, s, o in doc["regions"]),
-            population=int(doc["population"]),
-            epoch=float(doc["epoch"]),
-            digest_period=float(doc["digest_period"]),
-            digest_freshness=float(doc["digest_freshness"]),
-            wan_latency_ms=float(doc["wan_latency_ms"]),
-            wan_latency_overrides={k: float(v) for k, v in
-                                   doc["wan_latency_overrides"].items()},
-            with_traffic=bool(doc["with_traffic"]),
-            geo_steering=bool(doc["geo_steering"]),
-            cross_site_relocation=bool(doc["cross_site_relocation"]),
-            pinned_fraction={k: float(v) for k, v in
-                             doc["pinned_fraction"].items()},
-            seed=int(doc["seed"]),
-        )
 
 
 def three_site_config(*, population: int = 1_000_000, seed: int = 0,

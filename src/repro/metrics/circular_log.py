@@ -13,8 +13,6 @@ eviction drops the head in place rather than rewriting the file.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 __all__ = ["CircularLog"]
 
 
@@ -36,12 +34,3 @@ class CircularLog:
         excess = len(f.lines) - self.maxlen
         if excess > 0:
             self.fs.drop_head(self.path, excess, now=now)
-
-    def lines(self) -> List[str]:
-        return self.fs.read(self.path)
-
-    def __len__(self) -> int:
-        return len(self.fs.read(self.path))
-
-    def clear(self, now: float = 0.0) -> None:
-        self.fs.write(self.path, [], now=now)

@@ -10,7 +10,7 @@ magnitude; see the hpc-parallel guides).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,40 +105,6 @@ class TimeSeries:
         self._v = [float(x) for x in state["v"]]
         self._t_arr = None
         self._v_arr = None
-
-    # -- statistics -----------------------------------------------------------
-
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self._v else 0.0
-
-    def max(self) -> float:
-        return float(np.max(self.values)) if self._v else 0.0
-
-    def min(self) -> float:
-        return float(np.min(self.values)) if self._v else 0.0
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self.values, q)) if self._v else 0.0
-
-    def window(self, t0: float, t1: float) -> "TimeSeries":
-        """Sub-series with t0 <= t < t1."""
-        t, v = self.times, self.values
-        mask = (t >= t0) & (t < t1)
-        out = TimeSeries(self.name)
-        out._t = t[mask].tolist()
-        out._v = v[mask].tolist()
-        return out
-
-    def resample(self, period: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Mean value per period bucket; returns (bucket_starts, means)."""
-        if not self._t:
-            return (np.empty(0), np.empty(0))
-        t, v = self.times, self.values
-        buckets = np.floor(t / period).astype(np.int64)
-        uniq, inverse = np.unique(buckets, return_inverse=True)
-        sums = np.bincount(inverse, weights=v)
-        counts = np.bincount(inverse)
-        return (uniq * period, sums / counts)
 
 
 def merge_by_timestamp(series: Sequence[TimeSeries], *,

@@ -78,15 +78,15 @@ class FederatedNameService(Persistent):
     """Cross-site delegation over the per-site authoritative servers.
 
     Each site keeps its own :class:`NameService` as the authority for
-    its zone.  A federated lookup of ``"name@site"`` from ``from_site``
-    delegates to that zone over the WAN: a *partitioned* link fails the
-    lookup outright (unreachable), a *degraded* link (or a degraded
-    remote server) merely inflates the response time -- the two must
-    stay distinguishable.  Unqualified names resolve in the caller's
-    home zone, and :meth:`resolve_service` searches all zones
-    home-first, which is how a cross-site cutover becomes visible: the
-    takeover site registers the ``svc.<app>`` alias in *its* zone and
-    every other site finds it there on the next resolution.
+    its zone.  A lookup in another site's zone delegates to it over
+    the WAN: a *partitioned* link fails the lookup outright
+    (unreachable), a *degraded* link (or a degraded remote server)
+    merely inflates the response time -- the two must stay
+    distinguishable.  :meth:`resolve_service` searches all zones
+    home-first, which is how a cross-site cutover would become visible:
+    the takeover site registers the ``svc.<app>`` alias in *its* zone
+    and every other site finds it there on the next resolution.  No
+    product run resolves a service across sites yet.
     """
 
     #: counters only: zone records snapshot with their sites and the
@@ -103,16 +103,6 @@ class FederatedNameService(Persistent):
     def delegate(self, site: str, ns: NameService) -> None:
         """Install ``ns`` as the authority for ``site``'s zone."""
         self.zones[site] = ns
-
-    def lookup(self, name: str, from_site: str
-               ) -> Tuple[Optional[str], float, Optional[str]]:
-        """Resolve ``name`` (optionally ``name@site``) as seen from
-        ``from_site``.  Returns (ip-or-None, response_ms, authority)."""
-        self.lookups += 1
-        target = from_site
-        if "@" in name:
-            name, target = name.rsplit("@", 1)
-        return self._ask(name, from_site, target)
 
     def _ask(self, name: str, from_site: str, target: str
              ) -> Tuple[Optional[str], float, Optional[str]]:

@@ -271,12 +271,6 @@ class Wan(Persistent):
     def links_of(self, site: str) -> List[WanLink]:
         return [ln for key, ln in sorted(self.links.items()) if site in key]
 
-    def reachable(self, a: str, b: str) -> bool:
-        if a == b:
-            return True
-        link = self.link(a, b)
-        return link is not None and link.reachable()
-
     def latency_ms(self, a: str, b: str) -> float:
         if a == b:
             return 0.0

@@ -58,19 +58,3 @@ class SharedPool(Persistent):
     def append(self, client, path: str, line: str) -> None:
         self._access(client)
         self.fs.append(path, line, now=self.sim.now)
-
-    def read(self, client, path: str) -> List[str]:
-        self._access(client)
-        return self.fs.read(path)
-
-    def exists(self, client, path: str) -> bool:
-        self._access(client)
-        return self.fs.exists(path)
-
-    def listdir(self, client, path: str) -> List[str]:
-        self._access(client)
-        return self.fs.listdir(path)
-
-    def remove(self, client, path: str) -> bool:
-        self._access(client)
-        return self.fs.remove(path)

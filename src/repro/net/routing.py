@@ -95,11 +95,6 @@ class AgentChannel(Persistent):
                 return True
         return False
 
-    def broadcast(self, src_name: str,
-                  dst_names: List[str]) -> List[Delivery]:
-        return [self.send(src_name, d) for d in dst_names]
-
-
     def stats(self) -> Dict[str, float]:
         return {
             "sent": self.sent,

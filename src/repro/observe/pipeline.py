@@ -96,12 +96,6 @@ class TelemetryHub(Persistent):
         self._running = True
         self._event = self.sim.schedule(INTERVAL, self._tick)
 
-    def stop(self) -> None:
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
     def _tick(self) -> None:
         if not self._running:
             return

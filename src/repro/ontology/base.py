@@ -178,7 +178,3 @@ class OntologyDoc:
 
     def write_to(self, fs, path: str, now: float = 0.0) -> None:
         fs.write(path, self.render(), now=now)
-
-    @classmethod
-    def read_from(cls, fs, path: str) -> "OntologyDoc":
-        return cls.parse(fs.read(path))

@@ -60,9 +60,6 @@ class Dgspl:
     def add(self, entry: GlobalServiceEntry) -> None:
         self.entries.append(entry)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     # -- queries -------------------------------------------------------------
 
     def services_of_type(self, app_type: str) -> List[GlobalServiceEntry]:
@@ -123,13 +120,6 @@ class Dgspl:
                 users=int(r["users"]), location=r["location"],
                 site=r["site"]))
         return out
-
-    def write_to(self, fs, path: str, now: float = 0.0) -> None:
-        fs.write(path, self.render(), now=now or self.generated_at)
-
-    @classmethod
-    def read_from(cls, fs, path: str) -> "Dgspl":
-        return cls.from_doc(OntologyDoc.read_from(fs, path))
 
 
 def host_entries(dlsp: Dlsp) -> List[GlobalServiceEntry]:
@@ -278,9 +268,6 @@ class FederatedDgspl(Persistent):
         self.received_at[digest.site] = float(now)
         self.ingested += 1
 
-    def digest(self, site: str) -> Optional[SiteDigest]:
-        return self.digests.get(site)
-
     def is_fresh(self, site: str, now: float) -> bool:
         digest = self.digests.get(site)
         if digest is None:
@@ -288,9 +275,3 @@ class FederatedDgspl(Persistent):
         window = self.window_of(site)
         return (now - self.received_at[site] <= window
                 and now - digest.generated_at <= window)
-
-    def capacity(self, site: str, app_type: str, now: float) -> float:
-        """Steering weight input; a stale site advertises nothing."""
-        if not self.is_fresh(site, now):
-            return 0.0
-        return self.digests[site].capacity(app_type)

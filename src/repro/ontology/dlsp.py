@@ -50,12 +50,6 @@ class Dlsp:
     up: bool
     services: List[ServiceStatus]
 
-    def service(self, name: str) -> Optional[ServiceStatus]:
-        for s in self.services:
-            if s.name == name:
-                return s
-        return None
-
     def is_fresh(self, now: float, window: float) -> bool:
         """Whether this profile is recent enough to act on -- the one
         freshness rule shared by the full DGSPL rebuild and the
@@ -109,13 +103,6 @@ class Dlsp:
             free_mem_mb=float(h["free_mem_mb"]), users=int(h["users"]),
             site=h["site"], location=h["location"], up=h["up"] == "yes",
             services=services)
-
-    def write_to(self, fs, path: str) -> None:
-        fs.write(path, self.render(), now=self.generated_at)
-
-    @classmethod
-    def read_from(cls, fs, path: str) -> "Dlsp":
-        return cls.from_doc(OntologyDoc.read_from(fs, path))
 
 
 def build_dlsp(host) -> Dlsp:
@@ -175,12 +162,6 @@ class DlspBuilder(Persistent):
     @staticmethod
     def _fingerprint(app) -> tuple:
         return (app.state.value, app.version, app.port or 0)
-
-    def invalidate(self) -> None:
-        """Drop the cache; the next build re-probes everything."""
-        self._entries.clear()
-        self._fingerprints.clear()
-        self._load_key = None
 
     def build(self) -> Dlsp:
         host = self.host

@@ -87,4 +87,4 @@ class Issl:
 
     @classmethod
     def read_from(cls, fs, path: str) -> "Issl":
-        return cls.from_doc(OntologyDoc.read_from(fs, path))
+        return cls.from_doc(OntologyDoc.parse(fs.read(path)))

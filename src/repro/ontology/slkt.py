@@ -9,17 +9,14 @@ process names and numbers, etc.)."
 
 The SLKT is the constraint set for the agents' causal reasoning: a
 :meth:`Slkt.check` compares a live host against its template and
-returns typed deviations; the job manager also reads the hardware
-template to honour the "equal or higher in power" reallocation rule.
+returns typed deviations.  Products hold it as objects; the ISSL is
+the one static ontology still written as a flat file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
-
-from repro.ontology.base import (OntologyDoc, OntologyError, decode_list,
-                                 encode_list)
 
 __all__ = ["HardwareTemplate", "AppTemplate", "Deviation", "Slkt",
            "build_slkt", "app_template_of"]
@@ -34,15 +31,6 @@ class HardwareTemplate:
     ram_mb: int
     disks: int
     max_load: float
-
-    @property
-    def power(self) -> float:
-        """Capability scalar used for 'equal or higher in power'."""
-        from repro.cluster.specs import SPEC_CATALOGUE
-        spec = SPEC_CATALOGUE.get(self.model)
-        if spec is not None:
-            return spec.power
-        return float(self.cpus * 400 + self.ram_mb / 16.0)
 
 
 @dataclass(frozen=True)
@@ -87,9 +75,6 @@ class Slkt:
 
     def add_app(self, tmpl: AppTemplate) -> None:
         self.apps[tmpl.name] = tmpl
-
-    def app(self, name: str) -> AppTemplate:
-        return self.apps[name]
 
     # -- constraint checking ----------------------------------------------------
 
@@ -138,71 +123,6 @@ class Slkt:
                     "proc-count", tmpl.name,
                     f"{command}: {have}/{count} processes"))
         return devs
-
-    # -- codec -------------------------------------------------------------------------
-
-    def to_doc(self, now: float = 0.0) -> OntologyDoc:
-        doc = OntologyDoc("SLKT", now)
-        hw = self.hardware
-        doc.add("host", name=self.hostname, model=hw.model,
-                cpus=str(hw.cpus), ram_mb=str(hw.ram_mb),
-                disks=str(hw.disks), max_load=repr(hw.max_load))
-        for name in sorted(self.apps):
-            t = self.apps[name]
-            doc.add(
-                "application",
-                name=t.name, type=t.app_type, version=t.version,
-                port=str(t.port), binary=t.binary_path, user=t.user,
-                processes=encode_list(
-                    f"{cmd}:{cnt}" for cmd, cnt in t.processes),
-                startup=encode_list(t.startup_sequence),
-                depends=encode_list(
-                    f"{h}/{a}" for h, a in t.depends_on),
-                filesystems=encode_list(t.filesystems),
-                timeout_ms=repr(t.connect_timeout_ms),
-                auto_start="yes" if t.auto_start else "no",
-            )
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: OntologyDoc) -> "Slkt":
-        if doc.kind != "SLKT":
-            raise OntologyError(f"not a SLKT document: {doc.kind!r}")
-        hostrec = doc.first("host")
-        if hostrec is None:
-            raise OntologyError("SLKT without host record")
-        hw = HardwareTemplate(
-            model=hostrec["model"], cpus=int(hostrec["cpus"]),
-            ram_mb=int(hostrec["ram_mb"]), disks=int(hostrec["disks"]),
-            max_load=float(hostrec["max_load"]))
-        slkt = cls(hostrec["name"], hw)
-        for rec in doc.of_type("application"):
-            procs = []
-            for token in decode_list(rec.get("processes", "")):
-                cmd, _, cnt = token.rpartition(":")
-                procs.append((cmd, int(cnt)))
-            deps = []
-            for token in decode_list(rec.get("depends", "")):
-                h, _, a = token.partition("/")
-                deps.append((h, a))
-            slkt.add_app(AppTemplate(
-                name=rec["name"], app_type=rec["type"],
-                version=rec["version"], port=int(rec["port"]),
-                binary_path=rec["binary"], user=rec["user"],
-                processes=tuple(procs),
-                startup_sequence=tuple(decode_list(rec.get("startup", ""))),
-                depends_on=tuple(deps),
-                filesystems=tuple(decode_list(rec.get("filesystems", ""))),
-                connect_timeout_ms=float(rec["timeout_ms"]),
-                auto_start=rec.get("auto_start", "yes") == "yes"))
-        return slkt
-
-    def write_to(self, fs, path: str, now: float = 0.0) -> None:
-        self.to_doc(now).write_to(fs, path, now=now)
-
-    @classmethod
-    def read_from(cls, fs, path: str) -> "Slkt":
-        return cls.from_doc(OntologyDoc.read_from(fs, path))
 
 
 def app_template_of(app) -> AppTemplate:

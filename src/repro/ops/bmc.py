@@ -101,7 +101,3 @@ class BaselineMonitor:
                             severity="critical", sender="patrol")
             elif healthy:
                 self._known_down.discard(app.name)
-
-    def stop(self) -> None:
-        self._poll.cancel()
-        self.host.ptable.kill(self.proc.pid)

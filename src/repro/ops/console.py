@@ -49,25 +49,11 @@ class OperatorConsole:
         self.alarms: Dict[str, Alarm] = {}
         self.cleared: List[Alarm] = []
         self.total_notifications = 0
-        #: condition-ledger feed (per-kind tallies + last seen version)
-        self.condition_counts: Dict[str, int] = {}
-        self.last_condition_version = 0
         #: live alert feed (repro.observe.alerts.AlertManager)
         self.alert_manager = None
         #: geo-federation feed (repro.federation.Federation)
         self.federation = None
         channel.subscribe(self._on_notification)
-
-    def attach_ledger(self, ledger) -> None:
-        """Mirror the control-plane condition stream onto the board, so
-        operators see the same deltas the administration servers act
-        on."""
-        ledger.on_append(self._on_condition)
-
-    def _on_condition(self, cond) -> None:
-        self.condition_counts[cond.kind] = (
-            self.condition_counts.get(cond.kind, 0) + 1)
-        self.last_condition_version = cond.version
 
     def attach_alerts(self, manager) -> None:
         """Show the alerting tier's firing alerts as a board pane."""
@@ -114,18 +100,12 @@ class OperatorConsole:
         alarm.acked_by = operator
         return True
 
-    def clear(self, subject: str) -> bool:
-        """Problem resolved: move the alarm off the board."""
-        alarm = self.alarms.pop(subject, None)
-        if alarm is None:
-            return False
-        self.cleared.append(alarm)
-        return True
-
     def clear_matching(self, fragment: str) -> int:
+        """Problems resolved: move every alarm whose subject contains
+        ``fragment`` off the board."""
         victims = [s for s in self.alarms if fragment in s]
         for s in victims:
-            self.clear(s)
+            self.cleared.append(self.alarms.pop(s))
         return len(victims)
 
     # -- the "GUI" ---------------------------------------------------------------------
@@ -160,11 +140,6 @@ class OperatorConsole:
         if counters:
             lines.append("  -- site counters: " + "  ".join(
                 f"{k}={v:g}" for k, v in counters))
-        if self.last_condition_version:
-            kinds = "  ".join(f"{k}={self.condition_counts[k]}"
-                              for k in sorted(self.condition_counts))
-            lines.append(f"  -- control plane: "
-                         f"v{self.last_condition_version}  {kinds}")
         return "\n".join(lines)
 
     def _federation_pane(self) -> List[str]:

@@ -116,9 +116,6 @@ class DowntimeLedger(Persistent):
 
     # -- aggregation -----------------------------------------------------------
 
-    def closed(self) -> List[Incident]:
-        return [i for i in self.incidents if not i.open]
-
     def hours_by_category(self, as_of: Optional[float] = None
                           ) -> Dict[Category, float]:
         """The Fig. 2 rows: downtime hours per category.
@@ -131,8 +128,9 @@ class DowntimeLedger(Persistent):
         """
         out: Dict[Category, float] = {c: 0.0 for c in Category}
         if as_of is None:
-            for inc in self.closed():
-                out[inc.category] += inc.duration / 3600.0
+            for inc in self.incidents:
+                if not inc.open:
+                    out[inc.category] += inc.duration / 3600.0
         else:
             for inc in self.incidents:
                 out[inc.category] += inc.duration_until(as_of) / 3600.0

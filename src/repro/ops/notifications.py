@@ -62,8 +62,5 @@ class NotificationChannel(Persistent):
 
     # -- queries -------------------------------------------------------------
 
-    def since(self, t: float) -> List[Notification]:
-        return [n for n in self.sent if n.time >= t]
-
     def count(self) -> int:
         return len(self.sent)

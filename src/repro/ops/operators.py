@@ -41,10 +41,6 @@ class Resolution:
     auto: bool = False        # automation performed the repair
     prevented: bool = False   # never became an incident
 
-    @property
-    def downtime(self) -> float:
-        return 0.0 if self.prevented else self.detection + self.repair
-
 
 class OperatorModel:
     """Timing model for manual and agent-assisted fault handling."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
                                 collector_paused, state_hash)
@@ -92,16 +92,14 @@ class CheckpointManager:
 
     # -- the barrier hook -----------------------------------------------------
 
-    def due(self) -> bool:
-        return self._now() - self._last_at >= self.every_hours * 3600.0
-
     def epoch(self, *, force: bool = False) -> Optional[str]:
         """Checkpoint if an epoch has elapsed (or ``force``).
 
         Returns the written path, or None (not due, or deferred on a
         non-quiescent barrier -- ``deferred`` counts those).
         """
-        if not force and not self.due():
+        if not force and (self._now() - self._last_at
+                          < self.every_hours * 3600.0):
             return None
         sealed = sealed_federation if self._federated else sealed_site
         t0 = time.perf_counter()
@@ -198,11 +196,3 @@ class CheckpointManager:
                 f"{recorded!r}, its contents hash to {actual}): the "
                 f"checkpoint is corrupt or incomplete")
         return snap
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "written": self.written,
-            "deferred": self.deferred,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "rss_mb": round(rss_mb(), 1),
-        }

@@ -9,9 +9,10 @@ records, the federation RNG and the lockstep clock.  Those layers and
 the six clock fields are listed once, in :data:`_LAYERS`, in the entry
 vocabulary of :mod:`repro.persist.core`; snapshot and restore both
 read that table, the way :data:`site_state._LAYERS` drives a site's
-walks.  Restore rebuilds the federation fresh from the embedded
+walks.  Restore takes a federation built fresh from the embedded
 :class:`FederationConfig` (:func:`build_federation` is deterministic),
-then overwrites every layer -- a restored federation produces
+checks the two configs agree, then overwrites every layer -- a
+restored federation produces
 byte-identical summaries to the one that never stopped.
 """
 
@@ -68,24 +69,17 @@ def sealed_federation(fed, extras_by_site: Optional[
 
 
 @collector_paused
-def restore_federation(snapshot: dict, *, fed=None, extras_by_site: Optional[
+def restore_federation(snapshot: dict, *, fed, extras_by_site: Optional[
         Mapping[str, Mapping[str, object]]] = None):
-    """Rebuild the snapshotted federation and return it.
+    """Restore the snapshotted federation into ``fed`` and return it.
 
-    Without ``fed``, a fresh one is built from the embedded config; a
-    caller with per-site harnesses builds the federation itself, wires
-    them, and passes both it and ``extras_by_site``.
+    ``fed`` is freshly built from the snapshot's config; a caller with
+    per-site harnesses wires them into it and passes ``extras_by_site``.
     """
-    from repro.federation.build import build_federation
-    from repro.federation.config import FederationConfig
-
     check_format(snapshot, "federation")
     extras_by_site = dict(extras_by_site or {})
 
-    if fed is None:
-        fed = build_federation(
-            FederationConfig.from_dict(snapshot["fedconfig"]))
-    elif fed.config.to_dict() != snapshot["fedconfig"]:
+    if fed.config.to_dict() != snapshot["fedconfig"]:
         raise ValueError(
             "supplied federation was built from a different config "
             "than the snapshot's")

@@ -51,12 +51,6 @@ class RerouteDirectory(Persistent):
         if self.ledger is not None:
             door.attach_ledger(self.ledger)
 
-    def publish(self, app) -> None:
-        """Register a service alias for an app at its current host."""
-        if self.nameservice is not None:
-            ip = next((n.ip for n in app.host.nics.values()), "0.0.0.0")
-            self.nameservice.register(service_alias(app.name), ip)
-
     # -- the two phases ------------------------------------------------------
 
     def drain(self, app) -> None:

@@ -413,10 +413,6 @@ class Simulator(Persistent):
             heapq.heappop(heap)
         return heap[0][0] if heap else math.inf
 
-    def pending(self) -> int:
-        """Number of live events still queued (O(n); for tests/debug)."""
-        return sum(1 for entry in self._heap if entry[3].alive)
-
     # -- persistence -----------------------------------------------------
 
     def live_events(self) -> list[Event]:

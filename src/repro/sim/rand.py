@@ -16,7 +16,7 @@ This mirrors the standard practice for reproducible Monte-Carlo fan-out
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -67,18 +67,6 @@ class RandomStreams:
             self._streams[name] = gen
         return gen
 
-    def child(self, prefix: str) -> "ScopedStreams":
-        """A view that prefixes every stream name with ``prefix.``."""
-        return ScopedStreams(self, prefix)
-
-    def spawn_seeds(self, n: int, name: str = "replications") -> list[int]:
-        """Independent integer seeds for ``n`` parallel replications."""
-        gen = self.get(f"__spawn__.{name}")
-        return [int(s) for s in gen.integers(0, 2**63 - 1, size=n)]
-
-    def names(self) -> Iterator[str]:
-        return iter(self._streams)
-
     # -- explicit state (the persistence layer's prerequisite) ---------------
 
     def getstate(self) -> dict:
@@ -108,22 +96,3 @@ class RandomStreams:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RandomStreams seed={self.seed} streams={len(self._streams)}>"
-
-
-class ScopedStreams:
-    """Prefix view over a :class:`RandomStreams` (shares the same pool)."""
-
-    __slots__ = ("_parent", "_prefix")
-
-    def __init__(self, parent: RandomStreams, prefix: str):
-        self._parent = parent
-        self._prefix = prefix
-
-    def get(self, name: str) -> np.random.Generator:
-        return self._parent.get(f"{self._prefix}.{name}")
-
-    def child(self, prefix: str) -> "ScopedStreams":
-        return ScopedStreams(self._parent, f"{self._prefix}.{prefix}")
-
-    def spawn_seeds(self, n: int, name: str = "replications") -> list[int]:
-        return self._parent.spawn_seeds(n, f"{self._prefix}.{name}")

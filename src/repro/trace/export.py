@@ -86,12 +86,6 @@ class IncidentTrace:
     spans: List[Span] = field(default_factory=list)
 
     @property
-    def detection_latency(self) -> Optional[float]:
-        if self.injected_at is None or self.detected_at is None:
-            return None
-        return self.detected_at - self.injected_at
-
-    @property
     def downtime(self) -> Optional[float]:
         if self.injected_at is None or self.restored_at is None:
             return None

@@ -96,11 +96,6 @@ class Histogram(Persistent):
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def count_at_or_below(self, value: float) -> int:
-        """Observations known to be <= ``value`` (bucket granularity:
-        only whole buckets whose upper bound fits are counted)."""
-        return sum(self.counts[:bisect.bisect_right(self.bounds, value)])
-
     def quantile(self, q: float) -> float:
         """Approximate q-quantile by linear interpolation inside the
         containing bucket.  The overflow bucket reports its lower bound
@@ -214,7 +209,3 @@ class MetricsRegistry:
             self.gauge(name).value = float(value)
         for name, h in state["histograms"].items():
             self.histogram(name, h["bounds"]).restore_state(h)
-
-    def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))

@@ -63,10 +63,6 @@ class Span:
             self.end = self.tracer.now
             self.tracer._finished(self)
 
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
     def __enter__(self) -> "Span":
         return self
 
@@ -264,12 +260,6 @@ class Tracer(Persistent):
             if all(sp.attrs.get(k) == v for k, v in attr_filter.items()):
                 out.append(sp)
         return out
-
-    def clear(self) -> None:
-        """Drop recorded spans/instants (metrics are kept)."""
-        self.spans.clear()
-        self.instants.clear()
-        self._stack.clear()
 
     # -- persistence ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.traffic.workload import (DemandCurve, DiurnalProfile,
                                     TrafficClass, FINANCIAL_CLASSES,
                                     FINANCIAL_PROFILE, financial_curve)
 from repro.traffic.slo import (LATENCY_BUCKETS_MS, IncidentWindow,
-                               QosOutcome, Sli, Slo, SloStatus, join_demand)
+                               QosOutcome, Sli, join_demand)
 from repro.traffic.frontdoor import FrontDoor
 from repro.traffic.engine import FluidTrafficEngine, doors_for_site
 
@@ -34,7 +34,7 @@ __all__ = [
     "DemandCurve", "DiurnalProfile", "TrafficClass",
     "FINANCIAL_CLASSES", "FINANCIAL_PROFILE", "financial_curve",
     "LATENCY_BUCKETS_MS", "IncidentWindow", "QosOutcome",
-    "Sli", "Slo", "SloStatus", "join_demand",
+    "Sli", "join_demand",
     "FrontDoor",
     "FluidTrafficEngine", "doors_for_site",
 ]

@@ -52,12 +52,6 @@ class FluidTrafficEngine:
         self._running = True
         self._event = self.sim.schedule(0.0, self._tick)
 
-    def stop(self) -> None:
-        self._running = False
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
     def _tick(self) -> None:
         if not self._running:
             return
@@ -100,23 +94,6 @@ class FluidTrafficEngine:
         if tracer.enabled:
             tracer.metrics.counter("traffic.attempted").inc(n)
             tracer.metrics.counter("traffic.shed").inc(n)
-
-    @property
-    def attempted(self) -> float:
-        return sum(s.attempted for s in self.slis.values())
-
-    @property
-    def served(self) -> float:
-        return sum(s.served for s in self.slis.values())
-
-    @property
-    def availability(self) -> float:
-        att = self.attempted
-        return 1.0 if att <= 0 else self.served / att
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {name: sli.snapshot()
-                for name, sli in sorted(self.slis.items())}
 
 
 def dispatch_fluid(door, n: int, now: float,

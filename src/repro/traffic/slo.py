@@ -5,9 +5,9 @@ Three layers:
 - :class:`Sli` -- streaming per-service indicators (availability from
   served/attempted, latency percentiles from the fixed-bucket
   histograms of :mod:`repro.trace.metrics`), fed by aggregated batches.
-- :class:`Slo` / :class:`SloStatus` -- objectives with error budgets
-  and burn rates, the language modern SRE practice would use for the
-  paper's availability claim.
+- :func:`burn_rate` -- error-budget burn against an objective, the
+  language modern SRE practice would use for the paper's availability
+  claim.
 - :func:`join_demand` -- the request-weighted unavailability view:
   joins downtime windows (campaign fault records or ledger incidents)
   against the concurrent demand curve, so an incident's QoS cost is
@@ -19,17 +19,16 @@ Three layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from repro.sim.calendar import HOUR, MINUTE, is_business_hours, is_weekend
+from repro.sim.calendar import MINUTE, is_business_hours, is_weekend
 from repro.persist.core import Persistent, part, scalars
 from repro.trace.metrics import Histogram
 
-__all__ = ["LATENCY_BUCKETS_MS", "Sli", "Slo", "SloStatus",
-           "IncidentWindow", "QosOutcome", "join_demand", "burn_rate",
-           "rollup_slis"]
+__all__ = ["LATENCY_BUCKETS_MS", "Sli", "IncidentWindow", "QosOutcome",
+           "join_demand", "burn_rate", "rollup_slis"]
 
 
 def burn_rate(attempted: float, bad: float, objective: float) -> float:
@@ -39,8 +38,7 @@ def burn_rate(attempted: float, bad: float, objective: float) -> float:
     99.9% objective = the classic "2% of a 30-day budget in one hour".
     Defined for every input: no traffic burns nothing, and a zero
     budget with failures burns infinitely fast.  The alerting tier
-    calls this on short rolling windows, where ``SloStatus`` (which
-    carries a full Slo) would be overkill.
+    calls this on short rolling windows.
     """
     if attempted <= 0:
         return 0.0
@@ -104,66 +102,9 @@ class Sli(Persistent):
     def latency_quantile(self, q: float) -> float:
         return self.latency.quantile(q)
 
-    def snapshot(self) -> Dict[str, float]:
-        return {"attempted": self.attempted, "served": self.served,
-                "failed": self.failed, "shed": self.shed,
-                "availability": self.availability,
-                "latency_p50_ms": self.latency_quantile(0.50),
-                "latency_p99_ms": self.latency_quantile(0.99)}
-
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<Sli {self.name} avail={self.availability:.6f} "
                 f"n={self.attempted:g}>")
-
-
-@dataclass(frozen=True)
-class Slo:
-    """An availability objective over a rolling window."""
-
-    name: str
-    #: target availability, e.g. 0.999
-    objective: float
-    #: latency threshold a served request must beat to count as good
-    #: (None = availability-only SLO)
-    latency_ms: Optional[float] = None
-    #: accounting window, seconds (30 days by default)
-    window: float = 30 * 24 * HOUR
-
-    def error_budget(self, attempted: float) -> float:
-        """Requests the service may fail in the window without breaking
-        the objective."""
-        return (1.0 - self.objective) * attempted
-
-
-@dataclass
-class SloStatus:
-    """One SLO evaluated against one SLI."""
-
-    slo: Slo
-    attempted: float
-    bad: float
-
-    @property
-    def budget(self) -> float:
-        return self.slo.error_budget(self.attempted)
-
-    @property
-    def burn_rate(self) -> float:
-        """1.0 = failing exactly at budget pace; >1 = burning faster
-        than the objective allows."""
-        if self.budget <= 0:
-            return 0.0 if self.bad <= 0 else float("inf")
-        return self.bad / self.budget
-
-    @classmethod
-    def evaluate(cls, sli: Sli, slo: Slo) -> "SloStatus":
-        bad = sli.failed
-        if slo.latency_ms is not None:
-            # served-but-slow requests also count against the budget
-            h = sli.latency
-            slow = h.count - h.count_at_or_below(slo.latency_ms)
-            bad += slow
-        return cls(slo, sli.attempted, bad)
 
 
 # -- request-weighted unavailability ------------------------------------------

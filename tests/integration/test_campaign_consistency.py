@@ -70,8 +70,8 @@ def test_full_fidelity_repair_times_match_campaign_profile():
         harness.injector.db_crash(db)
         site.run(2400.0)
         if db.is_healthy():
-            closed = [i for i in harness.ledger.closed()
-                      if i.start >= t0]
+            closed = [i for i in harness.ledger.incidents
+                      if not i.open and i.start >= t0]
             durations.extend(i.duration for i in closed)
     assert durations
     mean_min = np.mean(durations) / 60.0

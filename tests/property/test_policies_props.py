@@ -1,4 +1,4 @@
-"""Property-based tests for placement ranking and flag parsing."""
+"""Property-based tests for flag parsing."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +14,9 @@ times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 @given(st.sampled_from(FLAG_STATUSES), times)
 @settings(max_examples=200, deadline=None)
 def test_flag_filename_roundtrip(status, t):
-    from repro.core.flags import Flag
-    flag = Flag("agent", status, round(t, 1))
-    parsed = FlagStore._parse_name(f"/logs/x/{flag.filename}")
+    from repro.core.flags import _flag_name
+    name = _flag_name(status, round(t, 1), 0)
+    parsed = FlagStore._parse_name(f"/logs/x/{name}")
     assert parsed is not None
     assert parsed[0] == status
     assert abs(parsed[1] - round(t, 1)) < 1e-6
@@ -28,74 +28,3 @@ def test_flag_parser_never_crashes_on_garbage(name):
     # arbitrary filenames either parse or return None, never raise
     result = FlagStore._parse_name(f"/logs/x/{name}")
     assert result is None or result[0] in FLAG_STATUSES
-
-
-# ------------------------------------------------------ candidate ranking --
-
-class _FakeHostSpec:
-    def __init__(self, power, max_load):
-        self.power = power
-        self.max_load = max_load
-
-
-class _FakeHost:
-    def __init__(self, name, power):
-        self.name = name
-        self.spec = _FakeHostSpec(power, 4.0)
-
-
-class _FakeDb:
-    def __init__(self, name, power, healthy, jobs, slots, overload):
-        self.host = _FakeHost(name, power)
-        self._healthy = healthy
-        self._jobs = jobs
-        self.max_job_slots = slots
-        self._overload = overload
-
-    def is_healthy(self):
-        return self._healthy
-
-    def job_count(self):
-        return self._jobs
-
-    def overload_factor(self):
-        return self._overload
-
-
-db_strategy = st.builds(
-    _FakeDb,
-    name=st.from_regex(r"h[0-9]{1,3}", fullmatch=True),
-    power=st.floats(min_value=1, max_value=1e5, allow_nan=False),
-    healthy=st.booleans(),
-    jobs=st.integers(min_value=0, max_value=10),
-    slots=st.integers(min_value=1, max_value=10),
-    overload=st.floats(min_value=0, max_value=5, allow_nan=False),
-)
-
-
-@given(st.lists(db_strategy, max_size=15),
-       st.floats(min_value=0, max_value=1e5, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_rank_candidates_invariants(dbs, min_power):
-    from repro.batch.policies import rank_candidates
-    ranked = rank_candidates(dbs, min_power=min_power)
-    # every result is healthy, strong enough and has a slot
-    for db in ranked:
-        assert db.is_healthy()
-        assert db.host.spec.power >= min_power
-        assert db.job_count() < db.max_job_slots
-    # ordering: headroom (1 - overload) non-increasing
-    headrooms = [1.0 - db.overload_factor() for db in ranked]
-    assert all(a >= b - 1e-9 for a, b in zip(headrooms, headrooms[1:]))
-    # no duplicates, subset of input
-    assert len(set(id(d) for d in ranked)) == len(ranked)
-    assert all(d in dbs for d in ranked)
-
-
-@given(st.lists(db_strategy, min_size=1, max_size=15))
-@settings(max_examples=100, deadline=None)
-def test_rank_excludes_are_absolute(dbs):
-    from repro.batch.policies import rank_candidates
-    excluded = {dbs[0].host.name}
-    ranked = rank_candidates(dbs, exclude_hosts=excluded)
-    assert all(db.host.name not in excluded for db in ranked)

@@ -25,11 +25,11 @@ def test_probe_counts_transactions(database):
 def test_user_sessions(database):
     assert database.connect_user("alice")
     assert database.connect_user("bob")
-    assert database.user_count() == 2
+    assert len(database.connected_users) == 2
     database.disconnect_user("alice")
-    assert database.user_count() == 1
+    assert len(database.connected_users) == 1
     database.crash("x")
-    assert database.user_count() == 0
+    assert len(database.connected_users) == 0
 
 
 def test_connect_refused_when_down(database):

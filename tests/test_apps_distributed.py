@@ -44,7 +44,7 @@ def test_duplicate_component_rejected(dc, database):
 def test_healthy_end_to_end(service):
     ok, ms, err = service.end_to_end_probe()
     assert ok and err == "" and ms > 0
-    assert service.healthy()
+    assert service.end_to_end_probe()[0]
     assert service.probes_run == 2
 
 

@@ -65,8 +65,8 @@ def test_frontend_login_logout(frontend):
 
 
 def test_frontend_query_roundtrips_to_backend(frontend, database):
-    ok, ms, err = frontend.run_query()
-    assert ok and err == ""
+    served, failed, ms = frontend.serve_batch(1)
+    assert (served, failed) == (1, 0)
     # the query cost includes the backend's time
     fe_only = frontend.probe()[1]
     assert ms > fe_only
@@ -75,15 +75,14 @@ def test_frontend_query_roundtrips_to_backend(frontend, database):
 
 def test_frontend_query_fails_when_backend_dead(frontend, database):
     database.crash("x")
-    ok, _, err = frontend.run_query()
-    assert not ok and err.startswith("backend")
+    served, failed, _ = frontend.serve_batch(1)
+    assert (served, failed) == (0, 1)
     assert frontend.is_healthy()    # the GUI itself is fine
 
 
 def test_frontend_query_fails_when_frontend_dead(frontend):
     frontend.crash("x")
-    ok, _, err = frontend.run_query()
-    assert not ok and err.startswith("frontend")
+    assert frontend.serve_batch(1)[:2] == (0, 1)
 
 
 def test_frontend_serve_batch_fails_on_dead_backend(frontend, database):
@@ -103,5 +102,4 @@ def test_standalone_frontend(dc, sim):
     fe = FrontendApp(dc.host("adm01"), "lonely")
     fe.start()
     sim.run(until=sim.now + fe.startup_duration() + 1)
-    ok, _, _ = fe.run_query()
-    assert ok
+    assert fe.serve_batch(1)[:2] == (1, 0)

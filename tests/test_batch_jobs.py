@@ -59,15 +59,6 @@ def test_exit_fires_once_per_terminal_transition(sim, database):
     assert count == [1]
 
 
-def test_cancel(sim, database):
-    job = BatchJob("j", "u", duration=10.0)
-    database.attach_job(job)
-    job.mark_running(database, sim.now, None)
-    job.cancel(sim.now)
-    assert job.state is JobState.CANCELLED
-    assert database.job_count() == 0
-
-
 def test_resubmit_resets_state(sim, database):
     job = BatchJob("j", "u", duration=10.0)
     database.attach_job(job)

@@ -5,7 +5,6 @@ import pytest
 from repro.apps.database import Database
 from repro.batch.jobs import BatchJob, JobState
 from repro.batch.lsf import LsfCluster, LsfMaster
-from repro.batch.policies import RandomPolicy
 
 
 @pytest.fixture
@@ -25,7 +24,7 @@ def lsf(dc, sim, rs):
     return cluster
 
 
-def _job(duration=100.0, target=None):
+def _job(duration=100.0, target="db01"):
     return BatchJob("j", "analyst", duration=duration,
                     requested_server=target)
 
@@ -40,7 +39,8 @@ def test_submit_dispatch_complete(sim, lsf):
 
 
 def test_slot_limit_queues_excess(sim, lsf):
-    jobs = [_job(duration=1000.0) for _ in range(6)]
+    jobs = [_job(duration=1000.0, target=("db01", "fe01")[i % 2])
+            for i in range(6)]
     for j in jobs:
         lsf.submit(j)
     running = [j for j in jobs if j.state is JobState.RUNNING]
@@ -101,7 +101,8 @@ def test_crash_coupling_under_overload(sim, dc, rs):
     cluster = LsfCluster(dc, master, rng=rs.get("x"), base_crash_prob=0.5)
     cluster.register_server(db)
     for _ in range(12):
-        cluster.submit(BatchJob("j", "u", duration=3600.0, cpu_slots=8))
+        cluster.submit(BatchJob("j", "u", duration=3600.0, cpu_slots=8,
+                                requested_server="db01"))
     sim.run(until=sim.now + 4000.0)
     assert cluster.crashes_caused >= 1
     assert cluster.jobs_failed >= 1

@@ -82,14 +82,3 @@ def test_completion_stats(sim, lsf, rs):
     assert stats["submitted"] == 15
     assert stats["done"] + stats["failed"] <= stats["submitted"]
     assert 0.0 <= stats["completion_rate"] <= 1.0
-
-
-def test_stop_halts_generation(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), jobs_per_night=5)
-    wl.daytime_jobs_per_hour = 0.0
-    wl.start()
-    sim.run(until=21 * HOUR)
-    n = len(wl.submitted)
-    wl.stop()
-    sim.run(until=3 * DAY)
-    assert len(wl.submitted) == n

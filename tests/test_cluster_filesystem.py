@@ -49,8 +49,8 @@ def test_capacity_accounting_and_disk_full(fs):
 
 
 def test_mount_of_longest_prefix(fs):
-    assert fs.mount_of("/logs/x/y").point == "/logs"
-    assert fs.mount_of("/whatever").point == "/"
+    assert fs._mount("/logs/x/y").point == "/logs"
+    assert fs._mount("/whatever").point == "/"
 
 
 def test_offline_mount_errors(fs):
@@ -77,25 +77,6 @@ def test_remove_frees_space(fs):
     assert not fs.remove("/logs/f")
 
 
-def test_remove_tree(fs):
-    fs.write("/logs/a/1", ["x"])
-    fs.write("/logs/a/2", ["y"])
-    fs.write("/logs/b", ["z"])
-    assert fs.remove_tree("/logs/a") == 2
-    assert fs.exists("/logs/b")
-    assert not fs.exists("/logs/a/1")
-
-
-def test_listdir_and_mkdir(fs):
-    fs.mkdir("/logs/flags")
-    assert fs.listdir("/logs/flags") == []
-    fs.write("/logs/flags/ok.1", [])
-    fs.write("/logs/flags/sub/deep", [])
-    assert fs.listdir("/logs/flags") == ["ok.1", "sub"]
-    with pytest.raises(FsError):
-        fs.listdir("/no/such/dir")
-
-
 def test_glob_and_dir_index(fs):
     fs.write("/logs/d/a", [])
     fs.write("/logs/d/b", [])
@@ -105,14 +86,6 @@ def test_glob_and_dir_index(fs):
     assert fs.files_in_dir("/logs/d") == ["/logs/d/a", "/logs/d/b"]
     fs.remove("/logs/d/a")
     assert fs.files_in_dir("/logs/d") == ["/logs/d/b"]
-
-
-def test_dir_index_survives_remove_tree(fs):
-    fs.write("/logs/d/a", [])
-    fs.remove_tree("/logs/d")
-    assert fs.files_in_dir("/logs/d") == []
-    fs.write("/logs/d/fresh", [])
-    assert fs.files_in_dir("/logs/d") == ["/logs/d/fresh"]
 
 
 def test_fill_sets_usage(fs):

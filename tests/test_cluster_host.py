@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.database import Database
 from repro.cluster.host import HostState, OS_BASE_MB
+from repro.cluster.hardware import ComponentKind
 
 
 def test_host_starts_up_with_base_daemons(db_host):
@@ -41,7 +42,7 @@ def test_boot_takes_boot_duration(sim, db_host):
 
 
 def test_boot_refused_on_fatal_hardware(sim, db_host):
-    db_host.inventory.find("system_board0").fail(now=0.0)
+    db_host.inventory.of_kind(ComponentKind.SYSTEM_BOARD)[0].fail(now=0.0)
     db_host.crash("hw")
     db_host.boot()
     sim.run(until=sim.now + 1000.0)
@@ -96,9 +97,9 @@ def test_cpu_utilization_capped(db_host):
 
 
 def test_run_queue_counts_extra_runnable(db_host):
-    assert db_host.run_queue() == 0
+    assert db_host.os_metrics()["run_queue"] == 0
     db_host.extra_runnable = db_host.effective_cpus() + 5
-    assert db_host.run_queue() > 0
+    assert db_host.os_metrics()["run_queue"] > 0
 
 
 def test_io_demand_and_disk_metrics(db_host):
@@ -126,13 +127,6 @@ def test_effective_resources_track_hardware(db_host):
     from repro.cluster.hardware import ComponentKind
     db_host.inventory.of_kind(ComponentKind.CPU_BOARD)[0].fail(now=0.0)
     assert db_host.effective_cpus() < cpus0
-
-
-def test_reboot_roundtrip(sim, db_host):
-    db_host.reboot()
-    assert not db_host.is_up
-    sim.run(until=sim.now + db_host.boot_duration + 5)
-    assert db_host.is_up
 
 
 def test_install_app_twice_rejected(dc):

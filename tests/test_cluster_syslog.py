@@ -54,10 +54,3 @@ def test_severity_hierarchy(log):
     # crit is *more* severe than err, so min_severity="err" includes it
     assert len(log.grep(min_severity="err")) == 1
     assert len(log.grep(min_severity="crit")) == 1
-
-
-def test_format_is_ascii_line(log):
-    rec = log.error(12.5, "oracle", "boom")
-    line = rec.format()
-    assert "oracle" in line and "err" in line and "boom" in line
-    assert "\n" not in line

@@ -114,8 +114,13 @@ def test_judging_the_flag_directories_writes_nothing():
     harness = FidelityHarness(site)
     site.run(1500.0)
     suite = site.suites["db000"]
-    for agent in suite.agents:
-        agent.flags.clear_all()             # the directories go too
+    fs = suite.host.fs
+    for agent in suite.agents:              # the directories go too
+        for path in fs.glob_files(agent.flags.dir):
+            fs.remove(path)
+        fs._dirs.discard(agent.flags.dir)
+        fs._dir_index.pop(agent.flags.dir, None)
+        agent.flags.forget()
     app = sorted(suite.host.apps)[0]
     harness.ledger.open_incident(Category.MID_CRASH, f"db000/{app}",
                                  site.sim.now)

@@ -103,7 +103,7 @@ def test_quiet_agents_escalate_with_sms_and_pool_log(wired, sim, dc,
     pages = _sms_for(notifications, "db01")
     assert len(pages) == 1
     assert "agents not flagging" in pages[0].subject
-    log = admin.pool.read(admin.primary, "/admin/actions.log")
+    log = admin.pool.fs.read("/admin/actions.log")
     assert any("ESCALATED db01" in line for line in log)
 
 

@@ -23,7 +23,7 @@ def test_agent_not_memory_resident(agent, database, sim):
 
 def test_ok_flag_on_clean_run(agent, sim):
     agent.run()
-    latest = agent.flags.latest()
+    latest = agent.flags.flags()[-1]
     assert latest.status == "ok"
 
 
@@ -138,7 +138,7 @@ def test_monitoring_deactivated_means_blind(database, sim, notifications):
 def test_activity_log_written(agent, database, sim):
     database.crash("x")
     agent.run()
-    lines = agent.activity.lines()
+    lines = agent.activity.fs.read(agent.activity.path)
     assert any("diagnosis" in l for l in lines)
     assert any("action restart_app" in l for l in lines)
 

@@ -10,6 +10,7 @@ from repro.core.resource_agent import ResourceAgent
 from repro.core.service_agent import ServiceAgent
 from repro.core.status_agent import StatusAgent
 from repro.net.nameservice import NameService
+from repro.cluster.hardware import ComponentKind
 
 
 # -------------------------------------------------------------- service --
@@ -159,7 +160,7 @@ def test_resource_agent_notes_slow_disks(database, notifications):
 def test_hardware_agent_names_the_fru(database, notifications):
     agent = HardwareAgent(database.host, notifications=notifications)
     assert agent.monitor() == []
-    database.host.inventory.find("memory_bank1").fail(0.0)
+    database.host.inventory.of_kind(ComponentKind.MEMORY_BANK)[1].fail(0.0)
     findings = agent.monitor()
     assert any(f.subject.endswith("memory_bank1") for f in findings)
     agent.run()
@@ -170,7 +171,7 @@ def test_hardware_agent_names_the_fru(database, notifications):
 
 def test_hardware_agent_warns_on_degraded(database, notifications):
     agent = HardwareAgent(database.host, notifications=notifications)
-    comp = database.host.inventory.find("cpu_board0")
+    comp = database.host.inventory.of_kind(ComponentKind.CPU_BOARD)[0]
     for _ in range(3):
         comp.degrade(0.0)
     findings = agent.monitor()
@@ -231,7 +232,7 @@ def test_performance_agent_reports_breach(database, sim, notifications):
     agent.run()
     assert agent.breaches_seen >= 1
     assert agent.reports_sent >= 1
-    report = agent.report_log.lines()[-1]
+    report = agent.report_log.fs.read(agent.report_log.path)[-1]
     assert "suspect=" in report and "greedy" in report
     # limited troubleshooting: it did NOT kill anything
     assert database.host.ptable.alive("miner")

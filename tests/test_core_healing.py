@@ -89,14 +89,6 @@ def test_restart_cron(db_host):
     assert db_host.ptable.alive("crond")
 
 
-def test_reboot_host(db_host, sim):
-    res = apply_action("reboot_host", db_host, "db01")
-    assert res.success
-    assert not db_host.is_up
-    sim.run(until=sim.now + db_host.boot_duration + 5)
-    assert db_host.is_up
-
-
 def test_field_engineer_is_not_a_repair(db_host):
     res = apply_action("request_field_engineer", db_host, "disk0")
     assert not res.success
@@ -110,6 +102,6 @@ def test_unknown_action(db_host):
 def test_action_registry_complete():
     for name in ("restart_app", "start_app", "restore_config",
                  "restore_data", "kill_runaway", "kill_leaky",
-                 "clean_logs", "restart_cron", "reboot_host",
+                 "clean_logs", "restart_cron",
                  "request_field_engineer"):
         assert name in ACTIONS

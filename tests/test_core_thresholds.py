@@ -28,8 +28,8 @@ def test_adjust_on_evidence_widens_high_side():
     b = Baselines()
     b.set_band("x", None, 10.0)
     b.adjust("x", observed=14.0)
-    assert b.band("x").hi == pytest.approx(14.0 * 1.2)
-    assert b.band("x").adjustments == 1
+    assert b.bands["x"].hi == pytest.approx(14.0 * 1.2)
+    assert b.bands["x"].adjustments == 1
     assert b.check({"x": 14.0}) == []
 
 
@@ -37,25 +37,25 @@ def test_adjust_on_evidence_widens_low_side():
     b = Baselines()
     b.set_band("x", 100.0, None)
     b.adjust("x", observed=60.0)
-    assert b.band("x").lo == pytest.approx(60.0 * 0.8)
+    assert b.bands["x"].lo == pytest.approx(60.0 * 0.8)
 
 
 def test_adjust_ignores_in_band_and_unknown():
     b = Baselines()
     b.set_band("x", None, 10.0)
     b.adjust("x", observed=5.0)
-    assert b.band("x").hi == 10.0
+    assert b.bands["x"].hi == 10.0
     b.adjust("nonexistent", observed=1.0)       # no crash
 
 
 def test_for_host_seeds_from_spec(database):
     b = Baselines.for_host(database.host)
     spec = database.host.spec
-    assert b.band("run_queue").hi == spec.max_load * spec.cpus
-    assert b.band("free_mb").lo == pytest.approx(spec.ram_mb * 0.05)
-    assert b.band("fs_logs_pct").hi == 90.0
+    assert b.bands["run_queue"].hi == spec.max_load * spec.cpus
+    assert b.bands["free_mb"].lo == pytest.approx(spec.ram_mb * 0.05)
+    assert b.bands["fs_logs_pct"].hi == 90.0
     # developer-provided timeouts seed the app response band (§3.2)
-    band = b.band(f"{database.name}_response_ms")
+    band = b.bands[f"{database.name}_response_ms"]
     assert band.hi == database.connect_timeout_ms * 0.5
 
 

@@ -37,7 +37,7 @@ def test_everything_running_after_build(site):
         assert fe.is_healthy()
     assert site.lsf.up
     for svc in site.services:
-        assert svc.healthy()
+        assert svc.end_to_end_probe()[0]
 
 
 def test_all_databases_registered_with_lsf(site):

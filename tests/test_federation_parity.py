@@ -75,7 +75,7 @@ def test_checkpoint_restore_continues_identically():
     fed.run(1 * HOUR - fed.now)
     snap = sealed_federation(fed)[0]
 
-    restored = restore_federation(snap)
+    restored = restore_federation(snap, fed=build())
     assert sealed_federation(restored)[0]["state_hash"] == snap["state_hash"]
 
     fed.run(1 * HOUR)

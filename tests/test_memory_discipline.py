@@ -78,11 +78,11 @@ def test_mount_of_answers_by_longest_prefix_through_the_memo(db_host):
              "//": "/"}
     for _cold_then_warm in range(2):
         for path, point in cases.items():
-            assert fs.mount_of(path).point == point, path
+            assert fs._mount(path).point == point, path
     fs.add_mount("/logs/intelliagents", 1 << 20)     # drops the memo
-    assert fs.mount_of("/logs/intelliagents/osnet/ok.300.0").point == \
+    assert fs._mount("/logs/intelliagents/osnet/ok.300.0").point == \
         "/logs/intelliagents"
-    assert fs.mount_of("/logs/syslog").point == "/logs"
+    assert fs._mount("/logs/syslog").point == "/logs"
 
 
 # -- timeseries rings --------------------------------------------------------
@@ -164,9 +164,9 @@ def test_ledger_force_trim_counts_and_flags_overrun():
     cursor = ledger.subscribe("slow")
     for i in range(20):
         ledger.append("flag", "db01", time=float(i))
-    assert ledger.backlog() <= 8
-    assert ledger.trimmed == 20 - ledger.backlog()
-    retained = ledger.backlog()
+    assert len(ledger._entries) <= 8
+    assert ledger.trimmed == 20 - len(ledger._entries)
+    retained = len(ledger._entries)
     fresh, overrun = cursor.poll()
     assert overrun                       # the cap blew past this cursor
     assert cursor.overruns == 1
@@ -180,6 +180,6 @@ def test_ledger_cursor_driven_trim_keeps_backlog_small():
     for i in range(50):
         ledger.append("flag", "db01", time=float(i))
         cursor.poll()                    # consume eagerly
-    assert ledger.backlog() == 0         # everything consumed -> trimmed
+    assert len(ledger._entries) == 0     # everything consumed -> trimmed
     assert ledger.trimmed == 50
     assert cursor.overruns == 0

@@ -16,7 +16,8 @@ def ha_pool(sim, dc, pool):
 def test_write_read_through_pool(dc, ha_pool):
     client = dc.host("db01")
     ha_pool.write(client, "/x", ["hello"])
-    assert ha_pool.read(client, "/x") == ["hello"]
+    ha_pool.append(client, "/x", "world")
+    assert ha_pool.fs.read("/x") == ["hello", "world"]
     assert client.nfs_calls == 2
     assert ha_pool.calls == 2
 
@@ -44,20 +45,10 @@ def test_recovers_after_boot(sim, dc, ha_pool):
     dc.host("adm01").boot()
     sim.run(until=sim.now + dc.host("adm01").boot_duration + 5)
     ha_pool.write(dc.host("db01"), "/x", ["back"])
-    assert ha_pool.read(dc.host("db01"), "/x") == ["back"]
-
-
-def test_listdir_exists_remove(dc, ha_pool):
-    client = dc.host("db01")
-    ha_pool.write(client, "/dlsp/db01", ["a"])
-    ha_pool.append(client, "/dlsp/db01", "b")
-    assert ha_pool.exists(client, "/dlsp/db01")
-    assert "db01" in ha_pool.listdir(client, "/dlsp")
-    assert ha_pool.remove(client, "/dlsp/db01")
-    assert not ha_pool.exists(client, "/dlsp/db01")
+    assert ha_pool.fs.read("/x") == ["back"]
 
 
 def test_pool_without_servers_is_local(sim):
     pool = SharedPool(sim)
     pool.write(None, "/x", ["standalone"])
-    assert pool.read(None, "/x") == ["standalone"]
+    assert pool.fs.read("/x") == ["standalone"]

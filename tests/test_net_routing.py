@@ -47,12 +47,6 @@ def test_unknown_host(ch):
     assert ch.send("db01", "ghost").error == "unknown-host"
 
 
-def test_broadcast(dc, ch):
-    results = ch.broadcast("db01", ["adm01", "adm02"])
-    assert all(d.ok for d in results)
-    assert ch.stats()["delivered"] == 2
-
-
 def test_delivery_rate(dc, ch):
     ch.send("db01", "adm01")
     dc.lan("agentnet").fail()

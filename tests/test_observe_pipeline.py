@@ -1,6 +1,8 @@
 """Unit tests for the telemetry hub: ring series, rollup ticks,
 condition push and windowed burn inputs."""
 
+import math
+
 import pytest
 
 from repro.controlplane.ledger import ConditionLedger
@@ -69,21 +71,12 @@ def test_window_delta_on_cumulative_series(sim, hub):
     assert hub.window_delta("missing", 60.0) == 0.0
 
 
-def test_stop_cancels_the_rollup(sim, hub):
-    hub.start()
-    sim.run(until=INTERVAL)
-    assert hub.ticks == 1
-    hub.stop()
-    sim.run(until=10 * INTERVAL)
-    assert hub.ticks == 1
-
-
 def test_constructed_but_unstarted_pipeline_schedules_nothing(sim, hub):
     """A hub with an alert manager hanging off it costs a run nothing
     until ``start()``: no event armed, no rollup, no series."""
     from repro.observe import AlertManager
     AlertManager(sim, hub)
-    assert sim.pending() == 0
+    assert sim.peek() == math.inf
     sim.run(until=10 * INTERVAL)
     assert sim.events_processed == 0
     assert hub.ticks == 0 and hub._series == {}

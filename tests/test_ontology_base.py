@@ -92,5 +92,5 @@ def test_fs_io_roundtrip(db_host):
     doc = OntologyDoc("ISSL", 9.0)
     doc.add("entry", name="db01")
     doc.write_to(db_host.fs, "/apps/issl", now=9.0)
-    back = OntologyDoc.read_from(db_host.fs, "/apps/issl")
+    back = OntologyDoc.parse(db_host.fs.read("/apps/issl"))
     assert back.records == doc.records

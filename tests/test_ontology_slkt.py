@@ -1,16 +1,13 @@
 """Unit tests for the static local knowledge templates."""
 
-import pytest
-
-from repro.ontology.base import OntologyDoc, OntologyError
-from repro.ontology.slkt import Slkt, build_slkt
+from repro.ontology.slkt import build_slkt
 
 
 def test_build_from_healthy_host(database, frontend):
     slkt = build_slkt(database.host)
     assert slkt.hostname == "db01"
     assert slkt.hardware.model == "sun-e4500"
-    tmpl = slkt.app(database.name)
+    tmpl = slkt.apps[database.name]
     assert tmpl.port == database.port
     assert tmpl.app_type == "database"
     # process names and counts captured
@@ -20,7 +17,7 @@ def test_build_from_healthy_host(database, frontend):
 
 def test_dependencies_captured(frontend):
     slkt = build_slkt(frontend.host)
-    tmpl = slkt.app(frontend.name)
+    tmpl = slkt.apps[frontend.name]
     assert ("db01", frontend.backend.name) in tmpl.depends_on
 
 
@@ -66,27 +63,3 @@ def test_check_detects_offline_filesystem(database):
     database.host.fs.mounts["/apps"].online = False
     devs = slkt.check(database.host)
     assert any(d.kind == "fs-missing" for d in devs)
-
-
-def test_roundtrip(database, frontend):
-    slkt = build_slkt(database.host)
-    doc = slkt.to_doc(42.0)
-    back = Slkt.from_doc(OntologyDoc.parse(doc.render()))
-    assert back.hostname == slkt.hostname
-    assert back.hardware == slkt.hardware
-    assert back.apps == slkt.apps
-
-
-def test_from_wrong_doc():
-    with pytest.raises(OntologyError):
-        Slkt.from_doc(OntologyDoc("ISSL"))
-    with pytest.raises(OntologyError):
-        Slkt.from_doc(OntologyDoc("SLKT"))      # no host record
-
-
-def test_hardware_power_known_and_unknown_models():
-    from repro.ontology.slkt import HardwareTemplate
-    known = HardwareTemplate("sun-e10k", 16, 16384, 12, 4.0)
-    unknown = HardwareTemplate("cray-1", 1, 8192, 1, 4.0)
-    assert known.power > 0
-    assert unknown.power > 0

@@ -62,10 +62,10 @@ def test_ack_workflow(console, notifications):
 
 def test_clear_moves_to_history(console, notifications):
     notifications.email("ops", "x", severity="critical")
-    assert console.clear("x")
+    assert console.clear_matching("x") == 1
     assert console.active() == []
     assert len(console.cleared) == 1
-    assert not console.clear("x")
+    assert console.clear_matching("x") == 0
 
 
 def test_clear_matching(console, notifications):
@@ -112,19 +112,6 @@ def test_board_shows_live_counters_when_traced(console, notifications, sim):
 
 
 # -- condition-ledger feed ----------------------------------------------------
-
-def test_console_mirrors_the_condition_stream(console):
-    from repro.controlplane import ConditionLedger
-    led = ConditionLedger()
-    console.attach_ledger(led)
-    led.append("flag", "db01", agent="osnet", status="ok")
-    led.append("flag", "db01", agent="osnet", status="fault")
-    led.append("host", "fe01", status="down")
-    assert console.condition_counts == {"flag": 2, "host": 1}
-    assert console.last_condition_version == 3
-    board = console.board(now=0.0)
-    assert "control plane: v3" in board
-    assert "flag=2" in board and "host=1" in board
 
 
 def test_board_without_ledger_has_no_control_plane_line(console):

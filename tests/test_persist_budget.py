@@ -145,7 +145,8 @@ def test_a_federation_resumes_without_a_collection(tmp_path, collections,
     path = _federation_checkpoint(tmp_path)
     (gc.enable if enabled else gc.disable)()
     doc = _quietly(collections, CheckpointManager.load, path)
-    fed = _quietly(collections, restore_federation, doc)
+    fresh = build_federation(three_site_config(population=60_000))
+    fed = _quietly(collections, restore_federation, doc, fed=fresh)
     assert fed.now == doc["clock"]["now"]
     assert gc.isenabled() == enabled
 
@@ -169,7 +170,7 @@ def test_a_refused_resume_hands_the_collector_back(tmp_path, collections,
     with pytest.raises(ValueError, match="wanted a site one"):
         _quietly(collections, fresh_site, fed_doc)
     with pytest.raises(ValueError, match="wanted a federation one"):
-        _quietly(collections, restore_federation, site_doc)
+        _quietly(collections, restore_federation, site_doc, fed=other_fed)
     with pytest.raises(ValueError, match="different config"):
         _quietly(collections, restore_site, site_doc, site=other,
                  extras=site_doc["extras"])

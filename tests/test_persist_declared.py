@@ -103,9 +103,11 @@ def _recorded_restore(restore):
 def kinds():
     """Out of one real restore of a faulted site (harness extras and
     tracer included) and of a 3-site federation after a site loss."""
+    from repro.federation import build_federation, three_site_config
     site_doc, fed_doc = faulted_site_snapshot(), federation_snapshot()
+    fed = build_federation(three_site_config(population=60_000))
     seen = _recorded_restore(lambda: (FidelityHarness.resume(site_doc),
-                                      restore_federation(fed_doc)))
+                                      restore_federation(fed_doc, fed=fed)))
     assert len(seen) >= 40, sorted(seen)
     return seen
 

@@ -157,8 +157,6 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
         with pytest.raises(ValueError, match=refused):
             restore_site(doc)
         with pytest.raises(ValueError, match=refused):
-            restore_federation(doc)
-        with pytest.raises(ValueError, match=refused):
             FidelityHarness.resume(doc)
     with pytest.raises(ValueError, match=refused):
         restore_site(site_doc, site=target.site, extras=target._extras())
@@ -204,8 +202,6 @@ def test_wrong_kind_of_document_is_refused_before_anything_is_built(
     assert harness.snapshot()["state_hash"] == site_doc["state_hash"]
 
     wants_fed = "holds a site document, wanted a federation one"
-    with pytest.raises(ValueError, match=wants_fed):
-        restore_federation(site_doc)
     with pytest.raises(ValueError, match=wants_fed):
         restore_federation(site_doc, fed=fed)
     assert sealed_federation(fed)[0]["state_hash"] == fed_doc["state_hash"]
@@ -285,14 +281,12 @@ def _manager(tmp_path, **kw):
 def test_epoch_honours_cadence_and_force(tmp_path):
     harness, mgr = _manager(tmp_path, every_hours=2.0)
     harness.run_hours(1.0)
-    assert not mgr.due()
     assert mgr.epoch() is None         # not due, no file
     path = mgr.epoch(force=True)
     assert path is not None and os.path.exists(path)
     harness.run_hours(2.0)
-    assert mgr.due()
     assert mgr.epoch() is not None
-    assert mgr.stats()["written"] == 2
+    assert mgr.written == 2
 
 
 def test_checkpoint_write_is_atomic_and_newline_terminated(tmp_path):
@@ -362,8 +356,7 @@ def test_a_deferred_epoch_is_on_the_books(tmp_path, monkeypatch):
     monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
     assert mgr.epoch(force=True) is None
     monkeypatch.undo()
-    assert mgr.stats() == {**mgr.stats(), "written": 0, "deferred": 1,
-                           "wall_seconds": 7.0}
+    assert (mgr.written, mgr.deferred, mgr.wall_seconds) == (0, 1, 7.0)
     assert os.listdir(tmp_path) == []
 
 
@@ -379,7 +372,7 @@ def test_a_failed_write_leaves_no_tmp_and_prune_sweeps_stale_ones(
         mgr.epoch(force=True)
     monkeypatch.undo()
     assert os.listdir(tmp_path) == []
-    assert mgr.stats()["written"] == 0 and mgr.last_path is None
+    assert mgr.written == 0 and mgr.last_path is None
 
     # what a killed writer of this label left, and one of another's
     stale = tmp_path / "ckpt-000000000.250h.json.tmp"

@@ -54,7 +54,7 @@ def test_crashed_host_relocates_instead_of_paging(site):
 
     # escalation stopped at the relocation tier: nobody was paged
     assert _sms(site) == []
-    log = site.pool.read(site.admin.primary, "/admin/actions.log")
+    log = site.pool.fs.read("/admin/actions.log")
     assert any("RELOCATING fe000" in line for line in log)
 
     # every phase left a span on the record
@@ -92,7 +92,7 @@ def test_no_placement_rolls_back_and_pages(site):
     assert site.spares.claims == {}
     pages = _sms(site)
     assert pages and any("fe000" in n.subject for n in pages)
-    log = site.pool.read(site.admin.primary, "/admin/actions.log")
+    log = site.pool.fs.read("/admin/actions.log")
     assert any("ESCALATED" in line for line in log)
 
 

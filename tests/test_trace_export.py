@@ -83,7 +83,6 @@ def test_incident_trace_phases(traced_incident):
     assert inc.repaired_at == 362.0
     assert inc.restored_at == 362.0
     assert inc.repair_outcome == "restart_app"
-    assert inc.detection_latency == 300.0
     assert inc.downtime == 362.0
 
 

@@ -10,7 +10,27 @@ from repro.traffic import FluidTrafficEngine, FrontDoor, financial_curve
 POP = 100_000
 
 
-class DiscreteTrafficEngine(FluidTrafficEngine):
+class Fluid(FluidTrafficEngine):
+    """The engine plus the whole-engine totals these tests read, summed
+    over its per-class SLIs, and a stop that ends its tick chain."""
+
+    @property
+    def attempted(self):
+        return sum(s.attempted for s in self.slis.values())
+
+    @property
+    def served(self):
+        return sum(s.served for s in self.slis.values())
+
+    @property
+    def availability(self):
+        return 1.0 if self.attempted <= 0 else self.served / self.attempted
+
+    def stop(self):
+        self._running = False
+
+
+class DiscreteTrafficEngine(Fluid):
     """Per-request reference: every request is its own simulation event.
 
     The same sampled counts as the fluid engine, but each request lands
@@ -71,12 +91,12 @@ def run_engine(engine_cls, sim, curve, webserver, seed=42, **kw):
 
 def test_rejects_door_for_unknown_class(sim, curve, webserver):
     with pytest.raises(ValueError):
-        FluidTrafficEngine(sim, curve, {"bogus": FrontDoor(
+        Fluid(sim, curve, {"bogus": FrontDoor(
             "webserver", [webserver])}, RandomStreams(1))
 
 
 def test_fluid_healthy_site_full_availability(sim, curve, webserver):
-    eng = run_engine(FluidTrafficEngine, sim, curve, webserver)
+    eng = run_engine(Fluid, sim, curve, webserver)
     assert eng.ticks >= 60
     assert eng.attempted > 0
     assert eng.availability == 1.0
@@ -86,7 +106,7 @@ def test_fluid_healthy_site_full_availability(sim, curve, webserver):
 def test_fluid_attempted_tracks_demand_curve(sim, curve, webserver):
     """Poisson totals over an hour land near the curve's expectation."""
     t0 = sim.now
-    eng = run_engine(FluidTrafficEngine, sim, curve, webserver)
+    eng = run_engine(Fluid, sim, curve, webserver)
     cls = curve.by_name["web"]
     expected = curve.expected_requests(cls, t0, t0 + HOUR)
     assert eng.attempted == pytest.approx(expected, rel=0.15)
@@ -94,7 +114,7 @@ def test_fluid_attempted_tracks_demand_curve(sim, curve, webserver):
 
 def test_fluid_crash_fails_requests_then_shed_recovers(sim, curve, webserver):
     door = FrontDoor("webserver", [webserver])
-    eng = FluidTrafficEngine(sim, curve, {"web": door}, RandomStreams(3),
+    eng = Fluid(sim, curve, {"web": door}, RandomStreams(3),
                              step=60.0)
     eng.start()
     sim.run(until=sim.now + 10 * 60.0)
@@ -134,7 +154,7 @@ def test_fluid_and_discrete_agree_on_expectation(sim, small_curve,
     each window's total straddles that window's Poisson mean."""
     cls = small_curve.by_name["web"]
     results = []
-    for engine_cls in (FluidTrafficEngine, DiscreteTrafficEngine):
+    for engine_cls in (Fluid, DiscreteTrafficEngine):
         t0 = sim.now
         eng = run_engine(engine_cls, sim, small_curve, webserver, seed=7)
         expected = small_curve.expected_requests(cls, t0, t0 + HOUR)
@@ -160,7 +180,7 @@ def test_engine_deterministic_with_seed(curve):
         ws = WebServer(dc.host("fe01"), "httpd01")
         ws.start()
         sim.run(until=sim.now + 60.0)
-        eng = FluidTrafficEngine(sim, curve, {"web": FrontDoor(
+        eng = Fluid(sim, curve, {"web": FrontDoor(
             "webserver", [ws])}, RandomStreams(seed), step=60.0)
         eng.start()
         sim.run(until=sim.now + HOUR)
@@ -171,7 +191,7 @@ def test_engine_deterministic_with_seed(curve):
 
 
 def test_tick_counter_and_stop(sim, curve, webserver):
-    eng = FluidTrafficEngine(sim, curve, doors_for(webserver),
+    eng = Fluid(sim, curve, doors_for(webserver),
                              RandomStreams(1), step=300.0)
     eng.start()
     eng.start()                       # idempotent
@@ -188,7 +208,7 @@ def test_metrics_counters_when_traced(curve, webserver):
     sim = webserver.host.sim
     from repro.trace import install_tracer
     install_tracer(sim)
-    eng = FluidTrafficEngine(sim, curve, doors_for(webserver),
+    eng = Fluid(sim, curve, doors_for(webserver),
                              RandomStreams(2), step=60.0)
     eng.start()
     sim.run(until=sim.now + 10 * 60.0)
