@@ -4,7 +4,8 @@
 artefacts from the terminal (``repro-exp all`` every one of them); the
 rows are :data:`repro.experiments.EXPERIMENTS` and ``repro-exp --help``
 lists them, each option with the rows that take it.  A row rejects an
-option its ``run`` does not take.
+option its ``run`` does not take.  A row's :data:`~repro.experiments.CLAIMS`
+that do not hold on the result it prints are named on stderr and exit 1.
 
 ``--trace FILE`` writes a Chrome ``trace_event`` JSON (open it in
 ``chrome://tracing`` or Perfetto) and ``--timeline`` appends the
@@ -23,7 +24,7 @@ import inspect
 import sys
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.experiments import EXPERIMENTS, VARIANTS, resolve
+from repro.experiments import CLAIMS, EXPERIMENTS, VARIANTS, resolve
 
 __all__ = ["main"]
 
@@ -122,14 +123,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     for option in options:
         if option not in taken:
             parser.error(f"{row} takes no {flags[option]}")
+    failed = False
     for name in rows:
         run, fmt = (resolve(ref) for ref in pairs[name])
         params = inspect.signature(run).parameters
-        print(fmt(run(seed=seed, **{option: value
-                                    for option, value in options.items()
-                                    if option in params})))
+        result = run(seed=seed, **{option: value
+                                   for option, value in options.items()
+                                   if option in params})
+        print(fmt(result))
         print()
-    return 0
+        # the row's claims, on the result just printed; a variant's none
+        for claim in CLAIMS if pairs[name] == EXPERIMENTS[name] else ():
+            if claim.row == name and not claim.holds(value := claim.measure(result)):
+                print(f"{'finding' if claim.finding else 'claim'} {claim.id} "
+                      f"({claim.cite}) does not hold: measured {value}"
+                      + (f"; {claim.finding}" if claim.finding else ""),
+                      file=sys.stderr)
+                failed |= not claim.finding
+    return int(failed)
 
 
 if __name__ == "__main__":      # pragma: no cover

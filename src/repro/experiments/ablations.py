@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -85,15 +85,12 @@ def resubmission_comparison(seed: int = 0) -> List[dict]:
         site = build_site(SiteConfig.test_scale(
             seed=seed, db_servers=6, jobs_per_night=45, with_feeds=False,
             crash_coupling=0.06))
-        if arm == "none":
+        if arm != "dgspl":
             # unplug the job manager's resubmission (keep its checks)
             site.lsf._exit_listeners = [
                 fn for fn in site.lsf._exit_listeners
                 if getattr(fn, "__self__", None) is not site.jobmgr]
-        elif arm == "random":
-            site.lsf._exit_listeners = [
-                fn for fn in site.lsf._exit_listeners
-                if getattr(fn, "__self__", None) is not site.jobmgr]
+        if arm == "random":
             rng = site.streams.get("aresub.random")
 
             def random_resubmit(job, site=site, rng=rng):
@@ -130,8 +127,6 @@ def resubmission_comparison(seed: int = 0) -> List[dict]:
                              if rescued else 0.0),
             "rescue_turnaround_h": (float(np.mean(turnarounds)) / 3600.0
                                     if turnarounds else 0.0),
-            "resubmitted": (site.jobmgr.resubmitted
-                            if arm == "dgspl" else None),
         })
     return out
 
@@ -246,9 +241,7 @@ def format_network(r: dict) -> str:
 
 # --------------------------------------------------------------- A-local --
 
-def centralised_comparison(seed: int = 0, *,
-                           fleet_sizes: Tuple[int, ...] = (10, 50, 100, 200)
-                           ) -> List[dict]:
+def centralised_comparison(seed: int = 0) -> List[dict]:
     """Cost model comparison: per-host resident monitor + central
     console vs cron-run local agents + light coordinators.  A closed
     form: it draws nothing, so ``seed`` changes nothing.
@@ -261,7 +254,7 @@ def centralised_comparison(seed: int = 0, *,
     from repro.ops.bmc import BaselineMonitor
     rows = []
     entities_per_host = 60.0
-    for n in fleet_sizes:
+    for n in (10, 50, 100, 200):
         # central console: per-entity evaluation each 30 s cycle (same
         # per-entity cost the per-host BaselineMonitor model uses)
         console_ms_per_cycle = 40.0 + 1.2 * entities_per_host * n

@@ -14,8 +14,8 @@ that site's users.  Three arms run the *same* story:
 - **no-xsite** -- cross-site relocation disabled: the pinned database
   demand has nowhere to come back up.
 
-The claim the bench prices: request-weighted availability under site
-loss is strictly better with both mechanisms than with either
+The claim its ``s-fed.*`` CLAIMS check: request-weighted availability
+under site loss is strictly better with both mechanisms than with either
 disabled.  Every arm is deterministic -- byte-identical summaries
 across repeats, and across a checkpoint/restore of the federation.
 """
@@ -28,7 +28,7 @@ from typing import Dict, List
 from repro.experiments.report import table
 from repro.sim.calendar import HOUR
 
-__all__ = ["ARMS", "FederationStory", "run_arm", "run", "format_result"]
+__all__ = ["ARMS", "FederationStory", "run", "format_result"]
 
 #: arm name -> (geo_steering, cross_site_relocation)
 ARMS: Dict[str, tuple] = {
@@ -48,11 +48,7 @@ OBSERVE_H = 4.0
 class FederationStory:
     """One site-loss story across all arms."""
 
-    seed: int
     population: int
-    lost_site: str
-    loss_at_h: float
-    observe_h: float
     #: arm name -> the federation's final summary dict
     arms: Dict[str, dict] = field(default_factory=dict)
 
@@ -60,35 +56,23 @@ class FederationStory:
         return self.arms[arm]["global"]["availability"]
 
 
-def run_arm(*, geo_steering: bool, cross_site_relocation: bool,
-            population: int = 1_000_000, seed: int = 0,
-            observe_h: float = OBSERVE_H) -> dict:
-    """One arm of the story; returns the federation summary dict."""
+def run(*, seed: int = 0, population: int = 1_000_000) -> FederationStory:
+    """All three arms of the same site-loss story."""
     from repro.federation import build_federation
     from repro.federation.config import three_site_config
 
-    fed = build_federation(three_site_config(
-        population=population, seed=seed, geo_steering=geo_steering,
-        cross_site_relocation=cross_site_relocation))
-    fed.start_traffic()
-    fed.run(LOSS_AT_H * HOUR - fed.now)
-    site = fed.sites[LOST_SITE]
-    for name in sorted(site.dc.hosts):
-        site.dc.hosts[name].crash()
-    fed.run(observe_h * HOUR)
-    return fed.summary()
-
-
-def run(*, seed: int = 0, population: int = 1_000_000,
-        observe_h: float = OBSERVE_H) -> FederationStory:
-    """All three arms of the same site-loss story."""
-    story = FederationStory(seed=seed, population=population,
-                            lost_site=LOST_SITE, loss_at_h=LOSS_AT_H,
-                            observe_h=observe_h)
+    story = FederationStory(population=population)
     for arm, (geo, xsite) in ARMS.items():
-        story.arms[arm] = run_arm(
-            geo_steering=geo, cross_site_relocation=xsite,
-            population=population, seed=seed, observe_h=observe_h)
+        fed = build_federation(three_site_config(
+            population=population, seed=seed, geo_steering=geo,
+            cross_site_relocation=xsite))
+        fed.start_traffic()
+        fed.run(LOSS_AT_H * HOUR - fed.now)
+        site = fed.sites[LOST_SITE]
+        for name in sorted(site.dc.hosts):
+            site.dc.hosts[name].crash()
+        fed.run(OBSERVE_H * HOUR)
+        story.arms[arm] = fed.summary()
     return story
 
 
@@ -111,10 +95,10 @@ def format_result(story: FederationStory) -> str:
         ["arm", "availability", "requests lost", "user-min lost",
          "takeovers", "remote-steered"],
         rows,
-        title=(f"S-fed: {story.lost_site} lost at "
-               f"{story.loss_at_h:02.0f}:00 UTC (its trading morning), "
+        title=(f"S-fed: {LOST_SITE} lost at "
+               f"{LOSS_AT_H:02.0f}:00 UTC (its trading morning), "
                f"{story.population:,} users, "
-               f"{story.observe_h:g} h observed"))
+               f"{OBSERVE_H:g} h observed"))
 
     s = story.arms["full"]
     site_rows = []

@@ -39,6 +39,7 @@ __all__ = ["LatencyResult", "PAPER_HOURS", "run", "format_result"]
 #: the paper's detection numbers, hours, by period
 PAPER_HOURS = {"day": 1.0, "overnight": 10.0, "weekend": 25.0}
 
+WEEKS = 2       # the horizon, in weeks of fault slots
 #: fault slots: (day offset within week, time of day) covering the
 #: three coverage periods; the experiment tiles these over the horizon
 _SLOTS = (
@@ -61,7 +62,7 @@ class LatencyResult:
     artifacts: str = ""
 
 
-def run(seed: int = 0, weeks: int = 2, *, trace: Optional[str] = None,
+def run(seed: int = 0, *, trace: Optional[str] = None,
         timeline: bool = False) -> LatencyResult:
     site = build_site(SiteConfig.test_scale(
         seed=seed, with_workload=False, with_feeds=False))
@@ -77,7 +78,7 @@ def run(seed: int = 0, weeks: int = 2, *, trace: Optional[str] = None,
                                           "weekend": []}
     targets = site.databases + site.frontends
     ti = 0
-    for week in range(weeks):
+    for week in range(WEEKS):
         for day, tod in _SLOTS:
             fault_time = week * 7 * DAY + day * DAY + tod
             if fault_time <= site.sim.now:

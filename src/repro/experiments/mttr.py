@@ -41,8 +41,7 @@ class MttrResult:
     artifacts: str = ""
 
 
-def run(seed: int = 0, samples_per_category: int = 400, *,
-        trace: Optional[str] = None) -> MttrResult:
+def run(seed: int = 0, *, trace: Optional[str] = None) -> MttrResult:
     rs = RandomStreams(seed)
     ops = OperatorModel(rs.get("mttr.ops"))
     rng = rs.get("mttr.times")
@@ -52,7 +51,7 @@ def run(seed: int = 0, samples_per_category: int = 400, *,
     # reports and the spans a viewer shows are the same data
     tracer = Tracer()
     for cat, prof in CATEGORY_PROFILES.items():
-        for _ in range(samples_per_category):
+        for _ in range(400):
             t = float(rng.uniform(0, 7 * DAY))
             manual = ops.resolve_manual(prof, t)
             det = t + manual.detection

@@ -52,16 +52,6 @@ class OverheadResult:
     bmc_mem: List[float]
     agent_mem: List[float]
 
-    def mean_ratio_cpu(self) -> float:
-        return _mean_ratio(self.bmc_cpu, self.agent_cpu)
-
-    def mean_ratio_mem(self) -> float:
-        return _mean_ratio(self.bmc_mem, self.agent_mem)
-
-
-def _mean_ratio(bmc: Sequence[float], agent: Sequence[float]) -> float:
-    return (sum(bmc) / len(bmc)) / max(1e-9, sum(agent) / len(agent))
-
 
 def _build_peak_host():
     """One busy database server with fluctuating batch load."""
@@ -140,9 +130,9 @@ def _render(title: str, unit: str, paper_bmc: Sequence[float],
         [(i + 1, paper_bmc[i], paper_agent[i], bmc[i], agent[i])
          for i in range(N_SAMPLES)],
         title=f"{title} at peak, {N_SAMPLES} half-hour samples")
+    ratio = (sum(bmc) / len(bmc)) / max(1e-9, sum(agent) / len(agent))
     return (body + f"\nmean BMC/agent ratio: paper "
-            f"{sum(paper_bmc)/sum(paper_agent):.1f}x, "
-            f"measured {_mean_ratio(bmc, agent):.1f}x")
+            f"{sum(paper_bmc)/sum(paper_agent):.1f}x, measured {ratio:.1f}x")
 
 
 def format_cpu(result: OverheadResult) -> str:

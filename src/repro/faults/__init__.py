@@ -5,7 +5,7 @@ error categories.  :mod:`models` defines that taxonomy and the
 per-category behavioural profiles; :mod:`injector` applies concrete
 faults to a live simulated datacentre (full-fidelity mode);
 :mod:`campaign` generates and scores a calibrated year-long fault
-campaign on the exact cron grid (the fast path the Fig. 2 bench uses --
+campaign on the exact cron grid (the fast path the ``fig2`` row runs --
 see the simulation-speed note in DESIGN.md).
 """
 

@@ -110,7 +110,7 @@ class CategoryProfile:
     pinpoint_factor: float = 0.25
 
 
-#: Paper's Figure 2 values, hours/year, used by benches for comparison.
+#: Paper's Figure 2 values, hours/year, printed beside the measured ones.
 PAPER_FIG2_HOURS: Dict[Category, Tuple[float, float]] = {
     Category.MID_CRASH: (345.0, 8.0),
     Category.HUMAN: (60.0, 2.0),

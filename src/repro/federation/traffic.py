@@ -19,7 +19,7 @@ to a standalone site -- then splits it in two:
 Everything is accounted into one :class:`~repro.traffic.slo.Sli` per
 (site, class) plus per-site user-minutes, and rolled up globally with
 :func:`~repro.traffic.slo.rollup_slis` -- the request-weighted view
-the bench prices.
+the ``federation`` row prices.
 """
 
 from __future__ import annotations

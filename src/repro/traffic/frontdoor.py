@@ -66,7 +66,7 @@ class FrontDoor(Persistent):
         #: the DGSPL the kept weights were derived from, and the weights
         self._weighed: Optional[object] = None
         self._weights_kept: Dict[str, float] = {}
-        #: counters for tests/benches
+        #: counters for tests
         self.routed = 0
         self.shed_total = 0
         self.rr_batches = 0
@@ -235,7 +235,7 @@ class GeoFrontDoor(Persistent):
 
     With ``geo_steering`` off the tier degrades to the pre-federation
     behaviour: every region's demand goes to its home site, healthy or
-    not -- the A/B arm the bench prices.
+    not -- the ``no-geo`` arm of the ``federation`` row.
     """
 
     #: latency deflation scale (ms): a site this far away halves its weight

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.latency import run as latency_run
+from repro.experiments import latency
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.trace import (Tracer, incident_traces, install_tracer,
@@ -80,12 +80,13 @@ def test_span_detection_matches_ledger(traced_storm):
         assert abs(span_det - ledger_inc.detected_at) <= 1.0
 
 
-def test_latency_experiment_span_vs_flag_scan():
+def test_latency_experiment_span_vs_flag_scan(monkeypatch):
     """The latency experiment reports span-derived numbers (the span
     vs flag-scan agreement is ``test_span_detection_matches_ledger``,
     above): all positive, under the agent period + run bound the paper
     claims."""
-    r = latency_run(seed=3, weeks=1)
+    monkeypatch.setattr(latency, "WEEKS", 1)
+    r = latency.run(seed=3)
     assert r.samples
     assert all(v >= 0.0 for v in r.agent_by_period.values())
     assert r.agent_max_minutes <= 10.0

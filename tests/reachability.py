@@ -8,7 +8,8 @@ under ``src/repro`` that none of them entered.  The entry points are
 the product callers of ``tests/test_surface.py``:
 
 - every :data:`repro.experiments.EXPERIMENTS` row at ``--seed 0``, then
-  once more with every artifact option it takes, and the
+  once more with every artifact option it takes, ``ablation-resubmission``
+  at ``--seed 3`` (where a job exhausts its resubmissions), and the
   :data:`~repro.experiments.VARIANTS` (a checkpointed full-year run and
   its resume);
 - ``repro-exp chaos``: a campaign, a planted-bug campaign and the
@@ -16,8 +17,7 @@ the product callers of ``tests/test_surface.py``:
   checkpointed replays with their time travel for a single-site and a
   federated scenario;
 - every ``examples/*.py``;
-- each ``benchmarks/e2e`` workload's child, timed and traced;
-- ``benchmarks/bench_*.py --quick``.
+- each ``benchmarks/e2e`` workload's child, timed and traced.
 
 The hook is armed before the first ``import repro``, so a definition
 that runs at import time -- a persist-vocabulary helper building a
@@ -171,16 +171,6 @@ def _e2e_child(workload, traced):
     return "benchmarks/e2e/run.py " + " ".join(argv), run, 0
 
 
-def _benches():
-    def run():
-        import pytest
-        return int(pytest.main(
-            ["-q", "-p", "no:cacheprovider", "--quick"]
-            + sorted(glob.glob(os.path.join(ROOT, "benchmarks",
-                                            "bench_*.py")))))
-    return "pytest benchmarks/bench_*.py --quick", run, 0
-
-
 def _violation(campaign, out):
     """Write the first violating scenario of a campaign result."""
     def make():
@@ -213,6 +203,9 @@ def entry_points(tmp: str) -> list:
             points.append(_cli(row, "--seed", "0", *extra))
     ck = os.path.join(tmp, "ck")
     points += [
+        # A-resub at seed 3: a rescued job runs out of resubmissions and
+        # the job manager gives up on it, which no seed-0 row reaches
+        _cli("ablation-resubmission", "--seed", "3"),
         _cli("metrics", "--federation", "--seed", "0"),
         _cli("fig2", "--full-year", "--seed", "3", "--hosts", "12",
              "--hours", "2", "--segments", "2", "--checkpoint-dir", ck),
@@ -247,7 +240,6 @@ def entry_points(tmp: str) -> list:
     from workloads import WORKLOADS
     points += [_e2e_child(name, traced) for name in WORKLOADS
                for traced in (False, True)]
-    points.append(_benches())
     return points
 
 

@@ -1,21 +1,21 @@
-"""Every ``repro-exp`` row's stdout at ``--seed 0``, pinned by sha256.
+"""Every ``repro-exp`` row's stdout at ``--seed 0``, pinned by sha256,
+and the paper's claims checked on that same run.
 
 ``tests/golden/cli_outputs.json`` maps each row -- the arguments after
 ``repro-exp``, without ``--seed 0`` -- to the sha256 of what the
 command prints.
 
-The rows below ``FAST`` run here, in process through :func:`main`;
-the CI ``cli-golden`` job runs the ``SLOW`` ones through the installed
-entry point against the same file.
+The rows below ``FAST`` run here, in process through :func:`main`,
+which checks the row's :data:`~repro.experiments.CLAIMS` on the result
+it prints; the CI ``cli-golden`` job runs the ``SLOW`` ones through the
+installed entry point against the same file.
 
 Regenerate with ``PYTHONPATH=src python tests/test_cli_golden.py``
 (every row as a subprocess, ~40 s) -- only for a change that is
 *meant* to alter what an experiment prints.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -23,7 +23,9 @@ import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.experiments import CLAIMS, EXPERIMENTS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "cli_outputs.json")
@@ -41,18 +43,53 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("row", FAST)
-def test_row_prints_what_it_printed_when_pinned(row):
+def _pinned(row: str) -> str:
     with open(GOLDEN) as fh:
-        want = json.load(fh)[row]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(row.split() + ["--seed", "0"]) == 0
-    assert _sha256(out.getvalue()) == want, out.getvalue()
+        return json.load(fh)[row]
+
+
+def _findings(row: str) -> list:
+    """The findings on record for ``row``: each must still be reported
+    at ``--seed 0``, or its mark comes off."""
+    return [c.id for c in CLAIMS if c.row == row.split()[0] and c.finding]
+
+
+@pytest.mark.parametrize("row", FAST)
+def test_row_prints_what_it_printed_when_pinned(row, capsys):
+    assert main(row.split() + ["--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    assert _sha256(out) == _pinned(row), out
+    # every claim holds but the findings, which still stand
+    assert [line.split()[1] for line in err.splitlines()] == _findings(row), err
+
+
+def test_a_claim_that_does_not_hold_fails_the_row_and_moves_no_byte(
+        monkeypatch, capsys):
+    """A claim that does not hold names itself and its measured value on
+    stderr and exits 1; one marked a finding is reported and exits 0."""
+    claim = next(c for c in CLAIMS if c.row == "ablation-centralised")
+    measured = []
+    for finding, code in (("", 1), ("on record", 0)):
+        broken = claim._replace(
+            holds=lambda value: measured.append(value) or False,
+            finding=finding)
+        monkeypatch.setattr(cli, "CLAIMS", tuple(
+            broken if c is claim else c for c in CLAIMS))
+        assert main(["ablation-centralised", "--seed", "0"]) == code
+        out, err = capsys.readouterr()
+        assert _sha256(out) == _pinned("ablation-centralised")
+        assert err.startswith(f"{'finding' if finding else 'claim'} "
+                              f"{claim.id} ")
+        assert f"measured {measured[-1]}" in err
+
+
+def test_every_claim_reads_a_row_under_its_own_id():
+    ids = [claim.id for claim in CLAIMS]
+    assert len(ids) == len(set(ids))
+    assert {claim.row for claim in CLAIMS} <= set(EXPERIMENTS)
 
 
 def test_every_row_is_pinned():
-    from repro.experiments import EXPERIMENTS
     rows = {row.split()[0] for row in FAST + SLOW}
     assert rows == set(EXPERIMENTS)
     with open(GOLDEN) as fh:

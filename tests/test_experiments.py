@@ -69,8 +69,8 @@ def test_overhead_shape():
     r = overhead.run(seed=4)
     assert len(r.bmc_cpu) == overhead.N_SAMPLES
     # agents are an order of magnitude cheaper on both axes
-    assert r.mean_ratio_cpu() > 4.0
-    assert r.mean_ratio_mem() > 10.0
+    assert sum(r.bmc_cpu) > 4.0 * sum(r.agent_cpu)
+    assert sum(r.bmc_mem) > 10.0 * sum(r.agent_mem)
     # agents' footprint is flat
     assert max(r.agent_mem) == min(r.agent_mem)
     assert "Figure 3" in overhead.format_cpu(r)
@@ -78,7 +78,7 @@ def test_overhead_shape():
 
 
 def test_mttr_claims():
-    r = mttr.run(seed=2, samples_per_category=150)
+    r = mttr.run(seed=2)
     # the 2 h restart and ~4 h escalation claims, loosely
     assert 1.0 < r.manual_median_repair_h < 5.0
     assert 3.0 < r.manual_escalated_mean_h < 9.0
