@@ -94,8 +94,7 @@ class Application(Persistent):
                  shutdown_duration: float = 20.0,
                  connect_timeout_ms: float = 5000.0,
                  base_response_ms: float = 50.0,
-                 auto_start: bool = True,
-                 binary_path: str = ""):
+                 auto_start: bool = True):
         self.host = host
         self.sim = host.sim
         self.name = name
@@ -109,7 +108,7 @@ class Application(Persistent):
         self.connect_timeout_ms = connect_timeout_ms
         self.base_response_ms = base_response_ms
         self.auto_start = auto_start
-        self.binary_path = binary_path or f"/apps/{name}/bin/{name}"
+        self.binary_path = f"/apps/{name}/bin/{name}"
 
         self.state = AppState.STOPPED
         self.state_changed = self.sim.signal(f"{name}.state")

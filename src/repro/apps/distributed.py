@@ -50,10 +50,10 @@ class DistributedService(Persistent):
         self.probes_run = 0
         self.probe_failures = 0
 
-    def add_component(self, name: str, app, depends_on: Optional[List[str]] = None) -> Component:
+    def add_component(self, name: str, app, depends_on: List[str]) -> Component:
         if name in self.components:
             raise ValueError(f"duplicate component {name!r}")
-        comp = Component(name, app, list(depends_on or ()))
+        comp = Component(name, app, list(depends_on))
         self.components[name] = comp
         self._order = None
         return comp

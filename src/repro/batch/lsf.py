@@ -25,7 +25,7 @@ class LsfMaster(Application):
 
     app_type = "scheduler"
 
-    def __init__(self, host, name: str = "lsf", **kw):
+    def __init__(self, host, **kw):
         procs = [
             ProcessSpec("mbatchd", 1, cpu_pct=2.0, mem_mb=48.0),
             ProcessSpec("sbatchd", 1, cpu_pct=0.5, mem_mb=16.0),
@@ -34,7 +34,7 @@ class LsfMaster(Application):
         kw.setdefault("port", 6878)
         kw.setdefault("user", "lsfadmin")
         kw.setdefault("base_response_ms", 15.0)
-        super().__init__(host, name, version="4.2", processes=procs,
+        super().__init__(host, "lsf", version="4.2", processes=procs,
                          startup=[StartupStep("reconfig", 20.0)],
                          shutdown_duration=10.0, **kw)
 
@@ -50,11 +50,11 @@ class LsfCluster(Persistent):
                 part("loop", "_loop"))
 
     def __init__(self, dc, master: LsfMaster, *,
-                 rng=None, base_crash_prob: float = 0.012):
+                 rng, base_crash_prob: float = 0.012):
         self.dc = dc
         self.sim = dc.sim
         self.master = master
-        self.rng = rng if rng is not None else dc.streams.get("lsf")
+        self.rng = rng
         #: probability that a *well-placed* job crashes its database
         self.base_crash_prob = base_crash_prob
 

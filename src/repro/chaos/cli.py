@@ -161,7 +161,7 @@ def _cmd_shrink(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-exp chaos",
         description="Coverage-guided chaos fuzzing of the healing "
@@ -208,7 +208,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_shrink.add_argument("scenario", help="scenario JSON file")
     p_shrink.add_argument("--planted-bug", action="store_true")
     p_shrink.add_argument("--out", metavar="FILE", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     return {"run": _cmd_run, "corpus": _cmd_corpus,
             "replay": _cmd_replay, "shrink": _cmd_shrink}[args.command](args)

@@ -96,9 +96,8 @@ class AdministrationServers(Persistent):
         sortedset("services_unhealthy"),
         *scalars(int, "service_probes", "service_probe_failures"))
 
-    def __init__(self, dc, primary, standby, pool, *, channel=None,
-                 notifications=None,
-                 agent_period: float = 300.0,
+    def __init__(self, dc, primary, standby, pool, *, channel,
+                 notifications, agent_period: float = 300.0,
                  ledger: Optional[ConditionLedger] = None):
         self.dc = dc
         self.sim = dc.sim
@@ -254,12 +253,9 @@ class AdministrationServers(Persistent):
 
     def _flag_reachable(self, host_name: str) -> bool:
         """The delivery leg of a flag or wake condition: can the host
-        currently reach either coordinator?  (Without a channel the
-        transport is assumed perfect, as for DLSP delivery.)  A refusal
-        means the caller drops its condition, so the host goes on the
-        books as owed a model refresh."""
-        if self.channel is None:
-            return True
+        currently reach either coordinator?  A refusal means the caller
+        drops its condition, so the host goes on the books as owed a
+        model refresh."""
         for head in (self.primary, self.standby):
             if head.is_up and self.channel.reachable(host_name, head.name):
                 return True
@@ -291,11 +287,10 @@ class AdministrationServers(Persistent):
             if svc.name in self.services_unhealthy:
                 continue        # already reported this outage
             self.services_unhealthy.add(svc.name)
-            if self.notifications is not None:
-                self.notifications.email(
-                    "administrators",
-                    f"service {svc.name} failing end-to-end: {err}",
-                    severity="critical", sender="admin-servers")
+            self.notifications.email(
+                "administrators",
+                f"service {svc.name} failing end-to-end: {err}",
+                severity="critical", sender="admin-servers")
             self._log_pool(f"{self.sim.now:.0f} SERVICE-DOWN "
                            f"{svc.name}: {err}")
         probe_span.finish(failures=failures)
@@ -349,10 +344,9 @@ class AdministrationServers(Persistent):
         if not host.is_up:
             return ("escalate", host_name, "host is down")
         # reach the host over the agent network first
-        if self.channel is not None:
-            d = self.channel.send(head.name, host_name, 256)
-            if not d.ok:
-                return ("escalate", host_name, f"unreachable: {d.error}")
+        d = self.channel.send(head.name, host_name, 256)
+        if not d.ok:
+            return ("escalate", host_name, f"unreachable: {d.error}")
         stale = stale_of(host, suite, now)
         if not stale:
             # flags green again: a latched host gets its escalation
@@ -407,15 +401,13 @@ class AdministrationServers(Persistent):
         # sweep) escalates immediately.  Probe liveness directly; the
         # probe is byte-free, and on a healthy site it adds no
         # candidates, keeping quiet sweeps at zero examined hosts.
-        if self.channel is not None:
-            for host_name in self.suites:
-                if host_name in candidates:
-                    continue
-                host = self.dc.hosts.get(host_name)
-                if (host is not None and host.is_up
-                        and not self.channel.reachable(head.name,
-                                                       host_name)):
-                    candidates.add(host_name)
+        for host_name in self.suites:
+            if host_name in candidates:
+                continue
+            host = self.dc.hosts.get(host_name)
+            if (host is not None and host.is_up
+                    and not self.channel.reachable(head.name, host_name)):
+                candidates.add(host_name)
         order = self._suite_order
         plan = []
         for host_name in sorted(candidates,
@@ -506,9 +498,8 @@ class AdministrationServers(Persistent):
         host still dark keeps its debt: its flag directories cannot be
         read from here."""
         for host_name in sorted(self._dropped):
-            reachable = self.channel is None or self.channel.reachable(
-                head.name, host_name)
-            if reachable and self.suites[host_name].host.is_up:
+            if (self.channel.reachable(head.name, host_name)
+                    and self.suites[host_name].host.is_up):
                 self._resync_host(host_name)
                 self._dropped.discard(host_name)
 
@@ -578,11 +569,9 @@ class AdministrationServers(Persistent):
 
     def _page_human(self, host_name: str, reason: str) -> None:
         """The last tier: SMS the on-call administrator."""
-        if self.notifications is not None:
-            self.notifications.sms(
-                "oncall-admin",
-                f"admin: {host_name} needs attention ({reason})",
-                severity="critical", sender="admin-servers")
+        self.notifications.sms(
+            "oncall-admin", f"admin: {host_name} needs attention ({reason})",
+            severity="critical", sender="admin-servers")
         self._log_pool(f"{self.sim.now:.0f} ESCALATED {host_name}: {reason}")
 
     # -- DGSPL generation ---------------------------------------------------------------------
@@ -694,10 +683,5 @@ class AdministrationServers(Persistent):
 
     # -- queries --------------------------------------------------------------------------------
 
-    def current_dgspl(self, max_age: Optional[float] = None) -> Optional[Dgspl]:
-        if self.dgspl is None:
-            return None
-        if max_age is not None and (
-                self.sim.now - self.dgspl.generated_at) > max_age:
-            return None
+    def current_dgspl(self) -> Optional[Dgspl]:
         return self.dgspl

@@ -90,8 +90,7 @@ class Intelliagent(Persistent):
 
     def __init__(self, host, name: str, *, period: float = 300.0,
                  channel=None, admin_targets: Optional[List[str]] = None,
-                 notifications=None, switches: Optional[PartSwitches] = None,
-                 ledger=None, wake_policy: str = "fixed",
+                 notifications=None, ledger=None, wake_policy: str = "fixed",
                  wake_max_period: float = 1800.0):
         self.host = host
         self.sim = host.sim
@@ -106,7 +105,7 @@ class Intelliagent(Persistent):
         self.channel = channel
         self.admin_targets = list(admin_targets or ())
         self.notifications = notifications
-        self.parts = switches or PartSwitches()
+        self.parts = PartSwitches()
 
         self.flags = FlagStore(host.fs, name, ledger=ledger,
                                host=host.name)
@@ -365,11 +364,11 @@ class Intelliagent(Persistent):
             except Exception:
                 pass
 
-    def _tell_admins(self, message: str, nbytes: int = 1024) -> None:
+    def _tell_admins(self, message: str) -> None:
         if not (self.parts.communication and self.channel):
             return
         for target in self.admin_targets:
-            self.channel.send(self.host.name, target, nbytes)
+            self.channel.send(self.host.name, target, 1024)
 
     # -- process-table presence ------------------------------------------------------------------
 

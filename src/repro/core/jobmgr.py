@@ -40,7 +40,7 @@ class JobManager(Persistent):
                        "lsf_restarts_requested", "checks_run",
                        "daily_reports_sent")
 
-    def __init__(self, admin, lsf, *, notifications=None):
+    def __init__(self, admin, lsf, *, notifications):
         self.admin = admin
         self.lsf = lsf
         self.sim = admin.sim
@@ -138,12 +138,11 @@ class JobManager(Persistent):
         self.gave_up += 1
         if self.sim.tracer.enabled:
             self.sim.tracer.metrics.counter("jobmgr.gave_up").inc()
-        if self.notifications is not None:
-            self.notifications.email(
-                "operators",
-                f"job {job.job_id} ({job.name}) needs manual handling",
-                body=f"{reason}; failed on: {', '.join(job.failed_on)}",
-                severity="critical", sender="jobmgr")
+        self.notifications.email(
+            "operators",
+            f"job {job.job_id} ({job.name}) needs manual handling",
+            body=f"{reason}; failed on: {', '.join(job.failed_on)}",
+            severity="critical", sender="jobmgr")
 
     # -- the five-minute checks -----------------------------------------------------
 
@@ -156,7 +155,7 @@ class JobManager(Persistent):
                 # the master host's own service agent will restart it;
                 # the manager restarts it directly if nothing else did
                 master.host.shell.run(f"{master.name}_ctl start")
-            elif self.notifications is not None:
+            else:
                 self.notifications.sms(
                     "oncall-admin", "LSF master host is down",
                     severity="critical", sender="jobmgr")
@@ -164,8 +163,6 @@ class JobManager(Persistent):
     # -- daily summary ------------------------------------------------------------------
 
     def _daily_report(self) -> None:
-        if self.notifications is None:
-            return
         stats = self.lsf.queue_stats()
         self.daily_reports_sent += 1
         self.notifications.email(

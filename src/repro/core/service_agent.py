@@ -29,10 +29,9 @@ from repro.ontology.slkt import Slkt
 __all__ = ["ServiceAgent"]
 
 
-def _grep_app_errors(host, app_name: str, contains: str,
-                     window: float = 7200.0) -> bool:
+def _grep_app_errors(host, app_name: str, contains: str) -> bool:
     recs = host.syslog.grep(tag=app_name, min_severity="err",
-                            since=host.sim.now - window,
+                            since=host.sim.now - 7200.0,
                             contains=contains)
     return bool(recs)
 

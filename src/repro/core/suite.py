@@ -96,7 +96,7 @@ class AgentSuite(Persistent):
         that aspect.  Predicates run in subscription order; dispatch is
         a demand-wake, de-bounced by the bus's per-agent cooldown."""
         bus = self.triggers
-        bus.attach_syslog(min_severity="err")
+        bus.attach_syslog()
         bus.watch_process_exits()
         for app in self.host.apps.values():
             bus.watch_app(app)

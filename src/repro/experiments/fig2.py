@@ -10,22 +10,21 @@ paper-vs-measured rows.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.faults.campaign import Campaign
 from repro.faults.models import Category, PAPER_FIG2_HOURS
 from repro.experiments.report import mean_summary, table
 from repro.sim import RandomStreams
-from repro.sim.calendar import YEAR
 
 __all__ = ["run_once", "run_replicated", "format_result"]
 
 
-def run_once(seed: int = 0, *, horizon: float = YEAR) -> dict:
+def run_once(seed: int = 0) -> dict:
     """One fault draw scored through both pipelines: hours by category
     and mean detection hours by period, before and after."""
     rs = RandomStreams(seed)
-    campaign = Campaign(rs.get("fig2.campaign"), horizon=horizon)
+    campaign = Campaign(rs.get("fig2.campaign"))
     before, after = campaign.run_pair(before_rng=rs.get("fig2.ops.before"),
                                       after_rng=rs.get("fig2.ops.after"))
     return {
@@ -39,12 +38,9 @@ def run_once(seed: int = 0, *, horizon: float = YEAR) -> dict:
     }
 
 
-def run_replicated(seed: int = 0, *, replications: int = 5,
-                   horizon: float = YEAR,
-                   processes: Optional[int] = None) -> dict:
+def run_replicated(seed: int = 0, *, replications: int = 5) -> dict:
     """Mean summary over independent fault draws."""
-    return mean_summary(run_once, seed, replications, processes,
-                        horizon=horizon)
+    return mean_summary(run_once, seed, replications)
 
 
 def format_result(summary: Mapping) -> str:

@@ -25,27 +25,27 @@ from repro.experiments.userqos import score
 from repro.faults.campaign import Campaign
 from repro.relocate.model import apply_relocation
 from repro.sim import RandomStreams
-from repro.sim.calendar import MINUTE, YEAR
+from repro.sim.calendar import MINUTE
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.traffic.workload import financial_curve
 
 __all__ = ["run_once", "run_replicated", "format_result"]
 
 
-def run_once(seed: int = 0, *, horizon: float = YEAR,
-             population: int = 1_000_000, tracer=None) -> dict:
+def run_once(seed: int = 0, *, population: int = 1_000_000,
+             tracer=None) -> dict:
     """One fault draw, three arms, priced against user demand in
     five-minute steps: a plain nested dict (deterministic key order),
     the unit the determinism tests byte-compare."""
     tracer = tracer if tracer is not None else NULL_TRACER
     rs = RandomStreams(seed)
-    campaign = Campaign(rs.get("relocation.campaign"), horizon=horizon)
+    campaign = Campaign(rs.get("relocation.campaign"))
+    horizon = campaign.horizon
     before, escalate = campaign.run_pair(
         before_rng=rs.get("relocation.ops.before"),
         after_rng=rs.get("relocation.ops.after"))
     relocated, stats = apply_relocation(
-        escalate, rs.get("relocation.failover"), tracer=tracer,
-        label="relocate")
+        escalate, rs.get("relocation.failover"), tracer=tracer)
     curve, step = financial_curve(population), 5 * MINUTE
     return {
         "population": curve.population,
@@ -64,19 +64,17 @@ def run_once(seed: int = 0, *, horizon: float = YEAR,
 
 def run_replicated(seed: int = 0, *, replications: int = 5,
                    population: int = 1_000_000,
-                   trace: Optional[str] = None, timeline: bool = False,
-                   horizon: float = YEAR,
-                   processes: Optional[int] = None) -> dict:
+                   trace: Optional[str] = None,
+                   timeline: bool = False) -> dict:
     """Mean summary over independent fault draws (pool or in-process,
     same result: the userqos experiment's contract).  ``trace`` /
     ``timeline`` rerun the first draw traced, so they show the
     ``relocate.*`` phases of every modelled failover."""
-    summary = mean_summary(run_once, seed, replications, processes,
-                           horizon=horizon, population=population)
+    summary = mean_summary(run_once, seed, replications,
+                           population=population)
     if trace or timeline:
         tracer = Tracer()
-        run_once(seed, horizon=horizon, population=population,
-                 tracer=tracer)
+        run_once(seed, population=population, tracer=tracer)
         summary["artifacts"] = trace_artifacts(tracer, trace, timeline)
     return summary
 

@@ -74,13 +74,12 @@ def _merge_mean(dicts: List[dict]) -> dict:
 
 
 def mean_summary(run_once: Callable[..., dict], seed: int,
-                 replications: int, processes: Optional[int],
-                 **kw) -> dict:
+                 replications: int, **kw) -> dict:
     """Mean of ``run_once(s, **kw)`` over the independent fault draws
     ``s = seed .. seed + replications - 1``.
 
     The draws go through :func:`repro.parallel.replicate` (process pool
-    when it pays, in-process otherwise or with ``processes=1``); the
+    when it pays, in-process otherwise); the
     result is identical either way: each draw derives all randomness
     from its own seed, and the mean runs over the same ordered list."""
     if replications < 1:
@@ -88,7 +87,7 @@ def mean_summary(run_once: Callable[..., dict], seed: int,
     from repro.parallel import replicate   # pulls in multiprocessing
     merged = _merge_mean(replicate(
         partial(run_once, **kw), range(seed, seed + replications),
-        processes=processes, min_parallel=2))
+        min_parallel=2))
     merged["replications"] = replications
     return merged
 

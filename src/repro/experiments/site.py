@@ -222,7 +222,7 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
 
     # -- LSF on the first TP host -----------------------------------------------
     lsf_host = tp_hosts[0] if tp_hosts else adm1
-    lsf_master = LsfMaster(lsf_host, "lsf")
+    lsf_master = LsfMaster(lsf_host)
     # format 3 checkpoints the stream the retired manual placement
     # policy drew from: it stays materialised until the next format
     streams.get("site.manual")
@@ -326,7 +326,6 @@ def _deploy_agents(site: Site) -> None:
         reroute = RerouteDirectory(site.nameservice, ledger=ledger)
         planner = PlacementPlanner(dc, spares, admin.current_dgspl)
         relocator = ServiceRelocator(dc, planner, spares, reroute=reroute,
-                                     notifications=site.notifications,
                                      page_cb=admin._page_human)
         admin.relocator = relocator
         site.spares, site.relocator, site.reroute = spares, relocator, reroute

@@ -18,13 +18,13 @@ same faults" -- the statement the title actually makes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.faults.campaign import Campaign, CampaignResult
 from repro.faults.models import CATEGORY_IMPACT
 from repro.experiments.report import mean_summary, pct, table
 from repro.sim import RandomStreams
-from repro.sim.calendar import HOUR, MINUTE, YEAR
+from repro.sim.calendar import HOUR, MINUTE
 from repro.traffic.slo import IncidentWindow, join_demand
 from repro.traffic.workload import DemandCurve, financial_curve
 
@@ -74,13 +74,13 @@ def score(label: str, result: CampaignResult, curve: DemandCurve, *,
     }
 
 
-def run_once(seed: int = 0, *, horizon: float = YEAR,
-             population: int = 1_000_000) -> dict:
+def run_once(seed: int = 0, *, population: int = 1_000_000) -> dict:
     """One fault draw, both pipelines, priced against user demand in
     five-minute steps: a plain nested dict (deterministic key order),
     the unit the determinism tests byte-compare."""
     rs = RandomStreams(seed)
-    campaign = Campaign(rs.get("userqos.campaign"), horizon=horizon)
+    campaign = Campaign(rs.get("userqos.campaign"))
+    horizon = campaign.horizon
     before, after = campaign.run_pair(
         before_rng=rs.get("userqos.ops.before"),
         after_rng=rs.get("userqos.ops.after"))
@@ -104,11 +104,9 @@ def run_once(seed: int = 0, *, horizon: float = YEAR,
 
 
 def run_replicated(seed: int = 0, *, replications: int = 5,
-                   population: int = 1_000_000, horizon: float = YEAR,
-                   processes: Optional[int] = None) -> dict:
+                   population: int = 1_000_000) -> dict:
     """Mean summary over independent fault draws."""
-    return mean_summary(run_once, seed, replications, processes,
-                        horizon=horizon, population=population)
+    return mean_summary(run_once, seed, replications, population=population)
 
 
 def format_result(summary: Mapping) -> str:

@@ -94,12 +94,16 @@ class CampaignResult:
                 for k, v in sums.items()}
 
 
+#: the span a campaign draws its faults over (tests patch it shorter)
+HORIZON = YEAR
+
+
 class Campaign:
     """Samples fault arrivals and scores pipelines over them."""
 
-    def __init__(self, rng, *, horizon: float = YEAR):
+    def __init__(self, rng):
         self.rng = rng
-        self.horizon = float(horizon)
+        self.horizon = HORIZON
         self.scale = 1.0
         self.profiles = dict(CATEGORY_PROFILES)
         self._arrivals: Optional[Dict[Category, np.ndarray]] = None

@@ -213,11 +213,8 @@ class Federation:
         return out
 
 
-def build_federation(config: Optional[FederationConfig] = None
-                     ) -> Federation:
+def build_federation(config: FederationConfig) -> Federation:
     """Assemble the federated world from a :class:`FederationConfig`."""
-    from repro.federation.config import three_site_config
-    config = config or three_site_config()
 
     sites: Dict[str, Site] = {}
     for spec in sorted(config.sites, key=lambda s: s.name):
@@ -251,8 +248,7 @@ def build_federation(config: Optional[FederationConfig] = None
     fed._next_digest = fed.now
 
     if config.cross_site_relocation:
-        crosssite = CrossSiteRelocator(wan=wan, nameservice=nameservice,
-                                       page_cb=fed._page)
+        crosssite = CrossSiteRelocator(wan=wan, page_cb=fed._page)
         for name, site in sites.items():
             crosssite.register_site(name, site)
             if site.admin is not None:

@@ -45,12 +45,12 @@ class GeoTrafficDriver(Persistent):
                 table("user_minutes_lost", float), part("doors"))
 
     def __init__(self, curves: Dict[str, DemandCurve], geo, crosssite,
-                 streams, *, pinned_fraction: Dict[str, float] = None):
+                 streams, *, pinned_fraction: Dict[str, float]):
         self.curves = dict(curves)
         self.geo = geo
         self.crosssite = crosssite
         self.rng = streams.get("federation.arrivals")
-        self.pinned_fraction = dict(pinned_fraction or {})
+        self.pinned_fraction = dict(pinned_fraction)
         #: site -> class name -> its per-tier FrontDoor
         self.doors: Dict[str, Dict[str, object]] = {}
         #: one SLI per (site, class), keyed "<site>/<class>"

@@ -128,15 +128,14 @@ class WanCourier(Persistent):
         self.failed = 0
         self.bytes_by_pair: Dict[str, int] = {}
 
-    def send(self, src_site: str, dst_site: str,
-             nbytes: int = 4096) -> Delivery:
+    def send(self, src_site: str, dst_site: str) -> Delivery:
         self.sent += 1
-        ok, latency_ms = self.wan.send(src_site, dst_site, nbytes)
+        ok, latency_ms = self.wan.send(src_site, dst_site, 4096)
         if not ok:
             self.failed += 1
             return Delivery(False, error="wan-partitioned")
         self.delivered += 1
         pair = "|".join(sorted((src_site, dst_site)))
-        self.bytes_by_pair[pair] = self.bytes_by_pair.get(pair, 0) + nbytes
+        self.bytes_by_pair[pair] = self.bytes_by_pair.get(pair, 0) + 4096
         return Delivery(True, lan_name=pair, lan_kind="wan",
                         latency_ms=latency_ms)

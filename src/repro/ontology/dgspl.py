@@ -66,8 +66,7 @@ class Dgspl:
         return [e for e in self.entries if e.app_type == app_type]
 
     def shortlist(self, app_type: str, *, min_power: float = 0.0,
-                  exclude_servers: Iterable[str] = (),
-                  max_load: Optional[float] = None
+                  exclude_servers: Iterable[str] = ()
                   ) -> List[GlobalServiceEntry]:
         """Best-first candidates: running services of the right type,
         power >= min_power, not excluded, ordered by (load asc, power
@@ -75,8 +74,7 @@ class Dgspl:
         with the best choice always first"."""
         excluded = set(exclude_servers)
         out = [e for e in self.services_of_type(app_type)
-               if e.server not in excluded and e.power >= min_power
-               and (max_load is None or e.current_load <= max_load)]
+               if e.server not in excluded and e.power >= min_power]
         out.sort(key=lambda e: (e.current_load, -e.power, e.server))
         return out
 

@@ -186,7 +186,4 @@ class DlspBuilder(Persistent):
                 self._entries[name] = entry
                 self._fingerprints[name] = fp
             services.append(entry)
-        for gone in set(self._entries) - set(host.apps):
-            del self._entries[gone]
-            del self._fingerprints[gone]
         return _profile(host, load, services)

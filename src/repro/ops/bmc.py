@@ -35,7 +35,7 @@ class BaselineMonitor:
     #: until its flush every eight hours
     BASE_MEM_MB, CACHE_MB_PER_HOUR, CACHE_FLUSH_HOURS = 28.0, 2.5, 8.0
 
-    def __init__(self, host, *, notifications=None):
+    def __init__(self, host, *, notifications):
         self.host = host
         self.sim = host.sim
         self.notifications = notifications
@@ -94,10 +94,8 @@ class BaselineMonitor:
                 if not app.processes_present() or app.state.value == "crashed":
                     self._known_down.add(app.name)
                     self.alerts_raised += 1
-                    if self.notifications is not None:
-                        self.notifications.email(
-                            "operators",
-                            f"ALERT {self.host.name}/{app.name} down",
-                            severity="critical", sender="patrol")
+                    self.notifications.email(
+                        "operators", f"ALERT {self.host.name}/{app.name} down",
+                        severity="critical", sender="patrol")
             elif healthy:
                 self._known_down.discard(app.name)

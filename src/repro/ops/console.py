@@ -85,10 +85,9 @@ class OperatorConsole:
 
     # -- operator workflow --------------------------------------------------------
 
-    def active(self, *, unacked_only: bool = False) -> List[Alarm]:
+    def active(self) -> List[Alarm]:
         """Alarms, most severe then oldest first."""
-        alarms = [a for a in self.alarms.values()
-                  if not (unacked_only and a.acked)]
+        alarms = list(self.alarms.values())
         alarms.sort(key=lambda a: (_SEV_ORDER.get(a.severity, 2),
                                    a.first_seen))
         return alarms

@@ -82,7 +82,6 @@ def _failed(seed: int, exc: Exception):
 
 
 def replicate(fn: Callable[[int], T], seeds: Sequence[int], *,
-              processes: Optional[int] = None,
               min_parallel: int = MIN_PARALLEL) -> List[T]:
     """Run ``fn(seed)`` for every seed, in parallel when it pays.
 
@@ -92,7 +91,7 @@ def replicate(fn: Callable[[int], T], seeds: Sequence[int], *,
     replication raises :class:`ReplicationError` with the seed, on
     either path.
     """
-    return _fan_out(fn, seeds, processes, min_parallel, _failed)
+    return _fan_out(fn, seeds, None, min_parallel, _failed)
 
 
 @dataclass

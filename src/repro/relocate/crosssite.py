@@ -117,9 +117,8 @@ class CrossSiteRelocator(Persistent):
     #: many RTTs to the base
     VERIFY_BUDGET, CHATTER_ROUNDS = 600.0, 100
 
-    def __init__(self, *, wan, nameservice=None, page_cb=None):
+    def __init__(self, *, wan, page_cb):
         self.wan = wan
-        self.nameservice = nameservice
         self.page_cb = page_cb
         self.sites: Dict[str, object] = {}
         #: sites currently considered lost (no placements into them)
@@ -303,11 +302,9 @@ class CrossSiteRelocator(Persistent):
 
     def _fail(self, rec: CrossSiteRecord) -> None:
         self.failed += 1
-        if self.page_cb is not None:
-            self.paged += 1
-            self.page_cb(rec.subject,
-                         f"cross-site relocation failed: {rec.detail} "
-                         f"({rec.reason})")
+        self.paged += 1
+        self.page_cb(rec.subject, f"cross-site relocation failed: "
+                     f"{rec.detail} ({rec.reason})")
 
     # -- persistence ---------------------------------------------------------
 

@@ -119,8 +119,7 @@ def _record_spans(tracer, rec: FaultRecord, phases, outcome: str) -> None:
         t += dur
 
 
-def apply_relocation(result: CampaignResult, rng, *,
-                     tracer=NULL_TRACER, label: str = "relocate"
+def apply_relocation(result: CampaignResult, rng, *, tracer=NULL_TRACER
                      ) -> Tuple[CampaignResult, RelocationStats]:
     """Re-score an escalation-only campaign with the relocation tier.
 
@@ -130,7 +129,7 @@ def apply_relocation(result: CampaignResult, rng, *,
     policy = POLICY
     stats = RelocationStats()
     out = CampaignResult(
-        PipelineParams(True, result.pipeline.agent_period, label),
+        PipelineParams(True, result.pipeline.agent_period, "relocate"),
         result.horizon)
     for rec in result.records:
         if (rec.prevented or rec.auto

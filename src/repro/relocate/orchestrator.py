@@ -63,14 +63,12 @@ class ServiceRelocator(Persistent):
     #: verify probes, and for in-flight work to drain
     budget, poll, drain_grace = 900.0, 15.0, 20.0
 
-    def __init__(self, dc, planner, spares, *, reroute=None,
-                 notifications=None, page_cb: Optional[Callable] = None):
+    def __init__(self, dc, planner, spares, *, reroute, page_cb: Callable):
         self.dc = dc
         self.sim = dc.sim
         self.planner = planner
         self.spares = spares
         self.reroute = reroute
-        self.notifications = notifications
         #: called as ``page_cb(host_name, reason)`` when a relocation
         #: rolls back; the admin pair passes its SMS escalation here
         self.page_cb = page_cb
@@ -151,8 +149,7 @@ class ServiceRelocator(Persistent):
 
         # -- drain -----------------------------------------------------------
         t0 = self.sim.now
-        if self.reroute is not None:
-            self.reroute.drain(app)
+        self.reroute.drain(app)
         if app.host.is_up:
             app.stop()
         yield self.drain_grace
@@ -202,8 +199,7 @@ class ServiceRelocator(Persistent):
             return
 
         # -- cutover ---------------------------------------------------------
-        if self.reroute is not None:
-            self.reroute.cutover(app, target_app)
+        self.reroute.cutover(app, target_app)
         rec.phase = "done"
         rec.success = True
         rec.finished = self.sim.now
@@ -229,14 +225,8 @@ class ServiceRelocator(Persistent):
                        fault_id=rec.fault_id, phase=rec.phase, reason=why)
         if tracer.enabled:
             tracer.metrics.counter("relocate.failed").inc()
-        if self.page_cb is not None:
-            self.page_cb(rec.source_host,
-                         f"relocation of {rec.subject} failed: {why}")
-        elif self.notifications is not None:
-            self.notifications.sms(
-                "oncall-admin",
-                f"relocation of {rec.subject} failed: {why}",
-                severity="critical", sender="relocator")
+        self.page_cb(rec.source_host,
+                     f"relocation of {rec.subject} failed: {why}")
         return
         yield   # pragma: no cover - makes this a generator for delegation
 

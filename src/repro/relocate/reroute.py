@@ -38,7 +38,7 @@ class RerouteDirectory(Persistent):
     #: state
     _persist = scalars(int, "cutovers", "drains")
 
-    def __init__(self, nameservice=None, ledger=None):
+    def __init__(self, nameservice, ledger):
         self.nameservice = nameservice
         self.ledger = ledger
         #: app_type -> front doors spreading demand over that tier
@@ -48,8 +48,7 @@ class RerouteDirectory(Persistent):
 
     def register_door(self, door) -> None:
         self.doors.setdefault(door.app_type, []).append(door)
-        if self.ledger is not None:
-            door.attach_ledger(self.ledger)
+        door.attach_ledger(self.ledger)
 
     # -- the two phases ------------------------------------------------------
 
@@ -58,9 +57,8 @@ class RerouteDirectory(Persistent):
         self.drains += 1
         for door in self.doors.get(app.app_type, ()):
             door.flag_down(app.host.name)
-        if self.ledger is not None:
-            self.ledger.append("route", app.host.name, agent=app.name,
-                               status="drain", detail=app.app_type)
+        self.ledger.append("route", app.host.name, agent=app.name,
+                           status="drain", detail=app.app_type)
 
     def cutover(self, old_app, new_app) -> None:
         """Point every route at the relocated instance."""
@@ -68,13 +66,10 @@ class RerouteDirectory(Persistent):
         for door in self.doors.get(old_app.app_type, ()):
             door.replace(old_app, new_app)
             door.flag_up(new_app.host.name)
-        if self.nameservice is not None:
-            ip = next((n.ip for n in new_app.host.nics.values()), "0.0.0.0")
-            self.nameservice.register(service_alias(old_app.name), ip)
-        if self.ledger is not None:
-            self.ledger.append("route", new_app.host.name,
-                               agent=old_app.name, status="cutover",
-                               detail=old_app.app_type)
+        ip = next((n.ip for n in new_app.host.nics.values()), "0.0.0.0")
+        self.nameservice.register(service_alias(old_app.name), ip)
+        self.ledger.append("route", new_app.host.name, agent=old_app.name,
+                           status="cutover", detail=old_app.app_type)
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         tiers = sum(len(v) for v in self.doors.values())

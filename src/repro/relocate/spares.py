@@ -43,11 +43,11 @@ class SparePool(Persistent):
 
     # -- registration --------------------------------------------------------
 
-    def register(self, host, slkt: Optional[Slkt] = None) -> None:
-        """Put a host up as a spare.  Without an explicit SLKT the live
-        host is captured as its own template (its idle app slots define
-        what it can take over)."""
-        self.templates[host.name] = slkt or build_slkt(host)
+    def register(self, host) -> None:
+        """Put a host up as a spare: the live host is captured as its
+        own template (its idle app slots define what it can take
+        over)."""
+        self.templates[host.name] = build_slkt(host)
 
     # -- queries -------------------------------------------------------------
 

@@ -110,17 +110,11 @@ class Histogram(Persistent):
             raise ValueError(f"q must be in [0, 1], got {q!r}")
         if self.count == 0:
             return 0.0
-        if q == 0.0:
-            for i, c in enumerate(self.counts):
-                if c:
-                    return self.bounds[i - 1] if i > 0 else 0.0
-            return 0.0
         if q == 1.0:
             for i in range(len(self.counts) - 1, -1, -1):
                 if self.counts[i]:
                     return (self.bounds[-1] if i >= len(self.bounds)
                             else self.bounds[i])
-            return 0.0
         target = q * self.count
         cum = 0
         for i, c in enumerate(self.counts):

@@ -24,7 +24,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.persist.core import Persistent, part, rows, scalar, via
 from repro.trace.metrics import MetricsRegistry
@@ -110,8 +110,8 @@ class Tracer(Persistent):
     """Span/instant recorder plus the metrics registry.
 
     ``sim`` supplies the clock; a simless tracer (model-sampled
-    experiments like MTTR) can pass ``clock`` or rely on
-    :meth:`record_span`'s explicit timestamps.
+    experiments like MTTR) relies on :meth:`record_span`'s explicit
+    timestamps.
     """
 
     #: the full record -- spans, instants, correlations and metrics --
@@ -131,19 +131,16 @@ class Tracer(Persistent):
         part("metrics"))
 
     def __init__(self, sim=None, *, enabled: bool = True,
-                 metrics: Optional[MetricsRegistry] = None,
-                 capture_resumes: bool = False,
-                 clock: Optional[Callable[[], float]] = None):
+                 capture_resumes: bool = False):
         self.sim = sim
         self.enabled = enabled
         #: also span every generator-process resume (verbose; off by
         #: default so an enabled tracer stays affordable on long runs)
         self.capture_resumes = capture_resumes
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.spans: List[Span] = []
         self.instants: List[dict] = []
         self._stack: List[Span] = []
-        self._clock = clock
         self._correlations: Dict[str, str] = {}
         #: "/"-suffix of a correlated key -> the first-bound such key
         #: (derived from ``_correlations``; rebuilt on restore)
@@ -157,8 +154,6 @@ class Tracer(Persistent):
     def now(self) -> float:
         if self.sim is not None:
             return self.sim.now
-        if self._clock is not None:
-            return self._clock()
         return 0.0
 
     # -- spans ---------------------------------------------------------------

@@ -68,11 +68,9 @@ class TriggerBus(Persistent):
 
     # -- sources -------------------------------------------------------------
 
-    def attach_syslog(self, min_severity: str = "err") -> None:
-        """Wake on syslog records at or above ``min_severity``."""
-        if min_severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {min_severity!r}")
-        threshold = SEVERITIES.index(min_severity)
+    def attach_syslog(self) -> None:
+        """Wake on syslog records at or above ``err``."""
+        threshold = SEVERITIES.index("err")
 
         def on_record(rec):
             if SEVERITIES.index(rec.severity) <= threshold:

@@ -3,11 +3,18 @@ small fully-agented site."""
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
 import pytest
 
+from repro import parallel
 from repro.apps.database import Database
 from repro.apps.frontend import FrontendApp
 from repro.apps.webserver import WebServer
+from repro.faults import campaign
 from repro.cluster.datacenter import Datacenter
 from repro.net.network import Lan
 from repro.net.routing import AgentChannel
@@ -96,3 +103,32 @@ def test_site():
     """A small agented site (built fresh per test: mutation-heavy)."""
     from repro.experiments.site import SiteConfig, build_site
     return build_site(SiteConfig.test_scale(seed=7, with_feeds=False))
+
+
+@contextlib.contextmanager
+def _campaigns_spanning(span: float):
+    """Every fault campaign run inside spans ``span`` seconds, in
+    process-pool workers too: the pool forks them, so they inherit the
+    patched module whatever the platform's default start method."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("pool workers must fork to inherit a patched horizon")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign, "HORIZON", span)
+        patch.setattr(parallel, "ProcessPoolExecutor", partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        yield
+
+
+@pytest.fixture
+def short_campaigns(request):
+    """This test's fault campaigns span its module's ``HORIZON``."""
+    with _campaigns_spanning(request.module.HORIZON):
+        yield
+
+
+@pytest.fixture(scope="module")
+def short_campaigns_module(request):
+    """Every fault campaign in the requesting module spans its
+    ``HORIZON``."""
+    with _campaigns_spanning(request.module.HORIZON):
+        yield

@@ -130,10 +130,3 @@ def test_dgspl_skips_stale_dlsps(wired, sim, dc):
     dc.host("db01").crond.remove("status")
     sim.run(until=sim.now + 3000.0)
     assert not any(e.server == "db01" for e in admin.dgspl.entries)
-
-
-def test_current_dgspl_max_age(wired, sim):
-    admin, _ = wired
-    sim.run(until=sim.now + 1000.0)
-    assert admin.current_dgspl(max_age=1e9) is not None
-    assert admin.current_dgspl(max_age=0.0) is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import parallel
 from repro.experiments import fig2, mttr, overhead, report
 from repro.experiments.site import SiteConfig, build_site
 from repro.faults.campaign import Campaign
@@ -51,9 +52,11 @@ def test_fig2_requires_seeds():
         fig2.run_replicated(0, replications=0)
 
 
-def test_fig2_parallel_matches_serial():
-    serial = fig2.run_replicated(5, replications=2, processes=1)
-    par = fig2.run_replicated(5, replications=2, processes=2)
+def test_fig2_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(parallel, "default_workers", lambda: 1)
+    serial = fig2.run_replicated(5, replications=2)
+    monkeypatch.setattr(parallel, "default_workers", lambda: 2)
+    par = fig2.run_replicated(5, replications=2)
     assert par["before_hours"] == serial["before_hours"]
     assert par["after_hours"] == serial["after_hours"]
 

@@ -1,15 +1,18 @@
 """The relocation experiment (repro.experiments.relocation) and its
 CLI entry."""
 
+import pytest
+
 from repro.cli import main
 from repro.experiments import relocation
-from repro.sim.calendar import DAY, YEAR
+from repro.sim.calendar import DAY
 
 HORIZON = 45 * DAY
 
 
+@pytest.mark.usefixtures("short_campaigns")
 def test_summary_shape():
-    s = relocation.run_once(3, horizon=HORIZON, population=100_000)
+    s = relocation.run_once(3, population=100_000)
     assert set(s) == {"population", "horizon_s", "step_s", "replications",
                       "before", "escalate", "relocate", "relocations"}
     assert s["before"]["label"] == "before"
@@ -25,7 +28,7 @@ def test_summary_shape():
 
 
 def test_relocation_improves_user_qos_over_a_year():
-    res = relocation.run_once(0, horizon=YEAR, population=100_000)
+    res = relocation.run_once(0, population=100_000)
     assert res["relocations"]["candidates"] > 0
     before, escalate, relocate = (res[arm] for arm in
                                   ("before", "escalate", "relocate"))
@@ -35,17 +38,17 @@ def test_relocation_improves_user_qos_over_a_year():
             < before["user_minutes_lost"])
 
 
+@pytest.mark.usefixtures("short_campaigns")
 def test_replicated_mean_keeps_shape():
-    merged = relocation.run_replicated(0, replications=2, horizon=HORIZON,
-                                       population=100_000)
+    merged = relocation.run_replicated(0, replications=2, population=100_000)
     assert merged["replications"] == 2
     assert merged["relocate"]["availability"] <= 1.0
     assert "candidates" in merged["relocations"]
 
 
+@pytest.mark.usefixtures("short_campaigns")
 def test_format_result_renders():
-    merged = relocation.run_replicated(0, replications=1, horizon=HORIZON,
-                                       population=100_000)
+    merged = relocation.run_replicated(0, replications=1, population=100_000)
     text = relocation.format_result(merged)
     for needle in ("Service relocation", "before", "escalate-only",
                    "relocate", "relocation tier", "relocation on vs off",

@@ -10,9 +10,12 @@ from repro.sim.calendar import DAY
 HORIZON = 60 * DAY        # a couple of months is enough signal for tests
 
 
+pytestmark = pytest.mark.usefixtures("short_campaigns_module")
+
+
 @pytest.fixture(scope="module")
-def result():
-    return run_once(seed=3, horizon=HORIZON, population=200_000)
+def result(short_campaigns_module):
+    return run_once(seed=3, population=200_000)
 
 
 def test_every_category_has_an_impact_map():
@@ -56,8 +59,7 @@ def test_windows_skip_prevented_faults(result):
     import repro.sim as rsim
     from repro.faults.campaign import Campaign
     rs = rsim.RandomStreams(3)
-    campaign = Campaign(rs.get("userqos.campaign"), horizon=HORIZON)
-    before, after = campaign.run_pair(
+    before, after = Campaign(rs.get("userqos.campaign")).run_pair(
         before_rng=rs.get("userqos.ops.before"),
         after_rng=rs.get("userqos.ops.after"))
     wins = windows_of(after)
@@ -77,10 +79,9 @@ def test_summary_is_plain_and_complete(result):
 
 
 def test_run_replicated_means(result):
-    merged = run_replicated(3, replications=2, horizon=HORIZON,
-                            population=200_000)
+    merged = run_replicated(3, replications=2, population=200_000)
     assert merged["replications"] == 2
-    one = run_once(seed=4, horizon=HORIZON, population=200_000)
+    one = run_once(seed=4, population=200_000)
     expect = 0.5 * (result["before"]["failed_requests"]
                     + one["before"]["failed_requests"])
     assert merged["before"]["failed_requests"] == pytest.approx(expect)

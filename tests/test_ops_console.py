@@ -56,7 +56,6 @@ def test_ack_workflow(console, notifications):
     notifications.email("ops", "x", severity="critical")
     assert console.ack("x", "carol")
     assert console.active()[0].acked_by == "carol"
-    assert console.active(unacked_only=True) == []
     assert not console.ack("ghost", "carol")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import parallel
 from repro.experiments import EXPERIMENTS, resolve
 from repro.parallel import ReplicationError, default_workers, replicate
 
@@ -26,14 +27,15 @@ def test_replicate_parallel_preserves_order():
     assert out == [s * s for s in seeds]
 
 
-def test_replicate_single_worker_is_serial():
-    assert replicate(_square, list(range(6)), processes=1) == [
+def test_replicate_single_worker_is_serial(monkeypatch):
+    monkeypatch.setattr(parallel, "default_workers", lambda: 1)
+    assert replicate(_square, list(range(6)), min_parallel=2) == [
         s * s for s in range(6)]
 
 
 def test_serial_failure_reports_offending_seed():
     with pytest.raises(ReplicationError) as err:
-        replicate(_boom, [1, 2, 3, 4], processes=1)
+        replicate(_boom, [1, 2, 3, 4], min_parallel=10)
     assert err.value.seed == 3
     assert isinstance(err.value.cause, ValueError)
 
@@ -43,7 +45,7 @@ def test_pool_failure_reports_same_seed_as_serial():
     with pytest.raises(ReplicationError) as pool_err:
         replicate(_boom, list(range(8)), min_parallel=2)
     with pytest.raises(ReplicationError) as serial_err:
-        replicate(_boom, list(range(8)), processes=1)
+        replicate(_boom, list(range(8)), min_parallel=10)
     assert pool_err.value.seed == serial_err.value.seed == 3
     assert "seed 3" in str(pool_err.value)
 

@@ -8,13 +8,12 @@ from repro.relocate import model
 from repro.relocate.model import (RELOCATABLE, RelocationPolicy,
                                   apply_relocation)
 from repro.sim import RandomStreams
-from repro.sim.calendar import YEAR
 from repro.trace import Tracer
 
 
-def _escalate_arm(seed: int, horizon: float = YEAR):
+def _escalate_arm(seed: int):
     rs = RandomStreams(seed)
-    campaign = Campaign(rs.get("relocation.campaign"), horizon=horizon)
+    campaign = Campaign(rs.get("relocation.campaign"))
     _, escalate = campaign.run_pair(
         before_rng=rs.get("relocation.ops.before"),
         after_rng=rs.get("relocation.ops.after"))

@@ -8,7 +8,10 @@ Four lints:
 (a) *unpassed defaults* -- a defaulted parameter of a public function
     or method under ``src/repro`` that no product call site passes, by
     keyword or by position, is a configuration nobody runs: make it the
-    constant it always is;
+    constant it always is.  A parameter never passed is bound only to
+    its default, so ``UNPASSED_OK`` -- the list ``tests/reachability.py``
+    checks by running every product entry point -- is (a)'s allow-list
+    too, and that job, not (a), fails on an entry that has gone stale;
 (b) *unnamed definitions* -- a public function, class or method that
     no product file names anywhere but at its own ``def`` is a path
     nobody takes: delete it.  An ``__all__`` list or a package
@@ -52,10 +55,11 @@ a name on purpose, and its reason starts with one of the tags in
 - ``test seam:`` a test passes an *object* through it (a fake, a
   clock); a value does not qualify;
 - ``error path:`` it runs only when a call fails, and the reason names
-  the tier-1 test that drives it.
+  the tier-1 test that drives it, ``test_module::test_name``;
+- ``benchmark:`` a ``benchmarks/e2e`` file passes it, so removing it is
+  a change to the benchmark.
 
-An ``UNPASSED_OK`` or ``UNIMPORTED_OK`` entry the lint no longer needs
-fails too.
+An ``UNIMPORTED_OK`` entry the lint no longer needs fails too.
 """
 
 import ast
@@ -71,7 +75,7 @@ TESTS = os.path.join(ROOT, "tests")
 
 REASON = re.compile(r"(outside input|primitive|persisted"
                     r"|paper §[1-4](\.\d+)*|ROADMAP item \d+|test seam"
-                    r"|error path): \S")
+                    r"|error path|benchmark): \S")
 
 UNPASSED_OK = {
     "repro.cli.main(argv)": "outside input: the command line",
@@ -109,6 +113,39 @@ UNPASSED_OK = {
     "repro.ops.downtime.DowntimeLedger.close_incident(escalated)":
         "persisted: the only writer of the checkpointed "
         "Incident.escalated",
+    "repro.faults.injector.FaultInjector.disk_fill(mount)":
+        "outside input: scenario JSON passes it through "
+        "FaultInjector.inject",
+    "repro.sim.kernel.Periodic.start(offset)": "primitive: the kernel's",
+    "repro.batch.workload.OvernightWorkload.__init__(manual_targeting)":
+        "persisted: the checkpointed SiteConfig.manual_targeting feeds it",
+    "repro.core.admin.AdministrationServers.__init__(agent_period)":
+        "persisted: the checkpointed SiteConfig.agent_period feeds it",
+    "repro.core.agent.Intelliagent.__init__(period)":
+        "persisted: the checkpointed SiteConfig.agent_period feeds it",
+    "repro.core.agent.Intelliagent.__init__(wake_max_period)":
+        "persisted: the checkpointed SiteConfig.wake_max_period feeds it",
+    "repro.core.suite.AgentSuite.__init__(period)":
+        "persisted: the checkpointed SiteConfig.agent_period feeds it",
+    "repro.core.suite.AgentSuite.__init__(wake_max_period)":
+        "persisted: the checkpointed SiteConfig.wake_max_period feeds it",
+    "repro.wake.policy.WakePolicy.__init__(max_period)":
+        "persisted: the checkpointed SiteConfig.wake_max_period feeds it",
+    "repro.trace.tracer.Tracer.__init__(capture_resumes)":
+        "persisted: the tracer's checkpointed capture_resumes",
+    "repro.ontology.dgspl.FederatedDgspl.__init__(freshness)":
+        "persisted: the checkpointed FederationConfig.digest_freshness "
+        "feeds it",
+    "repro.traffic.workload.regional_curves(regions)":
+        "persisted: the checkpointed FederationConfig.regions feeds it",
+    "repro.relocate.orchestrator.ServiceRelocator._rollback(claimed)":
+        "error path: a rolled-back relocation gives its claimed spare "
+        "back; test_relocate_orchestrator"
+        "::test_relocation_budget_blows_to_rollback",
+    "repro.observe.incidents.build_reports(qos_step)":
+        "benchmark: benchmarks/e2e/workloads.py passes qos_step=60.0",
+    "repro.observe.incidents.reconcile(qos_step)":
+        "benchmark: benchmarks/e2e/workloads.py passes qos_step=60.0",
 }
 
 UNENTERED_OK = {
@@ -588,7 +625,6 @@ def test_every_defaulted_parameter_is_passed_somewhere(source):
         "no product call site passes these; make each the constant it "
         "always is, or allow-list it with a reason:\n  "
         + "\n  ".join(unexplained))
-    assert not sorted(set(UNPASSED_OK) - set(found)), "stale allow-list"
 
 
 def test_every_public_definition_is_named_somewhere(source):
@@ -614,6 +650,26 @@ def test_every_allow_list_entry_carries_a_reason_tag():
                       for name, why in allowed.items()
                       if not REASON.match(why))
     assert not untagged, "no reason tag: " + ", ".join(untagged)
+
+
+def _names_a_tier1_test(why):
+    """Whether ``why`` names ``test_module::test_name`` and that test
+    exists under ``tests/``."""
+    test = re.search(r"([\w/]+)::(\w+)", why)
+    path = test and os.path.join(TESTS, test[1] + ".py")
+    if not (path and os.path.exists(path)):
+        return False
+    with open(path) as fh:
+        return re.search(rf"def {test[2]}\(", fh.read()) is not None
+
+
+def test_every_error_path_names_a_tier1_test_that_exists():
+    unnamed = sorted(name for allowed in (UNPASSED_OK, UNENTERED_OK,
+                                          UNIMPORTED_OK)
+                     for name, why in allowed.items()
+                     if why.startswith("error path:")
+                     and not _names_a_tier1_test(why))
+    assert not unnamed, "no such tier-1 test: " + ", ".join(unnamed)
 
 
 def test_observe_imports_nothing_from_experiments(source):

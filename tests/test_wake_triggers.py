@@ -1,7 +1,5 @@
 """Unit tests for the trigger bus and the agent demand-wake path."""
 
-import pytest
-
 from repro.core.suite import AgentSuite
 from repro.wake import TriggerBus
 
@@ -23,7 +21,7 @@ class _Probe:
 
 def test_syslog_severity_threshold(sim, db_host):
     bus = TriggerBus(db_host)
-    bus.attach_syslog(min_severity="err")
+    bus.attach_syslog()
     probe = _Probe("p")
     bus.subscribe(probe, lambda t: t.kind == "syslog")
     db_host.syslog.info(sim.now, "oracle", "routine checkpoint")
@@ -32,8 +30,6 @@ def test_syslog_severity_threshold(sim, db_host):
     assert len(probe.wakes) == 1
     trig = probe.wakes[0]
     assert trig.subject == "oracle" and trig.severity == "err"
-    with pytest.raises(ValueError):
-        bus.attach_syslog(min_severity="loud")
 
 
 def test_process_exit_wakes_only_for_app_daemons(sim, db_host, database):
