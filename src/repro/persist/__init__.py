@@ -11,10 +11,11 @@ whole-world checkpoints:
 
 - :mod:`repro.persist.core` -- the protocol, its one implementation
   (:class:`~repro.persist.core.Persistent` and the entry vocabulary),
-  the canonical-JSON state hash and :func:`~repro.persist.core.seal`
+  the canonical-JSON state hash, :func:`~repro.persist.core.seal`
   (the same hash and the file's bytes from one encoding),
-  :func:`~repro.persist.core.collector_paused` for the resume path,
-  and :class:`~repro.persist.core.QuiescenceError`.
+  :func:`~repro.persist.core.collector_paused` (the resume path builds
+  uncollected, then leaves its world in the oldest generation) and
+  :class:`~repro.persist.core.QuiescenceError`.
 - :mod:`repro.persist.site_state` -- :func:`snapshot_site` /
   :func:`restore_site`: walk a built :class:`~repro.experiments.site.Site`
   section by section, verifying that *every* live heap event is claimed

@@ -19,15 +19,14 @@ writes as they are -- one encoding per epoch.
 :meth:`CheckpointManager.load`, the one place a document enters from
 outside the program, recomputes that hash from scratch: a truncated,
 edited or bit-flipped file is a ``ValueError`` naming the path, never
-a running world.  Wall-clock cost is accounted per attempt, deferred
-ones included -- the overhead benchmark reads it back.
+a running world.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
+import sys
 from typing import List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
@@ -39,7 +38,7 @@ __all__ = ["CheckpointManager", "rss_mb"]
 
 
 def rss_mb() -> float:
-    """Resident set size of this process, in MiB (0.0 when the
+    """Peak resident set size of this process, in MiB (0.0 when the
     platform offers no ``resource`` module)."""
     try:
         import resource
@@ -47,7 +46,7 @@ def rss_mb() -> float:
         return 0.0
     ru = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # linux reports KiB, macOS bytes
-    return ru / 1024.0 if ru < 1 << 32 else ru / (1024.0 * 1024.0)
+    return ru / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _refuse_constant(name: str):
@@ -80,7 +79,6 @@ class CheckpointManager:
         self.deferred = 0
         self.last_path: Optional[str] = None
         self.last_hash: Optional[str] = None
-        self.wall_seconds = 0.0
         self._federated = hasattr(site, "sites")
         self._last_at = self._now()
         os.makedirs(directory, exist_ok=True)
@@ -102,15 +100,12 @@ class CheckpointManager:
                           < self.every_hours * 3600.0):
             return None
         sealed = sealed_federation if self._federated else sealed_site
-        t0 = time.perf_counter()
         try:
             snap, pieces = sealed(self.site, self.extras)
             path = self._write(pieces)
         except QuiescenceError:
             self.deferred += 1
             return None
-        finally:
-            self.wall_seconds += time.perf_counter() - t0
         self.last_hash = snap["state_hash"]
         self._last_at = self._now()
         self._prune()

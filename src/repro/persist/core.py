@@ -152,22 +152,26 @@ def seal(state: dict,
 
 
 def collector_paused(fn: Callable) -> Callable:
-    """Run ``fn`` with the cyclic collector off, and hand it back in
-    the state the caller had it, raise or return.
+    """Run ``fn`` with the cyclic collector off and, if it returns,
+    move what it built to the oldest generation; hand the collector
+    back in the state the caller had it, raise or return.
 
-    For the resume path only -- parse, verify, build, restore: it adds
-    a whole world of containers every one of which is reachable from
-    the result, so the full-heap sweeps CPython's "pending > total / 4"
-    rule fires in the middle of it cannot free an object.  Not for the
-    snapshot side: the world a resume replaced is cyclic garbage that
-    only the sweeps during the next snapshot free (DESIGN.md has the
-    RSS figures)."""
+    For the resume path only -- parse, verify, build, restore: all it
+    adds is reachable from the result, so no collection inside it, nor
+    a full sweep its "pending" count would set off later, can free an
+    object.  The move is ``gc.freeze()`` + ``gc.unfreeze()``, skipped
+    while the caller holds frozen objects.  Never on the snapshot side:
+    only its sweeps free the world a resume replaced (DESIGN.md)."""
     @functools.wraps(fn)
     def paused(*args, **kwargs):
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            return result
         finally:
             if was_enabled:
                 gc.enable()

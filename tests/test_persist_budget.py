@@ -12,7 +12,9 @@ counts so they cannot creep back unnoticed (same spirit as
   and building the world it describes only adds objects reachable from
   the result, so no garbage collection of any generation may start
   inside the resume path -- and the collector is handed back in the
-  state the caller had it, raise or return.
+  state the caller had it, raise or return.  Nor may one start later
+  for that world's sake: what the resume path returns is already in
+  the oldest generation, and a caller's frozen objects stay frozen.
 """
 
 import gc
@@ -177,3 +179,60 @@ def test_a_refused_resume_hands_the_collector_back(tmp_path, collections,
     with pytest.raises(ValueError, match="different config"):
         _quietly(collections, restore_federation, fed_doc, fed=other_fed)
     assert gc.isenabled() == enabled
+
+
+# -- the resumed world is born old --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """One site and one federation checkpoint file."""
+    tmp = tmp_path_factory.mktemp("born-old")
+    return _site_checkpoint(tmp), _federation_checkpoint(tmp)
+
+
+@pytest.fixture
+def collector():
+    """Hands the collector back switched as it was, nothing frozen."""
+    was_enabled = gc.isenabled()
+    yield
+    gc.unfreeze()
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _resumed(checkpoints):
+    """(name, result) of each resume-path function, as each returns."""
+    site_path, fed_path = checkpoints
+    doc = CheckpointManager.load(site_path)
+    yield "load", doc
+    site = fresh_site(doc)
+    yield "fresh_site", site
+    extras = FidelityHarness(site)._extras()
+    yield "restore_site", restore_site(doc, site=site, extras=extras)
+    fresh = build_federation(three_site_config(population=60_000))
+    yield "restore_federation", restore_federation(
+        CheckpointManager.load(fed_path), fed=fresh)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_resumed_world_is_born_old(checkpoints, collector, enabled):
+    """Each result is in the oldest generation -- so in no younger one
+    whose collections would sweep it and count it towards a full one."""
+    (gc.enable if enabled else gc.disable)()
+    for name, result in _resumed(checkpoints):
+        assert any(obj is result for obj in gc.get_objects(generation=2)), \
+            f"{name}: the returned world is still young"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_resume_leaves_the_callers_frozen_objects_frozen(
+        checkpoints, collector, enabled):
+    """A frozen object is in no generation.  One that dies leaves the
+    frozen count, so the count may fall, but nothing is unfrozen."""
+    (gc.enable if enabled else gc.disable)()
+    kept = [object()]
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    for name, _result in _resumed(checkpoints):
+        assert 0 < gc.get_freeze_count() <= frozen, name
+        assert not any(obj is kept for obj in gc.get_objects()), name

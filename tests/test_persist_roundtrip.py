@@ -17,6 +17,7 @@ from repro.experiments.site import SiteConfig, build_site
 from repro.persist import (FORMAT_VERSION, CheckpointManager,
                            QuiescenceError, canonical_json, snapshot_site,
                            state_hash)
+from repro.persist.checkpoint import rss_mb
 
 
 #: a real checkpoint of the previous layout: the first epoch of the
@@ -345,19 +346,28 @@ def test_a_checkpoint_file_is_the_canonical_rendering_of_its_document(
         assert state_hash(site_doc) == recorded
 
 
-def test_a_deferred_epoch_is_on_the_books(tmp_path, monkeypatch):
-    """A snapshot that walked the world and was refused at the end
-    cost what it cost: ``wall_seconds`` counts the attempt."""
-    import time
+def test_a_deferred_epoch_is_on_the_books(tmp_path):
+    """A snapshot that walked the world and was refused at the end is
+    counted as deferred and writes nothing."""
     harness, mgr = _manager(tmp_path)
     harness.run_hours(0.5)
     harness.site.sim.schedule(60.0, lambda: None)     # nobody's event
-    clock = iter(range(100, 1000, 7))
-    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
     assert mgr.epoch(force=True) is None
-    monkeypatch.undo()
-    assert (mgr.written, mgr.deferred, mgr.wall_seconds) == (0, 1, 7.0)
+    assert (mgr.written, mgr.deferred) == (0, 1)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 100 << 10),
+                                              ("darwin", 100 << 20)])
+def test_rss_mb_reads_the_platforms_unit(monkeypatch, platform, maxrss):
+    """``ru_maxrss`` is KiB on Linux and bytes on macOS: 100 MiB each."""
+    import resource
+    import sys
+    from types import SimpleNamespace
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    assert rss_mb() == 100.0
 
 
 def test_a_failed_write_leaves_no_tmp_and_prune_sweeps_stale_ones(
