@@ -20,7 +20,7 @@ def say(site, msg: str) -> None:
 
 
 def main() -> None:
-    site = build_site(SiteConfig.test_scale(seed=7, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=7,
                                             with_workload=False))
     say(site, f"site up: {len(site.databases)} database servers "
               f"{[d.host.name for d in site.databases]}")

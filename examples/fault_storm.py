@@ -34,7 +34,7 @@ def main(argv=None) -> None:
                         help="print the per-fault incident timeline")
     args = parser.parse_args(argv)
 
-    site = build_site(SiteConfig.test_scale(seed=31, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=31,
                                             with_workload=False))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)

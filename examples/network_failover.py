@@ -24,7 +24,7 @@ def show(site, label: str) -> None:
 
 
 def main() -> None:
-    site = build_site(SiteConfig.test_scale(seed=5, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=5,
                                             with_workload=False))
     site.run(2 * 3600.0)
     show(site, "two quiet hours: everything on the private LAN")

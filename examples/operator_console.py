@@ -19,7 +19,7 @@ from repro.sim.calendar import HOUR
 
 
 def main() -> None:
-    site = build_site(SiteConfig.test_scale(seed=19, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=19,
                                             with_workload=False))
     console = OperatorConsole(site.notifications, site.sim)
     harness = FidelityHarness(site)

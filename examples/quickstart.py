@@ -9,6 +9,7 @@ recovery using the flags the agent wrote.
 Run:  python examples/quickstart.py
 """
 
+from repro.core.agent import AGENT_PERIOD
 from repro.core.flags import FlagStore
 from repro.experiments.site import SiteConfig, build_site
 from repro.sim.calendar import format_time
@@ -16,7 +17,7 @@ from repro.sim.calendar import format_time
 
 def main() -> None:
     print("building the site (test scale) ...")
-    site = build_site(SiteConfig.test_scale(seed=42, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=42,
                                             with_workload=False))
     db = site.databases[0]
     host = db.host
@@ -49,7 +50,7 @@ def main() -> None:
         (f.time for f in store.flags() if f.status == "fixed"),
         site.sim.now) - t_crash
     print(f"\nfault-to-repair-action time: {downtime / 60:.1f} minutes "
-          f"(agent wake period: {site.config.agent_period / 60:.0f} min)")
+          f"(agent wake period: {AGENT_PERIOD / 60:.0f} min)")
     print("the paper's pre-agent baseline for the same fault: "
           "hours (operator detection) + a manual restart.")
 

@@ -17,8 +17,7 @@ from repro.trace import format_timeline, install_tracer
 
 def main() -> None:
     site = build_site(SiteConfig.test_scale(seed=11, spare_servers=1,
-                                            with_workload=False,
-                                            with_feeds=False))
+                                            with_workload=False))
     tracer = install_tracer(site.sim)
     print(f"site up: {len(site.dc.hosts)} hosts, spare pool = "
           f"{site.spares.available()}")

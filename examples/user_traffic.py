@@ -22,7 +22,7 @@ from repro.traffic import (FluidTrafficEngine, doors_for_site,
 def main() -> None:
     print("building the site (test scale, no agents) ...")
     site = build_site(SiteConfig.test_scale(
-        seed=5, agents=False, with_workload=False, with_feeds=False))
+        seed=5, agents=False, with_workload=False))
 
     curve = financial_curve(population=250_000)
     doors = doors_for_site(site, use_dgspl=False)   # plain round-robin

@@ -1,12 +1,12 @@
 """Simulated application substrate.
 
 The pilot site ran Oracle and Sybase databases, web servers, financial
-GUI front-ends and multi-component distributed applications fed by
-market-data streams.  This package provides behavioural equivalents
-that expose exactly the surface the intelliagents script against:
-start/stop control scripts, listening ports, health probes ("connect
-and run a basic command"), process-table footprints, error logs, and
-failure modes (crash, hang/latent error, degradation).
+GUI front-ends and multi-component distributed applications.  This
+package provides behavioural equivalents that expose exactly the
+surface the intelliagents script against: start/stop control scripts,
+listening ports, health probes ("connect and run a basic command"),
+process-table footprints, error logs, and failure modes (crash,
+hang/latent error, degradation).
 
 - :mod:`base` -- the application state machine and control scripts.
 - :mod:`database` -- Oracle/Sybase-like database servers.
@@ -14,7 +14,6 @@ failure modes (crash, hang/latent error, degradation).
 - :mod:`frontend` -- financial GUI front-end applications.
 - :mod:`distributed` -- multi-component distributed services with a
   dependency DAG and an end-to-end dummy-transaction probe.
-- :mod:`marketfeed` -- market-data feed drivers.
 """
 
 from repro.apps.base import Application, AppState, ProcessSpec
@@ -22,8 +21,6 @@ from repro.apps.database import Database
 from repro.apps.webserver import WebServer
 from repro.apps.frontend import FrontendApp
 from repro.apps.distributed import DistributedService, Component
-from repro.apps.marketfeed import MarketFeed
 
 __all__ = ["Application", "AppState", "ProcessSpec", "Database",
-           "WebServer", "FrontendApp", "DistributedService", "Component",
-           "MarketFeed"]
+           "WebServer", "FrontendApp", "DistributedService", "Component"]

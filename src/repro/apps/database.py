@@ -1,11 +1,11 @@
 """Database server model (Oracle / Sybase flavours).
 
-Carries everything §3.6's database measurements need: connect time,
-query service time, initialise/shutdown/backup durations, per-process
-CPU/memory, connected-user accounting, checkpoints and
-memory-per-transaction.  Batch jobs attach to a database and load it;
-the dominant Fig. 2 fault -- "databases crashing in the middle of a
-job" -- is modelled by :meth:`crash`, which fails every attached job.
+Carries what §3.6's database measurements need: connect time, query
+service time, initialise/shutdown/backup durations, per-process
+CPU/memory and memory-per-transaction.  Batch jobs attach to a
+database and load it; the dominant Fig. 2 fault -- "databases crashing
+in the middle of a job" -- is modelled by :meth:`crash`, which fails
+every attached job.
 
 Crash *proneness* grows with overload, which is what makes the DGSPL
 placement policy matter (§4: jobs crashed because users picked servers
@@ -14,10 +14,10 @@ that were underpowered or already overloaded).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
-from repro.persist.core import pending, scalar, scalars, table
+from repro.persist.core import scalars
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.jobs import BatchJob
@@ -33,11 +33,7 @@ class Database(Application):
     app_type = "database"
     #: system global area (MB); a quarter of it per server process
     sga_mb = 512.0
-    _persist_extra = (
-        table("connected_users", float),
-        *scalars(int, "checkpoints", "transactions"),
-        scalar("backup_running", bool), scalar("jobs_crashed_total", int),
-        pending("backup_event", "_backup_event", "_finish_backup"))
+    _persist_extra = scalars(int, "transactions", "jobs_crashed_total")
 
     def __init__(self, host, name: str, *, db_type: str = "oracle",
                  max_job_slots: int = 4, **kw):
@@ -67,14 +63,10 @@ class Database(Application):
         self.io_demand = 0.3          # resting I/O of a warm database
 
         self.active_jobs: List["BatchJob"] = []
-        self.connected_users: Dict[str, float] = {}   # user -> connect time
-        self.checkpoints = 0
         self.transactions = 0
         self.mem_per_txn_kb = 64.0
-        self.backup_running = False
         self.backup_duration = 3600.0
         self.jobs_crashed_total = 0
-        self._backup_event = None
 
     # -- SQL-level health probe -------------------------------------------------
 
@@ -86,17 +78,6 @@ class Database(Application):
         # the basic query costs one service round plus a txn
         self.transactions += 1
         return (True, ms + self.service_time_ms(), "")
-
-    # -- sessions -----------------------------------------------------------------
-
-    def connect_user(self, user: str) -> bool:
-        if self.state is not AppState.RUNNING:
-            return False
-        self.connected_users[user] = self.sim.now
-        return True
-
-    def disconnect_user(self, user: str) -> None:
-        self.connected_users.pop(user, None)
 
     # -- batch job attachment ---------------------------------------------------------
 
@@ -151,30 +132,6 @@ class Database(Application):
             self.host.add_io_demand(-job.io_demand)
             self.jobs_crashed_total += 1
             job.database_died(reason, self.sim.now)
-        self.connected_users.clear()
-        self.backup_running = False
-
-    # -- maintenance operations ----------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        if self.state is AppState.RUNNING:
-            self.checkpoints += 1
-
-    def start_backup(self) -> Optional[float]:
-        """Kick off a backup; returns its duration or None if refused."""
-        if self.state is not AppState.RUNNING or self.backup_running:
-            return None
-        self.backup_running = True
-        self.host.add_io_demand(0.5)
-        self._backup_event = self.sim.schedule(self.backup_duration,
-                                               self._finish_backup)
-        return self.backup_duration
-
-    def _finish_backup(self) -> None:
-        self._backup_event = None
-        if self.backup_running:
-            self.backup_running = False
-            self.host.add_io_demand(-0.5)
 
     # -- persistence ------------------------------------------------------------------
 
@@ -187,7 +144,7 @@ class Database(Application):
         return super().snapshot_state()
 
     def db_metrics(self) -> Dict[str, float]:
-        """The ten §3.6 database measurements, as one snapshot."""
+        """The §3.6 database measurements, as one snapshot."""
         ok, connect_ms, _ = super().probe()
         return {
             "connect_ms": connect_ms if ok else -1.0,
@@ -197,9 +154,7 @@ class Database(Application):
             "backup_s": self.backup_duration,
             "proc_cpu_pct": sum(p.cpu_pct for p in self.procs),
             "proc_mem_mb": sum(p.mem_mb for p in self.procs),
-            "users": len(self.connected_users),
             "startup_mem_mb": self.sga_mb,
-            "checkpoints": self.checkpoints,
             "mem_per_txn_kb": self.mem_per_txn_kb,
             "active_jobs": self.job_count(),
         }

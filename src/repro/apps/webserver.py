@@ -1,16 +1,15 @@
 """Web server model.
 
 §3.4: "in the case of a web server they do an http 'get'".  The web
-server keeps the request/connection accounting §3.6 asks for (number
-of http connections and for how long each).
+server keeps the request accounting the availability SLIs read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
-from repro.persist.core import scalars, table
+from repro.apps.base import Application, ProcessSpec, StartupStep
+from repro.persist.core import scalars
 
 __all__ = ["WebServer"]
 
@@ -19,8 +18,7 @@ class WebServer(Application):
     """An httpd-style server."""
 
     app_type = "webserver"
-    _persist_extra = (*scalars(int, "requests_attempted", "requests_served"),
-                      table("open_connections", float))
+    _persist_extra = scalars(int, "requests_attempted", "requests_served")
 
     def __init__(self, host, name: str, **kw):
         procs = [       # the master and eight workers
@@ -38,7 +36,6 @@ class WebServer(Application):
         #: availability SLIs are served/attempted, so failures count too
         self.requests_attempted = 0
         self.requests_served = 0
-        self.open_connections: Dict[str, float] = {}
 
     def http_get(self) -> Tuple[int, float]:
         """Serve a GET; returns (status_code, response_ms).
@@ -60,12 +57,3 @@ class WebServer(Application):
         self.requests_attempted += served + failed
         self.requests_served += served
         return (served, failed, ms)
-
-    def open_connection(self, client: str) -> bool:
-        if self.state is not AppState.RUNNING:
-            return False
-        self.open_connections[client] = self.sim.now
-        return True
-
-    def close_connection(self, client: str) -> None:
-        self.open_connections.pop(client, None)

@@ -3,8 +3,8 @@
 §4's workload: financial analysts submitting data-mining jobs, model
 evaluations and market simulations -- mostly "large database jobs
 scheduled to run overnight".  Each weekday evening a batch of jobs is
-submitted (manually targeted, per the pre-agent practice, or untargeted
-when a policy places them); daytime brings lighter ad-hoc jobs.
+submitted, each manually targeted per the pre-agent practice; daytime
+brings lighter ad-hoc jobs.
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ class OvernightWorkload:
     """Submits the nightly batch and light daytime jobs."""
 
     def __init__(self, lsf: LsfCluster, rng, *,
-                 jobs_per_night: int = 40,
-                 manual_targeting: bool = True):
+                 jobs_per_night: int = 40):
         self.lsf = lsf
         self.sim = lsf.sim
         self.rng = rng
         self.users = [f"analyst{i:02d}" for i in range(25)]
         self.jobs_per_night = jobs_per_night
         self.daytime_jobs_per_hour = 2.0
-        #: pre-agent practice: users pin jobs to their favourite server
-        self.manual_targeting = manual_targeting
         self.submit_hour = 20.0
         self.submitted: List[BatchJob] = []
         self.bounced = 0
@@ -61,8 +58,8 @@ class OvernightWorkload:
         duration = float(self.rng.lognormal(0.0, 0.5)) * mean_h * HOUR
         user = self.users[int(self.rng.integers(len(self.users)))]
         target = None
-        if self.manual_targeting and self.lsf.servers:
-            # the user's habitual server, load-blind
+        if self.lsf.servers:
+            # pre-agent practice: the user's habitual server, load-blind
             from repro.sim.rand import stable_hash
             favs = sorted(self.lsf.servers,
                           key=lambda db: stable_hash(user, db.host.name))

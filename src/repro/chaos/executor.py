@@ -314,11 +314,10 @@ def _world_config(scenario: Scenario):
     from repro.experiments.site import SiteConfig
     config = SiteConfig.test_scale(
         seed=scenario.seed, spare_servers=1,
-        with_workload=False, with_feeds=False)
+        with_workload=False)
     return FederationConfig(
-        sites=[SiteSpec(config.site_name, "", config)], regions=(),
-        with_traffic=False, cross_site_relocation=False,
-        seed=scenario.seed)
+        sites=[SiteSpec(config.site_name, "", config)], with_traffic=False,
+        cross_site_relocation=False, seed=scenario.seed)
 
 
 def run_episode(scenario: Scenario, *, planted_bug: bool = False,

@@ -30,7 +30,6 @@ class CronJob:
     period: float               # seconds
     fn: Callable[[], None]
     offset: float = 0.0
-    enabled: bool = True
     runs: int = 0
     missed: int = 0             # grid points skipped (host/crond down)
     demand_runs: int = 0        # off-grid wakes via demand_wake()
@@ -39,7 +38,6 @@ class CronJob:
 
 #: what a crontab row carries besides its name and armed event
 _JOB_STATE = (scalar("period", float), scalar("offset", float),
-              scalar("enabled", bool),
               *scalars(int, "runs", "missed", "demand_runs"),
               scalar("last_run"))
 
@@ -77,9 +75,6 @@ class Crond(Persistent):
             ev.cancel()
         return job is not None
 
-    def enable(self, name: str, enabled: bool = True) -> None:
-        self.jobs[name].enabled = enabled
-
     def set_period(self, name: str, period: float) -> None:
         """Rewrite a job's period in place (the adaptive wake policy).
         The job re-arms onto the *new* absolute grid immediately."""
@@ -95,10 +90,9 @@ class Crond(Persistent):
     def demand_wake(self, name: str) -> bool:
         """Fire a job *now*, off the grid; its next wake re-arms back
         onto the absolute grid.  Returns False when the job cannot run
-        (unknown/disabled job, dead crond, host down)."""
+        (unknown job, dead crond, host down)."""
         job = self.jobs.get(name)
-        if (job is None or not self.running or not self.host.is_up
-                or not job.enabled):
+        if job is None or not self.running or not self.host.is_up:
             return False
         ev = self._events.get(name)
         if ev is not None and ev.time <= self.sim.now:
@@ -144,8 +138,7 @@ class Crond(Persistent):
         if job is None:
             self._events.pop(name, None)
             return
-        runnable = (self.running and self.host.is_up and job.enabled)
-        if runnable:
+        if self.running and self.host.is_up:
             job.runs += 1
             job.last_run = self.sim.now
             job.fn()

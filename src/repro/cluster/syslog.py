@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional
 
+from repro.persist.core import Persistent, record, rows, scalar
+
 __all__ = ["SyslogRecord", "Syslog", "SEVERITIES"]
 
 SEVERITIES = ("emerg", "alert", "crit", "err", "warning", "notice", "info")
@@ -26,10 +28,13 @@ class SyslogRecord:
     message: str
 
 
-class Syslog:
+class Syslog(Persistent):
     """Bounded, append-only host log."""
 
     MAXLEN = 20000
+    #: the records load into the live ring, which keeps its bound
+    _persist = (scalar("total_logged", int),
+                rows("records", *record(SyslogRecord)))
 
     def __init__(self):
         self.records: Deque[SyslogRecord] = deque(maxlen=self.MAXLEN)
@@ -83,19 +88,3 @@ class Syslog:
                 continue
             out.append(rec)
         return out
-
-    # -- persistence --------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {
-            "maxlen": self.records.maxlen,
-            "total_logged": self.total_logged,
-            "records": [[r.time, r.facility, r.severity, r.tag, r.message]
-                        for r in self.records],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.records = deque(
-            (SyslogRecord(*row) for row in state["records"]),
-            maxlen=state["maxlen"])
-        self.total_logged = int(state["total_logged"])

@@ -44,6 +44,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.controlplane import ConditionLedger, DeadlineWheel
+from repro.core.agent import AGENT_PERIOD
 from repro.core.healing import apply_action
 from repro.ontology.base import OntologyDoc
 from repro.ontology.dgspl import Dgspl, GlobalServiceEntry, host_entries
@@ -97,8 +98,7 @@ class AdministrationServers(Persistent):
         *scalars(int, "service_probes", "service_probe_failures"))
 
     def __init__(self, dc, primary, standby, pool, *, channel,
-                 notifications, agent_period: float = 300.0,
-                 ledger: Optional[ConditionLedger] = None):
+                 notifications, ledger: Optional[ConditionLedger] = None):
         self.dc = dc
         self.sim = dc.sim
         self.primary = primary
@@ -117,7 +117,7 @@ class AdministrationServers(Persistent):
         #: services at another site and returns how many relocations it
         #: started.  It is the tier between local relocation and paging.
         self.cross_site_cb = None
-        self.agent_period = float(agent_period)
+        self.agent_period = AGENT_PERIOD
         #: "every X+5 minutes, where X is the frequency intelliagent run"
         self.watch_period = self.agent_period + 300.0
         #: slack added to an agent's *current* wake interval before its

@@ -32,7 +32,10 @@ from repro.persist.core import (Persistent, group, part, pending, scalar,
                                 sortedset, table, via)
 from repro.wake import WakePolicy
 
-__all__ = ["Intelliagent", "RunStats"]
+__all__ = ["AGENT_PERIOD", "Intelliagent", "RunStats"]
+
+#: the cron period every agent wakes on ("every X minutes", X = 5)
+AGENT_PERIOD = 300.0
 
 #: a few hours of flags is plenty (the watchdog only needs freshness,
 #: humans only need the recent story); older ones are self-maintained away
@@ -88,20 +91,17 @@ class Intelliagent(Persistent):
         sortedset("escalated", attr="_escalated"), part("wake"),
         group("extra", "_persist_extra"))
 
-    def __init__(self, host, name: str, *, period: float = 300.0,
-                 channel=None, admin_targets: Optional[List[str]] = None,
-                 notifications=None, ledger=None, wake_policy: str = "fixed",
-                 wake_max_period: float = 1800.0):
+    def __init__(self, host, name: str, *, channel=None,
+                 admin_targets: Optional[List[str]] = None,
+                 notifications=None, ledger=None, wake_policy: str = "fixed"):
         self.host = host
         self.sim = host.sim
         self.name = name
         self.command = f"ia_{name}"
-        self.period = float(period)
+        self.period = AGENT_PERIOD
         #: adaptive wake controller; "fixed" keeps the paper's rigid
         #: grid (and the exact pre-refactor behaviour) for A/B runs
-        self.wake = WakePolicy(self.period, mode=wake_policy,
-                               max_period=max(float(wake_max_period),
-                                              self.period))
+        self.wake = WakePolicy(self.period, mode=wake_policy)
         self.channel = channel
         self.admin_targets = list(admin_targets or ())
         self.notifications = notifications

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.agent import AGENT_PROC_MEM_MB, Intelliagent
+from repro.core.agent import AGENT_PERIOD, AGENT_PROC_MEM_MB, Intelliagent
 from repro.core.hardware_agent import HardwareAgent
 from repro.core.os_agent import OsNetworkAgent
 from repro.core.performance_agent import PerformanceAgent
@@ -37,15 +37,14 @@ class AgentSuite(Persistent):
                                               for a in suite.agents}),
                 part("triggers"))
 
-    def __init__(self, host, *, period: float = 300.0, channel=None,
+    def __init__(self, host, *, channel=None,
                  admin_targets: Optional[List[str]] = None,
                  notifications=None, nameservice=None,
                  deliver_dlsp: Optional[Callable] = None,
                  ledger=None,
-                 wake_policy: str = "fixed",
-                 wake_max_period: float = 1800.0):
+                 wake_policy: str = "fixed"):
         self.host = host
-        self.period = float(period)
+        self.period = AGENT_PERIOD
         self.wake_policy = wake_policy
         #: the host's static template, captured at installation time
         #: from the known-good build
@@ -53,11 +52,9 @@ class AgentSuite(Persistent):
         self.baselines = Baselines.for_host(host)
         self.agents: List[Intelliagent] = []
 
-        common = dict(period=period, channel=channel,
-                      admin_targets=admin_targets,
+        common = dict(channel=channel, admin_targets=admin_targets,
                       notifications=notifications, ledger=ledger,
-                      wake_policy=wake_policy,
-                      wake_max_period=wake_max_period)
+                      wake_policy=wake_policy)
         self.hardware = HardwareAgent(host, **common)
         self.osnet = OsNetworkAgent(host, baselines=self.baselines,
                                     nameservice=nameservice, **common)

@@ -83,7 +83,7 @@ def resubmission_comparison(seed: int = 0) -> List[dict]:
     out = []
     for arm in arms:
         site = build_site(SiteConfig.test_scale(
-            seed=seed, db_servers=6, jobs_per_night=45, with_feeds=False,
+            seed=seed, db_servers=6, jobs_per_night=45,
             crash_coupling=0.06))
         if arm != "dgspl":
             # unplug the job manager's resubmission (keep its checks)
@@ -155,8 +155,7 @@ def checkpointing_comparison(seed: int = 0) -> List[dict]:
     out = []
     for interval in (0.0, 7200.0, 1800.0, 600.0):
         site = build_site(SiteConfig.test_scale(
-            seed=seed, db_servers=6, jobs_per_night=45,
-            with_feeds=False, crash_coupling=0.06))
+            seed=seed, db_servers=6, jobs_per_night=45, crash_coupling=0.06))
         wl = site.workload
 
         # wrap the workload's job factory to stamp the interval
@@ -208,8 +207,7 @@ def format_checkpointing(rows: List[dict]) -> str:
 def network_failover(seed: int = 0) -> dict:
     """Fail the private agent LAN two hours in; for the two hours
     after, agent traffic must reroute."""
-    site = build_site(SiteConfig.test_scale(seed=seed, with_workload=False,
-                                            with_feeds=False))
+    site = build_site(SiteConfig.test_scale(seed=seed, with_workload=False))
     ch = site.channel
     site.run(2.0 * HOUR)
     before = dict(ch.stats())

@@ -70,8 +70,7 @@ def site_config(hosts: int = 1000, seed: int = 0, **kw):
     tp = max(1, hosts * _TIER_RATIO[1] // total)
     fe = max(1, hosts - db - tp - 3)        # admin pair + feed gw
     defaults = dict(db_servers=db, tp_servers=tp, fe_servers=fe,
-                    spare_servers=3, with_workload=False,
-                    with_feeds=False, seed=seed)
+                    spare_servers=3, with_workload=False, seed=seed)
     defaults.update(kw)
     return SiteConfig(**defaults)
 

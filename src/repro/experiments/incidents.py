@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.agent import AGENT_PERIOD
 from repro.experiments.report import table
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
@@ -96,7 +97,7 @@ def _observed_site(seed: int, population: int):
     relocation tier reroutes: ``(site, harness, tracer, curve, doors)``.
     """
     site = build_site(SiteConfig.test_scale(
-        seed=seed, spare_servers=1, with_workload=False, with_feeds=False,
+        seed=seed, spare_servers=1, with_workload=False,
         observe=True))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
@@ -157,7 +158,7 @@ def run(seed: int = 0, *, population: int = 1_000_000,
 
     result = IncidentRunResult(
         seed=seed, population=population, horizon=horizon,
-        agent_period=site.config.agent_period, reports=reports,
+        agent_period=AGENT_PERIOD, reports=reports,
         reconciliation=recon,
         alert_latency=latency,
         pages_sent=site.alerts.pages_sent,

@@ -65,7 +65,7 @@ class LatencyResult:
 def run(seed: int = 0, *, trace: Optional[str] = None,
         timeline: bool = False) -> LatencyResult:
     site = build_site(SiteConfig.test_scale(
-        seed=seed, with_workload=False, with_feeds=False))
+        seed=seed, with_workload=False))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
     rs = site.streams

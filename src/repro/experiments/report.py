@@ -40,23 +40,11 @@ def table(headers: Sequence[str], rows: Iterable[Sequence],
 
 
 def metrics_summary(snapshot: dict, title: str = "Metrics") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` dict as ASCII tables."""
-    parts: List[str] = []
+    """Render a :meth:`MetricsRegistry.snapshot` dict as an ASCII table."""
     counters = snapshot.get("counters", {})
-    if counters:
-        parts.append(table(["counter", "value"],
-                           sorted(counters.items()), title=title))
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        parts.append(table(["gauge", "value"], sorted(gauges.items())))
-    hists = snapshot.get("histograms", {})
-    if hists:
-        rows = [(name, h["count"], round(h["mean"], 3))
-                for name, h in sorted(hists.items())]
-        parts.append(table(["histogram", "count", "mean"], rows))
-    if not parts:
+    if not counters:
         return f"{title}\n  (no metrics recorded)"
-    return "\n\n".join(parts)
+    return table(["counter", "value"], sorted(counters.items()), title=title)
 
 
 def _merge_mean(dicts: List[dict]) -> dict:

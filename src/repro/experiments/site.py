@@ -9,8 +9,8 @@ ethernet for all servers."
 
 :func:`build_site` assembles that datacentre (scaled down on request
 for tests) with two public LANs, the private agent network, the admin
-pair + NFS pool, LSF, the overnight workload, market feeds and --
-optionally -- the complete intelliagent deployment.
+pair + NFS pool, LSF, the overnight workload and -- optionally -- the
+complete intelliagent deployment.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 from repro.apps.database import Database
 from repro.apps.distributed import DistributedService
 from repro.apps.frontend import FrontendApp
-from repro.apps.marketfeed import MarketFeed
 from repro.apps.webserver import WebServer
 from repro.batch.lsf import LsfCluster, LsfMaster
 from repro.batch.workload import OvernightWorkload
@@ -57,16 +56,12 @@ class SiteConfig:
     #: slots per user-facing tier, templated, cold-startable)
     spare_servers: int = 0
     agents: bool = True
-    agent_period: float = 300.0
     #: wake scheduling: "adaptive" (default: healthy agents back their
-    #: period off toward ``wake_max_period``, triggers snap them back)
-    #: or "fixed" (the pre-adaptive grid, the A/B baseline)
+    #: period off toward ``WakePolicy.max_period``, triggers snap them
+    #: back) or "fixed" (the pre-adaptive grid, the A/B baseline)
     wake_policy: str = "adaptive"
-    wake_max_period: float = 1800.0
     jobs_per_night: int = 40
-    manual_targeting: bool = True
     with_workload: bool = True
-    with_feeds: bool = True
     #: probability a well-placed job crashes its database (the hazard
     #: multiplies steeply with overload; see Database.crash_hazard_multiplier)
     crash_coupling: float = 0.012
@@ -107,7 +102,6 @@ class Site:
     lsf: LsfCluster
     lsf_master: LsfMaster
     workload: Optional[OvernightWorkload]
-    feeds: List[MarketFeed]
     services: List[DistributedService]
     admin: Optional[AdministrationServers] = None
     jobmgr: Optional[JobManager] = None
@@ -204,7 +198,7 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
             backend=databases[i % len(databases)] if databases else None,
             auto_start=False)
 
-    # admin pair + the external feed source
+    # admin pair + the external market-data gateway
     adm1 = dc.add_host("adm01", "admin-server", group="admin",
                        site=config.site_name, boot_duration=180.0)
     adm2 = dc.add_host("adm02", "admin-server", group="admin",
@@ -223,9 +217,6 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
     # -- LSF on the first TP host -----------------------------------------------
     lsf_host = tp_hosts[0] if tp_hosts else adm1
     lsf_master = LsfMaster(lsf_host)
-    # format 3 checkpoints the stream the retired manual placement
-    # policy drew from: it stays materialised until the next format
-    streams.get("site.manual")
     lsf = LsfCluster(dc, lsf_master,
                      rng=streams.get("site.lsf"),
                      base_crash_prob=config.crash_coupling)
@@ -244,25 +235,18 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
             svc.add_component("gui", fe, [])
         services.append(svc)
 
-    # -- workload and feeds -----------------------------------------------------------
+    # -- workload -----------------------------------------------------------
     workload = None
     if config.with_workload:
         workload = OvernightWorkload(
             lsf, streams.get("site.workload"),
-            jobs_per_night=config.jobs_per_night,
-            manual_targeting=config.manual_targeting)
-    feeds: List[MarketFeed] = []
-    if config.with_feeds and databases:
-        feeds.append(MarketFeed(dc, "reuters", "reuters-gw",
-                                databases[: min(8, len(databases))],
-                                interval=120.0))
+            jobs_per_night=config.jobs_per_night)
 
     site = Site(sim=sim, streams=streams, config=config, dc=dc,
                 notifications=notifications, channel=channel,
                 nameservice=nameservice, pool=pool, databases=databases,
                 frontends=frontends, webservers=webservers, lsf=lsf,
-                lsf_master=lsf_master, workload=workload, feeds=feeds,
-                services=services)
+                lsf_master=lsf_master, workload=workload, services=services)
 
     # -- start applications (rc scripts) ---------------------------------------------
     for host in dc.all_hosts():
@@ -278,8 +262,6 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
         _deploy_observability(site)
     if workload is not None:
         workload.start()
-    for feed in feeds:
-        feed.start()
     return site
 
 
@@ -290,25 +272,23 @@ def _deploy_agents(site: Site) -> None:
     admin = AdministrationServers(
         dc, dc.host("adm01"), dc.host("adm02"), site.pool,
         channel=site.channel, notifications=site.notifications,
-        agent_period=site.config.agent_period, ledger=ledger)
+        ledger=ledger)
     admin.site_name = site.config.site_name
     site.admin = admin
     admin_targets = ["adm01", "adm02"]
     for host in dc.all_hosts():
         # every datacentre server gets the agent complement -- including
         # the coordinators themselves (who else watches the watchers'
-        # disks?).  Only the external feed gateway is unmanaged.
+        # disks?).  Only the external market-data gateway is unmanaged.
         if host.name == "reuters-gw":
             continue
-        suite = AgentSuite(host, period=site.config.agent_period,
-                           channel=site.channel,
+        suite = AgentSuite(host, channel=site.channel,
                            admin_targets=admin_targets,
                            notifications=site.notifications,
                            nameservice=site.nameservice,
                            deliver_dlsp=admin.receive_dlsp,
                            ledger=ledger,
-                           wake_policy=site.config.wake_policy,
-                           wake_max_period=site.config.wake_max_period)
+                           wake_policy=site.config.wake_policy)
         site.suites[host.name] = suite
         admin.register_suite(suite)
     for svc in site.services:

@@ -27,7 +27,7 @@ def run(seed: int = 0, *, trace: Optional[str] = None,
     process: the metrics snapshot and the operator-facing wake, skip
     and missed totals across every suite."""
     site = build_site(SiteConfig.test_scale(
-        seed=seed, with_workload=False, with_feeds=False))
+        seed=seed, with_workload=False))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
     site.run(1800.0)

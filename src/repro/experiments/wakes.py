@@ -22,16 +22,18 @@ from typing import Dict, List, Optional
 
 from repro.apps.database import Database
 from repro.cluster.datacenter import Datacenter
+from repro.core.agent import AGENT_PERIOD
 from repro.core.suite import AgentSuite
 from repro.experiments.report import table
 from repro.net.network import Lan
 from repro.sim import RandomStreams, Simulator
+from repro.wake import WakePolicy
 
 __all__ = ["WakesResult", "build_fleet", "steady_state",
            "detection_campaign", "run", "format_result"]
 
-BASE_PERIOD = 300.0
-MAX_PERIOD = 1800.0
+BASE_PERIOD = AGENT_PERIOD
+MAX_PERIOD = WakePolicy.max_period
 #: past the 300->600->1200->1800 back-off ramp, with margin
 WARM_SECONDS = 2 * MAX_PERIOD + 4 * BASE_PERIOD
 #: databases the detection campaign crashes
@@ -76,9 +78,7 @@ def build_fleet(n_hosts: int, wake_policy: str, *, seed: int = 0):
         dc.connect(host.name, "public0")
         db = Database(host, f"oracle_{host.name}", db_type="oracle")
         db.start()
-        suites.append(AgentSuite(host, period=BASE_PERIOD,
-                                 wake_policy=wake_policy,
-                                 wake_max_period=MAX_PERIOD))
+        suites.append(AgentSuite(host, wake_policy=wake_policy))
     sim.run(until=sim.now + 400.0)      # everything RUNNING
     return sim, dc, suites
 

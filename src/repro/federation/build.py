@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.site import Site, build_site
-from repro.federation.config import FederationConfig, SiteSpec
+from repro.federation.config import DIGEST_PERIOD, FederationConfig, SiteSpec
 from repro.federation.traffic import GeoTrafficDriver
 from repro.net.nameservice import FederatedNameService
 from repro.net.network import Wan
@@ -40,7 +40,7 @@ from repro.sim.rand import RandomStreams
 from repro.traffic.engine import doors_for_site
 from repro.traffic.frontdoor import GeoFrontDoor
 from repro.traffic.slo import rollup_slis
-from repro.traffic.workload import regional_curves
+from repro.traffic.workload import FINANCIAL_REGIONS, regional_curves
 
 __all__ = ["Federation", "build_federation"]
 
@@ -97,7 +97,7 @@ class Federation:
     def _barrier(self, now: float) -> None:
         if now >= self._next_digest - 1e-9:
             self._exchange_digests(now)
-            self._next_digest = now + self.config.digest_period
+            self._next_digest = now + DIGEST_PERIOD
         self._monitor(now)
         if self.crosssite is not None:
             self.crosssite.tick(now)
@@ -231,7 +231,7 @@ def build_federation(config: FederationConfig) -> Federation:
     for name, site in sites.items():
         nameservice.delegate(name, site.nameservice)
 
-    fed_dgspl = FederatedDgspl(freshness=config.digest_freshness)
+    fed_dgspl = FederatedDgspl()
     streams = RandomStreams(config.seed)
 
     fed = Federation(config=config, sites=sites, wan=wan, courier=courier,
@@ -261,20 +261,17 @@ def build_federation(config: FederationConfig) -> Federation:
     if config.with_traffic:
         by_region = {spec.region: spec for spec in config.sites}
         home_site = {region.name: by_region[region.name].name
-                     for region in config.regions}
+                     for region in FINANCIAL_REGIONS}
         latency = {}
-        for region in config.regions:
+        for region in FINANCIAL_REGIONS:
             for spec in config.sites:
                 latency[(region.name, spec.name)] = spec.latency_for(
                     region.name)
         geo = GeoFrontDoor(fed_dgspl, home_site=home_site,
                            region_latency_ms=latency,
                            geo_steering=config.geo_steering)
-        curves = regional_curves(config.population,
-                                 regions=config.regions)
-        traffic = GeoTrafficDriver(
-            curves, geo, fed.crosssite, streams,
-            pinned_fraction=config.pinned_fraction)
+        traffic = GeoTrafficDriver(regional_curves(config.population), geo,
+                                   fed.crosssite, streams)
         for name, site in sites.items():
             geo.register_site(name)
             doors = doors_for_site(site)

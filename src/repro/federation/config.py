@@ -3,19 +3,27 @@
 The single-site :class:`repro.experiments.site.SiteConfig` stays the
 unit of construction -- a :class:`FederationConfig` is a list of
 :class:`SiteSpec` wrappers around it plus the couplings that only
-exist *between* datacentres: WAN latency, digest cadence and freshness,
-geo steering and the cross-site relocation tier.
+exist *between* datacentres: WAN latency, geo steering and the
+cross-site relocation tier.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.experiments.site import SiteConfig
-from repro.traffic.workload import FINANCIAL_REGIONS, Region
+from repro.traffic.workload import FINANCIAL_REGIONS
 
-__all__ = ["SiteSpec", "FederationConfig", "three_site_config"]
+__all__ = ["SiteSpec", "FederationConfig", "three_site_config",
+           "DIGEST_PERIOD"]
+
+#: how often sites exchange DGSPL digests over the WAN
+DIGEST_PERIOD = 300.0
+#: user-path latency (ms) to a site from a region its spec does not list
+REMOTE_LATENCY_MS = 150.0
+#: pairwise WAN latency (ms) of a site pair no override names
+WAN_LATENCY_MS = 70.0
 
 
 @dataclass
@@ -27,21 +35,19 @@ class SiteSpec:
     region: str
     config: SiteConfig
     #: region name -> user-path latency to this site (ms); absent
-    #: regions default to ``remote_latency_ms``
+    #: regions default to ``REMOTE_LATENCY_MS``
     region_latency_ms: Dict[str, float] = field(default_factory=dict)
-    remote_latency_ms: float = 150.0
 
     def latency_for(self, region: str) -> float:
         if region == self.region:
             return self.region_latency_ms.get(region, 10.0)
-        return self.region_latency_ms.get(region, self.remote_latency_ms)
+        return self.region_latency_ms.get(region, REMOTE_LATENCY_MS)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "region": self.region,
                 "config": asdict(self.config),
                 "region_latency_ms": dict(sorted(
-                    self.region_latency_ms.items())),
-                "remote_latency_ms": self.remote_latency_ms}
+                    self.region_latency_ms.items()))}
 
 
 @dataclass
@@ -49,20 +55,13 @@ class FederationConfig:
     """The whole geo-federation."""
 
     sites: List[SiteSpec]
-    regions: Tuple[Region, ...] = FINANCIAL_REGIONS
-    #: total users across all regions (split by region share)
+    #: total users across :data:`FINANCIAL_REGIONS` (split by share)
     population: int = 1_000_000
     #: federation barrier interval: sites advance in lockstep to each
     #: epoch boundary, then the WAN-coupled control plane runs
     epoch: float = 60.0
-    #: how often sites exchange DGSPL digests over the WAN
-    digest_period: float = 300.0
-    #: per-site digest freshness window (both clocks: generated and
-    #: received); a site outside it drops out of the merged view
-    digest_freshness: float = 1800.0
-    #: pairwise WAN latency (ms); keys "a|b" with a < b override the
-    #: default for specific site pairs
-    wan_latency_ms: float = 70.0
+    #: pairwise WAN latency (ms) by site pair, keys "a|b" with a < b;
+    #: other pairs get ``WAN_LATENCY_MS``
     wan_latency_overrides: Dict[str, float] = field(default_factory=dict)
     #: the federation's traffic tier (off for parity/persistence tests)
     with_traffic: bool = True
@@ -70,10 +69,6 @@ class FederationConfig:
     geo_steering: bool = True
     #: cross-site relocation of pinned services (the other A/B arm)
     cross_site_relocation: bool = True
-    #: fraction of each class's demand pinned to its home site (data
-    #: gravity: the db tier cannot be steered away)
-    pinned_fraction: Dict[str, float] = field(
-        default_factory=lambda: {"db": 1.0})
     #: federation-level RNG seed (site worlds keep their own seeds)
     seed: int = 0
 
@@ -82,32 +77,25 @@ class FederationConfig:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate site names: {names}")
         homes = {s.region for s in self.sites}
-        for region in self.regions:
+        for region in FINANCIAL_REGIONS if self.with_traffic else ():
             if region.name not in homes:
                 raise ValueError(
                     f"region {region.name!r} has no home site")
 
     def pair_latency_ms(self, a: str, b: str) -> float:
         key = "|".join(sorted((a, b)))
-        return float(self.wan_latency_overrides.get(
-            key, self.wan_latency_ms))
+        return float(self.wan_latency_overrides.get(key, WAN_LATENCY_MS))
 
     def to_dict(self) -> dict:
         return {
             "sites": [s.to_dict() for s in self.sites],
-            "regions": [[r.name, r.share, r.utc_offset_hours]
-                        for r in self.regions],
             "population": self.population,
             "epoch": self.epoch,
-            "digest_period": self.digest_period,
-            "digest_freshness": self.digest_freshness,
-            "wan_latency_ms": self.wan_latency_ms,
             "wan_latency_overrides": dict(sorted(
                 self.wan_latency_overrides.items())),
             "with_traffic": self.with_traffic,
             "geo_steering": self.geo_steering,
             "cross_site_relocation": self.cross_site_relocation,
-            "pinned_fraction": dict(sorted(self.pinned_fraction.items())),
             "seed": self.seed,
         }
 
@@ -120,7 +108,7 @@ def three_site_config(*, population: int = 1_000_000, seed: int = 0,
     def site_cfg(name: str, offset: int) -> SiteConfig:
         return SiteConfig.test_scale(
             site_name=name, seed=seed + offset, spare_servers=2,
-            with_workload=False, with_feeds=False)
+            with_workload=False)
 
     sites = [
         SiteSpec("hkg", "apac", site_cfg("hkg", 3),

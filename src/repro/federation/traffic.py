@@ -26,13 +26,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.persist.core import (Persistent, part, scalar, snapshot_node,
-                                table, via)
+from repro.persist.core import Persistent, children, part, scalar, table
 from repro.traffic.engine import dispatch_fluid
 from repro.traffic.slo import Sli, rollup_slis
 from repro.traffic.workload import MINUTE, DemandCurve
 
-__all__ = ["GeoTrafficDriver"]
+__all__ = ["GeoTrafficDriver", "PINNED_FRACTION"]
+
+#: fraction of each class's demand pinned to its home site (data
+#: gravity: the db tier cannot be steered away)
+PINNED_FRACTION = {"db": 1.0}
 
 
 class GeoTrafficDriver(Persistent):
@@ -41,16 +44,16 @@ class GeoTrafficDriver(Persistent):
     #: SLIs are created on first use, so the document decides which
     #: exist; the doors are the rebuilt ones, checked by name
     _persist = (scalar("ticks", int),
-                via("slis", "_save_slis", "_load_slis"),
+                children("slis", "slis",
+                         lambda fed, key: fed._sli(*key.split("/", 1))),
                 table("user_minutes_lost", float), part("doors"))
 
     def __init__(self, curves: Dict[str, DemandCurve], geo, crosssite,
-                 streams, *, pinned_fraction: Dict[str, float]):
+                 streams):
         self.curves = dict(curves)
         self.geo = geo
         self.crosssite = crosssite
         self.rng = streams.get("federation.arrivals")
-        self.pinned_fraction = dict(pinned_fraction)
         #: site -> class name -> its per-tier FrontDoor
         self.doors: Dict[str, Dict[str, object]] = {}
         #: one SLI per (site, class), keyed "<site>/<class>"
@@ -138,7 +141,7 @@ class GeoTrafficDriver(Persistent):
                 if n <= 0:
                     continue
                 attempted += n
-                pinned = int(n * self.pinned_fraction.get(cls.name, 0.0))
+                pinned = int(n * PINNED_FRACTION.get(cls.name, 0.0))
                 free = n - pinned
 
                 if free > 0:
@@ -177,13 +180,3 @@ class GeoTrafficDriver(Persistent):
         out["user_minutes_lost"] = round(
             sum(self.user_minutes_lost.values()), 6)
         return out
-
-    # -- persistence ---------------------------------------------------------
-
-    def _save_slis(self) -> dict:
-        return snapshot_node(dict(sorted(self.slis.items())))
-
-    def _load_slis(self, saved: dict) -> None:
-        self.slis = {}
-        for key, state in saved.items():
-            self._sli(*key.split("/", 1)).restore_state(state)

@@ -14,10 +14,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.persist.core import Persistent, rows, scalar
+
 __all__ = ["TimeSeries", "merge_by_timestamp"]
 
 
-class TimeSeries:
+class TimeSeries(Persistent):
     """An append-friendly (timestamp, value) series.
 
     With ``maxlen`` the series keeps ring-buffer semantics: only the
@@ -29,7 +31,12 @@ class TimeSeries:
     Only :class:`repro.observe.pipeline.TelemetryHub` keeps series
     alive between calls (ringed, snapshotted); any other is built on
     read from the store that owns the samples, e.g. a sampler log.
+    A restore loads a freshly built series: the cached arrays are not
+    part of the document.
     """
+
+    _persist = (scalar("maxlen"), scalar("dropped", int),
+                rows("t", float, attr="_t"), rows("v", float, attr="_v"))
 
     def __init__(self, name: str = "", maxlen: Optional[int] = None):
         if maxlen is not None and maxlen <= 0:
@@ -91,20 +98,6 @@ class TimeSeries:
         if self._v_arr is None:
             self._v_arr = np.asarray(self._v, dtype=np.float64)
         return self._v_arr
-
-    # -- persistence -----------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return {"maxlen": self.maxlen, "dropped": self.dropped,
-                "t": list(self._t), "v": list(self._v)}
-
-    def restore_state(self, state: dict) -> None:
-        self.maxlen = state["maxlen"]
-        self.dropped = int(state["dropped"])
-        self._t = [float(x) for x in state["t"]]
-        self._v = [float(x) for x in state["v"]]
-        self._t_arr = None
-        self._v_arr = None
 
 
 def merge_by_timestamp(series: Sequence[TimeSeries], *,

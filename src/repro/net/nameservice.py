@@ -80,9 +80,9 @@ class FederatedNameService(Persistent):
     Each site keeps its own :class:`NameService` as the authority for
     its zone.  A lookup in another site's zone delegates to it over
     the WAN: a *partitioned* link fails the lookup outright
-    (unreachable), a *degraded* link (or a degraded remote server)
-    merely inflates the response time -- the two must stay
-    distinguishable.  :meth:`resolve_service` searches all zones
+    (unreachable), a degraded remote server merely inflates the
+    response time -- the two must stay distinguishable.
+    :meth:`resolve_service` searches all zones
     home-first, which is how a cross-site cutover would become visible:
     the takeover site registers the ``svc.<app>`` alias in *its* zone
     and every other site finds it there on the next resolution.  No

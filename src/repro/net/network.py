@@ -172,22 +172,14 @@ class WanLink(Persistent):
 
     Where a :class:`Lan` is a shared segment inside a datacentre, a
     ``WanLink`` is the leased line between two of them.  Its failure
-    modes are deliberately distinct:
-
-    * ``partition()`` -- the link is *unreachable*: every send fails.
-    * ``degrade()``   -- the link is *slow*: sends still deliver, at
-      ``DEGRADED_FACTOR`` times the base latency.
-
-    Unreachable and slow must never be conflated: a partitioned site
-    drops out of digest exchange entirely (its state goes stale at the
-    federation), while a degraded one merely answers late.
+    mode is ``partition()``: the link is *unreachable* and every send
+    fails, so a partitioned site drops out of digest exchange entirely
+    (its state goes stale at the federation).
     """
 
-    DEGRADED_FACTOR = 8.0
-
-    __slots__ = ("a", "b", "name", "base_latency_ms", "up", "degraded",
+    __slots__ = ("a", "b", "name", "base_latency_ms", "up",
                  "total_bytes", "total_messages", "drops")
-    _persist = (scalar("up", bool), scalar("degraded", bool),
+    _persist = (scalar("up", bool),
                 *scalars(int, "total_bytes", "total_messages", "drops"))
 
     def __init__(self, a: str, b: str, *, base_latency_ms: float = 70.0):
@@ -197,7 +189,6 @@ class WanLink(Persistent):
         self.name = f"wan:{self.a}<->{self.b}"
         self.base_latency_ms = float(base_latency_ms)
         self.up = True
-        self.degraded = False
         self.total_bytes = 0
         self.total_messages = 0
         self.drops = 0
@@ -207,22 +198,14 @@ class WanLink(Persistent):
     def partition(self) -> None:
         self.up = False
 
-    def degrade(self) -> None:
-        self.degraded = True
-
     def repair(self) -> None:
         self.up = True
-        self.degraded = False
 
     def reachable(self) -> bool:
         return self.up
 
     def latency_ms(self) -> float:
-        if not self.up:
-            return 0.0
-        if self.degraded:
-            return self.base_latency_ms * self.DEGRADED_FACTOR
-        return self.base_latency_ms
+        return self.base_latency_ms if self.up else 0.0
 
     def send(self, nbytes: int) -> Tuple[bool, float]:
         """Move ``nbytes`` across the link.  Returns (delivered,
@@ -236,8 +219,6 @@ class WanLink(Persistent):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "PARTITIONED"
-        if self.up and self.degraded:
-            state = "degraded"
         return f"<WanLink {self.a}<->{self.b} {state}>"
 
 

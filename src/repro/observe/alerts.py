@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.persist.core import Persistent, record, rows, scalar, via
+from repro.persist.core import Persistent, record, refs, rows, scalar
 from repro.traffic.slo import burn_rate
 
 __all__ = ["BurnRateRule", "DEFAULT_BURN_RULES", "Alert", "AlertManager",
@@ -87,7 +87,9 @@ class AlertManager(Persistent):
 
     #: alert lifecycles and the page counter
     _persist = (rows("history", *record(Alert)),
-                via("active", "_save_active", "_load_active"),
+                # positions in the history list, so after a restore the
+                # two share the records the state machine mutates
+                refs("active", "_active", "history"),
                 scalar("pages_sent", int))
 
     def __init__(self, sim, hub, *, channel=None):
@@ -206,20 +208,6 @@ class AlertManager(Persistent):
             if fid:
                 return fid
         return ""
-
-    # -- persistence ---------------------------------------------------------
-
-    def _save_active(self) -> dict:
-        """Active alerts are saved as indices into the history list, so
-        after a restore the two still share the very records the state
-        machine mutates."""
-        index = {id(a): i for i, a in enumerate(self.history)}
-        return {key: index[id(a)]
-                for key, a in sorted(self._active.items())}
-
-    def _load_active(self, saved: dict) -> None:
-        self._active = {key: self.history[int(i)]
-                        for key, i in saved.items()}
 
     # -- queries -------------------------------------------------------------
 

@@ -25,8 +25,8 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.controlplane.ledger import Condition
 from repro.metrics.timeseries import TimeSeries
-from repro.persist.core import (Persistent, pending, record, rows, scalar,
-                                snapshot_node, via)
+from repro.persist.core import (Persistent, children, pending, record, rows,
+                                scalar)
 
 __all__ = ["TelemetryHub", "INTERVAL", "MAXLEN"]
 
@@ -42,7 +42,7 @@ class TelemetryHub(Persistent):
     #: ring series, the condition log and the rollup tick; sources
     #: (ledger, SLIs, rollup listeners) are structural wiring
     _persist = (
-        via("series", "_save_series", "_load_series"),
+        children("series", "_series", lambda hub, key: hub.series(key)),
         rows("condition_log", *record(Condition)),
         scalar("condition_log_dropped", int), scalar("ticks", int),
         scalar("running", bool, "_running"),
@@ -135,12 +135,3 @@ class TelemetryHub(Persistent):
     def service_names(self) -> List[str]:
         return sorted(self._slis)
 
-    # -- persistence -----------------------------------------------------------
-
-    def _save_series(self) -> dict:
-        return snapshot_node(dict(sorted(self._series.items())))
-
-    def _load_series(self, saved: dict) -> None:
-        self._series = {}
-        for key, state in saved.items():
-            self.series(key).restore_state(state)

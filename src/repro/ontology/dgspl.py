@@ -22,7 +22,12 @@ from repro.ontology.dlsp import Dlsp
 from repro.persist.core import Persistent, scalar, table
 
 __all__ = ["GlobalServiceEntry", "Dgspl", "build_dgspl", "host_entries",
-           "TierDigest", "SiteDigest", "digest_of", "FederatedDgspl"]
+           "TierDigest", "SiteDigest", "digest_of", "FederatedDgspl",
+           "DIGEST_FRESHNESS"]
+
+#: a site's digest ages out of the merged view past this, on either
+#: clock (generated or received)
+DIGEST_FRESHNESS = 1800.0
 
 
 @dataclass(frozen=True)
@@ -238,28 +243,18 @@ class FederatedDgspl(Persistent):
     Each site's digest carries two clocks: when the site *generated*
     it (its own DGSPL build time) and when the federation *received*
     it (the last successful WAN exchange).  A digest is fresh only if
-    both are inside the site's freshness window -- a partitioned site
+    both are inside :data:`DIGEST_FRESHNESS` -- a partitioned site
     stops being received, a dead site stops generating, and either
     path ages the site out of the merged view.
     """
 
-    _persist = (scalar("default_freshness", float),
-                table("freshness", float),
-                table("digests", SiteDigest.from_dict, SiteDigest.to_dict),
+    _persist = (table("digests", SiteDigest.from_dict, SiteDigest.to_dict),
                 table("received_at", float), scalar("ingested", int))
 
-    def __init__(self, *, freshness: float = 1800.0):
-        self.default_freshness = float(freshness)
-        self.freshness: Dict[str, float] = {}
+    def __init__(self):
         self.digests: Dict[str, SiteDigest] = {}
         self.received_at: Dict[str, float] = {}
         self.ingested = 0
-
-    def set_freshness(self, site: str, window: float) -> None:
-        self.freshness[site] = float(window)
-
-    def window_of(self, site: str) -> float:
-        return self.freshness.get(site, self.default_freshness)
 
     def ingest(self, digest: SiteDigest, now: float) -> None:
         self.digests[digest.site] = digest
@@ -270,6 +265,5 @@ class FederatedDgspl(Persistent):
         digest = self.digests.get(site)
         if digest is None:
             return False
-        window = self.window_of(site)
-        return (now - self.received_at[site] <= window
-                and now - digest.generated_at <= window)
+        return (now - self.received_at[site] <= DIGEST_FRESHNESS
+                and now - digest.generated_at <= DIGEST_FRESHNESS)

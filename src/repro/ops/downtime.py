@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.faults.models import Category
-from repro.persist.core import Persistent, rows, via
+from repro.persist.core import Persistent, refs, rows
 
 __all__ = ["Incident", "DowntimeLedger"]
 
@@ -27,7 +27,6 @@ class Incident:
     end: Optional[float] = None
     detected_at: Optional[float] = None
     auto_repaired: Optional[bool] = None
-    escalated: bool = False
     note: str = ""
 
     @property
@@ -62,8 +61,9 @@ class DowntimeLedger(Persistent):
     _persist = (
         rows("incidents", lambda row: Incident(Category(row[0]), *row[1:]),
              lambda i: [i.category.value, i.target, i.start, i.end,
-                        i.detected_at, i.auto_repaired, i.escalated, i.note]),
-        via("open", "_save_open", "_load_open"))
+                        i.detected_at, i.auto_repaired, i.note]),
+        # positions in the incident list, so identity survives
+        refs("open", "_open", "incidents"))
 
     def __init__(self):
         self.incidents: List[Incident] = []
@@ -90,29 +90,15 @@ class DowntimeLedger(Persistent):
             inc.detected_at = t
 
     def close_incident(self, target: str, end: float, *,
-                       auto_repaired: Optional[bool] = None,
-                       escalated: bool = False) -> Optional[Incident]:
+                       auto_repaired: Optional[bool] = None
+                       ) -> Optional[Incident]:
         inc = self._open.pop(target, None)
         if inc is None:
             return None
         inc.end = end
         if auto_repaired is not None:
             inc.auto_repaired = auto_repaired
-        inc.escalated = escalated
         return inc
-
-    # -- persistence -----------------------------------------------------------
-
-    def _save_open(self) -> dict:
-        """As positions into the incident list, so identity survives
-        the round trip."""
-        index = {id(inc): i for i, inc in enumerate(self.incidents)}
-        return {target: index[id(inc)]
-                for target, inc in self._open.items()}
-
-    def _load_open(self, saved: dict) -> None:
-        self._open = {target: self.incidents[int(i)]
-                      for target, i in saved.items()}
 
     # -- aggregation -----------------------------------------------------------
 

@@ -114,8 +114,9 @@ class CheckpointManager:
     # -- files ----------------------------------------------------------------
 
     def _name(self) -> str:
-        hours = self._now() / 3600.0
-        return f"{self.label}-{hours:012.3f}h.json"
+        """The simulated second to the millisecond, zero-padded so the
+        names sort by time: two epochs a second apart keep two files."""
+        return f"{self.label}-{self._now():016.3f}s.json"
 
     def _write(self, pieces: List[str]) -> str:
         """The sealed document's pieces, then a newline, atomically."""
@@ -140,7 +141,7 @@ class CheckpointManager:
     @staticmethod
     def _listing(directory: str, label: str, suffix: str) -> List[str]:
         """``label``'s files ending in ``suffix``, oldest first (the
-        zero-padded hour stamp sorts by time)."""
+        zero-padded second stamp sorts by time)."""
         try:
             names = sorted(n for n in os.listdir(directory)
                            if n.startswith(label + "-")

@@ -11,14 +11,15 @@ A component does not write the protocol's methods.  It subclasses
 :class:`Persistent` and *declares* its state once, as a class-level
 ``_persist`` tuple of entries built from the small vocabulary below
 (:func:`scalar`, :func:`member`, :func:`sortedset`, :func:`table`,
-:func:`pairs`, :func:`rows`, :func:`part`, :func:`pending`,
-:func:`pendings`, :func:`signal`, :func:`group`, and :func:`via` for
-what those cannot say).  One entry names one document key; the tuple's
-order is the restore order.  ``snapshot_state`` / ``restore_state`` /
-``claimed_seqs`` are derived from it here and nowhere else, so a field
-cannot be saved but not restored, and a timer cannot be saved but not
-claimed.  What is *not* listed is structural wiring the deterministic
-rebuild recreates -- leaving a field out is the visible decision.
+:func:`pairs`, :func:`rows`, :func:`refs`, :func:`part`,
+:func:`children`, :func:`pending`, :func:`pendings`, :func:`signal`,
+:func:`group`, and :func:`via` for what those cannot say).  One entry
+names one document key; the tuple's order is the restore order.
+``snapshot_state`` / ``restore_state`` / ``claimed_seqs`` are derived
+from it here and nowhere else, so a field cannot be saved but not
+restored, and a timer cannot be saved but not claimed.  What is *not*
+listed is structural wiring the deterministic rebuild recreates --
+leaving a field out is the visible decision.
 
 Pending kernel events are never pickled.  A :func:`pending` entry
 serialises the heap token ``[time, priority, seq]``, re-arms it on
@@ -45,13 +46,14 @@ __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
            "canonical_json", "check_format", "state_hash", "seal",
            "compose", "collector_paused",
            "Persistent", "Entry", "scalar", "scalars", "member", "sortedset",
-           "table", "pairs", "rows", "record", "part", "pending", "pendings",
+           "table", "pairs", "rows", "record", "refs", "part", "children",
+           "pending", "pendings",
            "signal", "group", "via", "token", "rearm",
            "snapshot_node", "restore_node", "claimed_of",
            "save_state", "load_state"]
 
 #: bump when any component's snapshot layout changes incompatibly
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def check_format(snapshot: dict, kind: str) -> None:
@@ -343,6 +345,22 @@ def record(cls) -> tuple:
     return (lambda row: cls(*copied(row))), (lambda rec: copied(get(rec)))
 
 
+def refs(key: str, attr: str, into: str) -> Entry:
+    """A name -> record dict whose records are members of the list at
+    ``into``, saved as positions in it so identity survives the round
+    trip; ``into``'s entry loads first."""
+    get, put, records = attrgetter(attr), _setter(attr), attrgetter(into)
+
+    def save(obj):
+        index = {id(rec): i for i, rec in enumerate(records(obj))}
+        return {name: index[id(rec)] for name, rec in get(obj).items()}
+
+    def load(obj, value):
+        held = records(obj)
+        put(obj, {name: held[int(i)] for name, i in value.items()})
+    return Entry(key, save, load)
+
+
 def part(key: str, get=None) -> Entry:
     """A nested node: a component, an optional one, or a name -> node
     dict checked two-sidedly.  ``get`` is the attribute (default: the
@@ -353,6 +371,21 @@ def part(key: str, get=None) -> Entry:
         lambda obj, v: restore_node(get(obj), v,
                                     f"{type(obj).__name__}.{key}"),
         lambda obj: claimed_of(get(obj)))
+
+
+def children(key: str, attr: str, make: Callable) -> Entry:
+    """A str-keyed dict of components created on first use, so the
+    document decides which exist: each is saved as its own document in
+    key order, and loaded into ``make(obj, name)``, which creates the
+    child and files it under ``name`` in the emptied dict."""
+    get, put = attrgetter(attr), _setter(attr)
+
+    def load(obj, value):
+        put(obj, {})
+        for name, state in value.items():
+            make(obj, name).restore_state(state)
+    return Entry(key, lambda obj: snapshot_node(dict(sorted(
+        get(obj).items()))), load)
 
 
 def pending(key: str, attr: str, callback: str) -> Entry:

@@ -17,19 +17,18 @@ Two safety rails make that claim checkable rather than hopeful:
   the snapshot is refused (:class:`QuiescenceError`) instead of
   silently dropping the event.
 - **quiescence predicates** -- in-flight relocations, open tracer
-  spans, live batch jobs and in-progress DB backups have no
-  serialisable representation; snapshots are only legal at barriers
-  where none exist.  The checkpoint manager defers to the next epoch
-  when one trips.
+  spans and live batch jobs have no serialisable representation;
+  snapshots are only legal at barriers where none exist.  The
+  checkpoint manager defers to the next epoch when one trips.
 
-Checkpointable configurations run with the overnight workload and the
-market feeds off: both drive generator processes whose continuations
-live in Python frames, which this layer deliberately refuses to pickle.
+Checkpointable configurations run with the overnight workload off: it
+drives generator processes whose continuations live in Python frames,
+which this layer deliberately refuses to pickle.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -45,11 +44,10 @@ __all__ = ["snapshot_site", "sealed_site", "restore_site", "fresh_site"]
 def _check_quiescent(site, extras: Mapping[str, object]) -> None:
     """All the reasons a snapshot must be refused, with names."""
     cfg = site.config
-    if cfg.with_workload or cfg.with_feeds:
+    if cfg.with_workload:
         raise QuiescenceError(
-            "checkpointable configurations need with_workload=False and "
-            "with_feeds=False (their generator processes cannot be "
-            "serialised)")
+            "checkpointable configurations need with_workload=False (its "
+            "generator processes cannot be serialised)")
     tracer = site.sim.tracer
     if getattr(tracer, "_stack", None):
         raise QuiescenceError(
@@ -186,10 +184,18 @@ def sealed_site(site, extras: Optional[Mapping[str, object]] = None
 def fresh_site(snapshot: dict):
     """Check a site document, then build the (not yet restored) site it
     describes -- for callers that wire a harness around the site before
-    handing both to :func:`restore_site`."""
+    handing both to :func:`restore_site`.  A config whose keys are not
+    :class:`SiteConfig`'s fields is refused before anything is built."""
     from repro.experiments.site import SiteConfig, build_site
     check_format(snapshot, "site")
-    return build_site(SiteConfig(**snapshot["config"]))
+    config = snapshot["config"]
+    known = {f.name for f in fields(SiteConfig)}
+    if set(config) != known:
+        raise ValueError(
+            f"checkpoint config does not match SiteConfig: "
+            f"unknown={sorted(set(config) - known)} "
+            f"missing={sorted(known - set(config))}")
+    return build_site(SiteConfig(**config))
 
 
 @collector_paused

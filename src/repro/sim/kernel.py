@@ -12,7 +12,7 @@ Two programming models coexist:
 * **Generator processes** -- ``sim.spawn(gen)`` drives a generator that
   yields either a number (sleep that many simulated seconds) or a
   :class:`Signal` (sleep until the signal fires).  Long-lived workload
-  drivers (batch jobs, market feeds, operators) are written this way.
+  drivers (batch jobs, operators) are written this way.
 
 Event ordering is total and deterministic: ties on time are broken by an
 explicit priority, then by insertion sequence number.

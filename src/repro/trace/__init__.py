@@ -7,8 +7,8 @@ package provides:
 
 - :mod:`tracer` -- :class:`Tracer` (sim-time spans and instants, fault
   correlation, near-zero disabled cost) and :func:`install_tracer`.
-- :mod:`metrics` -- :class:`MetricsRegistry` with counters, gauges and
-  fixed-bucket histograms, snapshot-able to a plain dict.
+- :mod:`metrics` -- :class:`MetricsRegistry` of counters, snapshot-able
+  to a plain dict, and the SLIs' fixed-bucket :class:`Histogram`.
 - :mod:`export` -- Chrome ``trace_event`` JSON, incident
   reconstruction by fault id, and the flat-ASCII incident timeline.
 
@@ -22,8 +22,7 @@ Usage::
     print(format_timeline(tracer))
 """
 
-from repro.trace.metrics import (Counter, Gauge, Histogram,
-                                 MetricsRegistry, DEFAULT_BUCKETS)
+from repro.trace.metrics import Counter, Histogram, MetricsRegistry
 from repro.trace.tracer import (NULL_SPAN, NULL_TRACER, Span, Tracer,
                                 install_tracer)
 from repro.trace.export import (IncidentTrace, format_timeline,
@@ -31,7 +30,7 @@ from repro.trace.export import (IncidentTrace, format_timeline,
                                 to_chrome, write_chrome_trace)
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
+    "Counter", "Histogram", "MetricsRegistry",
     "NULL_SPAN", "NULL_TRACER", "Span", "Tracer", "install_tracer",
     "IncidentTrace", "format_timeline", "incident_traces",
     "span_durations", "to_chrome", "write_chrome_trace",

@@ -118,7 +118,7 @@ class Tracer(Persistent):
     #: so chaos reports and incident reconciliation built after a
     #: restore are byte-identical to the uninterrupted run
     _persist = (
-        scalar("enabled", bool), scalar("capture_resumes", bool),
+        scalar("enabled", bool),
         scalar("next_fault_seq", int, "_fault_seq"),
         # insertion order is load-bearing: fault_id_for answers with
         # the first-bound key a subject is a suffix of
@@ -130,13 +130,13 @@ class Tracer(Persistent):
              lambda i: [i["name"], i["ts"], dict(i["args"])]),
         part("metrics"))
 
-    def __init__(self, sim=None, *, enabled: bool = True,
-                 capture_resumes: bool = False):
+    #: also span every generator-process resume (verbose; off so an
+    #: enabled tracer stays affordable on long runs)
+    capture_resumes = False
+
+    def __init__(self, sim=None, *, enabled: bool = True):
         self.sim = sim
         self.enabled = enabled
-        #: also span every generator-process resume (verbose; off by
-        #: default so an enabled tracer stays affordable on long runs)
-        self.capture_resumes = capture_resumes
         self.metrics = MetricsRegistry()
         self.spans: List[Span] = []
         self.instants: List[dict] = []

@@ -195,18 +195,15 @@ FINANCIAL_REGIONS: Tuple[Region, ...] = (
 )
 
 
-def regional_curves(population: int,
-                    regions: Iterable[Region] = FINANCIAL_REGIONS
-                    ) -> Dict[str, DemandCurve]:
-    """Split one global population into per-region demand curves.
+def regional_curves(population: int) -> Dict[str, DemandCurve]:
+    """Split one global population into per-region demand curves over
+    :data:`FINANCIAL_REGIONS`.
 
     Region populations are the rounded shares with the last region (in
     name order) absorbing the rounding remainder, so the totals add up
     to ``population`` exactly."""
-    regions = sorted(regions, key=lambda r: r.name)
+    regions = sorted(FINANCIAL_REGIONS, key=lambda r: r.name)
     total_share = sum(r.share for r in regions)
-    if not regions or total_share <= 0:
-        raise ValueError("need at least one region with positive share")
     curves: Dict[str, DemandCurve] = {}
     allotted = 0
     for i, region in enumerate(regions):

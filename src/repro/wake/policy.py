@@ -33,19 +33,19 @@ class WakePolicy(Persistent):
 
     #: multiplicative back-off per clean run
     backoff = 2.0
+    #: the longest a healthy agent sleeps
+    max_period = 1800.0
 
-    def __init__(self, base_period: float, *, mode: str = "adaptive",
-                 max_period: float = 1800.0):
+    def __init__(self, base_period: float, *, mode: str = "adaptive"):
         if mode not in MODES:
             raise ValueError(f"unknown wake policy mode {mode!r}")
         if base_period <= 0:
             raise ValueError(f"base period must be positive: {base_period!r}")
-        if max_period < base_period:
+        if self.max_period < base_period:
             raise ValueError(
-                f"max period {max_period!r} below base {base_period!r}")
+                f"max period {self.max_period!r} below base {base_period!r}")
         self.mode = mode
         self.base_period = float(base_period)
-        self.max_period = float(max_period)
         self.current_period = float(base_period)
         self.backoffs = 0
         self.resets = 0

@@ -102,7 +102,7 @@ def pool(sim):
 def test_site():
     """A small agented site (built fresh per test: mutation-heavy)."""
     from repro.experiments.site import SiteConfig, build_site
-    return build_site(SiteConfig.test_scale(seed=7, with_feeds=False))
+    return build_site(SiteConfig.test_scale(seed=7))
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ tests hold the two modes against each other on the same kinds of fault.
 import numpy as np
 import pytest
 
+from repro.core.agent import AGENT_PERIOD
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.ops.operators import OperatorModel
@@ -31,7 +32,7 @@ def test_fast_path_detection_matches_cron_grid_bound():
 def test_full_fidelity_detection_within_fast_path_bound():
     # the fast path models cron-grid detection, so hold the fixed wake
     # policy against it (adaptive triggers detect faster than the grid)
-    site = build_site(SiteConfig.test_scale(seed=23, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=23,
                                             with_workload=False,
                                             wake_policy="fixed"))
     harness = FidelityHarness(site)
@@ -50,13 +51,13 @@ def test_full_fidelity_detection_within_fast_path_bound():
             latencies.append(inc.detection_latency)
     assert latencies, "no detections recorded"
     # every detection within one agent period (+ slack for the run)
-    assert max(latencies) <= site.config.agent_period + 60.0
+    assert max(latencies) <= AGENT_PERIOD + 60.0
 
 
 def test_full_fidelity_repair_times_match_campaign_profile():
     """The campaign's MID_CRASH auto-repair mean (8 min) should be of
     the same order as real restart-based healing in full fidelity."""
-    site = build_site(SiteConfig.test_scale(seed=29, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=29,
                                             with_workload=False,
                                             wake_policy="fixed"))
     harness = FidelityHarness(site)

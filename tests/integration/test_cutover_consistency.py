@@ -13,7 +13,7 @@ from repro.traffic.frontdoor import FrontDoor
 @pytest.fixture
 def site():
     return build_site(SiteConfig.test_scale(
-        seed=11, spare_servers=1, with_workload=False, with_feeds=False))
+        seed=11, spare_servers=1, with_workload=False))
 
 
 def _targets(door, n, now):

@@ -7,7 +7,7 @@ from repro.experiments.site import SiteConfig, build_site
 
 @pytest.fixture
 def site():
-    return build_site(SiteConfig.test_scale(seed=13, with_feeds=False,
+    return build_site(SiteConfig.test_scale(seed=13,
                                             with_workload=False))
 
 

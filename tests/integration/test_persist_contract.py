@@ -30,7 +30,7 @@ RATES = {Category.MID_CRASH: 4.0, Category.FRONT_END: 3.0,
 
 def _fresh(seed: int, horizon_h: float, **kw) -> FidelityHarness:
     defaults = dict(seed=seed, spare_servers=1,
-                    with_workload=False, with_feeds=False)
+                    with_workload=False)
     defaults.update(kw)
     harness = FidelityHarness(build_site(SiteConfig.test_scale(**defaults)))
     harness.injector.schedule_poisson(RATES, horizon_h * 3600.0)

@@ -7,6 +7,7 @@ with the downtime ledger telling the story.
 
 import pytest
 
+from repro.core.agent import AGENT_PERIOD
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.faults.models import Category
@@ -14,7 +15,7 @@ from repro.faults.models import Category
 
 @pytest.fixture
 def site():
-    return build_site(SiteConfig.test_scale(seed=11, with_feeds=False,
+    return build_site(SiteConfig.test_scale(seed=11,
                                             with_workload=False))
 
 
@@ -141,7 +142,7 @@ def test_detection_within_one_agent_period(site, harness):
     harness.scan_flags_for_detection()
     inc = [i for i in harness.ledger.incidents if not i.open][0]
     assert inc.detected_at is not None
-    assert inc.detection_latency <= site.config.agent_period + 30.0
+    assert inc.detection_latency <= AGENT_PERIOD + 30.0
 
 
 def test_fault_storm_all_healed(site, harness):

@@ -10,6 +10,7 @@ bookkeeping consistent throughout.
 
 import pytest
 
+from repro.core.agent import AGENT_PERIOD
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.faults.models import Category
@@ -29,7 +30,7 @@ SOAK_RATES = {
 
 @pytest.fixture(scope="module")
 def soaked():
-    site = build_site(SiteConfig.test_scale(seed=47, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=47,
                                             with_workload=False))
     harness = FidelityHarness(site)
     n = harness.injector.schedule_poisson(SOAK_RATES, 2 * DAY)
@@ -80,7 +81,7 @@ def test_soak_flag_protocol_survived(soaked):
             continue
         for agent in suite.agents:
             latest = FlagStore(suite.host.fs, agent.name).latest_time()
-            assert now - latest < 2 * site.config.agent_period + 60.0, (
+            assert now - latest < 2 * AGENT_PERIOD + 60.0, (
                 f"{suite.host.name}/{agent.name} stopped flagging")
 
 

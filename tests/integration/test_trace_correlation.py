@@ -16,7 +16,7 @@ from repro.trace import (Tracer, incident_traces, install_tracer,
 @pytest.fixture(scope="module")
 def traced_storm():
     """A small live site, two injected faults, two simulated hours."""
-    site = build_site(SiteConfig.test_scale(seed=7, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=7,
                                             with_workload=False))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)

@@ -22,19 +22,11 @@ def test_probe_counts_transactions(database):
     assert database.transactions == t0 + 1
 
 
-def test_user_sessions(database):
-    assert database.connect_user("alice")
-    assert database.connect_user("bob")
-    assert len(database.connected_users) == 2
-    database.disconnect_user("alice")
-    assert len(database.connected_users) == 1
-    database.crash("x")
-    assert len(database.connected_users) == 0
-
-
 def test_connect_refused_when_down(database):
     database.crash("x")
-    assert not database.connect_user("carol")
+    t0 = database.transactions
+    assert database.probe() == (False, 0.0, "refused")
+    assert database.transactions == t0
 
 
 def test_job_attach_detach_loads_host(database):
@@ -78,28 +70,11 @@ def test_overload_and_hazard(database):
     assert database.crash_hazard_multiplier() > 10.0 * base
 
 
-def test_backup_lifecycle(database, sim):
-    duration = database.start_backup()
-    assert duration is not None
-    assert database.backup_running
-    assert database.start_backup() is None     # one at a time
-    sim.run(until=sim.now + duration + 1)
-    assert not database.backup_running
-
-
-def test_checkpoint_only_when_running(database):
-    database.checkpoint()
-    assert database.checkpoints == 1
-    database.crash("x")
-    database.checkpoint()
-    assert database.checkpoints == 1
-
-
 def test_db_metrics_snapshot(database):
     m = database.db_metrics()
-    # §3.6's ten database measurements are all present
+    # the §3.6 database measurements are all present
     for key in ("connect_ms", "query_ms", "init_s", "shutdown_s",
-                "backup_s", "proc_cpu_pct", "proc_mem_mb", "users",
-                "startup_mem_mb", "checkpoints", "mem_per_txn_kb"):
+                "backup_s", "proc_cpu_pct", "proc_mem_mb",
+                "startup_mem_mb", "mem_per_txn_kb", "active_jobs"):
         assert key in m
     assert m["connect_ms"] > 0

@@ -46,15 +46,6 @@ def test_serve_batch_counts_attempts(webserver):
     assert webserver.requests_served == 100
 
 
-def test_connection_tracking(webserver):
-    assert webserver.open_connection("client-a")
-    assert len(webserver.open_connections) == 1
-    webserver.close_connection("client-a")
-    assert webserver.open_connections == {}
-    webserver.crash("x")
-    assert not webserver.open_connection("client-b")
-
-
 def test_frontend_login_logout(frontend):
     assert frontend.login("analyst1")
     assert frontend.sessions == 1

@@ -46,11 +46,9 @@ def test_no_nightly_batch_on_weekend(sim, lsf, rs):
 
 
 def test_manual_targeting_pins_to_habitual_server(sim, lsf, rs):
-    wl = OvernightWorkload(lsf, rs.get("wl"), manual_targeting=True)
+    wl = OvernightWorkload(lsf, rs.get("wl"))
     job = wl.make_job()
     assert job.requested_server == "db01"
-    wl2 = OvernightWorkload(lsf, rs.get("wl2"), manual_targeting=False)
-    assert wl2.make_job().requested_server is None
 
 
 def test_daytime_jobs_only_in_business_hours(sim, lsf, rs):

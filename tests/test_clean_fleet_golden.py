@@ -5,9 +5,11 @@ under each wake policy run five simulated hours -- past the first DLSP
 expiry at 1 h and the first flag expiry at 4 h -- the sha256 of every
 host's state (the host with its filesystem, process table, syslog,
 crond and shell; its applications; its agent suite) and the kernel's
-pending heap tokens.  It was generated at PR 16's commit, before the
-clean wake was made cheaper, so any optimisation that moves a
-simulated byte shows up as *that host's* hash.
+pending heap tokens.  It was generated before the clean wake was made
+cheaper, so any optimisation that moves a simulated byte shows up as
+*that host's* hash.  Checkpoint format 4 regenerated it: every host's
+document equals the format-3 one with the fields format 4 dropped
+removed, and the event count and pending heap are unchanged.
 
 The second half is hostile to state the optimisations derive: it must
 never outlive what it was derived from.
@@ -70,7 +72,7 @@ def test_restore_into_a_used_world_forgets_derived_state():
     restore just replaced."""
     from repro.experiments.site import SiteConfig, build_site
     from repro.persist import restore_site, snapshot_site
-    used = build_site(SiteConfig.test_scale(seed=5, with_feeds=False,
+    used = build_site(SiteConfig.test_scale(seed=5,
                                             with_workload=False))
     used.run(2 * HOUR)
     snap = snapshot_site(used)

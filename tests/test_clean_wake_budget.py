@@ -109,7 +109,7 @@ def test_status_wake_renders_its_profile_once():
     cross-check renders the exhaustive build beside it.  Needs the
     admin pair a profile is shipped to, hence a site."""
     from repro.experiments.site import SiteConfig, build_site
-    site = build_site(SiteConfig.test_scale(seed=5, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=5,
                                             with_workload=False))
     renders = [0]
     counting = [True]

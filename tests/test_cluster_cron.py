@@ -36,18 +36,6 @@ def test_remove(sim, db_host):
     assert not db_host.crond.remove("t")
 
 
-def test_disabled_job_misses(sim, db_host):
-    ticks = []
-    job = db_host.crond.register("t", 100.0, lambda: ticks.append(1))
-    db_host.crond.enable("t", False)
-    sim.run(until=350.0)
-    assert ticks == []
-    assert job.missed == 3
-    db_host.crond.enable("t")
-    sim.run(until=450.0)
-    assert ticks == [1]
-
-
 def test_crond_death_and_restart_keeps_grid(sim, db_host):
     ticks = []
     db_host.crond.register("t", 300.0, lambda: ticks.append(sim.now))
@@ -122,8 +110,6 @@ def test_demand_wake_refused_while_down_or_dead(sim, db_host):
     db_host.crash("x")
     assert not db_host.crond.demand_wake("t")
     assert not db_host.crond.demand_wake("nosuchjob")
-    db_host.crond.enable("t", False)
-    assert not db_host.crond.demand_wake("t")
     assert ticks == []
 
 

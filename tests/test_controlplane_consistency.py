@@ -14,11 +14,12 @@ import pytest
 
 from repro.chaos.oracles import ScanReference
 from repro.experiments.site import SiteConfig, build_site
+from repro.wake import WakePolicy
 
 
 def _site(wake="adaptive"):
     return build_site(SiteConfig.test_scale(
-        seed=29, with_workload=False, with_feeds=False, wake_policy=wake))
+        seed=29, with_workload=False, wake_policy=wake))
 
 
 def _paired_site(wake="adaptive"):
@@ -44,7 +45,7 @@ def _campaign(site):
     db = site.dc.host("db000")
     for agent in site.suites["db000"].agents:
         db.crond.remove(agent.name)         # quiet agents, crond alive
-    site.run(site.config.wake_max_period + 5 * admin.watch_period)
+    site.run(WakePolicy.max_period + 5 * admin.watch_period)
 
 
 @pytest.mark.parametrize("wake", ["fixed", "adaptive"])

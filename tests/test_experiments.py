@@ -92,8 +92,7 @@ def test_mttr_claims():
 def test_site_scales_to_paper_size_cheaply():
     """The full 215-server site must at least build quickly."""
     site = build_site(SiteConfig(db_servers=20, tp_servers=10,
-                                 fe_servers=12, with_workload=False,
-                                 with_feeds=False))
+                                 fe_servers=12, with_workload=False))
     assert len(site.dc.hosts) == 20 + 10 + 12 + 3
     assert len(site.databases) == 20
     # every server including the admin pair is agented; only the

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.agent import AGENT_PERIOD
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.faults.models import Category
@@ -9,7 +10,7 @@ from repro.faults.models import Category
 
 @pytest.fixture
 def rig():
-    site = build_site(SiteConfig.test_scale(seed=53, with_feeds=False,
+    site = build_site(SiteConfig.test_scale(seed=53,
                                             with_workload=False))
     return site, FidelityHarness(site)
 
@@ -66,7 +67,7 @@ def test_flag_scan_stamps_detection(rig):
     assert inc.detected_at is not None
     # adaptive wakes can detect at the crash instant (trigger-driven
     # demand wake), so zero latency is legitimate
-    assert 0 <= inc.detection_latency <= site.config.agent_period + 30
+    assert 0 <= inc.detection_latency <= AGENT_PERIOD + 30
 
 
 def test_run_hours_advances_clock(rig):

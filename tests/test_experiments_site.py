@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.agent import AGENT_PERIOD
 from repro.experiments.site import SiteConfig, build_site
 
 
@@ -67,7 +68,7 @@ def test_frontends_depend_on_databases(site):
 def test_paper_scale_config_defaults():
     cfg = SiteConfig()
     assert (cfg.db_servers, cfg.tp_servers, cfg.fe_servers) == (100, 55, 60)
-    assert cfg.agent_period == 300.0
+    assert AGENT_PERIOD == 300.0
 
 
 def test_suites_cover_all_internal_hosts(site):

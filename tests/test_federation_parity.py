@@ -11,19 +11,17 @@ from repro.federation import (FederationConfig, SiteSpec,
 from repro.persist import (restore_federation, sealed_federation,
                            snapshot_site)
 from repro.sim.calendar import HOUR
-from repro.traffic.workload import Region
 
 
 def _solo_config(seed: int = 5) -> SiteConfig:
     return SiteConfig.test_scale(site_name="london", seed=seed,
-                                 with_workload=False, with_feeds=False,
+                                 with_workload=False,
                                  spare_servers=1)
 
 
 def _one_site_federation(seed: int = 5) -> FederationConfig:
     return FederationConfig(
         sites=[SiteSpec("london", "emea", _solo_config(seed))],
-        regions=(Region("emea", 1.0, 0.0),),
         with_traffic=False)
 
 

@@ -95,8 +95,7 @@ def test_an_observed_storm_keeps_only_the_burn_inputs():
     from repro.traffic.workload import financial_curve
 
     site = build_site(SiteConfig.test_scale(
-        seed=0, spare_servers=1, observe=True, with_workload=False,
-        with_feeds=False))
+        seed=0, spare_servers=1, observe=True, with_workload=False))
     tracer = install_tracer(site.sim)
     harness = FidelityHarness(site)
     engine = FluidTrafficEngine(site.sim, financial_curve(100_000),

@@ -32,7 +32,7 @@ from repro.persist import (CheckpointManager, fresh_site, restore_federation,
 
 def _harness():
     harness = FidelityHarness(build_site(SiteConfig.test_scale(
-        seed=0, with_workload=False, with_feeds=False)))
+        seed=0, with_workload=False)))
     harness.run_hours(0.25)
     return harness
 
@@ -161,7 +161,7 @@ def test_a_refused_resume_hands_the_collector_back(tmp_path, collections,
     hostile = tmp_path / "hostile.json"
     hostile.write_bytes(b'{"format":2,"kernel":\xff}')
     other = build_site(SiteConfig.test_scale(
-        seed=1, with_workload=False, with_feeds=False))
+        seed=1, with_workload=False))
     other_fed = build_federation(three_site_config(population=90_000))
     (gc.enable if enabled else gc.disable)()
 

@@ -38,7 +38,7 @@ def faulted_site_snapshot() -> dict:
     from repro.trace import install_tracer
     site = build_site(SiteConfig.test_scale(
         seed=11, spare_servers=1, observe=True,
-        with_workload=False, with_feeds=False))
+        with_workload=False))
     install_tracer(site.sim)
     harness = FidelityHarness(site)
     harness.injector.schedule_poisson({c: 60.0 for c in Category}, 4 * HOUR)

@@ -20,19 +20,23 @@ from repro.persist import (FORMAT_VERSION, CheckpointManager,
 from repro.persist.checkpoint import rss_mb
 
 
-#: a real checkpoint of the previous layout: the first epoch of the
-#: ``wake-adversarial`` corpus episode (a federation of one), written by
-#: ``repro-exp chaos replay tests/corpus/wake-adversarial.json
-#: --checkpoint-dir DIR`` at commit c8764d4, the last with
-#: ``FORMAT_VERSION`` 2 -- its hub still mirrored registry counters and
-#: its notification channel still carried suppression books
-FORMAT_2_CHECKPOINT = os.path.join(os.path.dirname(__file__), "golden",
-                                   "format2-checkpoint.json.gz")
+#: real checkpoints of earlier layouts, by format number: the first
+#: epoch of the ``wake-adversarial`` corpus episode (a federation of
+#: one), written by ``repro-exp chaos replay
+#: tests/corpus/wake-adversarial.json --checkpoint-dir DIR`` at the last
+#: commit of each format -- c8764d4 for format 2 (its hub still
+#: mirrored registry counters and its notification channel still
+#: carried suppression books) and b63c0f4 for format 3 (its config
+#: still held nine single-valued fields and its RNG the ``site.manual``
+#: stream)
+OLD_CHECKPOINTS = {
+    n: os.path.join(os.path.dirname(__file__), "golden",
+                    f"format{n}-checkpoint.json.gz") for n in (2, 3)}
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def _site(**kw):
-    defaults = dict(seed=0, with_workload=False, with_feeds=False)
+    defaults = dict(seed=0, with_workload=False)
     defaults.update(kw)
     return build_site(SiteConfig.test_scale(**defaults))
 
@@ -122,9 +126,36 @@ def test_format_1_checkpoint_is_refused_before_anything_is_built(tmp_path):
     assert target.snapshot()["state_hash"] == before
 
 
+def _old_checkpoint(tmp_path, n):
+    """The format-``n`` fixture as a checkpoint file, and its federation
+    and site documents."""
+    fed_path = tmp_path / f"ep-format{n}.json"
+    with gzip.open(OLD_CHECKPOINTS[n], "rb") as fh:
+        fed_path.write_bytes(fh.read())
+    fed_doc = CheckpointManager.load(str(fed_path))
+    return fed_path, fed_doc, fed_doc["sites"]["london"]
+
+
+def _refuse_builds(monkeypatch):
+    def built(*_args, **_kw):
+        raise AssertionError("a world was built from a refused document")
+    monkeypatch.setattr("repro.experiments.site.build_site", built)
+    monkeypatch.setattr("repro.federation.build.build_federation", built)
+    monkeypatch.setattr("repro.federation.build_federation", built)
+
+
 def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
                                                      monkeypatch):
-    """The previous format's checkpoint -- the federation document and
+    _refused_by_its_number(tmp_path, monkeypatch, 2)
+
+
+def test_format_3_checkpoint_is_refused_by_its_number(tmp_path,
+                                                     monkeypatch):
+    _refused_by_its_number(tmp_path, monkeypatch, 3)
+
+
+def _refused_by_its_number(tmp_path, monkeypatch, n):
+    """An earlier format's checkpoint -- the federation document and
     the site document inside it -- is refused by its number at every
     entry point: the two restores, the harness resume, ``fig2 --resume``
     and ``chaos replay --from-checkpoint``.  Nothing is built first and
@@ -133,27 +164,18 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
     from repro.federation import build_federation, three_site_config
     from repro.persist import (restore_federation, restore_site,
                                sealed_federation)
-    fed_path = tmp_path / "ep-format2.json"
-    with gzip.open(FORMAT_2_CHECKPOINT, "rb") as fh:
-        fed_path.write_bytes(fh.read())
-    fed_doc = CheckpointManager.load(str(fed_path))
-    site_doc = fed_doc["sites"]["london"]
-    assert fed_doc["format"] == site_doc["format"] == 2
-    site_path = tmp_path / "ckpt-format2.json"
+    fed_path, fed_doc, site_doc = _old_checkpoint(tmp_path, n)
+    assert fed_doc["format"] == site_doc["format"] == n
+    site_path = tmp_path / f"ckpt-format{n}.json"
     site_path.write_text(json.dumps(site_doc))
 
     target = FidelityHarness(_site())
     site_before = target.snapshot()["state_hash"]
     fed = build_federation(three_site_config(population=60_000))
     fed_before = sealed_federation(fed)[0]["state_hash"]
+    _refuse_builds(monkeypatch)
 
-    def built(*_args, **_kw):
-        raise AssertionError("a world was built from a refused document")
-    monkeypatch.setattr("repro.experiments.site.build_site", built)
-    monkeypatch.setattr("repro.federation.build.build_federation", built)
-    monkeypatch.setattr("repro.federation.build_federation", built)
-
-    refused = "checkpoint format 2 != supported 3"
+    refused = f"checkpoint format {n} != supported {FORMAT_VERSION}"
     for doc in (site_doc, fed_doc):
         with pytest.raises(ValueError, match=refused):
             restore_site(doc)
@@ -175,6 +197,27 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
     assert target.snapshot()["state_hash"] == site_before
     assert sealed_federation(fed)[0]["state_hash"] == fed_before
     assert not (tmp_path / "ck").exists()
+
+
+def test_a_config_the_restore_cannot_build_is_refused_by_name(
+        tmp_path, monkeypatch):
+    """A site document whose config is not :class:`SiteConfig`'s field
+    set -- here the format-3 fixture relabelled as the current format,
+    so the number check passes -- is a ``ValueError`` naming the
+    unknown and missing fields, and nothing is built first."""
+    from repro.persist import restore_site
+    _path, _fed_doc, doc = _old_checkpoint(tmp_path, 3)
+    doc["format"] = FORMAT_VERSION
+    doc["config"]["bogus"] = 1
+    del doc["config"]["observe"]
+    _refuse_builds(monkeypatch)
+
+    named = (r"unknown=\['agent_period', 'bogus', 'manual_targeting', "
+             r"'wake_max_period', 'with_feeds'\] missing=\['observe'\]")
+    with pytest.raises(ValueError, match=named):
+        restore_site(doc, extras=dict.fromkeys(doc["extras"]))
+    with pytest.raises(ValueError, match=named):
+        FidelityHarness.resume(doc)
 
 
 def test_wrong_kind_of_document_is_refused_before_anything_is_built(
@@ -277,6 +320,20 @@ def _manager(tmp_path, **kw):
     defaults.update(kw)
     return harness, CheckpointManager(harness.site, str(tmp_path),
                                       **defaults)
+
+
+def test_epochs_a_second_apart_keep_two_files(tmp_path):
+    """A checkpoint is named by its simulated second to the
+    millisecond: two forced epochs one simulated second apart leave
+    two files holding two different worlds."""
+    harness, mgr = _manager(tmp_path)
+    first = mgr.epoch(force=True)
+    harness.site.run(1.0)
+    second = mgr.epoch(force=True)
+    assert mgr.written == 2
+    assert mgr.checkpoints() == [first, second]
+    assert (CheckpointManager.load(first)["state_hash"]
+            != CheckpointManager.load(second)["state_hash"])
 
 
 def test_epoch_honours_cadence_and_force(tmp_path):
@@ -385,8 +442,8 @@ def test_a_failed_write_leaves_no_tmp_and_prune_sweeps_stale_ones(
     assert mgr.written == 0 and mgr.last_path is None
 
     # what a killed writer of this label left, and one of another's
-    stale = tmp_path / "ckpt-000000000.250h.json.tmp"
-    other = tmp_path / "other-000000000.250h.json.tmp"
+    stale = tmp_path / "ckpt-000000000900.000s.json.tmp"
+    other = tmp_path / "other-000000000900.000s.json.tmp"
     stale.write_text("{")
     other.write_text("{")
     path = mgr.epoch(force=True)

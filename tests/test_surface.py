@@ -46,8 +46,6 @@ a name on purpose, and its reason starts with one of the tags in
 - ``outside input:`` the value comes from outside the program (scenario
   JSON through ``FaultInjector.inject(**params)``, ``argv``);
 - ``primitive:`` a kernel, calendar or persist-vocabulary primitive;
-- ``persisted:`` removing it would change a ``_persist`` declaration or
-  a format-3 document, so it goes with the next format bump;
 - ``paper §N:`` the behaviour is the paper's own (§1-§4) -- §5 future
   work does not qualify;
 - ``ROADMAP item N:`` the ROADMAP names it as the knob a planned
@@ -73,7 +71,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 TESTS = os.path.join(ROOT, "tests")
 
-REASON = re.compile(r"(outside input|primitive|persisted"
+REASON = re.compile(r"(outside input|primitive"
                     r"|paper §[1-4](\.\d+)*|ROADMAP item \d+|test seam"
                     r"|error path|benchmark): \S")
 
@@ -106,38 +104,15 @@ UNPASSED_OK = {
         "ROADMAP item 1: the aged-world workload shrinks the log ring "
         "through it to reach a wrap",
     "repro.cluster.process.ProcessTable.spawn(args)":
-        "persisted: a process-table row's checkpointed args",
+        "paper §3.5: the only writer of the arguments SimProc.cmdline and "
+        "ProcessAccountant.per_command_args group processes by",
     "repro.cluster.process.ProcessTable.update(state)":
-        "persisted: the only writer of a row's checkpointed state once "
-        "it is in the table",
-    "repro.ops.downtime.DowntimeLedger.close_incident(escalated)":
-        "persisted: the only writer of the checkpointed "
-        "Incident.escalated",
+        "paper §3.5: the only writer of a blocked process, which the "
+        "vmstat sampler's blocked column counts",
     "repro.faults.injector.FaultInjector.disk_fill(mount)":
         "outside input: scenario JSON passes it through "
         "FaultInjector.inject",
     "repro.sim.kernel.Periodic.start(offset)": "primitive: the kernel's",
-    "repro.batch.workload.OvernightWorkload.__init__(manual_targeting)":
-        "persisted: the checkpointed SiteConfig.manual_targeting feeds it",
-    "repro.core.admin.AdministrationServers.__init__(agent_period)":
-        "persisted: the checkpointed SiteConfig.agent_period feeds it",
-    "repro.core.agent.Intelliagent.__init__(period)":
-        "persisted: the checkpointed SiteConfig.agent_period feeds it",
-    "repro.core.agent.Intelliagent.__init__(wake_max_period)":
-        "persisted: the checkpointed SiteConfig.wake_max_period feeds it",
-    "repro.core.suite.AgentSuite.__init__(period)":
-        "persisted: the checkpointed SiteConfig.agent_period feeds it",
-    "repro.core.suite.AgentSuite.__init__(wake_max_period)":
-        "persisted: the checkpointed SiteConfig.wake_max_period feeds it",
-    "repro.wake.policy.WakePolicy.__init__(max_period)":
-        "persisted: the checkpointed SiteConfig.wake_max_period feeds it",
-    "repro.trace.tracer.Tracer.__init__(capture_resumes)":
-        "persisted: the tracer's checkpointed capture_resumes",
-    "repro.ontology.dgspl.FederatedDgspl.__init__(freshness)":
-        "persisted: the checkpointed FederationConfig.digest_freshness "
-        "feeds it",
-    "repro.traffic.workload.regional_curves(regions)":
-        "persisted: the checkpointed FederationConfig.regions feeds it",
     "repro.relocate.orchestrator.ServiceRelocator._rollback(claimed)":
         "error path: a rolled-back relocation gives its claimed spare "
         "back; test_relocate_orchestrator"
@@ -149,42 +124,15 @@ UNPASSED_OK = {
 }
 
 UNENTERED_OK = {
-    "repro.apps.database.Database.connect_user":
-        "persisted: the only writer of the checkpointed connected_users",
-    "repro.apps.database.Database.disconnect_user":
-        "persisted: connect_user's pair over connected_users",
-    "repro.apps.database.Database.start_backup":
-        "persisted: the only writer of the checkpointed backup_running "
-        "and backup_event",
-    "repro.apps.database.Database._finish_backup":
-        "persisted: start_backup's checkpointed backup_event fires it",
-    "repro.apps.database.Database.checkpoint":
-        "persisted: the only writer of the checkpointed checkpoints count",
     "repro.apps.database.Database.db_metrics":
         "paper §3.6: the ten database measurements",
     "repro.apps.frontend.FrontendApp.login":
-        "persisted: the only writer of the checkpointed sessions",
+        "paper §3.1: the only writer of host.logged_in_users, the users "
+        "column of the DLSP and the DGSPL",
     "repro.apps.frontend.FrontendApp.logout":
-        "persisted: login's pair over sessions",
-    "repro.apps.marketfeed.MarketFeed.__init__":
-        "persisted: SiteConfig.with_feeds is in the checkpointed config, "
-        "and every product caller passes with_feeds=False",
-    "repro.apps.marketfeed.MarketFeed.start":
-        "persisted: with MarketFeed.__init__",
-    "repro.apps.marketfeed.MarketFeed.stop":
-        "persisted: with MarketFeed.__init__",
-    "repro.apps.marketfeed.MarketFeed._pump":
-        "persisted: with MarketFeed.__init__",
-    "repro.apps.marketfeed.MarketFeed.delivery_rate":
-        "persisted: with MarketFeed.__init__",
+        "paper §3.1: login's pair over host.logged_in_users",
     "repro.apps.webserver.WebServer.http_get":
         "paper §3.4: a web server's probe is an http get",
-    "repro.apps.webserver.WebServer.open_connection":
-        "persisted: the only writer of the checkpointed open_connections",
-    "repro.apps.webserver.WebServer.close_connection":
-        "persisted: open_connection's pair over open_connections",
-    "repro.cluster.cron.Crond.enable":
-        "persisted: the only writer of the checkpointed CronJob.enabled",
     "repro.cluster.filesystem.FileSystem.drop_head":
         "ROADMAP item 1: the aged-world workload's sampler log wrap",
     "repro.cluster.hardware.Component.degrade":
@@ -237,11 +185,6 @@ UNENTERED_OK = {
         "paper §3.5: measurements associated by matching timestamps",
     "repro.metrics.timeseries.TimeSeries.times":
         "paper §3.5: merge_by_timestamp matches on it",
-    "repro.metrics.timeseries.TimeSeries.snapshot_state":
-        "persisted: the telemetry hub's checkpointed series; no "
-        "checkpointed product run has the observe tier",
-    "repro.metrics.timeseries.TimeSeries.restore_state":
-        "persisted: with TimeSeries.snapshot_state",
     "repro.net.nameservice.NameService.lookup":
         "ROADMAP item 3: FederatedNameService.resolve_service asks a zone "
         "through it",
@@ -251,18 +194,8 @@ UNENTERED_OK = {
         "ROADMAP item 3: a federated fuzzer target -- other sites find a "
         "cross-site cutover through it",
     "repro.net.nameservice.NameService.slow":
-        "persisted: the only writer of the checkpointed degraded flag",
-    "repro.net.network.WanLink.degrade":
-        "persisted: the only writer of the checkpointed degraded flag",
-    "repro.observe.alerts.AlertManager._save_active":
-        "persisted: the alert manager's checkpointed active set; no "
-        "checkpointed product run has the observe tier",
-    "repro.observe.alerts.AlertManager._load_active":
-        "persisted: with AlertManager._save_active",
-    "repro.observe.pipeline.TelemetryHub._save_series":
-        "persisted: the telemetry hub's checkpointed series",
-    "repro.observe.pipeline.TelemetryHub._load_series":
-        "persisted: with TelemetryHub._save_series",
+        "paper §3.6: the only source of a slow name server, which the "
+        "OS/network agent's dns-slow finding and causal rule diagnose",
     "repro.ontology.base.encode_list":
         "paper §3.1.4: the hand-kept ISSL is written through it",
     "repro.ontology.base.decode_list":
@@ -275,8 +208,6 @@ UNENTERED_OK = {
         "paper §3.1.4: the hand-kept ISSL is written through it",
     "repro.ontology.base.OntologyDoc.write_to":
         "paper §3.1.4: the hand-kept ISSL is written through it",
-    "repro.ontology.dgspl.FederatedDgspl.set_freshness":
-        "persisted: the only writer of the checkpointed freshness map",
     "repro.ontology.slkt.Slkt.check":
         "paper §3.1: the SLKT is the constraint set a live host is "
         "checked against",
@@ -320,20 +251,6 @@ UNENTERED_OK = {
     "repro.sim.kernel.SimProcess.stop": "primitive: the kernel's",
     "repro.sim.kernel.Simulator.step": "primitive: the kernel's",
     "repro.sim.kernel.Periodic.cancel": "primitive: the kernel's",
-    "repro.trace.metrics.Gauge.__init__":
-        "persisted: the tracer registry's checkpointed gauges",
-    "repro.trace.metrics.Gauge.set":
-        "persisted: the tracer registry's checkpointed gauges",
-    "repro.trace.metrics.Gauge.add":
-        "persisted: the tracer registry's checkpointed gauges",
-    "repro.trace.metrics.Histogram.observe":
-        "persisted: the tracer registry's checkpointed histograms",
-    "repro.trace.metrics.Histogram.mean":
-        "persisted: the tracer registry's checkpointed histograms",
-    "repro.trace.metrics.MetricsRegistry.gauge":
-        "persisted: the tracer registry's checkpointed gauges",
-    "repro.trace.metrics.MetricsRegistry.histogram":
-        "persisted: the tracer registry's checkpointed histograms",
     "repro.traffic.engine.FluidTrafficEngine._account_shed":
         "error path: a door with no live server sheds its batch; "
         "test_traffic_engine"

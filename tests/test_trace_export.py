@@ -140,13 +140,11 @@ def test_span_durations_filtering():
 def test_metrics_summary_renders_all_kinds():
     tracer = Tracer()
     tracer.metrics.counter("agent.runs").inc(7)
-    tracer.metrics.gauge("queue.depth").set(3.0)
-    tracer.metrics.histogram("repair_s", buckets=(60.0,)).observe(30.0)
+    tracer.metrics.counter("cron.missed").inc(3)
     text = metrics_summary(tracer.metrics.snapshot(), title="T")
     assert text.startswith("T")
     assert "agent.runs" in text and "7.00" in text
-    assert "queue.depth" in text
-    assert "repair_s" in text
+    assert "cron.missed" in text and "3.00" in text
 
 
 def test_metrics_summary_empty():

@@ -15,7 +15,7 @@ def test_fixed_mode_never_moves():
 
 
 def test_adaptive_backs_off_multiplicatively_to_cap():
-    p = WakePolicy(300.0, mode="adaptive", max_period=1800.0)
+    p = WakePolicy(300.0, mode="adaptive")
     seen = []
     for _ in range(6):
         p.note_clean()
@@ -39,8 +39,9 @@ def test_findings_and_triggers_snap_back_to_base():
     assert p.triggers == 1
 
 
-def test_note_clean_reports_whether_period_changed():
-    p = WakePolicy(300.0, mode="adaptive", max_period=600.0)
+def test_note_clean_reports_whether_period_changed(monkeypatch):
+    monkeypatch.setattr(WakePolicy, "max_period", 600.0)
+    p = WakePolicy(300.0, mode="adaptive")
     assert p.note_clean()           # 300 -> 600
     assert not p.note_clean()       # already capped
 
@@ -51,4 +52,4 @@ def test_validation():
     with pytest.raises(ValueError):
         WakePolicy(0.0)
     with pytest.raises(ValueError):
-        WakePolicy(300.0, max_period=200.0)
+        WakePolicy(2 * WakePolicy.max_period)
