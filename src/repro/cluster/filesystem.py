@@ -18,13 +18,16 @@ file's size is computed once, and the directory bookkeeping runs only
 when a directory gains its first file.  The one memo, mount lookup, is
 keyed by *directory* -- directories recur, file names (flag and profile
 stamps) are minted per wake -- and is derived state: never snapshotted,
-dropped whenever the mount table changes.
+dropped whenever the mount table changes.  A file is two map entries,
+its lines and its mtime: written lines are a tuple the cyclic collector
+stops tracking (a file becomes a list on its first append), and the
+:class:`SimFile` a call returns is built for the caller, kept nowhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["FsError", "FsFullError", "FsOfflineError", "SimFile",
            "Mount", "FileSystem"]
@@ -42,17 +45,21 @@ class FsOfflineError(FsError):
     """The mount is unavailable (disk failed / not mounted)."""
 
 
+def _size(lines: Sequence[str]) -> int:
+    return sum(map(len, lines)) + len(lines)
+
+
 @dataclass(slots=True)
 class SimFile:
-    """A flat ASCII file: a list of lines plus metadata."""
+    """A flat ASCII file as one call saw it: its lines plus metadata."""
 
     path: str
-    lines: List[str] = field(default_factory=list)
-    mtime: float = 0.0
+    lines: Sequence[str]
+    mtime: float
 
     @property
     def size(self) -> int:
-        return sum(map(len, self.lines)) + len(self.lines)
+        return _size(self.lines)
 
 
 @dataclass
@@ -94,7 +101,9 @@ class FileSystem:
     )
 
     def __init__(self, mounts: Optional[Dict[str, int]] = None):
-        self._files: Dict[str, SimFile] = {}
+        #: path -> lines (a tuple until the file's first append)
+        self._files: Dict[str, Sequence[str]] = {}
+        self._mtimes: Dict[str, float] = {}
         self._dirs: set[str] = {"/"}
         #: directory -> names of files directly inside (fast listings)
         self._dir_index: Dict[str, set] = {}
@@ -163,15 +172,16 @@ class FileSystem:
     def write(self, path: str, lines: List[str] | str, now: float = 0.0) -> SimFile:
         """Create or truncate-and-write a file."""
         path = _norm(path)
-        lines = lines.splitlines() if isinstance(lines, str) else list(lines)
+        lines = tuple(lines.splitlines() if isinstance(lines, str) else lines)
         old = self._files.get(path)
-        growth = sum(map(len, lines)) + len(lines) - (old.size if old else 0)
+        growth = _size(lines) - (0 if old is None else _size(old))
         mount = self._check_writable(path, growth)
-        new = self._files[path] = SimFile(path, lines, now)
+        self._files[path] = lines
+        self._mtimes[path] = now
         mount.used_bytes += growth
         if old is None:
             self._index(path)
-        return new
+        return SimFile(path, lines, now)
 
     def _index(self, path: str) -> None:
         """Enter a new file in its directory's listing; the directory
@@ -185,27 +195,30 @@ class FileSystem:
 
     def append(self, path: str, line: str, now: float = 0.0) -> SimFile:
         path = _norm(path)
-        f = self._files.get(path)
         extra = len(line) + 1
         mount = self._check_writable(path, extra)
-        if f is None:
-            f = SimFile(path, [], mtime=now)
-            self._files[path] = f
+        lines = self._files.get(path)
+        if lines is None:
             self._index(path)
-        f.lines.append(line)
-        f.mtime = now
+        if type(lines) is not list:         # the file's first append
+            lines = self._files[path] = list(lines or ())
+        lines.append(line)
+        self._mtimes[path] = now
         mount.used_bytes += extra
-        return f
+        return SimFile(path, lines, now)
 
     def drop_head(self, path: str, count: int, now: float = 0.0) -> None:
         """Evict the oldest ``count`` lines in place: what
         ``write(path, lines[count:])`` does to the file, its mount and
         ``mtime``, without copying the lines that stay."""
         f = self.stat(path)
-        freed = sum(len(l) + 1 for l in f.lines[:count])
+        freed = _size(f.lines[:count])
         mount = self._check_writable(f.path, -freed)
-        del f.lines[:count]
-        f.mtime = now
+        if type(f.lines) is list:
+            del f.lines[:count]
+        else:
+            self._files[f.path] = f.lines[count:]
+        self._mtimes[f.path] = now
         mount.used_bytes -= freed
 
     def read(self, path: str) -> List[str]:
@@ -213,24 +226,26 @@ class FileSystem:
         mount = self._mount(path)
         if not mount.online:
             raise FsOfflineError(f"{mount.point}: I/O error")
-        f = self._files.get(path)
-        if f is None:
+        lines = self._files.get(path)
+        if lines is None:
             raise FsError(f"{path}: no such file")
-        return list(f.lines)
+        return list(lines)
 
     def stat(self, path: str) -> SimFile:
-        f = self._files.get(_norm(path))
-        if f is None:
+        key = _norm(path)
+        lines = self._files.get(key)
+        if lines is None:
             raise FsError(f"{path}: no such file")
-        return f
+        return SimFile(key, lines, self._mtimes[key])
 
     def remove(self, path: str) -> bool:
         path = _norm(path)
-        f = self._files.pop(path, None)
-        if f is None:
+        lines = self._files.pop(path, None)
+        if lines is None:
             return False
+        del self._mtimes[path]
         mount = self._mount(path)
-        mount.used_bytes = max(0, mount.used_bytes - f.size)
+        mount.used_bytes = max(0, mount.used_bytes - _size(lines))
         parent = path.rsplit("/", 1)[0] or "/"
         bucket = self._dir_index.get(parent)
         if bucket is not None:
@@ -273,13 +288,15 @@ class FileSystem:
             ],
             "dirs": sorted(self._dirs),
             "files": [
-                {"path": f.path, "lines": list(f.lines), "mtime": f.mtime}
-                for f in self._files.values()
+                {"path": path, "lines": list(lines),
+                 "mtime": self._mtimes[path]}
+                for path, lines in self._files.items()
             ],
         }
 
     def restore_state(self, state: dict) -> None:
         self._files.clear()
+        self._mtimes.clear()
         self._dirs = set(state["dirs"])
         self._dirs.add("/")
         self._dir_index.clear()
@@ -293,8 +310,6 @@ class FileSystem:
             self.mounts[mount.point] = mount
             self._dirs.add(mount.point)
         for row in state["files"]:
-            f = SimFile(row["path"], list(row["lines"]),
-                        mtime=float(row["mtime"]))
-            self._files[f.path] = f
-            parent = f.path.rsplit("/", 1)[0] or "/"
-            self._dir_index.setdefault(parent, set()).add(f.path)
+            self._files[row["path"]] = tuple(row["lines"])
+            self._mtimes[row["path"]] = float(row["mtime"])
+            self._index(row["path"])

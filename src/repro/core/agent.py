@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
+from repro.cluster.filesystem import FsError
 from repro.core.flags import FlagStore
 from repro.core.healing import ActionResult, apply_action
 from repro.core.parts import Finding, PartSwitches
@@ -72,6 +73,8 @@ class Intelliagent(Persistent):
     """Base class for the six agent categories."""
 
     category = "generic"
+    #: the causal rules: one table per class, shared by its agents
+    engine = RuleEngine()
     #: CPU cost of one wake, seconds of one CPU (shell-tool sweeps are
     #: cheap; this is what makes Fig. 3's ~0.045 % amortised cost)
     RUN_CPU_SECONDS = 0.018
@@ -113,8 +116,6 @@ class Intelliagent(Persistent):
         self.activity = CircularLog(host.fs,
                                     f"/logs/intelliagents/{name}/activity",
                                     maxlen=500)
-        self.engine = RuleEngine()
-        self.install_rules(self.engine)
         self.stats = RunStats()
         self._proc = None
         self._busy_until = 0.0
@@ -130,9 +131,6 @@ class Intelliagent(Persistent):
         self.cron_job = host.crond.register(name, self.period, self.run)
 
     # -- subclass surface ------------------------------------------------------
-
-    def install_rules(self, engine: RuleEngine) -> None:
-        """Populate the causal rules (constraints come from ontologies)."""
 
     def on_clean_run(self) -> None:
         """Hook: extra work on a no-fault wake (status agents rebuild
@@ -351,7 +349,7 @@ class Intelliagent(Persistent):
     def _flag(self, status: str, detail: str = "") -> None:
         try:
             self.flags.raise_flag(status, self.sim.now, detail)
-        except Exception:
+        except FsError:
             # a full /logs mount must not kill the agent: the *absence*
             # of flags is itself the watchdog's signal
             pass
@@ -361,7 +359,7 @@ class Intelliagent(Persistent):
             try:
                 self.activity.append(f"{self.sim.now:.1f} {message}",
                                      now=self.sim.now)
-            except Exception:
+            except FsError:
                 pass
 
     def _tell_admins(self, message: str) -> None:

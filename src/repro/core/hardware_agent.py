@@ -14,7 +14,7 @@ from typing import List
 
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
-from repro.core.reasoning import CausalRule, RuleEngine
+from repro.core.reasoning import CausalRule, RuleEngine, always
 
 __all__ = ["HardwareAgent"]
 
@@ -24,6 +24,12 @@ class HardwareAgent(Intelliagent):
 
     category = "hardware"
     RUN_CPU_SECONDS = 0.012
+    engine = RuleEngine((
+        CausalRule("hw-failed", "failed-fru", always,
+                   ("request_field_engineer",)),
+        CausalRule("hw-degraded", "failing-fru", always,
+                   ("request_field_engineer",)),
+    ))
 
     def __init__(self, host, **kw):
         super().__init__(host, "hardware", **kw)
@@ -46,11 +52,3 @@ class HardwareAgent(Intelliagent):
                                         "correctable errors accumulating",
                                         severity="warning"))
         return findings
-
-    def install_rules(self, engine: RuleEngine) -> None:
-        engine.extend([
-            CausalRule("hw-failed", "failed-fru", lambda h, f: True,
-                       ("request_field_engineer",)),
-            CausalRule("hw-degraded", "failing-fru", lambda h, f: True,
-                       ("request_field_engineer",)),
-        ])

@@ -31,22 +31,13 @@ class ActionResult:
     detail: str = ""
 
 
-def _find_app(host, subject: str):
-    app = host.apps.get(subject)
-    if app is None:
-        # subject may be "host/app"
-        _, _, name = subject.rpartition("/")
-        app = host.apps.get(name)
-    return app
-
-
 # -- service actions ------------------------------------------------------------
 
 
 def restart_app(host, subject: str) -> ActionResult:
     """Stop-and-start through the control script (the paper assumes
     startup/shutdown scripts exist for every application)."""
-    app = _find_app(host, subject)
+    app = host.apps.get(subject)
     if app is None:
         return ActionResult("restart_app", False, 0.0,
                             f"no app {subject!r}")
@@ -57,7 +48,7 @@ def restart_app(host, subject: str) -> ActionResult:
 
 
 def start_app(host, subject: str) -> ActionResult:
-    app = _find_app(host, subject)
+    app = host.apps.get(subject)
     if app is None:
         return ActionResult("start_app", False, 0.0, f"no app {subject!r}")
     res = host.shell.run(f"{app.name}_ctl start")
@@ -69,7 +60,7 @@ def start_app(host, subject: str) -> ActionResult:
 def restore_config(host, subject: str) -> ActionResult:
     """Revert configuration to the SLKT's known-good build ("undoing
     old configurations") and restart."""
-    app = _find_app(host, subject)
+    app = host.apps.get(subject)
     if app is None:
         return ActionResult("restore_config", False, 0.0,
                             f"no app {subject!r}")
@@ -86,7 +77,7 @@ def restore_data(host, subject: str) -> ActionResult:
     """Restore from the last backup, then start.  Slow but effective
     against corruption ("restoring old backups and overwriting current
     assumed 'invalid' settings")."""
-    app = _find_app(host, subject)
+    app = host.apps.get(subject)
     if app is None:
         return ActionResult("restore_data", False, 0.0,
                             f"no app {subject!r}")

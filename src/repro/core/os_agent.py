@@ -18,10 +18,39 @@ from typing import List, Optional
 
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
-from repro.core.reasoning import CausalRule, RuleEngine
+from repro.core.reasoning import CausalRule, RuleEngine, always
 from repro.core.thresholds import Baselines
 
 __all__ = ["OsNetworkAgent"]
+
+
+def leaking_process(host, finding) -> bool:
+    if finding.metric not in ("free_mb", "scan_rate", "page_out",
+                              "page_faults"):
+        return False
+    ram = host.effective_ram_mb()
+    return any(p.mem_mb > 0.3 * ram for p in host.ptable
+               if p.user != "root")
+
+
+def runaway_process(host, finding) -> bool:
+    if finding.metric not in ("run_queue", "cpu_idle", "load_avg"):
+        return False
+    return any(p.cpu_pct > 90.0 for p in host.ptable
+               if p.user not in ("root", "daemon"))
+
+
+def memory_pressure_real(host, finding) -> bool:
+    # genuine demand (no single culprit): notify capacity people
+    return finding.metric in ("free_mb", "scan_rate", "page_out")
+
+
+def hog_is_cpu(host, finding) -> bool:
+    return finding.metric == "proc_cpu"
+
+
+def hog_is_mem(host, finding) -> bool:
+    return finding.metric == "proc_mem"
 
 
 class OsNetworkAgent(Intelliagent):
@@ -29,6 +58,24 @@ class OsNetworkAgent(Intelliagent):
 
     category = "os-network"
     RUN_CPU_SECONDS = 0.022      # vmstat+netstat+ping sweep
+    engine = RuleEngine((
+        CausalRule("proc-hog", "runaway-process",
+                   hog_is_cpu, ("kill_runaway",)),
+        CausalRule("proc-hog", "memory-leak",
+                   hog_is_mem, ("kill_leaky",)),
+        CausalRule("os-threshold", "memory-leak",
+                   leaking_process, ("kill_leaky",)),
+        CausalRule("os-threshold", "runaway-process",
+                   runaway_process, ("kill_runaway",)),
+        CausalRule("os-threshold", "genuine-memory-demand",
+                   memory_pressure_real, ()),
+        # network: detect, pinpoint, notify -- never auto-fix
+        CausalRule("nic-failed", "interface-hardware", always, ()),
+        CausalRule("nic-errors", "cabling-or-duplex", always, ()),
+        CausalRule("net-unreachable", "lan-or-firewall", always, ()),
+        CausalRule("dns-down", "name-server-outage", always, ()),
+        CausalRule("dns-slow", "name-server-degraded", always, ()),
+    ))
 
     def __init__(self, host, *, baselines: Optional[Baselines] = None,
                  nameservice=None, **kw):
@@ -100,54 +147,3 @@ class OsNetworkAgent(Intelliagent):
                                         f"response {ms:.0f} ms",
                                         severity="warning"))
         return findings
-
-    # -- causal rules --------------------------------------------------------------------
-
-    def install_rules(self, engine: RuleEngine) -> None:
-        def leaking_process(host, finding) -> bool:
-            if finding.metric not in ("free_mb", "scan_rate", "page_out",
-                                      "page_faults"):
-                return False
-            ram = host.effective_ram_mb()
-            return any(p.mem_mb > 0.3 * ram for p in host.ptable
-                       if p.user != "root")
-
-        def runaway_process(host, finding) -> bool:
-            if finding.metric not in ("run_queue", "cpu_idle", "load_avg"):
-                return False
-            return any(p.cpu_pct > 90.0 for p in host.ptable
-                       if p.user not in ("root", "daemon"))
-
-        def memory_pressure_real(host, finding) -> bool:
-            # genuine demand (no single culprit): notify capacity people
-            return finding.metric in ("free_mb", "scan_rate", "page_out")
-
-        def hog_is_cpu(host, finding) -> bool:
-            return finding.metric == "proc_cpu"
-
-        def hog_is_mem(host, finding) -> bool:
-            return finding.metric == "proc_mem"
-
-        engine.extend([
-            CausalRule("proc-hog", "runaway-process",
-                       hog_is_cpu, ("kill_runaway",)),
-            CausalRule("proc-hog", "memory-leak",
-                       hog_is_mem, ("kill_leaky",)),
-            CausalRule("os-threshold", "memory-leak",
-                       leaking_process, ("kill_leaky",)),
-            CausalRule("os-threshold", "runaway-process",
-                       runaway_process, ("kill_runaway",)),
-            CausalRule("os-threshold", "genuine-memory-demand",
-                       memory_pressure_real, ()),
-            # network: detect, pinpoint, notify -- never auto-fix
-            CausalRule("nic-failed", "interface-hardware",
-                       lambda h, f: True, ()),
-            CausalRule("nic-errors", "cabling-or-duplex",
-                       lambda h, f: True, ()),
-            CausalRule("net-unreachable", "lan-or-firewall",
-                       lambda h, f: True, ()),
-            CausalRule("dns-down", "name-server-outage",
-                       lambda h, f: True, ()),
-            CausalRule("dns-slow", "name-server-degraded",
-                       lambda h, f: True, ()),
-        ])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.cluster.filesystem import FsError
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
 from repro.core.reasoning import CausalRule, RuleEngine
@@ -30,6 +31,19 @@ from repro.persist.core import scalar, scalars
 __all__ = ["PerformanceAgent"]
 
 
+def top_user_suspect(host, finding) -> bool:
+    return ProcessAccountant(host).heaviest_user()[1] > 50.0
+
+
+def paging_suspect(host, finding) -> bool:
+    return finding.metric in ("scan_rate", "page_out", "free_mb",
+                              "page_faults")
+
+
+def io_suspect(host, finding) -> bool:
+    return "asvc_t" in finding.metric or "busy" in finding.metric
+
+
 class PerformanceAgent(Intelliagent):
     """One per host."""
 
@@ -37,6 +51,13 @@ class PerformanceAgent(Intelliagent):
     RUN_CPU_SECONDS = 0.035      # the full five-group sweep
     _persist_extra = (*scalars(int, "breaches_seen", "reports_sent"),
                       scalar("samples_taken", int, "samplers.samples_taken"))
+    #: limited troubleshooting: suggestions only, no actions
+    engine = RuleEngine((
+        CausalRule("perf-threshold", "user-workload-spike",
+                   top_user_suspect, ()),
+        CausalRule("perf-threshold", "memory-pressure", paging_suspect, ()),
+        CausalRule("perf-threshold", "io-bottleneck", io_suspect, ()),
+    ))
 
     def __init__(self, host, *, baselines: Optional[Baselines] = None, **kw):
         self.baselines = baselines or Baselines.for_host(host)
@@ -64,27 +85,6 @@ class PerformanceAgent(Intelliagent):
                 metric=breach.metric, value=breach.value))
         return findings
 
-    def install_rules(self, engine: RuleEngine) -> None:
-        # limited troubleshooting: suggestions only, no actions
-        def top_user_suspect(host, finding) -> bool:
-            user, cpu = ProcessAccountant(host).heaviest_user()
-            return cpu > 50.0
-
-        def paging_suspect(host, finding) -> bool:
-            return finding.metric in ("scan_rate", "page_out", "free_mb",
-                                      "page_faults")
-
-        def io_suspect(host, finding) -> bool:
-            return "asvc_t" in finding.metric or "busy" in finding.metric
-
-        engine.extend([
-            CausalRule("perf-threshold", "user-workload-spike",
-                       top_user_suspect, ()),
-            CausalRule("perf-threshold", "memory-pressure",
-                       paging_suspect, ()),
-            CausalRule("perf-threshold", "io-bottleneck", io_suspect, ()),
-        ])
-
     def _escalate(self, diag, reason: str) -> None:
         """A breach escalation carries the narrowed-down report."""
         self._write_report(diag)
@@ -99,7 +99,7 @@ class PerformanceAgent(Intelliagent):
         try:
             for line in lines:
                 self.report_log.append(line, now=self.sim.now)
-        except Exception:
+        except FsError:
             pass
 
     def timeline(self, group: str, metric: str):

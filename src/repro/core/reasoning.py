@@ -11,17 +11,24 @@ The engine is a compact cause-elimination loop: for a symptom
 order; each :class:`CausalRule` carries a *test* -- a discriminating
 observation made through shell commands or log greps -- and the first
 cause whose test confirms wins.  The constraints (thresholds, expected
-process tables) come from the SLKT/baseline ontologies, not from code.
+process tables) come from the SLKT/baseline ontologies, not from code,
+and the rules are class data: each agent class declares one engine
+that all its agents share, each test a module-level function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.parts import Finding
 
-__all__ = ["CausalRule", "Diagnosis", "RuleEngine"]
+__all__ = ["CausalRule", "Diagnosis", "RuleEngine", "always"]
+
+
+def always(host, finding: Finding) -> bool:
+    """The test of a symptom that names its own cause."""
+    return True
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,6 @@ class CausalRule:
     cause: str
     test: Callable[[object, Finding], bool]
     actions: tuple
-    confidence: float = 1.0
 
 
 @dataclass
@@ -55,17 +61,12 @@ class Diagnosis:
 
 
 class RuleEngine:
-    """Ordered causal rules keyed by symptom kind."""
+    """Ordered causal rules keyed by symptom kind, fixed when built."""
 
-    def __init__(self):
+    def __init__(self, rules: Sequence[CausalRule] = ()):
         self._rules: Dict[str, List[CausalRule]] = {}
-
-    def add_rule(self, rule: CausalRule) -> None:
-        self._rules.setdefault(rule.symptom, []).append(rule)
-
-    def extend(self, rules: Sequence[CausalRule]) -> None:
-        for r in rules:
-            self.add_rule(r)
+        for rule in rules:
+            self._rules.setdefault(rule.symptom, []).append(rule)
 
     def diagnose(self, host, finding: Finding) -> Diagnosis:
         """Walk the candidate causes for this symptom; first confirmed

@@ -9,14 +9,26 @@ filesystem fill levels (healed by pruning logs), failed spindles
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
-from repro.core.reasoning import CausalRule, RuleEngine
-from repro.core.thresholds import Baselines
+from repro.core.reasoning import CausalRule, RuleEngine, always
 
 __all__ = ["ResourceAgent"]
+
+
+def logs_grew(host, finding) -> bool:
+    # the usual culprit for a full filesystem is log growth
+    return finding.subject in ("/logs", "/var")
+
+
+def data_growth(host, finding) -> bool:
+    return finding.subject in ("/data", "/apps")
+
+
+def io_saturated(host, finding) -> bool:
+    return host.io_pressure() > 0.8
 
 
 class ResourceAgent(Intelliagent):
@@ -30,8 +42,18 @@ class ResourceAgent(Intelliagent):
     #: disk service time threshold, ms (30 s iostat intervals, §3.6)
     SVC_LIMIT = 60.0
 
-    def __init__(self, host, *, baselines: Optional[Baselines] = None, **kw):
-        self.baselines = baselines or Baselines.for_host(host)
+    engine = RuleEngine((
+        CausalRule("fs-full", "log-growth", logs_grew, ("clean_logs",)),
+        # /data filling is real growth: capacity decision for humans
+        CausalRule("fs-full", "data-growth", data_growth, ()),
+        CausalRule("fs-offline", "dead-spindle-or-controller", always,
+                   ("request_field_engineer",)),
+        CausalRule("disk-failed", "dead-spindle", always,
+                   ("request_field_engineer",)),
+        CausalRule("disk-slow", "io-saturation", io_saturated, ()),
+    ))
+
+    def __init__(self, host, **kw):
         super().__init__(host, "resource", **kw)
 
     def monitor(self) -> List[Finding]:
@@ -57,25 +79,3 @@ class ResourceAgent(Intelliagent):
                     severity="warning",
                     metric="asvc_t", value=row["asvc_t"]))
         return findings
-
-    def install_rules(self, engine: RuleEngine) -> None:
-        def logs_grew(host, finding) -> bool:
-            # the usual culprit for a full filesystem is log growth
-            return finding.subject in ("/logs", "/var")
-
-        def data_growth(host, finding) -> bool:
-            return finding.subject in ("/data", "/apps")
-
-        def io_saturated(host, finding) -> bool:
-            return host.io_pressure() > 0.8
-
-        engine.extend([
-            CausalRule("fs-full", "log-growth", logs_grew, ("clean_logs",)),
-            # /data filling is real growth: capacity decision for humans
-            CausalRule("fs-full", "data-growth", data_growth, ()),
-            CausalRule("fs-offline", "dead-spindle-or-controller",
-                       lambda h, f: True, ("request_field_engineer",)),
-            CausalRule("disk-failed", "dead-spindle",
-                       lambda h, f: True, ("request_field_engineer",)),
-            CausalRule("disk-slow", "io-saturation", io_saturated, ()),
-        ])

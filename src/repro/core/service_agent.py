@@ -29,17 +29,67 @@ from repro.ontology.slkt import Slkt
 __all__ = ["ServiceAgent"]
 
 
-def _grep_app_errors(host, app_name: str, contains: str) -> bool:
-    recs = host.syslog.grep(tag=app_name, min_severity="err",
-                            since=host.sim.now - 7200.0,
-                            contains=contains)
-    return bool(recs)
+# causal rule tests: every finding a service agent makes names its app
+
+def _grep_app_errors(host, finding, *phrases: str) -> bool:
+    return any(host.syslog.grep(tag=finding.subject, min_severity="err",
+                                since=host.sim.now - 7200.0,
+                                contains=phrase)
+               for phrase in phrases)
+
+
+def is_misconfigured(host, finding) -> bool:
+    # static diagnosis: the error log carries the startup abort
+    return _grep_app_errors(host, finding, "configuration",
+                            "startup parameters")
+
+
+def is_corrupt(host, finding) -> bool:
+    return _grep_app_errors(host, finding, "corrupt", "corruption")
+
+
+def is_crashed(host, finding) -> bool:
+    app = host.apps.get(finding.subject)
+    return app is not None and app.state in (AppState.CRASHED,
+                                             AppState.STOPPED)
+
+
+def is_hung(host, finding) -> bool:
+    app = host.apps.get(finding.subject)
+    return app is not None and app.state is AppState.HUNG
+
+
+def is_degraded_procs(host, finding) -> bool:
+    app = host.apps.get(finding.subject)
+    return app is not None and app.is_running()
+
+
+def host_overloaded(host, finding) -> bool:
+    return host.load_average() > host.spec.max_load
 
 
 class ServiceAgent(Intelliagent):
     """Looks after exactly one application."""
 
     category = "service"
+    engine = RuleEngine((
+        # ordered causes for a dead service
+        CausalRule("service-down", "misconfiguration",
+                   is_misconfigured, ("restore_config",)),
+        CausalRule("service-down", "data-corruption",
+                   is_corrupt, ("restore_data",)),
+        CausalRule("service-down", "process-crash",
+                   is_crashed, ("restart_app",)),
+        # latent error: restart clears it
+        CausalRule("service-hung", "latent-deadlock",
+                   is_hung, ("restart_app",)),
+        # missing worker daemons: bounce the app
+        CausalRule("proc-missing", "partial-failure",
+                   is_degraded_procs, ("restart_app",)),
+        # slow service on an overloaded host: nothing to kill here,
+        # the OS/resource agents own load problems; just report
+        CausalRule("service-slow", "host-overload", host_overloaded, ()),
+    ))
 
     def __init__(self, host, app_name: str, *, slkt: Optional[Slkt] = None,
                  **kw):
@@ -88,53 +138,3 @@ class ServiceAgent(Intelliagent):
                                     metric=f"{self.app_name}_response_ms",
                                     value=ms))
         return findings
-
-    # -- causal rules --------------------------------------------------------------
-
-    def install_rules(self, engine: RuleEngine) -> None:
-        name = self.app_name
-
-        def is_misconfigured(host, finding) -> bool:
-            # static diagnosis: the error log carries the startup abort
-            return (_grep_app_errors(host, name, "configuration")
-                    or _grep_app_errors(host, name, "startup parameters"))
-
-        def is_corrupt(host, finding) -> bool:
-            return (_grep_app_errors(host, name, "corrupt")
-                    or _grep_app_errors(host, name, "corruption"))
-
-        def is_crashed(host, finding) -> bool:
-            app = host.apps.get(name)
-            return app is not None and app.state in (AppState.CRASHED,
-                                                     AppState.STOPPED)
-
-        def is_hung(host, finding) -> bool:
-            app = host.apps.get(name)
-            return app is not None and app.state is AppState.HUNG
-
-        def is_degraded_procs(host, finding) -> bool:
-            app = host.apps.get(name)
-            return app is not None and app.is_running()
-
-        def host_overloaded(host, finding) -> bool:
-            return host.load_average() > host.spec.max_load
-
-        engine.extend([
-            # ordered causes for a dead service
-            CausalRule("service-down", "misconfiguration",
-                       is_misconfigured, ("restore_config",)),
-            CausalRule("service-down", "data-corruption",
-                       is_corrupt, ("restore_data",)),
-            CausalRule("service-down", "process-crash",
-                       is_crashed, ("restart_app",)),
-            # latent error: restart clears it
-            CausalRule("service-hung", "latent-deadlock",
-                       is_hung, ("restart_app",)),
-            # missing worker daemons: bounce the app
-            CausalRule("proc-missing", "partial-failure",
-                       is_degraded_procs, ("restart_app",)),
-            # slow service on an overloaded host: nothing to kill here,
-            # the OS/resource agents own load problems; just report
-            CausalRule("service-slow", "host-overload",
-                       host_overloaded, ()),
-        ])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.cluster.filesystem import FsError
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
 from repro.ontology.dlsp import Dlsp, DlspBuilder, build_dlsp
@@ -84,7 +85,7 @@ class StatusAgent(Intelliagent):
         path = f"{DLSP_DIR}/{self.host.name}.{self.sim.now:.0f}"
         try:
             self.host.fs.write(path, lines, now=dlsp.generated_at)
-        except Exception:
+        except FsError:
             pass        # a full disk must not stop the shipment
         if self._oldest_profile is not None:
             # the name carries the stamp rounded to the second

@@ -58,8 +58,7 @@ class AgentSuite(Persistent):
         self.hardware = HardwareAgent(host, **common)
         self.osnet = OsNetworkAgent(host, baselines=self.baselines,
                                     nameservice=nameservice, **common)
-        self.resource = ResourceAgent(host, baselines=self.baselines,
-                                      **common)
+        self.resource = ResourceAgent(host, **common)
         self.perf = PerformanceAgent(host, baselines=self.baselines,
                                      **common)
         self.status = StatusAgent(host, deliver=deliver_dlsp, **common)

@@ -17,7 +17,7 @@ __all__ = ["CircularLog"]
 
 
 class CircularLog:
-    """A fixed-capacity append log backed by a SimFile."""
+    """A fixed-capacity append log backed by a host filesystem file."""
 
     def __init__(self, fs, path: str, maxlen: int = 1000):
         if maxlen <= 0:

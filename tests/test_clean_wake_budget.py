@@ -8,7 +8,13 @@ of the same profile, a flag record built only to be named, a second
 parse of the same command line, a second normalisation of the same
 path -- so the cost cannot creep back unnoticed.  Same spirit as
 ``test_memory_discipline.py``; every count is deterministic.
+
+What the wakes leave for the cyclic collector is pinned the same way:
+nothing a clean wake writes (a flag, a profile) and nothing an agent
+reasons with (its causal rules) is an object the collector tracks.
 """
+
+import gc
 
 import pytest
 
@@ -16,6 +22,7 @@ from repro.cluster import filesystem as fs_mod
 from repro.cluster import shell as shell_mod
 from repro.cluster.filesystem import FileSystem
 from repro.core.flags import Flag, FlagStore
+from repro.core.reasoning import CausalRule
 from repro.core.status_agent import FULL_REBUILD_EVERY, StatusAgent
 from repro.experiments.wakes import build_fleet
 from repro.ontology.dlsp import Dlsp
@@ -141,6 +148,48 @@ def test_status_wake_renders_its_profile_once():
             suite.status.deliver = received
         site.run(4 * 3600.0)        # clean agents back off to 1800 s
     assert per_wake == {False: {1}, True: {2}}
+
+
+def test_clean_grids_leave_the_collector_only_the_rearmed_cron_events(
+        fleet):
+    """A flag or profile file is a tuple of strings the collector stops
+    tracking; what three grids leave behind is each cron job's next
+    event, its heap entry and its bound callback."""
+    sim, suites = fleet
+    sim.run(until=sim.now + 3 * GRID)        # past every first-wake cost
+    gc.collect()
+    before = gc.get_objects()       # held, so no id in it is reused
+    known = {id(obj) for obj in before}
+    sim.run(until=sim.now + 3 * GRID)
+    gc.collect()
+    tracked = gc.get_objects()
+    survivors = [obj for obj in tracked if id(obj) not in known
+                 and obj is not before and obj is not known]
+    armed = {id(obj) for obj in survivors if type(obj) is Event}
+    assert len(armed) == 6 * len(suites)
+    owned = set(armed)
+    for entry in sim._heap:
+        if id(entry[-1]) in armed:
+            owned |= {id(entry), id(entry[-1].fn)}
+    assert [obj for obj in survivors if id(obj) not in owned] == []
+
+
+def test_agents_of_one_class_share_one_rule_table(fleet):
+    _sim, suites = fleet
+    first, second = suites[0].agents, suites[1].agents
+    assert [type(a) for a in first] == [type(a) for a in second]
+    for mine, theirs in zip(first, second):
+        assert mine.engine is theirs.engine
+        assert "engine" not in vars(mine)
+
+
+def test_a_second_fleet_build_mints_no_causal_rule(monkeypatch):
+    build_fleet(2, "fixed", seed=0)
+    made = []
+    _counted(monkeypatch, CausalRule, "__init__",
+             lambda args, _r: made.append(args))
+    build_fleet(2, "fixed", seed=0)
+    assert made == []
 
 
 def test_a_command_line_is_tokenised_once(fleet, monkeypatch):

@@ -96,3 +96,15 @@ def test_fill_sets_usage(fs):
 def test_df_sorted(fs):
     points = [m.point for m in fs.df()]
     assert points == sorted(points)
+
+
+def test_write_and_append_return_what_the_benchmark_harness_tallies(fs):
+    """``benchmarks/e2e/layers.py`` counts bytes written as
+    ``write(...).size`` and ``append(...).lines[-1]`` plus a newline."""
+    assert fs.write("/logs/f", ["abc", "de"]).size == 7
+    assert fs.write("/logs/e", []).size == 0
+    appended = fs.append("/logs/f", "xyz", now=3.0)
+    assert appended.lines[-1] == "xyz"
+    assert (appended.path, appended.mtime, appended.size) == (
+        "/logs/f", 3.0, 11)
+    assert fs.append("/logs/new", "q").lines[-1] == "q"

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.flags import FlagStore
+from repro.core.parts import Finding
+from repro.core.reasoning import Diagnosis
 from repro.core.service_agent import ServiceAgent
+from repro.experiments.wakes import build_fleet
 
 
 @pytest.fixture
@@ -158,3 +161,31 @@ def test_flag_write_failure_does_not_kill_agent(agent, database, sim):
     database.host.fs.fill("/logs", 1.0)
     agent.run()                   # must not raise
     assert agent.stats.runs == 1
+
+
+def test_a_full_logs_mount_lets_every_wake_complete():
+    """Flags, the activity log, profiles and reports all live on
+    ``/logs``; a full mount costs them their files, not their wakes."""
+    _sim, _dc, (suite,) = build_fleet(1, "fixed", seed=0)
+    suite.host.fs.fill("/logs", 1.0)
+    runs = [agent.stats.runs for agent in suite.agents]
+    for agent in suite.agents:
+        agent.run()
+    assert [agent.stats.runs for agent in suite.agents] == [
+        n + 1 for n in runs]
+    built = suite.status.profiles_built
+    assert suite.status.build_and_ship() is not None
+    assert suite.status.profiles_built == built + 1
+    suite.perf._write_report(Diagnosis(
+        Finding("perf-threshold", suite.host.name, "scan_rate=900"),
+        "memory-pressure", []))
+    assert suite.perf.reports_sent == 1
+
+
+def test_a_non_filesystem_error_in_raise_flag_propagates(
+        agent, database, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise TypeError("not a filesystem failure")
+    monkeypatch.setattr(database.host.fs, "write", broken)
+    with pytest.raises(TypeError, match="not a filesystem failure"):
+        agent.run()

@@ -158,13 +158,13 @@ UNENTERED_OK = {
         "deactivated",
     "repro.core.parts.PartSwitches._flip":
         "paper §3.3: activate and deactivate flip a part through it",
-    "repro.core.resource_agent.ResourceAgent.install_rules.data_growth":
+    "repro.core.resource_agent.data_growth":
         "paper §3.3: a diagnosing rule no product fault reaches -- /data "
         "filling up is growth, a capacity decision for humans",
-    "repro.core.resource_agent.ResourceAgent.install_rules.io_saturated":
+    "repro.core.resource_agent.io_saturated":
         "paper §3.3: a diagnosing rule no product fault reaches -- a slow "
         "disk under I/O saturation",
-    "repro.core.service_agent.ServiceAgent.install_rules.host_overloaded":
+    "repro.core.service_agent.host_overloaded":
         "paper §3.3: a diagnosing rule no product fault reaches -- a dead "
         "service on an overloaded host",
     "repro.core.thresholds.Baselines.adjust":
