@@ -19,9 +19,10 @@ when a directory gains its first file.  The one memo, mount lookup, is
 keyed by *directory* -- directories recur, file names (flag and profile
 stamps) are minted per wake -- and is derived state: never snapshotted,
 dropped whenever the mount table changes.  A file is two map entries,
-its lines and its mtime: written lines are a tuple the cyclic collector
-stops tracking (a file becomes a list on its first append), and the
-:class:`SimFile` a call returns is built for the caller, kept nowhere.
+its lines and, in its directory's ``{path: mtime}`` listing, its mtime:
+written lines are a tuple the cyclic collector stops tracking (a file
+becomes a list on its first append), and the :class:`SimFile` a call
+returns is built for the caller, kept nowhere.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class Mount:
         return 100.0 * self.used_bytes / self.capacity_bytes
 
 
+def _parent(path: str) -> str:
+    return path.rsplit("/", 1)[0] or "/"
+
+
 def _norm(path: str) -> str:
     if not path.startswith("/"):
         raise FsError(f"path must be absolute: {path!r}")
@@ -103,10 +108,9 @@ class FileSystem:
     def __init__(self, mounts: Optional[Dict[str, int]] = None):
         #: path -> lines (a tuple until the file's first append)
         self._files: Dict[str, Sequence[str]] = {}
-        self._mtimes: Dict[str, float] = {}
         self._dirs: set[str] = {"/"}
-        #: directory -> names of files directly inside (fast listings)
-        self._dir_index: Dict[str, set] = {}
+        #: directory -> {path: mtime} of the files directly inside
+        self._dir_index: Dict[str, Dict[str, float]] = {}
         self.mounts: Dict[str, Mount] = {}
         #: directory -> mount of the paths directly inside it
         self._mount_cache: Dict[str, Mount] = {}
@@ -123,14 +127,13 @@ class FileSystem:
         self._mount_cache.clear()
         return mount
 
-    def _mount(self, path: str) -> Mount:
+    def _mount(self, path: str, parent: str) -> Mount:
         """The longest-prefix mount of a normalised path.  A mount
         point is its own mount; any other path shares the mount of its
-        parent directory, which is what the memo is keyed by."""
+        ``parent`` directory, which is what the memo is keyed by."""
         mount = self.mounts.get(path)
         if mount is not None:
             return mount
-        parent = path.rsplit("/", 1)[0] or "/"
         best = self._mount_cache.get(parent)
         if best is not None:
             return best
@@ -143,9 +146,9 @@ class FileSystem:
         self._mount_cache[parent] = best
         return best
 
-    def _check_writable(self, path: str, extra_bytes: int) -> Mount:
+    def _check_writable(self, path: str, parent: str, extra_bytes: int) -> Mount:
         """``path`` is already normalised."""
-        mount = self._mount(path)
+        mount = self._mount(path, parent)
         if not mount.online:
             raise FsOfflineError(f"{mount.point}: I/O error")
         if mount.readonly:
@@ -158,11 +161,9 @@ class FileSystem:
 
     def mkdir(self, path: str) -> None:
         path = _norm(path)
-        parts = path.strip("/").split("/")
-        cur = ""
-        for part in parts:
-            cur += "/" + part
-            self._dirs.add(cur)
+        while path != "/":
+            self._dirs.add(path)
+            path = _parent(path)
 
     # -- files -----------------------------------------------------------
 
@@ -172,38 +173,35 @@ class FileSystem:
     def write(self, path: str, lines: List[str] | str, now: float = 0.0) -> SimFile:
         """Create or truncate-and-write a file."""
         path = _norm(path)
+        parent = _parent(path)
         lines = tuple(lines.splitlines() if isinstance(lines, str) else lines)
         old = self._files.get(path)
         growth = _size(lines) - (0 if old is None else _size(old))
-        mount = self._check_writable(path, growth)
+        mount = self._check_writable(path, parent, growth)
         self._files[path] = lines
-        self._mtimes[path] = now
+        self._listing(parent)[path] = now
         mount.used_bytes += growth
-        if old is None:
-            self._index(path)
         return SimFile(path, lines, now)
 
-    def _index(self, path: str) -> None:
-        """Enter a new file in its directory's listing; the directory
-        (and its ancestors) are created with its first file."""
-        parent = path.rsplit("/", 1)[0] or "/"
-        bucket = self._dir_index.get(parent)
-        if bucket is None:
+    def _listing(self, parent: str) -> Dict[str, float]:
+        """A directory's listing; the directory (and its ancestors) are
+        created with its first file."""
+        listing = self._dir_index.get(parent)
+        if listing is None:
             self.mkdir(parent)
-            bucket = self._dir_index[parent] = set()
-        bucket.add(path)
+            listing = self._dir_index[parent] = {}
+        return listing
 
     def append(self, path: str, line: str, now: float = 0.0) -> SimFile:
         path = _norm(path)
+        parent = _parent(path)
         extra = len(line) + 1
-        mount = self._check_writable(path, extra)
+        mount = self._check_writable(path, parent, extra)
         lines = self._files.get(path)
-        if lines is None:
-            self._index(path)
         if type(lines) is not list:         # the file's first append
             lines = self._files[path] = list(lines or ())
         lines.append(line)
-        self._mtimes[path] = now
+        self._listing(parent)[path] = now
         mount.used_bytes += extra
         return SimFile(path, lines, now)
 
@@ -211,19 +209,23 @@ class FileSystem:
         """Evict the oldest ``count`` lines in place: what
         ``write(path, lines[count:])`` does to the file, its mount and
         ``mtime``, without copying the lines that stay."""
-        f = self.stat(path)
-        freed = _size(f.lines[:count])
-        mount = self._check_writable(f.path, -freed)
-        if type(f.lines) is list:
-            del f.lines[:count]
+        key = _norm(path)
+        lines = self._files.get(key)
+        if lines is None:
+            raise FsError(f"{path}: no such file")
+        parent = _parent(key)
+        freed = _size(lines[:count])
+        mount = self._check_writable(key, parent, -freed)
+        if type(lines) is list:
+            del lines[:count]
         else:
-            self._files[f.path] = f.lines[count:]
-        self._mtimes[f.path] = now
+            self._files[key] = lines[count:]
+        self._dir_index[parent][key] = now
         mount.used_bytes -= freed
 
     def read(self, path: str) -> List[str]:
         path = _norm(path)
-        mount = self._mount(path)
+        mount = self._mount(path, _parent(path))
         if not mount.online:
             raise FsOfflineError(f"{mount.point}: I/O error")
         lines = self._files.get(path)
@@ -236,20 +238,17 @@ class FileSystem:
         lines = self._files.get(key)
         if lines is None:
             raise FsError(f"{path}: no such file")
-        return SimFile(key, lines, self._mtimes[key])
+        return SimFile(key, lines, self._dir_index[_parent(key)][key])
 
     def remove(self, path: str) -> bool:
         path = _norm(path)
         lines = self._files.pop(path, None)
         if lines is None:
             return False
-        del self._mtimes[path]
-        mount = self._mount(path)
+        parent = _parent(path)
+        del self._dir_index[parent][path]
+        mount = self._mount(path, parent)
         mount.used_bytes = max(0, mount.used_bytes - _size(lines))
-        parent = path.rsplit("/", 1)[0] or "/"
-        bucket = self._dir_index.get(parent)
-        if bucket is not None:
-            bucket.discard(path)
         return True
 
     def glob_files(self, prefix: str) -> List[str]:
@@ -275,10 +274,10 @@ class FileSystem:
     # -- persistence -----------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Files in creation order (listings sort, but the directory
-        index is rebuilt from this order), mounts with their accounting
-        -- ``used_bytes`` is authoritative, not recomputed, because
-        fault injection can set it directly via :meth:`fill`."""
+        """Files in creation order (listings sort, but they are
+        refilled in this order), mounts with their accounting --
+        ``used_bytes`` is authoritative, not recomputed, because fault
+        injection can set it directly via :meth:`fill`."""
         return {
             "mounts": [
                 {"point": m.point, "capacity_bytes": m.capacity_bytes,
@@ -289,14 +288,13 @@ class FileSystem:
             "dirs": sorted(self._dirs),
             "files": [
                 {"path": path, "lines": list(lines),
-                 "mtime": self._mtimes[path]}
+                 "mtime": self._dir_index[_parent(path)][path]}
                 for path, lines in self._files.items()
             ],
         }
 
     def restore_state(self, state: dict) -> None:
         self._files.clear()
-        self._mtimes.clear()
         self._dirs = set(state["dirs"])
         self._dirs.add("/")
         self._dir_index.clear()
@@ -310,6 +308,6 @@ class FileSystem:
             self.mounts[mount.point] = mount
             self._dirs.add(mount.point)
         for row in state["files"]:
-            self._files[row["path"]] = tuple(row["lines"])
-            self._mtimes[row["path"]] = float(row["mtime"])
-            self._index(row["path"])
+            path = row["path"]
+            self._files[path] = tuple(row["lines"])
+            self._listing(_parent(path))[path] = float(row["mtime"])

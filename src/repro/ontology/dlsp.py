@@ -4,10 +4,14 @@
 contain information about server hardware, software, load, capacity and
 services."  The status intelliagent regenerates the DLSP every cycle;
 the administration servers collect them to build the global DGSPL.
+Lines naming or counting something render interned, shared with earlier
+profiles and other hosts'; the stamp and measured floats do not: they are
+unbounded, and CPython 3.12 never frees an interned string.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -61,23 +65,25 @@ class Dlsp:
     def render(self) -> List[str]:
         """The document's lines in one pass: ints ``str``, floats
         ``repr``, flags ``yes``/``no``; only free text is checked."""
-        one_line = OntologyDoc._check_value
+        one_line, shared = OntologyDoc._check_value, sys.intern
         lines = OntologyDoc.header("DLSP", self.generated_at)
+        lines[0] = shared(lines[0])
         lines += (
-            "", "record=host", f"name={one_line(self.hostname)}",
-            f"model={one_line(self.model)}", f"os={one_line(self.os)}",
-            f"cpus={self.cpus}", f"ram_mb={self.ram_mb}",
-            f"load_avg={self.load_avg!r}", f"cpu_util={self.cpu_util!r}",
-            f"free_mem_mb={self.free_mem_mb!r}", f"users={self.users}",
-            f"site={one_line(self.site)}",
-            f"location={one_line(self.location)}",
+            "", "record=host", shared(f"name={one_line(self.hostname)}"),
+            shared(f"model={one_line(self.model)}"),
+            shared(f"os={one_line(self.os)}"), shared(f"cpus={self.cpus}"),
+            shared(f"ram_mb={self.ram_mb}"), f"load_avg={self.load_avg!r}",
+            f"cpu_util={self.cpu_util!r}", f"free_mem_mb={self.free_mem_mb!r}",
+            shared(f"users={self.users}"),
+            shared(f"site={one_line(self.site)}"),
+            shared(f"location={one_line(self.location)}"),
             "up=yes" if self.up else "up=no")
         for s in self.services:
             lines += (
-                "", "record=service", f"name={one_line(s.name)}",
-                f"type={one_line(s.app_type)}",
-                f"version={one_line(s.version)}",
-                f"state={one_line(s.state)}", f"port={s.port}",
+                "", "record=service", shared(f"name={one_line(s.name)}"),
+                shared(f"type={one_line(s.app_type)}"),
+                shared(f"version={one_line(s.version)}"),
+                shared(f"state={one_line(s.state)}"), shared(f"port={s.port}"),
                 "healthy=yes" if s.healthy else "healthy=no",
                 f"response_ms={s.response_ms!r}")
         return lines
@@ -109,15 +115,18 @@ def build_dlsp(host) -> Dlsp:
     """Snapshot a live host into its profile (the status agent's job).
     Service health here is the *local* probe -- connect to the port and
     run the basic command, reading the exit status."""
-    services = []
-    for app in host.apps.values():
-        ok, ms, _err = app.probe()
-        services.append(ServiceStatus(
-            name=app.name, app_type=app.app_type, version=app.version,
-            state=app.state.value, port=app.port or 0,
-            healthy=ok, response_ms=ms))
-    services.sort(key=lambda s: s.name)
+    services = sorted(map(_probed, host.apps.values()),
+                      key=lambda s: s.name)
     return _profile(host, host.load_average(), services)
+
+
+def _probed(app) -> ServiceStatus:
+    """An app's entry, from one local probe."""
+    ok, ms, _err = app.probe()
+    return ServiceStatus(
+        name=app.name, app_type=app.app_type, version=app.version,
+        state=app.state.value, port=app.port or 0,
+        healthy=ok, response_ms=ms)
 
 
 def _profile(host, load: float, services: List[ServiceStatus]) -> Dlsp:
@@ -159,10 +168,6 @@ class DlspBuilder(Persistent):
         self.probes = 0
         self.reused = 0
 
-    @staticmethod
-    def _fingerprint(app) -> tuple:
-        return (app.state.value, app.version, app.port or 0)
-
     def build(self) -> Dlsp:
         host = self.host
         load = host.load_average()
@@ -171,19 +176,14 @@ class DlspBuilder(Persistent):
         services = []
         for name in sorted(host.apps):
             app = host.apps[name]
-            fp = self._fingerprint(app)
+            fp = (app.state.value, app.version, app.port or 0)
             entry = self._entries.get(name)
             if reuse_ok and entry is not None \
                     and self._fingerprints.get(name) == fp:
                 self.reused += 1
             else:
-                ok, ms, _err = app.probe()
+                entry = self._entries[name] = _probed(app)
                 self.probes += 1
-                entry = ServiceStatus(
-                    name=app.name, app_type=app.app_type,
-                    version=app.version, state=app.state.value,
-                    port=app.port or 0, healthy=ok, response_ms=ms)
-                self._entries[name] = entry
                 self._fingerprints[name] = fp
             services.append(entry)
         return _profile(host, load, services)

@@ -102,8 +102,10 @@ def dispatch_fluid(door, n: int, now: float,
 
     The shared serving step of the fluid path: the site engine and the
     federation's geo traffic driver both account through it, so their
-    per-batch semantics (one state sample per app per tick, shed on
-    no-live-targets) cannot drift apart."""
+    per-batch semantics (one state sample per routed app per batch, shed
+    on no-live-targets) cannot drift apart.  The geo driver sends a site
+    a batch per region and one of pinned demand, so an app can be probed
+    (a database's ``transactions`` bumped) up to four times a tick."""
     alloc, shed = door.route(n, now)
     for app, count in alloc:
         served, failed, ms = app.serve_batch(count)

@@ -1,16 +1,17 @@
 """Property: the file store behaves as a plain dict of line lists.
 
 :class:`~repro.cluster.filesystem.FileSystem` keeps a file as two map
-entries (its lines, a tuple until the first append, and its mtime)
-and hands out :class:`SimFile` views built per call.  Driven through a
-random interleaving of every writer -- ``write``, ``append``,
-``drop_head``, ``remove``, ``fill`` and a snapshot -> restore into a
-fresh store -- it must after every step answer ``read``, ``exists``,
-``files_in_dir``, ``stat``, ``df()`` and ``snapshot_state()`` as the
-obvious model below does, refuse exactly what the model refuses, and
-return from ``write`` / ``append`` what the end-to-end harness tallies
-(``write(...).size`` is the bytes written, ``append(...).lines[-1]``
-the appended line).
+entries (its lines, a tuple until the first append, and its mtime in
+its directory's listing) and hands out :class:`SimFile` views built per
+call.  Driven through a random interleaving of every writer --
+``write``, ``append``, ``drop_head``, ``remove``, ``fill`` and a
+snapshot -> restore into a fresh store -- it must after every step
+answer ``read``, ``exists``, ``files_in_dir``, ``stat`` (its ``mtime``
+included), ``df()`` and ``snapshot_state()`` as the obvious model below
+does, refuse exactly what the model refuses, create no directory when
+it removes a path (there or not), and return from ``write`` /
+``append`` what the end-to-end harness tallies (``write(...).size`` is
+the bytes written, ``append(...).lines[-1]`` the appended line).
 """
 
 import json
@@ -158,7 +159,9 @@ def test_file_store_equals_a_dict_of_lists(ops):
                 assert got[1].lines[-1] == args[1]
                 assert got[1].size == _size(model.files[args[0]])
         elif name == "remove":
+            dirs = fs.snapshot_state()["dirs"]
             assert fs.remove(*args) == model.remove(*args)
+            assert fs.snapshot_state()["dirs"] == dirs
         else:
             fs.fill(*args)
             model.fill(*args)

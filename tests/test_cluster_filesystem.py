@@ -49,8 +49,8 @@ def test_capacity_accounting_and_disk_full(fs):
 
 
 def test_mount_of_longest_prefix(fs):
-    assert fs._mount("/logs/x/y").point == "/logs"
-    assert fs._mount("/whatever").point == "/"
+    assert fs._mount("/logs/x/y", "/logs/x").point == "/logs"
+    assert fs._mount("/whatever", "/").point == "/"
 
 
 def test_offline_mount_errors(fs):

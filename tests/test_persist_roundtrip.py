@@ -7,11 +7,16 @@ sharp edges each piece promises on its own.
 """
 
 import gzip
+import importlib
 import json
 import os
+import pkgutil
+import sys
 
 import pytest
 
+import repro.experiments
+import repro.federation
 from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.persist import (FORMAT_VERSION, CheckpointManager,
@@ -136,12 +141,37 @@ def _old_checkpoint(tmp_path, n):
     return fed_path, fed_doc, fed_doc["sites"]["london"]
 
 
+def _refused_build(*_args, **_kw):
+    raise AssertionError("a world was built from a refused document")
+
+
 def _refuse_builds(monkeypatch):
-    def built(*_args, **_kw):
-        raise AssertionError("a world was built from a refused document")
-    monkeypatch.setattr("repro.experiments.site.build_site", built)
-    monkeypatch.setattr("repro.federation.build.build_federation", built)
-    monkeypatch.setattr("repro.federation.build_federation", built)
+    """Stub both world builders.  A module first imported while the
+    stub is live would bind it for good (``from ... import
+    build_site``), so every module that may bind one is imported
+    first."""
+    for package in (repro.experiments, repro.federation):
+        for info in pkgutil.walk_packages(package.__path__,
+                                          package.__name__ + "."):
+            importlib.import_module(info.name)
+    monkeypatch.setattr("repro.experiments.site.build_site", _refused_build)
+    monkeypatch.setattr("repro.federation.build.build_federation",
+                        _refused_build)
+    monkeypatch.setattr("repro.federation.build_federation", _refused_build)
+
+
+@pytest.fixture(autouse=True)
+def _no_module_keeps_the_stub():
+    """After each test (and its monkeypatch undo), no ``repro`` module
+    holds the refused-build stub: a later test file must see the real
+    builders whatever order the suite runs in."""
+    yield
+    leaked = sorted(f"{name}.{attr}"
+                    for name, module in list(sys.modules.items())
+                    if name.startswith("repro.")
+                    for attr, value in vars(module).items()
+                    if value is _refused_build)
+    assert not leaked, f"the refused-build stub outlived its test: {leaked}"
 
 
 def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
