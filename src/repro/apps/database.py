@@ -25,14 +25,28 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Database"]
 
 _DB_PORTS = {"oracle": 1521, "sybase": 4100}
+#: system global area (MB); a quarter of it per server process
+_SGA_MB = 512.0
 
 
 class Database(Application):
     """A simulated relational database server."""
 
     app_type = "database"
-    #: system global area (MB); a quarter of it per server process
-    sga_mb = 512.0
+    sga_mb = _SGA_MB
+    mem_per_txn_kb = 64.0
+    backup_duration = 3600.0
+    #: each flavour's daemons and the startup sequence: frozen specs
+    #: every instance shares
+    _daemons = {t: (ProcessSpec(f"{t}_pmon", 1, cpu_pct=0.5, mem_mb=16.0),
+                    ProcessSpec(f"{t}_dbwr", 2, cpu_pct=2.0, mem_mb=24.0),
+                    ProcessSpec(f"{t}_lgwr", 1, cpu_pct=1.0, mem_mb=16.0),
+                    ProcessSpec(f"{t}_listener", 1, cpu_pct=0.2, mem_mb=8.0),
+                    ProcessSpec(f"{t}_server", 4, cpu_pct=1.0,
+                                mem_mb=_SGA_MB / 4.0))
+                for t in _DB_PORTS}
+    _startup = (StartupStep("mount", 20.0), StartupStep("recover", 60.0),
+                StartupStep("open", 40.0))
     _persist_extra = scalars(int, "transactions", "jobs_crashed_total")
 
     def __init__(self, host, name: str, *, db_type: str = "oracle",
@@ -41,31 +55,17 @@ class Database(Application):
             raise ValueError(f"unknown db_type {db_type!r}")
         self.db_type = db_type
         self.max_job_slots = max_job_slots
-        procs = [
-            ProcessSpec(f"{db_type}_pmon", 1, cpu_pct=0.5, mem_mb=16.0),
-            ProcessSpec(f"{db_type}_dbwr", 2, cpu_pct=2.0, mem_mb=24.0),
-            ProcessSpec(f"{db_type}_lgwr", 1, cpu_pct=1.0, mem_mb=16.0),
-            ProcessSpec(f"{db_type}_listener", 1, cpu_pct=0.2, mem_mb=8.0),
-            ProcessSpec(f"{db_type}_server", 4, cpu_pct=1.0,
-                        mem_mb=self.sga_mb / 4.0),
-        ]
-        startup = [
-            StartupStep("mount", 20.0),
-            StartupStep("recover", 60.0),
-            StartupStep("open", 40.0),
-        ]
         kw.setdefault("port", _DB_PORTS[db_type])
         kw.setdefault("user", db_type)
         kw.setdefault("base_response_ms", 20.0)
         kw.setdefault("connect_timeout_ms", 10_000.0)
-        super().__init__(host, name, version="8.1.7", processes=procs,
-                         startup=startup, shutdown_duration=90.0, **kw)
+        super().__init__(host, name, version="8.1.7",
+                         processes=self._daemons[db_type],
+                         startup=self._startup, shutdown_duration=90.0, **kw)
         self.io_demand = 0.3          # resting I/O of a warm database
 
         self.active_jobs: List["BatchJob"] = []
         self.transactions = 0
-        self.mem_per_txn_kb = 64.0
-        self.backup_duration = 3600.0
         self.jobs_crashed_total = 0
 
     # -- SQL-level health probe -------------------------------------------------

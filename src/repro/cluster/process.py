@@ -23,7 +23,7 @@ because an incrementally kept float would round differently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.persist.core import Persistent, scalar, via
@@ -44,15 +44,19 @@ class ProcState(enum.Enum):
     STOPPED = "T"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Microstates:
     """Cumulative microstate clocks, in seconds (paper cites
-    microsecond resolution; floats carry that precision fine)."""
+    microsecond resolution; floats carry that precision fine).  Frozen:
+    an advance files new ones, the unadvanced share :data:`_NOT_ADVANCED`."""
 
     user: float = 0.0
     system: float = 0.0
     wait_io: float = 0.0
     sleep: float = 0.0
+
+
+_NOT_ADVANCED = Microstates()
 
 
 @dataclass(slots=True)
@@ -68,7 +72,7 @@ class SimProc:
     state: ProcState = ProcState.RUNNING
     started_at: float = 0.0
     owner: object = None        # the app/agent object that spawned it
-    micro: Microstates = field(default_factory=Microstates)
+    micro: Microstates = _NOT_ADVANCED
 
     @property
     def cmdline(self) -> str:
@@ -76,15 +80,16 @@ class SimProc:
 
     def advance(self, dt: float) -> None:
         """Advance microstate clocks across ``dt`` wall seconds."""
+        m = self.micro
+        u, s, w, z = m.user, m.system, m.wait_io, m.sleep
         if self.state is ProcState.RUNNING:
             busy = dt * self.cpu_pct / 100.0
-            self.micro.user += busy * 0.8
-            self.micro.system += busy * 0.2
-            self.micro.sleep += dt - busy
+            u, s, z = u + busy * 0.8, s + busy * 0.2, z + (dt - busy)
         elif self.state is ProcState.BLOCKED:
-            self.micro.wait_io += dt
+            w += dt
         else:
-            self.micro.sleep += dt
+            z += dt
+        self.micro = Microstates(u, s, w, z)
 
 
 class ProcessTable(Persistent):
@@ -262,14 +267,14 @@ class ProcessTable(Persistent):
     def _load_procs(self, saved: list) -> None:
         self.clear()
         for row in saved:
-            u, s, w, z = row["micro"]
+            clocks = row["micro"]
             proc = SimProc(
                 pid=int(row["pid"]), user=row["user"],
                 command=row["command"], args=row["args"],
                 cpu_pct=float(row["cpu_pct"]), mem_mb=float(row["mem_mb"]),
                 state=ProcState(row["state"]),
                 started_at=float(row["started_at"]),
-                micro=Microstates(user=u, system=s, wait_io=w, sleep=z))
+                micro=Microstates(*clocks) if any(clocks) else _NOT_ADVANCED)
             self._procs[proc.pid] = proc
             self._by_command.setdefault(proc.command, []).append(proc)
             self._book(proc, +1)

@@ -20,8 +20,10 @@ One wake runs the five parts in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+import sys
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import FrozenSet, List, Mapping, Optional, Sequence
 
 from repro.cluster.filesystem import FsError
 from repro.core.flags import FlagStore
@@ -29,8 +31,8 @@ from repro.core.healing import ActionResult, apply_action
 from repro.core.parts import Finding, PartSwitches
 from repro.core.reasoning import Diagnosis, RuleEngine
 from repro.metrics.circular_log import CircularLog
-from repro.persist.core import (Persistent, group, part, pending, scalar,
-                                sortedset, table, via)
+from repro.persist.core import (Persistent, group, part, pending, record,
+                                scalar, via)
 from repro.wake import WakePolicy
 
 __all__ = ["AGENT_PERIOD", "Intelliagent", "RunStats"]
@@ -50,8 +52,13 @@ AGENT_PROC_MEM_MB = 0.2
 #: subject (avoid email storms; humans are already on it)
 MAX_HEAL_ATTEMPTS = 2
 
+#: the fault-path state of an agent no fault has reached: one shared,
+#: read-only pair, which a fault replaces with the agent's own
+_NO_ATTEMPTS: Mapping[str, int] = MappingProxyType({})
+_NONE_ESCALATED: FrozenSet[str] = frozenset()
 
-@dataclass
+
+@dataclass(slots=True)
 class RunStats:
     """Counters for one agent (Figures 3/4 feed off cpu_seconds)."""
 
@@ -65,8 +72,8 @@ class RunStats:
     cpu_seconds: float = 0.0
 
 
-#: the order a snapshot's ``"stats"`` row carries the counters in
-_STATS = tuple(f.name for f in fields(RunStats))
+#: a snapshot's ``"stats"`` row (the counters in field order), both ways
+_STATS_OF_ROW, _ROW_OF_STATS = record(RunStats)
 
 
 class Intelliagent(Persistent):
@@ -78,6 +85,10 @@ class Intelliagent(Persistent):
     #: CPU cost of one wake, seconds of one CPU (shell-tool sweeps are
     #: cheap; this is what makes Fig. 3's ~0.045 % amortised cost)
     RUN_CPU_SECONDS = 0.018
+    #: every host's agent of the class bears the same name, so the
+    #: strings made from it are interned: one copy for all hosts (a
+    #: service agent's name carries its app's, which carries the host's)
+    shared_name = True
 
     #: a subclass's own state, saved under ``"extra"``
     _persist_extra: tuple = ()
@@ -85,37 +96,40 @@ class Intelliagent(Persistent):
     #: process table restores first -- plus the pending release event)
     #: and the adaptive wake controller
     _persist = (
-        via("stats", "_save_stats", "_load_stats"),
+        scalar("stats", _STATS_OF_ROW, enc=_ROW_OF_STATS),
         via("proc_pid", "_save_pid", "_relink_proc"),
         scalar("busy_until", float, "_busy_until"),
         pending("busy_event", "_busy_event", "_end_proc"),
         scalar("published_interval", float, "_published_interval"),
-        table("attempts", int, attr="_attempts"),
-        sortedset("escalated", attr="_escalated"), part("wake"),
+        scalar("attempts", lambda v: {k: int(n) for k, n in v.items()}
+               or _NO_ATTEMPTS, "_attempts", lambda d: dict(sorted(d.items()))),
+        scalar("escalated", lambda v: frozenset(v) or _NONE_ESCALATED,
+               "_escalated", sorted), part("wake"),
         group("extra", "_persist_extra"))
 
     def __init__(self, host, name: str, *, channel=None,
-                 admin_targets: Optional[List[str]] = None,
+                 admin_targets: Optional[Sequence[str]] = None,
                  notifications=None, ledger=None, wake_policy: str = "fixed"):
         self.host = host
         self.sim = host.sim
         self.name = name
-        self.command = f"ia_{name}"
+        share = sys.intern if self.shared_name else str
+        self.command = share(f"ia_{name}")
         self.period = AGENT_PERIOD
         #: adaptive wake controller; "fixed" keeps the paper's rigid
         #: grid (and the exact pre-refactor behaviour) for A/B runs
         self.wake = WakePolicy(self.period, mode=wake_policy)
         self.channel = channel
-        self.admin_targets = list(admin_targets or ())
+        self.admin_targets = tuple(admin_targets or ())
         self.notifications = notifications
         self.parts = PartSwitches()
 
         self.flags = FlagStore(host.fs, name, ledger=ledger,
                                host=host.name)
+        self.flags.dir = share(self.flags.dir)
         host.fs.mkdir(self.flags.dir)       # the agent owns its directory
-        self.activity = CircularLog(host.fs,
-                                    f"/logs/intelliagents/{name}/activity",
-                                    maxlen=500)
+        self.activity = CircularLog(
+            host.fs, share(f"{self.flags.dir}/activity"), maxlen=500)
         self.stats = RunStats()
         self._proc = None
         self._busy_until = 0.0
@@ -125,9 +139,9 @@ class Intelliagent(Persistent):
         #: re-offered every run until the transport accepts it
         self._published_interval = self.period
         #: per-subject consecutive failed heal attempts
-        self._attempts: Dict[str, int] = {}
+        self._attempts = _NO_ATTEMPTS
         #: subjects we already escalated (reset when healthy again)
-        self._escalated: set = set()
+        self._escalated = _NONE_ESCALATED
         self.cron_job = host.crond.register(name, self.period, self.run)
 
     # -- subclass surface ------------------------------------------------------
@@ -171,7 +185,8 @@ class Intelliagent(Persistent):
                     mon_span.set_attr("findings", len(findings))
                 if not findings:
                     with tracer.span("agent.communicate"):
-                        self._recover_subjects()
+                        # a recurrence is a fresh incident, healed and notified anew
+                        self._attempts, self._escalated = _NO_ATTEMPTS, _NONE_ESCALATED
                         self.on_clean_run()
                         self._flag("ok")
                     return
@@ -292,7 +307,7 @@ class Intelliagent(Persistent):
         if attempts >= MAX_HEAL_ATTEMPTS:
             self._escalate(diag, reason=f"{attempts} repairs failed")
             return 0.0
-        self._attempts[subject] = attempts + 1
+        self._attempts = {**self._attempts, subject: attempts + 1}
         busy = 0.0
         tracer = self.sim.tracer
         for action in diag.actions:
@@ -315,18 +330,11 @@ class Intelliagent(Persistent):
             self._escalate(diag, reason="all actions failed")
         return busy
 
-    def _recover_subjects(self) -> None:
-        """A clean run clears attempt/escalation state so a future
-        recurrence is treated (and notified) as a fresh incident."""
-        if self._attempts or self._escalated:
-            self._attempts.clear()
-            self._escalated.clear()
-
     def _escalate(self, diag: Diagnosis, reason: str) -> None:
         subject = diag.finding.subject
         if subject in self._escalated:
             return
-        self._escalated.add(subject)
+        self._escalated = self._escalated | {subject}
         self.stats.escalations += 1
         tracer = self.sim.tracer
         if tracer.enabled:
@@ -389,13 +397,6 @@ class Intelliagent(Persistent):
         what the store derived from the old directory goes too."""
         super().restore_state(state)
         self.flags.forget()
-
-    def _save_stats(self) -> list:
-        return [getattr(self.stats, name) for name in _STATS]
-
-    def _load_stats(self, row: list) -> None:
-        for name, value in zip(_STATS, row):
-            setattr(self.stats, name, value)
 
     def _save_pid(self) -> Optional[int]:
         return self._proc.pid if self._proc is not None else None

@@ -29,7 +29,7 @@ recomputes it, and a new store or a restored filesystem
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.cluster.filesystem import FsError
 
@@ -65,6 +65,7 @@ class Flag:
 class FlagStore:
     """Reads and writes one agent's flag directory on a host fs (only
     a raised flag writes: the owning agent creates the directory)."""
+    __slots__ = ("fs", "agent", "dir", "ledger", "host", "transport", "_oldest")
 
     def __init__(self, fs, agent_name: str, *, ledger=None,
                  host: str = ""):
@@ -171,20 +172,10 @@ class FlagStore:
         out.sort(key=lambda f: (f.time, f.seq))
         return out
 
-    def _latest_name(self) -> Tuple[Optional[tuple], Optional[str]]:
-        """(parsed name, path) of the freshest flag, from names alone."""
-        best: Optional[tuple] = None
-        best_path: Optional[str] = None
-        for path in self.fs.files_in_dir(self.dir):
-            parsed = self._parse_name(path)
-            if parsed is not None and (
-                    best is None or parsed[1:] > best[1:]):
-                best, best_path = parsed, path
-        return best, best_path
-
     def latest_time(self) -> float:
         """Freshest flag timestamp (-inf when none exist), the number
         the watchdog compares against the expected cron grid.  It is in
         the name: no file is opened."""
-        parsed, _path = self._latest_name()
-        return float("-inf") if parsed is None else parsed[1]
+        names = map(self._parse_name, self.fs.files_in_dir(self.dir))
+        return max((parsed[1] for parsed in names if parsed is not None),
+                   default=float("-inf"))

@@ -11,8 +11,7 @@ drives them in order.  :class:`PartSwitches` is the activation state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 __all__ = ["Finding", "PartSwitches"]
 
@@ -34,7 +33,7 @@ class Finding:
     value: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PartSwitches:
     """Which of the five parts are active on this agent."""
 
@@ -51,6 +50,6 @@ class PartSwitches:
         self._flip(part, True)
 
     def _flip(self, part: str, value: bool) -> None:
-        if not hasattr(self, part):
+        if part not in self.__slots__:
             raise ValueError(f"unknown part {part!r}")
         setattr(self, part, value)

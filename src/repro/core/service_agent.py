@@ -72,6 +72,7 @@ class ServiceAgent(Intelliagent):
     """Looks after exactly one application."""
 
     category = "service"
+    shared_name = False
     engine = RuleEngine((
         # ordered causes for a dead service
         CausalRule("service-down", "misconfiguration",

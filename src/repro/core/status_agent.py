@@ -14,7 +14,7 @@ bound on the oldest stamp, as :mod:`repro.core.flags` does for flags.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.filesystem import FsError
 from repro.core.agent import Intelliagent
@@ -57,6 +57,9 @@ class StatusAgent(Intelliagent):
         self._builder = DlspBuilder(host)
         #: no profile in the directory is stamped earlier (None: unknown)
         self._oldest_profile: Optional[float] = None
+        #: the lines of the profile filed last: a new line equal to its
+        #: counterpart there is filed as that object, not a copy
+        self._filed: Sequence[str] = ()
         host.fs.mkdir(DLSP_DIR)
 
     # status agents report, they do not repair
@@ -76,15 +79,18 @@ class StatusAgent(Intelliagent):
             full_lines = full.render()
             if full_lines != lines:
                 self.rebuild_mismatches += 1
-                self._builder.invalidate()
+                self._builder = DlspBuilder(self.host)  # probes all anew
                 dlsp, lines = full, full_lines      # ground truth wins
                 tracer = self.sim.tracer
                 if tracer.enabled:
                     tracer.metrics.counter(
                         "status.rebuild_mismatches").inc()
+        lines = [old if old == new else new
+                 for old, new in zip(self._filed, lines)] + lines[len(self._filed):]
         path = f"{DLSP_DIR}/{self.host.name}.{self.sim.now:.0f}"
         try:
-            self.host.fs.write(path, lines, now=dlsp.generated_at)
+            self._filed = self.host.fs.write(path, lines,
+                                             now=dlsp.generated_at).lines
         except FsError:
             pass        # a full disk must not stop the shipment
         if self._oldest_profile is not None:

@@ -13,9 +13,11 @@ pile up, and owns the Figures 3/4 overhead accounting: amortised CPU
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from dataclasses import asdict
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.agent import AGENT_PERIOD, AGENT_PROC_MEM_MB, Intelliagent
+from repro.core.agent import (AGENT_PERIOD, AGENT_PROC_MEM_MB, Intelliagent,
+                              RunStats)
 from repro.core.hardware_agent import HardwareAgent
 from repro.core.os_agent import OsNetworkAgent
 from repro.core.performance_agent import PerformanceAgent
@@ -38,7 +40,7 @@ class AgentSuite(Persistent):
                 part("triggers"))
 
     def __init__(self, host, *, channel=None,
-                 admin_targets: Optional[List[str]] = None,
+                 admin_targets: Optional[Sequence[str]] = None,
                  notifications=None, nameservice=None,
                  deliver_dlsp: Optional[Callable] = None,
                  ledger=None,
@@ -133,17 +135,8 @@ class AgentSuite(Persistent):
     # -- aggregate statistics -------------------------------------------------------------
 
     def totals(self) -> Dict[str, float]:
-        out = {"runs": 0, "skipped": 0, "faults_found": 0,
-               "heals_attempted": 0, "heals_succeeded": 0,
-               "escalations": 0, "demand_wakes": 0, "cpu_seconds": 0.0}
+        out = asdict(RunStats())
         for a in self.agents:
-            s = a.stats
-            out["runs"] += s.runs
-            out["skipped"] += s.skipped
-            out["faults_found"] += s.faults_found
-            out["heals_attempted"] += s.heals_attempted
-            out["heals_succeeded"] += s.heals_succeeded
-            out["escalations"] += s.escalations
-            out["demand_wakes"] += s.demand_wakes
-            out["cpu_seconds"] += s.cpu_seconds
+            for name in out:
+                out[name] += getattr(a.stats, name)
         return out

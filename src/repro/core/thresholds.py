@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 __all__ = ["Band", "Breach", "Baselines"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Band:
     """Acceptable range for one metric.  None = unbounded on that side."""
 

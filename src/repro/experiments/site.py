@@ -275,7 +275,7 @@ def _deploy_agents(site: Site) -> None:
         ledger=ledger)
     admin.site_name = site.config.site_name
     site.admin = admin
-    admin_targets = ["adm01", "adm02"]
+    admin_targets = ("adm01", "adm02")     # one tuple every agent shares
     for host in dc.all_hosts():
         # every datacentre server gets the agent complement -- including
         # the coordinators themselves (who else watches the watchers'

@@ -18,6 +18,7 @@ __all__ = ["CircularLog"]
 
 class CircularLog:
     """A fixed-capacity append log backed by a host filesystem file."""
+    __slots__ = ("fs", "path", "maxlen")
 
     def __init__(self, fs, path: str, maxlen: int = 1000):
         if maxlen <= 0:

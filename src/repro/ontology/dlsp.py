@@ -5,8 +5,9 @@ contain information about server hardware, software, load, capacity and
 services."  The status intelliagent regenerates the DLSP every cycle;
 the administration servers collect them to build the global DGSPL.
 Lines naming or counting something render interned, shared with earlier
-profiles and other hosts'; the stamp and measured floats do not: they are
-unbounded, and CPython 3.12 never frees an interned string.
+profiles and other hosts'; the stamp and measured floats do not (they are
+unbounded, and CPython 3.12 never frees an interned string): the status
+agent files an unchanged one as its previous profile's object.
 """
 
 from __future__ import annotations

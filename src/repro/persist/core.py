@@ -254,17 +254,18 @@ def _same(value):
 class Entry:
     """One piece of a component's state under one document key:
     ``save(obj) -> json``, ``load(obj, json)``, ``claims(obj) -> seqs``.
-    ``methods`` are the component methods it calls by name and ``sub``
-    a group's nested entries (tuple, or the class attribute holding
-    it) -- both only so a lint can check a declaration without an
-    instance."""
+    ``methods`` are the component methods it calls by name, ``sets``
+    the attribute its load assigns (None: it loads into a live object)
+    and ``sub`` a group's nested entries (tuple, or the class attribute
+    holding it) -- all only so a lint can check a declaration without
+    an instance."""
 
-    __slots__ = ("key", "save", "load", "claims", "methods", "sub")
+    __slots__ = ("key", "save", "load", "claims", "methods", "sets", "sub")
 
     def __init__(self, key: str, save: Callable, load: Callable,
-                 claims: Optional[Callable] = None, methods=(), sub=None):
-        self.key, self.save, self.load = key, save, load
-        self.claims, self.methods, self.sub = claims, tuple(methods), sub
+                 claims: Optional[Callable] = None, methods=(), sub=None, sets=None):
+        self.key, self.save, self.load, self.claims = key, save, load, claims
+        self.methods, self.sets, self.sub = tuple(methods), sets, sub
 
 
 def scalar(key: str, coerce: Optional[Callable] = None,
@@ -275,7 +276,7 @@ def scalar(key: str, coerce: Optional[Callable] = None,
     coerce = coerce or _same
     get, put = attrgetter(attr or key), _setter(attr or key)
     return Entry(key, get if enc is _same else lambda obj: enc(get(obj)),
-                 lambda obj, v: put(obj, coerce(v)))
+                 lambda obj, v: put(obj, coerce(v)), sets=attr or key)
 
 
 def scalars(coerce: Optional[Callable], *keys: str) -> tuple:
@@ -358,7 +359,7 @@ def refs(key: str, attr: str, into: str) -> Entry:
     def load(obj, value):
         held = records(obj)
         put(obj, {name: held[int(i)] for name, i in value.items()})
-    return Entry(key, save, load)
+    return Entry(key, save, load, sets=attr)
 
 
 def part(key: str, get=None) -> Entry:
@@ -385,7 +386,7 @@ def children(key: str, attr: str, make: Callable) -> Entry:
         for name, state in value.items():
             make(obj, name).restore_state(state)
     return Entry(key, lambda obj: snapshot_node(dict(sorted(
-        get(obj).items()))), load)
+        get(obj).items()))), load, sets=attr)
 
 
 def pending(key: str, attr: str, callback: str) -> Entry:
@@ -402,7 +403,7 @@ def pending(key: str, attr: str, callback: str) -> Entry:
         ev = getattr(obj, attr)
         return [ev.seq] if ev is not None and ev.alive else []
     return Entry(key, lambda obj: token(getattr(obj, attr)), load, claims,
-                 methods=(callback,))
+                 methods=(callback,), sets=attr)
 
 
 def pendings(key: str, attr: str, callback: str, dec: Callable = _same,
@@ -423,7 +424,7 @@ def pendings(key: str, attr: str, callback: str, dec: Callable = _same,
     return Entry(
         key, lambda obj: [[token(ev), enc(arg)] for ev, arg in live(obj)],
         load, lambda obj: [ev.seq for ev, _arg in live(obj)],
-        methods=(callback,))
+        methods=(callback,), sets=attr)
 
 
 def signal(key: str, dec: Callable = _same, enc: Callable = _same,

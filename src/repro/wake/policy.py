@@ -28,6 +28,7 @@ MODES = ("fixed", "adaptive")
 class WakePolicy(Persistent):
     """Adaptive wake interval for one agent."""
 
+    __slots__ = ("mode", "base_period", "current_period", "backoffs", "resets", "triggers")
     _persist = (scalar("current_period", float),
                 *scalars(int, "backoffs", "resets", "triggers"))
 

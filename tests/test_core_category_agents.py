@@ -217,6 +217,46 @@ def test_status_agent_ships_over_channel(dc, database, channel, sim):
     assert len(received) == 1
 
 
+def test_a_full_rebuild_that_disagrees_resets_the_builder(database, sim):
+    """Every ``FULL_REBUILD_EVERY``-th profile is also built the
+    exhaustive way.  When the two disagree the wake still completes,
+    files the full profile, counts the mismatch, and the builder starts
+    afresh, so the next incremental profile agrees again."""
+    from dataclasses import replace
+    from repro.core.status_agent import DLSP_DIR, FULL_REBUILD_EVERY
+    from repro.ontology.dlsp import build_dlsp
+    host = database.host
+    agent = StatusAgent(host, deliver=lambda d: None)
+    host.crond.remove(agent.name)               # manual drive only
+    rebuilt, ship = [], agent.build_and_ship
+
+    def build_and_ship():
+        dlsp = ship()
+        rebuilt.append(build_dlsp(host).render())
+        return dlsp
+    agent.build_and_ship = build_and_ship
+
+    def wake():
+        sim.run(until=sim.now + 300.0)
+        agent.run()
+        assert agent.flags.latest_time() == sim.now     # its "ok" flag
+        newest = max(host.fs.files_in_dir(DLSP_DIR),
+                     key=lambda path: float(path.rsplit(".", 1)[1]))
+        return list(host.fs.read(newest))
+    for _ in range(FULL_REBUILD_EVERY - 1):
+        wake()
+    # a stale entry the incremental build reuses: its fingerprint and
+    # the load are unchanged, its probe result is not
+    entries = agent._builder._entries
+    entries[database.name] = replace(entries[database.name],
+                                     response_ms=-1.0)
+    assert wake() == rebuilt[-1]                # the full profile wins
+    assert agent.profiles_built == FULL_REBUILD_EVERY
+    assert agent.rebuild_mismatches == 1
+    assert wake() == rebuilt[-1]                # incremental, agreeing
+    assert agent.rebuild_mismatches == 1
+
+
 # ---------------------------------------------------------- performance --
 
 def test_performance_agent_samples_all_groups(database, sim, notifications):

@@ -138,10 +138,12 @@ UNSHARED = ("#GENERATED ", "load_avg=", "cpu_util=", "free_mem_mb=",
 
 
 def test_consecutive_profiles_share_every_line_that_did_not_change():
-    """On a quiet host two consecutive DLSP files hold the same line
-    objects everywhere but the stamp and the measured floats, and other
-    hosts' profiles share them too; the text is what a full rebuild
-    renders at the same instant."""
+    """Two consecutive DLSP files hold the same line objects exactly
+    where their text is equal -- the measured floats of a quiet host
+    included, which are reused from the previous profile rather than
+    interned -- and differ at the stamp.  Other hosts' profiles share
+    the interned lines; the text is what a full rebuild renders at the
+    same instant."""
     from repro.core.status_agent import DLSP_DIR
     from repro.experiments.wakes import build_fleet
     from repro.ontology.dlsp import build_dlsp
@@ -163,12 +165,112 @@ def test_consecutive_profiles_share_every_line_that_did_not_change():
         return [list(h.fs.stat(p).lines) for p in paths]
     first, second = profiles(host)[-2:]
     assert [first, second] == rebuilt
-    assert [a for a, b in zip(first, second) if a is not b] == [
-        line for line in first if line.startswith(UNSHARED)]
+    assert len(first) == len(second)
+    differ = [i for i, (a, b) in enumerate(zip(first, second)) if a != b]
+    assert [i for i, (a, b) in enumerate(zip(first, second))
+            if a is not b] == differ
+    assert any(first[i].startswith("#GENERATED ") for i in differ)
     common = [(a, b) for a, b in zip(second, profiles(other)[-1])
               if a == b and not a.startswith(UNSHARED)]
     assert {"cpus=2", "state=running"} <= {a for a, _ in common}
     assert all(a is b for a, b in common)
+
+
+# -- what a clean host holds -------------------------------------------------
+
+
+def _clean_host():
+    """One fleet host an hour into a clean run: its agent suite."""
+    from repro.experiments.wakes import build_fleet
+    sim, _dc, suites = build_fleet(1, "fixed", seed=0)
+    sim.run(until=sim.now + 3600.0)
+    return suites[0]
+
+
+def test_the_small_parts_of_a_host_carry_no_instance_dict():
+    """Each agent's run counters, part switches, flag store, activity
+    log and wake policy, and each metric band, exist by the thousand on
+    a large site: none carries a ``__dict__``."""
+    suite = _clean_host()
+    parts = list(suite.baselines.bands.values())
+    for agent in suite.agents:
+        parts += [agent.stats, agent.parts, agent.flags, agent.activity,
+                  agent.wake]
+    assert {type(p).__name__ for p in parts} == {
+        "Band", "RunStats", "PartSwitches", "FlagStore", "CircularLog",
+        "WakePolicy"}
+    assert [p for p in parts if hasattr(p, "__dict__")] == []
+
+
+def test_a_clean_host_holds_no_fault_path_state():
+    """No agent a fault has not reached holds a heal-attempt map or an
+    escalation set of its own, and no process an advance has not reached
+    holds microstate clocks of its own; their snapshot rows are the
+    ones empty state always had, and a round trip keeps them shared."""
+    suite = _clean_host()
+    first, ptable = suite.agents[0], suite.host.ptable
+    for agent in suite.agents:
+        assert agent._attempts is first._attempts
+        assert agent._escalated is first._escalated
+        doc = agent.snapshot_state()
+        assert (doc["attempts"], doc["escalated"]) == ({}, [])
+        agent.restore_state(doc)
+        assert agent._escalated is first._escalated
+    assert not first._attempts and not first._escalated
+    assert len(ptable) > 1
+    assert len({id(proc.micro) for proc in ptable}) == 1
+    doc = ptable.snapshot_state()
+    assert [row["micro"] for row in doc["procs"]] == \
+        [[0.0, 0.0, 0.0, 0.0]] * len(ptable)
+    ptable.restore_state(doc)
+    assert len({id(proc.micro) for proc in ptable}) == 1
+
+
+def test_an_agent_holds_its_object_its_parts_and_its_run_method():
+    """What building a hardware agent allocates and keeps, the cron and
+    kernel books aside, is no more than a reference built here from
+    what an agent must hold: an object with as many attributes, one
+    slotted object per part with as many slots, and the bound method
+    its cron job calls.  So no agent holds its own copy of a string
+    every host's agent shares, an empty container only a fault would
+    fill, or a part with a ``__dict__``.  Relative, because object and
+    dict sizes differ across 3.10-3.12; on CPython 3.11 (x86-64) an
+    agent kept 713 B against the reference's 716 B, and 1 496 B when it
+    held all three."""
+    from repro.core.hardware_agent import HardwareAgent
+    from repro.experiments.wakes import build_fleet
+    _sim, _dc, suites = build_fleet(100, "fixed", seed=0)
+    hosts = [suite.host for suite in suites]
+    for host in hosts:
+        host.crond.remove("hardware")
+    books = [tracemalloc.Filter(False, f"*{path}") for path in (
+        "repro/cluster/cron.py", "repro/sim/kernel.py",
+        "repro/sim/calendar.py")]
+
+    def kept_bytes(build) -> int:
+        tracemalloc.start()
+        try:
+            kept = build()      # noqa: F841 -- alive until measured
+            snap = tracemalloc.take_snapshot().filter_traces(books)
+            return sum(stat.size for stat in snap.statistics("filename"))
+        finally:
+            tracemalloc.stop()
+    agents = kept_bytes(lambda: [HardwareAgent(h) for h in hosts])
+    model = suites[0].hardware
+    parts = {name: type(f"Slotted{name}", (), {"__slots__": tuple(
+        f"s{i}" for i in range(len(type(getattr(model, name)).__slots__)))})
+        for name in ("stats", "parts", "flags", "activity", "wake")}
+    attrs = dict(vars(model))
+
+    class Reference:
+        def __init__(self):
+            for name, value in attrs.items():
+                setattr(self, name, value)
+            for name, cls in parts.items():
+                setattr(self, name, cls())
+            self.cron_job = self.__init__
+    reference = kept_bytes(lambda: [Reference() for _ in hosts])
+    assert agents <= reference, (agents / len(hosts), reference / len(hosts))
 
 
 # -- timeseries rings --------------------------------------------------------

@@ -9,7 +9,10 @@ files* -- ``CheckpointManager.load`` must refuse a file that is not
 the document that was written.
 """
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
@@ -25,14 +28,12 @@ from tests.test_persist_golden import (faulted_site_snapshot,
 # -- (a) spec lint -----------------------------------------------------------
 
 def _declaring_classes():
-    """Every Persistent subclass reachable once the site, federation
-    and chaos builders are imported."""
-    import repro.chaos.executor        # noqa: F401  (_EpisodeBook)
-    import repro.chaos.oracles         # noqa: F401  (ScanReference)
-    import repro.experiments.runner    # noqa: F401  (harness extras)
-    import repro.experiments.site      # noqa: F401
-    import repro.federation            # noqa: F401
-    import repro.trace                 # noqa: F401
+    """Every Persistent subclass in ``repro``: each of its modules is
+    imported first, so what is linted does not depend on what earlier
+    test files happened to import."""
+    import repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
     seen, todo = [], [Persistent]
     while todo:
         for sub in todo.pop().__subclasses__():
@@ -62,6 +63,15 @@ def test_declaration_is_well_formed(cls):
             assert callable(getattr(cls, name, None)), (
                 f"{cls.__qualname__}.{path} names {name!r}, which is "
                 f"not a method of the class")
+    if not cls.__dictoffset__:
+        # slotted: an attribute a load assigns must be a slot (or another
+        # settable descriptor), or the restore dies on AttributeError
+        for path, e in _flatten(cls, cls._persist):
+            if e.sets is not None and "." not in e.sets:
+                assert hasattr(inspect.getattr_static(cls, e.sets, None),
+                               "__set__"), (
+                    f"{cls.__qualname__}.{path} assigns {e.sets!r}, which "
+                    f"is not a slot of the class")
     hand_written = [name for name in ("snapshot_state", "restore_state",
                                       "claimed_seqs")
                     if any(name in vars(k) for k in cls.__mro__
@@ -76,7 +86,8 @@ def test_the_lint_sees_the_whole_site():
     assert {"Host", "Nic", "Application", "Database", "Intelliagent",
             "StatusAgent", "AdministrationServers", "ConditionLedger",
             "FaultInjector", "GeoTrafficDriver", "_EpisodeBook",
-            "Periodic", "Simulator"} <= names
+            "Periodic", "Simulator", "AlertManager", "TelemetryHub",
+            "WakePolicy", "Nic"} <= names
 
 
 # -- (b) hostile documents ---------------------------------------------------
