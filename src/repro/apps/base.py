@@ -42,10 +42,6 @@ class AppState(enum.Enum):
 #: States in which the listener accepts a connection.
 _ACCEPTING = (AppState.RUNNING, AppState.DEGRADED)
 
-#: States in which processes exist in the process table.
-_PROC_STATES = {AppState.STARTING, AppState.RUNNING, AppState.DEGRADED,
-                AppState.HUNG, AppState.STOPPING}
-
 
 @dataclass(frozen=True)
 class ProcessSpec:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
-from repro.persist.core import scalars
+from repro.persist.core import QuiescenceError, scalars
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.jobs import BatchJob
@@ -139,7 +139,7 @@ class Database(Application):
         if self.active_jobs:
             # batch jobs are generator-driven; a checkpoint barrier must
             # not land while any are attached (see repro.persist)
-            raise RuntimeError(
+            raise QuiescenceError(
                 f"{self.name}: cannot snapshot with active batch jobs")
         return super().snapshot_state()
 

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List
 
 from repro.apps.base import Application, ProcessSpec, StartupStep
 from repro.batch.jobs import BatchJob, JobState
-from repro.persist.core import Persistent, part, scalars
+from repro.persist.core import Persistent, QuiescenceError, part, scalars
 
 __all__ = ["LsfMaster", "LsfCluster"]
 
@@ -186,7 +186,7 @@ class LsfCluster(Persistent):
         with live jobs is refused rather than silently lossy.
         """
         if self.pending or self.running or self.history:
-            raise ValueError(
+            raise QuiescenceError(
                 f"cannot snapshot LSF with jobs on the books "
                 f"(pending={len(self.pending)} running={len(self.running)} "
                 f"history={len(self.history)})")

@@ -45,10 +45,8 @@ __all__ = ["ChaosEvent", "Scenario", "OPS", "TARGET_POOLS", "BUILDERS",
            "WORLDS", "build_corpus", "parse_target",
            "split_site", "make_target"]
 
-#: wake-policy constants the adversarial-timing builders aim at
+#: the wake-policy base period the adversarial-timing builders aim at
 WAKE_BASE = 300.0
-WAKE_MAX = 1800.0
-WAKE_GRACE = 300.0
 
 #: hard caps keeping fuzzed scenarios executable
 MAX_EVENTS = 64

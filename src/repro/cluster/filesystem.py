@@ -108,7 +108,9 @@ class FileSystem:
     def __init__(self, mounts: Optional[Dict[str, int]] = None):
         #: path -> lines (a tuple until the file's first append)
         self._files: Dict[str, Sequence[str]] = {}
-        self._dirs: set[str] = {"/"}
+        #: directory -> the name it was made with, the key object of its
+        #: listing and memo (shared by every host whose agent makes it)
+        self._dirs: Dict[str, str] = {"/": "/"}
         #: directory -> {path: mtime} of the files directly inside
         self._dir_index: Dict[str, Dict[str, float]] = {}
         self.mounts: Dict[str, Mount] = {}
@@ -123,7 +125,7 @@ class FileSystem:
         point = _norm(point)
         mount = Mount(point, capacity_bytes)
         self.mounts[point] = mount
-        self._dirs.add(point)
+        self._dirs.setdefault(point, point)
         self._mount_cache.clear()
         return mount
 
@@ -143,7 +145,7 @@ class FileSystem:
                     best = mount
         if best is None:
             raise FsError(f"no mount covers {path!r}")
-        self._mount_cache[parent] = best
+        self._mount_cache[self._dirs.get(parent, parent)] = best
         return best
 
     def _check_writable(self, path: str, parent: str, extra_bytes: int) -> Mount:
@@ -162,7 +164,7 @@ class FileSystem:
     def mkdir(self, path: str) -> None:
         path = _norm(path)
         while path != "/":
-            self._dirs.add(path)
+            self._dirs.setdefault(path, path)
             path = _parent(path)
 
     # -- files -----------------------------------------------------------
@@ -189,7 +191,7 @@ class FileSystem:
         listing = self._dir_index.get(parent)
         if listing is None:
             self.mkdir(parent)
-            listing = self._dir_index[parent] = {}
+            listing = self._dir_index[self._dirs[parent]] = {}
         return listing
 
     def append(self, path: str, line: str, now: float = 0.0) -> SimFile:
@@ -295,8 +297,8 @@ class FileSystem:
 
     def restore_state(self, state: dict) -> None:
         self._files.clear()
-        self._dirs = set(state["dirs"])
-        self._dirs.add("/")
+        made, self._dirs = self._dirs, {"/": "/"}
+        self._dirs.update((name, made.get(name, name)) for name in state["dirs"])
         self._dir_index.clear()
         self.mounts.clear()
         self._mount_cache.clear()
@@ -306,7 +308,7 @@ class FileSystem:
                           online=bool(row["online"]),
                           readonly=bool(row["readonly"]))
             self.mounts[mount.point] = mount
-            self._dirs.add(mount.point)
+            self._dirs.setdefault(mount.point, mount.point)
         for row in state["files"]:
             path = row["path"]
             self._files[path] = tuple(row["lines"])

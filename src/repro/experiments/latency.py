@@ -30,7 +30,6 @@ from repro.experiments.runner import FidelityHarness
 from repro.experiments.site import SiteConfig, build_site
 from repro.faults.models import CATEGORY_PROFILES, Category
 from repro.ops.operators import OperatorModel
-from repro.sim import RandomStreams
 from repro.sim.calendar import DAY, HOUR, period_of
 from repro.trace import install_tracer
 

@@ -18,6 +18,7 @@ relocation tier -- nothing else moves.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Mapping, Optional
 
 from repro.experiments.report import mean_summary, pct, table, trace_artifacts
@@ -58,7 +59,7 @@ def run_once(seed: int = 0, *, population: int = 1_000_000,
         "relocate": score("relocate", relocated, curve,
                           horizon=horizon, step=step),
         # what the relocation tier did
-        "relocations": dict(sorted(stats.summary().items())),
+        "relocations": dict(sorted(asdict(stats).items())),
     }
 
 

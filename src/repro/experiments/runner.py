@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.apps.base import AppState
-from repro.apps.database import Database
 from repro.faults.injector import FaultInjector
 from repro.faults.models import Category
 from repro.ops.downtime import DowntimeLedger

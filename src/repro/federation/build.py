@@ -39,7 +39,6 @@ from repro.relocate.crosssite import CrossSiteRelocator
 from repro.sim.rand import RandomStreams
 from repro.traffic.engine import doors_for_site
 from repro.traffic.frontdoor import GeoFrontDoor
-from repro.traffic.slo import rollup_slis
 from repro.traffic.workload import FINANCIAL_REGIONS, regional_curves
 
 __all__ = ["Federation", "build_federation"]

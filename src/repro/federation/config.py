@@ -9,7 +9,7 @@ cross-site relocation tier.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.experiments.site import SiteConfig
@@ -42,12 +42,6 @@ class SiteSpec:
         if region == self.region:
             return self.region_latency_ms.get(region, 10.0)
         return self.region_latency_ms.get(region, REMOTE_LATENCY_MS)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "region": self.region,
-                "config": asdict(self.config),
-                "region_latency_ms": dict(sorted(
-                    self.region_latency_ms.items()))}
 
 
 @dataclass
@@ -85,19 +79,6 @@ class FederationConfig:
     def pair_latency_ms(self, a: str, b: str) -> float:
         key = "|".join(sorted((a, b)))
         return float(self.wan_latency_overrides.get(key, WAN_LATENCY_MS))
-
-    def to_dict(self) -> dict:
-        return {
-            "sites": [s.to_dict() for s in self.sites],
-            "population": self.population,
-            "epoch": self.epoch,
-            "wan_latency_overrides": dict(sorted(
-                self.wan_latency_overrides.items())),
-            "with_traffic": self.with_traffic,
-            "geo_steering": self.geo_steering,
-            "cross_site_relocation": self.cross_site_relocation,
-            "seed": self.seed,
-        }
 
 
 def three_site_config(*, population: int = 1_000_000, seed: int = 0,

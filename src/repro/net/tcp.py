@@ -12,7 +12,6 @@ nothing; an overloaded one is slow).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["ConnectResult", "tcp_connect", "find_listener"]
 

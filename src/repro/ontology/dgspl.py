@@ -13,7 +13,7 @@ resubmissions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.cluster.specs import SPEC_CATALOGUE
@@ -168,11 +168,6 @@ class TierDigest:
     def mean_load(self) -> float:
         return self.total_load / self.services if self.services else 0.0
 
-    def to_dict(self) -> dict:
-        return {"app_type": self.app_type, "services": self.services,
-                "hosts": self.hosts, "total_load": self.total_load,
-                "total_power": self.total_power}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TierDigest":
         return cls(app_type=str(doc["app_type"]),
@@ -203,12 +198,6 @@ class SiteDigest:
         if tier is None or tier.services == 0:
             return 0.0
         return tier.total_power / (1.0 + tier.mean_load)
-
-    def to_dict(self) -> dict:
-        return {"site": self.site, "generated_at": self.generated_at,
-                "hosts_up": self.hosts_up,
-                "tiers": {k: t.to_dict()
-                          for k, t in sorted(self.tiers.items())}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SiteDigest":
@@ -248,7 +237,7 @@ class FederatedDgspl(Persistent):
     path ages the site out of the merged view.
     """
 
-    _persist = (table("digests", SiteDigest.from_dict, SiteDigest.to_dict),
+    _persist = (table("digests", SiteDigest.from_dict, asdict),
                 table("received_at", float), scalar("ingested", int))
 
     def __init__(self):

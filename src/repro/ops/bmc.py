@@ -20,8 +20,6 @@ its footprint participates in host memory accounting) and exposes
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
-
 __all__ = ["BaselineMonitor"]
 
 

@@ -12,7 +12,7 @@ whole-world checkpoints:
 - :mod:`repro.persist.core` -- the protocol, its one implementation
   (:class:`~repro.persist.core.Persistent` and the entry vocabulary),
   the canonical-JSON state hash, :func:`~repro.persist.core.seal`
-  (the same hash and the file's bytes from one encoding),
+  (the same hash and the file's bytes from one encoding, in pieces),
   :func:`~repro.persist.core.collector_paused` (the resume path builds
   uncollected, then leaves its world in the oldest generation) and
   :class:`~repro.persist.core.QuiescenceError`.
@@ -29,7 +29,7 @@ whole-world checkpoints:
   of the wrong kind is refused by name.
 - :mod:`repro.persist.checkpoint` -- :class:`CheckpointManager`: epoch
   barriers between run segments, atomic writes of the sealed pieces,
-  a from-scratch hash check on load, retention, and the
+  a piecewise read and hash check on load, retention, and the
   deferred-barrier policy for non-quiescent moments -- for a site or a
   federation alike (every chaos episode checkpoint is the latter).
 """

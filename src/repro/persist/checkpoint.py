@@ -13,13 +13,13 @@ never leaves a truncated checkpoint, and retention keeps the newest N
 so a year-long segmented campaign holds bounded disk.  The file is the
 :func:`~repro.persist.core.canonical_json` rendering of the sealed
 document: the bytes the ``state_hash`` was taken over *plus* the
-``"state_hash"`` member itself, spliced in at its sorted place by
-:func:`repro.persist.core.seal`, whose pieces :meth:`CheckpointManager.epoch`
-writes as they are -- one encoding per epoch.
-:meth:`CheckpointManager.load`, the one place a document enters from
-outside the program, recomputes that hash from scratch: a truncated,
-edited or bit-flipped file is a ``ValueError`` naming the path, never
-a running world.
+``"state_hash"`` member itself, at its sorted place.
+:func:`repro.persist.core.seal` hands :meth:`CheckpointManager.epoch`
+the pieces as it encodes them, once, and the file takes each as it
+comes.  :meth:`CheckpointManager.load`, the one place a document enters
+from outside the program, reads it back the same way and recomputes
+that hash: a truncated, edited or bit-flipped file is a ``ValueError``
+naming the path, never a running world.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.decoder import WHITESPACE
 from typing import List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
@@ -53,6 +54,71 @@ def _refuse_constant(name: str):
     """``json``'s hook for ``NaN`` / ``Infinity`` / ``-Infinity``,
     which Python parses and no canonical document can hold."""
     raise ValueError(f"non-finite literal {name}")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _read(fh):
+    """``json.load(fh)`` without ever holding the file's text: an object
+    is read member by member two levels down, the way
+    :func:`~repro.persist.core.seal` wrote it, and any other value from
+    a buffer that grows only until the value ends."""
+    buf, pos = "", 0
+
+    def more() -> bool:
+        """Drop what was read; read at least as much as is left."""
+        nonlocal buf, pos
+        text = fh.read(max(1 << 16, len(buf) - pos))
+        buf, pos = buf[pos:] + text, 0
+        return bool(text)
+
+    def peek(expected: str = "") -> str:
+        """The next character that is not blank ("" at the end); with
+        ``expected``, step over it, which must be one of those."""
+        nonlocal pos
+        pos = WHITESPACE.match(buf, pos).end()
+        while pos == len(buf) and more():
+            pos = WHITESPACE.match(buf, pos).end()
+        char = buf[pos:pos + 1]
+        if expected:
+            if not char or char not in expected:
+                raise json.JSONDecodeError(f"Expecting {expected!r}", buf, pos)
+            pos += 1
+        return char
+
+    def value(depth: int):
+        nonlocal pos
+        if depth and peek() == "{":
+            obj, pos = {}, pos + 1
+            if peek() == "}":
+                pos += 1
+                return obj
+            while True:
+                if not isinstance(key := value(0), str):
+                    raise json.JSONDecodeError("Expecting a key", buf, pos)
+                peek(":")
+                obj[key] = value(depth - 1)
+                if peek(",}") == "}":
+                    return obj
+        peek()
+        while True:
+            start = pos
+            try:
+                found, end = _DECODER.raw_decode(buf, pos)
+            except json.JSONDecodeError:
+                if more():
+                    continue
+                raise
+            # a number the buffer ends in, or cuts short, may go on
+            if buf[end:end + 1] not in "+-.0123456789Ee" or not more():
+                pos += end - start
+                return found
+
+    doc = value(2)
+    if peek():
+        raise json.JSONDecodeError("Extra data", buf, pos)
+    return doc
 
 
 class CheckpointManager:
@@ -100,13 +166,26 @@ class CheckpointManager:
                           < self.every_hours * 3600.0):
             return None
         sealed = sealed_federation if self._federated else sealed_site
+        path = os.path.join(self.directory, self._name())
+        tmp = path + ".tmp"
         try:
-            snap, pieces = sealed(self.site, self.extras)
-            path = self._write(pieces)
-        except QuiescenceError:
+            with open(tmp, "w", buffering=1 << 20) as fh:    # not a write per piece
+                snap = sealed(self.site, self.extras, write=fh.write)
+                fh.write("\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException as exc:
+            # deferred, disk full, ^C: a half-written tmp is nobody's
+            # checkpoint
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            if not isinstance(exc, QuiescenceError):
+                raise
             self.deferred += 1
             return None
-        self.last_hash = snap["state_hash"]
+        self.written += 1
+        self.last_path, self.last_hash = path, snap["state_hash"]
         self._last_at = self._now()
         self._prune()
         return path
@@ -118,47 +197,26 @@ class CheckpointManager:
         names sort by time: two epochs a second apart keep two files."""
         return f"{self.label}-{self._now():016.3f}s.json"
 
-    def _write(self, pieces: List[str]) -> str:
-        """The sealed document's pieces, then a newline, atomically."""
-        path = os.path.join(self.directory, self._name())
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.writelines(pieces)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            # disk full, ^C: a half-written tmp is nobody's checkpoint
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-        self.written += 1
-        self.last_path = path
-        return path
-
-    @staticmethod
-    def _listing(directory: str, label: str, suffix: str) -> List[str]:
-        """``label``'s files ending in ``suffix``, oldest first (the
+    def _listing(self, suffix: str) -> List[str]:
+        """This label's files ending in ``suffix``, oldest first (the
         zero-padded second stamp sorts by time)."""
         try:
-            names = sorted(n for n in os.listdir(directory)
-                           if n.startswith(label + "-")
+            names = sorted(n for n in os.listdir(self.directory)
+                           if n.startswith(self.label + "-")
                            and n.endswith(suffix))
         except FileNotFoundError:
             return []
-        return [os.path.join(directory, n) for n in names]
+        return [os.path.join(self.directory, n) for n in names]
 
     def checkpoints(self) -> List[str]:
         """Existing checkpoint paths for this label, oldest first."""
-        return self._listing(self.directory, self.label, ".json")
+        return self._listing(".json")
 
     def _prune(self) -> None:
         """Keep the newest ``retain``; a ``.json.tmp`` of this label is
         what a killed writer left (ours is renamed by now)."""
         paths = self.checkpoints()
-        stale = self._listing(self.directory, self.label, ".json.tmp")
+        stale = self._listing(".json.tmp")
         for path in paths[:max(0, len(paths) - self.retain)] + stale:
             os.remove(path)
 
@@ -171,7 +229,7 @@ class CheckpointManager:
         ``ValueError`` naming the path, never a running world."""
         try:
             with open(path, encoding="utf-8") as fh:
-                snap = json.load(fh, parse_constant=_refuse_constant)
+                snap = _read(fh)
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ValueError(

@@ -33,18 +33,19 @@ keys, before the component is touched.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import gc
 import hashlib
 import json
-from operator import attrgetter, itemgetter
-from typing import (Callable, Iterable, Iterator, List, Mapping, Optional,
-                    Protocol, Tuple, runtime_checkable)
+from operator import attrgetter
+from typing import (Callable, Iterable, List, Mapping, Optional, Protocol,
+                    Tuple, runtime_checkable)
 
 __all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
            "canonical_json", "check_format", "state_hash", "seal",
-           "compose", "collector_paused",
+           "discard", "compose", "collector_paused",
            "Persistent", "Entry", "scalar", "scalars", "member", "sortedset",
            "table", "pairs", "rows", "record", "refs", "part", "children",
            "pending", "pendings",
@@ -106,51 +107,72 @@ def canonical_json(state: dict) -> str:
 
 
 def state_hash(state: dict) -> str:
-    """sha256 of the canonical JSON -- the checkpoint's content hash.
+    """sha256 of the canonical JSON -- the checkpoint's content hash --
+    over the pieces :func:`seal` writes, so a loaded file verifies piece
+    by piece and no string of the whole document is made."""
+    digest = hashlib.sha256()
+    _encode(2, state, lambda piece: digest.update(piece.encode("utf-8")))
+    return digest.hexdigest()
 
-    The from-scratch definition: :meth:`CheckpointManager.load` and the
-    tests check against it; a snapshot takes the same hash through
-    :func:`seal`, which does not encode the document a second time."""
-    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
+
+def discard(piece: str) -> None:
+    """The writer for a hash alone: it keeps no piece."""
 
 
-def compose(members: Iterable[Tuple[str, Iterable[str]]]) -> Iterator[str]:
-    """Canonical JSON composes: the rendering of a str-keyed object, in
-    pieces, from ``(key, pieces of its value's rendering)`` pairs given
-    in key order."""
+def compose(members: Iterable[Tuple[str, Callable]],
+            write: Callable[[str], object]) -> None:
+    """Canonical JSON composes: ``write`` the rendering of a str-keyed
+    object, in pieces, from ``(key, writer of its value's rendering)``
+    pairs given in key order."""
     opener = "{"
-    for key, pieces in members:
-        yield f"{opener}{json.dumps(key)}:"
-        yield from pieces
+    for key, value in members:
+        write(f"{opener}{json.dumps(key)}:")
+        value(write)
         opener = ","
-    yield "}" if opener == "," else "{}"
+    write("}" if opener == "," else "{}")
 
 
-def seal(state: dict,
-         encoded: Optional[Mapping[str, List[str]]] = None) -> List[str]:
+def _encode(depth: int, value, write: Callable[[str], object]) -> None:
+    """``canonical_json(value)`` to ``write`` in pieces: a str-keyed dict
+    is composed ``depth`` levels down -- a document and its members, so
+    a piece is one host's or one component's state (json sorts other
+    keys by their own order, not as strings)."""
+    if depth and isinstance(value, dict) and all(
+            isinstance(key, str) for key in value):
+        compose(((key, functools.partial(_encode, depth - 1, value[key]))
+                 for key in sorted(value)), write)
+    else:
+        write(canonical_json(value))
+
+
+def seal(state: dict, encoded: Optional[Mapping[str, Callable]] = None, *,
+         write: Callable[[str], object]) -> None:
     """Record ``state``'s :func:`state_hash` in it as ``"state_hash"``
-    and return the sealed document's :func:`canonical_json` in pieces,
-    every byte encoded once: ``"".join(seal(s))`` is
-    ``canonical_json(s)`` afterwards.
+    and hand the sealed document's :func:`canonical_json` to ``write``
+    in pieces, every byte encoded once.
 
-    Each top-level member is encoded on its own and fed to one sha256
-    as it goes -- the hashed body is never joined into one string --
-    then the ``"state_hash"`` member is spliced in at its sorted place.
-    ``encoded`` maps the members whose rendering the caller already
-    holds (a federation's sealed site documents) to its pieces.
+    Each piece is fed to one sha256 and written as it is made; only the
+    members that sort after ``"state_hash"`` are held until the hash is
+    known.  ``encoded`` maps a member the caller writes itself (a
+    federation's sites, each sealed on the way) to its writer.
     """
     if "state_hash" in state:
         raise ValueError("document is already sealed")
     encoded = encoded or {}
-    members = [(key, encoded[key] if key in encoded
-                else [canonical_json(state[key])]) for key in sorted(state)]
-    digest = hashlib.sha256()
-    for piece in compose(members):
-        digest.update(piece.encode("utf-8"))
+    digest, held, keys = hashlib.sha256(), [], sorted(state)
+    cut = bisect.bisect(keys, "state_hash")
+    for n, key in enumerate(keys):
+        def hashed(piece: str, out=write if n < cut else held.append):
+            digest.update(piece.encode("utf-8"))
+            out(piece)
+        hashed(f'{"," if n else "{"}{json.dumps(key)}:')
+        (encoded.get(key) or functools.partial(_encode, 1, state[key]))(hashed)
+    digest.update(b"}" if keys else b"{}")
     state["state_hash"] = digest.hexdigest()
-    members.append(("state_hash", [json.dumps(state["state_hash"])]))
-    members.sort(key=itemgetter(0))
-    return list(compose(members))
+    write(f'{"," if cut else "{"}"state_hash":"{state["state_hash"]}"')
+    for n, piece in enumerate(held):    # the hash's member comes first
+        write("," + piece[1:] if n == 0 else piece)
+    write("}")
 
 
 def collector_paused(fn: Callable) -> Callable:

@@ -18,7 +18,9 @@ byte-identical summaries to the one that never stopped.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+import functools
+from dataclasses import asdict
+from typing import Callable, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, Entry, check_format,
                                 collector_paused, compose, group, load_state,
@@ -47,25 +49,29 @@ _ENVELOPE = ("format", "fedconfig", "sites", "state_hash")
 
 
 def sealed_federation(fed, extras_by_site: Optional[
-        Mapping[str, Mapping[str, object]]] = None) -> Tuple[dict, List[str]]:
-    """One document for the whole federation and the pieces of its
-    canonical JSON.  ``extras_by_site`` forwards harness-owned
-    components to each site's :func:`sealed_site` (same names must be
-    passed on restore).  Each site is sealed once and its text handed
-    on as is: the federation's hash and file reuse it, not re-encode
-    it."""
+        Mapping[str, Mapping[str, object]]] = None, *,
+        write: Callable[[str], object]) -> dict:
+    """One document for the whole federation, its canonical JSON handed
+    to ``write`` in pieces as it is sealed.  ``extras_by_site`` forwards
+    harness-owned components to each site's :func:`sealed_site` (same
+    names must be passed on restore).  Each site is sealed once, on the
+    way through: the federation's hash and file take its pieces as they
+    come, not a re-encoding."""
     extras_by_site = dict(extras_by_site or {})
-    sealed = {name: sealed_site(fed.sites[name], extras_by_site.get(name))
-              for name in sorted(fed.sites)}
     state: dict = {
         "format": FORMAT_VERSION,
-        "fedconfig": fed.config.to_dict(),
-        "sites": {name: doc for name, (doc, _pieces) in sealed.items()},
+        "fedconfig": asdict(fed.config),
+        "sites": {},
         **save_state(fed, _LAYERS),
     }
-    sites = list(compose((name, pieces)
-                         for name, (_doc, pieces) in sealed.items()))
-    return state, seal(state, {"sites": sites})
+
+    def site(name: str, out: Callable[[str], object]) -> None:
+        state["sites"][name] = sealed_site(
+            fed.sites[name], extras_by_site.get(name), write=out)
+    seal(state, {"sites": functools.partial(compose, (
+        (name, functools.partial(site, name)) for name in sorted(fed.sites)))},
+        write=write)
+    return state
 
 
 @collector_paused
@@ -79,7 +85,7 @@ def restore_federation(snapshot: dict, *, fed, extras_by_site: Optional[
     check_format(snapshot, "federation")
     extras_by_site = dict(extras_by_site or {})
 
-    if fed.config.to_dict() != snapshot["fedconfig"]:
+    if asdict(fed.config) != snapshot["fedconfig"]:
         raise ValueError(
             "supplied federation was built from a different config "
             "than the snapshot's")

@@ -30,40 +30,16 @@ from __future__ import annotations
 
 from dataclasses import asdict, fields
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
                                 check_format, claimed_of, collector_paused,
-                                restore_node, seal, snapshot_node)
+                                discard, restore_node, seal, snapshot_node)
 
 __all__ = ["snapshot_site", "sealed_site", "restore_site", "fresh_site"]
 
 
 # -- quiescence --------------------------------------------------------------
-
-def _check_quiescent(site, extras: Mapping[str, object]) -> None:
-    """All the reasons a snapshot must be refused, with names."""
-    cfg = site.config
-    if cfg.with_workload:
-        raise QuiescenceError(
-            "checkpointable configurations need with_workload=False (its "
-            "generator processes cannot be serialised)")
-    tracer = site.sim.tracer
-    if getattr(tracer, "_stack", None):
-        raise QuiescenceError(
-            f"{len(tracer._stack)} tracer span(s) still open")
-    if site.relocator is not None and site.relocator.active:
-        raise QuiescenceError(
-            f"relocations in flight: {sorted(site.relocator.active)}")
-    if site.lsf.pending or site.lsf.running:
-        raise QuiescenceError(
-            f"batch jobs on the books (pending={len(site.lsf.pending)} "
-            f"running={len(site.lsf.running)})")
-    for db in site.databases:
-        if getattr(db, "active_jobs", None):
-            raise QuiescenceError(
-                f"{db.host.name}/{db.name} has attached batch jobs")
-
 
 def _coverage_check(site, claimed: Dict[int, str]) -> None:
     """Every live heap event must be claimed by exactly one owner."""
@@ -145,24 +121,28 @@ def _tracer_of(site):
 
 def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
                   ) -> dict:
-    """One dict for the whole world.
+    """One dict for the whole world, sealed.
 
     ``extras`` adds harness-owned components (fault injector, downtime
     ledger, ...) by name; each must be Snapshottable
     and participates in claimed-event coverage when it owns events.
-    The same names must be passed to :func:`restore_site`.
+    The same names must be passed to :func:`restore_site`.  The hash is
+    taken without keeping a piece of the encoding.
     """
-    return sealed_site(site, extras)[0]
+    return sealed_site(site, extras, write=discard)
 
 
-def sealed_site(site, extras: Optional[Mapping[str, object]] = None
-                ) -> Tuple[dict, List[str]]:
-    """:func:`snapshot_site`'s document and, beside it, the pieces of
-    its canonical JSON (:func:`~repro.persist.core.seal`) -- for the
-    checkpoint writer and the federation walk, which would otherwise
-    encode the document again."""
+def sealed_site(site, extras: Optional[Mapping[str, object]] = None, *,
+                write: Callable[[str], object]) -> dict:
+    """:func:`snapshot_site`'s document, its canonical JSON handed to
+    ``write`` in pieces as it is sealed (:func:`~repro.persist.core.seal`)
+    -- for the checkpoint writer and the federation walk, which would
+    otherwise encode the document again."""
     extras = dict(extras or {})
-    _check_quiescent(site, extras)
+    if site.config.with_workload:       # the rest is each component's guard
+        raise QuiescenceError(
+            "checkpointable configurations need with_workload=False (its "
+            "generator processes cannot be serialised)")
 
     tracer = _tracer_of(site)
     state: dict = {
@@ -177,7 +157,8 @@ def sealed_site(site, extras: Optional[Mapping[str, object]] = None
         state[key] = snapshot_node(node)
 
     _coverage_check(site, _claims(layers))
-    return state, seal(state)
+    seal(state, write=write)
+    return state
 
 
 @collector_paused

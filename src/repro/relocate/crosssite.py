@@ -24,7 +24,7 @@ services came back up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.healing import apply_action
@@ -58,17 +58,6 @@ class CrossSiteRecord:
     success: bool = False
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "subject", "app_name", "app_type", "version", "source_site",
-            "source_host", "target_site", "target_host", "target_app",
-            "cold", "reason", "started", "deadline", "finished", "phase",
-            "success", "detail")}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CrossSiteRecord":
-        return cls(**doc)
-
 
 @dataclass
 class _Takeover:
@@ -79,16 +68,6 @@ class _Takeover:
     target_site: str
     target_host: str
     target_app: str
-
-    def to_dict(self) -> dict:
-        return {"source_site": self.source_site, "app_type": self.app_type,
-                "target_site": self.target_site,
-                "target_host": self.target_host,
-                "target_app": self.target_app}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "_Takeover":
-        return cls(**doc)
 
 
 class CrossSiteRelocator(Persistent):
@@ -102,9 +81,9 @@ class CrossSiteRelocator(Persistent):
 
     _persist = (
         sortedset("lost_sites"),
-        rows("records", CrossSiteRecord.from_dict, CrossSiteRecord.to_dict),
+        rows("records", lambda doc: CrossSiteRecord(**doc), asdict),
         via("active", "_save_active", "_load_active"),
-        rows("takeovers", _Takeover.from_dict, _Takeover.to_dict),
+        rows("takeovers", lambda doc: _Takeover(**doc), asdict),
         scalar("tier_totals",
                lambda saved: {tuple(key.split("|", 1)): int(n)
                               for key, n in saved.items()},

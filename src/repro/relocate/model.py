@@ -97,16 +97,6 @@ class RelocationStats:
     hours_saved: float = 0.0
     hours_lost_to_rollbacks: float = 0.0
 
-    def summary(self) -> dict:
-        return {
-            "candidates": self.candidates,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "superseded": self.superseded,
-            "hours_saved": self.hours_saved,
-            "hours_lost_to_rollbacks": self.hours_lost_to_rollbacks,
-        }
-
 
 def _record_spans(tracer, rec: FaultRecord, phases, outcome: str) -> None:
     fid = tracer.new_fault_id()

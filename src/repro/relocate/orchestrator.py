@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional
 from repro.apps.base import AppState
 from repro.core.healing import apply_action
 from repro.ontology.slkt import app_template_of
-from repro.persist.core import Persistent, record, rows, scalars
+from repro.persist.core import (Persistent, QuiescenceError, record, rows,
+                                scalars)
 
 __all__ = ["RelocationRecord", "ServiceRelocator"]
 
@@ -238,7 +239,7 @@ class ServiceRelocator(Persistent):
         checkpoint manager treats this as a non-quiescent barrier and
         defers to the next epoch."""
         if self.active:
-            raise ValueError(
+            raise QuiescenceError(
                 f"cannot snapshot with in-flight relocations: "
                 f"{sorted(self.active)}")
         return super().snapshot_state()

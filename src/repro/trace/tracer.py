@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.persist.core import Persistent, part, rows, scalar, via
+from repro.persist.core import (Persistent, QuiescenceError, part, rows,
+                                scalar, via)
 from repro.trace.metrics import MetricsRegistry
 
 __all__ = ["Span", "Tracer", "NULL_SPAN", "NULL_TRACER", "install_tracer"]
@@ -262,7 +263,7 @@ class Tracer(Persistent):
         """Refuses to snapshot mid-operation: the open-span stack must
         be empty."""
         if self._stack:
-            raise ValueError(
+            raise QuiescenceError(
                 f"cannot snapshot tracer with {len(self._stack)} open "
                 f"span(s): {[sp.name for sp in self._stack]}")
         return super().snapshot_state()

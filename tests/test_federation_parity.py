@@ -10,6 +10,7 @@ from repro.federation import (FederationConfig, SiteSpec,
                               build_federation, three_site_config)
 from repro.persist import (restore_federation, sealed_federation,
                            snapshot_site)
+from repro.persist.core import discard
 from repro.sim.calendar import HOUR
 
 
@@ -71,10 +72,11 @@ def test_checkpoint_restore_continues_identically():
 
     fed = build()
     fed.run(1 * HOUR - fed.now)
-    snap = sealed_federation(fed)[0]
+    snap = sealed_federation(fed, write=discard)
 
     restored = restore_federation(snap, fed=build())
-    assert sealed_federation(restored)[0]["state_hash"] == snap["state_hash"]
+    assert sealed_federation(restored, write=discard)["state_hash"] \
+        == snap["state_hash"]
 
     fed.run(1 * HOUR)
     restored.run(1 * HOUR)

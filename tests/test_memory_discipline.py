@@ -11,6 +11,7 @@ file name) is a leak with a hit rate.
 """
 
 import gc
+import os
 import tracemalloc
 from collections import deque
 
@@ -18,6 +19,8 @@ from repro.controlplane.ledger import ConditionLedger
 from repro.metrics.samplers import WORKGROUPS, SamplerSuite
 from repro.metrics.timeseries import TimeSeries
 from repro.observe.pipeline import MAXLEN, TelemetryHub
+from repro.persist import FORMAT_VERSION, CheckpointManager
+from repro.persist.core import canonical_json, discard, seal, state_hash
 
 
 class _FakeSim:
@@ -66,6 +69,34 @@ def test_mount_memo_is_bounded_by_directories_not_files():
         fs = suite.host.fs
         assert len(fs._files) < 400              # pruning keeps up
         assert 0 < len(fs._mount_cache) <= len(fs._dirs)
+
+
+def test_hosts_share_the_names_of_the_directories_every_host_makes():
+    """A host-independent agent's directory name is one object on every
+    host -- the key of its directory table entry, its listing and its
+    mount memo -- and stays one through a snapshot round trip.  Each
+    host used to split its own copy off every path written there: ten
+    names a host, 0.73 MB at 1 000 hosts."""
+    from repro.core.status_agent import DLSP_DIR
+    from repro.experiments.wakes import build_fleet
+    sim, _dc, suites = build_fleet(2, "fixed", seed=0)
+    sim.run(until=sim.now + 600.0)
+    first, second = (suite.host.fs for suite in suites)
+
+    def keys(fs, name):
+        return [next(key for key in table if key == name)
+                for table in (fs._dirs, fs._dir_index, fs._mount_cache)]
+    names = [agent.flags.dir for agent in suites[0].agents
+             if agent.shared_name] + [DLSP_DIR]
+    assert len(names) == 6
+    for _round_trip in range(2):
+        for name in names:
+            shared = keys(first, name)[0]
+            assert all(key is shared for key in keys(first, name)
+                       + keys(second, name)), name
+        for fs in (first, second):
+            fs.restore_state(fs.snapshot_state())
+        sim.run(until=sim.now + 600.0)
 
 
 def test_mount_of_answers_by_longest_prefix_through_the_memo(db_host):
@@ -371,3 +402,67 @@ def test_ledger_cursor_driven_trim_keeps_backlog_small():
     assert len(ledger._entries) == 0     # everything consumed -> trimmed
     assert ledger.trimmed == 50
     assert cursor.overruns == 0
+
+
+# -- a checkpoint in pieces --------------------------------------------------
+
+
+def _peak_bytes(fn) -> int:
+    """The most ``fn()`` had allocated at once, on top of what it was
+    handed."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _host_like(i: int) -> dict:
+    return {"fs": {"files": [
+        {"path": f"/logs/perf/h{i:03d}/{group}",
+         "lines": [f"{300.0 * n:.1f} 0.{i:03d} 12.500 {group}"
+                   for n in range(40)]} for group in range(4)]},
+        "load": [i, 0.5, None]}
+
+
+def _document() -> dict:
+    """300 members, the three that sort after ``"state_hash"`` among
+    them."""
+    doc = {f"host{i:03d}": _host_like(i) for i in range(296)}
+    doc.update({key: _host_like(i) for i, key in enumerate(
+        ("suites", "telemetry", "tracer"))})
+    doc["format"] = FORMAT_VERSION
+    return doc
+
+
+def test_no_string_of_the_whole_document_is_made_to_seal_or_hash_it():
+    """``seal`` writes each piece through and ``state_hash`` hashes the
+    same pieces, so on a 300-member document neither peaks above a
+    small multiple of what encoding one member takes; joining the
+    document, or holding every member's encoding, takes 300 of them.
+    The members that sort after ``"state_hash"`` are held until it is
+    known.  Relative to one member, because object sizes differ across
+    3.10-3.12."""
+    doc = _document()
+    one = _peak_bytes(lambda: canonical_json(doc["host000"]))
+    assert _peak_bytes(lambda: state_hash(doc)) <= 2 * one
+    assert _peak_bytes(lambda: seal(doc, write=discard)) <= 4 * one
+
+
+def test_no_string_of_the_whole_file_is_held_to_load_it(tmp_path):
+    """``CheckpointManager.load`` reads a file member by member and
+    verifies it piece by piece: what it holds beyond the document it
+    returns stays under a quarter of the file.  Reading the file's
+    text whole, as ``json.load`` does, holds all of it."""
+    doc, path = _document(), tmp_path / "doc.json"
+    with open(path, "w") as fh:
+        seal(doc, write=fh.write)
+    tracemalloc.start()
+    try:
+        loaded = CheckpointManager.load(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == doc
+    assert peak - held <= os.path.getsize(path) / 4

@@ -59,13 +59,14 @@ def federation_snapshot() -> dict:
     """Three sites, 60 000 users, New York lost an hour in."""
     from repro.federation import build_federation, three_site_config
     from repro.persist import sealed_federation
+    from repro.persist.core import discard
     fed = build_federation(three_site_config(population=60_000))
     fed.start_traffic()
     fed.run(1 * HOUR - fed.now)
     for _name, host in sorted(fed.sites["nyc"].dc.hosts.items()):
         host.crash()
     fed.run(1 * HOUR)
-    return sealed_federation(fed)[0]
+    return sealed_federation(fed, write=discard)
 
 
 def episode_snapshot(tmp: str) -> dict:

@@ -9,6 +9,7 @@ sharp edges each piece promises on its own.
 import gzip
 import importlib
 import json
+import math
 import os
 import pkgutil
 import sys
@@ -23,6 +24,7 @@ from repro.persist import (FORMAT_VERSION, CheckpointManager,
                            QuiescenceError, canonical_json, snapshot_site,
                            state_hash)
 from repro.persist.checkpoint import rss_mb
+from repro.persist.core import discard
 
 
 #: real checkpoints of earlier layouts, by format number: the first
@@ -202,7 +204,7 @@ def _refused_by_its_number(tmp_path, monkeypatch, n):
     target = FidelityHarness(_site())
     site_before = target.snapshot()["state_hash"]
     fed = build_federation(three_site_config(population=60_000))
-    fed_before = sealed_federation(fed)[0]["state_hash"]
+    fed_before = sealed_federation(fed, write=discard)["state_hash"]
     _refuse_builds(monkeypatch)
 
     refused = f"checkpoint format {n} != supported {FORMAT_VERSION}"
@@ -225,7 +227,7 @@ def _refused_by_its_number(tmp_path, monkeypatch, n):
     monkeypatch.undo()
 
     assert target.snapshot()["state_hash"] == site_before
-    assert sealed_federation(fed)[0]["state_hash"] == fed_before
+    assert sealed_federation(fed, write=discard)["state_hash"] == fed_before
     assert not (tmp_path / "ck").exists()
 
 
@@ -264,7 +266,7 @@ def test_wrong_kind_of_document_is_refused_before_anything_is_built(
     harness.run_hours(0.25)
     site_doc = harness.snapshot()
     fed = build_federation(three_site_config(population=60_000))
-    fed_doc = sealed_federation(fed)[0]
+    fed_doc = sealed_federation(fed, write=discard)
 
     wants_site = "holds a federation document, wanted a site one"
     with pytest.raises(ValueError, match=wants_site):
@@ -278,7 +280,8 @@ def test_wrong_kind_of_document_is_refused_before_anything_is_built(
     wants_fed = "holds a site document, wanted a federation one"
     with pytest.raises(ValueError, match=wants_fed):
         restore_federation(site_doc, fed=fed)
-    assert sealed_federation(fed)[0]["state_hash"] == fed_doc["state_hash"]
+    assert sealed_federation(fed, write=discard)["state_hash"] \
+        == fed_doc["state_hash"]
 
     # an episode checkpoint written before single-site episodes ran in
     # a federation of one is such a site document
@@ -442,6 +445,71 @@ def test_a_deferred_epoch_is_on_the_books(tmp_path):
     assert mgr.epoch(force=True) is None
     assert (mgr.written, mgr.deferred) == (0, 1)
     assert os.listdir(tmp_path) == []
+
+
+def _fail_and_recover(directory, mgr, fresh_manager, fail, undo) -> None:
+    """``fail`` makes the next epoch stop part-way through writing; the
+    manager must be left as it was, and once ``undo`` mends the world
+    its next epoch writes what a fresh manager's does."""
+    fail()
+    try:
+        assert mgr.epoch(force=True) is None        # deferred
+        assert mgr.deferred == 1
+    except ValueError as exc:
+        assert "Out of range float" in str(exc) and mgr.deferred == 0
+    undo()
+    assert os.listdir(directory) == []
+    assert (mgr.written, mgr.last_path, mgr.last_hash) == (0, None, None)
+    path = mgr.epoch(force=True)
+    with open(path, "rb") as got, \
+            open(fresh_manager().epoch(force=True), "rb") as want:
+        assert got.read() == want.read()
+    assert mgr.written == 1
+
+
+@pytest.mark.parametrize("failure", ["deferred", "nan-before-hash",
+                                     "nan-after-hash"])
+def test_a_failed_site_epoch_leaves_nothing_behind(tmp_path, failure):
+    """A refusal, or a non-finite float in a member that sorts before
+    ``"state_hash"`` (written through as it is encoded) or after it
+    (held until the hash is known), stops a streaming epoch: no file, no
+    ``.tmp``, no ``last_hash``, no count."""
+    harness, mgr = _manager(tmp_path / "ck")
+    harness.run_hours(0.5)
+    site = harness.site
+    host = site.dc.hosts[max(site.dc.hosts)]
+    agent = site.suites[max(site.suites)].agents[-1]
+    held = {"host": host.io_demand, "agent": agent._busy_until}
+    events = []
+    fail = {
+        "deferred": lambda: events.append(
+            site.sim.schedule(60.0, lambda: None)),      # nobody's event
+        "nan-before-hash": lambda: setattr(host, "io_demand", math.nan),
+        "nan-after-hash": lambda: setattr(agent, "_busy_until", math.inf),
+    }[failure]
+
+    def undo():
+        for ev in events:
+            ev.cancel()
+        host.io_demand, agent._busy_until = held["host"], held["agent"]
+    _fail_and_recover(tmp_path / "ck", mgr, lambda: CheckpointManager(
+        site, str(tmp_path / "fresh"), extras=harness._extras()), fail, undo)
+
+
+def test_a_federation_epoch_refused_at_its_last_site_leaves_nothing_behind(
+        tmp_path):
+    """The first sites' documents are in the ``.tmp`` when the last one
+    refuses."""
+    from repro.federation import build_federation, three_site_config
+    fed = build_federation(three_site_config(population=60_000))
+    fed.run(600.0)
+    last = fed.sites[max(fed.sites)].sim
+    events = []
+    _fail_and_recover(
+        tmp_path / "ck", CheckpointManager(fed, str(tmp_path / "ck")),
+        lambda: CheckpointManager(fed, str(tmp_path / "fresh")),
+        lambda: events.append(last.schedule(60.0, lambda: None)),
+        lambda: events[0].cancel())
 
 
 @pytest.mark.parametrize("platform, maxrss", [("linux", 100 << 10),

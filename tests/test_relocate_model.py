@@ -95,7 +95,7 @@ def test_same_rng_is_byte_identical():
     a, sa = apply_relocation(escalate1, rng1)
     b, sb = apply_relocation(escalate2, rng2)
     assert [r.repair for r in a.records] == [r.repair for r in b.records]
-    assert sa.summary() == sb.summary()
+    assert sa == sb
 
 
 def test_spans_recorded_per_modelled_relocation():
