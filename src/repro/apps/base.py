@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.process import SimProc
 from repro.persist.core import (Persistent, group, member, pending, scalar,
-                                scalars, signal, via)
+                                scalars, via)
 
 __all__ = ["AppState", "ProcessSpec", "StartupStep", "Application"]
 
@@ -76,9 +76,6 @@ class Application(Persistent):
         member("state", AppState), scalar("config_ok", bool),
         scalar("data_ok", bool), scalar("started_at"),
         *scalars(int, "crash_count", "restart_count"),
-        signal("state_changed",
-               lambda v: v if v is None else AppState(v),
-               lambda v: v.value if isinstance(v, AppState) else v),
         via("proc_pids", "_save_pids", "_relink_procs"),
         pending("startup_event", "_startup_event", "_finish_start"),
         group("extra", "_persist_extra"))

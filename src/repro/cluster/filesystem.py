@@ -27,6 +27,7 @@ returns is built for the caller, kept nowhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,10 +163,14 @@ class FileSystem:
     # -- directories -----------------------------------------------------
 
     def mkdir(self, path: str) -> None:
+        """Make ``path`` and its ancestors.  An ancestor's name is
+        interned: it is the parent of a host-specific directory
+        (``/logs/perf/<host>``) or of one every host makes, so one
+        object serves every host."""
         path = _norm(path)
         while path != "/":
             self._dirs.setdefault(path, path)
-            path = _parent(path)
+            path = sys.intern(_parent(path))
 
     # -- files -----------------------------------------------------------
 

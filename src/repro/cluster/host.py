@@ -28,7 +28,7 @@ from repro.cluster.shell import Shell
 from repro.cluster.specs import ServerSpec
 from repro.cluster.syslog import Syslog
 from repro.persist.core import (Persistent, member, part, pending, scalar,
-                                scalars, signal, sortedset)
+                                scalars, sortedset)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -66,7 +66,6 @@ class Host(Persistent):
         scalar("crash_count", int), scalar("io_demand", float),
         scalar("extra_runnable", int), sortedset("logged_in_users"),
         *scalars(int, "nfs_calls", "nfs_retrans"),
-        signal("up_signal"), signal("down_signal"),
         part("inventory"), part("fs"), part("ptable"), part("syslog"),
         part("crond"), part("shell"), part("nics"),
         pending("boot_event", "_boot_event", "_finish_boot"))

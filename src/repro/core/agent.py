@@ -109,7 +109,8 @@ class Intelliagent(Persistent):
 
     def __init__(self, host, name: str, *, channel=None,
                  admin_targets: Optional[Sequence[str]] = None,
-                 notifications=None, ledger=None, wake_policy: str = "fixed"):
+                 notifications=None, ledger=None, wake_policy: str = "fixed",
+                 offset: float = 0.0):
         self.host = host
         self.sim = host.sim
         self.name = name
@@ -142,7 +143,10 @@ class Intelliagent(Persistent):
         self._attempts = _NO_ATTEMPTS
         #: subjects we already escalated (reset when healthy again)
         self._escalated = _NONE_ESCALATED
-        self.cron_job = host.crond.register(name, self.period, self.run)
+        #: one crontab entry, at ``offset`` on the grid (the suite
+        #: staggers its complement)
+        self.cron_job = host.crond.register(name, self.period, self.run,
+                                            offset=offset)
 
     # -- subclass surface ------------------------------------------------------
 

@@ -57,37 +57,33 @@ class AgentSuite(Persistent):
         common = dict(channel=channel, admin_targets=admin_targets,
                       notifications=notifications, ledger=ledger,
                       wake_policy=wake_policy)
-        self.hardware = HardwareAgent(host, **common)
+        # spread wakes across the grid: keeps each agent's detection
+        # bound at one period while avoiding a thundering herd
+        n = 5 + len(host.apps)
+        offsets = iter([(i * self.period / n) // 1.0 for i in range(n)])
+        self.hardware = HardwareAgent(host, offset=next(offsets), **common)
         self.osnet = OsNetworkAgent(host, baselines=self.baselines,
-                                    nameservice=nameservice, **common)
-        self.resource = ResourceAgent(host, **common)
+                                    nameservice=nameservice,
+                                    offset=next(offsets), **common)
+        self.resource = ResourceAgent(host, offset=next(offsets), **common)
         self.perf = PerformanceAgent(host, baselines=self.baselines,
-                                     **common)
-        self.status = StatusAgent(host, deliver=deliver_dlsp, **common)
+                                     offset=next(offsets), **common)
+        self.status = StatusAgent(host, deliver=deliver_dlsp,
+                                  offset=next(offsets), **common)
         self.agents.extend([self.hardware, self.osnet, self.resource,
                             self.perf, self.status])
         self.service_agents: Dict[str, ServiceAgent] = {}
         for app_name in sorted(host.apps):
-            agent = ServiceAgent(host, app_name, slkt=self.slkt, **common)
+            agent = ServiceAgent(host, app_name, slkt=self.slkt,
+                                 offset=next(offsets), **common)
             self.service_agents[app_name] = agent
             self.agents.append(agent)
-        self._stagger()
         #: host-local trigger bus (adaptive wakes only: the fixed grid
         #: is the A/B baseline and must keep pre-refactor behaviour)
         self.triggers: Optional[TriggerBus] = None
         if wake_policy == "adaptive":
             self.triggers = TriggerBus(host)
             self._wire_triggers()
-
-    def _stagger(self) -> None:
-        """Spread wakes across the grid; keeps each agent's detection
-        bound at one period while avoiding a thundering herd."""
-        n = len(self.agents)
-        for i, agent in enumerate(self.agents):
-            offset = (i * self.period / n) // 1.0
-            self.host.crond.register(agent.name, agent.period, agent.run,
-                                     offset=offset)
-            agent.cron_job = self.host.crond.jobs[agent.name]
 
     def _wire_triggers(self) -> None:
         """Route each host-local signal class to the agents that own

@@ -19,7 +19,7 @@ telemetry rollups pages within a tick or two of user impact, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.persist.core import Persistent, record, refs, rows, scalar
@@ -79,7 +79,6 @@ class Alert:
     threshold: float = 0.0
     pages: int = 0
     escalated: bool = False
-    notes: List[str] = field(default_factory=list)
 
 
 class AlertManager(Persistent):
@@ -178,7 +177,6 @@ class AlertManager(Persistent):
                     and now - alert.fired_at >= ESCALATE_AFTER):
                 alert.severity = "critical"
                 alert.escalated = True
-                alert.notes.append(f"{now:.0f} escalated to critical")
                 self._page(alert, now)
 
     def _page(self, alert: Alert, now: float) -> None:

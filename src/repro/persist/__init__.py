@@ -1,7 +1,6 @@
 """Epoch checkpoint/restore across the world state.
 
-Every stateful layer of the reproduction exposes the
-:class:`~repro.persist.core.Snapshottable` pair --
+Every stateful layer of the reproduction exposes the pair
 ``snapshot_state() -> dict`` / ``restore_state(state)`` -- plus, for
 components that own pending kernel events, ``claimed_seqs()``.  A
 layer does not write those methods: it declares its state once, as a
@@ -20,7 +19,7 @@ whole-world checkpoints:
   :func:`restore_site`: walk a built :class:`~repro.experiments.site.Site`
   section by section, verifying that *every* live heap event is claimed
   by exactly one component before a checkpoint is allowed, and re-arm
-  pending events at their exact ``(time, priority, seq)`` tokens on
+  pending events at their exact ``(time, seq)`` tokens on
   restore so a resumed run is byte-identical to the monolithic one.
   One ordered layer table drives the snapshot, restore and claim walks.
 - :mod:`repro.persist.federation_state` -- :func:`sealed_federation`
@@ -35,7 +34,7 @@ whole-world checkpoints:
 """
 
 from repro.persist.core import (FORMAT_VERSION, QuiescenceError,
-                                Snapshottable, canonical_json, state_hash)
+                                canonical_json, state_hash)
 from repro.persist.site_state import (fresh_site, restore_site,
                                       snapshot_site)
 from repro.persist.federation_state import (restore_federation,
@@ -43,7 +42,7 @@ from repro.persist.federation_state import (restore_federation,
 from repro.persist.checkpoint import CheckpointManager
 
 __all__ = [
-    "FORMAT_VERSION", "QuiescenceError", "Snapshottable",
+    "FORMAT_VERSION", "QuiescenceError",
     "canonical_json", "state_hash",
     "snapshot_site", "restore_site", "fresh_site",
     "sealed_federation", "restore_federation",

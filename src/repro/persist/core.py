@@ -12,8 +12,8 @@ A component does not write the protocol's methods.  It subclasses
 ``_persist`` tuple of entries built from the small vocabulary below
 (:func:`scalar`, :func:`member`, :func:`sortedset`, :func:`table`,
 :func:`pairs`, :func:`rows`, :func:`refs`, :func:`part`,
-:func:`children`, :func:`pending`, :func:`pendings`, :func:`signal`,
-:func:`group`, and :func:`via` for what those cannot say).  One entry
+:func:`children`, :func:`pending`, :func:`pendings`, :func:`group`,
+and :func:`via` for what those cannot say).  One entry
 names one document key; the tuple's order is the restore order.
 ``snapshot_state`` / ``restore_state`` / ``claimed_seqs`` are derived
 from it here and nowhere else, so a field cannot be saved but not
@@ -22,7 +22,7 @@ listed is structural wiring the deterministic rebuild recreates --
 leaving a field out is the visible decision.
 
 Pending kernel events are never pickled.  A :func:`pending` entry
-serialises the heap token ``[time, priority, seq]``, re-arms it on
+serialises the heap token ``[time, seq]``, re-arms it on
 restore through :meth:`Simulator.schedule_exact`, and claims its seq so
 the site walker can prove the whole heap is accounted for.
 
@@ -40,21 +40,19 @@ import gc
 import hashlib
 import json
 from operator import attrgetter
-from typing import (Callable, Iterable, List, Mapping, Optional, Protocol,
-                    Tuple, runtime_checkable)
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["FORMAT_VERSION", "Snapshottable", "QuiescenceError",
+__all__ = ["FORMAT_VERSION", "QuiescenceError",
            "canonical_json", "check_format", "state_hash", "seal",
            "discard", "compose", "collector_paused",
            "Persistent", "Entry", "scalar", "scalars", "member", "sortedset",
            "table", "pairs", "rows", "record", "refs", "part", "children",
-           "pending", "pendings",
-           "signal", "group", "via", "token", "rearm",
+           "pending", "pendings", "group", "via", "token", "rearm",
            "snapshot_node", "restore_node", "claimed_of",
            "save_state", "load_state"]
 
 #: bump when any component's snapshot layout changes incompatibly
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def check_format(snapshot: dict, kind: str) -> None:
@@ -69,19 +67,6 @@ def check_format(snapshot: dict, kind: str) -> None:
     if got != kind:
         raise ValueError(
             f"checkpoint holds a {got} document, wanted a {kind} one")
-
-
-@runtime_checkable
-class Snapshottable(Protocol):
-    """What every stateful layer implements."""
-
-    def snapshot_state(self) -> dict:
-        """Logical state as a strictly-JSON-serialisable dict."""
-        ...
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite this (freshly built) component from ``state``."""
-        ...
 
 
 class QuiescenceError(RuntimeError):
@@ -226,13 +211,19 @@ def restore_node(node, state, where: str) -> None:
     if not isinstance(node, dict):
         node.restore_state(state)
         return
-    if set(node) != set(state):
+    _check_names(node, state, where)
+    for name, child in node.items():
+        restore_node(child, state[name], f"{where}/{name}")
+
+
+def _check_names(node, state, where: str) -> None:
+    """A child map's names against the document's, both ways."""
+    if isinstance(node, dict) and state is not None \
+            and set(node) != set(state):
         raise KeyError(
             f"{where} set mismatch: "
             f"snapshot-only={sorted(set(state) - set(node))} "
             f"build-only={sorted(set(node) - set(state))}")
-    for name, child in node.items():
-        restore_node(child, state[name], f"{where}/{name}")
 
 
 def claimed_of(node) -> List[int]:
@@ -249,7 +240,7 @@ def token(ev) -> Optional[list]:
     """A pending event as its heap token (None once fired/cancelled)."""
     if ev is None or not ev.alive:
         return None
-    return [ev.time, ev.priority, ev.seq]
+    return [ev.time, ev.seq]
 
 
 def rearm(sim, tok, fn, *args):
@@ -280,14 +271,18 @@ class Entry:
     the attribute its load assigns (None: it loads into a live object)
     and ``sub`` a group's nested entries (tuple, or the class attribute
     holding it) -- all only so a lint can check a declaration without
-    an instance."""
+    an instance.  ``check(obj, json)`` refuses a document before
+    anything is loaded."""
 
-    __slots__ = ("key", "save", "load", "claims", "methods", "sets", "sub")
+    __slots__ = ("key", "save", "load", "claims", "methods", "sets", "sub",
+                 "check")
 
     def __init__(self, key: str, save: Callable, load: Callable,
-                 claims: Optional[Callable] = None, methods=(), sub=None, sets=None):
+                 claims: Optional[Callable] = None, methods=(), sub=None, sets=None,
+                 check: Optional[Callable] = None):
         self.key, self.save, self.load, self.claims = key, save, load, claims
         self.methods, self.sets, self.sub = tuple(methods), sets, sub
+        self.check = check
 
 
 def scalar(key: str, coerce: Optional[Callable] = None,
@@ -306,9 +301,9 @@ def scalars(coerce: Optional[Callable], *keys: str) -> tuple:
     return tuple(scalar(key, coerce) for key in keys)
 
 
-def member(key: str, cls, attr: Optional[str] = None) -> Entry:
+def member(key: str, cls) -> Entry:
     """An enum member, saved as its value."""
-    return scalar(key, cls, attr, attrgetter("value"))
+    return scalar(key, cls, enc=attrgetter("value"))
 
 
 def sortedset(key: str, dec: Callable = _same, enc: Callable = _same,
@@ -356,16 +351,13 @@ def rows(key: str, dec: Callable = _same, enc: Callable = _same,
 
 def record(cls) -> tuple:
     """``(dec, enc)`` for :func:`rows` / :func:`table` over a dataclass
-    saved as one row in field order.  List-valued fields are copied
-    both ways, so a document never aliases a live record."""
+    saved as one row in field order.  A list-valued field is refused:
+    the row would share it, so a document could alias a live record."""
     fields = dataclasses.fields(cls)
+    if any(f.default_factory is list for f in fields):
+        raise TypeError(f"{cls.__name__}: a record holds no list")
     get = attrgetter(*(f.name for f in fields))
-    if not any(f.default_factory is list for f in fields):
-        return (lambda row: cls(*row)), (lambda rec: list(get(rec)))
-
-    def copied(values):
-        return [list(v) if isinstance(v, list) else v for v in values]
-    return (lambda row: cls(*copied(row))), (lambda rec: copied(get(rec)))
+    return (lambda row: cls(*row)), (lambda rec: list(get(rec)))
 
 
 def refs(key: str, attr: str, into: str) -> Entry:
@@ -393,7 +385,9 @@ def part(key: str, get=None) -> Entry:
         key, lambda obj: snapshot_node(get(obj)),
         lambda obj, v: restore_node(get(obj), v,
                                     f"{type(obj).__name__}.{key}"),
-        lambda obj: claimed_of(get(obj)))
+        lambda obj: claimed_of(get(obj)),
+        check=lambda obj, v: _check_names(get(obj), v,
+                                         f"{type(obj).__name__}.{key}"))
 
 
 def children(key: str, attr: str, make: Callable) -> Entry:
@@ -449,19 +443,6 @@ def pendings(key: str, attr: str, callback: str, dec: Callable = _same,
         methods=(callback,), sets=attr)
 
 
-def signal(key: str, dec: Callable = _same, enc: Callable = _same,
-           attr: Optional[str] = None) -> Entry:
-    """A :class:`~repro.sim.kernel.Signal`'s ``[fire_count,
-    last_value]``; waiters and subscribers are wiring."""
-    get = attrgetter(attr or key)
-
-    def load(obj, value):
-        sig = get(obj)
-        sig.fire_count, sig.last_value = int(value[0]), dec(value[1])
-    return Entry(key, lambda obj: [get(obj).fire_count,
-                                   enc(get(obj).last_value)], load)
-
-
 def group(key: str, sub) -> Entry:
     """Entries of the same component nested under one sub-dict.  ``sub``
     is the tuple, or the name of the class attribute holding it -- which
@@ -490,7 +471,8 @@ def save_state(obj, entries) -> dict:
 
 
 def _check(obj, entries, state) -> None:
-    """Both ways, groups included, before anything is loaded."""
+    """Both ways, groups and a part's child names included, before
+    anything is loaded."""
     want = {e.key for e in entries}
     got = set(state) if isinstance(state, dict) else {"<not an object>"}
     if got != want:
@@ -501,6 +483,8 @@ def _check(obj, entries, state) -> None:
     for e in entries:
         if e.sub is not None:
             _check(obj, _sub(obj, e.sub), state[e.key])
+        if e.check is not None:
+            e.check(obj, state[e.key])
 
 
 def _load(obj, entries, state) -> None:
@@ -521,7 +505,8 @@ def _claims(obj, entries) -> List[int]:
 
 
 class Persistent:
-    """Derives the :class:`Snapshottable` trio from ``_persist``.
+    """Derives ``snapshot_state`` / ``restore_state`` /
+    ``claimed_seqs`` from ``_persist``.
 
     A subclass that must refuse non-quiescent moments overrides
     ``snapshot_state`` with its guard and calls ``super()``."""

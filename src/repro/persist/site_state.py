@@ -124,7 +124,7 @@ def snapshot_site(site, *, extras: Optional[Mapping[str, object]] = None
     """One dict for the whole world, sealed.
 
     ``extras`` adds harness-owned components (fault injector, downtime
-    ledger, ...) by name; each must be Snapshottable
+    ledger, ...) by name; each has ``snapshot_state`` / ``restore_state``
     and participates in claimed-event coverage when it owns events.
     The same names must be passed to :func:`restore_site`.  The hash is
     taken without keeping a piece of the encoding.

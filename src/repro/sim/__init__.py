@@ -10,21 +10,20 @@ Public surface:
 
 - :class:`~repro.sim.kernel.Simulator` -- the event loop.
 - :class:`~repro.sim.kernel.Event` -- a cancellable scheduled callback.
-- :class:`~repro.sim.kernel.Signal` -- a wakeable condition for
-  generator processes.
+- :class:`~repro.sim.kernel.Signal` -- a broadcast condition its
+  subscribers observe.
 - :class:`~repro.sim.rand.RandomStreams` -- named, seed-spawned
   ``numpy.random.Generator`` streams.
 - :mod:`repro.sim.calendar` -- simulated-time calendar arithmetic
   (cron grids, day/night/weekend classification).
 """
 
-from repro.sim.kernel import Event, Interrupt, Signal, SimProcess, Simulator
+from repro.sim.kernel import Event, Signal, SimProcess, Simulator
 from repro.sim.rand import RandomStreams
 from repro.sim import calendar
 
 __all__ = [
     "Event",
-    "Interrupt",
     "Signal",
     "SimProcess",
     "Simulator",

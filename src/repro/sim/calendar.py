@@ -19,9 +19,8 @@ import numpy as np
 
 __all__ = [
     "MINUTE", "HOUR", "DAY", "WEEK", "YEAR",
-    "time_of_day", "day_of_week", "is_weekend", "is_overnight",
-    "is_business_hours", "period_of", "next_grid", "prev_grid",
-    "grid_points", "format_time",
+    "time_of_day", "day_of_week", "is_weekend", "is_business_hours",
+    "period_of", "next_grid", "format_time",
 ]
 
 MINUTE = 60.0
@@ -54,15 +53,6 @@ def is_weekend(t: ArrayLike) -> ArrayLike:
     return day_of_week(t) >= 5
 
 
-def is_overnight(t: ArrayLike) -> ArrayLike:
-    """Weeknight outside business hours (the paper's 'overnight jobs'
-    window).  Weekend timestamps are classified as weekend, not
-    overnight."""
-    tod = time_of_day(t)
-    night = (tod < BUSINESS_START) | (tod >= BUSINESS_END)
-    return night & ~is_weekend(t)
-
-
 def is_business_hours(t: ArrayLike) -> ArrayLike:
     """Weekday, between BUSINESS_START and BUSINESS_END."""
     tod = time_of_day(t)
@@ -79,55 +69,25 @@ def period_of(t: float) -> str:
     return "overnight"
 
 
-def next_grid(t: float, period: float, offset: float = 0.0,
-              strict: bool = True) -> float:
-    """First cron-grid point after ``t``.
+def next_grid(t: float, period: float, offset: float = 0.0) -> float:
+    """First cron-grid point strictly after ``t``.
 
-    Grid points are ``k * period + offset`` for integer ``k >= 0``.
-    With ``strict`` (the default), a fault landing exactly on a grid
-    point is seen only at the *next* point -- the agent waking at that
-    instant has already sampled.
+    Grid points are ``k * period + offset`` for integer ``k >= 0``.  A
+    fault landing exactly on a grid point is seen only at the *next*
+    point -- the agent waking at that instant has already sampled.
     """
     if period <= 0:
         raise ValueError(f"period must be positive, got {period!r}")
     k = math.floor((t - offset) / period)
     point = k * period + offset
-    if point > t or (not strict and point == t):
+    if point > t:
         return point
     nxt = (k + 1) * period + offset
-    if nxt < t or (strict and nxt == t):
+    if nxt <= t:
         # float rounding pushed the quotient a grid step low (tiny
         # subnormal offsets can underflow the division); step once more
         nxt += period
     return nxt
-
-
-def prev_grid(t: float, period: float, offset: float = 0.0) -> float:
-    """Last grid point at or before ``t``."""
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period!r}")
-    k = math.floor((t - offset) / period)
-    point = k * period + offset
-    if point > t:
-        # float rounding at the boundary (e.g. a subnormal offset whose
-        # division underflows to zero) can land one step late; back up
-        point -= period
-    elif (k + 1) * period + offset <= t:
-        # ...or one step early, when the next grid point collapses onto
-        # t itself (k*period + offset rounding down to exactly t)
-        point = (k + 1) * period + offset
-    return point
-
-
-def grid_points(t0: float, t1: float, period: float,
-                offset: float = 0.0) -> np.ndarray:
-    """All grid points in ``(t0, t1]`` as a numpy array (vectorised;
-    used by the campaign fast path to materialise skipped agent wakes)."""
-    first = next_grid(t0, period, offset)
-    if first > t1:
-        return np.empty(0, dtype=np.float64)
-    n = int(math.floor((t1 - first) / period)) + 1
-    return first + period * np.arange(n, dtype=np.float64)
 
 
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")

@@ -1,28 +1,27 @@
 """Deterministic discrete-event simulation kernel.
 
-A classic heap-ordered event scheduler plus a light generator-process
-layer.  The kernel is deliberately small and allocation-lean: a whole
-simulated year of a 215-server datacentre runs through this loop, so the
-per-event cost matters (see the hpc-parallel guide note in DESIGN.md).
+A heap of callbacks plus a light generator-process layer.  The kernel
+is deliberately small and allocation-lean: a whole simulated year of a
+215-server datacentre runs through this loop, so the per-event cost
+matters (see the hpc-parallel guide note in DESIGN.md).
 
 Two programming models coexist:
 
 * **Callbacks** -- ``sim.schedule(delay, fn, *args)`` runs ``fn`` at
   ``sim.now + delay``.  This is what most substrate components use.
 * **Generator processes** -- ``sim.spawn(gen)`` drives a generator that
-  yields either a number (sleep that many simulated seconds) or a
-  :class:`Signal` (sleep until the signal fires).  Long-lived workload
-  drivers (batch jobs, operators) are written this way.
+  yields a number: sleep that many simulated seconds.  Long-lived
+  workload drivers (batch jobs, a relocation's failover) are written
+  this way.
 
-Event ordering is total and deterministic: ties on time are broken by an
-explicit priority, then by insertion sequence number.
+Event ordering is total and deterministic: ties on time are broken by
+insertion sequence number.
 
-A heap entry is the tuple ``(time, priority, seq, event)``.  ``seq`` is
-unique, so ``heapq`` orders entries by comparing three numbers in C and
-never reaches the event: with thousands of armed cron events a push or
-pop makes about a dozen comparisons, and a Python-level ``__lt__`` for
-each was most of the dispatch cost.  :meth:`Event.__lt__` remains for
-callers that sort events themselves.
+A heap entry is the tuple ``(time, seq, event)``.  ``seq`` is unique,
+so ``heapq`` orders entries by comparing two numbers in C and never
+reaches the event: with thousands of armed cron events a push or pop
+makes about a dozen comparisons, and a Python-level comparison for
+each was most of the dispatch cost.
 """
 
 from __future__ import annotations
@@ -34,58 +33,34 @@ from typing import Any, Callable, Generator, Optional
 from repro.persist.core import Persistent, pending, scalar
 from repro.trace.tracer import NULL_TRACER
 
-__all__ = ["Simulator", "Event", "Signal", "SimProcess", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a generator process by :meth:`SimProcess.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Simulator", "Event", "Signal", "SimProcess"]
 
 
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
     Cancellation is O(1): the heap entry is tombstoned and skipped when
-    popped.  An event fires at most once.
+    popped.  An event fires at most once; ``alive`` is true until it
+    fires or is cancelled.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "_alive", "_fired")
+    __slots__ = ("time", "seq", "fn", "args", "alive")
 
-    def __init__(self, time: float, priority: int, seq: int,
-                 fn: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
+                 args: tuple):
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.fn = fn
         self.args = args
-        self._alive = True
-        self._fired = False
+        self.alive = True
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call repeatedly."""
-        self._alive = False
-
-    @property
-    def alive(self) -> bool:
-        """True until the event fires or is cancelled."""
-        return self._alive and not self._fired
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    def __lt__(self, other: "Event") -> bool:  # firing order
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
+        self.alive = False
 
     def __repr__(self) -> str:
         # a repr must never raise mid-debug, even on a half-built event
-        fired = getattr(self, "_fired", False)
-        alive = getattr(self, "_alive", False)
-        state = "fired" if fired else ("alive" if alive else "cancelled")
+        state = "alive" if getattr(self, "alive", False) else "dead"
         t = getattr(self, "time", None)
         ts = f"{t:.3f}" if isinstance(t, (int, float)) else "?"
         fn = getattr(self, "fn", None)
@@ -93,170 +68,54 @@ class Event:
 
 
 class Signal:
-    """A broadcast condition generator processes can wait on.
+    """A broadcast condition: :meth:`fire` calls every subscriber,
+    synchronously and in subscription order."""
 
-    ``yield signal`` suspends the process until someone calls
-    :meth:`fire`; the fired value becomes the value of the yield
-    expression.  A signal can fire many times; each firing wakes the
-    waiters registered at that moment.
-    """
+    __slots__ = ("name", "_subscribers")
 
-    __slots__ = ("sim", "name", "_waiters", "_subscribers", "last_value",
-                 "fire_count")
-
-    def __init__(self, sim: "Simulator", name: str = ""):
-        self.sim = sim
+    def __init__(self, name: str = ""):
         self.name = name
-        self._waiters: list[SimProcess] = []
         self._subscribers: list[Callable[[Any], None]] = []
-        self.last_value: Any = None
-        self.fire_count = 0
 
     def fire(self, value: Any = None) -> None:
-        """Wake every currently-waiting process with ``value`` and call
-        the persistent subscribers (synchronously, in firing order)."""
-        self.last_value = value
-        self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self.sim.schedule(0.0, proc._resume, value)
         for fn in list(self._subscribers):
             fn(value)
 
     def subscribe(self, fn: Callable[[Any], None]) -> None:
-        """Register a persistent callback run synchronously on every
-        fire (observers like ledgers; processes should ``yield`` the
-        signal instead)."""
+        """Register a persistent callback run on every fire (observers
+        like ledgers and the admin servers' host watch)."""
         self._subscribers.append(fn)
 
-    def unsubscribe(self, fn: Callable[[Any], None]) -> None:
-        try:
-            self._subscribers.remove(fn)
-        except ValueError:
-            pass
-
-    def _add_waiter(self, proc: "SimProcess") -> None:
-        self._waiters.append(proc)
-
-    def _discard_waiter(self, proc: "SimProcess") -> None:
-        try:
-            self._waiters.remove(proc)
-        except ValueError:
-            pass
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Signal {self.name!r} waiters={len(self._waiters)}>"
+        return f"<Signal {self.name!r} subscribers={len(self._subscribers)}>"
 
 
 class SimProcess:
     """A generator driven by the kernel.
 
-    The generator may yield:
-
-    * ``float``/``int`` -- sleep that many simulated seconds;
-    * :class:`Signal` -- sleep until the signal fires (the yield
-      evaluates to the fired value);
-    * ``None`` -- yield the floor (resume in the same timestep, after
-      currently queued events).
-
-    When the generator returns, :attr:`done` becomes true,
-    :attr:`result` holds the return value, and :attr:`finished` (a
-    Signal) fires with that value.
+    The generator yields a delay (an ``int`` or ``float``, simulated
+    seconds) and is resumed that much later.  When it returns,
+    :attr:`done` becomes true.
     """
 
-    __slots__ = ("sim", "gen", "name", "done", "result", "finished",
-                 "_pending_event", "_waiting_signal", "_interrupted")
+    __slots__ = ("sim", "gen", "name", "done")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "proc")
         self.done = False
-        self.result: Any = None
-        self.finished = Signal(sim, f"{self.name}.finished")
-        self._pending_event: Optional[Event] = None
-        self._waiting_signal: Optional[Signal] = None
-        self._interrupted = False
 
-    # -- lifecycle -------------------------------------------------------
-
-    def _start(self) -> None:
-        self._pending_event = self.sim.schedule(0.0, self._resume, None)
-
-    def _resume(self, value: Any) -> None:
-        if self.done:
-            return
-        tracer = self.sim.tracer
-        if tracer.enabled and tracer.capture_resumes:
-            with tracer.span("proc.resume", proc=self.name):
-                self._advance(value)
-        else:
-            self._advance(value)
-
-    def _advance(self, value: Any) -> None:
-        self._pending_event = None
-        self._waiting_signal = None
+    def _resume(self) -> None:
         try:
-            if self._interrupted:
-                self._interrupted = False
-                target = self.gen.throw(Interrupt(value))
-            else:
-                target = self.gen.send(value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+            delay = next(self.gen)
+        except StopIteration:
+            self.done = True
             return
-        except Interrupt:
-            # The process chose not to handle its interrupt: treat as exit.
-            self._finish(None)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        if target is None:
-            self._pending_event = self.sim.schedule(0.0, self._resume, None)
-        elif isinstance(target, Signal):
-            self._waiting_signal = target
-            target._add_waiter(self)
-        elif isinstance(target, (int, float)):
-            if target < 0 or math.isnan(target):
-                raise ValueError(
-                    f"process {self.name!r} yielded invalid delay {target!r}")
-            self._pending_event = self.sim.schedule(float(target),
-                                                    self._resume, None)
-        else:
+        if not isinstance(delay, (int, float)):
             raise TypeError(
-                f"process {self.name!r} yielded unsupported {target!r}")
-
-    def _finish(self, value: Any) -> None:
-        self.done = True
-        self.result = value
-        self.finished.fire(value)
-
-    # -- external control ------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self.done:
-            return
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        if self._waiting_signal is not None:
-            self._waiting_signal._discard_waiter(self)
-            self._waiting_signal = None
-        self._interrupted = True
-        self.sim.schedule(0.0, self._resume, cause)
-
-    def stop(self) -> None:
-        """Terminate the process without running any more of its body."""
-        if self.done:
-            return
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-        if self._waiting_signal is not None:
-            self._waiting_signal._discard_waiter(self)
-        self.gen.close()
-        self._finish(None)
+                f"process {self.name!r} yielded {delay!r}, not a delay")
+        self.sim.schedule(float(delay), self._resume)
 
     def __repr__(self) -> str:
         # safe on a partially initialised process (mid-debug aid)
@@ -278,9 +137,9 @@ class Simulator(Persistent):
     _persist = (scalar("now", float), scalar("next_seq", int, "_seq"),
                 scalar("events_processed", int))
 
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-        #: ``(time, priority, seq, event)`` entries (see module docstring)
+    def __init__(self):
+        self.now = 0.0
+        #: ``(time, seq, event)`` entries (see module docstring)
         self._heap: list[tuple] = []
         #: next insertion sequence number (a plain int, not an
         #: itertools.count, so checkpoints can capture and restore it)
@@ -293,37 +152,37 @@ class Simulator(Persistent):
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
-                 priority: int = 0) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., Any],
+                 *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0 or math.isnan(delay):
             raise ValueError(f"negative or NaN delay: {delay!r}")
-        return self._push(self.now + delay, priority, fn, args)
+        return self._push(self.now + delay, fn, args)
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any,
-                    priority: int = 0) -> Event:
+    def schedule_at(self, time: float, fn: Callable[..., Any],
+                    *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at {time} before now={self.now}")
-        return self._push(float(time), priority, fn, args)
+        return self._push(float(time), fn, args)
 
-    def _push(self, time: float, priority: int,
-              fn: Callable[..., Any], args: tuple) -> Event:
+    def _push(self, time: float, fn: Callable[..., Any],
+              args: tuple) -> Event:
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args)
-        heapq.heappush(self._heap, (time, priority, seq, ev))
+        ev = Event(time, seq, fn, args)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
-    def schedule_exact(self, time: float, priority: int, seq: int,
+    def schedule_exact(self, time: float, seq: int,
                        fn: Callable[..., Any], *args: Any) -> Event:
         """Re-arm a restored event at its exact original heap token.
 
         Checkpoint restore rebuilds pending events with the ``(time,
-        priority, seq)`` they held when the snapshot was taken, so the
-        resumed run pops them in byte-identical order.  The insertion
-        counter is *not* consumed -- the kernel's own counter is restored
+        seq)`` they held when the snapshot was taken, so the resumed run
+        pops them in byte-identical order.  The insertion counter is
+        *not* consumed -- the kernel's own counter is restored
         separately -- but it is bumped past ``seq`` defensively so a
         partially restored kernel can never mint a duplicate token.
         """
@@ -332,39 +191,21 @@ class Simulator(Persistent):
                 f"cannot re-arm at {time} before now={self.now}")
         if seq >= self._seq:
             self._seq = seq + 1
-        ev = Event(float(time), int(priority), int(seq), fn, args)
-        heapq.heappush(self._heap, (ev.time, ev.priority, ev.seq, ev))
+        ev = Event(float(time), int(seq), fn, args)
+        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
         return ev
 
     def spawn(self, gen: Generator, name: str = "") -> SimProcess:
         """Attach a generator process; it starts at the current time."""
         proc = SimProcess(self, gen, name)
-        proc._start()
+        self.schedule(0.0, proc._resume)
         return proc
 
     def signal(self, name: str = "") -> Signal:
-        """Create a :class:`Signal` bound to this simulator."""
-        return Signal(self, name)
+        """Create a :class:`Signal`."""
+        return Signal(name)
 
     # -- execution -------------------------------------------------------
-
-    def step(self) -> bool:
-        """Run the next live event.  Returns False when the heap is empty."""
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)[3]
-            if not ev._alive:
-                continue
-            if ev.time < self.now:  # pragma: no cover - invariant guard
-                raise RuntimeError("event scheduled in the past")
-            self.now = ev.time
-            ev._fired = True
-            self.events_processed += 1
-            if self.tracer.enabled:
-                self.tracer.metrics.counter("sim.events").inc()
-            ev.fn(*ev.args)
-            return True
-        return False
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -387,15 +228,15 @@ class Simulator(Persistent):
                        if self.tracer.enabled else None)
         try:
             while heap and budget > 0:
-                time, _priority, _seq, ev = heap[0]
-                if not ev._alive:
+                time, _seq, ev = heap[0]
+                if not ev.alive:
                     heapq.heappop(heap)
                     continue
                 if until is not None and time > until:
                     break
                 heapq.heappop(heap)
                 self.now = time
-                ev._fired = True
+                ev.alive = False
                 self.events_processed += 1
                 budget -= 1
                 if count_event is not None:
@@ -409,7 +250,7 @@ class Simulator(Persistent):
     def peek(self) -> float:
         """Time of the next live event, or ``inf`` if none is queued."""
         heap = self._heap
-        while heap and not heap[0][3]._alive:
+        while heap and not heap[0][2].alive:
             heapq.heappop(heap)
         return heap[0][0] if heap else math.inf
 
@@ -419,45 +260,37 @@ class Simulator(Persistent):
         """The live heap entries in firing order (the persist layer walks
         this to verify every pending event is claimed by a component
         snapshot before a checkpoint is allowed)."""
-        return [entry[3] for entry in sorted(
-            entry for entry in self._heap if entry[3].alive)]
+        return [entry[2] for entry in sorted(
+            entry for entry in self._heap if entry[2].alive)]
 
     def clear_events(self) -> None:
         """Tombstone and drop every queued event.  Restore uses this to
         wipe the freshly built world's schedule before re-arming the
         snapshot's pending events at their exact tokens."""
         for entry in self._heap:
-            entry[3]._alive = False
+            entry[2].alive = False
         self._heap.clear()
 
     # -- conveniences ----------------------------------------------------
 
-    def every(self, period: float, fn: Callable[..., Any], *args: Any,
-              offset: float = 0.0) -> Periodic:
-        """Run ``fn`` periodically, starting at ``now + offset``.
-
-        Returns the started :class:`Periodic`; its ``cancel()`` stops
-        the chain.
-        """
-        controller = Periodic(self, period, fn, args)
-        controller.start(offset)
-        return controller
+    def every(self, period: float, fn: Callable[..., Any],
+              *args: Any) -> Periodic:
+        """Run ``fn`` every ``period`` seconds, starting now."""
+        return Periodic(self, period, fn, args).start()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now:.3f} queued={len(self._heap)}>"
 
 
 class Periodic(Persistent):
-    """A cancellable periodic callback, returned by
-    :meth:`Simulator.every` (the BMC console's poll and the LSF
-    dispatcher; ``cluster/cron.py`` arms its own events)."""
+    """A periodic callback, returned by :meth:`Simulator.every` (the BMC
+    console's poll and the LSF dispatcher; ``cluster/cron.py`` arms its
+    own events)."""
 
-    __slots__ = ("sim", "period", "fn", "args", "_event", "cancelled",
-                 "fire_count")
-    #: counters plus the pending tick (fn/args are structural -- the
+    __slots__ = ("sim", "period", "fn", "args", "_event", "fire_count")
+    #: the counter plus the pending tick (fn/args are structural -- the
     #: rebuilt controller supplies them)
-    _persist = (scalar("fire_count", int), scalar("cancelled", bool),
-                pending("event", "_event", "_tick"))
+    _persist = (scalar("fire_count", int), pending("event", "_event", "_tick"))
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[..., Any],
                  args: tuple):
@@ -468,22 +301,13 @@ class Periodic(Persistent):
         self.fn = fn
         self.args = args
         self._event: Optional[Event] = None
-        self.cancelled = False
         self.fire_count = 0
 
-    def start(self, offset: float = 0.0) -> "Periodic":
-        self._event = self.sim.schedule(offset, self._tick)
+    def start(self) -> "Periodic":
+        self._event = self.sim.schedule(0.0, self._tick)
         return self
 
     def _tick(self) -> None:
-        if self.cancelled:
-            return
         self.fire_count += 1
         self.fn(*self.args)
         self._event = self.sim.schedule(self.period, self._tick)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None

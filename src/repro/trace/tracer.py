@@ -131,10 +131,6 @@ class Tracer(Persistent):
              lambda i: [i["name"], i["ts"], dict(i["args"])]),
         part("metrics"))
 
-    #: also span every generator-process resume (verbose; off so an
-    #: enabled tracer stays affordable on long runs)
-    capture_resumes = False
-
     def __init__(self, sim=None, *, enabled: bool = True):
         self.sim = sim
         self.enabled = enabled

@@ -9,7 +9,12 @@ pending heap tokens.  It was generated before the clean wake was made
 cheaper, so any optimisation that moves a simulated byte shows up as
 *that host's* hash.  Checkpoint format 4 regenerated it: every host's
 document equals the format-3 one with the fields format 4 dropped
-removed, and the event count and pending heap are unchanged.
+removed, and the event count and pending heap are unchanged.  Format 5
+regenerated it again: with each heap token's priority, the signals'
+counters and ``Periodic.cancelled`` dropped and each ``seq`` replaced
+by its rank, every host's document equals the format-4 one, and
+``now``, the event count and the 72 pending events are unchanged (each
+agent's cron job is registered once, so every ``seq`` is 72 lower).
 
 The second half is hostile to state the optimisations derive: it must
 never outlive what it was derived from.
@@ -47,7 +52,7 @@ def fleet_hashes(policy: str) -> dict:
             "suite": suite.snapshot_state()})
     return {"hosts": hosts, "now": sim.now,
             "events_processed": sim.events_processed,
-            "pending": [[ev.time, ev.priority, ev.seq]
+            "pending": [[ev.time, ev.seq]
                         for ev in sim.live_events()]}
 
 

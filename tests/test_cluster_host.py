@@ -15,12 +15,7 @@ def test_host_starts_up_with_base_daemons(db_host):
 
 def test_crash_clears_processes_and_fires_signal(sim, db_host):
     reasons = []
-
-    def watcher():
-        reason = yield db_host.down_signal
-        reasons.append(reason)
-
-    sim.spawn(watcher())
+    db_host.down_signal.subscribe(reasons.append)
     sim.run(until=1.0)
     db_host.crash("panic: bad trap")
     sim.run(until=2.0)

@@ -76,7 +76,10 @@ def test_hosts_share_the_names_of_the_directories_every_host_makes():
     host -- the key of its directory table entry, its listing and its
     mount memo -- and stays one through a snapshot round trip.  Each
     host used to split its own copy off every path written there: ten
-    names a host, 0.73 MB at 1 000 hosts."""
+    names a host, 0.73 MB at 1 000 hosts.  So are the parents
+    ``mkdir`` files on its way up (``/logs/intelliagents`` above the
+    agents' directories, ``/logs/perf`` above the samplers' per-host
+    ones), which have no listing or memo of their own."""
     from repro.core.status_agent import DLSP_DIR
     from repro.experiments.wakes import build_fleet
     sim, _dc, suites = build_fleet(2, "fixed", seed=0)
@@ -84,19 +87,33 @@ def test_hosts_share_the_names_of_the_directories_every_host_makes():
     first, second = (suite.host.fs for suite in suites)
 
     def keys(fs, name):
+        tables = (fs._dirs, fs._dir_index, fs._mount_cache)
         return [next(key for key in table if key == name)
-                for table in (fs._dirs, fs._dir_index, fs._mount_cache)]
+                for table in tables[:1 if name in parents else 3]]
     names = [agent.flags.dir for agent in suites[0].agents
              if agent.shared_name] + [DLSP_DIR]
     assert len(names) == 6
+    parents = ["/logs/intelliagents", "/logs/perf"]
     for _round_trip in range(2):
-        for name in names:
+        for name in names + parents:
             shared = keys(first, name)[0]
             assert all(key is shared for key in keys(first, name)
                        + keys(second, name)), name
         for fs in (first, second):
             fs.restore_state(fs.snapshot_state())
         sim.run(until=sim.now + 600.0)
+
+
+def test_a_fresh_site_heap_holds_no_dead_entry():
+    """Each agent registers its cron job once, at its staggered offset:
+    a freshly built site's heap is every event it will fire and nothing
+    else.  A second registration used to leave one cancelled
+    ``Crond._fire`` per agent (59 of 129 entries at test scale)."""
+    from repro.experiments.site import SiteConfig, build_site
+    site = build_site(SiteConfig.test_scale(with_workload=False))
+    dead = [entry[-1] for entry in site.sim._heap if not entry[-1].alive]
+    assert dead == []
+    assert len(site.sim._heap) == len(site.sim.live_events()) > 0
 
 
 def test_mount_of_answers_by_longest_prefix_through_the_memo(db_host):

@@ -81,6 +81,21 @@ def test_declaration_is_well_formed(cls):
         f"{hand_written}: one or the other")
 
 
+def test_a_record_with_a_list_valued_field_is_refused():
+    """A row shares its record's field values, so a list there would
+    alias a live record from the document: ``record`` refuses it."""
+    import dataclasses
+    from typing import List
+    from repro.persist.core import record
+
+    @dataclasses.dataclass
+    class Listed:
+        name: str
+        notes: List[str] = dataclasses.field(default_factory=list)
+    with pytest.raises(TypeError, match="Listed"):
+        record(Listed)
+
+
 def test_the_lint_sees_the_whole_site():
     names = {c.__qualname__ for c in _declaring_classes()}
     assert {"Host", "Nic", "Application", "Database", "Intelliagent",

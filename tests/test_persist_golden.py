@@ -9,6 +9,15 @@ before the hand-written ``snapshot_state`` methods were replaced by
 declared entries, so a later typo in one entry shows up as *that
 layer's* hash instead of one opaque whole-world digest.
 
+Format 5 regenerated it: each world's document equals the format-4
+one once each heap token's priority, ``Periodic.cancelled`` and the
+hosts' and applications' signal counters are dropped and each ``seq``
+is replaced by its rank (an agent's cron job is registered once, so
+the kernel's counter is lower by the number of agents).  The layers
+holding a token (``kernel``, ``hosts``, ``apps``, ``lsf`` and, in the
+site, ``suites``, ``telemetry`` and ``extras``) and those holding a
+signal (``hosts``, ``apps``) moved; no other did.
+
 Regenerate with ``PYTHONPATH=src python tests/test_persist_golden.py``
 -- only for a change that is *meant* to alter the document, together
 with a ``FORMAT_VERSION`` bump.

@@ -33,12 +33,13 @@ from repro.persist.core import discard
 #: tests/corpus/wake-adversarial.json --checkpoint-dir DIR`` at the last
 #: commit of each format -- c8764d4 for format 2 (its hub still
 #: mirrored registry counters and its notification channel still
-#: carried suppression books) and b63c0f4 for format 3 (its config
-#: still held nine single-valued fields and its RNG the ``site.manual``
-#: stream)
+#: carried suppression books), b63c0f4 for format 3 (its config still
+#: held nine single-valued fields and its RNG the ``site.manual``
+#: stream) and fe34341 for format 4 (its heap tokens still carried a
+#: priority and its hosts and applications their signals' counters)
 OLD_CHECKPOINTS = {
     n: os.path.join(os.path.dirname(__file__), "golden",
-                    f"format{n}-checkpoint.json.gz") for n in (2, 3)}
+                    f"format{n}-checkpoint.json.gz") for n in (2, 3, 4)}
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
@@ -184,6 +185,11 @@ def test_format_2_checkpoint_is_refused_by_its_number(tmp_path,
 def test_format_3_checkpoint_is_refused_by_its_number(tmp_path,
                                                      monkeypatch):
     _refused_by_its_number(tmp_path, monkeypatch, 3)
+
+
+def test_format_4_checkpoint_is_refused_by_its_number(tmp_path,
+                                                     monkeypatch):
+    _refused_by_its_number(tmp_path, monkeypatch, 4)
 
 
 def _refused_by_its_number(tmp_path, monkeypatch, n):

@@ -130,14 +130,14 @@ def test_an_unlisted_a_stale_and_an_untagged_entry_each_fail(module):
     seen = _imported(module, True, [lambda m: m.knobs(0), lambda m: m.spread()]
                      ).entered()
     report = verdict(defined, seen, {
-        "m.outer.inner": "primitive: returned, never called",
-        "m.outer": "primitive: entered, so stale",
+        "m.outer.inner": "outside input: returned, never called",
+        "m.outer": "outside input: entered, so stale",
     }, (), REASON)
     assert report["unlisted"] == ["m.never"]
     assert report["stale"] == ["m.outer"]
     assert report["untagged"] == []
     untagged = verdict(defined, seen, {"m.never": "nobody calls it",
-                                       "m.outer.inner": "primitive: x"},
+                                       "m.outer.inner": "outside input: x"},
                        (), REASON)
     assert (untagged["unlisted"], untagged["stale"],
             untagged["untagged"]) == ([], [], ["m.never"])
@@ -188,7 +188,7 @@ def test_a_parameter_an_option_of_the_command_feeds_is_not_constant(module):
 def test_an_unlisted_a_stale_and_an_untagged_parameter_each_fail(module):
     trace = _imported(module, True, [lambda m: m.knobs(0, 3)])
     report = constants(definitions(module, "m"), trace.constant(), {
-        "m.knobs(c)": "primitive: x", "m.knobs(b)": "primitive: passed 3",
+        "m.knobs(c)": "outside input: x", "m.knobs(b)": "outside input: passed 3",
         "m.never(x)": "error path: lint (a) flags it",
         "m.knobs(d)": "nobody passes it"}, ["m.never(x)"], REASON)
     assert report["constant"] == ["m.knobs(c)", "m.knobs(d)"]

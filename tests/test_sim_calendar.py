@@ -35,8 +35,8 @@ def test_business_hours():
 def test_overnight_excludes_weekend():
     tuesday_2am = cal.DAY + 2 * cal.HOUR
     saturday_2am = 5 * cal.DAY + 2 * cal.HOUR
-    assert cal.is_overnight(tuesday_2am)
-    assert not cal.is_overnight(saturday_2am)
+    assert cal.period_of(tuesday_2am) == "overnight"
+    assert cal.period_of(saturday_2am) == "weekend"
 
 
 def test_period_of_partitions():
@@ -48,7 +48,6 @@ def test_next_grid_strict():
     assert cal.next_grid(0.0, 300.0) == 300.0
     assert cal.next_grid(1.0, 300.0) == 300.0
     assert cal.next_grid(300.0, 300.0) == 600.0        # strict
-    assert cal.next_grid(300.0, 300.0, strict=False) == 300.0
     assert cal.next_grid(299.999, 300.0) == 300.0
 
 
@@ -57,23 +56,11 @@ def test_next_grid_with_offset():
     assert cal.next_grid(50.0, 300.0, offset=50.0) == 350.0
 
 
-def test_prev_grid():
-    assert cal.prev_grid(299.0, 300.0) == 0.0
-    assert cal.prev_grid(300.0, 300.0) == 300.0
-    assert cal.prev_grid(301.0, 300.0) == 300.0
-
-
 def test_bad_period_rejected():
     with pytest.raises(ValueError):
         cal.next_grid(0.0, 0.0)
     with pytest.raises(ValueError):
-        cal.prev_grid(0.0, -5.0)
-
-
-def test_grid_points_range():
-    pts = cal.grid_points(0.0, 1500.0, 300.0)
-    assert pts.tolist() == [300.0, 600.0, 900.0, 1200.0, 1500.0]
-    assert cal.grid_points(100.0, 200.0, 300.0).size == 0
+        cal.next_grid(0.0, -5.0)
 
 
 def test_vectorised_classification_matches_scalar():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import Event, Interrupt, Signal, SimProcess, Simulator
+from repro.sim import Event, SimProcess
 
 
 def test_schedule_runs_in_time_order(sim):
@@ -25,12 +25,20 @@ def test_ties_broken_by_insertion_order(sim):
     assert order == ["a", "b", "c"]
 
 
-def test_priority_beats_insertion_order(sim):
+def test_equal_times_fire_first_in_first_out_however_scheduled(sim):
+    """``schedule``, ``schedule_at`` and an event scheduled while the
+    tie is already firing share one insertion order."""
     order = []
-    sim.schedule(1.0, order.append, "late")
-    sim.schedule(1.0, order.append, "early", priority=-1)
+
+    def first():
+        order.append("a")
+        sim.schedule(0.0, order.append, "d")
+
+    sim.schedule(1.0, first)
+    sim.schedule_at(1.0, order.append, "b")
+    sim.schedule(1.0, order.append, "c")
     sim.run()
-    assert order == ["early", "late"]
+    assert order == ["a", "b", "c", "d"]
 
 
 def test_run_until_advances_clock_even_without_events(sim):
@@ -54,7 +62,7 @@ def test_cancelled_event_does_not_fire(sim):
     ev.cancel()
     sim.run()
     assert fired == []
-    assert not ev.alive and not ev.fired
+    assert not ev.alive
 
 
 def test_negative_delay_rejected(sim):
@@ -136,93 +144,11 @@ def test_generator_process_sleeps(sim):
         trace.append(sim.now)
         yield 5.0
         trace.append(sim.now)
-        return "done"
 
     p = sim.spawn(proc())
     sim.run()
     assert trace == [0.0, 10.0, 15.0]
-    assert p.done and p.result == "done"
-
-
-def test_process_waits_on_signal(sim):
-    got = []
-    s = sim.signal("test")
-
-    def waiter():
-        value = yield s
-        got.append(value)
-
-    sim.spawn(waiter())
-    sim.schedule(5.0, s.fire, 42)
-    sim.run()
-    assert got == [42]
-
-
-def test_signal_wakes_all_current_waiters_once(sim):
-    got = []
-    s = sim.signal()
-
-    def waiter(tag):
-        value = yield s
-        got.append((tag, value))
-
-    sim.spawn(waiter("a"))
-    sim.spawn(waiter("b"))
-    sim.schedule(1.0, s.fire, "x")
-    sim.schedule(2.0, s.fire, "y")    # nobody waiting: no effect
-    sim.run()
-    assert sorted(got) == [("a", "x"), ("b", "x")]
-    assert s.fire_count == 2
-
-
-def test_process_interrupt(sim):
-    trace = []
-
-    def sleeper():
-        try:
-            yield 1000.0
-        except Interrupt as exc:
-            trace.append(exc.cause)
-        return "woken"
-
-    p = sim.spawn(sleeper())
-    sim.schedule(5.0, p.interrupt, "alarm")
-    sim.run()
-    assert trace == ["alarm"]
-    assert p.result == "woken"
-    assert sim.now == 5.0
-
-
-def test_process_stop(sim):
-    trace = []
-
-    def body():
-        trace.append("start")
-        yield 100.0
-        trace.append("never")
-
-    p = sim.spawn(body())
-    sim.schedule(1.0, p.stop)
-    sim.run()
-    assert trace == ["start"]
     assert p.done
-
-
-def test_process_finished_signal(sim):
-    results = []
-
-    def child():
-        yield 3.0
-        return 99
-
-    def parent():
-        p = sim.spawn(child())
-        value = yield p.finished
-        results.append(value)
-
-    sim.spawn(parent())
-    sim.run()
-    assert results == [99]
 
 
 def test_signal_subscribers_called_synchronously(sim):
@@ -235,31 +161,6 @@ def test_signal_subscribers_called_synchronously(sim):
     assert seen == [1, 2]       # persistent across fires
 
 
-def test_signal_unsubscribe(sim):
-    seen = []
-    s = sim.signal()
-    s.subscribe(seen.append)
-    s.unsubscribe(seen.append)
-    s.fire(1)
-    assert seen == []
-    s.unsubscribe(seen.append)      # idempotent
-
-
-def test_signal_subscribers_and_waiters_coexist(sim):
-    events = []
-    s = sim.signal()
-    s.subscribe(lambda v: events.append(("sub", v)))
-
-    def waiter():
-        v = yield s
-        events.append(("proc", v))
-
-    sim.spawn(waiter())
-    sim.schedule(1.0, s.fire, 9)
-    sim.run()
-    assert ("sub", 9) in events and ("proc", 9) in events
-
-
 def test_process_invalid_yield_raises(sim):
     def bad():
         yield "nonsense"
@@ -269,14 +170,12 @@ def test_process_invalid_yield_raises(sim):
         sim.run()
 
 
-def test_periodic_fires_and_cancels(sim):
+def test_periodic_fires_now_then_every_period(sim):
     ticks = []
     ctl = sim.every(10.0, lambda: ticks.append(sim.now))
     sim.run(until=35.0)
     assert ticks == [0.0, 10.0, 20.0, 30.0]
-    ctl.cancel()
-    sim.run(until=100.0)
-    assert len(ticks) == 4
+    assert ctl.fire_count == 4
 
 
 def test_run_not_reentrant(sim):

@@ -45,7 +45,6 @@ a name on purpose, and its reason starts with one of the tags in
 
 - ``outside input:`` the value comes from outside the program (scenario
   JSON through ``FaultInjector.inject(**params)``, ``argv``);
-- ``primitive:`` a kernel, calendar or persist-vocabulary primitive;
 - ``paper §N:`` the behaviour is the paper's own (§1-§4) -- §5 future
   work does not qualify;
 - ``ROADMAP item N:`` the ROADMAP names it as the knob a planned
@@ -71,7 +70,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 TESTS = os.path.join(ROOT, "tests")
 
-REASON = re.compile(r"(outside input|primitive"
+REASON = re.compile(r"(outside input"
                     r"|paper §[1-4](\.\d+)*|ROADMAP item \d+|test seam"
                     r"|error path|benchmark): \S")
 
@@ -89,17 +88,6 @@ UNPASSED_OK = {
     "repro.faults.injector.FaultInjector.nic_failure(ifname)":
         "outside input: scenario JSON passes it through "
         "FaultInjector.inject",
-    "repro.persist.core.member(attr)":
-        "primitive: persist vocabulary, the attribute name when it differs",
-    "repro.persist.core.signal(attr)":
-        "primitive: persist vocabulary, the attribute name when it differs",
-    "repro.sim.kernel.Simulator.__init__(start)": "primitive: the kernel's",
-    "repro.sim.kernel.Simulator.every(offset)": "primitive: the kernel's",
-    "repro.sim.kernel.Simulator.schedule(priority)":
-        "primitive: the kernel's",
-    "repro.sim.kernel.Simulator.schedule_at(priority)":
-        "primitive: the kernel's",
-    "repro.sim.calendar.next_grid(strict)": "primitive: the calendar's",
     "repro.metrics.samplers.SamplerSuite.__init__(log_maxlen)":
         "ROADMAP item 1: the aged-world workload shrinks the log ring "
         "through it to reach a wrap",
@@ -112,7 +100,6 @@ UNPASSED_OK = {
     "repro.faults.injector.FaultInjector.disk_fill(mount)":
         "outside input: scenario JSON passes it through "
         "FaultInjector.inject",
-    "repro.sim.kernel.Periodic.start(offset)": "primitive: the kernel's",
     "repro.relocate.orchestrator.ServiceRelocator._rollback(claimed)":
         "error path: a rolled-back relocation gives its claimed spare "
         "back; test_relocate_orchestrator"
@@ -221,14 +208,6 @@ UNENTERED_OK = {
         "error path: a checkpoint holds a NaN or Infinity literal; "
         "test_persist_declared"
         "::test_hostile_checkpoint_files_are_refused_naming_the_path",
-    "repro.persist.core.Snapshottable.snapshot_state":
-        "primitive: persist vocabulary, the protocol every stateful layer "
-        "implements",
-    "repro.persist.core.Snapshottable.restore_state":
-        "primitive: persist vocabulary, the protocol every stateful layer "
-        "implements",
-    "repro.persist.core.record.copied":
-        "primitive: persist vocabulary, a row with a list-valued field",
     "repro.relocate.crosssite.CrossSiteRelocator.relocate_host":
         "ROADMAP item 3: a federated fuzzer target -- the per-host "
         "cross-site escalation",
@@ -238,19 +217,6 @@ UNENTERED_OK = {
     "repro.relocate.spares.SparePool.release":
         "error path: a rolled-back relocation gives its spare back; "
         "test_relocate_orchestrator::test_relocation_budget_blows_to_rollback",
-    "repro.sim.calendar.grid_points": "primitive: the calendar's",
-    "repro.sim.calendar.is_overnight": "primitive: the calendar's",
-    "repro.sim.calendar.prev_grid": "primitive: the calendar's",
-    "repro.sim.kernel.Interrupt.__init__": "primitive: the kernel's",
-    "repro.sim.kernel.Event.fired": "primitive: the kernel's",
-    "repro.sim.kernel.Event.__lt__": "primitive: the kernel's",
-    "repro.sim.kernel.Signal.unsubscribe": "primitive: the kernel's",
-    "repro.sim.kernel.Signal._add_waiter": "primitive: the kernel's",
-    "repro.sim.kernel.Signal._discard_waiter": "primitive: the kernel's",
-    "repro.sim.kernel.SimProcess.interrupt": "primitive: the kernel's",
-    "repro.sim.kernel.SimProcess.stop": "primitive: the kernel's",
-    "repro.sim.kernel.Simulator.step": "primitive: the kernel's",
-    "repro.sim.kernel.Periodic.cancel": "primitive: the kernel's",
     "repro.traffic.engine.FluidTrafficEngine._account_shed":
         "error path: a door with no live server sheds its batch; "
         "test_traffic_engine"

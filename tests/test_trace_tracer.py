@@ -114,19 +114,6 @@ def test_instrumented_run_records_nothing_when_disabled(sim):
     assert "sim.events" not in NULL_TRACER.metrics.snapshot()["counters"]
 
 
-def test_capture_resumes_spans_generator_wakes(sim):
-    tracer = install_tracer(sim)
-    tracer.capture_resumes = True
-
-    def proc():
-        yield 1.0
-        yield 2.0
-
-    sim.spawn(proc(), name="p")
-    sim.run()
-    assert len(tracer.spans_named("proc.resume", proc="p")) == 3
-
-
 # -- fault correlation --------------------------------------------------------
 
 
