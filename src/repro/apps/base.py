@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.process import SimProc
 from repro.persist.core import (Persistent, group, member, pending, scalar,
-                                scalars, via)
+                                via)
 
 __all__ = ["AppState", "ProcessSpec", "StartupStep", "Application"]
 
@@ -75,7 +75,7 @@ class Application(Persistent):
     _persist = (
         member("state", AppState), scalar("config_ok", bool),
         scalar("data_ok", bool), scalar("started_at"),
-        *scalars(int, "crash_count", "restart_count"),
+        scalar("restart_count", int),
         via("proc_pids", "_save_pids", "_relink_procs"),
         pending("startup_event", "_startup_event", "_finish_start"),
         group("extra", "_persist_extra"))
@@ -113,7 +113,6 @@ class Application(Persistent):
         self.data_ok = True
         self.procs: List[SimProc] = []
         self.started_at: Optional[float] = None
-        self.crash_count = 0
         self.restart_count = 0
         #: dependencies as (host_name, app_name) pairs (SLKT 'external
         #: dependencies')
@@ -224,7 +223,6 @@ class Application(Persistent):
         if self.state in (AppState.STOPPED, AppState.CRASHED):
             return
         self._cancel_startup()
-        self.crash_count += 1
         self.host.log_error(self.name, f"fatal: {reason}; terminating")
         self.on_stopping(reason)
         self._reap_processes()

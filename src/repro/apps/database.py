@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
-from repro.persist.core import QuiescenceError, scalars
+from repro.persist.core import QuiescenceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.batch.jobs import BatchJob
@@ -47,7 +47,6 @@ class Database(Application):
                 for t in _DB_PORTS}
     _startup = (StartupStep("mount", 20.0), StartupStep("recover", 60.0),
                 StartupStep("open", 40.0))
-    _persist_extra = scalars(int, "transactions", "jobs_crashed_total")
 
     def __init__(self, host, name: str, *, db_type: str = "oracle",
                  max_job_slots: int = 4, **kw):
@@ -65,8 +64,6 @@ class Database(Application):
         self.io_demand = 0.3          # resting I/O of a warm database
 
         self.active_jobs: List["BatchJob"] = []
-        self.transactions = 0
-        self.jobs_crashed_total = 0
 
     # -- SQL-level health probe -------------------------------------------------
 
@@ -75,8 +72,7 @@ class Database(Application):
         ok, ms, err = super().probe()
         if not ok:
             return (ok, ms, err)
-        # the basic query costs one service round plus a txn
-        self.transactions += 1
+        # the basic query costs one service round
         return (True, ms + self.service_time_ms(), "")
 
     # -- batch job attachment ---------------------------------------------------------
@@ -130,7 +126,6 @@ class Database(Application):
             self.host.extra_runnable = max(
                 0, self.host.extra_runnable - job.cpu_slots)
             self.host.add_io_demand(-job.io_demand)
-            self.jobs_crashed_total += 1
             job.database_died(reason, self.sim.now)
 
     # -- persistence ------------------------------------------------------------------

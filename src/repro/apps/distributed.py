@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.tcp import tcp_connect
-from repro.persist.core import Persistent, scalars
 
 __all__ = ["Component", "DistributedService"]
 
@@ -37,18 +36,14 @@ class Component:
         return self.app.host.name
 
 
-class DistributedService(Persistent):
+class DistributedService:
     """A named service spanning several hosts."""
-
-    _persist = scalars(int, "probes_run", "probe_failures")
 
     def __init__(self, dc, name: str):
         self.dc = dc
         self.name = name
         self.components: Dict[str, Component] = {}
         self._order: Optional[List[str]] = None
-        self.probes_run = 0
-        self.probe_failures = 0
 
     def add_component(self, name: str, app, depends_on: List[str]) -> Component:
         if name in self.components:
@@ -95,7 +90,6 @@ class DistributedService(Persistent):
         """The dummy user: walk every component in dependency order,
         connect to it from its dependents' side, and run its probe.
         Returns (ok, total_response_ms, first_error)."""
-        self.probes_run += 1
         total_ms = 0.0
         for name in self.startup_order():
             comp = self.components[name]
@@ -109,7 +103,6 @@ class DistributedService(Persistent):
                                       timeout_ms=app.connect_timeout_ms,
                                       restrict_kind="public")
                     if not res.ok:
-                        self.probe_failures += 1
                         return (False, total_ms,
                                 f"{name}: link {dep_host}->{comp.host_name} "
                                 f"{res.error}")
@@ -117,7 +110,6 @@ class DistributedService(Persistent):
             ok, ms, err = app.probe()
             total_ms += ms
             if not ok:
-                self.probe_failures += 1
                 return (False, total_ms, f"{name}: {err or 'down'}")
         return (True, total_ms, "")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.apps.base import Application, AppState, ProcessSpec, StartupStep
-from repro.persist.core import scalars
+from repro.persist.core import scalar
 
 __all__ = ["FrontendApp"]
 
@@ -24,7 +24,7 @@ class FrontendApp(Application):
     """An analyst-facing GUI application server."""
 
     app_type = "frontend"
-    _persist_extra = scalars(int, "queries_served", "sessions")
+    _persist_extra = (scalar("sessions", int),)
 
     def __init__(self, host, name: str, *,
                  backend: Optional[object] = None, **kw):
@@ -44,7 +44,6 @@ class FrontendApp(Application):
         self.backend = backend
         if backend is not None:
             self.depends_on.append((backend.host.name, backend.name))
-        self.queries_served = 0
         self.sessions = 0
 
     def login(self, user: str) -> bool:
@@ -76,5 +75,4 @@ class FrontendApp(Application):
             if not bok:
                 return (0, n, total + bms)
             total += bms
-        self.queries_served += n
         return (n, 0, total)

@@ -105,7 +105,7 @@ def _site_markers(book, sig: set) -> None:
 
     # sweep decisions + admin behaviour
     if admin is not None:
-        for _t, action, _host, _reason in admin.decision_log:
+        for _t, action, _host, _reason in admin.decisions:
             sig.add(f"decision:{action}")
         if admin.demand_wakes:
             sig.add("wake:demand")

@@ -62,8 +62,7 @@ class Host(Persistent):
     #: everything the host owns: OS scalars plus the nested substrate.
     #: Installed apps and agents snapshot through their own layers.
     _persist = (
-        member("state", HostState), scalar("booted_at", float),
-        scalar("crash_count", int), scalar("io_demand", float),
+        member("state", HostState), scalar("io_demand", float),
         scalar("extra_runnable", int), sortedset("logged_in_users"),
         *scalars(int, "nfs_calls", "nfs_retrans"),
         part("inventory"), part("fs"), part("ptable"), part("syslog"),
@@ -87,8 +86,6 @@ class Host(Persistent):
         self.shell = Shell(self)
 
         self.state = HostState.UP
-        self.booted_at = sim.now
-        self.crash_count = 0
         #: pending boot-completion event, retained so checkpoints can
         #: claim and re-arm a mid-boot host
         self._boot_event = None
@@ -129,7 +126,6 @@ class Host(Persistent):
         if self.state is HostState.DOWN:
             return
         self.state = HostState.DOWN
-        self.crash_count += 1
         self.ptable.clear()
         self.io_demand = 0.0
         self.extra_runnable = 0
@@ -159,7 +155,6 @@ class Host(Persistent):
             self.state = HostState.DOWN
             return
         self.state = HostState.UP
-        self.booted_at = self.sim.now
         for daemon in ("init", "inetd", "syslogd", "crond"):
             self.ptable.spawn("root", daemon, cpu_pct=0.01, mem_mb=2.0,
                               now=self.sim.now)

@@ -21,7 +21,7 @@ import shlex
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-from repro.persist.core import Persistent, rows, scalar
+from repro.persist.core import Persistent, rows
 
 __all__ = ["CommandResult", "Shell", "CommandError"]
 
@@ -63,7 +63,7 @@ class Shell(Persistent):
 
     #: history tail only; registered commands are structural (apps and
     #: agents re-register their ctl scripts on rebuild)
-    _persist = (rows("history"), scalar("history_trimmed", int))
+    _persist = (rows("history"),)
 
     #: recent command lines retained per host; a year-scale run issues
     #: millions of agent commands, so the tail is bounded
@@ -73,7 +73,6 @@ class Shell(Persistent):
         self.host = host
         self._commands: Dict[str, Handler] = {}
         self.history: List[str] = []
-        self.history_trimmed = 0
         self._register_builtins()
 
     # -- dispatch ----------------------------------------------------------
@@ -94,7 +93,6 @@ class Shell(Persistent):
         self.history.append(cmdline)
         if len(self.history) > 2 * self.HISTORY_LIMIT:
             # amortised ring-trim (a deque would break tail slicing)
-            self.history_trimmed += len(self.history) - self.HISTORY_LIMIT
             del self.history[:-self.HISTORY_LIMIT]
         try:
             argv = _tokenise(cmdline)

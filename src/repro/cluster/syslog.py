@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional
 
-from repro.persist.core import Persistent, record, rows, scalar
+from repro.persist.core import Persistent, record, rows
 
 __all__ = ["SyslogRecord", "Syslog", "SEVERITIES"]
 
@@ -33,12 +33,10 @@ class Syslog(Persistent):
 
     MAXLEN = 20000
     #: the records load into the live ring, which keeps its bound
-    _persist = (scalar("total_logged", int),
-                rows("records", *record(SyslogRecord)))
+    _persist = (rows("records", *record(SyslogRecord)),)
 
     def __init__(self):
         self.records: Deque[SyslogRecord] = deque(maxlen=self.MAXLEN)
-        self.total_logged = 0
         #: live taps (the trigger bus): called synchronously per record
         self.listeners: List[Callable[[SyslogRecord], None]] = []
 
@@ -51,7 +49,6 @@ class Syslog(Persistent):
             raise ValueError(f"unknown severity {severity!r}")
         rec = SyslogRecord(time, facility, severity, tag, message)
         self.records.append(rec)
-        self.total_logged += 1
         for fn in list(self.listeners):
             fn(rec)
         return rec

@@ -84,8 +84,7 @@ class ConditionLedger(Persistent):
 
     #: entries, version watermarks and every cursor's position; push
     #: listeners are structural (re-wired at rebuild)
-    _persist = (*scalars(int, "maxlen", "version", "floor", "appended",
-                         "trimmed", "push_errors"),
+    _persist = (*scalars(int, "maxlen", "version", "floor", "appended"),
                 rows("entries", *record(Condition), attr="_entries"),
                 via("cursors", "_save_cursors", "_load_cursors"))
 
@@ -101,8 +100,6 @@ class ConditionLedger(Persistent):
         #: hosts with at least one condition, by kind, since the given
         #: version -- the dirty-set view consumers use to scope work
         self.appended = 0
-        self.trimmed = 0
-        self.push_errors = 0
 
     # -- producing -----------------------------------------------------------
 
@@ -124,7 +121,7 @@ class ConditionLedger(Persistent):
             except Exception:
                 # a broken listener must not break the producer (a flag
                 # raise ought never fail because a console display died)
-                self.push_errors += 1
+                pass
         return cond
 
     # -- consuming -----------------------------------------------------------
@@ -162,7 +159,6 @@ class ConditionLedger(Persistent):
         target = self._min_cursor()
         while self._entries and self._entries[0].version <= target:
             self._entries.popleft()
-            self.trimmed += 1
         self.floor = (self._entries[0].version - 1 if self._entries
                       else self.version)
 
@@ -172,7 +168,6 @@ class ConditionLedger(Persistent):
         drop = len(self._entries) // 2
         for _ in range(drop):
             self._entries.popleft()
-            self.trimmed += 1
         self.floor = (self._entries[0].version - 1 if self._entries
                       else self.version)
 

@@ -26,10 +26,10 @@ conditions newer than its cursor, staleness comes from the deadline
 wheel, and only *candidate* hosts (due, down, latched or unreachable)
 are examined -- O(changes), not O(hosts x agents).  A sweep produces a
 *plan*, an ordered list of (action, host, reason) decisions, each
-appended to :attr:`decisions` as it is applied, so two runs of one
-campaign compare byte for byte.  The paper-faithful full rescan is the
-reference judge :class:`repro.chaos.oracles.ScanReference`, which the
-chaos tier and the parity tests attach from outside.
+appended to :attr:`decisions` with its time as it is applied, so two
+runs of one campaign compare byte for byte.  The paper-faithful full
+rescan is the reference judge :class:`repro.chaos.oracles.ScanReference`,
+which the chaos tier and the parity tests attach from outside.
 
 **Lost conditions are a debt.**  A condition is delivered only while
 its host can reach a live coordinator, and the ledger backlog is
@@ -52,10 +52,16 @@ from repro.ontology.dlsp import Dlsp
 from repro.persist.core import (Persistent, pairs, part, record, rows,
                                 scalar, scalars, sortedset, table, via)
 
-__all__ = ["AdministrationServers"]
+__all__ = ["AdministrationServers", "decision_line"]
 
 _NEG_INF = float("-inf")
 _entry_from_row, _entry_row = record(GlobalServiceEntry)
+
+
+def decision_line(decision: Tuple[float, str, str, str]) -> str:
+    """An applied decision as its log line, "t action host reason"."""
+    t, action, host, reason = decision
+    return f"{t:.0f} {action} {host} {reason}".rstrip()
 
 
 class AdministrationServers(Persistent):
@@ -80,7 +86,7 @@ class AdministrationServers(Persistent):
               lambda v: None if v == _NEG_INF else v, "_latest_flags"),
         part("wheel", "_wheel"), sortedset("down_hosts", attr="_down_hosts"),
         table("suite_order", int, attr="_suite_order"),
-        rows("decisions"), rows("decision_log", tuple, list),
+        rows("decisions", tuple, list),
         scalar("model_resyncs", int), scalar("wake_seen", int, "_wake_seen"),
         sortedset("dropped", attr="_dropped"),
         table("dgspl_cache",
@@ -92,10 +98,10 @@ class AdministrationServers(Persistent):
         *scalars(int, "dgspl_generations", "cron_repairs"),
         sortedset("hosts_escalated"),
         sortedset("recovered_since", attr="_recovered_since"),
-        *scalars(int, "pool_write_failures", "failovers"),
+        scalar("failovers", int),
         scalar("last_active", attr="_last_active"),
         sortedset("services_unhealthy"),
-        *scalars(int, "service_probes", "service_probe_failures"))
+        scalar("service_probe_failures", int))
 
     def __init__(self, dc, primary, standby, pool, *, channel,
                  notifications, ledger: Optional[ConditionLedger] = None):
@@ -151,11 +157,9 @@ class AdministrationServers(Persistent):
         #: canonical sweep order (suite registration order): decisions
         #: are emitted in this order so logs compare byte for byte
         self._suite_order: Dict[str, int] = {}
-        #: applied-decision log: "t action host reason" per decision
-        self.decisions: List[str] = []
-        #: the same log as typed records (time, action, host, reason)
-        #: for the incident-report joiner
-        self.decision_log: List[Tuple[float, str, str, str]] = []
+        #: applied-decision log: (time, action, host, reason) per
+        #: decision, printed by :func:`decision_line`
+        self.decisions: List[Tuple[float, str, str, str]] = []
         self.model_resyncs = 0
         #: per-host cached DGSPL contributions
         self._dgspl_cache: Dict[str, list] = {}
@@ -177,14 +181,12 @@ class AdministrationServers(Persistent):
         #: escalated hosts that have come back up since their page; a
         #: further failure is a new incident, not the one already paged
         self._recovered_since: set = set()
-        self.pool_write_failures = 0
         self.failovers = 0
         self._last_active: Optional[str] = None
 
         #: distributed services under end-to-end watch
         self.services: List[object] = []
         self.services_unhealthy: set = set()
-        self.service_probes = 0
         self.service_probe_failures = 0
 
         for head in (primary, standby):
@@ -277,7 +279,6 @@ class AdministrationServers(Persistent):
                                  services=len(self.services))
         failures = 0
         for svc in self.services:
-            self.service_probes += 1
             ok, ms, err = svc.end_to_end_probe()
             if ok:
                 self.services_unhealthy.discard(svc.name)
@@ -507,9 +508,7 @@ class AdministrationServers(Persistent):
         stale_hosts = 0
         tracer = self.sim.tracer
         for action, host_name, reason in plan:
-            self.decisions.append(
-                f"{now:.0f} {action} {host_name} {reason}".rstrip())
-            self.decision_log.append((now, action, host_name, reason))
+            self.decisions.append((now, action, host_name, reason))
             if action == "clear":
                 self.hosts_escalated.discard(host_name)
                 self._recovered_since.discard(host_name)
@@ -645,7 +644,6 @@ class AdministrationServers(Persistent):
         """A degraded shared pool must be observable: count it and leave
         a syslog line on the acting head (the pool itself is what just
         refused the write)."""
-        self.pool_write_failures += 1
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.metrics.counter("admin.pool_write_failures").inc()

@@ -145,8 +145,7 @@ class Intelliagent(Persistent):
         self._escalated = _NONE_ESCALATED
         #: one crontab entry, at ``offset`` on the grid (the suite
         #: staggers its complement)
-        self.cron_job = host.crond.register(name, self.period, self.run,
-                                            offset=offset)
+        host.crond.register(name, self.period, self.run, offset=offset)
 
     # -- subclass surface ------------------------------------------------------
 

@@ -36,9 +36,7 @@ class JobManager(Persistent):
     CHECK_PERIOD = 300.0        # "checked every 5 minutes"
     #: counters only; the five-minute checks and the daily report
     #: re-arm through the admin heads' crond snapshots
-    _persist = scalars(int, "resubmitted", "gave_up",
-                       "lsf_restarts_requested", "checks_run",
-                       "daily_reports_sent")
+    _persist = scalars(int, "resubmitted", "gave_up")
 
     def __init__(self, admin, lsf, *, notifications):
         self.admin = admin
@@ -47,9 +45,6 @@ class JobManager(Persistent):
         self.notifications = notifications
         self.resubmitted = 0
         self.gave_up = 0
-        self.lsf_restarts_requested = 0
-        self.checks_run = 0
-        self.daily_reports_sent = 0
         lsf.on_job_exit(self._job_exited)
         for head in (admin.primary, admin.standby):
             head.crond.register("jobmgr_check", self.CHECK_PERIOD,
@@ -147,9 +142,7 @@ class JobManager(Persistent):
     # -- the five-minute checks -----------------------------------------------------
 
     def _check(self) -> None:
-        self.checks_run += 1
         if not self.lsf.up:
-            self.lsf_restarts_requested += 1
             master = self.lsf.master
             if master.host.is_up:
                 # the master host's own service agent will restart it;
@@ -164,7 +157,6 @@ class JobManager(Persistent):
 
     def _daily_report(self) -> None:
         stats = self.lsf.queue_stats()
-        self.daily_reports_sent += 1
         self.notifications.email(
             "administrators", "daily batch summary",
             body=(f"done={stats['done']} failed={stats['failed']} "

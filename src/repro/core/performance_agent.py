@@ -26,7 +26,6 @@ from repro.core.thresholds import Baselines
 from repro.metrics.accounting import ProcessAccountant
 from repro.metrics.circular_log import CircularLog
 from repro.metrics.samplers import SamplerSuite
-from repro.persist.core import scalar, scalars
 
 __all__ = ["PerformanceAgent"]
 
@@ -49,8 +48,6 @@ class PerformanceAgent(Intelliagent):
 
     category = "performance"
     RUN_CPU_SECONDS = 0.035      # the full five-group sweep
-    _persist_extra = (*scalars(int, "breaches_seen", "reports_sent"),
-                      scalar("samples_taken", int, "samplers.samples_taken"))
     #: limited troubleshooting: suggestions only, no actions
     engine = RuleEngine((
         CausalRule("perf-threshold", "user-workload-spike",
@@ -63,8 +60,6 @@ class PerformanceAgent(Intelliagent):
         self.baselines = baselines or Baselines.for_host(host)
         self.samplers = SamplerSuite(host)
         self.accountant = ProcessAccountant(host)
-        self.breaches_seen = 0
-        self.reports_sent = 0
         super().__init__(host, "perf", **kw)
         self.report_log = CircularLog(
             host.fs, "/logs/intelliagents/perf/reports", maxlen=200)
@@ -76,7 +71,6 @@ class PerformanceAgent(Intelliagent):
             merged.update(s.metrics)
         findings: List[Finding] = []
         for breach in self.baselines.check(merged):
-            self.breaches_seen += 1
             findings.append(Finding(
                 "perf-threshold", self.host.name,
                 f"{breach.metric}={breach.value:.1f} "
@@ -91,7 +85,6 @@ class PerformanceAgent(Intelliagent):
         super()._escalate(diag, reason)
 
     def _write_report(self, diag) -> None:
-        self.reports_sent += 1
         top = self.accountant.per_user()[:3]
         lines = [f"{self.sim.now:.0f} REPORT {diag.finding.detail} "
                  f"suspect={diag.cause} "

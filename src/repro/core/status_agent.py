@@ -20,7 +20,7 @@ from repro.cluster.filesystem import FsError
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
 from repro.ontology.dlsp import Dlsp, DlspBuilder, build_dlsp
-from repro.persist.core import part, scalars
+from repro.persist.core import part, scalar
 
 __all__ = ["StatusAgent"]
 
@@ -36,12 +36,11 @@ class StatusAgent(Intelliagent):
     """One per host."""
 
     category = "status"
-    #: counters plus the incremental builder's cache -- the cache
-    #: determines which apps get re-probed (and probes have observable
-    #: side effects, e.g. database transaction counts), so a resumed
-    #: run must carry it over rather than rebuild cold
-    _persist_extra = (*scalars(int, "profiles_built", "profiles_delivered",
-                               "rebuild_mismatches"),
+    #: the build count (every FULL_REBUILD_EVERY-th build is checked
+    #: against a full one) plus the incremental builder's cache, which
+    #: determines which apps get re-probed, so a resumed run carries
+    #: it over rather than rebuild cold
+    _persist_extra = (scalar("profiles_built", int),
                       part("builder", "_builder"))
     RUN_CPU_SECONDS = 0.020
 
@@ -51,8 +50,6 @@ class StatusAgent(Intelliagent):
         #: suite; physically the bytes ride the agent channel)
         self.deliver = deliver
         self.profiles_built = 0
-        self.profiles_delivered = 0
-        self.rebuild_mismatches = 0
         super().__init__(host, "status", **kw)
         self._builder = DlspBuilder(host)
         #: no profile in the directory is stamped earlier (None: unknown)
@@ -78,7 +75,6 @@ class StatusAgent(Intelliagent):
             full = build_dlsp(self.host)
             full_lines = full.render()
             if full_lines != lines:
-                self.rebuild_mismatches += 1
                 self._builder = DlspBuilder(self.host)  # probes all anew
                 dlsp, lines = full, full_lines      # ground truth wins
                 tracer = self.sim.tracer
@@ -104,11 +100,9 @@ class StatusAgent(Intelliagent):
                 d = self.channel.send(self.host.name, target, payload)
                 if d.ok:
                     self.deliver(dlsp)
-                    self.profiles_delivered += 1
                     break       # one coordinator copy is enough (NFS-shared)
         elif self.deliver is not None:
             self.deliver(dlsp)
-            self.profiles_delivered += 1
         return dlsp
 
     def _prune_old_profiles(self) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.apps.base import AppState
+from repro.core.admin import decision_line
 from repro.faults.injector import FaultInjector
 from repro.faults.models import Category
 from repro.ops.downtime import DowntimeLedger
@@ -142,7 +143,8 @@ class FidelityHarness:
             "notifications": self.site.notifications.count(),
         }
         if self.site.admin is not None:
-            out["decisions"] = list(self.site.admin.decisions)
+            out["decisions"] = [decision_line(d)
+                                for d in self.site.admin.decisions]
         return out
 
     # -- convenience ---------------------------------------------------------------------

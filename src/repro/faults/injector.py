@@ -33,7 +33,7 @@ from repro.apps.base import AppState
 from repro.apps.database import Database
 from repro.faults.models import Category, FaultEvent
 from repro.cluster.hardware import ComponentKind, ComponentState
-from repro.persist.core import Persistent, pendings, rows, scalar
+from repro.persist.core import Persistent, pendings, rows
 
 __all__ = ["FaultInjector", "FaultSpec", "FAULT_CATALOG",
            "OverlappingFaultError"]
@@ -119,7 +119,6 @@ class FaultInjector(Persistent):
              lambda e: [e.category.value, e.kind, e.time, e.target,
                         e.fault_id, e.detected_at, e.repaired_at,
                         e.auto_repaired, e.prevented]),
-        scalar("rejected_overlaps", int),
         pendings("arrivals", "_arrivals", "_fire_random", Category,
                  attrgetter("value")))
 
@@ -128,8 +127,6 @@ class FaultInjector(Persistent):
         self.sim = dc.sim
         self.rng = rng
         self.injected: List[FaultEvent] = []
-        #: injections rejected because the target was already broken
-        self.rejected_overlaps = 0
         #: pending Poisson arrivals as (event, category), retained so a
         #: checkpoint can re-arm the not-yet-fired tail of a campaign
         self._arrivals: List[Tuple[object, Category]] = []
@@ -141,7 +138,6 @@ class FaultInjector(Persistent):
 
     def _require(self, ok: bool, kind: str, target: str, why: str) -> None:
         if not ok:
-            self.rejected_overlaps += 1
             raise OverlappingFaultError(kind, target, why)
 
     def _require_app_up(self, app, kind: str) -> None:

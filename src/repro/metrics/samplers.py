@@ -76,7 +76,6 @@ class SamplerSuite:
         self.host = host
         self.logs: Dict[str, CircularLog] = {}
         self.log_maxlen = log_maxlen
-        self.samples_taken = 0
 
     def _path(self, group: str) -> str:
         # "classified first by server name and then by measurement group"
@@ -93,7 +92,6 @@ class SamplerSuite:
                 metrics: Dict[str, float]) -> Sample:
         sample = Sample(now, group, metrics)
         self._log(group).append(sample.format(), now=now)
-        self.samples_taken += 1
         return sample
 
     # -- the five workgroups -------------------------------------------------

@@ -35,7 +35,7 @@ class TimeSeries(Persistent):
     part of the document.
     """
 
-    _persist = (scalar("maxlen"), scalar("dropped", int),
+    _persist = (scalar("maxlen"),
                 rows("t", float, attr="_t"), rows("v", float, attr="_v"))
 
     def __init__(self, name: str = "", maxlen: Optional[int] = None):
@@ -43,9 +43,6 @@ class TimeSeries(Persistent):
             raise ValueError(f"maxlen must be positive, got {maxlen!r}")
         self.name = name
         self.maxlen = maxlen
-        #: samples dropped by the ring cap (windows reaching further
-        #: back than the retained history should know they are clipped)
-        self.dropped = 0
         self._t: List[float] = []
         self._v: List[float] = []
         # list->ndarray conversion is O(n); campaign aggregations read
@@ -64,7 +61,6 @@ class TimeSeries(Persistent):
             cut = len(self._t) - self.maxlen
             del self._t[:cut]
             del self._v[:cut]
-            self.dropped += cut
         self._t_arr = None
         self._v_arr = None
 

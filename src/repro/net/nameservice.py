@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.persist.core import Persistent, scalar, scalars, table
+from repro.persist.core import Persistent, scalar, table
 
 __all__ = ["FederatedNameService", "NameService"]
 
@@ -22,7 +22,7 @@ class NameService(Persistent):
     #: register names after build, so the table is state
     _persist = (table("records"), scalar("up", bool),
                 scalar("degraded", bool),
-                *scalars(int, "lookups", "failures"))
+                scalar("failures", int))
     #: an answering, undegraded lookup (ms)
     base_response_ms = 2.0
 
@@ -31,7 +31,6 @@ class NameService(Persistent):
         self.records: Dict[str, str] = {}
         self.up = True
         self.degraded = False      # slow but answering
-        self.lookups = 0
         self.failures = 0
 
     def register(self, name: str, ip: str) -> None:
@@ -46,7 +45,6 @@ class NameService(Persistent):
 
     def lookup(self, name: str) -> Tuple[Optional[str], float]:
         """Resolve ``name``.  Returns (ip-or-None, response_ms)."""
-        self.lookups += 1
         if not self.up:
             self.failures += 1
             return (None, 0.0)
@@ -74,7 +72,7 @@ class NameService(Persistent):
         self.degraded = False
 
 
-class FederatedNameService(Persistent):
+class FederatedNameService:
     """Cross-site delegation over the per-site authoritative servers.
 
     Each site keeps its own :class:`NameService` as the authority for
@@ -89,16 +87,9 @@ class FederatedNameService(Persistent):
     product run resolves a service across sites yet.
     """
 
-    #: counters only: zone records snapshot with their sites and the
-    #: WAN snapshots with the federation
-    _persist = scalars(int, "lookups", "delegations", "wan_failures")
-
     def __init__(self, wan):
         self.wan = wan
         self.zones: Dict[str, NameService] = {}
-        self.lookups = 0
-        self.delegations = 0
-        self.wan_failures = 0
 
     def delegate(self, site: str, ns: NameService) -> None:
         """Install ``ns`` as the authority for ``site``'s zone."""
@@ -111,10 +102,8 @@ class FederatedNameService(Persistent):
             return (None, 0.0, None)
         wan_ms = 0.0
         if target != from_site:
-            self.delegations += 1
             delivered, wan_ms = self.wan.send(from_site, target, 512)
             if not delivered:
-                self.wan_failures += 1
                 return (None, 0.0, None)
         ip, response_ms = zone.lookup(name)
         if ip is None:
@@ -125,7 +114,6 @@ class FederatedNameService(Persistent):
                         ) -> Tuple[Optional[str], float, Optional[str]]:
         """Find a service alias wherever it lives: the caller's own
         zone first, then every reachable peer zone in name order."""
-        self.lookups += 1
         order = [from_site] + [s for s in sorted(self.zones)
                                if s != from_site]
         spent_ms = 0.0

@@ -24,12 +24,11 @@ class Nic(Persistent):
     """One network interface attached to one LAN."""
 
     __slots__ = ("host", "lan", "ifname", "ip", "ok",
-                 "packets_in", "packets_out", "bytes_in", "bytes_out",
+                 "packets_in", "packets_out",
                  "errors_in", "errors_out", "collisions")
     _persist = (scalar("ok", bool),
-                *scalars(int, "packets_in", "packets_out", "bytes_in",
-                         "bytes_out", "errors_in", "errors_out",
-                         "collisions"))
+                *scalars(int, "packets_in", "packets_out",
+                         "errors_in", "errors_out", "collisions"))
 
     def __init__(self, host, lan: "Lan", ifname: str, ip: str):
         self.host = host
@@ -39,8 +38,6 @@ class Nic(Persistent):
         self.ok = True
         self.packets_in = 0
         self.packets_out = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
         self.errors_in = 0
         self.errors_out = 0
         self.collisions = 0
@@ -73,8 +70,7 @@ class Lan(Persistent):
     #: (membership itself is structural)
     _persist = (scalar("up", bool),
                 scalar("window_bytes", float, "_window_bytes"),
-                scalar("window_start", float, "_window_start"),
-                *scalars(int, "total_bytes", "total_messages"))
+                scalar("window_start", float, "_window_start"))
 
     def __init__(self, sim, name: str, *, kind: str = "public",
                  subnet: str = "192.168.1"):
@@ -87,8 +83,6 @@ class Lan(Persistent):
         self._ip_counter = itertools.count(10)
         self._window_bytes = 0.0
         self._window_start = sim.now
-        self.total_bytes = 0
-        self.total_messages = 0
 
     # -- membership -----------------------------------------------------------
 
@@ -152,14 +146,10 @@ class Lan(Persistent):
         self._decay_window()
         packets = max(1, nbytes // 1460)
         nsrc.packets_out += packets
-        nsrc.bytes_out += nbytes
         ndst.packets_in += packets
-        ndst.bytes_in += nbytes
         if self.utilization() > 0.8:
             nsrc.collisions += 1
         self._window_bytes += nbytes
-        self.total_bytes += nbytes
-        self.total_messages += 1
         return (True, latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -177,10 +167,8 @@ class WanLink(Persistent):
     (its state goes stale at the federation).
     """
 
-    __slots__ = ("a", "b", "name", "base_latency_ms", "up",
-                 "total_bytes", "total_messages", "drops")
-    _persist = (scalar("up", bool),
-                *scalars(int, "total_bytes", "total_messages", "drops"))
+    __slots__ = ("a", "b", "name", "base_latency_ms", "up")
+    _persist = (scalar("up", bool),)
 
     def __init__(self, a: str, b: str, *, base_latency_ms: float = 70.0):
         if a == b:
@@ -189,9 +177,6 @@ class WanLink(Persistent):
         self.name = f"wan:{self.a}<->{self.b}"
         self.base_latency_ms = float(base_latency_ms)
         self.up = True
-        self.total_bytes = 0
-        self.total_messages = 0
-        self.drops = 0
 
     # -- failure model --------------------------------------------------------
 
@@ -211,10 +196,7 @@ class WanLink(Persistent):
         """Move ``nbytes`` across the link.  Returns (delivered,
         latency_ms); a partitioned link drops the message."""
         if not self.up:
-            self.drops += 1
             return (False, 0.0)
-        self.total_bytes += nbytes
-        self.total_messages += 1
         return (True, self.latency_ms())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

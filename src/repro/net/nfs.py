@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.cluster.filesystem import FileSystem, FsOfflineError
-from repro.persist.core import Persistent, part, scalars
+from repro.persist.core import Persistent, part
 
 __all__ = ["SharedPool"]
 
@@ -20,17 +20,15 @@ __all__ = ["SharedPool"]
 class SharedPool(Persistent):
     """A dual-headed NFS filesystem."""
 
-    #: pool contents plus the nfsstat counters; serving heads are
-    #: structural (re-attached at rebuild)
-    _persist = (part("fs"), *scalars(int, "calls", "failed_calls"))
+    #: pool contents; serving heads are structural (re-attached at
+    #: rebuild) and the nfsstat counters are the clients'
+    _persist = (part("fs"),)
 
     def __init__(self, sim):
         self.sim = sim
         self.fs = FileSystem(mounts={"/": 8 * 1024**3})
         #: hosts that can serve the pool (the admin pair)
         self.servers: List[object] = []
-        self.calls = 0
-        self.failed_calls = 0
 
     def add_server(self, host) -> None:
         self.servers.append(host)
@@ -40,11 +38,9 @@ class SharedPool(Persistent):
         return any(h.is_up for h in self.servers) if self.servers else True
 
     def _access(self, client) -> None:
-        self.calls += 1
         if client is not None:
             client.nfs_calls += 1
         if not self.available():
-            self.failed_calls += 1
             if client is not None:
                 client.nfs_retrans += 1
             raise FsOfflineError("nfs: server not responding")

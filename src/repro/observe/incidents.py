@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.core.admin import decision_line
 from repro.faults.models import CATEGORY_IMPACT
 from repro.sim.calendar import MINUTE, format_time
 from repro.trace.export import incident_traces
@@ -158,7 +159,7 @@ def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
     for c in (hub.condition_log if hub is not None else ()):
         conditions_of.setdefault(c.host, []).append(c)
     decisions_of: Dict[str, list] = {}
-    for entry in (admin.decision_log if admin is not None else ()):
+    for entry in (admin.decisions if admin is not None else ()):
         decisions_of.setdefault(entry[2], []).append(entry)
     for rep in reports.values():
         if alerts is not None and rep.fault_id:
@@ -171,9 +172,8 @@ def build_reports(tracer, *, downtime=None, horizon: Optional[float] = None,
                 f"{c.time:.0f} {c.kind} {c.host} {c.status} "
                 f"{c.detail}".rstrip()
                 for c in conditions_of.get(rep.host, ())]
-            rep.decisions = [f"{t:.0f} {action} {host} {reason}".rstrip()
-                             for t, action, host, reason
-                             in decisions_of.get(rep.host, ())]
+            rep.decisions = [decision_line(d)
+                             for d in decisions_of.get(rep.host, ())]
         if relocator is not None:
             recs = [r for r in relocator.records
                     if (rep.fault_id and r.fault_id == rep.fault_id)

@@ -44,7 +44,7 @@ class TelemetryHub(Persistent):
     _persist = (
         children("series", "_series", lambda hub, key: hub.series(key)),
         rows("condition_log", *record(Condition)),
-        scalar("condition_log_dropped", int), scalar("ticks", int),
+        scalar("ticks", int),
         scalar("running", bool, "_running"),
         pending("event", "_event", "_tick"))
 
@@ -55,11 +55,10 @@ class TelemetryHub(Persistent):
         self._ledgers: List[object] = []
         self._rollup_fns: List[Callable[[float, "TelemetryHub"], None]] = []
         #: retained condition deltas (the ledger itself trims eagerly;
-        #: incident reports need the recent history, ring-bounded here)
+        #: incident reports need the recent history, ring-bounded here).
+        #: What the cap pushes out is not counted: a report reaching
+        #: further back than the ring is clipped without saying so
         self.condition_log: deque = deque(maxlen=16 * MAXLEN)
-        #: deltas the ring cap pushed out -- reports reaching further
-        #: back than the retained history should know they are clipped
-        self.condition_log_dropped = 0
         self.ticks = 0
         self._event = None
         self._running = False
@@ -84,8 +83,6 @@ class TelemetryHub(Persistent):
     # -- push path -----------------------------------------------------------
 
     def _on_condition(self, cond) -> None:
-        if len(self.condition_log) == self.condition_log.maxlen:
-            self.condition_log_dropped += 1
         self.condition_log.append(cond)
 
     # -- rollup tick ---------------------------------------------------------

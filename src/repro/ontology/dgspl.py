@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.cluster.specs import SPEC_CATALOGUE
 from repro.ontology.base import OntologyDoc, OntologyError
 from repro.ontology.dlsp import Dlsp
-from repro.persist.core import Persistent, scalar, table
+from repro.persist.core import Persistent, table
 
 __all__ = ["GlobalServiceEntry", "Dgspl", "build_dgspl", "host_entries",
            "TierDigest", "SiteDigest", "digest_of", "FederatedDgspl",
@@ -238,17 +238,15 @@ class FederatedDgspl(Persistent):
     """
 
     _persist = (table("digests", SiteDigest.from_dict, asdict),
-                table("received_at", float), scalar("ingested", int))
+                table("received_at", float))
 
     def __init__(self):
         self.digests: Dict[str, SiteDigest] = {}
         self.received_at: Dict[str, float] = {}
-        self.ingested = 0
 
     def ingest(self, digest: SiteDigest, now: float) -> None:
         self.digests[digest.site] = digest
         self.received_at[digest.site] = float(now)
-        self.ingested += 1
 
     def is_fresh(self, site: str, now: float) -> bool:
         digest = self.digests.get(site)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ontology.base import OntologyDoc, OntologyError
-from repro.persist.core import (Persistent, record, scalar, scalars,
-                                table)
+from repro.persist.core import Persistent, record, scalar, table
 
 __all__ = ["ServiceStatus", "Dlsp", "DlspBuilder", "build_dlsp"]
 
@@ -158,16 +157,13 @@ class DlspBuilder(Persistent):
 
     _persist = (table("entries", *record(ServiceStatus), attr="_entries"),
                 table("fingerprints", tuple, list, "_fingerprints"),
-                scalar("load_key", attr="_load_key"),
-                *scalars(int, "probes", "reused"))
+                scalar("load_key", attr="_load_key"))
 
     def __init__(self, host):
         self.host = host
         self._entries: Dict[str, ServiceStatus] = {}
         self._fingerprints: Dict[str, tuple] = {}
         self._load_key: Optional[float] = None
-        self.probes = 0
-        self.reused = 0
 
     def build(self) -> Dlsp:
         host = self.host
@@ -179,12 +175,9 @@ class DlspBuilder(Persistent):
             app = host.apps[name]
             fp = (app.state.value, app.version, app.port or 0)
             entry = self._entries.get(name)
-            if reuse_ok and entry is not None \
-                    and self._fingerprints.get(name) == fp:
-                self.reused += 1
-            else:
+            if not (reuse_ok and entry is not None
+                    and self._fingerprints.get(name) == fp):
                 entry = self._entries[name] = _probed(app)
-                self.probes += 1
                 self._fingerprints[name] = fp
             services.append(entry)
         return _profile(host, load, services)

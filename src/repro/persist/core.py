@@ -19,7 +19,9 @@ names one document key; the tuple's order is the restore order.
 from it here and nowhere else, so a field cannot be saved but not
 restored, and a timer cannot be saved but not claimed.  What is *not*
 listed is structural wiring the deterministic rebuild recreates --
-leaving a field out is the visible decision.
+leaving a field out is the visible decision -- and what is listed is
+state product code reads (a lint in ``tests/test_persist_declared.py``
+holds every entry to that).
 
 Pending kernel events are never pickled.  A :func:`pending` entry
 serialises the heap token ``[time, seq]``, re-arms it on
@@ -52,7 +54,7 @@ __all__ = ["FORMAT_VERSION", "QuiescenceError",
            "save_state", "load_state"]
 
 #: bump when any component's snapshot layout changes incompatibly
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def check_format(snapshot: dict, kind: str) -> None:

@@ -3,7 +3,7 @@
 A federation checkpoint is the per-site :func:`snapshot_site` documents
 (each under the same byte-identity contract as a standalone site) plus
 the layers that only exist *between* sites: the WAN links, the courier
-and federated name-service counters, the merged DGSPL view, the geo
+counters, the merged DGSPL view, the geo
 front door, the geo traffic tier's SLIs, the cross-site relocation
 records, the federation RNG and the lockstep clock.  Those layers and
 the six clock fields are listed once, in :data:`_LAYERS`, in the entry
@@ -35,8 +35,7 @@ __all__ = ["sealed_federation", "restore_federation"]
 #: the snapshot and the restore both read this one table (the per-site
 #: documents and the envelope keys around it are written by hand below).
 _LAYERS = (
-    part("wan"), part("courier"), part("fed_nameservice", "nameservice"),
-    part("fed_dgspl"),
+    part("wan"), part("courier"), part("fed_dgspl"),
     Entry("fed_rng", lambda fed: fed.streams.getstate(),
           lambda fed, state: fed.streams.setstate(state)),
     part("geo"), part("traffic"), part("crosssite"),

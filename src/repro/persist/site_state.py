@@ -81,7 +81,6 @@ _LAYERS = (
     ("apps", lambda site: {name: dict(sorted(host.apps.items()))
                            for name, host in sorted(site.dc.hosts.items())}),
     *map(_attr, ("nameservice", "channel", "pool", "notifications", "lsf")),
-    ("services", lambda site: {svc.name: svc for svc in site.services}),
     ("suites", lambda site: dict(sorted(site.suites.items()))),
     *map(_attr, ("ledger", "admin", "jobmgr", "spares", "relocator",
                  "reroute", "telemetry", "alerts")),

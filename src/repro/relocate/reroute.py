@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.persist.core import Persistent, scalars
+from repro.persist.core import Persistent, scalar
 
 __all__ = ["RerouteDirectory", "service_alias"]
 
@@ -34,9 +34,9 @@ def service_alias(app_name: str) -> str:
 class RerouteDirectory(Persistent):
     """Everything that must learn about a service's new address."""
 
-    #: counters only; doors re-register at rebuild and carry their own
-    #: state
-    _persist = scalars(int, "cutovers", "drains")
+    #: the cutover count; doors re-register at rebuild and carry their
+    #: own state
+    _persist = (scalar("cutovers", int),)
 
     def __init__(self, nameservice, ledger):
         self.nameservice = nameservice
@@ -44,7 +44,6 @@ class RerouteDirectory(Persistent):
         #: app_type -> front doors spreading demand over that tier
         self.doors: Dict[str, List[object]] = {}
         self.cutovers = 0
-        self.drains = 0
 
     def register_door(self, door) -> None:
         self.doors.setdefault(door.app_type, []).append(door)
@@ -54,7 +53,6 @@ class RerouteDirectory(Persistent):
 
     def drain(self, app) -> None:
         """Stop routing demand at the failing instance immediately."""
-        self.drains += 1
         for door in self.doors.get(app.app_type, ()):
             door.flag_down(app.host.name)
         self.ledger.append("route", app.host.name, agent=app.name,

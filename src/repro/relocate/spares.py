@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.ontology.slkt import Slkt, build_slkt
-from repro.persist.core import Persistent, scalars, table
+from repro.persist.core import Persistent, table
 
 __all__ = ["SparePool"]
 
@@ -29,8 +29,7 @@ class SparePool(Persistent):
 
     #: claims only; templates are structural (registered at build from
     #: the same deterministic site construction)
-    _persist = (table("claims"),
-                *scalars(int, "claims_made", "claims_released"))
+    _persist = (table("claims"),)
 
     def __init__(self, dc):
         self.dc = dc
@@ -38,8 +37,6 @@ class SparePool(Persistent):
         self.templates: Dict[str, Slkt] = {}
         #: spare host name -> subject it was claimed for
         self.claims: Dict[str, str] = {}
-        self.claims_made = 0
-        self.claims_released = 0
 
     # -- registration --------------------------------------------------------
 
@@ -77,12 +74,10 @@ class SparePool(Persistent):
         if host_name not in self.templates or host_name in self.claims:
             return False
         self.claims[host_name] = subject
-        self.claims_made += 1
         return True
 
     def release(self, host_name: str) -> None:
-        if self.claims.pop(host_name, None) is not None:
-            self.claims_released += 1
+        self.claims.pop(host_name, None)
 
     def __repr__(self) -> str:   # pragma: no cover - debug aid
         return (f"<SparePool spares={len(self.templates)} "

@@ -287,10 +287,10 @@ class Periodic(Persistent):
     console's poll and the LSF dispatcher; ``cluster/cron.py`` arms its
     own events)."""
 
-    __slots__ = ("sim", "period", "fn", "args", "_event", "fire_count")
-    #: the counter plus the pending tick (fn/args are structural -- the
-    #: rebuilt controller supplies them)
-    _persist = (scalar("fire_count", int), pending("event", "_event", "_tick"))
+    __slots__ = ("sim", "period", "fn", "args", "_event")
+    #: the pending tick (fn/args are structural -- the rebuilt
+    #: controller supplies them)
+    _persist = (pending("event", "_event", "_tick"),)
 
     def __init__(self, sim: Simulator, period: float, fn: Callable[..., Any],
                  args: tuple):
@@ -301,13 +301,11 @@ class Periodic(Persistent):
         self.fn = fn
         self.args = args
         self._event: Optional[Event] = None
-        self.fire_count = 0
 
     def start(self) -> "Periodic":
         self._event = self.sim.schedule(0.0, self._tick)
         return self
 
     def _tick(self) -> None:
-        self.fire_count += 1
         self.fn(*self.args)
         self._event = self.sim.schedule(self.period, self._tick)

@@ -36,13 +36,12 @@ class Counter:
 
 class Histogram(Persistent):
     """Fixed-bucket histogram: counts of observations per upper bound,
-    plus an overflow bucket, total and count."""
+    plus an overflow bucket and the count."""
 
-    __slots__ = ("name", "bounds", "counts", "count", "total")
+    __slots__ = ("name", "bounds", "counts", "count")
     _persist = (scalar("bounds", lambda v: tuple(float(b) for b in v),
                        enc=list),
-                rows("counts", int), scalar("count", int),
-                scalar("total", float))
+                rows("counts", int), scalar("count", int))
 
     def __init__(self, name: str, buckets: Sequence[float]):
         if not buckets or list(buckets) != sorted(buckets):
@@ -52,7 +51,6 @@ class Histogram(Persistent):
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in buckets)
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
-        self.total = 0.0
 
     def observe_n(self, value: float, n: int) -> None:
         """Record ``n`` observations of ``value`` at once -- the hook
@@ -62,7 +60,6 @@ class Histogram(Persistent):
             return
         self.counts[bisect.bisect_left(self.bounds, value)] += n
         self.count += n
-        self.total += value * n
 
     def quantile(self, q: float) -> float:
         """Approximate q-quantile by linear interpolation inside the

@@ -105,7 +105,7 @@ def dispatch_fluid(door, n: int, now: float,
     per-batch semantics (one state sample per routed app per batch, shed
     on no-live-targets) cannot drift apart.  The geo driver sends a site
     a batch per region and one of pinned demand, so an app can be probed
-    (a database's ``transactions`` bumped) up to four times a tick."""
+    up to four times a tick."""
     alloc, shed = door.route(n, now)
     for app, count in alloc:
         served, failed, ms = app.serve_batch(count)

@@ -43,8 +43,7 @@ class FrontDoor(Persistent):
     _persist = (via("apps", "_save_apps", "_load_apps"),
                 sortedset("down", attr="_down"),
                 scalar("rr_offset", int, "_rr_offset"),
-                *scalars(int, "routed", "shed_total", "rr_batches",
-                         "weighted_batches", "conditions_applied"))
+                scalar("shed_total", int))
 
     #: DGSPL older than this is stale -> round-robin fallback
     staleness = 900.0
@@ -66,12 +65,7 @@ class FrontDoor(Persistent):
         #: the DGSPL the kept weights were derived from, and the weights
         self._weighed: Optional[object] = None
         self._weights_kept: Dict[str, float] = {}
-        #: counters for tests
-        self.routed = 0
         self.shed_total = 0
-        self.rr_batches = 0
-        self.weighted_batches = 0
-        self.conditions_applied = 0
 
     # -- condition-ledger subscription ---------------------------------------
 
@@ -85,13 +79,11 @@ class FrontDoor(Persistent):
 
     def _on_condition(self, cond) -> None:
         if cond.kind == "host":
-            self.conditions_applied += 1
             if cond.status == "down":
                 self.flag_down(cond.host)
             elif cond.status == "up":
                 self.flag_up(cond.host)
         elif cond.kind == "route" and cond.detail == self.app_type:
-            self.conditions_applied += 1
             if cond.status == "drain":
                 self.flag_down(cond.host)
             elif cond.status == "cutover":
@@ -165,20 +157,14 @@ class FrontDoor(Persistent):
         if weights is not None:
             listed = [a for a in live if a.host.name in weights]
             if listed:
-                self.weighted_batches += 1
-                alloc = self._split_weighted(n, listed, weights)
-                self.routed += n
-                return (alloc, 0)
+                return (self._split_weighted(n, listed, weights), 0)
             # fresh DGSPL lists nobody in this tier: every server is
             # sick; shed rather than pile onto known-bad machines
             self.shed_total += n
             return ([], n)
 
         # stale or absent DGSPL: degrade to round-robin over live servers
-        self.rr_batches += 1
-        alloc = self._split_round_robin(n, live)
-        self.routed += n
-        return (alloc, 0)
+        return (self._split_round_robin(n, live), 0)
 
     def _split_weighted(self, n: int, apps: List,
                         weights: Dict[str, float]) -> List[Tuple[object, int]]:

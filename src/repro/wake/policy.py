@@ -28,9 +28,9 @@ MODES = ("fixed", "adaptive")
 class WakePolicy(Persistent):
     """Adaptive wake interval for one agent."""
 
-    __slots__ = ("mode", "base_period", "current_period", "backoffs", "resets", "triggers")
+    __slots__ = ("mode", "base_period", "current_period", "resets", "triggers")
     _persist = (scalar("current_period", float),
-                *scalars(int, "backoffs", "resets", "triggers"))
+                *scalars(int, "resets", "triggers"))
 
     #: multiplicative back-off per clean run
     backoff = 2.0
@@ -48,7 +48,6 @@ class WakePolicy(Persistent):
         self.mode = mode
         self.base_period = float(base_period)
         self.current_period = float(base_period)
-        self.backoffs = 0
         self.resets = 0
         self.triggers = 0
 
@@ -63,7 +62,6 @@ class WakePolicy(Persistent):
         if new == self.current_period:
             return False
         self.current_period = new
-        self.backoffs += 1
         return True
 
     def note_findings(self) -> bool:

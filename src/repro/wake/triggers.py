@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.cluster.syslog import SEVERITIES
-from repro.persist.core import Persistent, scalar, scalars, table
+from repro.persist.core import Persistent, scalar, table
 
 __all__ = ["Trigger", "TriggerBus"]
 
@@ -47,11 +47,11 @@ class Trigger:
 class TriggerBus(Persistent):
     """Per-host bridge from local signals to agent demand-wakes."""
 
-    #: cooldown clocks and counters; subscriptions and source taps are
-    #: structural (re-wired when the suite is rebuilt)
+    #: cooldown clocks and the wake count; subscriptions and source
+    #: taps are structural (re-wired when the suite is rebuilt)
     _persist = (scalar("enabled", bool),
                 table("last_wake", float, attr="_last_wake"),
-                *scalars(int, "published", "demand_wakes", "suppressed"))
+                scalar("demand_wakes", int))
 
     #: seconds an agent is not demand-woken again after a wake
     cooldown = 60.0
@@ -62,9 +62,7 @@ class TriggerBus(Persistent):
         self.enabled = True
         self._subs: List[Tuple[object, Callable[[Trigger], bool]]] = []
         self._last_wake: Dict[str, float] = {}
-        self.published = 0
         self.demand_wakes = 0
-        self.suppressed = 0
 
     # -- sources -------------------------------------------------------------
 
@@ -112,14 +110,12 @@ class TriggerBus(Persistent):
             return 0
         trigger = Trigger(kind, subject, detail, severity, facility,
                           self.sim.now)
-        self.published += 1
         woken = 0
         for agent, predicate in self._subs:
             if not predicate(trigger):
                 continue
             last = self._last_wake.get(agent.name)
             if last is not None and trigger.time - last < self.cooldown:
-                self.suppressed += 1
                 continue
             if agent.demand_wake(trigger):
                 self._last_wake[agent.name] = trigger.time

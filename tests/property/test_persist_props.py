@@ -47,7 +47,7 @@ def test_timeseries_roundtrip(samples, maxlen):
         ts.append(t, v)
     ts2 = roundtrip(ts, TimeSeries("x"))
     assert len(ts2) == len(ts)
-    assert ts2.dropped == ts.dropped
+    assert ts2.times.tolist() == ts.times.tolist()
     for t in (0.0, 1.0, 5e8, 2e9):
         assert ts2.value_at(t) == ts.value_at(t)
 

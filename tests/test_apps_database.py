@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.base import Application
 from repro.apps.database import Database
 from repro.batch.jobs import BatchJob, JobState
 
@@ -15,18 +16,19 @@ def test_db_ports_by_type(dc, sim):
         Database(dc.host("adm01"), "bad", db_type="postgres")
 
 
-def test_probe_counts_transactions(database):
-    t0 = database.transactions
+def test_probe_runs_a_query(database):
+    """The SQL probe is the connect plus one basic query: it costs a
+    service round more than the bare application probe."""
     ok, ms, _ = database.probe()
+    _ok, connect_ms, _err = Application.probe(database)
     assert ok and ms > 0
-    assert database.transactions == t0 + 1
+    assert ms == pytest.approx(connect_ms + database.service_time_ms())
 
 
 def test_connect_refused_when_down(database):
     database.crash("x")
-    t0 = database.transactions
+    # refused at the connect: no query runs, so no time is spent
     assert database.probe() == (False, 0.0, "refused")
-    assert database.transactions == t0
 
 
 def test_job_attach_detach_loads_host(database):
@@ -57,7 +59,7 @@ def test_crash_fails_active_jobs(database, sim):
         assert j.state is JobState.FAILED
         assert "db-died" in j.fail_reason
         assert database.host.name in j.failed_on
-    assert database.jobs_crashed_total == 3
+    assert database.job_count() == 0
     assert database.host.extra_runnable == 0
 
 

@@ -44,8 +44,10 @@ def test_duplicate_component_rejected(dc, database):
 def test_healthy_end_to_end(service):
     ok, ms, err = service.end_to_end_probe()
     assert ok and err == "" and ms > 0
-    assert service.end_to_end_probe()[0]
-    assert service.probes_run == 2
+    # the dummy user walks again and finds the same (the probe's own
+    # traffic only nudges the LAN latency)
+    again, again_ms, again_err = service.end_to_end_probe()
+    assert again and again_err == "" and again_ms == pytest.approx(ms)
 
 
 def test_one_dead_component_kills_the_service(service, webserver):
@@ -65,9 +67,10 @@ def test_network_leg_failure_detected(service, dc):
     # db and gui live on different hosts: kill both shared LANs
     dc.lan("public0").fail()
     dc.lan("agentnet").fail()
-    ok, _, err = service.end_to_end_probe()
+    ok, ms, err = service.end_to_end_probe()
     assert not ok and "link" in err
-    assert service.probe_failures >= 1
+    # every probe reports the outage, not only the first
+    assert service.end_to_end_probe() == (ok, ms, err)
 
 
 def test_probe_accumulates_response_time(service, database):

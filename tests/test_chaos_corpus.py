@@ -10,6 +10,7 @@ import pytest
 
 from repro.chaos.executor import run_episode
 from repro.chaos.scenario import Scenario, build_corpus
+from repro.core.admin import decision_line
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -46,7 +47,8 @@ def _fingerprint(ep) -> dict:
         "fizzled_kinds": sorted(ep.fizzled_kinds),
         "coverage": sorted(ep.coverage),
         "decisions_sha256": hashlib.sha256(
-            "\n".join(ep.site.admin.decisions).encode()).hexdigest(),
+            "\n".join(map(decision_line, ep.site.admin.decisions)).encode()
+        ).hexdigest(),
     }
 
 

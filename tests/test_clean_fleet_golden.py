@@ -15,6 +15,11 @@ counters and ``Periodic.cancelled`` dropped and each ``seq`` replaced
 by its rank, every host's document equals the format-4 one, and
 ``now``, the event count and the 72 pending events are unchanged (each
 agent's cron job is registered once, so every ``seq`` is 72 lower).
+Format 6 regenerated it once more: with the members no product code
+reads dropped (the hosts', NICs', applications', agents', wake
+policies' and trigger buses' write-only counters), every host's
+document equals the format-5 one, and ``now``, the event count and the
+72 pending heap tokens are unchanged.
 
 The second half is hostile to state the optimisations derive: it must
 never outlive what it was derived from.

@@ -42,10 +42,13 @@ def test_errors_since(log):
 def test_bounded_history(monkeypatch):
     monkeypatch.setattr(Syslog, "MAXLEN", 5)
     log = Syslog()
+    tapped = []
+    log.subscribe(tapped.append)
     for i in range(10):
         log.info(float(i), "t", f"m{i}")
     assert len(log.records) == 5
-    assert log.total_logged == 10
+    # the bound is the ring's: every record still reaches the taps
+    assert [r.message for r in tapped] == [f"m{i}" for i in range(10)]
     assert log.records[0].message == "m5"
 
 

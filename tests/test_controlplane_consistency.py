@@ -57,7 +57,7 @@ def test_paired_mode_never_diverges(wake):
     assert reference.dgspl_mismatches == 0
     assert admin.model_resyncs == 0
     # the campaign actually produced decisions of every kind
-    actions = {line.split()[1] for line in admin.decisions}
+    actions = {d[1] for d in admin.decisions}
     assert actions == {"cron_repair", "escalate", "clear", "demand_wake"}
     assert admin.cron_repairs >= 1
     assert admin.demand_wakes >= 1

@@ -67,9 +67,12 @@ def test_push_listeners_fire_synchronously_and_safely():
     seen = []
     led.on_append(seen.append)
     led.on_append(lambda c: 1 / 0)              # broken listener
+    after = []
+    led.on_append(after.append)
     cond = led.append("route", "db01", agent="ora", status="drain")
     assert seen == [cond]
-    assert led.push_errors == 1                 # producer survived
+    # producer survived, and the listeners after the broken one ran
+    assert after == [cond] and led.version == cond.version
 
 
 # -- the deadline wheel -------------------------------------------------------

@@ -179,7 +179,10 @@ def test_a_full_logs_mount_lets_every_wake_complete():
     suite.perf._write_report(Diagnosis(
         Finding("perf-threshold", suite.host.name, "scan_rate=900"),
         "memory-pressure", []))
-    assert suite.perf.reports_sent == 1
+    log = suite.perf.report_log
+    assert sum(f"{suite.host.sim.now:.0f} REPORT scan_rate=900 "
+               f"suspect=memory-pressure " in line
+               for line in log.fs.read(log.path)) == 1
 
 
 def test_a_non_filesystem_error_in_raise_flag_propagates(

@@ -105,15 +105,16 @@ def test_five_minute_checks_restart_lsf(rig, sim):
     admin, lsf, mgr, weak, strong = rig
     lsf.master.crash("x")
     sim.run(until=sim.now + 600.0 + lsf.master.startup_duration())
-    assert mgr.checks_run >= 1
     assert lsf.up
-    assert mgr.lsf_restarts_requested >= 1
+    # the five-minute check found it down and asked for the restart
+    assert f"{lsf.master.name}_ctl start" in lsf.master.host.shell.history
 
 
 def test_daily_summary_email(rig, sim, notifications):
     admin, lsf, mgr, weak, strong = rig
     from repro.sim.calendar import DAY
     sim.run(until=sim.now + DAY + 3600.0)
-    assert mgr.daily_reports_sent >= 1
-    assert any(n.subject == "daily batch summary"
-               for n in notifications.sent)
+    reports = [n for n in notifications.sent
+               if n.subject == "daily batch summary"]
+    assert reports
+    assert all(n.body.startswith("done=") for n in reports)

@@ -36,8 +36,11 @@ def test_shell_history_ring_trims_and_counts(db_host):
     for i in range(2 * limit + 5):
         shell.run(f"echo {i}")
     assert len(shell.history) <= 2 * limit
-    assert shell.history_trimmed > 0
-    assert shell.history_trimmed + len(shell.history) == 2 * limit + 5
+    # the ring trimmed, and what it kept is the unbroken newest run
+    n = 2 * limit + 5
+    assert len(shell.history) < n
+    assert shell.history == [f"echo {i}"
+                             for i in range(n - len(shell.history), n)]
     # the retained tail is the newest commands, oldest dropped
     assert shell.history[-1] == f"echo {2 * limit + 4}"
     assert "echo 0" not in shell.history
@@ -51,7 +54,11 @@ def test_shell_history_trim_survives_snapshot(db_host):
     other = type(shell)(db_host)
     other.restore_state(state)
     assert other.history == shell.history
-    assert other.history_trimmed == shell.history_trimmed
+    # and the restored ring goes on trimming as the original does
+    for i in range(shell.HISTORY_LIMIT + 1):
+        shell.run(f"false {i}")
+        other.run(f"false {i}")
+    assert other.history == shell.history
 
 
 # -- filesystem mount memo ---------------------------------------------------
@@ -316,8 +323,9 @@ def test_an_agent_holds_its_object_its_parts_and_its_run_method():
                 setattr(self, name, value)
             for name, cls in parts.items():
                 setattr(self, name, cls())
-            self.cron_job = self.__init__
-    reference = kept_bytes(lambda: [Reference() for _ in hosts])
+    # each held through a bound method of its own, as crond holds an
+    # agent through its ``run``
+    reference = kept_bytes(lambda: [Reference().__init__ for _ in hosts])
     assert agents <= reference, (agents / len(hosts), reference / len(hosts))
 
 
@@ -329,7 +337,7 @@ def test_timeseries_ring_bounds_growth_and_counts():
     for i in range(100):
         ts.append(float(i), float(i))
     assert len(ts) < 2 * 10
-    assert ts.dropped + len(ts) == 100
+    assert ts.times.tolist() == [float(i) for i in range(100 - len(ts), 100)]
     # clipped lookups fall back to the oldest *retained* sample
     assert ts.value_at(0.0) == ts.times[0]
 
@@ -380,10 +388,9 @@ def test_condition_log_ring_drops_and_counts():
         ledger.append("flag", "db01", status="fault", time=float(i))
     assert isinstance(hub.condition_log, deque)
     assert len(hub.condition_log) == cap
-    assert hub.condition_log_dropped == n - cap
-    # newest retained, oldest shed
-    assert hub.condition_log[-1].time == float(n - 1)
-    assert hub.condition_log[0].time == float(n - cap)
+    # newest retained, oldest shed: exactly n - cap dropped
+    assert [c.time for c in hub.condition_log] == [
+        float(i) for i in range(n - cap, n)]
     # the SLI rings hold 12 h of 60 s rollups, trimmed amortised
     ring = hub.series("svc/web/attempted")
     for i in range(3 * MAXLEN):
@@ -401,8 +408,11 @@ def test_ledger_force_trim_counts_and_flags_overrun():
     for i in range(20):
         ledger.append("flag", "db01", time=float(i))
     assert len(ledger._entries) <= 8
-    assert ledger.trimmed == 20 - len(ledger._entries)
     retained = len(ledger._entries)
+    # the oldest 20 - retained went, and the floor says so
+    assert [c.version for c in ledger._entries] == list(
+        range(21 - retained, 21))
+    assert ledger.floor == 20 - retained
     fresh, overrun = cursor.poll()
     assert overrun                       # the cap blew past this cursor
     assert cursor.overruns == 1
@@ -417,7 +427,7 @@ def test_ledger_cursor_driven_trim_keeps_backlog_small():
         ledger.append("flag", "db01", time=float(i))
         cursor.poll()                    # consume eagerly
     assert len(ledger._entries) == 0     # everything consumed -> trimmed
-    assert ledger.trimmed == 50
+    assert ledger.floor == 50
     assert cursor.overruns == 0
 
 

@@ -91,7 +91,8 @@ def test_ring_cap_keeps_newest_and_counts_dropped():
         ts.append(float(i), float(i) * 2.0)
     # amortised trim: between maxlen and 2*maxlen samples retained
     assert 4 <= len(ts) < 8
-    assert ts.dropped == 20 - len(ts)
+    # exactly the oldest 20 - len(ts) samples were dropped
+    assert ts.times.tolist() == [float(i) for i in range(20 - len(ts), 20)]
     assert ts.last() == 38.0
     assert ts.times.tolist() == sorted(ts.times.tolist())
 

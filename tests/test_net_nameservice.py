@@ -9,7 +9,7 @@ def test_register_and_lookup(sim, dc):
     ip, ms = ns.lookup("db01")
     assert ip == "192.168.1.10"
     assert ms == ns.base_response_ms
-    assert ns.lookups == 1
+    assert ns.failures == 0
 
 
 def test_register_host_records_all_nics(sim, dc):

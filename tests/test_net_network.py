@@ -26,8 +26,9 @@ def test_send_updates_counters(dc):
     nsrc, ndst = lan.nics[src.name], lan.nics[dst.name]
     assert nsrc.packets_out == 10    # 14600 / 1460
     assert ndst.packets_in == 10
-    assert nsrc.bytes_out == 14600
-    assert lan.total_messages == 1
+    # the bytes load the segment's utilisation window
+    assert lan._window_bytes == 14600
+    assert lan.utilization() > 0
 
 
 def test_send_fails_on_lan_down(dc):

@@ -29,7 +29,8 @@ def test_series_are_ring_bounded(hub):
     for i in range(n):
         s.append(float(i), float(i))
     assert len(s) <= 2 * MAXLEN  # amortised trim: never 2x the cap
-    assert s.dropped >= n - 2 * MAXLEN
+    # what was dropped is the oldest: the rest is the unbroken newest run
+    assert s.times.tolist() == [float(i) for i in range(n - len(s), n)]
     assert s.last() == n - 1.0   # the newest samples survive
 
 

@@ -2,13 +2,16 @@
 its own declarations and against hostile input.
 
 Three guards: a *lint* over every class that declares ``_persist``
-entries; *hostile documents* -- every component kind of a real faulted
-site and a real federation must refuse a document with a key or a
-child too few or too many, by name, before it is touched; and *corrupt
-files* -- ``CheckpointManager.load`` must refuse a file that is not
-the document that was written.
+entries, and over what product code reads of them; *hostile
+documents* -- every component kind of a real faulted site and a real
+federation must refuse a document with a key or a child too few or
+too many, by name, before it is touched; and *corrupt files* --
+``CheckpointManager.load`` must refuse a file that is not the document
+that was written.
 """
 
+import ast
+import functools
 import importlib
 import inspect
 import json
@@ -23,6 +26,7 @@ from repro.persist.core import Persistent
 
 from tests.test_persist_golden import (faulted_site_snapshot,
                                        federation_snapshot)
+from tests.test_surface import _product_files
 
 
 # -- (a) spec lint -----------------------------------------------------------
@@ -79,6 +83,44 @@ def test_declaration_is_well_formed(cls):
     assert len(hand_written) < 3, (
         f"{cls.__qualname__} declares entries *and* hand-writes "
         f"{hand_written}: one or the other")
+
+
+@functools.lru_cache(maxsize=None)
+def _read_attributes():
+    """Every attribute name a product file loads: ``x.name`` read, not
+    assigned (``x.name = ...`` and ``x.name += 1`` store), or
+    ``getattr(x, "name")``."""
+    names = set()
+    for path in _product_files():
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "getattr" \
+                    and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant):
+                names.add(node.args[1].value)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("cls", _declaring_classes(),
+                         ids=lambda c: c.__qualname__)
+def test_every_declared_member_is_read_by_product_code(cls):
+    """A member a checkpoint carries is state the program reads back:
+    one only ever assigned or incremented is a counter nothing shows,
+    paid for on every hot path and in every checkpoint.  Pending-event
+    entries are exempt -- the kernel reads an armed event.  By name, so
+    a member some other class's same-named attribute is read for
+    passes."""
+    read = _read_attributes()
+    unread = [f"{path} ({e.sets})" for path, e in _flatten(cls, cls._persist)
+              if e.sets is not None and e.claims is None
+              and e.sets.rpartition(".")[2] not in read]
+    assert not unread, (f"{cls.__qualname__} persists members no product "
+                        f"code reads: {', '.join(unread)}")
 
 
 def test_a_record_with_a_list_valued_field_is_refused():

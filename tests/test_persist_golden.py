@@ -18,6 +18,14 @@ holding a token (``kernel``, ``hosts``, ``apps``, ``lsf`` and, in the
 site, ``suites``, ``telemetry`` and ``extras``) and those holding a
 signal (``hosts``, ``apps``) moved; no other did.
 
+Format 6 regenerated it: each world's document equals the format-5 one
+once the members no product code reads are dropped (the components'
+write-only counters, the admin pair's second decision log -- its
+``decisions`` are now the typed rows ``decision_log`` held -- and the
+``services`` and ``fed_nameservice`` layers, which held nothing else),
+and ``format`` is set aside.  Only layers holding such a member moved;
+``kernel``, ``rng``, ``tracer``, ``config`` and every other stayed.
+
 Regenerate with ``PYTHONPATH=src python tests/test_persist_golden.py``
 -- only for a change that is *meant* to alter the document, together
 with a ``FORMAT_VERSION`` bump.

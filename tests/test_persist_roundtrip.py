@@ -35,11 +35,13 @@ from repro.persist.core import discard
 #: mirrored registry counters and its notification channel still
 #: carried suppression books), b63c0f4 for format 3 (its config still
 #: held nine single-valued fields and its RNG the ``site.manual``
-#: stream) and fe34341 for format 4 (its heap tokens still carried a
+#: stream), fe34341 for format 4 (its heap tokens still carried a
 #: priority and its hosts and applications their signals' counters)
+#: and e94b389 for format 5 (its admin pair still kept every sweep
+#: decision twice and its components counters nothing reads)
 OLD_CHECKPOINTS = {
     n: os.path.join(os.path.dirname(__file__), "golden",
-                    f"format{n}-checkpoint.json.gz") for n in (2, 3, 4)}
+                    f"format{n}-checkpoint.json.gz") for n in (2, 3, 4, 5)}
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
@@ -190,6 +192,11 @@ def test_format_3_checkpoint_is_refused_by_its_number(tmp_path,
 def test_format_4_checkpoint_is_refused_by_its_number(tmp_path,
                                                      monkeypatch):
     _refused_by_its_number(tmp_path, monkeypatch, 4)
+
+
+def test_format_5_checkpoint_is_refused_by_its_number(tmp_path,
+                                                     monkeypatch):
+    _refused_by_its_number(tmp_path, monkeypatch, 5)
 
 
 def _refused_by_its_number(tmp_path, monkeypatch, n):

@@ -40,10 +40,13 @@ def test_claim_and_release(spares):
     assert not spares.claim("db01", "x")
     spares.release("sp01")
     assert spares.available() == ["sp01", "sp02"]
-    assert spares.claims_made == 1 and spares.claims_released == 1
+    assert spares.claims == {}
     # releasing an unclaimed spare is a no-op
     spares.release("sp01")
-    assert spares.claims_released == 1
+    assert spares.claims == {} and spares.available() == ["sp01", "sp02"]
+    # and a released spare can be claimed again
+    assert spares.claim("sp01", "fe01/other")
+    assert spares.claims == {"sp01": "fe01/other"}
 
 
 def test_down_spare_not_available(spares, dc):

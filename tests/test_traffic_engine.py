@@ -96,11 +96,16 @@ def test_rejects_door_for_unknown_class(sim, curve, webserver):
 
 
 def test_fluid_healthy_site_full_availability(sim, curve, webserver):
+    batches = []
+    serve_batch = webserver.serve_batch
+    webserver.serve_batch = lambda n: batches.append(serve_batch(n)) \
+        or batches[-1]
     eng = run_engine(Fluid, sim, curve, webserver)
     assert eng.ticks >= 60
     assert eng.attempted > 0
     assert eng.availability == 1.0
-    assert webserver.requests_served == eng.served
+    # what the engine counts served is what the server served
+    assert sum(served for served, _failed, _ms in batches) == eng.served
 
 
 def test_fluid_attempted_tracks_demand_curve(sim, curve, webserver):

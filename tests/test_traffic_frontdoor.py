@@ -48,10 +48,10 @@ def test_round_robin_split_exact_and_rotating():
     counts = {a.host.name: c for a, c in alloc}
     assert counts == {"a": 4, "b": 3, "c": 3}
     # the extra request rotates on the next batch
-    alloc, _ = door.route(10, now=0.0)
+    alloc, shed = door.route(10, now=0.0)
     counts = {a.host.name: c for a, c in alloc}
     assert counts == {"a": 3, "b": 4, "c": 3}
-    assert door.rr_batches == 2 and door.routed == 20
+    assert shed == 0 and sum(counts.values()) == 10   # 20 routed in all
 
 
 def test_weighted_split_favours_low_load():
@@ -63,23 +63,25 @@ def test_weighted_split_favours_low_load():
     # weights 1.0 vs 0.2 -> ~833/167
     assert counts["a"] > 4 * counts["b"]
     assert counts["a"] + counts["b"] == 1000
-    assert door.weighted_batches == 1
+    # largest-remainder rounding of 1000 * (1.0, 0.2) / 1.2
+    assert counts == {"a": 833, "b": 167}
 
 
 def test_stale_dgspl_degrades_to_round_robin():
     door = FrontDoor("webserver", apps("a", "b"),
                      dgspl_fn=lambda: dgspl_at(0.0, {"a": 0.0, "b": 9.0}))
-    door.route(100, now=10_000.0)          # DGSPL is 10000 s old: stale
-    assert door.rr_batches == 1 and door.weighted_batches == 0
-    door.route(100, now=800.0)             # fresh again
-    assert door.weighted_batches == 1
+    alloc, _ = door.route(100, now=10_000.0)  # DGSPL 10000 s old: stale
+    assert {a.host.name: c for a, c in alloc} == {"a": 50, "b": 50}
+    alloc, _ = door.route(100, now=800.0)     # fresh again: weighted
+    counts = {a.host.name: c for a, c in alloc}
+    assert counts["a"] > 4 * counts["b"]
 
 
 def test_absent_dgspl_is_round_robin():
     door = FrontDoor("webserver", apps("a", "b"),
                      dgspl_fn=lambda: None)
-    door.route(10, now=0.0)
-    assert door.rr_batches == 1
+    alloc, _ = door.route(10, now=0.0)
+    assert {a.host.name: c for a, c in alloc} == {"a": 5, "b": 5}
 
 
 def test_flag_down_redistributes_then_sheds():

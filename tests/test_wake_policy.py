@@ -11,17 +11,17 @@ def test_fixed_mode_never_moves():
     p.note_findings()
     p.note_trigger()
     assert p.current_period == 300.0
-    assert p.backoffs == 0
+    assert not p.note_clean()       # still no back-off after either
 
 
 def test_adaptive_backs_off_multiplicatively_to_cap():
     p = WakePolicy(300.0, mode="adaptive")
-    seen = []
+    seen, moved = [], []
     for _ in range(6):
-        p.note_clean()
+        moved.append(p.note_clean())
         seen.append(p.current_period)
     assert seen == [600.0, 1200.0, 1800.0, 1800.0, 1800.0, 1800.0]
-    assert p.backoffs == 3      # the capped no-ops do not count
+    assert moved == [True] * 3 + [False] * 3    # the capped no-ops
 
 
 def test_findings_and_triggers_snap_back_to_base():
