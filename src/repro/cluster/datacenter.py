@@ -1,10 +1,9 @@
 """Datacentre assembly.
 
-Holds the host registry, the LANs, name resolution and the shared
-random streams.  The figure-1 topology -- every host on one or more
-public LANs plus the private intelliagent network, administration
-servers on both -- is built by :mod:`repro.experiments.site` from the
-primitives here.
+Holds the host registry, the LANs and name resolution.  The figure-1
+topology -- every host on one or more public LANs plus the private
+intelliagent network, administration servers on both -- is built by
+:mod:`repro.experiments.site` from the primitives here.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from repro.cluster.host import Host
 from repro.cluster.specs import ServerSpec, spec as lookup_spec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim import RandomStreams, Simulator
+    from repro.sim import Simulator
     from repro.net.network import Lan
 
 __all__ = ["Datacenter"]
@@ -24,11 +23,8 @@ __all__ = ["Datacenter"]
 class Datacenter:
     """Registry of hosts and networks for one simulated site."""
 
-    def __init__(self, sim: "Simulator", streams: "RandomStreams",
-                 name: str = "dc1"):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.streams = streams
-        self.name = name
         self.hosts: Dict[str, Host] = {}
         self.lans: Dict[str, "Lan"] = {}
         #: host-name groups, e.g. "db", "tp", "frontend", "admin".
@@ -64,13 +60,19 @@ class Datacenter:
     def up_hosts(self) -> List[Host]:
         return [h for h in self.hosts.values() if h.is_up]
 
+    def managed_hosts(self) -> List[Host]:
+        """Hosts inside the datacentre proper.  Hosts in the 'external'
+        group (feed gateways standing in for the outside world) are
+        not -- nothing on site manages them."""
+        external = self.groups.get("external", ())
+        return [h for h in self.hosts.values() if h.name not in external]
+
     # -- networks ----------------------------------------------------------------
 
-    def add_lan(self, lan: "Lan") -> "Lan":
+    def add_lan(self, lan: "Lan") -> None:
         if lan.name in self.lans:
             raise ValueError(f"duplicate LAN {lan.name!r}")
         self.lans[lan.name] = lan
-        return lan
 
     def lan(self, name: str) -> "Lan":
         return self.lans[name]
@@ -104,5 +106,4 @@ class Datacenter:
         return (False, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Datacenter {self.name} hosts={len(self.hosts)} "
-                f"lans={list(self.lans)}>")
+        return f"<Datacenter hosts={len(self.hosts)} lans={list(self.lans)}>"

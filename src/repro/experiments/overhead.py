@@ -20,17 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.apps.database import Database
-from repro.apps.frontend import FrontendApp
-from repro.apps.webserver import WebServer
 from repro.batch.jobs import BatchJob
-from repro.cluster.datacenter import Datacenter
 from repro.core.suite import AgentSuite
 from repro.experiments.report import table
-from repro.net.network import Lan
+from repro.experiments.site import HostRow, SiteConfig, build_site
 from repro.ops.bmc import BaselineMonitor
-from repro.ops.notifications import NotificationChannel
-from repro.sim import RandomStreams, Simulator
 
 __all__ = ["OverheadResult", "PAPER_FIG3_BMC", "PAPER_FIG3_AGENT",
            "PAPER_FIG4_BMC", "PAPER_FIG4_AGENT", "run", "format_cpu",
@@ -55,25 +49,15 @@ class OverheadResult:
 
 def _build_peak_host():
     """One busy database server with fluctuating batch load."""
-    sim = Simulator()
-    rs = RandomStreams(20)
-    dc = Datacenter(sim, rs, "overhead")
-    host = dc.add_host("db-peak", "sun-e4500", group="db")
-    dc.add_lan(Lan(sim, "public0"))
-    dc.add_lan(Lan(sim, "agentnet", kind="private", subnet="10.0.0"))
-    dc.connect("db-peak", "public0")
-    dc.connect("db-peak", "agentnet")
-    db = Database(host, "oracle_peak", max_job_slots=8)
-    web = WebServer(host, "httpd_peak")
-    fe = FrontendApp(host, "finapp_peak", backend=db)
-    db.start()
-    web.start()
-    fe.start()
-    sim.run(until=400.0)
-    return sim, rs, dc, host, db
+    return build_site(
+        SiteConfig(agents=False, with_workload=False, seed=20),
+        [HostRow("db-peak", "sun-e4500", "db", ("public0", "agentnet"), (
+            ("db", "oracle_peak", {"max_job_slots": 8}),
+            ("web", "httpd_peak", {}),
+            ("fe", "finapp_peak", {"backend": "oracle_peak"})))])
 
 
-def _load_pulse(sim, rng, db, host):
+def _load_pulse(sim, rng, db):
     """Batch jobs arriving and leaving: the 'peak time' load whose
     swings drive the BMC cost series up and down."""
     def pulse():
@@ -88,25 +72,25 @@ def _load_pulse(sim, rng, db, host):
                     jobs.append(job)
             # user session churn changes the process table size too
             for u in range(int(rng.integers(5, 90))):
-                host.ptable.spawn(f"user{u % 20:02d}", "sqlplus",
+                db.host.ptable.spawn(f"user{u % 20:02d}", "sqlplus",
                                   cpu_pct=float(rng.uniform(1, 20)),
                                   mem_mb=24.0, now=sim.now)
             yield float(rng.uniform(0.4, 1.0)) * SAMPLE_PERIOD
             for job in jobs:
                 db.detach_job(job)
-            host.ptable.kill_command("sqlplus")
+            db.host.ptable.kill_command("sqlplus")
             yield float(rng.uniform(0.05, 0.3)) * SAMPLE_PERIOD
 
     sim.spawn(pulse(), name="load-pulse")
 
 
 def run(seed: int = 20) -> OverheadResult:
-    sim, rs, dc, host, db = _build_peak_host()
-    rng = rs.get(f"overhead.load.{seed}")
-    notifications = NotificationChannel(sim)
-    bmc = BaselineMonitor(host, notifications=notifications)
-    suite = AgentSuite(host, notifications=notifications)
-    _load_pulse(sim, rng, db, host)
+    site = _build_peak_host()
+    sim, (db,) = site.sim, site.databases
+    rng = site.streams.get(f"overhead.load.{seed}")
+    bmc = BaselineMonitor(db.host, notifications=site.notifications)
+    suite = AgentSuite(db.host, notifications=site.notifications)
+    _load_pulse(sim, rng, db)
     # warm the monitor's history cache so the sawtooth is under way
     sim.run(until=sim.now + 2 * 3600.0)
 

@@ -10,13 +10,14 @@ ethernet for all servers."
 :func:`build_site` assembles that datacentre (scaled down on request
 for tests) with two public LANs, the private agent network, the admin
 pair + NFS pool, LSF, the overnight workload and -- optionally -- the
-complete intelliagent deployment.
+complete intelliagent deployment -- every world there is, from
+:class:`HostRow` lists (:func:`site_hosts` gives the paper's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.apps.database import Database
 from repro.apps.distributed import DistributedService
@@ -36,13 +37,17 @@ from repro.net.routing import AgentChannel
 from repro.ops.notifications import NotificationChannel
 from repro.sim import RandomStreams, Simulator
 
-__all__ = ["SiteConfig", "Site", "build_site"]
+__all__ = ["SiteConfig", "HostRow", "Site", "site_hosts", "build_site"]
 
 #: database host models, weighted like the paper's description
 _DB_MODELS = ("sun-e4500", "sun-e4500", "sun-e10k")
 _TP_MODELS = ("sun-e10k", "sun-ultra10", "linux-x86", "sun-e450",
               "sun-e220r", "hp-kclass", "hp-tclass")
 _FE_MODEL = "ibm-sp2"
+#: a host's LANs in NIC order, by its primary public LAN
+_LANS = (("public0", "public1", "agentnet"),
+         ("public1", "public0", "agentnet"))
+_APP_KINDS = {"db": Database, "web": WebServer, "fe": FrontendApp}
 
 
 @dataclass
@@ -84,6 +89,21 @@ class SiteConfig:
         return cls(**defaults)
 
 
+@dataclass(frozen=True)
+class HostRow:
+    """One server of the inventory (the ISSL's "very basic information
+    about each server", §3.1).  Its LANs are in NIC order; an app is
+    ``(kind, name, kwargs)``, kind ``db``/``web``/``fe``, whose
+    ``backend`` kwarg names a database."""
+
+    name: str
+    model: str
+    group: str
+    lans: Tuple[str, ...]
+    apps: Tuple[Tuple[str, str, dict], ...] = ()
+    boot_duration: float = 300.0
+
+
 @dataclass
 class Site:
     """Handles to everything the experiments poke at."""
@@ -91,6 +111,8 @@ class Site:
     sim: Simulator
     streams: RandomStreams
     config: SiteConfig
+    #: the rows the world was built from
+    hosts: Tuple[HostRow, ...]
     dc: Datacenter
     notifications: NotificationChannel
     channel: AgentChannel
@@ -99,8 +121,9 @@ class Site:
     databases: List[Database]
     frontends: List[FrontendApp]
     webservers: List[WebServer]
-    lsf: LsfCluster
-    lsf_master: LsfMaster
+    #: None in a world with neither a TP nor an admin host
+    lsf: Optional[LsfCluster]
+    lsf_master: Optional[LsfMaster]
     workload: Optional[OvernightWorkload]
     services: List[DistributedService]
     admin: Optional[AdministrationServers] = None
@@ -124,12 +147,55 @@ class Site:
         return self.suites[host_name]
 
 
-def build_site(config: Optional[SiteConfig] = None) -> Site:
+def site_hosts(config: SiteConfig) -> Iterator[HostRow]:
+    """Figure 1: every host on one or more public LANs plus the private
+    agent network.  (Both public LANs here, so application traffic
+    survives a single-LAN failure -- but never rides the agent
+    network.)"""
+    dbs: List[str] = []
+    for i in range(config.db_servers):
+        model = _DB_MODELS[i % len(_DB_MODELS)]
+        db_type = "oracle" if i % 5 < 3 else "sybase"
+        dbs.append(f"{db_type}_db{i:03d}")
+        slots = 6 if model == "sun-e10k" else 4
+        yield HostRow(f"db{i:03d}", model, "db", _LANS[i % 2], (
+            ("db", dbs[-1], {"db_type": db_type, "max_job_slots": slots}),))
+
+    def backend(i: int) -> dict:
+        return {"backend": dbs[i % len(dbs)]} if dbs else {}
+
+    for i in range(config.tp_servers):
+        yield HostRow(f"tp{i:03d}", _TP_MODELS[i % len(_TP_MODELS)], "tp",
+                      _LANS[i % 2])
+    for i in range(config.fe_servers):
+        yield HostRow(f"fe{i:03d}", _FE_MODEL, "frontend", _LANS[i % 2], (
+            ("web", f"httpd_fe{i:03d}", {}),
+            ("fe", f"finapp_fe{i:03d}", backend(i))))
+    # spare servers: powerful boxes with one idle slot per tier, so any
+    # relocatable service has somewhere templated to land
+    cold = {"auto_start": False}
+    for i in range(config.spare_servers):
+        yield HostRow(f"sp{i:03d}", "sun-e10k", "spare", _LANS[i % 2], (
+            ("db", f"oracle_sp{i:03d}", {"db_type": "oracle", **cold}),
+            ("db", f"sybase_sp{i:03d}", {"db_type": "sybase", **cold}),
+            ("web", f"httpd_sp{i:03d}", cold),
+            ("fe", f"finapp_sp{i:03d}", {**backend(i), **cold})))
+    # admin pair + the external market-data gateway
+    for name in ("adm01", "adm02"):
+        yield HostRow(name, "admin-server", "admin", _LANS[0],
+                      boot_duration=180.0)
+    yield HostRow("reuters-gw", "linux-x86", "external", _LANS[0])
+
+
+def build_site(config: Optional[SiteConfig] = None,
+               hosts: Optional[Iterable[HostRow]] = None) -> Site:
+    """The world of ``hosts`` (by default ``site_hosts(config)``)."""
     config = config or SiteConfig()
+    hosts = tuple(site_hosts(config) if hosts is None else hosts)
     sim = Simulator()
     streams = RandomStreams(config.seed)
-    rng = streams.get("site.build")
-    dc = Datacenter(sim, streams, "financial-dc")
+    streams.get("site.build")   # never drawn; rides every checkpoint's rng
+    dc = Datacenter(sim)
 
     # -- networks (figure 1) -------------------------------------------------
     dc.add_lan(Lan(sim, "public0", kind="public", subnet="192.168.1"))
@@ -138,90 +204,39 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
     nameservice = NameService(sim)
     notifications = NotificationChannel(sim)
 
-    def wire(host, primary_lan: str) -> None:
-        """Figure 1: every host on one or more public LANs plus the
-        private agent network.  (Both public LANs here, so application
-        traffic survives a single-LAN failure -- but never rides the
-        agent network.)"""
-        dc.connect(host.name, primary_lan)
-        other = "public1" if primary_lan == "public0" else "public0"
-        dc.connect(host.name, other)
-        dc.connect(host.name, "agentnet")
-        nameservice.register_host(host)
-
     # -- hosts -----------------------------------------------------------------
-    databases: List[Database] = []
-    for i in range(config.db_servers):
-        model = _DB_MODELS[i % len(_DB_MODELS)]
-        host = dc.add_host(f"db{i:03d}", model, group="db",
-                           site=config.site_name)
-        wire(host, "public0" if i % 2 == 0 else "public1")
-        db_type = "oracle" if i % 5 < 3 else "sybase"
-        slots = 6 if model == "sun-e10k" else 4
-        db = Database(host, f"{db_type}_{host.name}", db_type=db_type,
-                      max_job_slots=slots)
-        databases.append(db)
-
-    tp_hosts = []
-    for i in range(config.tp_servers):
-        model = _TP_MODELS[i % len(_TP_MODELS)]
-        host = dc.add_host(f"tp{i:03d}", model, group="tp",
-                           site=config.site_name)
-        wire(host, "public0" if i % 2 == 0 else "public1")
-        tp_hosts.append(host)
-
-    webservers: List[WebServer] = []
-    frontends: List[FrontendApp] = []
-    for i in range(config.fe_servers):
-        host = dc.add_host(f"fe{i:03d}", _FE_MODEL, group="frontend",
-                           site=config.site_name)
-        wire(host, "public0" if i % 2 == 0 else "public1")
-        ws = WebServer(host, f"httpd_{host.name}")
-        webservers.append(ws)
-        backend = databases[i % len(databases)] if databases else None
-        fe = FrontendApp(host, f"finapp_{host.name}", backend=backend)
-        frontends.append(fe)
-
-    # spare servers: powerful boxes with one idle slot per tier, so any
-    # relocatable service has somewhere templated to land
-    for i in range(config.spare_servers):
-        host = dc.add_host(f"sp{i:03d}", "sun-e10k", group="spare",
-                           site=config.site_name)
-        wire(host, "public0" if i % 2 == 0 else "public1")
-        Database(host, f"oracle_{host.name}", db_type="oracle",
-                 auto_start=False)
-        Database(host, f"sybase_{host.name}", db_type="sybase",
-                 auto_start=False)
-        WebServer(host, f"httpd_{host.name}", auto_start=False)
-        FrontendApp(
-            host, f"finapp_{host.name}",
-            backend=databases[i % len(databases)] if databases else None,
-            auto_start=False)
-
-    # admin pair + the external market-data gateway
-    adm1 = dc.add_host("adm01", "admin-server", group="admin",
-                       site=config.site_name, boot_duration=180.0)
-    adm2 = dc.add_host("adm02", "admin-server", group="admin",
-                       site=config.site_name, boot_duration=180.0)
-    feed_src = dc.add_host("reuters-gw", "linux-x86", group="external",
-                           site=config.site_name)
-    for host in (adm1, adm2, feed_src):
-        dc.connect(host.name, "public0")
-        dc.connect(host.name, "public1")
-        dc.connect(host.name, "agentnet")
+    apps: Dict[str, object] = {}
+    for row in hosts:
+        host = dc.add_host(row.name, row.model, group=row.group,
+                           site=config.site_name,
+                           boot_duration=row.boot_duration)
+        for lan in row.lans:
+            dc.connect(host.name, lan)
         nameservice.register_host(host)
+        for kind, name, kw in row.apps:
+            if "backend" in kw:
+                kw = {**kw, "backend": apps[kw["backend"]]}
+            apps[name] = _APP_KINDS[kind](host, name, **kw)
 
+    # -- tiers, by group ---------------------------------------------------
+    databases, webservers, frontends = (
+        [app for host in dc.group(group) for app in host.apps.values()
+         if isinstance(app, kind)] for group, kind in (
+            ("db", Database), ("frontend", WebServer),
+            ("frontend", FrontendApp)))
     channel = AgentChannel(dc, "agentnet", ["public0", "public1"])
     pool = SharedPool(sim)
 
-    # -- LSF on the first TP host -----------------------------------------------
-    lsf_host = tp_hosts[0] if tp_hosts else adm1
-    lsf_master = LsfMaster(lsf_host)
-    lsf = LsfCluster(dc, lsf_master,
-                     rng=streams.get("site.lsf"),
-                     base_crash_prob=config.crash_coupling)
-    for db in databases:
-        lsf.register_server(db)
+    # -- LSF on the first TP host, else the first admin host ------------------
+    lsf = lsf_master = None
+    lsf_host = next(iter(dc.group("tp") + dc.group("admin")), None)
+    if lsf_host is not None:
+        lsf_master = LsfMaster(lsf_host)
+        lsf = LsfCluster(dc, lsf_master,
+                         rng=streams.get("site.lsf"),
+                         base_crash_prob=config.crash_coupling)
+        for db in databases:
+            lsf.register_server(db)
 
     # -- distributed services ------------------------------------------------------
     services: List[DistributedService] = []
@@ -242,7 +257,7 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
             lsf, streams.get("site.workload"),
             jobs_per_night=config.jobs_per_night)
 
-    site = Site(sim=sim, streams=streams, config=config, dc=dc,
+    site = Site(sim=sim, streams=streams, config=config, hosts=hosts, dc=dc,
                 notifications=notifications, channel=channel,
                 nameservice=nameservice, pool=pool, databases=databases,
                 frontends=frontends, webservers=webservers, lsf=lsf,
@@ -253,10 +268,15 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
         for app in host.apps.values():
             if app.auto_start:      # idle spare slots stay cold
                 app.start()
+    # no admin pair: wake accounting and trigger dispatch are host-local,
+    # and bare suites run from t=0
+    if config.agents and not dc.group("admin"):
+        site.suites = {h.name: AgentSuite(h, wake_policy=config.wake_policy)
+                       for h in dc.managed_hosts()}
     # let everything reach RUNNING before agents capture their SLKTs
     sim.run(until=sim.now + 400.0)
 
-    if config.agents:
+    if config.agents and dc.group("admin"):
         _deploy_agents(site)
     if config.observe:
         _deploy_observability(site)
@@ -267,21 +287,20 @@ def build_site(config: Optional[SiteConfig] = None) -> Site:
 
 def _deploy_agents(site: Site) -> None:
     """Install the intelliagent stack: admin pair, suites, job manager."""
-    dc, sim = site.dc, site.sim
+    dc = site.dc
     ledger = site.ledger = ConditionLedger()
+    adm1, adm2 = dc.group("admin")
     admin = AdministrationServers(
-        dc, dc.host("adm01"), dc.host("adm02"), site.pool,
+        dc, adm1, adm2, site.pool,
         channel=site.channel, notifications=site.notifications,
         ledger=ledger)
     admin.site_name = site.config.site_name
     site.admin = admin
-    admin_targets = ("adm01", "adm02")     # one tuple every agent shares
-    for host in dc.all_hosts():
-        # every datacentre server gets the agent complement -- including
-        # the coordinators themselves (who else watches the watchers'
-        # disks?).  Only the external market-data gateway is unmanaged.
-        if host.name == "reuters-gw":
-            continue
+    admin_targets = (adm1.name, adm2.name)     # one tuple every agent shares
+    # every datacentre server gets the agent complement -- including
+    # the coordinators themselves (who else watches the watchers'
+    # disks?).  Only the external market-data gateway is unmanaged.
+    for host in dc.managed_hosts():
         suite = AgentSuite(host, channel=site.channel,
                            admin_targets=admin_targets,
                            notifications=site.notifications,

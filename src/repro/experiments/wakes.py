@@ -20,13 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.apps.database import Database
-from repro.cluster.datacenter import Datacenter
 from repro.core.agent import AGENT_PERIOD
-from repro.core.suite import AgentSuite
 from repro.experiments.report import table
-from repro.net.network import Lan
-from repro.sim import RandomStreams, Simulator
+from repro.experiments.site import HostRow, SiteConfig, build_site
 from repro.wake import WakePolicy
 
 __all__ = ["WakesResult", "build_fleet", "steady_state",
@@ -69,18 +65,12 @@ def build_fleet(n_hosts: int, wake_policy: str, *, seed: int = 0):
     """A standalone fleet: one database server per host, the standard
     agent complement on each, no coordinators (wake accounting and
     trigger dispatch are host-local)."""
-    sim = Simulator()
-    dc = Datacenter(sim, RandomStreams(seed), "wake-fleet")
-    dc.add_lan(Lan(sim, "public0"))
-    suites = []
-    for i in range(n_hosts):
-        host = dc.add_host(f"w{i:04d}", "linux-x86", group="db")
-        dc.connect(host.name, "public0")
-        db = Database(host, f"oracle_{host.name}", db_type="oracle")
-        db.start()
-        suites.append(AgentSuite(host, wake_policy=wake_policy))
-    sim.run(until=sim.now + 400.0)      # everything RUNNING
-    return sim, dc, suites
+    site = build_site(
+        SiteConfig(wake_policy=wake_policy, with_workload=False, seed=seed),
+        [HostRow(f"w{i:04d}", "linux-x86", "db", ("public0",),
+                 (("db", f"oracle_w{i:04d}", {"db_type": "oracle"}),))
+         for i in range(n_hosts)])
+    return site.sim, site.dc, list(site.suites.values())
 
 
 def _fleet_totals(suites) -> Dict[str, float]:

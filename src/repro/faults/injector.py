@@ -445,11 +445,8 @@ class FaultInjector(Persistent):
         return seq[int(self.rng.integers(len(seq)))]
 
     def _managed_hosts(self):
-        """Up hosts inside the datacentre proper.  Hosts in the
-        'external' group (feed gateways standing in for the outside
-        world) are not fault targets -- nothing on site manages them."""
-        external = set(self.dc.groups.get("external", ()))
-        return [h for h in self.dc.up_hosts() if h.name not in external]
+        """Up managed hosts: external ones are not fault targets."""
+        return [h for h in self.dc.managed_hosts() if h.is_up]
 
     def _all_apps(self) -> List:
         return [a for h in self.dc.hosts.values() for a in h.apps.values()]

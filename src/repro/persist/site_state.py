@@ -29,6 +29,7 @@ which this layer deliberately refuses to pickle.
 from __future__ import annotations
 
 from dataclasses import asdict, fields
+from itertools import zip_longest
 from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -142,6 +143,12 @@ def sealed_site(site, extras: Optional[Mapping[str, object]] = None, *,
         raise QuiescenceError(
             "checkpointable configurations need with_workload=False (its "
             "generator processes cannot be serialised)")
+    from repro.experiments.site import site_hosts
+    # a restore rebuilds the world from its config's host rows alone
+    for built, rebuilt in zip_longest(site.hosts, site_hosts(site.config)):
+        if built != rebuilt:
+            raise ValueError(f"host {(built or rebuilt).name!r} differs "
+                             "from the rows the site's config rebuilds")
 
     tracer = _tracer_of(site)
     state: dict = {

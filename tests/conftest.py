@@ -34,9 +34,9 @@ def rs():
 
 
 @pytest.fixture
-def dc(sim, rs):
+def dc(sim):
     """Two hosts (db + admin pair) on a public LAN and the agent LAN."""
-    dc = Datacenter(sim, rs, "testdc")
+    dc = Datacenter(sim)
     dc.add_lan(Lan(sim, "public0", kind="public", subnet="192.168.1"))
     dc.add_lan(Lan(sim, "agentnet", kind="private", subnet="10.0.0"))
     for name, model, group in (

@@ -22,7 +22,7 @@ from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.specs import SPEC_CATALOGUE
 from repro.ontology.base import OntologyDoc
 from repro.ontology.dgspl import Dgspl
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Simulator
 from repro.trace.tracer import Tracer
 from repro.traffic.frontdoor import FrontDoor
 from tests.test_traffic_frontdoor import apps, dgspl_at
@@ -105,7 +105,7 @@ def test_a_killed_entry_is_out_of_the_books_for_good():
 
 def test_restoring_into_a_crashed_host_rebuilds_its_books():
     sim = Simulator()
-    dc = Datacenter(sim, RandomStreams(1), "dc")
+    dc = Datacenter(sim)
     host = dc.add_host("db01", "sun-e4500", group="db")
     for _ in range(3):
         host.ptable.spawn("u", "busy", cpu_pct=95.0)

@@ -17,9 +17,9 @@ def test_restart_app_brings_service_back(database, sim):
 
 def test_restart_unknown_app_fails():
     from repro.cluster.datacenter import Datacenter
-    from repro.sim import RandomStreams, Simulator
+    from repro.sim import Simulator
     sim = Simulator()
-    dc = Datacenter(sim, RandomStreams(0))
+    dc = Datacenter(sim)
     host = dc.add_host("h", "linux-x86")
     res = apply_action("restart_app", host, "ghost")
     assert not res.success

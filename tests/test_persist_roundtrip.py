@@ -85,6 +85,23 @@ def test_snapshot_refuses_workload_configs():
         snapshot_site(site)
 
 
+def test_snapshot_refuses_a_world_its_config_cannot_rebuild():
+    """A restore rebuilds the world from its config's host rows, so a
+    site built from other rows is refused at the seal, naming the first
+    host that differs, before a piece is written."""
+    from repro.experiments.site import HostRow, site_hosts
+    from repro.persist.site_state import sealed_site
+    config = SiteConfig.test_scale(with_workload=False)
+    fleet = [HostRow(f"w{i:04d}", "linux-x86", "db", ("public0",),
+                     (("db", f"oracle_w{i:04d}", {}),)) for i in range(3)]
+    no_gateway = list(site_hosts(config))[:-1]
+    for rows, first in ((fleet, "w0000"), (no_gateway, "reuters-gw")):
+        written = []
+        with pytest.raises(ValueError, match=f"host '{first}' differs"):
+            sealed_site(build_site(config, rows), write=written.append)
+        assert written == []
+
+
 def test_snapshot_state_hash_covers_everything_else():
     site = _site()
     site.run(1800.0)

@@ -3,7 +3,7 @@
 *Product code* is every ``.py`` file outside ``tests/`` -- ``src``,
 ``benchmarks``, ``examples`` -- except ``test_*.py`` files.  A test is
 not a caller: what only tests reach is not behaviour the program has.
-Four lints:
+Five lints:
 
 (a) *unpassed defaults* -- a defaulted parameter of a public function
     or method under ``src/repro`` that no product call site passes, by
@@ -25,7 +25,11 @@ Four lints:
     ``__init__``'s own imports are re-exports and do not count; package
     ``__init__``s and the ``[project.scripts]`` entry modules of
     ``pyproject.toml`` need no importer;
-(d) ``repro.observe`` imports nothing from ``repro.experiments``.
+(d) ``repro.observe`` imports nothing from ``repro.experiments``;
+(e) *one world builder* -- no ``src/repro`` module but
+    ``repro.experiments.site`` (and the kernel itself) constructs a
+    ``Simulator`` or a ``Datacenter``: every world is ``build_site``'s,
+    from host rows.
 
 What (a) counts as a call site: ``f(...)`` or ``mod.f(...)`` resolved
 through the caller's imports (and the packages' re-exports) for
@@ -564,3 +568,24 @@ def test_observe_imports_nothing_from_experiments(source):
                 for a in node.names}
     assert "repro.faults.models" in imported
     assert not [m for m in imported if m.startswith("repro.experiments")]
+
+
+def test_only_build_site_makes_a_world(source):
+    world = {"repro.sim.kernel.Simulator",
+             "repro.cluster.datacenter.Datacenter"}
+    makers = collections.defaultdict(list)
+    for path, tree in source.tree.items():
+        module = _module_of(path)
+        if path.startswith(SRC) and not (module == "repro.sim"
+                                         or module.startswith("repro.sim.")):
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and source.qualify(path, node.func) in world):
+                    makers[module].append(node.lineno)
+    assert makers.pop("repro.experiments.site", None), \
+        "the lint no longer sees build_site's own construction"
+    assert not makers, (
+        "a world built outside repro.experiments.site.build_site -- give "
+        "it host rows instead:\n  " + "\n  ".join(
+            f"src/{m.replace('.', '/')}.py:{lines}"
+            for m, lines in sorted(makers.items())))

@@ -178,7 +178,7 @@ def test_engine_deterministic_with_seed(curve):
         from repro.apps.webserver import WebServer
         from repro.cluster.datacenter import Datacenter
         from repro.net.network import Lan
-        dc = Datacenter(sim, RandomStreams(9), "dc")
+        dc = Datacenter(sim)
         dc.add_lan(Lan(sim, "public0", kind="public", subnet="192.168.1"))
         dc.add_host("fe01", "ibm-sp2", group="frontend")
         dc.connect("fe01", "public0")
