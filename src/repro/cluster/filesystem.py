@@ -20,9 +20,10 @@ keyed by *directory* -- directories recur, file names (flag and profile
 stamps) are minted per wake -- and is derived state: never snapshotted,
 dropped whenever the mount table changes.  A file is two map entries,
 its lines and, in its directory's ``{path: mtime}`` listing, its mtime:
-written lines are a tuple the cyclic collector stops tracking (a file
-becomes a list on its first append), and the :class:`SimFile` a call
-returns is built for the caller, kept nowhere.
+written lines are a tuple the cyclic collector stops tracking, and from
+its first append a file is a :class:`~repro.metrics.circular_log.Ring`,
+which keeps a sampler row as its values and renders it on read.  The
+:class:`SimFile` a call returns is built for the caller, kept nowhere.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.metrics.circular_log import Ring
 
 __all__ = ["FsError", "FsFullError", "FsOfflineError", "SimFile",
            "Mount", "FileSystem"]
@@ -107,7 +110,7 @@ class FileSystem:
     )
 
     def __init__(self, mounts: Optional[Dict[str, int]] = None):
-        #: path -> lines (a tuple until the file's first append)
+        #: path -> lines (a tuple until the file's first append, a Ring on)
         self._files: Dict[str, Sequence[str]] = {}
         #: directory -> the name it was made with, the key object of its
         #: listing and memo (shared by every host whose agent makes it)
@@ -199,18 +202,20 @@ class FileSystem:
             listing = self._dir_index[self._dirs[parent]] = {}
         return listing
 
-    def append(self, path: str, line: str, now: float = 0.0) -> SimFile:
+    def append(self, path: str, line, now: float = 0.0) -> SimFile:
+        """Append a text line or a sampler row (:meth:`Ring.render`)."""
         path = _norm(path)
         parent = _parent(path)
-        extra = len(line) + 1
+        ring = self._files.get(path)
+        if type(ring) is not Ring:          # the file's first append
+            ring = Ring(ring or ())
+        extra = len(ring.render(line)) + 1
         mount = self._check_writable(path, parent, extra)
-        lines = self._files.get(path)
-        if type(lines) is not list:         # the file's first append
-            lines = self._files[path] = list(lines or ())
-        lines.append(line)
+        ring.append(line)
+        self._files[path] = ring
         self._listing(parent)[path] = now
         mount.used_bytes += extra
-        return SimFile(path, lines, now)
+        return SimFile(path, ring, now)
 
     def drop_head(self, path: str, count: int, now: float = 0.0) -> None:
         """Evict the oldest ``count`` lines in place: what
@@ -223,14 +228,19 @@ class FileSystem:
         parent = _parent(key)
         freed = _size(lines[:count])
         mount = self._check_writable(key, parent, -freed)
-        if type(lines) is list:
-            del lines[:count]
+        if type(lines) is Ring:
+            lines.drop(count)
         else:
             self._files[key] = lines[count:]
         self._dir_index[parent][key] = now
         mount.used_bytes -= freed
 
     def read(self, path: str) -> List[str]:
+        return list(self.open(path))
+
+    def open(self, path: str) -> Sequence[str]:
+        """The file's lines as kept (a tuple or a ring), for a reader
+        that walks them at once; :meth:`read` copies them."""
         path = _norm(path)
         mount = self._mount(path, _parent(path))
         if not mount.online:
@@ -238,7 +248,7 @@ class FileSystem:
         lines = self._files.get(path)
         if lines is None:
             raise FsError(f"{path}: no such file")
-        return list(lines)
+        return lines
 
     def stat(self, path: str) -> SimFile:
         key = _norm(path)
@@ -293,8 +303,9 @@ class FileSystem:
                 for m in self.mounts.values()
             ],
             "dirs": sorted(self._dirs),
-            "files": [
-                {"path": path, "lines": list(lines),
+            "files": [       # a ring is copied, rendered as it is encoded
+                {"path": path, "lines": (lines.copy() if type(lines) is Ring
+                                         else list(lines)),
                  "mtime": self._dir_index[_parent(path)][path]}
                 for path, lines in self._files.items()
             ],
@@ -316,5 +327,7 @@ class FileSystem:
             self._dirs.setdefault(mount.point, mount.point)
         for row in state["files"]:
             path = row["path"]
-            self._files[path] = tuple(row["lines"])
+            lines = row["lines"]
+            self._files[path] = (lines.copy() if type(lines) is Ring
+                                 else tuple(lines))
             self._listing(_parent(path))[path] = float(row["mtime"])

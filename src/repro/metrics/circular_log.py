@@ -6,14 +6,160 @@ in the host's simulated filesystem as a real flat-ASCII file, so disk
 accounting and the agents' file-based workflows see it; the circular
 discipline caps its length.
 
-The file is the only copy of what was appended (sampler timelines are
-parsed back out of it) and is checkpointed with the host filesystem;
-eviction drops the head in place rather than rewriting the file.
+From its first append a file is a :class:`Ring`: a sampler row is kept
+as its float64 values under its key set's ``%`` template
+(:func:`_template`) and rendered to its line only when read, so every
+reader sees the bytes the line would have held.  The ring is the only
+copy of what was appended (sampler timelines are read back out of it)
+and is checkpointed with the host filesystem; eviction drops the head
+in place rather than rewriting the file.
 """
 
 from __future__ import annotations
 
-__all__ = ["CircularLog"]
+import functools
+from array import array
+from itertools import chain
+from typing import Tuple
+
+__all__ = ["CircularLog", "Ring"]
+
+#: evicted rows the oldest run keeps before the live ones are moved
+#: down: one move per this many evictions, never a preallocated cap
+_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=256)
+def _template(sampled: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
+    """The record line for these metric names as a ``%`` template over
+    ``(time, *values)``, and the (sorted) order the values go in.  An
+    empty group is ``"<t> "``, trailing blank included."""
+    keys = tuple(sorted(sampled))
+    return ("%.1f " + " ".join(k.replace("%", "%%") + "=%.3f"
+                               for k in keys), keys)
+
+
+def _width(keys) -> int:
+    return 1 if keys is None else len(keys) + 1
+
+
+class Ring:
+    """A file's lines from its first append on, oldest first, as runs.
+
+    A *typed* run is one key set -- its template and sorted keys -- and
+    one flat ``array('d')`` of ``(t, v1..vk)`` rows; a *text* run
+    (``keys`` ``None``) is a list of lines that arrived as text.  The
+    newest run lives in the ring's own slots and older ones in a tuple,
+    so a log whose key set holds is one collector-tracked object; the
+    oldest run's first ``_head`` rows are already evicted.  A sequence
+    of ``str``: ``len`` is O(1), an index renders only its row.
+    """
+
+    __slots__ = ("_older", "_tmpl", "_keys", "_data", "_head", "_len",
+                 "_order")
+
+    def __init__(self, lines=()):
+        self._older, self._head = (), 0
+        self._tmpl = self._keys = self._order = None
+        self._data = list(lines)
+        self._len = len(self._data)
+
+    def render(self, line) -> str:
+        """``line`` as the file holds it: text as it is, a sampler row
+        (``time`` and a ``metrics`` map) through its key set's template."""
+        if type(line) is str:
+            return line
+        metrics = line.metrics
+        tmpl, keys = ((self._tmpl, self._keys)
+                      if tuple(metrics) == self._order
+                      else _template(tuple(metrics)))
+        return tmpl % (line.time, *map(metrics.__getitem__, keys))
+
+    def append(self, line) -> None:
+        """Add :meth:`render`'s ``line`` as the newest.  A row whose
+        names come in the last row's order needs no template lookup."""
+        if type(line) is str:
+            if self._keys is not None:
+                self._start(None, None, [])
+            self._data.append(line)
+        else:
+            metrics = line.metrics
+            if tuple(metrics) != self._order:
+                tmpl, keys = _template(tuple(metrics))
+                if keys != self._keys:
+                    self._start(tmpl, keys, array("d"))
+                self._order = tuple(metrics)
+            self._data.append(line.time)
+            self._data.extend(map(metrics.__getitem__, self._keys))
+        self._len += 1
+
+    def _start(self, tmpl, keys, data) -> None:
+        if self._data:
+            self._older += ((self._tmpl, self._keys, self._data),)
+        self._tmpl, self._keys, self._data = tmpl, keys, data
+        self._order = None
+
+    def _runs(self):
+        return (*self._older, (self._tmpl, self._keys, self._data))
+
+    def drop(self, count: int) -> None:
+        """Evict the oldest ``count`` lines."""
+        self._len -= min(count, self._len)
+        head, runs = self._head + count, self._runs()
+        while len(runs) > 1 and head * _width(runs[0][1]) >= len(runs[0][2]):
+            head -= len(runs[0][2]) // _width(runs[0][1])
+            runs = runs[1:]
+        self._older = runs[:-1]
+        _tmpl, keys, data = runs[0]
+        cut = min(head * _width(keys), len(data))
+        if head >= _BLOCK or cut == len(data):
+            del data[:cut]
+            head = 0
+        self._head = head
+
+    def runs(self):
+        """``(template, keys, rows)`` per run, oldest first, evicted rows
+        cut: ``rows`` is a text run's lines or a typed run's flat values."""
+        head = self._head
+        for tmpl, keys, data in self._runs():
+            yield tmpl, keys, data[head * _width(keys):]
+            head = 0
+
+    def copy(self) -> "Ring":
+        """An independent ring of the live lines, 8 B a value: what a
+        snapshot holds instead of rendered lines."""
+        ring = Ring()
+        *older, (ring._tmpl, ring._keys, ring._data) = self.runs()
+        ring._older, ring._len = tuple(older), self._len
+        return ring
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(
+            rows if keys is None
+            else map(tmpl.__mod__, zip(*[iter(rows)] * (len(keys) + 1)))
+            for tmpl, keys, rows in self.runs())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        i = index + self._len if index < 0 else index
+        if not 0 <= i < self._len:
+            raise IndexError("ring index out of range")
+        i += self._head
+        for tmpl, keys, data in self._runs():
+            w = _width(keys)
+            if i * w < len(data):
+                return (data[i] if keys is None
+                        else tmpl % tuple(data[i * w:(i + 1) * w]))
+            i -= len(data) // w
+
+    def __eq__(self, other):
+        if not isinstance(other, (Ring, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 class CircularLog:
@@ -29,8 +175,9 @@ class CircularLog:
         if not fs.exists(path):
             fs.write(path, [], now=0.0)
 
-    def append(self, line: str, now: float = 0.0) -> None:
-        """Append, evicting the oldest line(s) beyond capacity."""
+    def append(self, line, now: float = 0.0) -> None:
+        """Append a text line or a sampler row, evicting the oldest
+        line(s) beyond capacity."""
         f = self.fs.append(self.path, line, now=now)
         excess = len(f.lines) - self.maxlen
         if excess > 0:

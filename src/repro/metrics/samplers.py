@@ -22,11 +22,10 @@ f-string per metric per wake.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.metrics.circular_log import CircularLog
+from repro.metrics.circular_log import CircularLog, Ring, _template
 from repro.metrics.timeseries import TimeSeries
 
 __all__ = ["Sample", "WORKGROUPS", "SamplerSuite"]
@@ -59,16 +58,6 @@ class Sample:
         return cls(float(head), group, metrics)
 
 
-@functools.lru_cache(maxsize=256)
-def _template(sampled: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
-    """The record line for these metric names as a ``%`` template over
-    ``(time, *values)``, and the (sorted) order the values go in.  An
-    empty group is ``"<t> "``, trailing blank included."""
-    keys = tuple(sorted(sampled))
-    return ("%.1f " + " ".join(k.replace("%", "%%") + "=%.3f"
-                               for k in keys), keys)
-
-
 class SamplerSuite:
     """All five workgroup samplers for one host."""
 
@@ -91,7 +80,7 @@ class SamplerSuite:
     def _record(self, group: str, now: float,
                 metrics: Dict[str, float]) -> Sample:
         sample = Sample(now, group, metrics)
-        self._log(group).append(sample.format(), now=now)
+        self._log(group).append(sample, now=now)
         return sample
 
     # -- the five workgroups -------------------------------------------------
@@ -196,19 +185,31 @@ class SamplerSuite:
                 self.sample_user_procs()]
 
     def get_series(self, group: str, key: str) -> Optional[TimeSeries]:
-        """One metric's retained history, parsed from the group's log
-        (``None`` if never sampled).  Reads the file directly:
-        :meth:`_log` would create one."""
+        """One metric's retained history, read from the group's log
+        (``None`` if never sampled): a typed row's values rounded as its
+        line prints them, a line that arrived as text parsed.  Reads
+        the file directly: :meth:`_log` would create one."""
         fs, path = self.host.fs, self._path(group)
         if not fs.exists(path):
             return None
         ts = TimeSeries(f"{group}.{key}")
-        for lineno, line in enumerate(fs.read(path), 1):
-            try:
-                sample = Sample.parse(group, line)
-                if key in sample.metrics:
-                    ts.append(sample.time, sample.metrics[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad sample line "
-                                 f"{line!r}: {exc}") from exc
+        lines = fs.open(path)
+        lineno = 0
+        for _tmpl, keys, rows in (lines.runs() if type(lines) is Ring
+                                  else [(None, None, lines)]):
+            if keys is not None:
+                w = len(keys) + 1
+                if key in keys:
+                    for t, v in zip(rows[::w], rows[keys.index(key) + 1::w]):
+                        ts.append(float("%.1f" % t), float("%.3f" % v))
+                lineno += len(rows) // w
+                continue
+            for lineno, line in enumerate(rows, lineno + 1):
+                try:
+                    sample = Sample.parse(group, line)
+                    if key in sample.metrics:
+                        ts.append(sample.time, sample.metrics[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad sample line "
+                                     f"{line!r}: {exc}") from exc
         return ts if len(ts) else None

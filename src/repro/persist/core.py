@@ -2,7 +2,9 @@
 
 A *snapshot* is a plain, strictly-JSON-serialisable dict: no live
 objects, no tuples-as-keys, no ``inf``/``nan`` (components encode
-sentinels as ``None`` before they reach this layer).  Identity between
+sentinels as ``None`` before they reach this layer).  The one exception
+is a log file's frozen :class:`~repro.metrics.circular_log.Ring`, whose
+lines :func:`canonical_json` renders as it encodes the file's piece.  Identity between
 two world states is therefore decidable by comparing canonical JSON --
 the byte string :func:`canonical_json` produces -- and cheap to assert
 via :func:`state_hash`.
@@ -90,7 +92,17 @@ def canonical_json(state: dict) -> str:
     read back.
     """
     return json.dumps(state, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+                      allow_nan=False, default=_ring_lines)
+
+
+def _ring_lines(value) -> list:
+    """A ring's lines, rendered only as its piece is encoded; any other
+    object is refused as ``json`` refuses it."""
+    from repro.metrics.circular_log import Ring    # imports this module
+    if type(value) is not Ring:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    return list(value)
 
 
 def state_hash(state: dict) -> str:

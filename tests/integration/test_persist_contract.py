@@ -48,7 +48,7 @@ def test_monolithic_equals_resumed_split():
 
     first = _fresh(3, 4.0)
     first.run_hours(2.0)
-    blob = json.dumps(first.snapshot())        # through actual JSON
+    blob = canonical_json(first.snapshot())    # through actual JSON
     second = FidelityHarness.resume(json.loads(blob))
     second.run_hours(2.0)
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.filesystem import FileSystem, FsError, FsFullError
+from repro.persist.core import canonical_json
 
 MOUNTS = {"/": 10**6, "/logs": 10**6, "/tiny": 40}
 PATHS = ["/logs/a", "/logs/b", "/logs/d/c", "/tiny/t", "/tiny/u", "/x"]
@@ -146,7 +147,7 @@ def test_file_store_equals_a_dict_of_lists(ops):
     fs, model = FileSystem(mounts=dict(MOUNTS)), Model()
     for now, (name, *args) in enumerate(ops):
         if name == "restore":
-            state = json.loads(json.dumps(fs.snapshot_state()))
+            state = json.loads(canonical_json(fs.snapshot_state()))
             fs = FileSystem(mounts=dict(MOUNTS))
             fs.restore_state(state)
         elif name in ("write", "append", "drop_head"):

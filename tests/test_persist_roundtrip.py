@@ -138,7 +138,7 @@ def test_format_1_checkpoint_is_refused_before_anything_is_built(tmp_path):
         del doc["admin"][gone]
     doc["admin"].update(sweep_mismatches=0, dgspl_mismatches=0)
     path = tmp_path / "ckpt-v1.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(canonical_json(doc))
     loaded = CheckpointManager.load(str(path))
 
     with pytest.raises(ValueError, match="checkpoint format 1"):
@@ -316,7 +316,7 @@ def test_wrong_kind_of_document_is_refused_before_anything_is_built(
     # an episode checkpoint written before single-site episodes ran in
     # a federation of one is such a site document
     path = tmp_path / "ep-old.json"
-    path.write_text(json.dumps(site_doc))
+    path.write_text(canonical_json(site_doc))
     with pytest.raises(ValueError, match=wants_fed):
         run_episode(build_corpus(0)["cascade"], from_checkpoint=str(path))
 
@@ -359,7 +359,7 @@ def test_resumed_timelines_equal_the_uninterrupted_run():
     read must not touch the world either) and two hours on."""
     mono = FidelityHarness(_site())
     mono.run_hours(6.0)
-    doc = json.loads(json.dumps(mono.snapshot()))
+    doc = json.loads(canonical_json(mono.snapshot()))
     twin = FidelityHarness.resume(doc)
 
     want = _cpu_idle_timelines(mono)

@@ -126,6 +126,16 @@ UNENTERED_OK = {
         "paper §3.4: a web server's probe is an http get",
     "repro.cluster.filesystem.FileSystem.drop_head":
         "ROADMAP item 1: the aged-world workload's sampler log wrap",
+    "repro.metrics.circular_log.Ring.__eq__":
+        "test seam: tests compare a snapshot's ring with a model's lines",
+    "repro.metrics.circular_log.Ring.drop":
+        "ROADMAP item 1: the aged-world workload's sampler log wrap",
+    "repro.metrics.samplers.Sample.format":
+        "paper §3.5: a sample's flat-ASCII record, the line a ring "
+        "renders from its kept values",
+    "repro.metrics.samplers.Sample.parse":
+        "paper §3.5: a timeline parses the log lines that arrived as "
+        "text, e.g. a restored checkpoint's",
     "repro.cluster.hardware.Component.degrade":
         "paper §3.3: the only source of the degraded units the hardware "
         "agent's prtdiag rule diagnoses",
