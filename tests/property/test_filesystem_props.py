@@ -12,6 +12,10 @@ does, refuse exactly what the model refuses, create no directory when
 it removes a path (there or not), and return from ``write`` /
 ``append`` what the end-to-end harness tallies (``write(...).size`` is
 the bytes written, ``append(...).lines[-1]`` the appended line).
+
+A sampler row appended to a path is kept typed in the file's ring; the
+model holds the line :meth:`Sample.format` renders, so a ring path must
+equal its list of lines through every other operation too.
 """
 
 import json
@@ -19,7 +23,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from repro.cluster.filesystem import FileSystem, FsError, FsFullError
+from repro.metrics.samplers import Sample, SamplerSuite
 from repro.persist.core import canonical_json
 
 MOUNTS = {"/": 10**6, "/logs": 10**6, "/tiny": 40}
@@ -107,9 +114,19 @@ _path = st.sampled_from(PATHS)
 _line = st.text(alphabet="ab xy", max_size=7)
 _lines = st.lists(_line, max_size=4) | st.builds("\n".join,
                                                  st.lists(_line, max_size=3))
+#: key sets a row draws from: one set in two orders, a subset, none
+KEYSETS = [("a", "b"), ("b", "a"), ("c",), (), ("a", "b", "c")]
+_value = st.sampled_from([0.0, -0.0, -1.5, 1e12, -1e12, 5e-324,
+                          2.2250738585072014e-308, 0.0005, 12.3456]) \
+    | st.floats(-1e13, 1e13)
+_row = st.builds(
+    lambda keys, t, values: Sample(t, "g", dict(zip(keys, values))),
+    st.sampled_from(KEYSETS), st.floats(0.0, 1e6),
+    st.lists(_value, min_size=3, max_size=3))
 _op = st.one_of(
     st.tuples(st.just("write"), _path, _lines),
     st.tuples(st.just("append"), _path, _line),
+    st.tuples(st.just("append"), _path, _row),
     st.tuples(st.just("drop_head"), _path, st.integers(0, 5)),
     st.tuples(st.just("remove"), _path),
     st.tuples(st.just("fill"), st.sampled_from(list(MOUNTS)),
@@ -152,6 +169,8 @@ def test_file_store_equals_a_dict_of_lists(ops):
             fs.restore_state(state)
         elif name in ("write", "append", "drop_head"):
             got = _outcome(lambda: getattr(fs, name)(*args, now=now))
+            if isinstance(args[-1], Sample):    # the model keeps its line
+                args = (args[0], args[1].format())
             want = _outcome(lambda: getattr(model, name)(*args, now=now))
             assert got[0] == want[0]
             if got[0] == "ok" and name == "write":
@@ -167,3 +186,35 @@ def test_file_store_equals_a_dict_of_lists(ops):
             fs.fill(*args)
             model.fill(*args)
         _agrees(fs, model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_row, max_size=30), junk=st.booleans())
+def test_a_typed_row_renders_its_line_and_reads_back_as_parsed(rows, junk):
+    """A row kept typed renders to :meth:`Sample.format`, and
+    ``get_series`` over a ring equals :meth:`Sample.parse` of the file's
+    lines -- typed runs, a text run between them, and after a restore."""
+    host = SimpleNamespace(name="h", fs=FileSystem())
+    suite = SamplerSuite(host)
+    log, rows = suite._log("g"), sorted(rows, key=lambda r: r.time)
+    path, half = log.path, len(rows) // 2
+    for row in rows[:half]:
+        log.append(row, now=row.time)
+    if junk and half:                 # a text line parsing cannot fail on
+        host.fs.append(path, rows[half - 1].format(), now=1.0)
+    state = json.loads(canonical_json(host.fs.snapshot_state()))
+    if half % 2:
+        host.fs.restore_state(state)
+    for row in rows[half:]:
+        log.append(row, now=row.time)
+    lines = host.fs.read(path)
+    want = rows[:half] + ([rows[half - 1]] if junk and half else []) \
+        + rows[half:]
+    assert lines == [row.format() for row in want]
+    parsed = [Sample.parse("g", line) for line in lines]
+    for key in ("a", "b", "c", "z"):
+        series = suite.get_series("g", key)
+        pairs = [(s.time, s.metrics[key]) for s in parsed if key in s.metrics]
+        got = [] if series is None else list(zip(series.times.tolist(),
+                                                 series.values.tolist()))
+        assert got == pairs

@@ -375,6 +375,28 @@ def test_sampler_history_is_the_circular_log_and_nothing_else(
     assert _live_timeseries() == before
 
 
+
+def test_a_sampler_row_costs_its_values(database):
+    """A sampler row is kept as its float64 values, not as its line: 200
+    wakes of one host's five samplers (no log wraps) grow the heap by at
+    most 8 B a value plus a small constant a row -- where a line kept
+    as ``str`` costs about 190 B."""
+    host = database.host
+    suite = SamplerSuite(host)
+    suite.sample_all()                  # make the logs and their rings
+    values = sum(len(s.metrics) + 1 for s in suite.sample_all())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            host.sim.run(until=host.sim.now + 300)
+            suite.sample_all()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = 200 * len(WORKGROUPS)
+    assert grown <= 200 * values * 8 + rows * 16, (grown, rows, values)
+
 # -- telemetry condition log -------------------------------------------------
 
 
