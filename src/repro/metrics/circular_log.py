@@ -30,13 +30,15 @@ _BLOCK = 256
 
 
 @functools.lru_cache(maxsize=256)
-def _template(sampled: Tuple[str, ...]) -> Tuple[str, Tuple[str, ...]]:
+def _template(sampled: Tuple[str, ...]):
     """The record line for these metric names as a ``%`` template over
-    ``(time, *values)``, and the (sorted) order the values go in.  An
-    empty group is ``"<t> "``, trailing blank included."""
+    ``(time, *values)``, the (sorted) order the values go in, and the
+    names as first asked for -- one object a ring can hold for every
+    host sampling them in that order.  An empty group is ``"<t> "``,
+    trailing blank included."""
     keys = tuple(sorted(sampled))
     return ("%.1f " + " ".join(k.replace("%", "%%") + "=%.3f"
-                               for k in keys), keys)
+                               for k in keys), keys, sampled)
 
 
 def _width(keys) -> int:
@@ -70,9 +72,9 @@ class Ring:
         if type(line) is str:
             return line
         metrics = line.metrics
-        tmpl, keys = ((self._tmpl, self._keys)
-                      if tuple(metrics) == self._order
-                      else _template(tuple(metrics)))
+        order = tuple(metrics)
+        tmpl, keys = ((self._tmpl, self._keys) if order == self._order
+                      else _template(order)[:2])
         return tmpl % (line.time, *map(metrics.__getitem__, keys))
 
     def append(self, line) -> None:
@@ -84,11 +86,12 @@ class Ring:
             self._data.append(line)
         else:
             metrics = line.metrics
-            if tuple(metrics) != self._order:
-                tmpl, keys = _template(tuple(metrics))
+            order = tuple(metrics)
+            if order != self._order:
+                tmpl, keys, order = _template(order)
                 if keys != self._keys:
                     self._start(tmpl, keys, array("d"))
-                self._order = tuple(metrics)
+                self._order = order
             self._data.append(line.time)
             self._data.extend(map(metrics.__getitem__, self._keys))
         self._len += 1

@@ -45,7 +45,7 @@ class Sample:
     metrics: Dict[str, float]
 
     def format(self) -> str:
-        template, keys = _template(tuple(self.metrics))
+        template, keys, _order = _template(tuple(self.metrics))
         return template % (self.time, *map(self.metrics.__getitem__, keys))
 
     @classmethod
