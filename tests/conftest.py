@@ -1,10 +1,16 @@
 """Shared fixtures: a simulator, a two-LAN mini datacentre, and a
-small fully-agented site."""
+small fully-agented site; and two collection options that check tier-1
+is hermetic: ``--order {file,reverse,<seed>}`` runs the tests in file
+order (the default), reversed, or shuffled by an integer seed, and
+``--shard i/n`` runs the ``i``-th of ``n`` disjoint parts, picked by a
+stable hash of each test's node id."""
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import random
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -21,6 +27,27 @@ from repro.net.routing import AgentChannel
 from repro.net.nfs import SharedPool
 from repro.ops.notifications import NotificationChannel
 from repro.sim import RandomStreams, Simulator
+
+
+def pytest_addoption(parser):
+    parser.addoption("--order", default="file",
+                     help="file, reverse, or an integer shuffle seed")
+    parser.addoption("--shard", default="1/1",
+                     help="i/n: run the i-th of n parts (1-based)")
+
+
+def pytest_collection_modifyitems(config, items):
+    order, shard = config.getoption("--order"), config.getoption("--shard")
+    if order == "reverse":
+        items.reverse()
+    elif order != "file":
+        random.Random(int(order)).shuffle(items)
+    i, n = map(int, shard.split("/"))
+    if not 1 <= i <= n:
+        raise pytest.UsageError(f"--shard {shard}: want i/n with 1 <= i <= n")
+    if n > 1:   # crc32, not hash(): the same split under any PYTHONHASHSEED
+        items[:] = [item for item in items
+                    if zlib.crc32(item.nodeid.encode()) % n == i - 1]
 
 
 @pytest.fixture
