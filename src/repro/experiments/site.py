@@ -194,7 +194,6 @@ def build_site(config: Optional[SiteConfig] = None,
     hosts = tuple(site_hosts(config) if hosts is None else hosts)
     sim = Simulator()
     streams = RandomStreams(config.seed)
-    streams.get("site.build")   # never drawn; rides every checkpoint's rng
     dc = Datacenter(sim)
 
     # -- networks (figure 1) -------------------------------------------------

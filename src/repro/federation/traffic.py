@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.persist.core import Persistent, children, part, scalar, table
+from repro.persist.core import Persistent, children, part, table
 from repro.traffic.engine import dispatch_fluid
 from repro.traffic.slo import Sli, rollup_slis
 from repro.traffic.workload import MINUTE, DemandCurve
@@ -43,8 +43,7 @@ class GeoTrafficDriver(Persistent):
 
     #: SLIs are created on first use, so the document decides which
     #: exist; the doors are the rebuilt ones, checked by name
-    _persist = (scalar("ticks", int),
-                children("slis", "slis",
+    _persist = (children("slis", "slis",
                          lambda fed, key: fed._sli(*key.split("/", 1))),
                 table("user_minutes_lost", float), part("doors"))
 
@@ -61,7 +60,6 @@ class GeoTrafficDriver(Persistent):
         #: per-site user-minutes lost (shed demand priced in concurrent
         #: users, attributed to the users' home site)
         self.user_minutes_lost: Dict[str, float] = {}
-        self.ticks = 0
 
     def attach_site(self, name: str, doors: Dict[str, object]) -> None:
         self.doors[name] = dict(doors)
@@ -167,7 +165,6 @@ class GeoTrafficDriver(Persistent):
                 self.user_minutes_lost[home] = (
                     self.user_minutes_lost.get(home, 0.0)
                     + users * fraction * (dt / MINUTE))
-        self.ticks += 1
 
     # -- rollups -------------------------------------------------------------
 

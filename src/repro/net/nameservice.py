@@ -21,8 +21,7 @@ class NameService(Persistent):
     #: records too, not just health: spare promotion and cutovers can
     #: register names after build, so the table is state
     _persist = (table("records"), scalar("up", bool),
-                scalar("degraded", bool),
-                scalar("failures", int))
+                scalar("degraded", bool))
     #: an answering, undegraded lookup (ms)
     base_response_ms = 2.0
 
@@ -31,7 +30,6 @@ class NameService(Persistent):
         self.records: Dict[str, str] = {}
         self.up = True
         self.degraded = False      # slow but answering
-        self.failures = 0
 
     def register(self, name: str, ip: str) -> None:
         self.records[name] = ip
@@ -46,13 +44,9 @@ class NameService(Persistent):
     def lookup(self, name: str) -> Tuple[Optional[str], float]:
         """Resolve ``name``.  Returns (ip-or-None, response_ms)."""
         if not self.up:
-            self.failures += 1
             return (None, 0.0)
         response = self.base_response_ms * (50.0 if self.degraded else 1.0)
-        ip = self.records.get(name)
-        if ip is None:
-            self.failures += 1
-        return (ip, response)
+        return (self.records.get(name), response)
 
     def response_ms(self) -> float:
         """What a health probe of the name server observes (negative

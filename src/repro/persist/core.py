@@ -56,7 +56,7 @@ __all__ = ["FORMAT_VERSION", "QuiescenceError",
            "save_state", "load_state"]
 
 #: bump when any component's snapshot layout changes incompatibly
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def check_format(snapshot: dict, kind: str) -> None:

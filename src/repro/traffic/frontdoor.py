@@ -42,8 +42,7 @@ class FrontDoor(Persistent):
 
     _persist = (via("apps", "_save_apps", "_load_apps"),
                 sortedset("down", attr="_down"),
-                scalar("rr_offset", int, "_rr_offset"),
-                scalar("shed_total", int))
+                scalar("rr_offset", int, "_rr_offset"))
 
     #: DGSPL older than this is stale -> round-robin fallback
     staleness = 900.0
@@ -65,7 +64,6 @@ class FrontDoor(Persistent):
         #: the DGSPL the kept weights were derived from, and the weights
         self._weighed: Optional[object] = None
         self._weights_kept: Dict[str, float] = {}
-        self.shed_total = 0
 
     # -- condition-ledger subscription ---------------------------------------
 
@@ -150,7 +148,6 @@ class FrontDoor(Persistent):
             return ([], 0)
         live = self._live_apps()
         if not live:
-            self.shed_total += n
             return ([], n)
 
         weights = self._weights(now)
@@ -160,7 +157,6 @@ class FrontDoor(Persistent):
                 return (self._split_weighted(n, listed, weights), 0)
             # fresh DGSPL lists nobody in this tier: every server is
             # sick; shed rather than pile onto known-bad machines
-            self.shed_total += n
             return ([], n)
 
         # stale or absent DGSPL: degrade to round-robin over live servers

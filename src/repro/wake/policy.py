@@ -18,7 +18,7 @@ The policy itself never talks to the cron; the agent reads
 
 from __future__ import annotations
 
-from repro.persist.core import Persistent, scalar, scalars
+from repro.persist.core import Persistent, scalar
 
 __all__ = ["WakePolicy"]
 
@@ -30,7 +30,7 @@ class WakePolicy(Persistent):
 
     __slots__ = ("mode", "base_period", "current_period", "resets", "triggers")
     _persist = (scalar("current_period", float),
-                *scalars(int, "resets", "triggers"))
+                scalar("resets", int))
 
     #: multiplicative back-off per clean run
     backoff = 2.0
@@ -49,7 +49,6 @@ class WakePolicy(Persistent):
         self.base_period = float(base_period)
         self.current_period = float(base_period)
         self.resets = 0
-        self.triggers = 0
 
     # -- run outcomes --------------------------------------------------------
 
@@ -70,7 +69,6 @@ class WakePolicy(Persistent):
 
     def note_trigger(self) -> bool:
         """A demand-wake arrived (trigger bus or admin watchdog)."""
-        self.triggers += 1
         return self._reset()
 
     def _reset(self) -> bool:

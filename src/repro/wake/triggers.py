@@ -47,11 +47,10 @@ class Trigger:
 class TriggerBus(Persistent):
     """Per-host bridge from local signals to agent demand-wakes."""
 
-    #: cooldown clocks and the wake count; subscriptions and source
+    #: cooldown clocks; subscriptions and source
     #: taps are structural (re-wired when the suite is rebuilt)
     _persist = (scalar("enabled", bool),
-                table("last_wake", float, attr="_last_wake"),
-                scalar("demand_wakes", int))
+                table("last_wake", float, attr="_last_wake"))
 
     #: seconds an agent is not demand-woken again after a wake
     cooldown = 60.0
@@ -62,7 +61,6 @@ class TriggerBus(Persistent):
         self.enabled = True
         self._subs: List[Tuple[object, Callable[[Trigger], bool]]] = []
         self._last_wake: Dict[str, float] = {}
-        self.demand_wakes = 0
 
     # -- sources -------------------------------------------------------------
 
@@ -119,10 +117,8 @@ class TriggerBus(Persistent):
                 continue
             if agent.demand_wake(trigger):
                 self._last_wake[agent.name] = trigger.time
-                self.demand_wakes += 1
                 woken += 1
         return woken
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<TriggerBus {self.host.name} subs={len(self._subs)} "
-                f"woken={self.demand_wakes}>")
+        return f"<TriggerBus {self.host.name} subs={len(self._subs)}>"

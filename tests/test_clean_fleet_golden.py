@@ -19,7 +19,10 @@ Format 6 regenerated it once more: with the members no product code
 reads dropped (the hosts', NICs', applications', agents', wake
 policies' and trigger buses' write-only counters), every host's
 document equals the format-5 one, and ``now``, the event count and the
-72 pending heap tokens are unchanged.
+72 pending heap tokens are unchanged.  Format 7 regenerated it again:
+with the wake policies' ``triggers`` and the trigger buses'
+``demand_wakes`` dropped, every host's document equals the format-6
+one, and ``now``, the event count and the pending tokens are unchanged.
 
 The second half is hostile to state the optimisations derive: it must
 never outlive what it was derived from.

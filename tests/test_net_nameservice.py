@@ -9,7 +9,6 @@ def test_register_and_lookup(sim, dc):
     ip, ms = ns.lookup("db01")
     assert ip == "192.168.1.10"
     assert ms == ns.base_response_ms
-    assert ns.failures == 0
 
 
 def test_register_host_records_all_nics(sim, dc):
@@ -22,11 +21,11 @@ def test_register_host_records_all_nics(sim, dc):
     assert ns.lookup("db01")[0] is not None
 
 
-def test_missing_name_counts_failure(sim):
+def test_missing_name_resolves_to_nothing_at_full_speed(sim):
     ns = NameService(sim)
-    ip, _ = ns.lookup("ghost")
+    ip, ms = ns.lookup("ghost")
     assert ip is None
-    assert ns.failures == 1
+    assert ms == ns.base_response_ms
 
 
 def test_outage(sim):

@@ -26,6 +26,14 @@ write-only counters, the admin pair's second decision log -- its
 and ``format`` is set aside.  Only layers holding such a member moved;
 ``kernel``, ``rng``, ``tracer``, ``config`` and every other stayed.
 
+Format 7 regenerated it: each world's document equals the format-6 one
+once the five members the format-6 lint passed only by name are
+dropped (``NameService.failures``, ``FrontDoor.shed_total``,
+``WakePolicy.triggers``, ``GeoTrafficDriver.ticks``,
+``TriggerBus.demand_wakes``) with the never-drawn ``site.build`` RNG
+stream, and ``format`` is set aside.  Only ``nameservice``, ``rng``,
+``suites`` and the federation's ``traffic`` moved.
+
 Regenerate with ``PYTHONPATH=src python tests/test_persist_golden.py``
 -- only for a change that is *meant* to alter the document, together
 with a ``FORMAT_VERSION`` bump.

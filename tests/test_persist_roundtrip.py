@@ -36,12 +36,16 @@ from repro.persist.core import discard
 #: carried suppression books), b63c0f4 for format 3 (its config still
 #: held nine single-valued fields and its RNG the ``site.manual``
 #: stream), fe34341 for format 4 (its heap tokens still carried a
-#: priority and its hosts and applications their signals' counters)
-#: and e94b389 for format 5 (its admin pair still kept every sweep
-#: decision twice and its components counters nothing reads)
+#: priority and its hosts and applications their signals' counters),
+#: e94b389 for format 5 (its admin pair still kept every sweep
+#: decision twice and its components counters nothing reads) and
+#: 424e0c8 for format 6 (its name service, front doors, wake policies,
+#: trigger buses and geo traffic driver still carried counters only
+#: same-named members of other classes are read for, and its RNG the
+#: never-drawn ``site.build`` stream)
 OLD_CHECKPOINTS = {
     n: os.path.join(os.path.dirname(__file__), "golden",
-                    f"format{n}-checkpoint.json.gz") for n in (2, 3, 4, 5)}
+                    f"format{n}-checkpoint.json.gz") for n in (2, 3, 4, 5, 6)}
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
@@ -214,6 +218,11 @@ def test_format_4_checkpoint_is_refused_by_its_number(tmp_path,
 def test_format_5_checkpoint_is_refused_by_its_number(tmp_path,
                                                      monkeypatch):
     _refused_by_its_number(tmp_path, monkeypatch, 5)
+
+
+def test_format_6_checkpoint_is_refused_by_its_number(tmp_path,
+                                                     monkeypatch):
+    _refused_by_its_number(tmp_path, monkeypatch, 6)
 
 
 def _refused_by_its_number(tmp_path, monkeypatch, n):

@@ -36,7 +36,6 @@ def test_findings_and_triggers_snap_back_to_base():
     p.note_trigger()
     assert p.current_period == 300.0
     assert p.resets == 2
-    assert p.triggers == 1
 
 
 def test_note_clean_reports_whether_period_changed(monkeypatch):
