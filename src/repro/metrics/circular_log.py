@@ -41,20 +41,17 @@ def _template(sampled: Tuple[str, ...]):
                                for k in keys), keys, sampled)
 
 
-def _width(keys) -> int:
-    return 1 if keys is None else len(keys) + 1
-
-
 class Ring:
     """A file's lines from its first append on, oldest first, as runs.
 
     A *typed* run is one key set -- its template and sorted keys -- and
     one flat ``array('d')`` of ``(t, v1..vk)`` rows; a *text* run
-    (``keys`` ``None``) is a list of lines that arrived as text.  The
-    newest run lives in the ring's own slots and older ones in a tuple,
-    so a log whose key set holds is one collector-tracked object; the
-    oldest run's first ``_head`` rows are already evicted.  A sequence
-    of ``str``: ``len`` is O(1), an index renders only its row.
+    (template ``"%s"``, no keys) is a list of lines that arrived as
+    text, so every run renders as ``template % row``.  The newest run
+    lives in the ring's own slots and older ones in a tuple, so a log
+    whose key set holds is one collector-tracked object; the oldest
+    run's first ``_head`` rows are already evicted.  A sequence of
+    ``str``: ``len`` is O(1), an index renders only its row.
     """
 
     __slots__ = ("_older", "_tmpl", "_keys", "_data", "_head", "_len",
@@ -62,34 +59,24 @@ class Ring:
 
     def __init__(self, lines=()):
         self._older, self._head = (), 0
-        self._tmpl = self._keys = self._order = None
+        self._tmpl, self._keys, self._order = "%s", (), None
         self._data = list(lines)
         self._len = len(self._data)
 
-    def render(self, line) -> str:
-        """``line`` as the file holds it: text as it is, a sampler row
-        (``time`` and a ``metrics`` map) through its key set's template."""
-        if type(line) is str:
-            return line
-        metrics = line.metrics
-        order = tuple(metrics)
-        tmpl, keys = ((self._tmpl, self._keys) if order == self._order
-                      else _template(order)[:2])
-        return tmpl % (line.time, *map(metrics.__getitem__, keys))
-
     def append(self, line) -> None:
-        """Add :meth:`render`'s ``line`` as the newest.  A row whose
-        names come in the last row's order needs no template lookup."""
+        """Add a text line or a sampler row (``time`` and a ``metrics``
+        map) as the newest.  A row whose names come in the last row's
+        order needs no template lookup."""
         if type(line) is str:
-            if self._keys is not None:
-                self._start(None, None, [])
+            if self._tmpl != "%s":
+                self._start("%s", (), [])
             self._data.append(line)
         else:
             metrics = line.metrics
             order = tuple(metrics)
             if order != self._order:
                 tmpl, keys, order = _template(order)
-                if keys != self._keys:
+                if tmpl != self._tmpl:
                     self._start(tmpl, keys, array("d"))
                 self._order = order
             self._data.append(line.time)
@@ -109,12 +96,13 @@ class Ring:
         """Evict the oldest ``count`` lines."""
         self._len -= min(count, self._len)
         head, runs = self._head + count, self._runs()
-        while len(runs) > 1 and head * _width(runs[0][1]) >= len(runs[0][2]):
-            head -= len(runs[0][2]) // _width(runs[0][1])
+        while (len(runs) > 1
+               and head * (len(runs[0][1]) + 1) >= len(runs[0][2])):
+            head -= len(runs[0][2]) // (len(runs[0][1]) + 1)
             runs = runs[1:]
         self._older = runs[:-1]
         _tmpl, keys, data = runs[0]
-        cut = min(head * _width(keys), len(data))
+        cut = min(head * (len(keys) + 1), len(data))
         if head >= _BLOCK or cut == len(data):
             del data[:cut]
             head = 0
@@ -125,7 +113,7 @@ class Ring:
         cut: ``rows`` is a text run's lines or a typed run's flat values."""
         head = self._head
         for tmpl, keys, data in self._runs():
-            yield tmpl, keys, data[head * _width(keys):]
+            yield tmpl, keys, data[head * (len(keys) + 1):]
             head = 0
 
     def copy(self) -> "Ring":
@@ -141,8 +129,7 @@ class Ring:
 
     def __iter__(self):
         return chain.from_iterable(
-            rows if keys is None
-            else map(tmpl.__mod__, zip(*[iter(rows)] * (len(keys) + 1)))
+            map(tmpl.__mod__, zip(*[iter(rows)] * (len(keys) + 1)))
             for tmpl, keys, rows in self.runs())
 
     def __getitem__(self, index):
@@ -153,10 +140,9 @@ class Ring:
             raise IndexError("ring index out of range")
         i += self._head
         for tmpl, keys, data in self._runs():
-            w = _width(keys)
+            w = len(keys) + 1
             if i * w < len(data):
-                return (data[i] if keys is None
-                        else tmpl % tuple(data[i * w:(i + 1) * w]))
+                return tmpl % tuple(data[i * w:(i + 1) * w])
             i -= len(data) // w
 
     def __eq__(self, other):

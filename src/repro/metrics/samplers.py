@@ -7,8 +7,11 @@ for network, iostat for disks, ps-walks for processes), parses the
 ASCII and appends a record to the group's circular log under
 ``/logs/perf/<host>/<group>``.  That file is the only copy: threshold
 checks read the fresh sample, and a timeline
-(:meth:`SamplerSuite.get_series`) is parsed back out of the retained
-lines, as deep as the log is long and as durable as the host's disk.
+(:meth:`SamplerSuite.get_series`) is read back out of the retained
+rows, as deep as the log is long and as durable as the host's disk.
+The log keeps a record as its values (a ring's typed row) and renders
+its line on read, so a timeline parses only lines that arrived as
+text, e.g. a restored checkpoint's.
 
 "All techniques were non-intrusive": a sampler is pull-only; it never
 mutates the thing it measures.
@@ -193,11 +196,10 @@ class SamplerSuite:
         if not fs.exists(path):
             return None
         ts = TimeSeries(f"{group}.{key}")
-        lines = fs.open(path)
-        lineno = 0
-        for _tmpl, keys, rows in (lines.runs() if type(lines) is Ring
-                                  else [(None, None, lines)]):
-            if keys is not None:
+        lines, lineno = fs.open(path), 0
+        for tmpl, keys, rows in (lines if type(lines) is Ring
+                                 else Ring(lines)).runs():
+            if tmpl != "%s":                # typed rows: no parse
                 w = len(keys) + 1
                 if key in keys:
                     for t, v in zip(rows[::w], rows[keys.index(key) + 1::w]):

@@ -4,10 +4,10 @@ A *snapshot* is a plain, strictly-JSON-serialisable dict: no live
 objects, no tuples-as-keys, no ``inf``/``nan`` (components encode
 sentinels as ``None`` before they reach this layer).  The one exception
 is a log file's frozen :class:`~repro.metrics.circular_log.Ring`, whose
-lines :func:`canonical_json` renders as it encodes the file's piece.  Identity between
-two world states is therefore decidable by comparing canonical JSON --
-the byte string :func:`canonical_json` produces -- and cheap to assert
-via :func:`state_hash`.
+lines :func:`canonical_json` renders as it encodes the file's piece.
+Identity between two world states is therefore decidable by comparing
+canonical JSON -- the byte string :func:`canonical_json` produces --
+and cheap to assert via :func:`state_hash`.
 
 A component does not write the protocol's methods.  It subclasses
 :class:`Persistent` and *declares* its state once, as a class-level
