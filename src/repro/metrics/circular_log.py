@@ -18,48 +18,62 @@ in place rather than rewriting the file.
 from __future__ import annotations
 
 import functools
-from array import array
 from itertools import chain
+from struct import Struct, iter_unpack, unpack_from
 from typing import Tuple
 
 __all__ = ["CircularLog", "Ring"]
-
-#: evicted rows the oldest run keeps before the live ones are moved
-#: down: one move per this many evictions, never a preallocated cap
-_BLOCK = 256
 
 
 @functools.lru_cache(maxsize=256)
 def _template(sampled: Tuple[str, ...]):
     """The record line for these metric names as a ``%`` template over
-    ``(time, *values)``, the (sorted) order the values go in, and the
-    names as first asked for -- one object a ring can hold for every
-    host sampling them in that order.  An empty group is ``"<t> "``,
-    trailing blank included."""
+    ``(time, *values)``, the (sorted) order the values go in, the names
+    as first asked for -- one object a ring can hold for every host
+    sampling them in that order -- and the packer of a row's float64s.
+    An empty group is ``"<t> "``, trailing blank included."""
     keys = tuple(sorted(sampled))
     return ("%.1f " + " ".join(k.replace("%", "%%") + "=%.3f"
-                               for k in keys), keys, sampled)
+                               for k in keys), keys, sampled,
+            _packer(_row(keys)))
+
+
+@functools.lru_cache(maxsize=None)
+def _packer(row: str):
+    """One packer per row width, however many key sets share it."""
+    return Struct(row).pack
+
+
+def _row(keys) -> str:
+    """The ``struct`` format of one typed row, ``(t, v1..vk)``."""
+    return "%dd" % (len(keys) + 1)
+
+
+def _stride(tmpl: str, keys) -> int:
+    """What one line takes of its run: a list slot, or its row's bytes."""
+    return 1 if tmpl == "%s" else 8 * len(keys) + 8
 
 
 class Ring:
     """A file's lines from its first append on, oldest first, as runs.
 
     A *typed* run is one key set -- its template and sorted keys -- and
-    one flat ``array('d')`` of ``(t, v1..vk)`` rows; a *text* run
-    (template ``"%s"``, no keys) is a list of lines that arrived as
-    text, so every run renders as ``template % row``.  The newest run
-    lives in the ring's own slots and older ones in a tuple, so a log
-    whose key set holds is one collector-tracked object; the oldest
-    run's first ``_head`` rows are already evicted.  A sequence of
-    ``str``: ``len`` is O(1), an index renders only its row.
+    one ``bytearray`` of packed float64 ``(t, v1..vk)`` rows; a *text*
+    run (template ``"%s"``, no keys) is a list of lines that arrived as
+    text.  The newest run lives in the ring's own slots and older ones
+    in a tuple, so a log whose key set holds is one collector-tracked
+    object, as the list it replaces was (a ``bytearray`` is not tracked;
+    an ``array`` is).  Eviction deletes the oldest rows in place, which
+    a ``bytearray`` does by moving its start, not its rows.  A sequence
+    of ``str``: ``len`` is O(1), an index renders only its row.
     """
 
-    __slots__ = ("_older", "_tmpl", "_keys", "_data", "_head", "_len",
-                 "_order")
+    __slots__ = ("_older", "_tmpl", "_keys", "_data", "_len", "_order",
+                 "_pack")
 
     def __init__(self, lines=()):
-        self._older, self._head = (), 0
-        self._tmpl, self._keys, self._order = "%s", (), None
+        self._older, self._tmpl, self._keys = (), "%s", ()
+        self._order = self._pack = None
         self._data = list(lines)
         self._len = len(self._data)
 
@@ -75,12 +89,12 @@ class Ring:
             metrics = line.metrics
             order = tuple(metrics)
             if order != self._order:
-                tmpl, keys, order = _template(order)
+                tmpl, keys, order, pack = _template(order)
                 if tmpl != self._tmpl:
-                    self._start(tmpl, keys, array("d"))
-                self._order = order
-            self._data.append(line.time)
-            self._data.extend(map(metrics.__getitem__, self._keys))
+                    self._start(tmpl, keys, bytearray())
+                self._order, self._pack = order, pack
+            self._data += self._pack(line.time,
+                                     *map(metrics.__getitem__, self._keys))
         self._len += 1
 
     def _start(self, tmpl, keys, data) -> None:
@@ -89,38 +103,34 @@ class Ring:
         self._tmpl, self._keys, self._data = tmpl, keys, data
         self._order = None
 
-    def _runs(self):
+    def runs(self):
+        """``(template, keys, data)`` per run, oldest first: a text run's
+        lines or a typed run's packed rows."""
         return (*self._older, (self._tmpl, self._keys, self._data))
+
+    def rows(self):
+        """``(template, keys, rows)`` per run, oldest first: a text run's
+        lines or a typed run's ``(t, v1..vk)`` tuples."""
+        for tmpl, keys, data in self.runs():
+            yield tmpl, keys, (data if tmpl == "%s"
+                               else iter_unpack(_row(keys), data))
 
     def drop(self, count: int) -> None:
         """Evict the oldest ``count`` lines."""
         self._len -= min(count, self._len)
-        head, runs = self._head + count, self._runs()
-        while (len(runs) > 1
-               and head * (len(runs[0][1]) + 1) >= len(runs[0][2])):
-            head -= len(runs[0][2]) // (len(runs[0][1]) + 1)
-            runs = runs[1:]
-        self._older = runs[:-1]
-        _tmpl, keys, data = runs[0]
-        cut = min(head * (len(keys) + 1), len(data))
-        if head >= _BLOCK or cut == len(data):
+        for tmpl, keys, data in self.runs():
+            stride = _stride(tmpl, keys)
+            cut = min(count * stride, len(data))
             del data[:cut]
-            head = 0
-        self._head = head
-
-    def runs(self):
-        """``(template, keys, rows)`` per run, oldest first, evicted rows
-        cut: ``rows`` is a text run's lines or a typed run's flat values."""
-        head = self._head
-        for tmpl, keys, data in self._runs():
-            yield tmpl, keys, data[head * (len(keys) + 1):]
-            head = 0
+            count -= cut // stride
+        self._older = tuple(run for run in self._older if run[2])
 
     def copy(self) -> "Ring":
         """An independent ring of the live lines, 8 B a value: what a
         snapshot holds instead of rendered lines."""
         ring = Ring()
-        *older, (ring._tmpl, ring._keys, ring._data) = self.runs()
+        *older, (ring._tmpl, ring._keys, ring._data) = (
+            (tmpl, keys, data[:]) for tmpl, keys, data in self.runs())
         ring._older, ring._len = tuple(older), self._len
         return ring
 
@@ -129,8 +139,8 @@ class Ring:
 
     def __iter__(self):
         return chain.from_iterable(
-            map(tmpl.__mod__, zip(*[iter(rows)] * (len(keys) + 1)))
-            for tmpl, keys, rows in self.runs())
+            rows if tmpl == "%s" else map(tmpl.__mod__, rows)
+            for tmpl, _keys, rows in self.rows())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -138,12 +148,12 @@ class Ring:
         i = index + self._len if index < 0 else index
         if not 0 <= i < self._len:
             raise IndexError("ring index out of range")
-        i += self._head
-        for tmpl, keys, data in self._runs():
-            w = len(keys) + 1
-            if i * w < len(data):
-                return tmpl % tuple(data[i * w:(i + 1) * w])
-            i -= len(data) // w
+        for tmpl, keys, data in self.runs():
+            stride = _stride(tmpl, keys)
+            if i * stride < len(data):
+                return (data[i] if tmpl == "%s"
+                        else tmpl % unpack_from(_row(keys), data, i * stride))
+            i -= len(data) // stride
 
     def __eq__(self, other):
         if not isinstance(other, (Ring, list, tuple)):

@@ -48,7 +48,7 @@ class Sample:
     metrics: Dict[str, float]
 
     def format(self) -> str:
-        template, keys, _order = _template(tuple(self.metrics))
+        template, keys = _template(tuple(self.metrics))[:2]
         return template % (self.time, *map(self.metrics.__getitem__, keys))
 
     @classmethod
@@ -198,13 +198,13 @@ class SamplerSuite:
         ts = TimeSeries(f"{group}.{key}")
         lines, lineno = fs.open(path), 0
         for tmpl, keys, rows in (lines if type(lines) is Ring
-                                 else Ring(lines)).runs():
+                                 else Ring(lines)).rows():
             if tmpl != "%s":                # typed rows: no parse
-                w = len(keys) + 1
-                if key in keys:
-                    for t, v in zip(rows[::w], rows[keys.index(key) + 1::w]):
-                        ts.append(float("%.1f" % t), float("%.3f" % v))
-                lineno += len(rows) // w
+                at = keys.index(key) + 1 if key in keys else 0
+                for lineno, row in enumerate(rows, lineno + 1):
+                    if at:
+                        ts.append(float("%.1f" % row[0]),
+                                  float("%.3f" % row[at]))
                 continue
             for lineno, line in enumerate(rows, lineno + 1):
                 try:

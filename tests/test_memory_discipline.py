@@ -375,7 +375,6 @@ def test_sampler_history_is_the_circular_log_and_nothing_else(
     assert _live_timeseries() == before
 
 
-
 def test_a_sampler_row_costs_its_values(database):
     """A sampler row is kept as its float64 values, not as its line: 200
     wakes of one host's five samplers (no log wraps) grow the heap by at
@@ -396,6 +395,7 @@ def test_a_sampler_row_costs_its_values(database):
         tracemalloc.stop()
     rows = 200 * len(WORKGROUPS)
     assert grown <= 200 * values * 8 + rows * 16, (grown, rows, values)
+
 
 # -- telemetry condition log -------------------------------------------------
 
