@@ -203,14 +203,14 @@ class FileSystem:
         return listing
 
     def append(self, path: str, line, now: float = 0.0) -> SimFile:
-        """Append a text line or a sampler row, whose line is its
-        ``format()``: rendered here for its length, kept as its values."""
+        """Append a text line or a sampler row, rendered here for its
+        length (:meth:`Ring.render`) and kept as its values."""
         path = _norm(path)
         parent = _parent(path)
         ring = self._files.get(path)
         if type(ring) is not Ring:          # the file's first append
             ring = Ring(ring or ())
-        extra = len(line if type(line) is str else line.format()) + 1
+        extra = len(ring.render(line)) + 1
         mount = self._check_writable(path, parent, extra)
         ring.append(line)
         self._files[path] = ring

@@ -77,10 +77,21 @@ class Ring:
         self._data = list(lines)
         self._len = len(self._data)
 
+    def render(self, line) -> str:
+        """``line`` as the file holds it: text as it is, a sampler row
+        (``time`` and a ``metrics`` map) through its key set's template,
+        the ring's own if the names come in its last row's order."""
+        if type(line) is str:
+            return line
+        metrics = line.metrics
+        order = tuple(metrics)
+        tmpl, keys = ((self._tmpl, self._keys) if order == self._order
+                      else _template(order)[:2])
+        return tmpl % (line.time, *map(metrics.__getitem__, keys))
+
     def append(self, line) -> None:
-        """Add a text line or a sampler row (``time`` and a ``metrics``
-        map) as the newest.  A row whose names come in the last row's
-        order needs no template lookup."""
+        """Add :meth:`render`'s ``line`` as the newest.  A row whose
+        names come in the last row's order needs no template lookup."""
         if type(line) is str:
             if self._tmpl != "%s":
                 self._start("%s", (), [])

@@ -130,6 +130,9 @@ UNENTERED_OK = {
         "test seam: tests compare a snapshot's ring with a model's lines",
     "repro.metrics.circular_log.Ring.drop":
         "ROADMAP item 1: the aged-world workload's sampler log wrap",
+    "repro.metrics.samplers.Sample.format":
+        "paper §3.5: a sample's flat-ASCII record, the line a ring "
+        "renders from its kept values",
     "repro.metrics.samplers.Sample.parse":
         "paper §3.5: a timeline parses the log lines that arrived as "
         "text, e.g. a restored checkpoint's",
