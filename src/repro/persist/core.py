@@ -98,7 +98,7 @@ def canonical_json(state: dict) -> str:
 def _ring_lines(value) -> list:
     """A ring's lines, rendered only as its piece is encoded; any other
     object is refused as ``json`` refuses it."""
-    from repro.metrics.circular_log import Ring    # imports this module
+    from repro.metrics.circular_log import Ring  # repro.metrics imports us
     if type(value) is not Ring:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")

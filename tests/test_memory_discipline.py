@@ -378,8 +378,9 @@ def test_sampler_history_is_the_circular_log_and_nothing_else(
 def test_a_sampler_row_costs_its_values(database):
     """A sampler row is kept as its float64 values, not as its line: 200
     wakes of one host's five samplers (no log wraps) grow the heap by at
-    most 8 B a value plus a small constant a row -- where a line kept
-    as ``str`` costs about 190 B."""
+    most 8 B a value plus a small constant a row -- the row buffer's
+    growth headroom, an eighth of it at most, included -- where a line
+    kept as ``str`` costs about 190 B."""
     host = database.host
     suite = SamplerSuite(host)
     suite.sample_all()                  # make the logs and their rings
@@ -394,7 +395,7 @@ def test_a_sampler_row_costs_its_values(database):
     finally:
         tracemalloc.stop()
     rows = 200 * len(WORKGROUPS)
-    assert grown <= 200 * values * 8 + rows * 16, (grown, rows, values)
+    assert grown <= 200 * values * 8 + rows * 32, (grown, rows, values)
 
 
 # -- telemetry condition log -------------------------------------------------
