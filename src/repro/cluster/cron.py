@@ -144,9 +144,7 @@ class Crond(Persistent):
             job.fn()
         else:
             job.missed += 1
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.metrics.counter("cron.missed").inc()
+            self.sim.tracer.count("cron.missed")
         self._arm(job)
 
     # -- persistence ------------------------------------------------------------

@@ -295,11 +295,9 @@ class AdministrationServers(Persistent):
             self._log_pool(f"{self.sim.now:.0f} SERVICE-DOWN "
                            f"{svc.name}: {err}")
         probe_span.finish(failures=failures)
-        if tracer.enabled:
-            tracer.metrics.counter("admin.service_probes").inc(
-                len(self.services))
-            if failures:
-                tracer.metrics.counter("admin.probe_failures").inc(failures)
+        tracer.count("admin.service_probes", len(self.services))
+        if failures:
+            tracer.count("admin.probe_failures", failures)
 
     def receive_dlsp(self, dlsp: Dlsp) -> None:
         """Called (over the agent channel) by the status agents."""
@@ -323,8 +321,7 @@ class AdministrationServers(Persistent):
         tracer = self.sim.tracer
         sweep_span = tracer.span("admin.flag_sweep", head=head.name,
                                  hosts=len(self.suites))
-        if tracer.enabled:
-            tracer.metrics.counter("admin.flag_sweeps").inc()
+        tracer.count("admin.flag_sweeps")
         plan, examined = self._plan_sweep_ledger(now, head)
         stale_hosts = self._apply_sweep(now, plan)
         sweep_span.finish(stale_hosts=stale_hosts, examined=examined,
@@ -421,11 +418,8 @@ class AdministrationServers(Persistent):
             if decision is not None:
                 plan.append(decision)
         tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("admin.conditions_consumed").inc(
-                len(conds))
-            tracer.metrics.counter("admin.sweep_candidates").inc(
-                len(candidates))
+        tracer.count("admin.conditions_consumed", len(conds))
+        tracer.count("admin.sweep_candidates", len(candidates))
         return plan, len(candidates)
 
     def _poll(self, cursor) -> tuple:
@@ -517,8 +511,7 @@ class AdministrationServers(Persistent):
                 stale_hosts += 1
                 self._demand_woken[host_name] = now
                 self.demand_wakes += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("admin.demand_wakes").inc()
+                tracer.count("admin.demand_wakes")
                 self.ledger.append("wake", host_name, status="demand",
                                    time=now, detail=reason)
                 suite = self.suites.get(host_name)
@@ -533,8 +526,7 @@ class AdministrationServers(Persistent):
                     continue
                 apply_action("restart_cron", host, "crond")
                 self.cron_repairs += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("admin.cron_repairs").inc()
+                tracer.count("admin.cron_repairs")
                 self._log_pool(f"{now:.0f} restarted crond on {host_name}")
             else:
                 if reason.startswith("agents not flagging"):
@@ -615,8 +607,7 @@ class AdministrationServers(Persistent):
         self.dgspl = self._assemble_dgspl_incremental(now)
         self.dgspl_generations += 1
         build_span.finish(entries=len(self.dgspl.entries))
-        if tracer.enabled:
-            tracer.metrics.counter("admin.dgspl_builds").inc()
+        tracer.count("admin.dgspl_builds")
         if self.pool is not None:
             # "per database type": one list per application type
             by_type: Dict[str, List[str]] = {}
@@ -644,9 +635,7 @@ class AdministrationServers(Persistent):
         """A degraded shared pool must be observable: count it and leave
         a syslog line on the acting head (the pool itself is what just
         refused the write)."""
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("admin.pool_write_failures").inc()
+        self.sim.tracer.count("admin.pool_write_failures")
         head.syslog.warning(self.sim.now, "admin-servers",
                             f"pool write failed ({where}): {exc}")
 

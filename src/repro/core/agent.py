@@ -164,16 +164,14 @@ class Intelliagent(Persistent):
         if self._proc is not None:
             if now < self._busy_until and self.host.ptable.get(self._proc.pid):
                 self.stats.skipped += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("agent.skipped").inc()
+                tracer.count("agent.skipped")
                 self._flag("skipped", "previous instance still running")
                 return
             self._end_proc()
         self._start_proc()
         self.stats.runs += 1
         self.stats.cpu_seconds += self.RUN_CPU_SECONDS
-        if tracer.enabled:
-            tracer.metrics.counter("agent.runs").inc()
+        tracer.count("agent.runs")
         busy = 0.0
         findings: List[Finding] = []
         run_span = tracer.span("agent.run", agent=self.name,
@@ -194,18 +192,16 @@ class Intelliagent(Persistent):
                         self._flag("ok")
                     return
                 self.stats.faults_found += len(findings)
-                if tracer.enabled:
-                    tracer.metrics.counter("agent.faults_found").inc(
-                        len(findings))
-                    for f in findings:
-                        # the zero-length detection span carries the
-                        # correlated fault id: this is the "detected"
-                        # stamp in the incident trace
-                        tracer.record_span(
-                            "fault.detect", now, now,
-                            fault_id=tracer.fault_id_for(f.subject),
-                            subject=f.subject, kind=f.kind,
-                            agent=self.name, host=self.host.name)
+                tracer.count("agent.faults_found", len(findings))
+                for f in findings:
+                    # the zero-length detection span carries the
+                    # correlated fault id: this is the "detected"
+                    # stamp in the incident trace
+                    tracer.record_span(
+                        "fault.detect", now, now,
+                        fault_id=tracer.fault_id_for(f.subject),
+                        subject=f.subject, kind=f.kind,
+                        agent=self.name, host=self.host.name)
                 with tracer.span("agent.communicate"):
                     self._log(
                         f"found {len(findings)} fault(s): "
@@ -252,9 +248,7 @@ class Intelliagent(Persistent):
         ok = self.host.crond.demand_wake(self.name)
         if ok:
             self.stats.demand_wakes += 1
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.metrics.counter("agent.demand_wakes").inc()
+            self.sim.tracer.count("agent.demand_wakes")
         return ok
 
     def _adapt_period(self, found: bool) -> None:
@@ -315,16 +309,14 @@ class Intelliagent(Persistent):
         tracer = self.sim.tracer
         for action in diag.actions:
             self.stats.heals_attempted += 1
-            if tracer.enabled:
-                tracer.metrics.counter("agent.heals_attempted").inc()
+            tracer.count("agent.heals_attempted")
             result = apply_action(action, self.host, subject)
             self._log(f"action {action} on {subject}: "
                       f"{'ok' if result.success else 'FAILED'} "
                       f"({result.detail})")
             if result.success:
                 self.stats.heals_succeeded += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("agent.heals_succeeded").inc()
+                tracer.count("agent.heals_succeeded")
                 self._flag("fixed", f"{action} {subject}")
                 self._tell_admins(f"fixed {subject} via {action}")
                 busy = max(busy, result.busy_for)
@@ -340,11 +332,10 @@ class Intelliagent(Persistent):
         self._escalated = self._escalated | {subject}
         self.stats.escalations += 1
         tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("agent.escalations").inc()
-            tracer.instant("fault.escalated", subject=subject,
-                           agent=self.name, reason=reason,
-                           fault_id=tracer.fault_id_for(subject))
+        tracer.count("agent.escalations")
+        tracer.instant("fault.escalated", subject=subject,
+                       agent=self.name, reason=reason,
+                       fault_id=tracer.fault_id_for(subject))
         self._flag("failed", f"{subject}: {diag.cause} ({reason})")
         if self.parts.communication and self.notifications is not None:
             self.notifications.email(

@@ -78,8 +78,7 @@ class JobManager(Persistent):
             if self.lsf.resubmit(job):
                 self.resubmitted += 1
                 span.set_attr("outcome", "resubmitted")
-                if tracer.enabled:
-                    tracer.metrics.counter("jobmgr.resubmitted").inc()
+                tracer.count("jobmgr.resubmitted")
             else:
                 span.set_attr("outcome", "gave-up")
                 self._give_up(job, "LSF master is down")
@@ -131,8 +130,7 @@ class JobManager(Persistent):
 
     def _give_up(self, job: BatchJob, reason: str) -> None:
         self.gave_up += 1
-        if self.sim.tracer.enabled:
-            self.sim.tracer.metrics.counter("jobmgr.gave_up").inc()
+        self.sim.tracer.count("jobmgr.gave_up")
         self.notifications.email(
             "operators",
             f"job {job.job_id} ({job.name}) needs manual handling",

@@ -77,10 +77,7 @@ class StatusAgent(Intelliagent):
             if full_lines != lines:
                 self._builder = DlspBuilder(self.host)  # probes all anew
                 dlsp, lines = full, full_lines      # ground truth wins
-                tracer = self.sim.tracer
-                if tracer.enabled:
-                    tracer.metrics.counter(
-                        "status.rebuild_mismatches").inc()
+                self.sim.tracer.count("status.rebuild_mismatches")
         lines = [old if old == new else new
                  for old, new in zip(self._filed, lines)] + lines[len(self._filed):]
         path = f"{DLSP_DIR}/{self.host.name}.{self.sim.now:.0f}"

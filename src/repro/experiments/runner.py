@@ -57,16 +57,15 @@ class FidelityHarness:
             tracer = self.sim.tracer
             if state in (AppState.CRASHED, AppState.HUNG):
                 self.ledger.open_incident(category, target, self.sim.now)
-                if tracer.enabled:
-                    tracer.instant("service.down", target=target,
-                                   fault_id=tracer.fault_id_for(target))
+                tracer.instant("service.down", target=target,
+                               fault_id=tracer.fault_id_for(target))
             elif state is AppState.STOPPED and not app.host.is_up:
                 self.ledger.open_incident(category, target, self.sim.now,
                                           note="host-down")
             elif state is AppState.RUNNING:
                 closed = self.ledger.close_incident(target, self.sim.now,
                                                     auto_repaired=True)
-                if closed is not None and tracer.enabled:
+                if closed is not None:
                     tracer.instant("service.restored", target=target,
                                    fault_id=tracer.fault_id_for(target))
 

@@ -168,16 +168,16 @@ class FaultInjector(Persistent):
                 target: str) -> FaultEvent:
         ev = FaultEvent(category, kind, self.sim.now, target)
         tracer = self.sim.tracer
-        if tracer.enabled:
-            # thread a fault id through the whole incident: agents that
-            # later find/diagnose/heal this target stamp the same id on
-            # their spans, making the fault one correlated trace tree
-            ev.fault_id = tracer.new_fault_id()
-            tracer.correlate(target, ev.fault_id)
-            tracer.instant("fault.inject", fault_id=ev.fault_id,
-                           kind=kind, category=category.value,
-                           target=target)
-            tracer.metrics.counter("faults.injected").inc()
+        # thread a fault id through the whole incident: agents that
+        # later find/diagnose/heal this target stamp the same id on
+        # their spans, making the fault one correlated trace tree
+        # (untraced, the id stays "")
+        ev.fault_id = tracer.new_fault_id()
+        tracer.correlate(target, ev.fault_id)
+        tracer.instant("fault.inject", fault_id=ev.fault_id,
+                       kind=kind, category=category.value,
+                       target=target)
+        tracer.count("faults.injected")
         self.injected.append(ev)
         return ev
 

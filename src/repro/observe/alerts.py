@@ -194,10 +194,7 @@ class AlertManager(Persistent):
         """Best-effort fault-id attribution: the newest injected fault
         within the lookback window (service-level burn cannot name its
         host; the injector's correlation can)."""
-        tracer = getattr(self.sim, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            return ""
-        for inst in reversed(tracer.instants):
+        for inst in reversed(self.sim.tracer.instants):
             if inst["name"] != "fault.inject":
                 continue
             if inst["ts"] < now - FAULT_LOOKBACK:

@@ -167,9 +167,6 @@ class OperatorConsole:
                        "jobmgr.resubmitted", "admin.cron_repairs")
 
     def _live_counters(self) -> List[tuple]:
-        tracer = getattr(self.sim, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            return []
-        snap = tracer.metrics.snapshot()["counters"]
+        snap = self.sim.tracer.metrics.snapshot()["counters"]
         return [(name, snap[name]) for name in self._BOARD_COUNTERS
                 if name in snap]

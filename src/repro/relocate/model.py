@@ -139,8 +139,7 @@ def apply_relocation(result: CampaignResult, rng, *, tracer=NULL_TRACER
             stats.succeeded += 1
             stats.hours_saved += (rec.repair - total) / 3600.0
             _record_spans(tracer, rec, phases, "ok")
-            if tracer.enabled:
-                tracer.metrics.counter("relocate.succeeded").inc()
+            tracer.count("relocate.succeeded")
             out.records.append(replace(rec, repair=total, escalated=False,
                                        auto=True))
         else:
@@ -154,7 +153,6 @@ def apply_relocation(result: CampaignResult, rng, *, tracer=NULL_TRACER
                 clipped.append(min(p, remaining))
                 remaining -= clipped[-1]
             _record_spans(tracer, rec, clipped, "rollback")
-            if tracer.enabled:
-                tracer.metrics.counter("relocate.failed").inc()
+            tracer.count("relocate.failed")
             out.records.append(replace(rec, repair=rec.repair + wasted))
     return out, stats

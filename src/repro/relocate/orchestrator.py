@@ -162,7 +162,7 @@ class ServiceRelocator(Persistent):
         target_host = self.dc.hosts[plan.target_host]
         target_app = target_host.apps[plan.target_app]
         # the target inherits the incident: its heal spans correlate too
-        if rec.fault_id and tracer.enabled:
+        if rec.fault_id:
             tracer.correlate(f"{plan.target_host}/{plan.target_app}",
                              rec.fault_id)
         if plan.cold:
@@ -209,8 +209,7 @@ class ServiceRelocator(Persistent):
         tracer.instant("relocate.done", subject=rec.subject,
                        fault_id=rec.fault_id, target=plan.target_host,
                        cold=plan.cold)
-        if tracer.enabled:
-            tracer.metrics.counter("relocate.succeeded").inc()
+        tracer.count("relocate.succeeded")
 
     def _rollback(self, rec: RelocationRecord, why: str,
                   claimed: Optional[str] = None):
@@ -224,8 +223,7 @@ class ServiceRelocator(Persistent):
         self.active.pop(rec.subject, None)
         tracer.instant("relocate.rollback", subject=rec.subject,
                        fault_id=rec.fault_id, phase=rec.phase, reason=why)
-        if tracer.enabled:
-            tracer.metrics.counter("relocate.failed").inc()
+        tracer.count("relocate.failed")
         self.page_cb(rec.source_host,
                      f"relocation of {rec.subject} failed: {why}")
         return

@@ -146,7 +146,7 @@ class Simulator(Persistent):
         self._seq = 0
         self._running = False
         self.events_processed = 0
-        #: observability hook; the shared disabled tracer by default so
+        #: observability hook; the shared off tracer by default so
         #: instrumented components can call it unconditionally
         self.tracer = NULL_TRACER
 
@@ -223,9 +223,7 @@ class Simulator(Persistent):
         self._running = True
         budget = math.inf if max_events is None else max_events
         heap = self._heap
-        # hoisted per-run: keeps the disabled-tracer loop branch-only
-        count_event = (self.tracer.metrics.counter("sim.events").inc
-                       if self.tracer.enabled else None)
+        start = self.events_processed
         try:
             while heap and budget > 0:
                 time, _seq, ev = heap[0]
@@ -239,11 +237,12 @@ class Simulator(Persistent):
                 ev.alive = False
                 self.events_processed += 1
                 budget -= 1
-                if count_event is not None:
-                    count_event()
                 ev.fn(*ev.args)
         finally:
             self._running = False
+            # counted once per run, not per event: the loop makes no
+            # tracer call, and nothing reads the count mid-run
+            self.tracer.count("sim.events", self.events_processed - start)
         if until is not None and self.now < until < self.peek():
             self.now = float(until)
 

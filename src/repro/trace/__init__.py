@@ -6,7 +6,8 @@ needs per-incident traces, not just end-of-run aggregates.  This
 package provides:
 
 - :mod:`tracer` -- :class:`Tracer` (sim-time spans and instants, fault
-  correlation, near-zero disabled cost) and :func:`install_tracer`.
+  correlation, counts), the off tracer :data:`NULL_TRACER` that takes
+  the same calls and records nothing, and :func:`install_tracer`.
 - :mod:`metrics` -- :class:`MetricsRegistry` of counters, snapshot-able
   to a plain dict, and the SLIs' fixed-bucket :class:`Histogram`.
 - :mod:`export` -- Chrome ``trace_event`` JSON, incident
@@ -22,7 +23,7 @@ Usage::
     print(format_timeline(tracer))
 """
 
-from repro.trace.metrics import Counter, Histogram, MetricsRegistry
+from repro.trace.metrics import Histogram, MetricsRegistry
 from repro.trace.tracer import (NULL_SPAN, NULL_TRACER, Span, Tracer,
                                 install_tracer)
 from repro.trace.export import (IncidentTrace, format_timeline,
@@ -30,7 +31,7 @@ from repro.trace.export import (IncidentTrace, format_timeline,
                                 to_chrome, write_chrome_trace)
 
 __all__ = [
-    "Counter", "Histogram", "MetricsRegistry",
+    "Histogram", "MetricsRegistry",
     "NULL_SPAN", "NULL_TRACER", "Span", "Tracer", "install_tracer",
     "IncidentTrace", "format_timeline", "incident_traces",
     "span_durations", "to_chrome", "write_chrome_trace",

@@ -11,27 +11,11 @@ dict for ``experiments.report`` and the CLI.  The fixed-bucket
 from __future__ import annotations
 
 import bisect
-from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.persist.core import Persistent, rows, scalar, table
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.value:g}>"
+__all__ = ["Histogram", "MetricsRegistry"]
 
 
 class Histogram(Persistent):
@@ -98,26 +82,20 @@ class Histogram(Persistent):
 
 
 class MetricsRegistry(Persistent):
-    """Named counters, created on first use.
+    """Named monotonic counts, each a plain float created on first use.
 
-    ``registry.counter("agent.runs").inc()`` is the whole API surface
-    at an instrumentation site; the registry guarantees one instance
-    per name so call sites can cache the handle.
+    An instrumentation site calls ``tracer.count("agent.runs")``, which
+    lands in :meth:`count`.
     """
 
-    _persist = (table("counters", Counter, attrgetter("value"),
-                      attr="_counters"),)
+    _persist = (table("counters", float, attr="_counters"),)
 
     def __init__(self):
-        self._counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, float] = {}
 
-    def counter(self, name: str) -> Counter:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = Counter(0.0)
-        return c
+    def count(self, name: str, n: float) -> None:
+        self._counters[name] = self._counters.get(name, 0.0) + n
 
     def snapshot(self) -> Dict[str, dict]:
         """The whole registry as a plain dict (stable key order)."""
-        return {"counters": {n: c.value
-                             for n, c in sorted(self._counters.items())}}
+        return {"counters": dict(sorted(self._counters.items()))}

@@ -8,10 +8,13 @@ and the paper's figures.
 
 Design constraints, in order:
 
-1. **Near-zero cost when disabled.**  Every simulator carries
-   :data:`NULL_TRACER` by default; ``tracer.enabled`` is the one check
-   hot paths make, and ``span()`` on a disabled tracer returns a shared
-   no-op singleton -- no allocation, no timestamping.
+1. **The off tracer is a null object.**  Every simulator carries
+   :data:`NULL_TRACER` by default.  It takes every call a
+   :class:`Tracer` takes and records nothing: ``span()`` returns the
+   shared no-op :data:`NULL_SPAN`, counts and stamps go nowhere, and a
+   fault id is ``""``.  So instrumentation calls the tracer
+   unconditionally, and nothing outside this package asks whether
+   tracing is on.
 2. **Nestable.**  Spans opened while another span is active record it
    as their parent, so one agent wake becomes a tree:
    ``agent.run > diagnose > heal.restart_app``.
@@ -79,7 +82,7 @@ class Span:
 
 
 class _NullSpan:
-    """The shared no-op span handed out by disabled tracers."""
+    """The shared no-op span handed out by the off tracer."""
 
     __slots__ = ()
     name = ""
@@ -131,9 +134,11 @@ class Tracer(Persistent):
              lambda i: [i["name"], i["ts"], dict(i["args"])]),
         part("metrics"))
 
-    def __init__(self, sim=None, *, enabled: bool = True):
+    #: a tracer always records; only the persisted scalar reads this
+    enabled = True
+
+    def __init__(self, sim=None):
         self.sim = sim
-        self.enabled = enabled
         self.metrics = MetricsRegistry()
         self.spans: List[Span] = []
         self.instants: List[dict] = []
@@ -157,8 +162,6 @@ class Tracer(Persistent):
 
     def span(self, name: str, **attrs: Any):
         """Open a span at the current simulated time."""
-        if not self.enabled:
-            return NULL_SPAN
         parent = self._stack[-1] if self._stack else None
         sp = Span(self, name, self.now, attrs, parent)
         self.spans.append(sp)
@@ -170,8 +173,6 @@ class Tracer(Persistent):
         """Record an already-complete span with explicit timestamps
         (used by model-sampled pipelines where phase durations are
         drawn, not lived through)."""
-        if not self.enabled:
-            return NULL_SPAN
         sp = Span(self, name, float(start), attrs, None)
         sp.end = float(end)
         self.spans.append(sp)
@@ -188,9 +189,11 @@ class Tracer(Persistent):
 
     def instant(self, name: str, **attrs: Any) -> None:
         """Record a point event at the current simulated time."""
-        if not self.enabled:
-            return
         self.instants.append({"name": name, "ts": self.now, "args": attrs})
+
+    def count(self, name: str, n: float = 1.0) -> None:
+        """Add ``n`` to the named counter."""
+        self.metrics.count(name, n)
 
     # -- fault correlation ---------------------------------------------------
 
@@ -280,20 +283,55 @@ class Tracer(Persistent):
             self.spans.append(sp)
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return (f"<Tracer {state} spans={len(self.spans)} "
+        return (f"<Tracer spans={len(self.spans)} "
                 f"instants={len(self.instants)}>")
 
 
-#: The disabled tracer every Simulator starts with.  Shared and inert:
-#: ``span()`` returns :data:`NULL_SPAN`, ``instant()`` is a no-op, and
-#: instrumentation guards metric updates behind ``tracer.enabled``.
-NULL_TRACER = Tracer(enabled=False)
+class _NullTracer:
+    """The off tracer: every recording call of :class:`Tracer`, and
+    nothing recorded.  Shared by every untraced simulator, so it holds
+    no state at all -- not even a fault sequence."""
+
+    __slots__ = ()
+    spans = instants = ()
+    #: never written: its snapshot is empty
+    metrics = MetricsRegistry()
+
+    def span(self, name: str, **attrs: Any) -> _NullSpan:
+        return NULL_SPAN
+
+    def record_span(self, name: str, start: float, end: float,
+                    **attrs: Any) -> _NullSpan:
+        return NULL_SPAN
+
+    def instant(self, name: str, **attrs: Any) -> None:
+        pass
+
+    def count(self, name: str, n: float = 1.0) -> None:
+        pass
+
+    def new_fault_id(self) -> str:
+        """``""``, :class:`~repro.faults.models.FaultEvent`'s default."""
+        return ""
+
+    def correlate(self, target: str, fault_id: str) -> None:
+        pass
+
+    def fault_id_for(self, subject: str) -> str:
+        return ""
+
+    def __repr__(self) -> str:
+        return "<NullTracer>"
 
 
-def install_tracer(sim, **kwargs: Any) -> Tracer:
+#: The off tracer every Simulator starts with (recognised by identity:
+#: a checkpoint saves no tracer for it).
+NULL_TRACER = _NullTracer()
+
+
+def install_tracer(sim) -> Tracer:
     """Create a tracer bound to a simulator and attach it, so every
     instrumented component reached from that simulator reports in."""
-    tracer = Tracer(sim, **kwargs)
+    tracer = Tracer(sim)
     sim.tracer = tracer
     return tracer

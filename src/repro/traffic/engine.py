@@ -79,21 +79,18 @@ class FluidTrafficEngine:
         sli = self.slis[cls_name]
         sli.record_batch(served, failed, latency_ms)
         tracer = self.sim.tracer
-        if tracer.enabled:
-            m = tracer.metrics
-            m.counter("traffic.attempted").inc(served + failed)
-            m.counter("traffic.served").inc(served)
-            if failed:
-                m.counter("traffic.failed").inc(failed)
+        tracer.count("traffic.attempted", served + failed)
+        tracer.count("traffic.served", served)
+        if failed:
+            tracer.count("traffic.failed", failed)
 
     def _account_shed(self, cls_name: str, n: int) -> None:
         if n <= 0:
             return
         self.slis[cls_name].record_shed(n)
         tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.metrics.counter("traffic.attempted").inc(n)
-            tracer.metrics.counter("traffic.shed").inc(n)
+        tracer.count("traffic.attempted", n)
+        tracer.count("traffic.shed", n)
 
 
 def dispatch_fluid(door, n: int, now: float,

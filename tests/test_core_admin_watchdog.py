@@ -220,7 +220,8 @@ def test_pool_write_failure_counted_and_logged(wired, sim, dc, monkeypatch):
     recs = admin.primary.syslog.grep(tag="admin-servers",
                                      contains="pool write failed")
     assert len(recs) == 1 and "actions.log" in recs[-1].message
-    assert tracer.metrics.counter("admin.pool_write_failures").value == 1
+    assert tracer.metrics.snapshot()["counters"][
+        "admin.pool_write_failures"] == 1
 
 
 def test_dlsp_pool_write_failure_keeps_memory_copy(wired, sim, monkeypatch):

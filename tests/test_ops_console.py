@@ -103,8 +103,8 @@ def test_board_shows_live_counters_when_traced(console, notifications, sim):
     board = console.board()
     assert "site counters" not in board       # untraced sim: no line
     tracer = install_tracer(sim)
-    tracer.metrics.counter("faults.injected").inc(3)
-    tracer.metrics.counter("agent.heals_succeeded").inc(2)
+    tracer.count("faults.injected", 3)
+    tracer.count("agent.heals_succeeded", 2)
     board = console.board()
     assert "faults.injected=3" in board
     assert "agent.heals_succeeded=2" in board

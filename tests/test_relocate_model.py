@@ -112,5 +112,5 @@ def test_spans_recorded_per_modelled_relocation():
                   if s.attrs.get("fault_id") == fid]
         assert phases == ["relocate.plan", "relocate.drain",
                           "relocate.start", "relocate.verify"]
-    assert (tracer.metrics.counter("relocate.succeeded").value
+    assert (tracer.metrics.snapshot()["counters"]["relocate.succeeded"]
             == stats.succeeded)

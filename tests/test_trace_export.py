@@ -139,8 +139,8 @@ def test_span_durations_filtering():
 
 def test_metrics_summary_renders_all_kinds():
     tracer = Tracer()
-    tracer.metrics.counter("agent.runs").inc(7)
-    tracer.metrics.counter("cron.missed").inc(3)
+    tracer.count("agent.runs", 7)
+    tracer.count("cron.missed", 3)
     text = metrics_summary(tracer.metrics.snapshot(), title="T")
     assert text.startswith("T")
     assert "agent.runs" in text and "7.00" in text

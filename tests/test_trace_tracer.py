@@ -84,34 +84,59 @@ def test_spans_named_filters_on_attrs(sim):
     assert len(tracer.spans_named("heal.restart", outcome="ok")) == 1
 
 
-# -- the disabled fast path ---------------------------------------------------
+# -- the off tracer ------------------------------------------------------------
 
 
 def test_simulator_defaults_to_shared_null_tracer():
     assert Simulator().tracer is NULL_TRACER
-    assert not NULL_TRACER.enabled
+    assert not isinstance(NULL_TRACER, Tracer)
 
 
 def test_disabled_tracer_returns_shared_null_span():
-    t = Tracer(enabled=False)
+    t = NULL_TRACER
     a = t.span("x", attr=1)
     b = t.span("y")
     assert a is NULL_SPAN and b is NULL_SPAN      # no per-call allocation
     assert a.set_attr("k", 1) is NULL_SPAN
     with a as sp:
         sp.finish(more=2)
-    assert t.spans == [] and t.instants == []
+    assert not t.spans and not t.instants
     t.instant("z")
-    assert t.instants == []
+    t.count("c", 2.0)
+    t.correlate("db01/oracle", "F0001")
+    assert not t.instants and t.metrics.snapshot() == {"counters": {}}
     assert t.record_span("r", 0.0, 1.0) is NULL_SPAN
+    assert t.new_fault_id() == t.fault_id_for("oracle") == ""
 
 
 def test_instrumented_run_records_nothing_when_disabled(sim):
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 1
-    assert NULL_TRACER.spans == []
+    assert not NULL_TRACER.spans
     assert "sim.events" not in NULL_TRACER.metrics.snapshot()["counters"]
+
+
+def test_untraced_relocation_leaves_the_shared_null_tracer_empty():
+    """The modelled relocation draws a fault id per failover from
+    whatever tracer it is given: the shared off tracer must hand out
+    ``""`` and keep nothing, or one untraced run leaks into the next."""
+    from repro.experiments import relocation
+    relocation.run_once(0)
+    assert not NULL_TRACER.spans and not NULL_TRACER.instants
+    assert NULL_TRACER.metrics.snapshot() == {"counters": {}}
+    assert NULL_TRACER.new_fault_id() == ""
+
+
+def test_traced_run_counts_its_events_once_even_when_none_fire(sim):
+    tracer = install_tracer(sim)
+    sim.run(until=5.0)
+    assert tracer.metrics.snapshot()["counters"] == {"sim.events": 0.0}
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda: None)
+    sim.run(max_events=2)
+    sim.run()
+    assert tracer.metrics.snapshot()["counters"]["sim.events"] == 3.0
 
 
 # -- fault correlation --------------------------------------------------------
@@ -139,9 +164,9 @@ def test_correlate_indexes_leaf_and_mount_names(sim):
 
 def test_counter_snapshot():
     reg = MetricsRegistry()
-    reg.counter("c").inc()
-    reg.counter("c").inc(2.0)
-    reg.counter("a")
+    reg.count("c", 1.0)
+    reg.count("c", 2.0)
+    reg.count("a", 0.0)
     assert reg.snapshot() == {"counters": {"a": 0.0, "c": 3.0}}
     restored = MetricsRegistry()
     restored.restore_state(reg.snapshot_state())
@@ -150,4 +175,6 @@ def test_counter_snapshot():
 
 def test_registry_get_or_create_is_stable():
     reg = MetricsRegistry()
-    assert reg.counter("x") is reg.counter("x")
+    reg.count("x", 1.0)
+    reg.count("x", 1.0)
+    assert reg.snapshot() == {"counters": {"x": 2.0}}

@@ -217,6 +217,6 @@ def test_metrics_counters_when_traced(curve, webserver):
                              RandomStreams(2), step=60.0)
     eng.start()
     sim.run(until=sim.now + 10 * 60.0)
-    m = sim.tracer.metrics
-    assert m.counter("traffic.attempted").value == eng.attempted
-    assert m.counter("traffic.served").value == eng.served
+    m = sim.tracer.metrics.snapshot()["counters"]
+    assert m["traffic.attempted"] == eng.attempted
+    assert m["traffic.served"] == eng.served
