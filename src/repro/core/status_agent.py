@@ -19,29 +19,23 @@ from typing import Callable, List, Optional, Sequence
 from repro.cluster.filesystem import FsError
 from repro.core.agent import Intelliagent
 from repro.core.parts import Finding
-from repro.ontology.dlsp import Dlsp, DlspBuilder, build_dlsp
-from repro.persist.core import part, scalar
+from repro.ontology.dlsp import Dlsp, DlspBuilder
+from repro.persist.core import part
 
 __all__ = ["StatusAgent"]
 
 DLSP_DIR = "/logs/intelliagents/dlsp"
 DLSP_RETENTION = 3600.0     # keep an hour of profiles locally
 
-#: every Nth profile is also built the exhaustive way and compared --
-#: a live self-check that the incremental cache never drifts
-FULL_REBUILD_EVERY = 8
-
 
 class StatusAgent(Intelliagent):
     """One per host."""
 
     category = "status"
-    #: the build count (every FULL_REBUILD_EVERY-th build is checked
-    #: against a full one) plus the incremental builder's cache, which
-    #: determines which apps get re-probed, so a resumed run carries
-    #: it over rather than rebuild cold
-    _persist_extra = (scalar("profiles_built", int),
-                      part("builder", "_builder"))
+    #: the incremental builder's cache, which determines which apps
+    #: get re-probed, so a resumed run carries it over rather than
+    #: rebuild cold
+    _persist_extra = (part("builder", "_builder"),)
     RUN_CPU_SECONDS = 0.020
 
     def __init__(self, host, *, deliver: Optional[Callable[[Dlsp], None]] = None,
@@ -49,7 +43,6 @@ class StatusAgent(Intelliagent):
         #: callback reaching the administration servers (wired by the
         #: suite; physically the bytes ride the agent channel)
         self.deliver = deliver
-        self.profiles_built = 0
         super().__init__(host, "status", **kw)
         self._builder = DlspBuilder(host)
         #: no profile in the directory is stamped earlier (None: unknown)
@@ -68,16 +61,8 @@ class StatusAgent(Intelliagent):
 
     def build_and_ship(self) -> Optional[Dlsp]:
         dlsp = self._builder.build()
-        self.profiles_built += 1
-        # rendered once: the same lines are compared, filed and weighed
+        # rendered once: the same lines are filed and weighed
         lines = dlsp.render()
-        if self.profiles_built % FULL_REBUILD_EVERY == 0:
-            full = build_dlsp(self.host)
-            full_lines = full.render()
-            if full_lines != lines:
-                self._builder = DlspBuilder(self.host)  # probes all anew
-                dlsp, lines = full, full_lines      # ground truth wins
-                self.sim.tracer.count("status.rebuild_mismatches")
         lines = [old if old == new else new
                  for old, new in zip(self._filed, lines)] + lines[len(self._filed):]
         path = f"{DLSP_DIR}/{self.host.name}.{self.sim.now:.0f}"

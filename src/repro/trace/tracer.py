@@ -122,7 +122,6 @@ class Tracer(Persistent):
     #: so chaos reports and incident reconciliation built after a
     #: restore are byte-identical to the uninterrupted run
     _persist = (
-        scalar("enabled", bool),
         scalar("next_fault_seq", int, "_fault_seq"),
         # insertion order is load-bearing: fault_id_for answers with
         # the first-bound key a subject is a suffix of
@@ -133,9 +132,6 @@ class Tracer(Persistent):
                           "args": dict(row[2])},
              lambda i: [i["name"], i["ts"], dict(i["args"])]),
         part("metrics"))
-
-    #: a tracer always records; only the persisted scalar reads this
-    enabled = True
 
     def __init__(self, sim=None):
         self.sim = sim

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.cluster.syslog import SEVERITIES
-from repro.persist.core import Persistent, scalar, table
+from repro.persist.core import Persistent, table
 
 __all__ = ["Trigger", "TriggerBus"]
 
@@ -49,8 +49,7 @@ class TriggerBus(Persistent):
 
     #: cooldown clocks; subscriptions and source
     #: taps are structural (re-wired when the suite is rebuilt)
-    _persist = (scalar("enabled", bool),
-                table("last_wake", float, attr="_last_wake"))
+    _persist = (table("last_wake", float, attr="_last_wake"),)
 
     #: seconds an agent is not demand-woken again after a wake
     cooldown = 60.0
@@ -58,7 +57,6 @@ class TriggerBus(Persistent):
     def __init__(self, host):
         self.host = host
         self.sim = host.sim
-        self.enabled = True
         self._subs: List[Tuple[object, Callable[[Trigger], bool]]] = []
         self._last_wake: Dict[str, float] = {}
 
@@ -104,7 +102,7 @@ class TriggerBus(Persistent):
     def publish(self, kind: str, subject: str, *, detail: str = "",
                 severity: str = "", facility: str = "") -> int:
         """Offer a trigger to every subscriber; returns agents woken."""
-        if not self.enabled or not self.host.is_up:
+        if not self.host.is_up:
             return 0
         trigger = Trigger(kind, subject, detail, severity, facility,
                           self.sim.now)

@@ -1,9 +1,10 @@
 """Property: what is kept on the write side equals a recount.
 
 The process table's run-queue counts, the hardware inventory's
-capacity, a front door's per-DGSPL weights and the tracer's suffix
-index are all derived state maintained where their source is written
-instead of re-derived where it is read.  Each test drives the source
+capacity, a front door's per-DGSPL weights, the tracer's suffix index
+and a status agent's incremental profile are all derived state
+maintained where their source is written instead of re-derived where
+it is read.  Each test drives the source
 through a random interleaving of every writer -- including the hostile
 ones: a killed entry mutated again, an unknown pid, a restore into a
 table already in use or a host that had crashed -- and demands after
@@ -15,6 +16,8 @@ same recount the chaos tier's ``host-books`` oracle runs).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.database import Database
+from repro.apps.webserver import WebServer
 from repro.chaos.oracles import inventory_books, table_books
 from repro.cluster.datacenter import Datacenter
 from repro.cluster.hardware import ComponentState, HardwareInventory
@@ -22,6 +25,7 @@ from repro.cluster.process import ProcessTable, ProcState
 from repro.cluster.specs import SPEC_CATALOGUE
 from repro.ontology.base import OntologyDoc
 from repro.ontology.dgspl import Dgspl
+from repro.ontology.dlsp import DlspBuilder, build_dlsp
 from repro.sim import Simulator
 from repro.trace.tracer import Tracer
 from repro.traffic.frontdoor import FrontDoor
@@ -258,3 +262,48 @@ def test_fault_id_lookup_equals_the_first_match_scan(binds, subjects):
     for subject in probes + ["over"]:
         assert restored.fault_id_for(subject) == _scan(
             restored._correlations, subject)
+
+
+# -- incremental profile -----------------------------------------------------
+
+_app = st.integers(min_value=0, max_value=1)
+_profile_op = st.one_of(
+    st.tuples(st.sampled_from(["crash", "hang", "degrade", "stop",
+                               "start", "restart"]), _app),
+    st.tuples(st.just("version"), _app, st.sampled_from(["1.0", "8.1.7",
+                                                         "9.2"])),
+    st.tuples(st.just("port"), _app, st.sampled_from([0, 80, 1521, 8080])),
+    st.tuples(st.just("load"), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.just("host"), st.sampled_from(["crash", "boot"])),
+    st.tuples(st.just("run"), st.sampled_from([1.0, 60.0, 300.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_profile_op, max_size=40))
+def test_incremental_profile_equals_the_full_build(ops):
+    """One builder carried through any run of crashes, restarts,
+    version and port changes and load shifts renders every profile as
+    the exhaustive :func:`build_dlsp` does at that moment."""
+    sim = Simulator()
+    dc = Datacenter(sim)
+    host = dc.add_host("db01", "sun-e4500", group="db")
+    apps = [Database(host, "ora01", db_type="oracle"),
+            WebServer(host, "httpd01")]
+    for app in apps:
+        app.start()
+    builder = DlspBuilder(host)
+    assert builder.build().render() == build_dlsp(host).render()
+    for op in ops:
+        if op[0] == "version":
+            apps[op[1]].version = op[2]
+        elif op[0] == "port":
+            apps[op[1]].port = op[2]
+        elif op[0] == "load":
+            host.extra_runnable = op[1]
+        elif op[0] == "host":
+            getattr(host, op[1])()
+        elif op[0] == "run":
+            sim.run(until=sim.now + op[1])
+        else:
+            getattr(apps[op[1]], op[0])()
+        assert builder.build().render() == build_dlsp(host).render()

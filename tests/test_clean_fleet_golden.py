@@ -23,6 +23,10 @@ document equals the format-5 one, and ``now``, the event count and the
 with the wake policies' ``triggers`` and the trigger buses'
 ``demand_wakes`` dropped, every host's document equals the format-6
 one, and ``now``, the event count and the pending tokens are unchanged.
+Format 8 regenerated it again: with the trigger buses' ``enabled`` and
+the status agents' ``profiles_built`` dropped, every host's document
+equals the format-7 one, and ``now``, the event count and the pending
+tokens are unchanged.
 
 The second half is hostile to state the optimisations derive: it must
 never outlive what it was derived from.

@@ -23,7 +23,7 @@ from repro.cluster import shell as shell_mod
 from repro.cluster.filesystem import FileSystem
 from repro.core.flags import Flag, FlagStore
 from repro.core.reasoning import CausalRule
-from repro.core.status_agent import FULL_REBUILD_EVERY, StatusAgent
+from repro.core.status_agent import StatusAgent
 from repro.experiments.wakes import build_fleet
 from repro.ontology.dlsp import Dlsp
 from repro.sim.kernel import Event
@@ -112,15 +112,14 @@ def test_a_clean_wake_builds_no_flag_record(fleet, monkeypatch):
 
 
 def test_status_wake_renders_its_profile_once():
-    """Once for the file and the payload alike; the every-8th
-    cross-check renders the exhaustive build beside it.  Needs the
-    admin pair a profile is shipped to, hence a site."""
+    """Once for the file and the payload alike.  Needs the admin pair
+    a profile is shipped to, hence a site."""
     from repro.experiments.site import SiteConfig, build_site
     site = build_site(SiteConfig.test_scale(seed=5,
                                             with_workload=False))
     renders = [0]
     counting = [True]
-    per_wake = {False: set(), True: set()}
+    per_wake = set()
     with pytest.MonkeyPatch.context() as patch:
         _counted(patch, Dlsp, "render",
                  lambda _a, _r: renders.__setitem__(
@@ -130,8 +129,7 @@ def test_status_wake_renders_its_profile_once():
         def build_and_ship(self):
             before = renders[0]
             result = original(self)
-            per_wake[self.profiles_built % FULL_REBUILD_EVERY == 0].add(
-                renders[0] - before)
+            per_wake.add(renders[0] - before)
             return result
         patch.setattr(StatusAgent, "build_and_ship", build_and_ship)
         for suite in site.suites.values():
@@ -147,7 +145,7 @@ def test_status_wake_renders_its_profile_once():
                     counting[0] = True
             suite.status.deliver = received
         site.run(4 * 3600.0)        # clean agents back off to 1800 s
-    assert per_wake == {False: {1}, True: {2}}
+    assert per_wake == {1}
 
 
 def test_clean_grids_leave_the_collector_only_the_rearmed_cron_events(

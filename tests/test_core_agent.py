@@ -173,9 +173,7 @@ def test_a_full_logs_mount_lets_every_wake_complete():
         agent.run()
     assert [agent.stats.runs for agent in suite.agents] == [
         n + 1 for n in runs]
-    built = suite.status.profiles_built
     assert suite.status.build_and_ship() is not None
-    assert suite.status.profiles_built == built + 1
     suite.perf._write_report(Diagnosis(
         Finding("perf-threshold", suite.host.name, "scan_rate=900"),
         "memory-pressure", []))

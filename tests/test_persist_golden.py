@@ -34,6 +34,13 @@ dropped (``NameService.failures``, ``FrontDoor.shed_total``,
 stream, and ``format`` is set aside.  Only ``nameservice``, ``rng``,
 ``suites`` and the federation's ``traffic`` moved.
 
+Format 8 regenerated it: each world's document equals the format-7 one
+once the three members that never vary are dropped (``Tracer.enabled``
+and ``TriggerBus.enabled``, always true, and
+``StatusAgent.profiles_built``, which only the removed every-8th full
+profile rebuild read) and ``format`` is set aside.  Only ``suites``
+and ``tracer`` moved.
+
 Regenerate with ``PYTHONPATH=src python tests/test_persist_golden.py``
 -- only for a change that is *meant* to alter the document, together
 with a ``FORMAT_VERSION`` bump.

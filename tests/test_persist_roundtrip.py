@@ -38,14 +38,16 @@ from repro.persist.core import discard
 #: stream), fe34341 for format 4 (its heap tokens still carried a
 #: priority and its hosts and applications their signals' counters),
 #: e94b389 for format 5 (its admin pair still kept every sweep
-#: decision twice and its components counters nothing reads) and
+#: decision twice and its components counters nothing reads),
 #: 424e0c8 for format 6 (its name service, front doors, wake policies,
 #: trigger buses and geo traffic driver still carried counters only
 #: same-named members of other classes are read for, and its RNG the
-#: never-drawn ``site.build`` stream)
+#: never-drawn ``site.build`` stream) and 412503d for format 7 (its
+#: tracers and trigger buses still carried an ``enabled`` flag that was
+#: always true, and its status agents a profile count)
 OLD_CHECKPOINTS = {
     n: os.path.join(os.path.dirname(__file__), "golden",
-                    f"format{n}-checkpoint.json.gz") for n in (2, 3, 4, 5, 6)}
+                    f"format{n}-checkpoint.json.gz") for n in range(2, 8)}
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
 
@@ -223,6 +225,11 @@ def test_format_5_checkpoint_is_refused_by_its_number(tmp_path,
 def test_format_6_checkpoint_is_refused_by_its_number(tmp_path,
                                                      monkeypatch):
     _refused_by_its_number(tmp_path, monkeypatch, 6)
+
+
+def test_format_7_checkpoint_is_refused_by_its_number(tmp_path,
+                                                     monkeypatch):
+    _refused_by_its_number(tmp_path, monkeypatch, 7)
 
 
 def _refused_by_its_number(tmp_path, monkeypatch, n):

@@ -3,7 +3,7 @@
 *Product code* is every ``.py`` file outside ``tests/`` -- ``src``,
 ``benchmarks``, ``examples`` -- except ``test_*.py`` files.  A test is
 not a caller: what only tests reach is not behaviour the program has.
-Five lints:
+Six lints:
 
 (a) *unpassed defaults* -- a defaulted parameter of a public function
     or method under ``src/repro`` that no product call site passes, by
@@ -29,7 +29,12 @@ Five lints:
 (e) *one world builder* -- no ``src/repro`` module but
     ``repro.experiments.site`` (and the kernel itself) constructs a
     ``Simulator`` or a ``Datacenter``: every world is ``build_site``'s,
-    from host rows.
+    from host rows;
+(f) *only* ``repro.trace`` *knows whether tracing is on* -- no product
+    file outside ``src/repro/trace/`` reads an attribute named
+    ``enabled`` or calls a method named ``counter``: the off tracer is
+    a null object, so instrumentation calls ``tracer.count(...)`` and
+    the rest unconditionally.
 
 What (a) counts as a call site: ``f(...)`` or ``mod.f(...)`` resolved
 through the caller's imports (and the packages' re-exports) for
@@ -599,3 +604,20 @@ def test_only_build_site_makes_a_world(source):
         "it host rows instead:\n  " + "\n  ".join(
             f"src/{m.replace('.', '/')}.py:{lines}"
             for m, lines in sorted(makers.items())))
+
+
+def test_only_repro_trace_knows_whether_tracing_is_on(source):
+    trace = os.path.join(SRC, "repro", "trace") + os.sep
+    found = sorted(
+        f"{os.path.relpath(path, ROOT)}:{node.lineno}: "
+        + (".enabled" if isinstance(node, ast.Attribute) else ".counter()")
+        for path, tree in source.tree.items() if not path.startswith(trace)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "enabled"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "counter"))
+    assert not found, (
+        "tracing state read outside repro.trace -- call the tracer "
+        "unconditionally (tracer.count(name, n)):\n  " + "\n  ".join(found))
