@@ -2,15 +2,14 @@
 small fully-agented site; and two collection options that check tier-1
 is hermetic: ``--order {file,reverse,<seed>}`` runs the tests in file
 order (the default), reversed, or shuffled by an integer seed, and
-``--shard i/n`` runs the ``i``-th of ``n`` disjoint parts, picked by a
-stable hash of each test's node id."""
+``--shard i/n`` runs the ``i``-th of ``n`` disjoint parts, balanced by
+each test's measured time (:mod:`tests.shard_durations`)."""
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing
 import random
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -27,6 +26,10 @@ from repro.net.routing import AgentChannel
 from repro.net.nfs import SharedPool
 from repro.ops.notifications import NotificationChannel
 from repro.sim import RandomStreams, Simulator
+from tests.shard_durations import load_table, plan
+
+#: every collected node id, before ``--shard`` keeps one part of them
+COLLECTED = pytest.StashKey[list]()
 
 
 def pytest_addoption(parser):
@@ -45,9 +48,10 @@ def pytest_collection_modifyitems(config, items):
     i, n = map(int, shard.split("/"))
     if not 1 <= i <= n:
         raise pytest.UsageError(f"--shard {shard}: want i/n with 1 <= i <= n")
-    if n > 1:   # crc32, not hash(): the same split under any PYTHONHASHSEED
-        items[:] = [item for item in items
-                    if zlib.crc32(item.nodeid.encode()) % n == i - 1]
+    config.stash[COLLECTED] = [item.nodeid for item in items]
+    if n > 1:
+        part = plan(config.stash[COLLECTED], n, load_table())
+        items[:] = [item for item in items if part[item.nodeid] == i - 1]
 
 
 @pytest.fixture
