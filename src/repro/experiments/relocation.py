@@ -34,11 +34,10 @@ __all__ = ["run_once", "run_replicated", "format_result"]
 
 
 def run_once(seed: int = 0, *, population: int = 1_000_000,
-             tracer=None) -> dict:
+             tracer=NULL_TRACER) -> dict:
     """One fault draw, three arms, priced against user demand in
     five-minute steps: a plain nested dict (deterministic key order),
     the unit the determinism tests byte-compare."""
-    tracer = tracer if tracer is not None else NULL_TRACER
     rs = RandomStreams(seed)
     campaign = Campaign(rs.get("relocation.campaign"))
     horizon = campaign.horizon

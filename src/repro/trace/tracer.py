@@ -316,9 +316,6 @@ class _NullTracer:
     def fault_id_for(self, subject: str) -> str:
         return ""
 
-    def __repr__(self) -> str:
-        return "<NullTracer>"
-
 
 #: The off tracer every Simulator starts with (recognised by identity:
 #: a checkpoint saves no tracer for it).

@@ -204,6 +204,10 @@ UNENTERED_OK = {
         "OS/network agent's dns-slow finding and causal rule diagnose",
     "repro.ontology.base.encode_list":
         "paper §3.1.4: the hand-kept ISSL is written through it",
+    "repro.ontology.dlsp.build_dlsp":
+        "benchmark: benchmarks/e2e/layers.py times it as the "
+        "ontology.dlsp.build layer; tests compare DlspBuilder.build "
+        "against it, the exhaustive profile of a live host",
     "repro.ontology.base.decode_list":
         "paper §3.1.4: the hand-kept ISSL is read through it",
     "repro.ontology.base.OntologyDoc.add":
